@@ -1,9 +1,9 @@
 """Generalization bounds from convex comparators under CGF constraints."""
 
 from .bounds import (BOUND_KINDS, CorrectionDivergent, average_bound,
-                     catoni_inf_bound, comparison_surface, diff_based_bound,
-                     evaluate_kind, mls_bound, optimistic_reference,
-                     pac_bound, samplewise_bound)
+                     bound_values, catoni_inf_bound, comparison_surface,
+                     diff_based_bound, evaluate_kind, mls_bound,
+                     optimistic_reference, pac_bound, samplewise_bound)
 from .conjugate import (ConjugateDivergent, ConjugateResult, family_conjugate,
                         numeric_conjugate)
 from .families import (FAMILY_KINDS, BoundingFamily, bernoulli, binary_kl,
@@ -13,7 +13,8 @@ from .inversion import (BoundQuery, BoundResult, Comparator, NoFiniteBound,
                         NonMonotoneComparator, catoni, cramer_of,
                         gaussian_diff, infimum_over_parameter, invert,
                         invert_at_budget, invert_closed_form_poisson,
-                        lambert_wm1, laplace_diff, poisson_diff, scaled_diff)
+                        invert_grid, lambert_wm1, laplace_diff, poisson_diff,
+                        scaled_diff)
 from .upsilon import (UpsilonEstimate, compute_upsilon, correction_two_e_ceil,
                       correction_xi, upsilon_bernoulli_exact,
                       upsilon_monte_carlo, upsilon_poisson_series,

@@ -22,18 +22,13 @@ class CorrectionDivergent(Exception):
 
 def average_bound(family, alpha, beta, n, tol=1e-9):
     """Average-case optimal bound: Cramer comparator, unit correction, no delta."""
-    return inv.invert(inv.cramer_of(family), BoundQuery(alpha, beta, n), tol)
+    return inv.invert(*_kind_query("average_cramer", family, alpha, beta, n),
+                      tol)
 
 
-def pac_bound(family, alpha, beta, n, delta, correction="xi",
-              ln_upsilon=None, u=None, tol=1e-9):
-    """High-probability Cramer bound with a certified correction.
-
-    correction is one of "chernoff" (caller supplies ln_upsilon, the log
-    moment value from the upsilon module), "xi", or "two_e_ceil" (u defaults
-    to n).  Chernoff corrections are refused outright for the Poisson and
-    gamma families, whose Cramer-comparator Upsilon diverges.
-    """
+def _pac_query(family, alpha, beta, n, delta, correction, ln_upsilon=None,
+               u=None):
+    """(comparator, query) of pac_bound; alpha and beta may be arrays."""
     comp = inv.cramer_of(family)
     if correction == "chernoff":
         if family.kind in ("poisson", "gamma"):
@@ -49,7 +44,20 @@ def pac_bound(family, alpha, beta, n, delta, correction="xi",
         q = BoundQuery(alpha, beta, n, delta, iota="two_e_ceil_u", u=u)
     else:
         raise ValueError(f"unknown correction {correction!r}")
-    return inv.invert(comp, q, tol)
+    return comp, q
+
+
+def pac_bound(family, alpha, beta, n, delta, correction="xi",
+              ln_upsilon=None, u=None, tol=1e-9):
+    """High-probability Cramer bound with a certified correction.
+
+    correction is one of "chernoff" (caller supplies ln_upsilon, the log
+    moment value from the upsilon module), "xi", or "two_e_ceil" (u defaults
+    to n).  Chernoff corrections are refused outright for the Poisson and
+    gamma families, whose Cramer-comparator Upsilon diverges.
+    """
+    return inv.invert(*_pac_query(family, alpha, beta, n, delta, correction,
+                                  ln_upsilon, u), tol)
 
 
 def optimistic_reference(family, alpha, beta, n, delta=None, tol=1e-9):
@@ -66,8 +74,7 @@ def optimistic_reference(family, alpha, beta, n, delta=None, tol=1e-9):
 
 def mls_bound(alpha, beta, n, delta, tol=1e-9):
     """Binary-kl bound with the classical 2 sqrt(n) correction."""
-    q = BoundQuery(alpha, beta, n, delta, iota="mls_sqrt")
-    return inv.invert(inv.binary_kl(), q, tol)
+    return inv.invert(*_kind_query("mls", None, alpha, beta, n, delta), tol)
 
 
 def catoni_inf_bound(alpha, beta, n, delta=None, tol=1e-9, grid_points=64):
@@ -122,29 +129,41 @@ def samplewise_bound(family, per_sample, n=None, tol=1e-9):
     return tot / len(pairs)
 
 
-def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
-                  b=None, tol=1e-9):
-    """Route a BoundKind name to its implementation; returns a BoundResult."""
+def _kind_query(kind, family, alpha, beta, n, delta=None):
+    """(comparator, query) of a kind that is one comparator inversion.
+
+    None for the parametric infima.  alpha and beta may be arrays; the
+    Chernoff kind computes its Upsilon once for all of them.
+    """
     if kind == "average_cramer":
-        return average_bound(family, alpha, beta, n, tol)
+        return inv.cramer_of(family), BoundQuery(alpha, beta, n)
+    if kind == "mls":
+        assert family is None or family.kind == "bernoulli"
+        assert delta is not None, "the mls kind requires delta"
+        return inv.binary_kl(), BoundQuery(alpha, beta, n, delta,
+                                           iota="mls_sqrt")
     if kind == "pac_cramer_chernoff":
         est = compute_upsilon(inv.cramer_of(family), family, n)
         if est.mode == "divergent" or not math.isfinite(est.value):
             raise CorrectionDivergent(
                 f"Upsilon of the {family.kind} Cramer comparator diverges")
-        return pac_bound(family, alpha, beta, n, delta, "chernoff",
-                         ln_upsilon=est.value, tol=tol)
-    if kind == "pac_cramer_xi":
-        return pac_bound(family, alpha, beta, n, delta, "xi", tol=tol)
-    if kind == "pac_cramer_two_e_ceil":
-        return pac_bound(family, alpha, beta, n, delta, "two_e_ceil", tol=tol)
+        return _pac_query(family, alpha, beta, n, delta, "chernoff",
+                          ln_upsilon=est.value)
+    if kind in ("pac_cramer_xi", "pac_cramer_two_e_ceil"):
+        return _pac_query(family, alpha, beta, n, delta,
+                          kind.removeprefix("pac_cramer_"))
+    return None
+
+
+def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
+                  b=None, tol=1e-9):
+    """Route a BoundKind name to its implementation; returns a BoundResult."""
+    query = _kind_query(kind, family, alpha, beta, n, delta)
+    if query is not None:
+        return inv.invert(*query, tol)
     if kind == "catoni_inf":
         assert family is None or family.kind == "bernoulli"
         return catoni_inf_bound(alpha, beta, n, delta, tol)
-    if kind == "mls":
-        assert family is None or family.kind == "bernoulli"
-        assert delta is not None, "the mls kind requires delta"
-        return mls_bound(alpha, beta, n, delta, tol)
     if kind == "poisson_diff_inf":
         return diff_based_bound("poisson", alpha, beta, n, delta=delta, tol=tol)
     if kind == "laplace_diff_inf":
@@ -157,6 +176,32 @@ def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
     raise ValueError(f"kind {kind!r} is not grid-evaluable")
 
 
+def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
+                 b=None, tol=1e-9):
+    """One bound kind over broadcast (alpha, beta) arrays, NaN where it diverges.
+
+    The kinds that invert one comparator make a single invert_grid call;
+    the parametric infima are evaluated cell by cell.
+    """
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float),
+                                      np.asarray(beta, dtype=float))
+    try:
+        query = _kind_query(kind, family, alpha, beta, n, delta)
+    except CorrectionDivergent:
+        return np.full(alpha.shape, math.nan)
+    if query is not None:
+        comp, q = query
+        return inv.invert_grid(comp, alpha, q.budget(), tol)
+    out = np.empty(alpha.shape)
+    for i in np.ndindex(alpha.shape):
+        try:
+            out[i] = evaluate_kind(kind, family, float(alpha[i]),
+                                   float(beta[i]), n, delta, sigma2, b, tol).rho
+        except (inv.NoFiniteBound, CorrectionDivergent):
+            out[i] = math.nan
+    return out
+
+
 def comparison_surface(kind_a, kind_b, grid, family=None, delta=None,
                        clamp=False, sigma2=None, b=None, tol=1e-9):
     """Elementwise difference of two bound kinds over an (alpha, beta/n) grid.
@@ -166,17 +211,10 @@ def comparison_surface(kind_a, kind_b, grid, family=None, delta=None,
     where a bound diverges are set to NaN.
     """
     alphas, bons, n = grid
+    a, bon = np.meshgrid(alphas, bons, indexing="ij")
 
-    def cell(kind, a, bon):
-        try:
-            r = evaluate_kind(kind, family, a, bon * n, n, delta,
-                              sigma2=sigma2, b=b, tol=tol)
-        except (inv.NoFiniteBound, CorrectionDivergent):
-            return math.nan
-        return min(1.0, r.rho) if clamp else r.rho
+    def values(kind):
+        v = bound_values(kind, family, a, bon * n, n, delta, sigma2, b, tol)
+        return np.minimum(v, 1.0) if clamp else v
 
-    out = np.empty((len(alphas), len(bons)))
-    for i, a in enumerate(alphas):
-        for j, bon in enumerate(bons):
-            out[i, j] = cell(kind_a, a, bon) - cell(kind_b, a, bon)
-    return out
+    return values(kind_a) - values(kind_b)

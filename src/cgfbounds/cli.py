@@ -3,9 +3,7 @@
 import argparse
 import dataclasses
 import json
-import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -128,31 +126,16 @@ def cmd_sweep(args):
     alphas = _parse_range(args.alpha_range)
     bons = _parse_range(args.bon_range, want_scale=True)
 
-    def cell(ab):
-        a, bon = ab
-        vals = []
-        for kind in kinds:
-            try:
-                r = bounds.evaluate_kind(kind, family, a, bon * args.n, args.n,
-                                         delta=args.delta, sigma2=args.sigma2,
-                                         b=args.b)
-                v = r.rho
-            except (inv.NoFiniteBound, bounds.CorrectionDivergent):
-                v = math.nan
-            if args.clamp:
-                v = min(1.0, v)
-            vals.append(v)
-        return vals
-
-    cells = [(a, bon) for a in alphas for bon in bons]
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as ex:
-        results = list(ex.map(cell, cells))
+    a, bon = (x.ravel() for x in np.meshgrid(alphas, bons, indexing="ij"))
+    cols = []
+    for kind in kinds:
+        v = bounds.bound_values(kind, family, a, bon * args.n, args.n,
+                                delta=args.delta, sigma2=args.sigma2, b=args.b)
+        cols.append(np.minimum(v, 1.0) if args.clamp else v)
     header = "alpha,beta_over_n," + ",".join(kinds) + ",diff"
     lines = [header]
-    for (a, bon), vals in zip(cells, results):
-        diff = vals[0] - vals[-1]
-        lines.append(",".join([_fmt(a), _fmt(bon)] + [_fmt(v) for v in vals]
-                              + [_fmt(diff)]))
+    for row in zip(a, bon, *cols, cols[0] - cols[-1]):
+        lines.append(",".join(_fmt(v) for v in row))
     _write_lines(args.out, lines)
     return EXIT_OK
 
@@ -264,42 +247,28 @@ _DEFAULT_CHECK_FAMILIES = ("bernoulli", "gaussian:sigma2=1", "poisson",
 
 
 def cmd_selfcheck(args):
-    failures = 0
-
-    err = _conjugate_suite([fam.parse_family(s) for s in _DEFAULT_CHECK_FAMILIES])
-    ok = err <= 1e-6
-    failures += not ok
-    print(f"selfcheck conjugate-vs-closed max_err={err:.3g} {'PASS' if ok else 'FAIL'}")
-
     n = 100
-    alphas = np.linspace(0.02, 0.9, 10)
     bons = np.geomspace(1e-3, 2.0, 10)
-    bern = fam.bernoulli()
-    worst = 0.0
-    for a in alphas:
-        for bon in bons:
-            beta = bon * n
-            lhs = bounds.catoni_inf_bound(float(a), float(beta), n).rho
-            rhs = bounds.average_bound(bern, float(a), float(beta), n).rho
-            worst = max(worst, abs(lhs - rhs))
-    ok = worst <= 1e-6
-    failures += not ok
-    print(f"selfcheck catoni-vs-kl max_err={worst:.3g} {'PASS' if ok else 'FAIL'}")
 
-    lap = fam.laplace(1.0)
-    worst = 0.0
-    for a in np.linspace(0.0, 2.0, 10):
-        for bon in bons:
-            beta = bon * n
-            lhs = bounds.diff_based_bound("laplace", float(a), float(beta),
-                                          n, b=1.0).rho
-            rhs = bounds.average_bound(lap, float(a), float(beta), n).rho
-            worst = max(worst, abs(lhs - rhs))
-    ok = worst <= 1e-6
-    failures += not ok
-    print(f"selfcheck laplace-diff-vs-cramer max_err={worst:.3g} {'PASS' if ok else 'FAIL'}")
+    def worst_gap(kind, family, alphas):
+        # the paper's identity: this kind's bound equals the Cramer inversion
+        a, beta = np.meshgrid(alphas, bons * n, indexing="ij")
+        gap = (bounds.bound_values(kind, family, a, beta, n)
+               - bounds.bound_values("average_cramer", family, a, beta, n))
+        return float(np.max(np.abs(gap)))
 
-    return EXIT_OK if failures == 0 else EXIT_CHECK
+    errs = {
+        "conjugate-vs-closed": _conjugate_suite(
+            [fam.parse_family(s) for s in _DEFAULT_CHECK_FAMILIES]),
+        "catoni-vs-kl": worst_gap("catoni_inf", fam.bernoulli(),
+                                  np.linspace(0.02, 0.9, 10)),
+        "laplace-diff-vs-cramer": worst_gap("laplace_diff_inf", fam.laplace(1.0),
+                                            np.linspace(0.0, 2.0, 10)),
+    }
+    for name, err in errs.items():
+        print(f"selfcheck {name} max_err={err:.3g} "
+              f"{'PASS' if err <= 1e-6 else 'FAIL'}")
+    return EXIT_OK if all(e <= 1e-6 for e in errs.values()) else EXIT_CHECK
 
 
 # -- parser -------------------------------------------------------------------
@@ -307,7 +276,8 @@ def cmd_selfcheck(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=None,
+                        help="deprecated; accepted and ignored")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--config", default=None,
                         help="key=value file merged under flags (flags win)")
@@ -397,6 +367,8 @@ def main(argv=None):
         return EXIT_IO
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads is not None:
+        print("warning: --threads is deprecated and ignored", file=sys.stderr)
     try:
         return args.func(args)
     except (inv.NoFiniteBound, bounds.CorrectionDivergent) as e:

@@ -80,7 +80,7 @@ class BoundingFamily:
     def _check_mean(self, p):
         lo, hi = self.mean_domain
         pp = np.asarray(p)
-        if np.any(pp <= lo) or np.any(pp >= hi):
+        if ((pp <= lo) | (pp >= hi)).any():
             raise ValueError(f"mean {p} outside the open domain of {self.kind}")
 
     # -- CGF and its finiteness interval ----------------------------------
@@ -144,10 +144,10 @@ class BoundingFamily:
         qq = np.asarray(q, dtype=float)
         pp = np.asarray(p, dtype=float)
         lo, hi = self.mean_domain
-        if np.any(qq < lo) or np.any(qq > hi):
+        if ((qq < lo) | (qq > hi)).any():
             raise ValueError(f"q={q} outside the loss range of {self.kind}")
         v = self.nuisance
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.kind == "bernoulli":
                 out = binary_kl(qq, pp)
             elif self.kind == "gaussian":
@@ -162,16 +162,19 @@ class BoundingFamily:
                 s = np.hypot(qq - pp, v)
                 out = s / v - 1.0 + np.log(2.0 * v / (s + v))
             elif self.kind == "invgauss":
-                out = np.where(qq > 0, v * (qq - pp) ** 2 / (2.0 * pp * pp * np.where(qq > 0, qq, 1.0)), _INF)
+                r = (qq - pp) / pp   # not (q-p)^2 / p^2: p^2 q underflows
+                out = np.where(qq > 0, v * r * r / (2.0 * np.where(qq > 0, qq, 1.0)), _INF)
             else:  # negbin
                 out = v * np.log((pp + v) / (qq + v)) + special.xlogy(qq, qq * (pp + v) / (pp * (qq + v)))
         return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self, p, count, seed=None, rng=None):
-        """count i.i.d. draws from the member with mean p, as a float array.
+    def sample(self, p, size, seed=None, rng=None):
+        """i.i.d. draws of the given size (an int or a shape) as a float array.
 
+        p is a mean or an array of means broadcast against size, so column h
+        of sample(means, (n, m)) is drawn from the member with mean means[h].
         Pass either a seed (a fresh counter-based stream is keyed off it) or
         an existing numpy Generator.
         """
@@ -180,20 +183,20 @@ class BoundingFamily:
             rng = make_generator(0 if seed is None else seed)
         v = self.nuisance
         if self.kind == "bernoulli":
-            return (rng.random(count) < p).astype(float)
+            return (rng.random(size) < p).astype(float)
         if self.kind == "gaussian":
-            return rng.normal(p, math.sqrt(v), count)
+            return rng.normal(p, math.sqrt(v), size)
         if self.kind == "poisson":
-            return rng.poisson(p, count).astype(float)
+            return rng.poisson(p, size).astype(float)
         if self.kind == "gamma":
-            return rng.gamma(v, p / v, count)
+            return rng.gamma(v, p / v, size)
         if self.kind == "laplace":
             # inverse CDF, symmetric around the mean
-            u = rng.random(count) - 0.5
+            u = rng.random(size) - 0.5
             return p - v * np.sign(u) * np.log1p(-2.0 * np.abs(u))
         if self.kind == "invgauss":
-            return rng.wald(p, v, count)
-        return rng.negative_binomial(v, v / (v + p), count).astype(float)
+            return rng.wald(p, v, size)
+        return rng.negative_binomial(v, v / (v + p), size).astype(float)
 
 
 # -- constructors and the CLI spec-string form ----------------------------

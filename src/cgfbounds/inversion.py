@@ -39,14 +39,17 @@ class Comparator:
 def cramer_of(family):
     """The family's Cramer function as a comparator (the optimal choice)."""
     lo, hi = family.mean_domain
+    inner = 0.5 if math.isfinite(hi) else 1.0   # any interior mean
 
     def fn(q, p):
-        if p == lo or p == hi:
-            # continuous extension onto the closed endpoints of the mean range
-            qq = np.asarray(q, dtype=float)
-            out = np.where(qq == p, 0.0, math.inf)
-            return float(out) if out.ndim == 0 else out
-        return family.cramer(q, p)
+        pp = np.asarray(p, dtype=float)
+        edge = (pp == lo) | (pp == hi)
+        if not edge.any():
+            return family.cramer(q, p)
+        # continuous extension onto the closed endpoints of the mean range
+        out = np.where(edge, np.where(np.asarray(q) == pp, 0.0, math.inf),
+                       family.cramer(q, np.where(edge, inner, pp)))
+        return float(out) if out.ndim == 0 else out
 
     return Comparator(f"cramer[{fam.family_spec(family)}]", fn, (lo, hi))
 
@@ -141,7 +144,8 @@ class BoundQuery:
     iota selects the log-correction: "one", "mls_sqrt" (2 sqrt n), "xi",
     "two_e_ceil_u" (u taken from the u field, defaulting to n), or
     "explicit" with iota_value holding ln(iota) in nats.  delta absent means
-    the average-case operator (no confidence term).
+    the average-case operator (no confidence term).  alpha and beta may be
+    arrays; the budget then broadcasts over them.
     """
     alpha: float
     beta: float
@@ -152,7 +156,7 @@ class BoundQuery:
     u: float | None = None
 
     def __post_init__(self):
-        assert self.beta >= 0.0 and self.n >= 1
+        assert np.all(np.asarray(self.beta) >= 0.0) and self.n >= 1
         if self.delta is not None:
             assert 0.0 < self.delta < 1.0
 
@@ -165,7 +169,8 @@ class BoundQuery:
             return math.log(2.0) + 0.5 * math.log(self.n)
         from .upsilon import correction_two_e_ceil, correction_xi
         if self.iota == "xi":
-            return math.log(correction_xi(max(self.n * self.alpha, 0.0), self.beta))
+            return np.log(correction_xi(np.maximum(self.n * self.alpha, 0.0),
+                                        self.beta))
         if self.iota == "two_e_ceil_u":
             u = self.n if self.u is None else self.u
             return math.log(correction_two_e_ceil(u))
@@ -191,72 +196,120 @@ class BoundResult:
 
 # -- the inversion engine --------------------------------------------------
 
+_STATUSES = ("converged", "capped_at_domain", "budget_nonpositive",
+             "no_finite_bound")
+_CONVERGED, _CAPPED, _NONPOSITIVE, _NO_FINITE = range(len(_STATUSES))
+_MAX_DOUBLINGS = 200
+
+
 def _safe_eval(comp, alpha, p):
+    """comp(alpha, p), +inf where it raises.
+
+    NaN needs no mapping: like +inf it fails every comparison made here.
+    """
     try:
-        v = comp.eval(alpha, p)
+        return comp.eval(alpha, p)
     except (ValueError, OverflowError):
-        return math.inf
-    v = float(v)
-    return math.inf if math.isnan(v) else v
+        if np.ndim(p) == 0:
+            return math.inf
+        # one bad cell must not poison the others
+        return np.array([_safe_eval(comp, a, x) for a, x in
+                         zip(np.ravel(alpha), np.ravel(p))]).reshape(np.shape(p))
+
+
+def _bisect(comp, alpha, budget, tol):
+    """sup{rho : comp(alpha, rho) <= budget} cell by cell over broadcast arrays.
+
+    The package's only bisection.  Returns (rho, lo, hi, iterations, status)
+    arrays; status indexes _STATUSES, and rho is the feasible endpoint lo
+    (the domain end when capped, NaN when no finite bound exists), so a
+    reported bound never overestimates the supremum.
+    """
+    alpha, budget = np.broadcast_arrays(np.asarray(alpha, dtype=float),
+                                        np.asarray(budget, dtype=float))
+    assert np.all(np.isfinite(budget)), "budget must be finite"
+    lo_r, hi_r = comp.loss_range
+    outside = ~((lo_r <= alpha) & (alpha <= hi_r))
+    if outside.any():
+        raise ValueError(f"alpha={float(alpha[outside][0])} outside the loss "
+                         f"range of {comp.form}")
+    bounded = math.isfinite(hi_r)
+    lo, hi = alpha.copy(), alpha.copy()
+    iterations = np.zeros(alpha.shape, dtype=int)
+
+    e0 = _safe_eval(comp, alpha, alpha)
+    status = np.where(budget <= np.where(np.isfinite(e0), e0, 0.0),
+                      _NONPOSITIVE, _CONVERGED)
+    todo = status == _CONVERGED
+
+    # three-point probe of the nondecreasing-in-rho requirement
+    d = (hi_r - alpha) / 8.0 if bounded else np.maximum(np.abs(alpha), 1.0) * 0.5
+    probe = todo & (d > 0)
+    if probe.any():
+        vals = [_safe_eval(comp, alpha, alpha + k * d) for k in (1, 2, 3)]
+        with np.errstate(invalid="ignore"):    # inf - inf
+            for a, b in zip(vals, vals[1:]):
+                bad = probe & (b < a - 1e-12 * np.maximum(1.0, np.abs(a)))
+                if bad.any():
+                    raise NonMonotoneComparator(
+                        f"{comp.form} is decreasing in rho near "
+                        f"alpha={float(alpha[bad][0])}")
+
+    if bounded and todo.any():
+        hi[todo] = hi_r
+        capped = todo & (_safe_eval(comp, alpha, hi) <= budget)
+        status[capped] = _CAPPED
+        todo &= ~capped
+    elif todo.any():
+        hi[todo] = np.maximum(alpha[todo], 1e-12)
+        grow = todo & (_safe_eval(comp, alpha, hi) <= budget)
+        doublings = 0
+        while grow.any():
+            lo = np.where(grow, hi, lo)
+            hi = np.where(grow, hi * 2.0, hi)
+            doublings += 1
+            if doublings > _MAX_DOUBLINGS:
+                status[grow] = _NO_FINITE
+                todo &= ~grow
+                break
+            grow &= _safe_eval(comp, alpha, hi) <= budget
+
+    while True:
+        scale = 1.0 if bounded else np.maximum(1.0, np.abs(lo))
+        mid = 0.5 * (lo + hi)
+        todo &= (hi - lo > tol * scale) & (lo < mid) & (mid < hi)
+        if not todo.any():
+            break
+        feasible = _safe_eval(comp, alpha, mid) <= budget
+        lo = np.where(todo & feasible, mid, lo)
+        hi = np.where(todo & ~feasible, mid, hi)
+        iterations += todo
+
+    rho = np.where(status == _CAPPED, hi, lo)
+    rho[status == _NO_FINITE] = math.nan
+    return rho, lo, hi, iterations, status
 
 
 def invert_at_budget(comp, alpha, budget, tol=1e-9):
-    """sup{rho in the loss range : comp(alpha, rho) <= budget} by bisection."""
-    assert math.isfinite(budget), "budget must be finite"
-    lo_r, hi_r = comp.loss_range
-    if not lo_r <= alpha <= hi_r:
-        raise ValueError(f"alpha={alpha} outside the loss range of {comp.form}")
-    bounded = math.isfinite(hi_r)
+    """sup{rho in the loss range : comp(alpha, rho) <= budget} by bisection.
 
-    try:
-        e0 = float(comp.eval(alpha, alpha))
-        if not math.isfinite(e0):
-            e0 = 0.0
-    except (ValueError, OverflowError):
-        e0 = 0.0
-    if budget <= e0:
-        return BoundResult(alpha, budget, (alpha, alpha), 0, "budget_nonpositive")
+    The scalar (0-d) case of invert_grid; raises NoFiniteBound where that
+    returns NaN.
+    """
+    rho, lo, hi, iterations, status = _bisect(comp, alpha, budget, tol)
+    if status == _NO_FINITE:
+        raise NoFiniteBound(f"{comp.form}: budget {budget} not exceeded after "
+                            f"{_MAX_DOUBLINGS} bracket doublings")
+    return BoundResult(float(rho), budget, (float(lo), float(hi)),
+                       int(iterations), _STATUSES[status])
 
-    # three-point probe of the nondecreasing-in-rho requirement
-    d = (hi_r - alpha) / 8.0 if bounded else max(abs(alpha), 1.0) * 0.5
-    if d > 0:
-        vals = [_safe_eval(comp, alpha, alpha + k * d) for k in (1, 2, 3)]
-        for a, b in zip(vals, vals[1:]):
-            if b < a - 1e-12 * max(1.0, abs(a)):
-                raise NonMonotoneComparator(
-                    f"{comp.form} is decreasing in rho near alpha={alpha}")
 
-    if bounded:
-        if _safe_eval(comp, alpha, hi_r) <= budget:
-            return BoundResult(hi_r, budget, (alpha, hi_r), 0, "capped_at_domain")
-        lo, hi = alpha, hi_r
-    else:
-        lo, hi = alpha, max(alpha, 1e-12)
-        expansions = 0
-        while _safe_eval(comp, alpha, hi) <= budget:
-            lo = hi
-            hi *= 2.0
-            expansions += 1
-            if expansions > 200:
-                raise NoFiniteBound(
-                    f"{comp.form}: budget {budget} not exceeded after "
-                    f"200 bracket doublings")
+def invert_grid(comp, alphas, budgets, tol=1e-9):
+    """invert_at_budget over broadcast (alpha, budget) arrays.
 
-    iterations = 0
-    while True:
-        scale = 1.0 if bounded else max(1.0, abs(lo))
-        if hi - lo <= tol * scale:
-            break
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _safe_eval(comp, alpha, mid) <= budget:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    # return the feasible endpoint, never an overestimate
-    return BoundResult(lo, budget, (lo, hi), iterations, "converged")
+    Returns the rho array, NaN in every cell that has no finite bound.
+    """
+    return _bisect(comp, alphas, budgets, tol)[0]
 
 
 def invert(comp, query, tol=1e-9):

@@ -2,8 +2,8 @@
 
 Every stochastic routine in the package draws from a Philox generator keyed
 by (seed, *stream ids).  Streams are independent of each other and of
-evaluation order, so parallel sweeps and trial loops reproduce bit-identical
-results for a fixed seed regardless of thread count.
+evaluation order, so trial loops and Monte-Carlo estimates reproduce
+bit-identical results for a fixed seed.
 """
 
 import numpy as np

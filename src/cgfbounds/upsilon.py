@@ -334,9 +334,9 @@ def compute_upsilon(comp, family, n, seed=0, **kw):
 
 
 def correction_xi(n_times_trainloss, kl):
-    """The union-bound correction pi^2 (1 + min{n L, KL})^2 / 3."""
-    assert n_times_trainloss >= 0.0 and kl >= 0.0
-    m = min(n_times_trainloss, kl)
+    """The union-bound correction pi^2 (1 + min{n L, KL})^2 / 3; broadcasts."""
+    assert np.min(n_times_trainloss) >= 0.0 and np.min(kl) >= 0.0
+    m = np.minimum(n_times_trainloss, kl)
     return math.pi ** 2 * (1.0 + m) ** 2 / 3.0
 
 

@@ -12,14 +12,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import families as fam
 from . import inversion as inv
-from .bounds import CATONI_GAMMA_MAGNITUDES
+from .bounds import CATONI_GAMMA_MAGNITUDES, average_bound, bound_values
 from .inversion import BoundQuery
 from .rng import make_generator
-from .upsilon import correction_two_e_ceil, correction_xi
 
 
 @dataclass(frozen=True)
@@ -51,26 +50,6 @@ class TrialRecord:
     violated: bool
 
 
-def _draw_loss_matrix(family, means, n, rng):
-    """(n, M) losses, column h drawn from the member with mean means[h]."""
-    m = len(means)
-    v = family.nuisance
-    if family.kind == "bernoulli":
-        return (rng.random((n, m)) < means).astype(float)
-    if family.kind == "gaussian":
-        return rng.normal(means, math.sqrt(v), (n, m))
-    if family.kind == "poisson":
-        return rng.poisson(np.broadcast_to(means, (n, m))).astype(float)
-    if family.kind == "gamma":
-        return rng.gamma(v, np.broadcast_to(means / v, (n, m)))
-    if family.kind == "laplace":
-        u = rng.random((n, m)) - 0.5
-        return means - v * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-    if family.kind == "invgauss":
-        return rng.wald(np.broadcast_to(means, (n, m)), v)
-    return rng.negative_binomial(v, v / (v + means), (n, m)).astype(float)
-
-
 @functools.lru_cache(maxsize=16)
 def _simulate(problem):
     """Per-trial (train_loss, pop_loss, kl) arrays for the Gibbs posterior."""
@@ -80,7 +59,8 @@ def _simulate(problem):
     lhat = np.empty((t_total, len(means)))
     for t in range(t_total):
         rng = make_generator(problem.seed, t)
-        lhat[t] = _draw_loss_matrix(problem.family, means, n, rng).mean(axis=0)
+        lhat[t] = problem.family.sample(means, (n, len(means)),
+                                        rng=rng).mean(axis=0)
     lnq = np.log(prior) - c * n * lhat
     lnq -= special.logsumexp(lnq, axis=1, keepdims=True)
     q = np.exp(lnq)
@@ -88,49 +68,6 @@ def _simulate(problem):
     train = np.einsum("tm,tm->t", q, lhat)
     pop = q @ means
     return train, pop, kl
-
-
-# -- vectorized Cramer inversion --------------------------------------------
-
-def _cram_eval(family, q, p):
-    lo, hi = family.mean_domain
-    pp = np.asarray(p, dtype=float)
-    if math.isfinite(hi):
-        pp = np.minimum(pp, np.nextafter(hi, lo))
-    if lo == 0.0:
-        pp = np.maximum(pp, 1e-300)
-    return np.asarray(family.cramer(q, pp), dtype=float)
-
-
-def invert_cramer_grid(family, alphas, budgets, tol=1e-9):
-    """Vectorized Cramer-comparator inversion, mirroring inversion.invert."""
-    alphas = np.asarray(alphas, dtype=float)
-    budgets = np.asarray(budgets, dtype=float)
-    lo = alphas.astype(float).copy()
-    hi_dom = family.mean_domain[1]
-    bounded = math.isfinite(hi_dom)
-    if bounded:
-        hi = np.full_like(lo, hi_dom)
-    else:
-        hi = np.maximum(alphas, 1e-12)
-        grow = _cram_eval(family, alphas, hi) <= budgets
-        for _ in range(200):
-            if not grow.any():
-                break
-            lo = np.where(grow, hi, lo)
-            hi = np.where(grow, hi * 2.0, hi)
-            grow = grow & (_cram_eval(family, alphas, hi) <= budgets)
-        assert not grow.any(), "no finite bound within 200 doublings"
-    for _ in range(100):
-        scale = 1.0 if bounded else np.maximum(1.0, np.abs(lo))
-        active = (hi - lo) > tol * scale
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        feas = _cram_eval(family, alphas, mid) <= budgets
-        lo = np.where(active & feas, mid, lo)
-        hi = np.where(active & ~feas, mid, hi)
-    return lo
 
 
 def _catoni_inf_grid(alphas, budgets, grid_points=64):
@@ -151,29 +88,20 @@ def _bound_vector(kind, family, train, kl, n, delta):
         assert family.kind == "bernoulli"
         budgets = (kl - math.log(delta)) / n
         return _catoni_inf_grid(train, budgets), "reference_only"
-    if kind == "mls":
-        assert family.kind == "bernoulli"
-        ln_iota = math.log(2.0) + 0.5 * math.log(n)
-    elif kind == "pac_cramer_xi":
-        ln_iota = np.log([correction_xi(max(n * a, 0.0), b)
-                          for a, b in zip(train, kl)])
-    elif kind == "pac_cramer_two_e_ceil":
-        ln_iota = math.log(correction_two_e_ceil(n))
-    elif kind == "pac_cramer_chernoff":
+    if kind not in ("mls", "pac_cramer_xi", "pac_cramer_two_e_ceil",
+                    "pac_cramer_chernoff"):
+        raise ValueError(f"verify does not support bound kind {kind!r}")
+    if kind == "pac_cramer_chernoff":
         assert family.kind == "bernoulli", \
             "chernoff correction is certified here only for bernoulli"
-        from .upsilon import upsilon_bernoulli_exact
-        ln_iota = upsilon_bernoulli_exact(inv.cramer_of(family), n).value
-    else:
-        raise ValueError(f"verify does not support bound kind {kind!r}")
-    budgets = (kl + ln_iota - math.log(delta)) / n
-    return invert_cramer_grid(family, train, budgets), None
+    return bound_values(kind, family, train, kl, n, delta), None
 
 
 def clopper_pearson(k, t_total, level=0.95):
     a = (1.0 - level) / 2.0
-    lo = 0.0 if k == 0 else float(stats.beta.ppf(a, k, t_total - k + 1))
-    hi = 1.0 if k == t_total else float(stats.beta.ppf(1.0 - a, k + 1, t_total - k))
+    lo = 0.0 if k == 0 else float(special.betaincinv(k, t_total - k + 1, a))
+    hi = 1.0 if k == t_total else float(special.betaincinv(k + 1, t_total - k,
+                                                           1.0 - a))
     return lo, hi
 
 
@@ -211,7 +139,6 @@ def check_average_bound(problem):
     the population-loss mean.
     """
     train, pop, kl = _simulate(problem)
-    from .bounds import average_bound
     res = average_bound(problem.family, float(train.mean()),
                         float(kl.mean()), problem.n)
     se = float(pop.std(ddof=1) / math.sqrt(len(pop)))

@@ -78,6 +78,32 @@ def test_sweep_identical_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_sweep_clamp_keeps_divergent_cells_nan(tmp_path):
+    # chernoff over poisson diverges; clamping must not turn that into 1
+    out = tmp_path / "c.csv"
+    code, _, _ = run_cli("sweep", "--family", "poisson",
+                         "--kinds", "pac_cramer_chernoff,average_cramer",
+                         "--alpha-range", "0.5:1:2", "--bon-range", "0.1:0.2:2",
+                         "--n", "20", "--delta", "0.05", "--clamp",
+                         "--out", str(out))
+    assert code == 0
+    rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 4
+    for row in rows:
+        assert math.isnan(float(row[2])) and math.isnan(float(row[4]))
+        assert 0.0 < float(row[3]) <= 1.0
+
+
+def test_threads_flag_deprecated(tmp_path):
+    args = ("ndep", "--family", "poisson", "--alpha", "1", "--beta", "1",
+            "--nmin", "10", "--nmax", "20", "--points", "2")
+    code, _, err = run_cli(*args, "--threads", "2")
+    assert code == 0
+    assert err.count("deprecated") == 1
+    code, _, err = run_cli(*args)
+    assert code == 0 and err == ""
+
+
 def test_config_merge_flags_win(tmp_path):
     cfg = tmp_path / "fig.cfg"
     cfg.write_text("family=bernoulli\nkinds=gaussian_diff_inf,average_cramer\n"

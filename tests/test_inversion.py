@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +148,57 @@ def test_invgauss_saturation_no_finite_bound():
         inv.invert_at_budget(comp, alpha, cap * 1.01)
     res = inv.invert_at_budget(comp, alpha, cap * 0.9)
     assert res.status == "converged"
+    # the grid reports the same cells as NaN, next to finite ones
+    rho = inv.invert_grid(comp, alpha, [cap * 1.01, cap * 0.9])
+    assert math.isnan(rho[0]) and rho[1] == res.rho
+
+
+INVGAUSS_SATURATION = """
+import math
+from cgfbounds import families as fam, inversion as inv
+comp = inv.cramer_of(fam.invgauss(1.5))
+rho = inv.invert_grid(comp, [2.0, 2.0], [0.5, 0.01])
+try:
+    inv.invert_at_budget(comp, 2.0, 0.5)
+    raised = False
+except inv.NoFiniteBound:
+    raised = True
+print(math.isnan(rho[0]), math.isfinite(rho[1]), raised)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_no_finite_bound_reported_without_asserts(flags):
+    # lambda/(2 alpha) = 0.375 < 0.5: no finite bound at alpha = 2, and the
+    # report must not rest on an assert that -O strips
+    proc = subprocess.run([sys.executable, *flags, "-c", INVGAUSS_SATURATION],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True"]
+
+
+MEAN_BOXES = {"bernoulli": (0.0, 1.0), "gaussian": (-3.0, 3.0),
+              "laplace": (-3.0, 3.0)}
+
+
+@given(family=st.sampled_from(FAMS),
+       cells=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 5.0)),
+                      min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_grid_equals_scalar_and_feasible(family, cells):
+    lo, hi = MEAN_BOXES.get(family.kind, (0.0, 5.0))
+    alphas = [lo + u * (hi - lo) for u, _ in cells]
+    budgets = [b for _, b in cells]
+    comp = inv.cramer_of(family)
+    grid = inv.invert_grid(comp, alphas, budgets)
+    for alpha, budget, rho in zip(alphas, budgets, grid):
+        try:
+            want = inv.invert_at_budget(comp, alpha, budget).rho
+        except inv.NoFiniteBound:
+            assert math.isnan(rho)
+            continue
+        assert rho == want
+        assert comp.eval(alpha, rho) <= budget
 
 
 # -- parametric comparators vs their closed inversions ---------------------------

@@ -60,6 +60,12 @@ def test_chernoff_kind_over_bernoulli():
     assert all(math.isfinite(r.bound_value) for r in recs)
 
 
+GRID_ORACLES = {
+    "gaussian": lambda a, b: a + math.sqrt(2 * 0.6 * b),
+    "poisson": inv.invert_closed_form_poisson,
+}
+
+
 @pytest.mark.parametrize("family,alphas", [
     (fam.bernoulli(), [0.05, 0.3, 0.9]),
     (fam.gaussian(0.6), [-1.2, 0.0, 1.5]),
@@ -69,11 +75,16 @@ def test_grid_inversion_matches_scalar(family, alphas):
     budgets = [1e-4, 0.03, 0.7, 4.0]
     a = np.repeat(alphas, len(budgets))
     b = np.tile(budgets, len(alphas))
-    grid = verify.invert_cramer_grid(family, a, b)
-    comp = inv.cramer_of(family)
+    grid = inv.invert_grid(inv.cramer_of(family), a, b)
+    oracle = GRID_ORACLES.get(family.kind)
     for i in range(len(a)):
-        want = inv.invert_at_budget(comp, float(a[i]), float(b[i])).rho
-        assert grid[i] == pytest.approx(want, abs=5e-9)
+        if oracle is not None:
+            assert grid[i] == pytest.approx(oracle(a[i], b[i]), rel=2e-9,
+                                            abs=2e-9)
+        else:
+            # no closed form: feasible, and infeasible just above
+            assert fam.binary_kl(a[i], grid[i]) <= b[i]
+            assert fam.binary_kl(a[i], grid[i] + 2e-9) > b[i]
 
 
 def test_clopper_pearson_closed_forms():
@@ -135,10 +146,15 @@ def test_samplewise_no_looser_than_full():
 
 def test_loss_matrix_means():
     rng = np.random.default_rng(0)
-    for family in (fam.gaussian(0.5), fam.poisson(), fam.gamma(2.0),
-                   fam.laplace(1.0), fam.invgauss(1.5), fam.negbin(2.0)):
-        means = np.array([0.4, 1.1])
-        x = verify._draw_loss_matrix(family, means, 4000, rng)
+    for family, means in ((fam.bernoulli(), [0.4, 0.9]),
+                          (fam.gaussian(0.5), [0.4, 1.1]),
+                          (fam.poisson(), [0.4, 1.1]),
+                          (fam.gamma(2.0), [0.4, 1.1]),
+                          (fam.laplace(1.0), [0.4, 1.1]),
+                          (fam.invgauss(1.5), [0.4, 1.1]),
+                          (fam.negbin(2.0), [0.4, 1.1])):
+        means = np.array(means)
+        x = family.sample(means, (4000, 2), rng=rng)
         assert x.shape == (4000, 2)
         se = x.std(axis=0, ddof=1) / math.sqrt(4000)
         assert np.all(np.abs(x.mean(axis=0) - means) < 5 * se)
