@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from . import families as fam
 from . import inversion as inv
 from .inversion import BoundQuery
 from .upsilon import compute_upsilon
@@ -13,7 +14,8 @@ BOUND_KINDS = ("average_cramer", "pac_cramer_chernoff", "pac_cramer_xi",
                "poisson_diff_inf", "laplace_diff_inf", "gaussian_diff_inf",
                "samplewise_average")
 
-CATONI_GAMMA_MAGNITUDES = (1e-3, 50.0)
+PARAMETRIC_INFIMA = ("catoni_inf", "poisson_diff_inf", "laplace_diff_inf",
+                     "gaussian_diff_inf")
 
 
 class CorrectionDivergent(Exception):
@@ -77,40 +79,25 @@ def mls_bound(alpha, beta, n, delta, tol=1e-9):
     return inv.invert(*_kind_query("mls", None, alpha, beta, n, delta), tol)
 
 
-def catoni_inf_bound(alpha, beta, n, delta=None, tol=1e-9, grid_points=64):
-    """Infimum of the Catoni bounds over the useful (negative) gamma range.
+def catoni_inf_bound(alpha, beta, n, delta=None, tol=1e-9):
+    """Infimum of the Catoni bounds over gamma < 0: the binary-kl inversion.
 
-    With delta this is the optimistic variant and is flagged reference_only:
-    the infimum over gamma carries no union correction.
+    See evaluate_kind for the identity route and the reference_only flag.
     """
-    q = BoundQuery(alpha, beta, n, delta)
-    res = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q,
-                                     CATONI_GAMMA_MAGNITUDES, "log",
-                                     grid_points, tol)
-    if delta is not None:
-        res.flag = "reference_only"
-    return res
+    return evaluate_kind("catoni_inf", None, alpha, beta, n, delta, tol=tol)
 
 
 def diff_based_bound(kind, alpha, beta, n, b=None, sigma2=None, delta=None,
-                     tol=1e-9, grid_points=64):
-    """Infimum over t of a difference-comparator bound.
+                     tol=1e-9):
+    """Infimum over t of a difference-comparator bound: a Cramer inversion.
 
     kind "poisson" needs no parameter, "laplace" takes the scale b,
-    "gaussian" the variance sigma2.
+    "gaussian" the variance sigma2.  See evaluate_kind.
     """
-    q = BoundQuery(alpha, beta, n, delta)
-    if kind == "poisson":
-        make, rng = inv.poisson_diff, (1e-4, 200.0)
-    elif kind == "laplace":
-        assert b is not None and b > 0
-        make, rng = (lambda t: inv.laplace_diff(t, b)), (1e-8, (1.0 - 1e-12) / b)
-    elif kind == "gaussian":
-        assert sigma2 is not None and sigma2 > 0
-        make, rng = (lambda t: inv.gaussian_diff(t, sigma2)), (1e-8, 100.0)
-    else:
+    if kind not in ("poisson", "laplace", "gaussian"):
         raise ValueError(f"unknown diff-bound kind {kind!r}")
-    return inv.infimum_over_parameter(make, q, rng, "log", grid_points, tol)
+    return evaluate_kind(f"{kind}_diff_inf", None, alpha, beta, n, delta,
+                         sigma2, b, tol)
 
 
 def samplewise_bound(family, per_sample, n=None, tol=1e-9):
@@ -129,11 +116,36 @@ def samplewise_bound(family, per_sample, n=None, tol=1e-9):
     return tot / len(pairs)
 
 
-def _kind_query(kind, family, alpha, beta, n, delta=None):
-    """(comparator, query) of a kind that is one comparator inversion.
+def _parametric_identity(kind, family, sigma2, b):
+    """The comparator whose inversion is the parametric infimum `kind`.
 
-    None for the parametric infima.  alpha and beta may be arrays; the
-    Chernoff kind computes its Upsilon once for all of them.
+    Every member D_t of these families is nondecreasing in rho, so
+    inf_t sup{rho : D_t <= B} = sup{rho : sup_t D_t <= B}, and sup_t D_t is
+    the binary kl for Catoni's family and the family's Cramer function for
+    the difference comparators.  This is the infimum over every t, so it is
+    at most the old infimum over a truncated t range, and it is a valid
+    bound, being the inversion of the optimal comparator itself.
+    """
+    if kind == "catoni_inf":
+        if family is not None and family.kind != "bernoulli":
+            raise ValueError("catoni_inf needs the bernoulli family, "
+                             f"got {family.kind}")
+        return inv.binary_kl()
+    if kind == "poisson_diff_inf":
+        return inv.cramer_of(fam.poisson())
+    laplace = kind == "laplace_diff_inf"
+    name, value = ("b", b) if laplace else ("sigma2", sigma2)
+    value = getattr(family, "nuisance", None) if value is None else value
+    if value is None or not value > 0:
+        raise ValueError(f"{name} must be positive for {kind}, got {value!r}")
+    return inv.cramer_of((fam.laplace if laplace else fam.gaussian)(value))
+
+
+def _kind_query(kind, family, alpha, beta, n, delta=None, sigma2=None, b=None):
+    """(comparator, query) of a grid-evaluable kind; one comparator inversion.
+
+    alpha and beta may be arrays; the Chernoff kind computes its Upsilon once
+    for all of them.  Raises ValueError for the other kinds.
     """
     if kind == "average_cramer":
         return inv.cramer_of(family), BoundQuery(alpha, beta, n)
@@ -152,54 +164,42 @@ def _kind_query(kind, family, alpha, beta, n, delta=None):
     if kind in ("pac_cramer_xi", "pac_cramer_two_e_ceil"):
         return _pac_query(family, alpha, beta, n, delta,
                           kind.removeprefix("pac_cramer_"))
-    return None
+    if kind in PARAMETRIC_INFIMA:
+        return (_parametric_identity(kind, family, sigma2, b),
+                BoundQuery(alpha, beta, n, delta))
+    raise ValueError(f"kind {kind!r} is not grid-evaluable")
 
 
 def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
                   b=None, tol=1e-9):
-    """Route a BoundKind name to its implementation; returns a BoundResult."""
-    query = _kind_query(kind, family, alpha, beta, n, delta)
-    if query is not None:
-        return inv.invert(*query, tol)
-    if kind == "catoni_inf":
-        assert family is None or family.kind == "bernoulli"
-        return catoni_inf_bound(alpha, beta, n, delta, tol)
-    if kind == "poisson_diff_inf":
-        return diff_based_bound("poisson", alpha, beta, n, delta=delta, tol=tol)
-    if kind == "laplace_diff_inf":
-        bb = b if b is not None else getattr(family, "nuisance", None)
-        return diff_based_bound("laplace", alpha, beta, n, b=bb, delta=delta, tol=tol)
-    if kind == "gaussian_diff_inf":
-        s2 = sigma2 if sigma2 is not None else getattr(family, "nuisance", None)
-        return diff_based_bound("gaussian", alpha, beta, n, sigma2=s2,
-                                delta=delta, tol=tol)
-    raise ValueError(f"kind {kind!r} is not grid-evaluable")
+    """Route a BoundKind name to its implementation; returns a BoundResult.
+
+    PARAMETRIC_INFIMA are one kl or Cramer inversion (_parametric_identity)
+    with param_star=None; infimum_over_parameter is their test oracle.  With
+    delta they are flagged reference_only: an infimum over the parameter
+    carries no union correction.
+    """
+    res = inv.invert(*_kind_query(kind, family, alpha, beta, n, delta,
+                                  sigma2, b), tol)
+    if kind in PARAMETRIC_INFIMA and delta is not None:
+        res.flag = "reference_only"
+    return res
 
 
 def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
                  b=None, tol=1e-9):
     """One bound kind over broadcast (alpha, beta) arrays, NaN where it diverges.
 
-    The kinds that invert one comparator make a single invert_grid call;
-    the parametric infima are evaluated cell by cell.
+    Every grid-evaluable kind, the parametric infima included, is a single
+    invert_grid call.
     """
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                       np.asarray(beta, dtype=float))
     try:
-        query = _kind_query(kind, family, alpha, beta, n, delta)
+        comp, q = _kind_query(kind, family, alpha, beta, n, delta, sigma2, b)
     except CorrectionDivergent:
         return np.full(alpha.shape, math.nan)
-    if query is not None:
-        comp, q = query
-        return inv.invert_grid(comp, alpha, q.budget(), tol)
-    out = np.empty(alpha.shape)
-    for i in np.ndindex(alpha.shape):
-        try:
-            out[i] = evaluate_kind(kind, family, float(alpha[i]),
-                                   float(beta[i]), n, delta, sigma2, b, tol).rho
-        except (inv.NoFiniteBound, CorrectionDivergent):
-            out[i] = math.nan
-    return out
+    return inv.invert_grid(comp, alpha, q.budget(), tol)
 
 
 def comparison_surface(kind_a, kind_b, grid, family=None, delta=None,

@@ -250,20 +250,26 @@ def cmd_selfcheck(args):
     n = 100
     bons = np.geomspace(1e-3, 2.0, 10)
 
-    def worst_gap(kind, family, alphas):
-        # the paper's identity: this kind's bound equals the Cramer inversion
-        a, beta = np.meshgrid(alphas, bons * n, indexing="ij")
-        gap = (bounds.bound_values(kind, family, a, beta, n)
-               - bounds.bound_values("average_cramer", family, a, beta, n))
+    def worst_gap(kind, family, alphas, make_comp, param_range):
+        # the paper's identity: the production kind, a kl or Cramer
+        # inversion, equals the oracle's infimum over the parameter
+        a, beta = (x.ravel() for x in np.meshgrid(alphas, bons * n,
+                                                  indexing="ij"))
+        gap = bounds.bound_values(kind, family, a, beta, n) - [
+            inv.infimum_over_parameter(make_comp, inv.BoundQuery(x, y, n),
+                                       param_range).rho
+            for x, y in zip(a, beta)]
         return float(np.max(np.abs(gap)))
 
     errs = {
         "conjugate-vs-closed": _conjugate_suite(
             [fam.parse_family(s) for s in _DEFAULT_CHECK_FAMILIES]),
         "catoni-vs-kl": worst_gap("catoni_inf", fam.bernoulli(),
-                                  np.linspace(0.02, 0.9, 10)),
-        "laplace-diff-vs-cramer": worst_gap("laplace_diff_inf", fam.laplace(1.0),
-                                            np.linspace(0.0, 2.0, 10)),
+                                  np.linspace(0.02, 0.9, 10),
+                                  lambda m: inv.catoni(-m), (1e-3, 50.0)),
+        "laplace-diff-vs-cramer": worst_gap(
+            "laplace_diff_inf", fam.laplace(1.0), np.linspace(0.0, 2.0, 10),
+            lambda t: inv.laplace_diff(t, 1.0), (1e-8, 1.0 - 1e-12)),
     }
     for name, err in errs.items():
         print(f"selfcheck {name} max_err={err:.3g} "

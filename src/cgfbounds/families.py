@@ -158,9 +158,11 @@ class BoundingFamily:
                 rat = qq / pp
                 out = np.where(qq > 0, v * (rat - 1.0 - np.log(np.where(qq > 0, rat, 1.0))), _INF)
             elif self.kind == "laplace":
-                # exact algebraic form of the conjugate; no 0/0 at q = p
-                s = np.hypot(qq - pp, v)
-                out = s / v - 1.0 + np.log(2.0 * v / (s + v))
+                # s/v - 1 + ln(2v/(s+v)) with s = hypot(q-p, v), written as
+                # u - ln(1 + u/2), u = s/v - 1: no cancellation near q = p
+                d = qq - pp
+                u = (d / v) * (d / (np.hypot(d, v) + v))
+                out = u - np.log1p(0.5 * u)
             elif self.kind == "invgauss":
                 r = (qq - pp) / pp   # not (q-p)^2 / p^2: p^2 q underflows
                 out = np.where(qq > 0, v * r * r / (2.0 * np.where(qq > 0, qq, 1.0)), _INF)

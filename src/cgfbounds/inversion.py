@@ -390,10 +390,12 @@ def infimum_over_parameter(make_comp, query, param_range, scale="log",
                            grid_points=64, tol=1e-9):
     """min over a parameter of the inverted bound, grid scan + golden refine.
 
-    make_comp maps a parameter value to a Comparator.  The per-parameter
-    bound is assumed quasiconvex on param_range; the scan is log- or
-    linear-spaced per `scale`.  Raises NoFiniteBound if no parameter gives a
-    finite bound.
+    For caller-supplied comparator families, and the test oracle of the
+    built-in parametric-infimum kinds, which bounds evaluates by their kl or
+    Cramer identity.  make_comp maps a parameter value to a Comparator.  The
+    per-parameter bound is assumed quasiconvex on param_range; the scan is
+    log- or linear-spaced per `scale`.  Raises NoFiniteBound if no parameter
+    gives a finite bound.
     """
     lo, hi = param_range
     if scale == "log":

@@ -16,7 +16,7 @@ from scipy import special
 
 from . import families as fam
 from . import inversion as inv
-from .bounds import CATONI_GAMMA_MAGNITUDES, average_bound, bound_values
+from .bounds import PARAMETRIC_INFIMA, average_bound, bound_values
 from .inversion import BoundQuery
 from .rng import make_generator
 
@@ -70,31 +70,16 @@ def _simulate(problem):
     return train, pop, kl
 
 
-def _catoni_inf_grid(alphas, budgets, grid_points=64):
-    """Grid infimum of the closed Catoni inversion over negative gamma."""
-    mags = np.geomspace(CATONI_GAMMA_MAGNITUDES[0], CATONI_GAMMA_MAGNITUDES[1],
-                        grid_points)
-    rho = np.full_like(np.asarray(alphas, dtype=float), np.inf)
-    for mag in mags:
-        g = -mag
-        r = np.expm1(g * alphas - budgets) / math.expm1(g)
-        rho = np.minimum(rho, np.clip(r, 0.0, 1.0))
-    return rho
-
-
 def _bound_vector(kind, family, train, kl, n, delta):
     """Per-trial bound values for a kind; returns (values, flag)."""
-    if kind == "catoni_inf":
-        assert family.kind == "bernoulli"
-        budgets = (kl - math.log(delta)) / n
-        return _catoni_inf_grid(train, budgets), "reference_only"
     if kind not in ("mls", "pac_cramer_xi", "pac_cramer_two_e_ceil",
-                    "pac_cramer_chernoff"):
+                    "pac_cramer_chernoff", "catoni_inf"):
         raise ValueError(f"verify does not support bound kind {kind!r}")
     if kind == "pac_cramer_chernoff":
         assert family.kind == "bernoulli", \
             "chernoff correction is certified here only for bernoulli"
-    return bound_values(kind, family, train, kl, n, delta), None
+    flag = "reference_only" if kind in PARAMETRIC_INFIMA else None
+    return bound_values(kind, family, train, kl, n, delta), flag
 
 
 def clopper_pearson(k, t_total, level=0.95):

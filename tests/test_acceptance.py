@@ -52,9 +52,11 @@ def test_c02_catoni_mls_identity():
     worst = 0.0
     for a in np.linspace(0.02, 0.9, 30):
         for bon in np.geomspace(1e-3, 2.0, 30):
-            kl = bounds.average_bound(fam.bernoulli(), a, bon * 100, 100).rho
+            q = inv.BoundQuery(a, bon * 100, 100)
+            orc = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q,
+                                             (1e-3, 50.0), "log").rho
             ca = bounds.catoni_inf_bound(a, bon * 100, 100).rho
-            worst = max(worst, abs(kl - ca))
+            worst = max(worst, abs(orc - ca))
     dt = time.perf_counter() - t0
     verdict(2, "catoni-infimum equals kl 30x30", worst <= 1e-6 and dt < 30.0,
             f"max err {worst:.3g}, {dt:.2f}s")
@@ -63,10 +65,11 @@ def test_c02_catoni_mls_identity():
 def test_c03_laplace_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
-    f = fam.laplace(1.0)
     for a in np.linspace(0.0, 2.0, 30):
         for bon in np.geomspace(1e-3, 2.0, 30):
-            ref = bounds.average_bound(f, a, bon * 60, 60).rho
+            q = inv.BoundQuery(a, bon * 60, 60)
+            ref = inv.infimum_over_parameter(lambda t: inv.laplace_diff(t, 1.0),
+                                             q, (1e-8, 1.0 - 1e-12), "log").rho
             dif = bounds.diff_based_bound("laplace", a, bon * 60, 60, b=1.0).rho
             worst = max(worst, abs(ref - dif))
     dt = time.perf_counter() - t0

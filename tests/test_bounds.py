@@ -1,7 +1,12 @@
 import math
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgfbounds import bounds, families as fam, inversion as inv
 
@@ -15,30 +20,39 @@ def test_bound_kinds_frozen():
 
 
 def test_catoni_infimum_matches_kl_inversion():
-    # the infimum over negative gamma recovers the binary-kl inversion
+    # the production kind (the kl inversion) matches the oracle's infimum
+    # over negative gamma
     for alpha in np.linspace(0.05, 0.85, 6):
         for bon in np.geomspace(1e-3, 1.5, 6):
-            kl = bounds.average_bound(fam.bernoulli(), alpha, bon * 100, 100)
+            q = inv.BoundQuery(alpha, bon * 100, 100)
+            orc = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q,
+                                             (1e-3, 50.0), "log")
             cat = bounds.catoni_inf_bound(alpha, bon * 100, 100)
-            assert cat.rho == pytest.approx(kl.rho, abs=1e-6)
+            assert cat.rho == pytest.approx(orc.rho, abs=1e-6)
 
 
 def test_laplace_diff_matches_cramer():
-    f = fam.laplace(1.0)
     for alpha in np.linspace(-1.0, 2.0, 6):
         for bon in np.geomspace(1e-3, 2.0, 6):
-            ref = bounds.average_bound(f, alpha, bon * 50, 50)
+            q = inv.BoundQuery(alpha, bon * 50, 50)
+            orc = inv.infimum_over_parameter(lambda t: inv.laplace_diff(t, 1.0),
+                                             q, (1e-8, 1.0 - 1e-12), "log")
             dif = bounds.diff_based_bound("laplace", alpha, bon * 50, 50, b=1.0)
-            assert dif.rho == pytest.approx(ref.rho, abs=1e-6)
+            assert dif.rho == pytest.approx(orc.rho, abs=1e-6)
 
 
 def test_poisson_diff_upper_bounds_cramer():
+    # the oracle's infimum over a truncated t range sits on or above the
+    # Cramer inversion, and the production kind matches it
     for alpha in (0.2, 1.0, 3.0):
         for bon in (0.01, 0.3, 1.0):
             ref = bounds.average_bound(fam.poisson(), alpha, bon * 40, 40)
+            q = inv.BoundQuery(alpha, bon * 40, 40)
+            orc = inv.infimum_over_parameter(inv.poisson_diff, q,
+                                             (1e-4, 200.0), "log")
             dif = bounds.diff_based_bound("poisson", alpha, bon * 40, 40)
-            assert dif.rho >= ref.rho - 1e-9
-            assert dif.rho == pytest.approx(ref.rho, rel=1e-6)
+            assert orc.rho >= ref.rho - 1e-9
+            assert dif.rho == pytest.approx(orc.rho, rel=1e-6)
 
 
 def test_gaussian_diff_matches_closed_form():
@@ -106,7 +120,7 @@ def test_chernoff_bernoulli_between_reference_and_xi():
 def test_binary_only_kinds_reject_other_families():
     with pytest.raises(AssertionError):
         bounds.evaluate_kind("mls", fam.gaussian(1.0), 0.2, 1.0, 20, 0.05)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="bernoulli"):
         bounds.evaluate_kind("catoni_inf", fam.poisson(), 0.2, 1.0, 20, 0.05)
     with pytest.raises(ValueError):
         bounds.evaluate_kind("samplewise_average", fam.bernoulli(),
@@ -116,6 +130,155 @@ def test_binary_only_kinds_reject_other_families():
 def test_catoni_inf_flags():
     assert bounds.catoni_inf_bound(0.3, 1.0, 30).flag is None
     assert bounds.catoni_inf_bound(0.3, 1.0, 30, delta=0.05).flag == "reference_only"
+
+
+PARAMETRIC_CASES = {
+    "catoni_inf": (fam.bernoulli(), 0.3),
+    "poisson_diff_inf": (fam.poisson(), 0.3),
+    "laplace_diff_inf": (fam.laplace(1.0), 0.3),
+    "gaussian_diff_inf": (fam.gaussian(0.5), 0.2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMETRIC_CASES))
+def test_parametric_infima_flag_reference_only_with_delta(kind):
+    # an infimum over the parameter carries no union correction
+    family, alpha = PARAMETRIC_CASES[kind]
+    plain = bounds.evaluate_kind(kind, family, alpha, 1.0, 20)
+    assert plain.flag is None and plain.param_star is None
+    res = bounds.evaluate_kind(kind, family, alpha, 1.0, 20, 0.05)
+    assert res.flag == "reference_only" and res.param_star is None
+    assert res.rho > plain.rho
+
+
+BAD_PARAMETRIC_INPUT = """
+from cgfbounds import bounds, families as fam
+calls = [
+    lambda: bounds.evaluate_kind("catoni_inf", fam.poisson(), 0.2, 1.0, 20),
+    lambda: bounds.diff_based_bound("gaussian", 0.2, 1.0, 20),
+    lambda: bounds.diff_based_bound("gaussian", 0.2, 1.0, 20, sigma2=0.0),
+    lambda: bounds.diff_based_bound("laplace", 0.2, 1.0, 20),
+    lambda: bounds.diff_based_bound("laplace", 0.2, 1.0, 20, b=-1.0),
+    lambda: bounds.bound_values("laplace_diff_inf", fam.bernoulli(),
+                                [0.2, 0.3], 1.0, 20),
+]
+for call in calls:
+    try:
+        call()
+        print("returned")
+    except ValueError as e:
+        print(str(e).split()[0])
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_parametric_input_errors_without_asserts(flags):
+    # each message names the bad argument; nothing rests on an assert
+    proc = subprocess.run([sys.executable, *flags, "-c", BAD_PARAMETRIC_INPUT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["catoni_inf", "sigma2", "sigma2", "b", "b",
+                                   "b"]
+
+
+# the oracle: each kind's comparator family, the parameter range that the
+# per-cell infimum scanned before the identity route, and the comparator
+# D_t(q, p) in exact arithmetic for the feasibility check
+ORACLES = {
+    "catoni_inf": lambda fa: (
+        (lambda m: inv.catoni(-m)), (1e-3, 50.0),
+        lambda m, q, p: -m * q - mpmath.log(1 - p + p * mpmath.exp(-m))),
+    "poisson_diff_inf": lambda fa: (
+        inv.poisson_diff, (1e-4, 200.0),
+        lambda t, q, p: -mpmath.expm1(-t) * p - t * q),
+    "laplace_diff_inf": lambda fa: (
+        (lambda t: inv.laplace_diff(t, fa.nuisance)),
+        (1e-8, (1.0 - 1e-12) / fa.nuisance),
+        lambda t, q, p: t * (p - q) + mpmath.log1p(-(fa.nuisance * t) ** 2)),
+    "gaussian_diff_inf": lambda fa: (
+        (lambda t: inv.gaussian_diff(t, fa.nuisance)), (1e-8, 100.0),
+        lambda t, q, p: t * (p - q) - fa.nuisance * t * t / 2),
+}
+
+
+def _optimal_parameter(kind, family, alpha, rho):
+    """The parameter at which the comparator family touches its supremum."""
+    if kind == "catoni_inf":
+        if not (0.0 < alpha < 1.0 and 0.0 < rho < 1.0):
+            return math.nan
+        return (math.log(rho) + math.log1p(-alpha)
+                - math.log(alpha) - math.log1p(-rho))
+    if kind == "poisson_diff_inf":
+        return math.log(rho / alpha) if alpha > 0.0 else math.nan
+    if kind == "gaussian_diff_inf":
+        return (rho - alpha) / family.nuisance
+    # laplace: d/dt [t d + ln(1 - b^2 t^2)] = 0 with d = rho - alpha
+    d, b = rho - alpha, family.nuisance
+    return 2.0 * d / (b * b * (1.0 + math.sqrt(1.0 + 4.0 * d * d / (b * b))))
+
+
+PROPERTY_FAMILIES = {
+    "catoni_inf": (st.just(fam.bernoulli()), (0.0, 1.0)),
+    "poisson_diff_inf": (st.just(fam.poisson()), (0.0, 5.0)),
+    "laplace_diff_inf": (st.sampled_from([fam.laplace(b) for b in (0.5, 1, 2)]),
+                         (-3.0, 3.0)),
+    "gaussian_diff_inf": (st.sampled_from([fam.gaussian(s) for s in
+                                           (0.01, 0.25, 1.0, 4.0)]),
+                          (-3.0, 3.0)),
+}
+
+
+@st.composite
+def parametric_cells(draw):
+    kind = draw(st.sampled_from(sorted(PROPERTY_FAMILIES)))
+    families, (lo, hi) = PROPERTY_FAMILIES[kind]
+    cells = draw(st.lists(st.tuples(st.floats(lo, hi), st.floats(0.0, 5.0)),
+                          min_size=1, max_size=5))
+    return kind, draw(families), cells
+
+
+@given(case=parametric_cells())
+@settings(max_examples=60, deadline=None)
+def test_identity_route_against_oracle(case):
+    kind, family, cells = case
+    n, tol = 10, 1e-9
+    alphas = [a for a, _ in cells]
+    betas = [budget * n for _, budget in cells]
+    grid = bounds.bound_values(kind, family, alphas, betas, n)
+    make, (t_lo, t_hi), exact = ORACLES[kind](family)
+    ts = [mpmath.mpf(t) for t in np.geomspace(t_lo, t_hi, 50)]
+    for (alpha, budget), beta, rho_grid in zip(cells, betas, grid):
+        rho = bounds.evaluate_kind(kind, family, alpha, beta, n).rho
+        assert rho_grid == rho
+        # feasible for every comparator of the family
+        with mpmath.workdps(40):
+            worst = max(exact(t, mpmath.mpf(alpha), mpmath.mpf(rho)) for t in ts)
+        assert worst <= budget + 1e-12 * max(1.0, budget)
+        orc = inv.infimum_over_parameter(make, inv.BoundQuery(alpha, beta, n),
+                                         (t_lo, t_hi), "log").rho
+        assert rho <= orc + tol * max(1.0, abs(rho))
+        t_star = _optimal_parameter(kind, family, alpha, rho)
+        if t_lo < t_star < t_hi:
+            assert rho == pytest.approx(orc, abs=1e-6)
+
+
+def test_identity_beyond_truncated_range():
+    # at sigma2 = 1e-4 and budget 1 the optimal t = sqrt(2 B / sigma2) is
+    # about 141, past the old scan's t <= 100.  The reported value is the
+    # identity alpha + sqrt(2 sigma2 B): the infimum over every t > 0, so it
+    # is tighter than the truncated infimum, and still a valid bound because
+    # it is the inversion of the Gaussian Cramer function itself.
+    sigma2, alpha, n = 1e-4, 0.3, 10
+    res = bounds.diff_based_bound("gaussian", alpha, n * 1.0, n, sigma2=sigma2)
+    want = alpha + math.sqrt(2.0 * sigma2)
+    assert res.rho == pytest.approx(want, rel=1e-8) and res.rho <= want
+    q = inv.BoundQuery(alpha, n * 1.0, n)
+    orc = inv.infimum_over_parameter(lambda t: inv.gaussian_diff(t, sigma2), q,
+                                     (1e-8, 100.0), "log")
+    assert orc.param_star == pytest.approx(100.0, rel=1e-6)
+    assert res.rho < orc.rho - 5e-4
+    t_star = math.sqrt(2.0 / sigma2)
+    assert inv.gaussian_diff(t_star, sigma2).eval(alpha, res.rho) <= 1.0
 
 
 def test_samplewise_bound_composition():

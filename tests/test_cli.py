@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +63,32 @@ def test_sweep_csv_schema(tmp_path):
                                    a, bon * 50, 50).rho
         # 9 significant digits round-trip
         assert av == pytest.approx(got, rel=1e-8)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name,command", [
+    ("fig1a", "sweep"), ("fig1b", "sweep"), ("fig3a", "ndep"),
+    ("fig3b", "ndep")])
+def test_figures_match_frozen_references(tmp_path, name, command):
+    # cell by cell against perfbench/refs, which is only read here
+    out = tmp_path / f"{name}.csv"
+    assert main([command, "--config", str(ROOT / "figs" / f"{name}.cfg"),
+                 "--out", str(out)]) == 0
+    got = [r.split(",") for r in out.read_text().strip().split("\n")]
+    want = [r.split(",") for r in
+            (ROOT / "perfbench" / "refs" / f"{name}.csv").read_text()
+            .strip().split("\n")]
+    assert got[0] == want[0] and len(got) == len(want)
+    for g_row, w_row in zip(got[1:], want[1:]):
+        for col, g, w in zip(want[0], map(float, g_row), map(float, w_row)):
+            if math.isnan(w):
+                assert math.isnan(g), (col, g_row)
+            elif col == "diff":
+                assert g == pytest.approx(w, rel=0, abs=1e-8), (col, g_row)
+            else:
+                assert g == pytest.approx(w, rel=1e-8, abs=1e-300), (col, g_row)
 
 
 def test_sweep_identical_across_threads(tmp_path):
