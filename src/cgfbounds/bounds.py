@@ -1,13 +1,14 @@
 """Named bound assemblies over the family, inversion, and upsilon layers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from . import families as fam
 from . import inversion as inv
 from .inversion import BoundQuery
-from .upsilon import compute_upsilon
+from .upsilon import compute_upsilon, correction_two_e_ceil, correction_xi
 
 BOUND_KINDS = ("average_cramer", "pac_cramer_chernoff", "pac_cramer_xi",
                "pac_cramer_two_e_ceil", "catoni_inf", "mls",
@@ -22,35 +23,35 @@ class CorrectionDivergent(Exception):
     """A Chernoff-style correction was requested where Upsilon diverges."""
 
 
-def average_bound(family, alpha, beta, n, tol=1e-9):
+def average_bound(family, alpha, beta, n):
     """Average-case optimal bound: Cramer comparator, unit correction, no delta."""
-    return inv.invert(*_kind_query("average_cramer", family, alpha, beta, n),
-                      tol)
+    return inv.invert(*_kind_query("average_cramer", family, alpha, beta, n))
 
 
 def _pac_query(family, alpha, beta, n, delta, correction, ln_upsilon=None,
                u=None):
     """(comparator, query) of pac_bound; alpha and beta may be arrays."""
-    comp = inv.cramer_of(family)
+    q = BoundQuery(alpha, beta, n, delta)    # checked before the correction
     if correction == "chernoff":
         if family.kind in ("poisson", "gamma"):
             raise CorrectionDivergent(
                 f"Upsilon of the {family.kind} Cramer comparator diverges; "
                 "use the xi or two_e_ceil correction")
-        assert ln_upsilon is not None, "chernoff correction needs ln_upsilon"
-        q = BoundQuery(alpha, beta, n, delta, iota="explicit",
-                       iota_value=float(ln_upsilon))
+        if ln_upsilon is None:
+            raise ValueError("the chernoff correction needs ln_upsilon")
+        ln_iota = float(ln_upsilon)
     elif correction == "xi":
-        q = BoundQuery(alpha, beta, n, delta, iota="xi")
+        ln_iota = np.log(correction_xi(np.maximum(n * alpha, 0.0), beta))
     elif correction == "two_e_ceil":
-        q = BoundQuery(alpha, beta, n, delta, iota="two_e_ceil_u", u=u)
+        ln_iota = math.log(correction_two_e_ceil(n if u is None else u))
     else:
-        raise ValueError(f"unknown correction {correction!r}")
-    return comp, q
+        raise ValueError(f"unknown correction {correction!r}; use chernoff, "
+                         "xi or two_e_ceil")
+    return inv.cramer_of(family), replace(q, ln_iota=ln_iota)
 
 
 def pac_bound(family, alpha, beta, n, delta, correction="xi",
-              ln_upsilon=None, u=None, tol=1e-9):
+              ln_upsilon=None, u=None):
     """High-probability Cramer bound with a certified correction.
 
     correction is one of "chernoff" (caller supplies ln_upsilon, the log
@@ -59,36 +60,34 @@ def pac_bound(family, alpha, beta, n, delta, correction="xi",
     gamma families, whose Cramer-comparator Upsilon diverges.
     """
     return inv.invert(*_pac_query(family, alpha, beta, n, delta, correction,
-                                  ln_upsilon, u), tol)
+                                  ln_upsilon, u))
 
 
-def optimistic_reference(family, alpha, beta, n, delta=None, tol=1e-9):
+def optimistic_reference(family, alpha, beta, n, delta=None):
     """The unit-correction Cramer envelope; a floor on achievable bounds.
 
     With delta it is not a certified high-probability bound, so the result
     carries flag="reference_only".
     """
-    res = inv.invert(inv.cramer_of(family),
-                     BoundQuery(alpha, beta, n, delta), tol)
+    res = inv.invert(inv.cramer_of(family), BoundQuery(alpha, beta, n, delta))
     res.flag = "reference_only"
     return res
 
 
-def mls_bound(alpha, beta, n, delta, tol=1e-9):
+def mls_bound(alpha, beta, n, delta):
     """Binary-kl bound with the classical 2 sqrt(n) correction."""
-    return inv.invert(*_kind_query("mls", None, alpha, beta, n, delta), tol)
+    return inv.invert(*_kind_query("mls", None, alpha, beta, n, delta))
 
 
-def catoni_inf_bound(alpha, beta, n, delta=None, tol=1e-9):
+def catoni_inf_bound(alpha, beta, n, delta=None):
     """Infimum of the Catoni bounds over gamma < 0: the binary-kl inversion.
 
     See evaluate_kind for the identity route and the reference_only flag.
     """
-    return evaluate_kind("catoni_inf", None, alpha, beta, n, delta, tol=tol)
+    return evaluate_kind("catoni_inf", None, alpha, beta, n, delta)
 
 
-def diff_based_bound(kind, alpha, beta, n, b=None, sigma2=None, delta=None,
-                     tol=1e-9):
+def diff_based_bound(kind, alpha, beta, n, b=None, sigma2=None, delta=None):
     """Infimum over t of a difference-comparator bound: a Cramer inversion.
 
     kind "poisson" needs no parameter, "laplace" takes the scale b,
@@ -97,10 +96,10 @@ def diff_based_bound(kind, alpha, beta, n, b=None, sigma2=None, delta=None,
     if kind not in ("poisson", "laplace", "gaussian"):
         raise ValueError(f"unknown diff-bound kind {kind!r}")
     return evaluate_kind(f"{kind}_diff_inf", None, alpha, beta, n, delta,
-                         sigma2, b, tol)
+                         sigma2, b)
 
 
-def samplewise_bound(family, per_sample, n=None, tol=1e-9):
+def samplewise_bound(family, per_sample, n=None):
     """Mean over samples of single-observation inversions.
 
     per_sample holds (alpha_i, beta_i) pairs, one per sample; the result is
@@ -112,7 +111,7 @@ def samplewise_bound(family, per_sample, n=None, tol=1e-9):
     comp = inv.cramer_of(family)
     tot = 0.0
     for a_i, b_i in pairs:
-        tot += inv.invert(comp, BoundQuery(a_i, b_i, 1), tol).rho
+        tot += inv.invert(comp, BoundQuery(a_i, b_i, 1)).rho
     return tot / len(pairs)
 
 
@@ -150,10 +149,13 @@ def _kind_query(kind, family, alpha, beta, n, delta=None, sigma2=None, b=None):
     if kind == "average_cramer":
         return inv.cramer_of(family), BoundQuery(alpha, beta, n)
     if kind == "mls":
-        assert family is None or family.kind == "bernoulli"
-        assert delta is not None, "the mls kind requires delta"
-        return inv.binary_kl(), BoundQuery(alpha, beta, n, delta,
-                                           iota="mls_sqrt")
+        if family is not None and family.kind != "bernoulli":
+            raise ValueError(f"mls needs the bernoulli family, got {family.kind}")
+        if delta is None:
+            raise ValueError("the mls kind requires delta")
+        q = BoundQuery(alpha, beta, n, delta)
+        return inv.binary_kl(), replace(
+            q, ln_iota=math.log(2.0) + 0.5 * math.log(n))
     if kind == "pac_cramer_chernoff":
         est = compute_upsilon(inv.cramer_of(family), family, n)
         if est.mode == "divergent" or not math.isfinite(est.value):
@@ -171,7 +173,7 @@ def _kind_query(kind, family, alpha, beta, n, delta=None, sigma2=None, b=None):
 
 
 def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
-                  b=None, tol=1e-9):
+                  b=None):
     """Route a BoundKind name to its implementation; returns a BoundResult.
 
     PARAMETRIC_INFIMA are one kl or Cramer inversion (_parametric_identity)
@@ -180,14 +182,14 @@ def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
     carries no union correction.
     """
     res = inv.invert(*_kind_query(kind, family, alpha, beta, n, delta,
-                                  sigma2, b), tol)
+                                  sigma2, b))
     if kind in PARAMETRIC_INFIMA and delta is not None:
         res.flag = "reference_only"
     return res
 
 
 def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
-                 b=None, tol=1e-9):
+                 b=None):
     """One bound kind over broadcast (alpha, beta) arrays, NaN where it diverges.
 
     Every grid-evaluable kind, the parametric infima included, is a single
@@ -199,11 +201,11 @@ def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
         comp, q = _kind_query(kind, family, alpha, beta, n, delta, sigma2, b)
     except CorrectionDivergent:
         return np.full(alpha.shape, math.nan)
-    return inv.invert_grid(comp, alpha, q.budget(), tol)
+    return inv.invert_grid(comp, alpha, q.budget())
 
 
 def comparison_surface(kind_a, kind_b, grid, family=None, delta=None,
-                       clamp=False, sigma2=None, b=None, tol=1e-9):
+                       clamp=False, sigma2=None, b=None):
     """Elementwise difference of two bound kinds over an (alpha, beta/n) grid.
 
     grid is (alphas, betas_over_n, n).  With clamp=True both bounds are
@@ -214,7 +216,7 @@ def comparison_surface(kind_a, kind_b, grid, family=None, delta=None,
     a, bon = np.meshgrid(alphas, bons, indexing="ij")
 
     def values(kind):
-        v = bound_values(kind, family, a, bon * n, n, delta, sigma2, b, tol)
+        v = bound_values(kind, family, a, bon * n, n, delta, sigma2, b)
         return np.minimum(v, 1.0) if clamp else v
 
     return values(kind_a) - values(kind_b)

@@ -32,10 +32,13 @@ def _parse_range(text, want_scale=False):
     scale = "linear"
     if want_scale and len(parts) == 4:
         scale = parts.pop()
-        assert scale in ("linear", "log"), f"unknown scale {scale!r}"
-    assert len(parts) == 3, f"range must be lo:hi:steps, got {text!r}"
+        if scale not in ("linear", "log"):
+            raise ValueError(f"unknown scale {scale!r}; use linear or log")
+    if len(parts) != 3:
+        raise ValueError(f"range must be lo:hi:steps, got {text!r}")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    assert steps >= 2 and lo < hi
+    if not (steps >= 2 and lo < hi):
+        raise ValueError(f"range needs lo < hi and steps >= 2, got {text!r}")
     pts = np.geomspace(lo, hi, steps) if scale == "log" else np.linspace(lo, hi, steps)
     return pts
 
@@ -90,11 +93,13 @@ def _write_lines(path, lines):
 # -- commands -----------------------------------------------------------------
 
 def _parse_correction(text):
-    if text is None or text in ("one", "xi", "2eceil"):
-        return text, None
+    names = {None: "xi", "xi": "xi", "2eceil": "two_e_ceil", "one": "one"}
+    if text in names:
+        return names[text], None
     if text.startswith("chernoff="):
         return "chernoff", float(text.split("=", 1)[1])
-    raise SystemExit(EXIT_USAGE)
+    raise ValueError(f"unknown correction {text!r}; use one, xi, 2eceil or "
+                     "chernoff=<ln_upsilon>")
 
 
 def cmd_bound(args):
@@ -106,10 +111,8 @@ def cmd_bound(args):
         res = bounds.optimistic_reference(family, args.alpha, args.beta,
                                           args.n, args.delta)
     else:
-        name = {"xi": "xi", "2eceil": "two_e_ceil", "chernoff": "chernoff",
-                None: "xi"}[correction]
         res = bounds.pac_bound(family, args.alpha, args.beta, args.n,
-                               args.delta, correction=name,
+                               args.delta, correction=correction,
                                ln_upsilon=ln_upsilon, u=args.u)
     line = f"rho={_fmt(res.rho)} budget={_fmt(res.budget)} status={res.status}"
     if res.flag:
@@ -122,7 +125,9 @@ def cmd_sweep(args):
     family = fam.parse_family(args.family)
     kinds = [k.strip() for k in args.kinds.split(",")]
     for k in kinds:
-        assert k in bounds.BOUND_KINDS, f"unknown bound kind {k!r}"
+        if k not in bounds.BOUND_KINDS:
+            raise ValueError(f"unknown bound kind {k!r}; use one of "
+                             + ", ".join(bounds.BOUND_KINDS))
     alphas = _parse_range(args.alpha_range)
     bons = _parse_range(args.bon_range, want_scale=True)
 
@@ -155,21 +160,28 @@ def cmd_ndep(args):
 def _parse_comparator(text, family):
     head, _, rest = text.partition(":")
     kv = dict(p.split("=", 1) for p in rest.split(",") if p)
+
+    def arg(key):
+        if key not in kv:
+            raise ValueError(f"comparator {head} needs {key}=<value>")
+        return float(kv[key])
+
     if head == "kl":
         return inv.binary_kl()
     if head == "cramer":
         return inv.cramer_of(family)
     if head == "catoni":
-        return inv.catoni(float(kv["gamma"]))
+        return inv.catoni(arg("gamma"))
     if head == "scaled_diff":
-        return inv.scaled_diff(float(kv["t"]))
+        return inv.scaled_diff(arg("t"))
     if head == "poisson_diff":
-        return inv.poisson_diff(float(kv["t"]))
+        return inv.poisson_diff(arg("t"))
     if head == "laplace_diff":
-        return inv.laplace_diff(float(kv["t"]), float(kv["b"]))
+        return inv.laplace_diff(arg("t"), arg("b"))
     if head == "gaussian_diff":
-        return inv.gaussian_diff(float(kv["t"]), float(kv["sigma2"]))
-    raise SystemExit(EXIT_USAGE)
+        return inv.gaussian_diff(arg("t"), arg("sigma2"))
+    raise ValueError(f"unknown comparator {head!r}; use kl, cramer, catoni, "
+                     "scaled_diff, poisson_diff, laplace_diff or gaussian_diff")
 
 
 def cmd_upsilon(args):
@@ -186,6 +198,9 @@ def cmd_upsilon(args):
 
 def cmd_verify(args):
     family = fam.parse_family(args.family)
+    if family.kind not in ver._MEAN_INTERVALS:
+        raise ValueError(f"verify supports the {', '.join(ver._MEAN_INTERVALS)}"
+                         f" families, got {family.kind}")
     rng = make_generator(args.seed, 900001)
     lo, hi = ver._MEAN_INTERVALS[family.kind]
     means = tuple(float(x) for x in rng.uniform(lo, hi, args.m))
@@ -282,8 +297,6 @@ def cmd_selfcheck(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=None,
-                        help="deprecated; accepted and ignored")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--config", default=None,
                         help="key=value file merged under flags (flags win)")
@@ -373,8 +386,6 @@ def main(argv=None):
         return EXIT_IO
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        print("warning: --threads is deprecated and ignored", file=sys.stderr)
     try:
         return args.func(args)
     except (inv.NoFiniteBound, bounds.CorrectionDivergent) as e:

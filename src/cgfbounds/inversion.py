@@ -61,11 +61,17 @@ def binary_kl():
 
 def catoni(gamma):
     """gamma*q - ln(1 - p + p e^gamma); nondecreasing in p for gamma < 0."""
-    assert gamma != 0.0
-    eg = math.expm1(gamma)
+    if not 0.0 < abs(gamma) < 709.0:
+        raise ValueError(f"catoni needs 0 < |gamma| < 709, got {gamma}")
+    eg, emg = math.expm1(gamma), math.expm1(-gamma)
 
     def fn(q, p):
-        return gamma * q - math.log1p(p * eg)
+        # p > 1/2: gamma + log1p((1-p) expm1(-gamma)) keeps p -> 1 exact
+        p = np.asarray(p, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ln_mix = np.where(p > 0.5, gamma + np.log1p((1.0 - p) * emg),
+                              np.log1p(p * eg))
+        return gamma * np.asarray(q, dtype=float) - ln_mix
 
     def inv(alpha, budget):
         rho = math.expm1(gamma * alpha - budget) / eg
@@ -88,7 +94,8 @@ def scaled_diff(t, loss_range=(-math.inf, math.inf)):
 
 def poisson_diff(t):
     """(1 - e^{-t}) p - t q; carries its own offset so that Upsilon = 1."""
-    assert t > 0
+    if not t > 0:
+        raise ValueError(f"poisson_diff needs t > 0, got {t}")
     c = -math.expm1(-t)
 
     def fn(q, p):
@@ -103,7 +110,8 @@ def poisson_diff(t):
 
 def laplace_diff(t, b):
     """t (p - q) + ln(1 - b^2 t^2), the offset difference comparator."""
-    assert 0.0 < t < 1.0 / b
+    if not 0.0 < t < 1.0 / b:
+        raise ValueError(f"laplace_diff needs 0 < t < 1/b, got t={t}, b={b}")
     off = math.log1p(-(b * t) ** 2)
 
     def fn(q, p):
@@ -118,7 +126,8 @@ def laplace_diff(t, b):
 
 def gaussian_diff(t, sigma2):
     """t (p - q) - sigma^2 t^2 / 2, the offset difference comparator."""
-    assert t > 0
+    if not t > 0:
+        raise ValueError(f"gaussian_diff needs t > 0, got {t}")
     off = -0.5 * sigma2 * t * t
 
     def fn(q, p):
@@ -141,43 +150,27 @@ def custom(eval_fn, loss_range, form="custom", params=None):
 class BoundQuery:
     """Inputs of a single bound evaluation.
 
-    iota selects the log-correction: "one", "mls_sqrt" (2 sqrt n), "xi",
-    "two_e_ceil_u" (u taken from the u field, defaulting to n), or
-    "explicit" with iota_value holding ln(iota) in nats.  delta absent means
-    the average-case operator (no confidence term).  alpha and beta may be
-    arrays; the budget then broadcasts over them.
+    ln_iota is the log-correction ln(iota) in nats; the bounds module
+    chooses the correction that supplies it.  delta absent means the
+    average-case operator (no confidence term).  alpha, beta and ln_iota may
+    be arrays; the budget then broadcasts over them.
     """
     alpha: float
     beta: float
     n: int
     delta: float | None = None
-    iota: str = "one"
-    iota_value: float | None = None
-    u: float | None = None
+    ln_iota: float = 0.0
 
     def __post_init__(self):
-        assert np.all(np.asarray(self.beta) >= 0.0) and self.n >= 1
-        if self.delta is not None:
-            assert 0.0 < self.delta < 1.0
-
-    def ln_iota(self):
-        if self.iota == "one":
-            return 0.0
-        if self.iota == "explicit":
-            return float(self.iota_value)
-        if self.iota == "mls_sqrt":
-            return math.log(2.0) + 0.5 * math.log(self.n)
-        from .upsilon import correction_two_e_ceil, correction_xi
-        if self.iota == "xi":
-            return np.log(correction_xi(np.maximum(self.n * self.alpha, 0.0),
-                                        self.beta))
-        if self.iota == "two_e_ceil_u":
-            u = self.n if self.u is None else self.u
-            return math.log(correction_two_e_ceil(u))
-        raise ValueError(f"unknown iota mode {self.iota!r}")
+        if not np.all(np.asarray(self.beta) >= 0.0):
+            raise ValueError(f"beta must be nonnegative, got {np.min(self.beta)}")
+        if not self.n >= 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
     def budget(self):
-        b = self.beta + self.ln_iota()
+        b = self.beta + self.ln_iota
         if self.delta is not None:
             b -= math.log(self.delta)
         return b / self.n
@@ -370,45 +363,37 @@ def invert_closed_form_poisson(alpha, budget):
 
 # -- one-parameter infima --------------------------------------------------
 
-def _rho_at(make_comp, alpha, budget, tol):
-    comp = make_comp()
-    if comp.exact_inverse is not None:
-        rho = comp.exact_inverse(alpha, budget)
-        hi_r = comp.loss_range[1]
-        status = "capped_at_domain" if rho == hi_r else "converged"
-        return BoundResult(rho, budget, (rho, rho), 0, status)
-    try:
-        return invert_at_budget(comp, alpha, budget, tol)
-    except NoFiniteBound:
-        return None
-
-
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def infimum_over_parameter(make_comp, query, param_range, scale="log",
-                           grid_points=64, tol=1e-9):
+def infimum_over_parameter(make_comp, query, param_range):
     """min over a parameter of the inverted bound, grid scan + golden refine.
 
     For caller-supplied comparator families, and the test oracle of the
     built-in parametric-infimum kinds, which bounds evaluates by their kl or
     Cramer identity.  make_comp maps a parameter value to a Comparator.  The
-    per-parameter bound is assumed quasiconvex on param_range; the scan is
-    log- or linear-spaced per `scale`.  Raises NoFiniteBound if no parameter
+    per-parameter bound is assumed quasiconvex on param_range, which is
+    scanned at 64 log-spaced points.  Raises NoFiniteBound if no parameter
     gives a finite bound.
     """
     lo, hi = param_range
-    if scale == "log":
-        assert lo > 0
-        xform, inv_xform = math.log, math.exp
-    else:
-        xform, inv_xform = (lambda x: x), (lambda x: x)
-    xs = np.linspace(xform(lo), xform(hi), grid_points)
+    if not lo > 0:
+        raise ValueError(f"param_range must start above 0, got {param_range}")
+    xs = np.linspace(math.log(lo), math.log(hi), 64)
     alpha, budget = query.alpha, query.budget()
 
     def rho_of(x):
-        res = _rho_at(lambda: make_comp(inv_xform(x)), alpha, budget, tol)
-        return (math.inf, None) if res is None else (res.rho, res)
+        comp = make_comp(math.exp(x))
+        if comp.exact_inverse is not None:
+            rho = comp.exact_inverse(alpha, budget)
+            status = ("capped_at_domain" if rho == comp.loss_range[1]
+                      else "converged")
+            return rho, BoundResult(rho, budget, (rho, rho), 0, status)
+        try:
+            res = invert_at_budget(comp, alpha, budget)
+        except NoFiniteBound:
+            return math.inf, None
+        return res.rho, res
 
     vals = [rho_of(x) for x in xs]
     i = int(np.argmin([v[0] for v in vals]))
@@ -437,5 +422,5 @@ def infimum_over_parameter(make_comp, query, param_range, scale="log",
         if v < best_rho and r is not None:
             best_rho, best, best_x = v, r, x
 
-    best = replace(best, param_star=inv_xform(best_x))
+    best = replace(best, param_star=math.exp(best_x))
     return best

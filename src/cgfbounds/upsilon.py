@@ -342,5 +342,6 @@ def correction_xi(n_times_trainloss, kl):
 
 def correction_two_e_ceil(u_value):
     """The union-bound correction 2 e ceil(u); u below 1 still pays one cell."""
-    assert u_value >= 0.0
+    if not u_value >= 0.0:
+        raise ValueError(f"u must be nonnegative, got {u_value}")
     return 2.0 * math.e * max(1, math.ceil(u_value))

@@ -54,7 +54,7 @@ def test_c02_catoni_mls_identity():
         for bon in np.geomspace(1e-3, 2.0, 30):
             q = inv.BoundQuery(a, bon * 100, 100)
             orc = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q,
-                                             (1e-3, 50.0), "log").rho
+                                             (1e-3, 50.0)).rho
             ca = bounds.catoni_inf_bound(a, bon * 100, 100).rho
             worst = max(worst, abs(orc - ca))
     dt = time.perf_counter() - t0
@@ -69,7 +69,7 @@ def test_c03_laplace_equivalence():
         for bon in np.geomspace(1e-3, 2.0, 30):
             q = inv.BoundQuery(a, bon * 60, 60)
             ref = inv.infimum_over_parameter(lambda t: inv.laplace_diff(t, 1.0),
-                                             q, (1e-8, 1.0 - 1e-12), "log").rho
+                                             q, (1e-8, 1.0 - 1e-12)).rho
             dif = bounds.diff_based_bound("laplace", a, bon * 60, 60, b=1.0).rho
             worst = max(worst, abs(ref - dif))
     dt = time.perf_counter() - t0

@@ -26,7 +26,7 @@ def test_catoni_infimum_matches_kl_inversion():
         for bon in np.geomspace(1e-3, 1.5, 6):
             q = inv.BoundQuery(alpha, bon * 100, 100)
             orc = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q,
-                                             (1e-3, 50.0), "log")
+                                             (1e-3, 50.0))
             cat = bounds.catoni_inf_bound(alpha, bon * 100, 100)
             assert cat.rho == pytest.approx(orc.rho, abs=1e-6)
 
@@ -36,7 +36,7 @@ def test_laplace_diff_matches_cramer():
         for bon in np.geomspace(1e-3, 2.0, 6):
             q = inv.BoundQuery(alpha, bon * 50, 50)
             orc = inv.infimum_over_parameter(lambda t: inv.laplace_diff(t, 1.0),
-                                             q, (1e-8, 1.0 - 1e-12), "log")
+                                             q, (1e-8, 1.0 - 1e-12))
             dif = bounds.diff_based_bound("laplace", alpha, bon * 50, 50, b=1.0)
             assert dif.rho == pytest.approx(orc.rho, abs=1e-6)
 
@@ -49,7 +49,7 @@ def test_poisson_diff_upper_bounds_cramer():
             ref = bounds.average_bound(fam.poisson(), alpha, bon * 40, 40)
             q = inv.BoundQuery(alpha, bon * 40, 40)
             orc = inv.infimum_over_parameter(inv.poisson_diff, q,
-                                             (1e-4, 200.0), "log")
+                                             (1e-4, 200.0))
             dif = bounds.diff_based_bound("poisson", alpha, bon * 40, 40)
             assert orc.rho >= ref.rho - 1e-9
             assert dif.rho == pytest.approx(orc.rho, rel=1e-6)
@@ -86,6 +86,27 @@ def test_two_e_ceil_equals_explicit_iota():
     assert a.rho == b.rho
 
 
+def test_correction_budgets():
+    # each correction's ln iota enters the budget (beta + ln iota - ln delta)/n
+    f = fam.bernoulli()
+    res = bounds.mls_bound(0.1, 3.0, 10, 0.05)
+    want = (3.0 + math.log(2 * math.sqrt(10)) - math.log(0.05)) / 10
+    assert res.budget == pytest.approx(want, rel=1e-14)
+    res = bounds.pac_bound(f, 0.1, 3.0, 10, 0.05, "chernoff", ln_upsilon=1.7)
+    assert res.budget == pytest.approx((3.0 + 1.7 - math.log(0.05)) / 10,
+                                       rel=1e-14)
+    res = bounds.pac_bound(f, 0.1, 3.0, 10, 0.05, "two_e_ceil")
+    want = (3.0 + math.log(2 * math.e * 10) - math.log(0.05)) / 10
+    assert res.budget == pytest.approx(want, rel=1e-14)
+    res = bounds.pac_bound(f, 0.1, 3.0, 10, 0.05, "two_e_ceil", u=3.5)
+    want = (3.0 + math.log(2 * math.e * 4) - math.log(0.05)) / 10
+    assert res.budget == pytest.approx(want, rel=1e-14)
+    res = bounds.pac_bound(f, 0.5, 2.0, 10, 0.05, "xi")
+    xi = math.pi ** 2 * (1 + min(10 * 0.5, 2.0)) ** 2 / 3
+    want = (2.0 + math.log(xi) - math.log(0.05)) / 10
+    assert res.budget == pytest.approx(want, rel=1e-14)
+
+
 def test_monotonicity_in_delta_n_beta():
     f = fam.gaussian(1.0)
     r1 = bounds.pac_bound(f, 0.1, 2.0, 50, 0.1).rho
@@ -104,7 +125,7 @@ def test_chernoff_refused_where_divergent():
     with pytest.raises(bounds.CorrectionDivergent):
         bounds.evaluate_kind("pac_cramer_chernoff", fam.gamma(2.0),
                              0.5, 1.0, 20, 0.05)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="ln_upsilon"):
         bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 20, 0.05, "chernoff")
     with pytest.raises(ValueError):
         bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 20, 0.05, "sqrt")
@@ -118,7 +139,7 @@ def test_chernoff_bernoulli_between_reference_and_xi():
 
 
 def test_binary_only_kinds_reject_other_families():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="bernoulli"):
         bounds.evaluate_kind("mls", fam.gaussian(1.0), 0.2, 1.0, 20, 0.05)
     with pytest.raises(ValueError, match="bernoulli"):
         bounds.evaluate_kind("catoni_inf", fam.poisson(), 0.2, 1.0, 20, 0.05)
@@ -255,7 +276,7 @@ def test_identity_route_against_oracle(case):
             worst = max(exact(t, mpmath.mpf(alpha), mpmath.mpf(rho)) for t in ts)
         assert worst <= budget + 1e-12 * max(1.0, budget)
         orc = inv.infimum_over_parameter(make, inv.BoundQuery(alpha, beta, n),
-                                         (t_lo, t_hi), "log").rho
+                                         (t_lo, t_hi)).rho
         assert rho <= orc + tol * max(1.0, abs(rho))
         t_star = _optimal_parameter(kind, family, alpha, rho)
         if t_lo < t_star < t_hi:
@@ -274,7 +295,7 @@ def test_identity_beyond_truncated_range():
     assert res.rho == pytest.approx(want, rel=1e-8) and res.rho <= want
     q = inv.BoundQuery(alpha, n * 1.0, n)
     orc = inv.infimum_over_parameter(lambda t: inv.gaussian_diff(t, sigma2), q,
-                                     (1e-8, 100.0), "log")
+                                     (1e-8, 100.0))
     assert orc.param_star == pytest.approx(100.0, rel=1e-6)
     assert res.rho < orc.rho - 5e-4
     t_star = math.sqrt(2.0 / sigma2)

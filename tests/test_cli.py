@@ -10,8 +10,8 @@ from cgfbounds import bounds, families as fam
 from cgfbounds.cli import main
 
 
-def run_cli(*args):
-    proc = subprocess.run([sys.executable, "-m", "cgfbounds.cli", *args],
+def run_cli(*args, flags=()):
+    proc = subprocess.run([sys.executable, *flags, "-m", "cgfbounds.cli", *args],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -91,20 +91,6 @@ def test_figures_match_frozen_references(tmp_path, name, command):
                 assert g == pytest.approx(w, rel=1e-8, abs=1e-300), (col, g_row)
 
 
-def test_sweep_identical_across_threads(tmp_path):
-    args = ("sweep", "--family", "poisson",
-            "--kinds", "poisson_diff_inf,average_cramer",
-            "--alpha-range", "0.2:2:4", "--bon-range", "0.01:0.5:4:log",
-            "--n", "40")
-    outs = []
-    for threads in ("1", "3"):
-        p = tmp_path / f"t{threads}.csv"
-        code, _, _ = run_cli(*args, "--threads", threads, "--out", str(p))
-        assert code == 0
-        outs.append(p.read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_sweep_clamp_keeps_divergent_cells_nan(tmp_path):
     # chernoff over poisson diverges; clamping must not turn that into 1
     out = tmp_path / "c.csv"
@@ -119,16 +105,6 @@ def test_sweep_clamp_keeps_divergent_cells_nan(tmp_path):
     for row in rows:
         assert math.isnan(float(row[2])) and math.isnan(float(row[4]))
         assert 0.0 < float(row[3]) <= 1.0
-
-
-def test_threads_flag_deprecated(tmp_path):
-    args = ("ndep", "--family", "poisson", "--alpha", "1", "--beta", "1",
-            "--nmin", "10", "--nmax", "20", "--points", "2")
-    code, _, err = run_cli(*args, "--threads", "2")
-    assert code == 0
-    assert err.count("deprecated") == 1
-    code, _, err = run_cli(*args)
-    assert code == 0 and err == ""
 
 
 def test_config_merge_flags_win(tmp_path):
@@ -232,6 +208,46 @@ def test_exit_codes_usage_and_io(tmp_path):
                          "--beta", "1", "--nmin", "10", "--nmax", "100",
                          "--out", str(tmp_path / "no" / "dir" / "x.csv"))
     assert code == 4
+
+
+BOUND = ("bound", "--family", "bernoulli", "--alpha", "0.2", "--beta", "1",
+         "--n", "10")
+
+# each bad input, and the words its usage error must contain
+USAGE_ERRORS = {
+    "correction": (BOUND + ("--delta", "0.05", "--correction", "bogus"),
+                   ["'bogus'", "xi", "2eceil", "chernoff="]),
+    "comparator": (("upsilon", "--comparator", "bogus", "--family",
+                    "bernoulli", "--n", "4"), ["'bogus'", "kl", "cramer"]),
+    "range": (("sweep", "--family", "bernoulli", "--kinds", "average_cramer",
+               "--alpha-range", "0.1:0.2", "--bon-range", "0.01:1:3",
+               "--n", "50"), ["'0.1:0.2'", "lo:hi:steps"]),
+    "verify-family": (("verify", "--family", "gamma:k=2", "--trials", "10"),
+                      ["gamma", "bernoulli", "gaussian", "poisson"]),
+    "beta": (("bound", "--family", "bernoulli", "--alpha", "0.2", "--beta",
+              "-1", "--n", "10"), ["beta", "-1"]),
+    "delta": (BOUND + ("--delta", "1.5"), ["delta", "1.5"]),
+    "n": (("bound", "--family", "bernoulli", "--alpha", "0.2", "--beta", "1",
+           "--n", "0", "--delta", "0.05"), ["n must", "0"]),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2_with_message(case, flags):
+    args, words = USAGE_ERRORS[case]
+    code, out, err = run_cli(*args, flags=flags)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    for word in words:
+        assert word in err, (word, err)
+
+
+def test_threads_flag_rejected():
+    code, _, err = run_cli("ndep", "--family", "poisson", "--alpha", "1",
+                           "--beta", "1", "--nmin", "10", "--nmax", "20",
+                           "--threads", "2")
+    assert code == 2 and "--threads" in err
 
 
 def test_main_entry_in_process(capsys):

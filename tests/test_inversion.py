@@ -214,6 +214,26 @@ def test_catoni_closed_inverse_matches_bisection():
                     assert closed == pytest.approx(bis, abs=5e-9)
 
 
+def test_catoni_exact_at_p_one():
+    # ln(1 - p + p e^gamma) -> gamma as p -> 1, without cancellation
+    assert inv.catoni(-10.66).eval(1.0, 1.0) == 0.0
+    # e^-40 rounds 1 + expm1(gamma) to 0: no log of 0 here
+    assert inv.catoni(-40.0).eval(0.5, 1.0) == 20.0
+
+
+def test_catoni_broadcasts():
+    comp = inv.catoni(-3.0)
+    qs = np.array([[0.0], [0.4]])
+    ps = np.array([0.0, 0.3, 0.5, 0.51, 0.9, 1.0])
+    got = comp.eval(qs, ps)
+    assert got.shape == (2, 6)
+    for i, q in enumerate(qs[:, 0]):
+        for j, p in enumerate(ps):
+            assert got[i, j] == comp.eval(float(q), float(p))
+            want = -3.0 * q - math.log(1.0 - p + p * math.exp(-3.0))
+            assert got[i, j] == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
 def test_scaled_diff_inverse():
     comp = inv.scaled_diff(2.0)
     assert comp.exact_inverse(0.3, 0.5) == pytest.approx(0.55, rel=1e-14)
@@ -245,7 +265,7 @@ def test_gaussian_diff_infimum_analytic():
     sigma2, alpha, beta, n = 0.25, 0.3, 2.0, 100
     q = BoundQuery(alpha, beta, n)
     res = inv.infimum_over_parameter(lambda t: inv.gaussian_diff(t, sigma2), q,
-                                     (1e-8, 100.0), "log")
+                                     (1e-8, 100.0))
     want = alpha + math.sqrt(2 * sigma2 * beta / n)
     assert res.rho == pytest.approx(want, rel=1e-9)
     assert res.param_star == pytest.approx(math.sqrt(2 * (beta / n) / sigma2), rel=1e-3)
@@ -254,7 +274,7 @@ def test_gaussian_diff_infimum_analytic():
 def test_poisson_diff_infimum_zero_beta():
     # at budget 0 the infimum over t approaches alpha from above as t -> 0
     q = BoundQuery(1.0, 0.0, 50)
-    res = inv.infimum_over_parameter(inv.poisson_diff, q, (1e-4, 200.0), "log")
+    res = inv.infimum_over_parameter(inv.poisson_diff, q, (1e-4, 200.0))
     assert res.rho >= 1.0
     assert res.rho == pytest.approx(1.0, rel=1e-3)
 
@@ -262,7 +282,7 @@ def test_poisson_diff_infimum_zero_beta():
 def test_infimum_all_capped_returns_cap():
     q = BoundQuery(0.3, 1000.0, 1)
     res = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q,
-                                     (1e-3, 50.0), "log")
+                                     (1e-3, 50.0))
     assert res.rho == 1.0 and res.status == "capped_at_domain"
 
 
@@ -273,27 +293,18 @@ def test_infimum_all_divergent_raises():
         return inv.Comparator("flat", lambda qq, pp: 0.0 * t, (0.0, math.inf))
 
     with pytest.raises(inv.NoFiniteBound):
-        inv.infimum_over_parameter(make, q, (0.1, 10.0), "log")
+        inv.infimum_over_parameter(make, q, (0.1, 10.0))
 
 
 # -- budget assembly ---------------------------------------------------------------
 
 def test_budget_modes():
+    # the per-correction budgets are checked at the bounds layer
     assert BoundQuery(0.1, 3.0, 10).budget() == pytest.approx(0.3, rel=1e-14)
     q = BoundQuery(0.1, 3.0, 10, delta=0.05)
     assert q.budget() == pytest.approx((3.0 - math.log(0.05)) / 10, rel=1e-14)
-    q = BoundQuery(0.1, 3.0, 10, delta=0.05, iota="mls_sqrt")
-    want = (3.0 + math.log(2 * math.sqrt(10)) - math.log(0.05)) / 10
-    assert q.budget() == pytest.approx(want, rel=1e-14)
-    q = BoundQuery(0.1, 3.0, 10, delta=0.05, iota="explicit", iota_value=1.7)
+    q = BoundQuery(0.1, 3.0, 10, delta=0.05, ln_iota=1.7)
     assert q.budget() == pytest.approx((3.0 + 1.7 - math.log(0.05)) / 10, rel=1e-14)
-    q = BoundQuery(0.1, 3.0, 10, delta=0.05, iota="two_e_ceil_u")
-    want = (3.0 + math.log(2 * math.e * 10) - math.log(0.05)) / 10
-    assert q.budget() == pytest.approx(want, rel=1e-14)
-    q = BoundQuery(0.5, 2.0, 10, delta=0.05, iota="xi")
-    xi = math.pi ** 2 * (1 + min(10 * 0.5, 2.0)) ** 2 / 3
-    want = (2.0 + math.log(xi) - math.log(0.05)) / 10
-    assert q.budget() == pytest.approx(want, rel=1e-14)
 
 
 def test_pac_dominates_average():
@@ -304,9 +315,45 @@ def test_pac_dominates_average():
 
 
 def test_query_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="beta"):
         BoundQuery(0.1, -1.0, 10)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="n must"):
         BoundQuery(0.1, 1.0, 0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="delta"):
         BoundQuery(0.1, 1.0, 10, delta=1.5)
+
+
+BAD_LIBRARY_INPUT = """
+from cgfbounds import bounds, families as fam, inversion as inv
+calls = [
+    lambda: inv.BoundQuery(0.1, -1.0, 10),
+    lambda: inv.BoundQuery(0.1, 1.0, 0),
+    lambda: inv.BoundQuery(0.1, 1.0, 10, delta=1.5),
+    lambda: bounds.evaluate_kind("mls", fam.gaussian(1.0), 0.2, 1.0, 20, 0.05),
+    lambda: bounds.mls_bound(0.2, 1.0, 20, None),
+    lambda: bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 20, 0.05, "chernoff"),
+    lambda: bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 20, 0.05,
+                             "two_e_ceil", u=-1.0),
+    lambda: inv.catoni(0.0),
+    lambda: inv.poisson_diff(0.0),
+    lambda: inv.gaussian_diff(-1.0, 1.0),
+    lambda: inv.laplace_diff(2.0, 1.0),
+    lambda: inv.infimum_over_parameter(inv.poisson_diff,
+                                       inv.BoundQuery(1.0, 1.0, 10), (0.0, 1.0)),
+]
+for call in calls:
+    try:
+        call()
+        print("returned")
+    except ValueError as e:
+        print("ValueError" if str(e) else "empty")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_input_validation_without_asserts(flags):
+    # every bad input raises ValueError with a message, also under -O
+    proc = subprocess.run([sys.executable, *flags, "-c", BAD_LIBRARY_INPUT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 12
