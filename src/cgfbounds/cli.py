@@ -204,7 +204,7 @@ def cmd_verify(args):
     rng = make_generator(args.seed, 900001)
     lo, hi = ver._MEAN_INTERVALS[family.kind]
     means = tuple(float(x) for x in rng.uniform(lo, hi, args.m))
-    prior = (1.0 / args.m,) * args.m
+    prior = (1.0 / args.m,) * args.m if args.m > 0 else ()
     problem = ver.SyntheticProblem(means, prior, family, args.c, args.n,
                                    args.trials, args.seed)
     records, summary = ver.run_trials(problem, args.bound, args.delta)

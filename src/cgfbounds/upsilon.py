@@ -16,6 +16,8 @@ from scipy import special
 from .rng import make_generator
 
 _LN2 = math.log(2.0)
+_CHUNK = 4096       # series terms per step of the Poisson route
+_BLOCK = 2**20      # elements per block of the Bernoulli grid and Monte Carlo
 
 
 @dataclass
@@ -42,31 +44,56 @@ def _delta_vec(comp, qs, r):
 
 # -- Bernoulli: exact binomial sum ------------------------------------------
 
+def _delta_rows(comp, qs, rs):
+    """comp(q, r) on the (len(rs), len(qs)) grid; per-r rows if it does not broadcast."""
+    try:
+        out = np.asarray(comp.eval(qs, rs[:, None]), dtype=float)
+        if out.shape == (len(rs), len(qs)):
+            return out
+    except (ValueError, TypeError):
+        pass
+    return np.array([_delta_vec(comp, qs, float(r)) for r in rs])
+
+
 def upsilon_bernoulli_exact(comp, n, r_grid=2001):
     """ln sup_r sum_k C(n,k) r^k (1-r)^{n-k} e^{n Delta(k/n, r)}, exactly.
 
     The sum is evaluated in log domain on an interior r-grid (an integer
-    resolution or an explicit array of interior r values), the best r
-    refined by golden section; the endpoint values r in {0, 1} (degenerate
-    means) are included via the 0 ln 0 convention.
+    resolution or an explicit array of interior r values) as one (r, k)
+    log-sum-exp; comparators that do not broadcast over r are evaluated one
+    r-row at a time.  The best grid r is refined by golden section, each
+    step the one-row case of the same sum; the endpoint values r in {0, 1}
+    (degenerate means) are included via the 0 ln 0 convention.  Raises
+    ValueError if the comparator is not finite at some r of the grid.
     """
     ks = np.arange(n + 1)
     qs = ks / n
     ln_binom = (special.gammaln(n + 1) - special.gammaln(ks + 1)
                 - special.gammaln(n - ks + 1))
 
+    def ln_values(rs):
+        col = rs[:, None]
+        ln_pmf = ln_binom + special.xlogy(ks, col) + special.xlog1py(n - ks, -col)
+        d = _delta_rows(comp, qs, rs)
+        finite = np.isfinite(d).all(axis=1)
+        if not finite.all():
+            raise ValueError("comparator not finite on [0,1] at "
+                             f"r={rs[np.argmin(finite)]}")
+        return special.logsumexp(ln_pmf + n * d, axis=-1)
+
     def ln_value(r):
-        ln_pmf = ln_binom + special.xlogy(ks, r) + special.xlog1py(n - ks, -r)
-        d = _delta_vec(comp, qs, r)
-        assert np.all(np.isfinite(d)), f"comparator not finite on [0,1] at r={r}"
-        return float(special.logsumexp(ln_pmf + n * d))
+        return float(ln_values(np.array([r]))[0])
 
     if np.ndim(r_grid) == 0:
         rs = np.linspace(1e-6, 1.0 - 1e-6, int(r_grid))
     else:
         rs = np.sort(np.asarray(r_grid, dtype=float))
-        assert rs[0] > 0.0 and rs[-1] < 1.0, "r grid must be interior to (0,1)"
-    vals = np.array([ln_value(r) for r in rs])
+        if not (rs[0] > 0.0 and rs[-1] < 1.0):
+            raise ValueError("r grid must be interior to (0,1), got "
+                             f"[{rs[0]}, {rs[-1]}]")
+    rows = max(1, _BLOCK // (n + 1))
+    vals = np.concatenate([ln_values(rs[j:j + rows])
+                           for j in range(0, len(rs), rows)])
     i = int(np.argmax(vals))
     a, b = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
     g = (math.sqrt(5.0) - 1.0) / 2.0
@@ -97,8 +124,6 @@ def _endpoint_ok(comp, r):
 
 
 # -- Poisson: truncated series with divergence certificate ------------------
-
-_CHUNK = 4096
 
 
 def _series_one_r(comp, n, r, eps, max_terms):
@@ -250,9 +275,13 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
 
     Per-r streams are keyed by (seed, r-index) so the result is independent
     of evaluation order.  A 95% bootstrap CI (500 resamples) is attached at
-    the maximizing r.  The divergent_suspect flag fires when the estimate
-    still grows across sample-size prefixes and the top 1% of draws carries
-    more than half the total weight.
+    the maximizing r.  The samples x n draws and the bootstrap gathers are
+    made in blocks of whole rows, about _BLOCK elements each, so memory does
+    not grow with samples x n; a stream does not depend on how its draws are
+    split, so the result does not depend on the block size.  The
+    divergent_suspect flag fires when the estimate still grows across
+    sample-size prefixes and the top 1% of draws carries more than half the
+    total weight.
     """
     if r_grid is None:
         lo, hi = family.mean_domain
@@ -269,10 +298,15 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
         return float(special.logsumexp(w) - math.log(len(w)))
 
     best, best_r, best_w = -math.inf, None, None
+    rows = max(1, _BLOCK // n)
+    means = np.empty(samples)
     for idx, r in enumerate(rs):
         rng = make_generator(seed, idx)
-        draws = family.sample(float(r), samples * n, rng=rng).reshape(samples, n)
-        w = n * _delta_vec(comp, draws.mean(axis=1), float(r))
+        for j in range(0, samples, rows):
+            k = min(rows, samples - j)
+            means[j:j + k] = family.sample(float(r), k * n,
+                                           rng=rng).reshape(k, n).mean(axis=1)
+        w = n * _delta_vec(comp, means, float(r))
         v = ln_mean_exp(w)
         if v > best:
             best, best_r, best_w = v, float(r), w
@@ -281,9 +315,9 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
     expw = np.exp(best_w - shift)
     rng = make_generator(seed, len(rs))
     boot = np.empty(500)
-    step = max(1, 5 * 10**6 // samples)
-    for j in range(0, 500, step):
-        k = min(step, 500 - j)
+    rows = max(1, _BLOCK // samples)
+    for j in range(0, 500, rows):
+        k = min(rows, 500 - j)
         idx = rng.integers(0, samples, (k, samples))
         boot[j:j + k] = np.log(expw[idx].mean(axis=1)) + shift
     ci = (float(np.quantile(boot, 0.025)), float(np.quantile(boot, 0.975)))
@@ -308,6 +342,8 @@ def compute_upsilon(comp, family, n, seed=0, **kw):
     Comparators constructed to integrate to one over their own family skip
     numerics entirely and return ln Upsilon = 0 exactly.
     """
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     p = comp.params
     if comp.form == "poisson_diff" and family.kind == "poisson":
         return UpsilonEstimate("exact", 0.0)
@@ -335,7 +371,9 @@ def compute_upsilon(comp, family, n, seed=0, **kw):
 
 def correction_xi(n_times_trainloss, kl):
     """The union-bound correction pi^2 (1 + min{n L, KL})^2 / 3; broadcasts."""
-    assert np.min(n_times_trainloss) >= 0.0 and np.min(kl) >= 0.0
+    if not (np.min(n_times_trainloss) >= 0.0 and np.min(kl) >= 0.0):
+        raise ValueError("correction_xi needs n L >= 0 and KL >= 0, got "
+                         f"{np.min(n_times_trainloss)} and {np.min(kl)}")
     m = np.minimum(n_times_trainloss, kl)
     return math.pi ** 2 * (1.0 + m) ** 2 / 3.0
 

@@ -32,12 +32,22 @@ class SyntheticProblem:
     seed: int
 
     def __post_init__(self):
-        assert len(self.hypothesis_means) >= 2
+        m = len(self.hypothesis_means)
+        if m < 2:
+            raise ValueError(f"a problem needs at least 2 hypotheses, got {m}")
         w = np.asarray(self.prior_weights, dtype=float)
-        assert w.shape == (len(self.hypothesis_means),)
-        assert np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-12
-        assert self.gibbs_temperature >= 0.0
-        assert self.n >= 1 and self.trials >= 1
+        if w.shape != (m,):
+            raise ValueError(f"prior_weights needs {m} entries, got {w.size}")
+        if not (np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-12):
+            raise ValueError("prior_weights must be nonnegative and sum to 1, "
+                             f"got sum {float(w.sum())}")
+        if not self.gibbs_temperature >= 0.0:
+            raise ValueError("gibbs_temperature must be nonnegative, got "
+                             f"{self.gibbs_temperature}")
+        if not self.n >= 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        if not self.trials >= 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
 
 
 @dataclass
@@ -75,9 +85,9 @@ def _bound_vector(kind, family, train, kl, n, delta):
     if kind not in ("mls", "pac_cramer_xi", "pac_cramer_two_e_ceil",
                     "pac_cramer_chernoff", "catoni_inf"):
         raise ValueError(f"verify does not support bound kind {kind!r}")
-    if kind == "pac_cramer_chernoff":
-        assert family.kind == "bernoulli", \
-            "chernoff correction is certified here only for bernoulli"
+    if kind == "pac_cramer_chernoff" and family.kind != "bernoulli":
+        raise ValueError("the chernoff correction is certified here only for "
+                         f"bernoulli, got {family.kind}")
     flag = "reference_only" if kind in PARAMETRIC_INFIMA else None
     return bound_values(kind, family, train, kl, n, delta), flag
 

@@ -229,6 +229,16 @@ USAGE_ERRORS = {
     "delta": (BOUND + ("--delta", "1.5"), ["delta", "1.5"]),
     "n": (("bound", "--family", "bernoulli", "--alpha", "0.2", "--beta", "1",
            "--n", "0", "--delta", "0.05"), ["n must", "0"]),
+    "upsilon-n": (("upsilon", "--comparator", "kl", "--family", "bernoulli",
+                   "--n", "0"), ["n must be at least 1", "0"]),
+    "verify-trials": (("verify", "--trials", "0"), ["trials", "0"]),
+    "verify-m": (("verify", "--m", "1", "--trials", "10"),
+                 ["at least 2 hypotheses", "1"]),
+    "verify-m-zero": (("verify", "--m", "0", "--trials", "10"),
+                      ["at least 2 hypotheses", "0"]),
+    "verify-chernoff": (("verify", "--family", "gaussian:sigma2=1", "--bound",
+                         "pac_cramer_chernoff", "--trials", "10"),
+                        ["chernoff", "bernoulli", "gaussian"]),
 }
 
 

@@ -325,6 +325,7 @@ def test_query_validation():
 
 BAD_LIBRARY_INPUT = """
 from cgfbounds import bounds, families as fam, inversion as inv
+from cgfbounds import upsilon as ups, verify as ver
 calls = [
     lambda: inv.BoundQuery(0.1, -1.0, 10),
     lambda: inv.BoundQuery(0.1, 1.0, 0),
@@ -340,6 +341,16 @@ calls = [
     lambda: inv.laplace_diff(2.0, 1.0),
     lambda: inv.infimum_over_parameter(inv.poisson_diff,
                                        inv.BoundQuery(1.0, 1.0, 10), (0.0, 1.0)),
+    lambda: ups.compute_upsilon(inv.binary_kl(), fam.bernoulli(), 0),
+    lambda: ups.upsilon_bernoulli_exact(inv.binary_kl(), 4, r_grid=(0.0, 0.5)),
+    lambda: ups.upsilon_bernoulli_exact(
+        inv.custom(lambda q, p: q + float("inf"), (0.0, 1.0)), 4),
+    lambda: ups.correction_xi(-1.0, 0.0),
+    lambda: ver.SyntheticProblem((0.5,), (1.0,), fam.bernoulli(), 1.0, 10, 5, 0),
+    lambda: ver.SyntheticProblem((0.2, 0.5), (0.5, 0.5), fam.bernoulli(), 1.0,
+                                 10, 0, 0),
+    lambda: ver._bound_vector("pac_cramer_chernoff", fam.gaussian(1.0),
+                              [0.2], [1.0], 10, 0.05),
 ]
 for call in calls:
     try:
@@ -356,4 +367,4 @@ def test_input_validation_without_asserts(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_LIBRARY_INPUT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 12
+    assert proc.stdout.split() == ["ValueError"] * 19

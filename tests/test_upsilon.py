@@ -44,6 +44,100 @@ def test_catoni_bernoulli_enumeration_is_one():
     assert abs(est.value) <= 1e-10
 
 
+def exact_by_loop(comp, n, r_grid):
+    """The Bernoulli route one r at a time: per-r sums, then the same polish."""
+    ks = np.arange(n + 1)
+    ln_binom = (special.gammaln(n + 1) - special.gammaln(ks + 1)
+                - special.gammaln(n - ks + 1))
+
+    def ln_value(r):
+        ln_pmf = ln_binom + special.xlogy(ks, r) + special.xlog1py(n - ks, -r)
+        d = np.array([float(comp.eval(float(k / n), r)) for k in ks])
+        return float(special.logsumexp(ln_pmf + n * d))
+
+    rs = (np.linspace(1e-6, 1.0 - 1e-6, r_grid) if np.ndim(r_grid) == 0
+          else np.sort(np.asarray(r_grid, dtype=float)))
+    vals = np.array([ln_value(r) for r in rs])
+    i = int(np.argmax(vals))
+    a, b = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = ln_value(c), ln_value(d)
+    for _ in range(60):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = ln_value(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = ln_value(d)
+    best, r_star = max((vals[i], rs[i]), (fc, c), (fd, d))
+    for r_end in (0.0, 1.0):
+        v = n * float(comp.eval(r_end, r_end))
+        if math.isfinite(v) and v > best:
+            best, r_star = v, r_end
+    return best, r_star
+
+
+def scalar_only_kl(q, p):
+    if np.ndim(q) or np.ndim(p):
+        raise TypeError("scalar arguments only")
+    return float(fam.binary_kl(q, p))
+
+
+BATCH_COMPARATORS = {
+    "binary_kl": inv.binary_kl(),
+    "scaled_diff": inv.scaled_diff(0.5),
+    "catoni": inv.catoni(-1.0),
+    "cramer": inv.cramer_of(fam.bernoulli()),
+    "custom": inv.custom(scalar_only_kl, (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("r_grid", [11, 2001, (0.9, 0.02, 0.37, 0.5, 0.61)],
+                         ids=["grid11", "grid2001", "explicit"])
+@pytest.mark.parametrize("name", sorted(BATCH_COMPARATORS))
+def test_batched_bernoulli_equals_per_r_loop(name, r_grid):
+    # every comparator evaluation and sum is the same arithmetic, so the
+    # (r, k) grid and its per-row fallback give the loop's numbers exactly
+    comp = BATCH_COMPARATORS[name]
+    n = 13
+    want_value, want_r = exact_by_loop(comp, n, r_grid)
+    est = ups.upsilon_bernoulli_exact(comp, n, r_grid)
+    assert est.mode == "exact"
+    assert est.value == want_value and est.r_star == want_r
+
+
+def test_bernoulli_rows_do_not_depend_on_block(monkeypatch):
+    comp = inv.binary_kl()
+    want = ups.upsilon_bernoulli_exact(comp, 40, 2001)
+    monkeypatch.setattr(ups, "_BLOCK", 7 * 41)
+    got = ups.upsilon_bernoulli_exact(comp, 40, 2001)
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["binary_kl", "custom"])
+def test_bernoulli_not_finite_names_first_r(name):
+    base = BATCH_COMPARATORS[name]
+    comp = inv.custom(lambda q, p: base.eval(q, p) / (np.asarray(p) <= 0.5),
+                      (0.0, 1.0))
+    with np.errstate(divide="ignore"):
+        with pytest.raises(ValueError, match=r"not finite .* r=0\.6"):
+            ups.upsilon_bernoulli_exact(comp, 4, r_grid=(0.2, 0.6, 0.9))
+
+
+def test_bernoulli_grid_must_be_interior():
+    with pytest.raises(ValueError, match="interior"):
+        ups.upsilon_bernoulli_exact(inv.binary_kl(), 4, r_grid=(0.0, 0.5))
+
+
+def test_compute_upsilon_rejects_n_below_one():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            ups.compute_upsilon(inv.binary_kl(), fam.bernoulli(), n)
+
+
 # -- Poisson series route --------------------------------------------------------
 
 def test_poisson_diff_series_is_one():
@@ -140,6 +234,27 @@ def test_monte_carlo_determinism():
     assert a.value == b.value and a.ci == b.ci
 
 
+# value, ci and r_star as computed by the one-shot draws these blocks
+# replaced; samples x n spans several draw blocks and the 500 bootstrap
+# resamples span 50 gather blocks
+MC_FROZEN = [
+    ((inv.scaled_diff(0.3), fam.gaussian(1.0), 20, [0.0], 10**5, 3),
+     (0.908283581470295, (0.8937553879616487, 0.9208860541991173), 0.0)),
+    ((inv.scaled_diff(0.2), fam.negbin(2.0), 30, [0.7, 1.5], 10**5, 5),
+     (1.362227518877674, (1.3449633157676224, 1.3769077007076793), 1.5)),
+    ((inv.binary_kl(), fam.bernoulli(), 5, [0.5], 10**5, 2),
+     (1.258631680496034, (1.2459437601517362, 1.2718994409997926), 0.5)),
+]
+
+
+@pytest.mark.parametrize("case,want", MC_FROZEN,
+                         ids=["gaussian", "negbin", "bootstrap"])
+def test_monte_carlo_blocks_frozen(case, want):
+    est = ups.upsilon_monte_carlo(*case)
+    assert (est.value, est.ci, est.r_star) == want
+    assert not est.divergent_suspect
+
+
 def test_monte_carlo_coverage_rate():
     # 50 independent seeds at a sample size where every mean cell is visible;
     # the 95% bootstrap CI must catch the exact value at least 45 times
@@ -183,8 +298,10 @@ def test_correction_xi_frozen():
     assert ups.correction_xi(0.0, 0.0) == pytest.approx(3.289868133696453, rel=1e-15)
     assert ups.correction_xi(7.0, 3.0) == pytest.approx(52.637890139143245, rel=1e-15)
     assert ups.correction_xi(2.0, 100.0) == pytest.approx(29.608813203268074, rel=1e-15)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="correction_xi"):
         ups.correction_xi(-1.0, 0.0)
+    with pytest.raises(ValueError, match="correction_xi"):
+        ups.correction_xi(np.array([1.0, 2.0]), np.array([0.5, -0.1]))
 
 
 def test_correction_two_e_ceil_frozen():

@@ -17,12 +17,18 @@ def problem(**over):
 
 
 def test_problem_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="at least 2 hypotheses, got 1"):
         problem(hypothesis_means=(0.5,), prior_weights=(1.0,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="sum to 1"):
         problem(prior_weights=(0.5, 0.25, 0.35))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="needs 3 entries, got 2"):
+        problem(prior_weights=(0.5, 0.5))
+    with pytest.raises(ValueError, match="gibbs_temperature"):
         problem(gibbs_temperature=-0.1)
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+        problem(n=0)
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        problem(trials=0)
 
 
 def test_run_trials_deterministic():
