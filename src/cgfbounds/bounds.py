@@ -106,8 +106,8 @@ def samplewise_bound(family, per_sample, n=None):
     (1/n) sum_i of the n=1 average bound at those arguments.
     """
     pairs = list(per_sample)
-    if n is not None:
-        assert len(pairs) == n, "per_sample must have length n"
+    if n is not None and len(pairs) != n:
+        raise ValueError(f"per_sample must have length n={n}, got {len(pairs)}")
     comp = inv.cramer_of(family)
     tot = 0.0
     for a_i, b_i in pairs:

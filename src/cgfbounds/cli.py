@@ -201,10 +201,12 @@ def cmd_verify(args):
     if family.kind not in ver._MEAN_INTERVALS:
         raise ValueError(f"verify supports the {', '.join(ver._MEAN_INTERVALS)}"
                          f" families, got {family.kind}")
+    if args.m < 2:
+        raise ValueError(f"--m needs at least 2 hypotheses, got {args.m}")
     rng = make_generator(args.seed, 900001)
     lo, hi = ver._MEAN_INTERVALS[family.kind]
     means = tuple(float(x) for x in rng.uniform(lo, hi, args.m))
-    prior = (1.0 / args.m,) * args.m if args.m > 0 else ()
+    prior = (1.0 / args.m,) * args.m
     problem = ver.SyntheticProblem(means, prior, family, args.c, args.n,
                                    args.trials, args.seed)
     records, summary = ver.run_trials(problem, args.bound, args.delta)

@@ -42,10 +42,6 @@ class TDomain:
         lo = max(self.lower, 0.0) if self.sided == "nonneg_only" else self.lower
         return lo, self.upper
 
-    def contains(self, t):
-        lo, hi = self.effective()
-        return lo < t < hi or (self.sided == "nonneg_only" and t == 0.0)
-
 
 @dataclass(frozen=True)
 class BoundingFamily:
@@ -72,10 +68,6 @@ class BoundingFamily:
         if self.kind in ("gaussian", "laplace"):
             return (-_INF, _INF)
         return (0.0, _INF)
-
-    @property
-    def bounded_range(self):
-        return self.kind == "bernoulli"
 
     def _check_mean(self, p):
         lo, hi = self.mean_domain
@@ -183,6 +175,10 @@ class BoundingFamily:
         self._check_mean(p)
         if rng is None:
             rng = make_generator(0 if seed is None else seed)
+        return self._draw(p, size, rng)
+
+    def _draw(self, p, size, rng):
+        """sample without the mean check, for callers that made it once."""
         v = self.nuisance
         if self.kind == "bernoulli":
             return (rng.random(size) < p).astype(float)

@@ -162,8 +162,11 @@ class BoundQuery:
     ln_iota: float = 0.0
 
     def __post_init__(self):
-        if not np.all(np.asarray(self.beta) >= 0.0):
-            raise ValueError(f"beta must be nonnegative, got {np.min(self.beta)}")
+        beta, ln_iota = np.asarray(self.beta), np.asarray(self.ln_iota)
+        if not np.all(np.isfinite(beta) & (beta >= 0.0)):
+            raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+        if not np.all(np.isfinite(ln_iota)):
+            raise ValueError(f"ln_iota must be finite, got {ln_iota}")
         if not self.n >= 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
@@ -220,7 +223,8 @@ def _bisect(comp, alpha, budget, tol):
     """
     alpha, budget = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                         np.asarray(budget, dtype=float))
-    assert np.all(np.isfinite(budget)), "budget must be finite"
+    if not np.all(np.isfinite(budget)):
+        raise ValueError(f"budget must be finite, got {budget}")
     lo_r, hi_r = comp.loss_range
     outside = ~((lo_r <= alpha) & (alpha <= hi_r))
     if outside.any():

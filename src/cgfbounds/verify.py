@@ -18,7 +18,7 @@ from . import families as fam
 from . import inversion as inv
 from .bounds import PARAMETRIC_INFIMA, average_bound, bound_values
 from .inversion import BoundQuery
-from .rng import make_generator
+from .rng import make_generator, streams
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,7 @@ class SyntheticProblem:
         m = len(self.hypothesis_means)
         if m < 2:
             raise ValueError(f"a problem needs at least 2 hypotheses, got {m}")
+        self.family._check_mean(self.hypothesis_means)
         w = np.asarray(self.prior_weights, dtype=float)
         if w.shape != (m,):
             raise ValueError(f"prior_weights needs {m} entries, got {w.size}")
@@ -62,15 +63,12 @@ class TrialRecord:
 
 @functools.lru_cache(maxsize=16)
 def _simulate(problem):
-    """Per-trial (train_loss, pop_loss, kl) arrays for the Gibbs posterior."""
+    """Per-trial (train, pop, kl) arrays; trial t draws on stream (seed, t)."""
     means = np.asarray(problem.hypothesis_means, dtype=float)
     prior = np.asarray(problem.prior_weights, dtype=float)
     c, n, t_total = problem.gibbs_temperature, problem.n, problem.trials
-    lhat = np.empty((t_total, len(means)))
-    for t in range(t_total):
-        rng = make_generator(problem.seed, t)
-        lhat[t] = problem.family.sample(means, (n, len(means)),
-                                        rng=rng).mean(axis=0)
+    lhat = np.array([problem.family._draw(means, (n, means.size), g).mean(0)
+                     for g in streams(problem.seed, range(t_total))])
     lnq = np.log(prior) - c * n * lhat
     lnq -= special.logsumexp(lnq, axis=1, keepdims=True)
     q = np.exp(lnq)
@@ -100,19 +98,12 @@ def clopper_pearson(k, t_total, level=0.95):
     return lo, hi
 
 
-def run_trials(problem, bound="pac_cramer_xi", delta=0.05):
-    """Simulate the problem and evaluate one bound kind on every trial.
-
-    Returns (records, summary): a TrialRecord per trial plus a summary dict
-    with the violation count and its 95% Clopper-Pearson interval.
-    """
+def _evaluate(problem, bound, delta):
+    """(values, violation flags, summary) of one bound kind over the trials."""
     train, pop, kl = _simulate(problem)
     values, flag = _bound_vector(bound, problem.family, train, kl,
                                  problem.n, delta)
     violated = pop > values
-    records = [TrialRecord(float(train[t]), float(pop[t]), float(kl[t]), None,
-                           float(values[t]), bool(violated[t]))
-               for t in range(problem.trials)]
     k = int(violated.sum())
     cp_lo, cp_hi = clopper_pearson(k, problem.trials)
     summary = {
@@ -123,6 +114,20 @@ def run_trials(problem, bound="pac_cramer_xi", delta=0.05):
         "rate": k / problem.trials, "cp95_low": cp_lo, "cp95_high": cp_hi,
         "flag": flag,
     }
+    return values, violated, summary
+
+
+def run_trials(problem, bound="pac_cramer_xi", delta=0.05):
+    """Simulate the problem and evaluate one bound kind on every trial.
+
+    Returns (records, summary): a TrialRecord per trial plus a summary dict
+    with the violation count and its 95% Clopper-Pearson interval.
+    """
+    values, violated, summary = _evaluate(problem, bound, delta)
+    train, pop, kl = _simulate(problem)
+    records = [TrialRecord(float(train[t]), float(pop[t]), float(kl[t]), None,
+                           float(values[t]), bool(violated[t]))
+               for t in range(problem.trials)]
     return records, summary
 
 
@@ -181,8 +186,7 @@ def default_suite(delta=0.05, trials=2000, seeds=(0, 1, 2),
         if include_reference and problem.family.kind == "bernoulli":
             kinds = kinds + ("catoni_inf",)
         for kind in kinds:
-            _, summary = run_trials(problem, kind, delta)
-            summaries.append(summary)
+            summaries.append(_evaluate(problem, kind, delta)[2])
     return summaries
 
 
@@ -207,11 +211,15 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
     n = 1 and temperature 0 shortcut to exact enumeration.
     """
     family = problem.family
-    assert family.kind == "bernoulli", "samplewise comparison is Bernoulli-only"
+    if family.kind != "bernoulli":
+        raise ValueError("the samplewise comparison is Bernoulli-only, got "
+                         f"{family.kind}")
     means = np.asarray(problem.hypothesis_means, dtype=float)
     prior = np.asarray(problem.prior_weights, dtype=float)
     m, n, c = len(means), problem.n, problem.gibbs_temperature
-    assert m <= 12, "exact loss-vector enumeration needs a small hypothesis set"
+    if m > 12:
+        raise ValueError("exact loss-vector enumeration needs at most 12 "
+                         f"hypotheses, got {m}")
     vs = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
     ln_pv = (special.xlogy(vs, means) + special.xlog1py(1.0 - vs, -means)).sum(axis=1)
     pv = np.exp(ln_pv)
@@ -248,9 +256,7 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
             full_vals.append(inv.invert(comp, BoundQuery(alpha_f, 0.0, n)).rho)
             continue
         rng2 = make_generator(problem.seed, 320000, rep)
-        lhat = np.empty((outer, m))
-        for t in range(outer):
-            lhat[t] = ((rng2.random((n, m)) < means)).mean(axis=0)
+        lhat = (rng2.random((outer, n, m)) < means).mean(axis=1)
         lnq = np.log(prior) - c * n * lhat
         lnq -= special.logsumexp(lnq, axis=1, keepdims=True)
         q_z = np.exp(lnq)

@@ -309,7 +309,7 @@ def test_samplewise_bound_composition():
     two = inv.invert(inv.cramer_of(f), inv.BoundQuery(0.1, 0.2, 1)).rho
     got = bounds.samplewise_bound(f, [(0.3, 0.7), (0.1, 0.2)])
     assert got == pytest.approx((one + two) / 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="length n=2, got 1"):
         bounds.samplewise_bound(f, [(0.3, 0.7)], n=2)
 
 

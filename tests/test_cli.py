@@ -236,6 +236,10 @@ USAGE_ERRORS = {
                  ["at least 2 hypotheses", "1"]),
     "verify-m-zero": (("verify", "--m", "0", "--trials", "10"),
                       ["at least 2 hypotheses", "0"]),
+    "verify-m-negative": (("verify", "--m", "-1", "--trials", "10"),
+                          ["--m", "at least 2 hypotheses", "-1"]),
+    "beta-inf": (("bound", "--family", "poisson", "--alpha", "0.7", "--beta",
+                  "inf", "--n", "40"), ["beta must be finite", "inf"]),
     "verify-chernoff": (("verify", "--family", "gaussian:sigma2=1", "--bound",
                          "pac_cramer_chernoff", "--trials", "10"),
                         ["chernoff", "bernoulli", "gaussian"]),

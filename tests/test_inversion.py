@@ -321,6 +321,17 @@ def test_query_validation():
         BoundQuery(0.1, 1.0, 0)
     with pytest.raises(ValueError, match="delta"):
         BoundQuery(0.1, 1.0, 10, delta=1.5)
+    with pytest.raises(ValueError, match="beta must be finite .* got inf"):
+        BoundQuery(0.1, math.inf, 10)
+    with pytest.raises(ValueError, match=r"beta must be finite .*inf\]"):
+        BoundQuery(0.1, [1.0, math.inf], 10)
+    with pytest.raises(ValueError, match="beta must be finite .* got nan"):
+        BoundQuery(0.1, math.nan, 10)
+    with pytest.raises(ValueError, match="ln_iota must be finite, got -inf"):
+        BoundQuery(0.1, 1.0, 10, ln_iota=-math.inf)
+    with pytest.raises(ValueError,
+                       match=r"budget must be finite, got .*nan\]"):
+        inv.invert_grid(inv.binary_kl(), [0.1, 0.2], [0.5, math.nan])
 
 
 BAD_LIBRARY_INPUT = """
@@ -351,6 +362,16 @@ calls = [
                                  10, 0, 0),
     lambda: ver._bound_vector("pac_cramer_chernoff", fam.gaussian(1.0),
                               [0.2], [1.0], 10, 0.05),
+    lambda: inv.BoundQuery(0.1, float("inf"), 10),
+    lambda: inv.BoundQuery(0.1, 1.0, 10, ln_iota=float("nan")),
+    lambda: inv.invert_at_budget(inv.binary_kl(), 0.1, float("nan")),
+    lambda: bounds.samplewise_bound(fam.bernoulli(), [(0.3, 0.7)], n=2),
+    lambda: ver.SyntheticProblem((0.2, 1.5), (0.5, 0.5), fam.bernoulli(), 1.0,
+                                 10, 5, 0),
+    lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
+        (0.2, 0.5), (0.5, 0.5), fam.gaussian(1.0), 1.0, 10, 5, 0)),
+    lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
+        (0.5,) * 13, (1.0 / 13,) * 13, fam.bernoulli(), 1.0, 10, 5, 0)),
 ]
 for call in calls:
     try:
@@ -367,4 +388,4 @@ def test_input_validation_without_asserts(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_LIBRARY_INPUT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 19
+    assert proc.stdout.split() == ["ValueError"] * 26

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from cgfbounds import families as fam
 from cgfbounds import inversion as inv
 from cgfbounds import verify
+from cgfbounds.rng import make_generator
 
 
 def problem(**over):
@@ -29,6 +31,38 @@ def test_problem_validation():
         problem(n=0)
     with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
         problem(trials=0)
+    # the trial loop no longer checks the means, so the problem must
+    with pytest.raises(ValueError, match=r"outside the open domain of bernoulli"):
+        problem(hypothesis_means=(0.2, 1.5, 0.8))
+    with pytest.raises(ValueError, match=r"outside the open domain of poisson"):
+        problem(hypothesis_means=(0.2, -0.5, 0.8), family=fam.poisson())
+
+
+@pytest.mark.parametrize("family", [fam.bernoulli(), fam.gaussian(1.0),
+                                    fam.poisson()], ids=lambda f: f.kind)
+def test_simulate_equals_per_trial_generators(family):
+    # trial t draws from a fresh make_generator(seed, t), as it always has
+    p = problem(family=family, trials=150, n=12)
+    means = np.asarray(p.hypothesis_means)
+    prior = np.asarray(p.prior_weights)
+    lhat = np.array([family.sample(means, (p.n, len(means)),
+                                   rng=make_generator(p.seed, t)).mean(axis=0)
+                     for t in range(p.trials)])
+    lnq = np.log(prior) - p.gibbs_temperature * p.n * lhat
+    lnq -= special.logsumexp(lnq, axis=1, keepdims=True)
+    q = np.exp(lnq)
+    kl = np.maximum(np.einsum("tm,tm->t", q, lnq - np.log(prior)), 0.0)
+    want = (np.einsum("tm,tm->t", q, lhat), q @ means, kl)
+    verify._simulate.cache_clear()
+    got = verify._simulate(p)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_suite_summary_is_run_trials_summary():
+    p = problem(trials=100)
+    for kind in ("mls", "pac_cramer_xi"):
+        assert verify._evaluate(p, kind, 0.05)[2] == verify.run_trials(
+            p, kind, 0.05)[1]
 
 
 def test_run_trials_deterministic():
@@ -141,6 +175,24 @@ def test_samplewise_zero_temperature_is_prior_mean():
     want = float(np.dot(p.prior_weights, p.hypothesis_means))
     assert cmp.samplewise == pytest.approx(want, abs=1e-12)
     assert cmp.full == pytest.approx(want, abs=1e-12)
+
+
+def test_samplewise_comparison_frozen():
+    # frozen before the outer draws were batched into one (outer, n, m) call
+    p = problem(hypothesis_means=(0.2, 0.45, 0.7), gibbs_temperature=2.0,
+                n=8, trials=10, seed=3)
+    cmp = verify.run_samplewise_comparison(p, inner=40, outer=30, replicates=3)
+    assert cmp == verify.SamplewiseComparison(
+        0.3019204894995604, 0.27101110049445226, 0.008012665157122473,
+        0.01927246164029738)
+
+
+def test_samplewise_comparison_rejects():
+    with pytest.raises(ValueError, match="Bernoulli-only, got gaussian"):
+        verify.run_samplewise_comparison(problem(family=fam.gaussian(1.0)))
+    with pytest.raises(ValueError, match="at most 12 hypotheses, got 13"):
+        verify.run_samplewise_comparison(problem(
+            hypothesis_means=(0.5,) * 13, prior_weights=(1.0 / 13,) * 13))
 
 
 def test_samplewise_no_looser_than_full():
