@@ -6,11 +6,11 @@ from .bounds import (BOUND_KINDS, CorrectionDivergent, average_bound,
                      optimistic_reference, pac_bound, samplewise_bound)
 from .conjugate import (ConjugateDivergent, ConjugateResult, family_conjugate,
                         numeric_conjugate)
-from .families import (FAMILY_KINDS, BoundingFamily, bernoulli, binary_kl,
-                       family_spec, gamma, gaussian, invgauss, laplace,
-                       negbin, parse_family, poisson)
+from .families import (FAMILY_KINDS, BoundingFamily, bernoulli, family_spec,
+                       gamma, gaussian, invgauss, laplace, negbin,
+                       parse_family, poisson)
 from .inversion import (BoundQuery, BoundResult, Comparator, NoFiniteBound,
-                        NonMonotoneComparator, catoni, cramer_of,
+                        NonMonotoneComparator, binary_kl, catoni, cramer_of,
                         gaussian_diff, infimum_over_parameter, invert,
                         invert_at_budget, invert_closed_form_poisson,
                         invert_grid, lambert_wm1, laplace_diff, poisson_diff,

@@ -106,6 +106,8 @@ def samplewise_bound(family, per_sample, n=None):
     (1/n) sum_i of the n=1 average bound at those arguments.
     """
     pairs = list(per_sample)
+    if not pairs:
+        raise ValueError("per_sample needs at least one (alpha, beta) pair")
     if n is not None and len(pairs) != n:
         raise ValueError(f"per_sample must have length n={n}, got {len(pairs)}")
     comp = inv.cramer_of(family)

@@ -1,15 +1,19 @@
 """Numeric convex conjugate of a CGF over its finiteness interval.
 
 Computes sup_t { q t - cgf(t) } by probing a dyadic ladder of t values,
-bracketing the (concave) objective's maximizer, and polishing with a bounded
-scalar minimizer.  Detects supremum-at-infinity and genuine divergence.
+bracketing the (concave) objective's maximizer, and polishing by grid zoom.
+Detects supremum-at-infinity and genuine divergence.  Also houses the
+package's one 1-D maximizer, argmax_zoom, which the Bernoulli Upsilon and the
+parametric-infimum oracle share; this module imports nothing from the package.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+
+_ZOOM_POINTS = 17   # points per zoom round; a round keeps 2 of its 16 cells
+_ZOOM_ROUNDS = 12   # the bracket shrinks 8-fold a round, to 8^-12 ~ 1.5e-11
 
 
 class ConjugateDivergent(Exception):
@@ -23,23 +27,40 @@ class ConjugateResult:
     at_boundary: bool = False
 
 
+def argmax_zoom(f, a, b):
+    """Best (x, f(x)) seen while zooming a grid in on the max of f on [a, b].
+
+    f maps a 1-d array of points to their values in one call.  Each round
+    evaluates f at _ZOOM_POINTS evenly spaced points and keeps the two cells
+    around the best one; it stops once a round's values are flat to rounding
+    or after _ZOOM_ROUNDS rounds.  f is assumed unimodal on [a, b].
+    """
+    best_x, best_v = math.nan, -math.inf
+    for _ in range(_ZOOM_ROUNDS):
+        xs = np.linspace(a, b, _ZOOM_POINTS)
+        vals = np.asarray(f(xs), dtype=float)
+        i = int(np.argmax(vals))
+        top = float(vals[i])
+        if top > best_v:
+            best_x, best_v = float(xs[i]), top
+        if top - float(np.min(vals)) <= 4e-16 * max(1.0, abs(top)):
+            break
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, _ZOOM_POINTS - 1)]
+    return best_x, best_v
+
+
 def parametric_value(cgf, q, t):
     """The conjugate objective q t - cgf(t) at a fixed t."""
     return q * t - cgf(t)
 
 
-def _objective(cgf, q):
-    def g(t):
-        with np.errstate(all="ignore"):
-            try:
-                c = float(cgf(t))
-            except (ValueError, OverflowError):
-                return -math.inf
-        val = q * t - c
-        if math.isnan(val):
-            return -math.inf
-        return val
-    return g
+def _objective_at(cgf, q, t):
+    """q t - cgf(t) at one t; -inf where the CGF raises or the value is NaN."""
+    try:
+        val = q * t - float(cgf(t))
+    except (ValueError, OverflowError):
+        return -math.inf
+    return -math.inf if math.isnan(val) else val
 
 
 def _objective_on_grid(cgf, q, ts):
@@ -51,8 +72,7 @@ def _objective_on_grid(cgf, q, ts):
             if c.shape != tarr.shape:
                 raise ValueError("scalar-only cgf")
         except (ValueError, OverflowError, TypeError):
-            g = _objective(cgf, q)
-            return np.array([g(t) for t in ts])
+            return np.array([_objective_at(cgf, q, t) for t in ts])
         vals = q * tarr - c
     return np.where(np.isnan(vals), -math.inf, vals)
 
@@ -98,7 +118,7 @@ def _tail_result(ts, vals, sign, q, best):
     return ConjugateResult(best, sign * math.inf, True)
 
 
-def numeric_conjugate(cgf, q, t_domain, tol=1e-10):
+def numeric_conjugate(cgf, q, t_domain):
     """Maximize q t - cgf(t) over the open interval t_domain.
 
     Parameters
@@ -109,8 +129,6 @@ def numeric_conjugate(cgf, q, t_domain, tol=1e-10):
         Query point of the conjugate.
     t_domain : TDomain
         Finiteness interval, possibly restricted to t >= 0.
-    tol : float
-        Relative accuracy target for the maximizer location.
 
     Returns
     -------
@@ -124,7 +142,6 @@ def numeric_conjugate(cgf, q, t_domain, tol=1e-10):
         If the objective grows without bound along an unbounded direction,
         i.e. q lies outside the closure of the family's mean range.
     """
-    g = _objective(cgf, q)
     ts = _probe_points(t_domain)
     assert ts, "empty probe set for conjugate search"
     vals = _objective_on_grid(cgf, q, ts)
@@ -143,17 +160,13 @@ def numeric_conjugate(cgf, q, t_domain, tol=1e-10):
         return ConjugateResult(vals[i], ts[i], True)
     if i == 0:
         return ConjugateResult(vals[i], ts[i], True)
-    a, b = ts[i - 1], ts[i + 1]
-    res = optimize.minimize_scalar(
-        lambda t: -g(t), bounds=(a, b), method="bounded",
-        options={"xatol": max((b - a) * tol, 1e-300), "maxiter": 500})
-    t_star, val = float(res.x), -float(res.fun)
+    t_star, val = argmax_zoom(lambda t: _objective_on_grid(cgf, q, t),
+                              ts[i - 1], ts[i + 1])
     if vals[i] > val:
         t_star, val = ts[i], vals[i]
     return ConjugateResult(val, t_star, False)
 
 
-def family_conjugate(family, q, p, sided="full", tol=1e-10):
+def family_conjugate(family, q, p):
     """Numeric Cramer value of a family at (q, p), independent of closed forms."""
-    return numeric_conjugate(lambda t: family.cgf(p, t), q,
-                             family.t_domain(p, sided), tol)
+    return numeric_conjugate(lambda t: family.cgf(p, t), q, family.t_domain(p))

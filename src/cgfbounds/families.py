@@ -34,8 +34,12 @@ class TDomain:
     sided: str = "full"  # "full" | "nonneg_only"
 
     def __post_init__(self):
-        assert self.lower < self.upper
-        assert self.sided in ("full", "nonneg_only")
+        if not self.lower < self.upper:
+            raise ValueError("t domain needs lower < upper, got "
+                             f"({self.lower}, {self.upper})")
+        if self.sided not in ("full", "nonneg_only"):
+            raise ValueError("sided must be 'full' or 'nonneg_only', got "
+                             f"{self.sided!r}")
 
     def effective(self):
         """The (lower, upper) pair actually searched."""
@@ -72,7 +76,7 @@ class BoundingFamily:
     def _check_mean(self, p):
         lo, hi = self.mean_domain
         pp = np.asarray(p)
-        if ((pp <= lo) | (pp >= hi)).any():
+        if (~((pp > lo) & (pp < hi))).any():
             raise ValueError(f"mean {p} outside the open domain of {self.kind}")
 
     # -- CGF and its finiteness interval ----------------------------------

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import families as fam
+from .conjugate import argmax_zoom
 
 
 class NoFiniteBound(Exception):
@@ -55,6 +56,10 @@ def cramer_of(family):
 
 
 def binary_kl():
+    """The binary kl(q, p) as a comparator: the Bernoulli Cramer function.
+
+    The two-argument function itself is families.binary_kl.
+    """
     c = cramer_of(fam.bernoulli())
     return Comparator("binary_kl", c.fn, c.loss_range)
 
@@ -367,18 +372,16 @@ def invert_closed_form_poisson(alpha, budget):
 
 # -- one-parameter infima --------------------------------------------------
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def infimum_over_parameter(make_comp, query, param_range):
-    """min over a parameter of the inverted bound, grid scan + golden refine.
+    """min over a parameter of the inverted bound, grid scan + argmax_zoom.
 
     For caller-supplied comparator families, and the test oracle of the
     built-in parametric-infimum kinds, which bounds evaluates by their kl or
     Cramer identity.  make_comp maps a parameter value to a Comparator.  The
     per-parameter bound is assumed quasiconvex on param_range, which is
-    scanned at 64 log-spaced points.  Raises NoFiniteBound if no parameter
-    gives a finite bound.
+    scanned at 64 log-spaced points; the best point is refined by
+    argmax_zoom on -rho between its grid neighbours.  Raises NoFiniteBound
+    if no parameter gives a finite bound.
     """
     lo, hi = param_range
     if not lo > 0:
@@ -389,42 +392,28 @@ def infimum_over_parameter(make_comp, query, param_range):
     def rho_of(x):
         comp = make_comp(math.exp(x))
         if comp.exact_inverse is not None:
-            rho = comp.exact_inverse(alpha, budget)
-            status = ("capped_at_domain" if rho == comp.loss_range[1]
-                      else "converged")
-            return rho, BoundResult(rho, budget, (rho, rho), 0, status)
+            return comp.exact_inverse(alpha, budget)
         try:
-            res = invert_at_budget(comp, alpha, budget)
+            return invert_at_budget(comp, alpha, budget).rho
         except NoFiniteBound:
-            return math.inf, None
-        return res.rho, res
+            return math.inf
 
-    vals = [rho_of(x) for x in xs]
-    i = int(np.argmin([v[0] for v in vals]))
-    best_rho, best = vals[i]
-    best_x = xs[i]
-    if best is None:
+    def neg_rho(x):
+        return np.array([-rho_of(v) for v in x])
+
+    vals = neg_rho(xs)
+    i = int(np.argmax(vals))
+    if vals[i] == -math.inf:
         raise NoFiniteBound(f"no parameter in {param_range} yields a finite bound")
+    x_z, v_z = argmax_zoom(neg_rho, xs[max(i - 1, 0)],
+                           xs[min(i + 1, len(xs) - 1)])
+    param_star = math.exp(x_z if v_z > vals[i] else xs[i])
 
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, len(xs) - 1)]
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, rc = rho_of(c)
-    fd, rd = rho_of(d)
-    for _ in range(80):
-        if fc <= fd:
-            b, d, fd, rd = d, c, fc, rc
-            c = b - _GOLDEN * (b - a)
-            fc, rc = rho_of(c)
-        else:
-            a, c, fc, rc = c, d, fd, rd
-            d = a + _GOLDEN * (b - a)
-            fd, rd = rho_of(d)
-        if b - a <= 1e-10 * max(1.0, abs(a)):
-            break
-    for x, (v, r) in ((c, (fc, rc)), (d, (fd, rd))):
-        if v < best_rho and r is not None:
-            best_rho, best, best_x = v, r, x
-
-    best = replace(best, param_star=math.exp(best_x))
-    return best
+    comp = make_comp(param_star)
+    if comp.exact_inverse is None:
+        best = invert_at_budget(comp, alpha, budget)
+    else:
+        rho = comp.exact_inverse(alpha, budget)
+        status = "capped_at_domain" if rho == comp.loss_range[1] else "converged"
+        best = BoundResult(rho, budget, (rho, rho), 0, status)
+    return replace(best, param_star=param_star)

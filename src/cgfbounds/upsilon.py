@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .conjugate import argmax_zoom
 from .rng import make_generator
 
 _LN2 = math.log(2.0)
@@ -61,10 +62,11 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
     The sum is evaluated in log domain on an interior r-grid (an integer
     resolution or an explicit array of interior r values) as one (r, k)
     log-sum-exp; comparators that do not broadcast over r are evaluated one
-    r-row at a time.  The best grid r is refined by golden section, each
-    step the one-row case of the same sum; the endpoint values r in {0, 1}
-    (degenerate means) are included via the 0 ln 0 convention.  Raises
-    ValueError if the comparator is not finite at some r of the grid.
+    r-row at a time.  The best grid r is refined by argmax_zoom between its
+    grid neighbours, each round a small batch of rows of the same sum; the
+    endpoint values r in {0, 1} (degenerate means) are included via the
+    0 ln 0 convention.  Raises ValueError if the comparator is not finite at
+    some r of the grid.
     """
     ks = np.arange(n + 1)
     qs = ks / n
@@ -81,9 +83,6 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
                              f"r={rs[np.argmin(finite)]}")
         return special.logsumexp(ln_pmf + n * d, axis=-1)
 
-    def ln_value(r):
-        return float(ln_values(np.array([r]))[0])
-
     if np.ndim(r_grid) == 0:
         rs = np.linspace(1e-6, 1.0 - 1e-6, int(r_grid))
     else:
@@ -95,20 +94,9 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
     vals = np.concatenate([ln_values(rs[j:j + rows])
                            for j in range(0, len(rs), rows)])
     i = int(np.argmax(vals))
-    a, b = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = ln_value(c), ln_value(d)
-    for _ in range(60):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = ln_value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = ln_value(d)
-    best, r_star = max((vals[i], rs[i]), (fc, c), (fd, d))
+    r_z, v_z = argmax_zoom(ln_values, rs[max(i - 1, 0)],
+                           rs[min(i + 1, len(rs) - 1)])
+    best, r_star = max((vals[i], rs[i]), (v_z, r_z))
     for r_end in (0.0, 1.0):
         v = n * float(comp.eval(r_end, r_end)) if _endpoint_ok(comp, r_end) else -math.inf
         if v > best:

@@ -311,6 +311,8 @@ def test_samplewise_bound_composition():
     assert got == pytest.approx((one + two) / 2)
     with pytest.raises(ValueError, match="length n=2, got 1"):
         bounds.samplewise_bound(f, [(0.3, 0.7)], n=2)
+    with pytest.raises(ValueError, match="per_sample needs at least one"):
+        bounds.samplewise_bound(f, [])
 
 
 def test_surface_bernoulli_clamped_nonnegative():

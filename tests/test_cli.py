@@ -16,6 +16,15 @@ def run_cli(*args, flags=()):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_import_leaves_out_scipy_optimize_and_stats():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cgfbounds, cgfbounds.cli; "
+         "print(sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_bound_matches_library():
     code, out, _ = run_cli("bound", "--family", "poisson", "--alpha", "1",
                            "--beta", "100", "--n", "100", "--delta", "0.05",

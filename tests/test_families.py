@@ -213,6 +213,18 @@ def test_mean_domain_checks():
         fam.poisson().cramer(1.0, -0.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: f.cramer(0.0, math.nan),
+    lambda f: f.cgf(math.nan, 0.1),
+    lambda f: f.sample(math.nan, 3, seed=0),
+    lambda f: f.sample(np.array([0.5, math.nan]), (2, 2), seed=0),
+], ids=["cramer", "cgf", "sample", "sample_array"])
+def test_nan_mean_is_rejected(call):
+    # NaN fails every comparison, so an outside test would let it through
+    with pytest.raises(ValueError, match=r"mean .*nan.* outside the open domain"):
+        call(fam.gaussian(1.0))
+
+
 def test_nuisance_validation():
     with pytest.raises(ValueError):
         fam.gaussian(-1.0)

@@ -372,6 +372,8 @@ calls = [
         (0.2, 0.5), (0.5, 0.5), fam.gaussian(1.0), 1.0, 10, 5, 0)),
     lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
         (0.5,) * 13, (1.0 / 13,) * 13, fam.bernoulli(), 1.0, 10, 5, 0)),
+    lambda: fam.TDomain(1.0, 0.0, "bogus").effective(),
+    lambda: fam.TDomain(0.0, 1.0, "bogus").effective(),
 ]
 for call in calls:
     try:
@@ -388,4 +390,4 @@ def test_input_validation_without_asserts(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_LIBRARY_INPUT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 26
+    assert proc.stdout.split() == ["ValueError"] * 28

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import special
 
+import cgfbounds as cb
 from cgfbounds import families as fam
 from cgfbounds import inversion as inv
 from cgfbounds import upsilon as ups
+from cgfbounds.conjugate import argmax_zoom
 
 
 def kl_flat_sum(n):
@@ -59,20 +61,9 @@ def exact_by_loop(comp, n, r_grid):
           else np.sort(np.asarray(r_grid, dtype=float)))
     vals = np.array([ln_value(r) for r in rs])
     i = int(np.argmax(vals))
-    a, b = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = ln_value(c), ln_value(d)
-    for _ in range(60):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = ln_value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = ln_value(d)
-    best, r_star = max((vals[i], rs[i]), (fc, c), (fd, d))
+    r_z, v_z = argmax_zoom(lambda xs: np.array([ln_value(r) for r in xs]),
+                           rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)])
+    best, r_star = max((vals[i], rs[i]), (v_z, r_z))
     for r_end in (0.0, 1.0):
         v = n * float(comp.eval(r_end, r_end))
         if math.isfinite(v) and v > best:
@@ -130,6 +121,11 @@ def test_bernoulli_not_finite_names_first_r(name):
 def test_bernoulli_grid_must_be_interior():
     with pytest.raises(ValueError, match="interior"):
         ups.upsilon_bernoulli_exact(inv.binary_kl(), 4, r_grid=(0.0, 0.5))
+
+
+def test_top_level_binary_kl_is_the_comparator():
+    est = cb.compute_upsilon(cb.binary_kl(), cb.bernoulli(), 20)
+    assert est.value == pytest.approx(kl_flat_sum(20), abs=1e-9)
 
 
 def test_compute_upsilon_rejects_n_below_one():

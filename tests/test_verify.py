@@ -36,6 +36,9 @@ def test_problem_validation():
         problem(hypothesis_means=(0.2, 1.5, 0.8))
     with pytest.raises(ValueError, match=r"outside the open domain of poisson"):
         problem(hypothesis_means=(0.2, -0.5, 0.8), family=fam.poisson())
+    with pytest.raises(ValueError, match=r"mean \(nan, 0\.5\) outside"):
+        problem(hypothesis_means=(math.nan, 0.5), prior_weights=(0.5, 0.5),
+                family=fam.gaussian(1.0))
 
 
 @pytest.mark.parametrize("family", [fam.bernoulli(), fam.gaussian(1.0),
