@@ -147,6 +147,9 @@ def cmd_sweep(args):
 
 def cmd_ndep(args):
     family = fam.parse_family(args.family)
+    if args.nmin < 1 or args.nmax < 1:
+        raise ValueError("--nmin and --nmax must be at least 1, got "
+                         f"{args.nmin} and {args.nmax}")
     ns = np.geomspace(args.nmin, args.nmax, args.points)
     ns = list(dict.fromkeys(int(round(x)) for x in ns))
     lines = ["n,bound"]

@@ -4,7 +4,9 @@ Computes sup_t { q t - cgf(t) } by probing a dyadic ladder of t values,
 bracketing the (concave) objective's maximizer, and polishing by grid zoom.
 Detects supremum-at-infinity and genuine divergence.  Also houses the
 package's one 1-D maximizer, argmax_zoom, which the Bernoulli Upsilon and the
-parametric-infimum oracle share; this module imports nothing from the package.
+parametric-infimum oracle share, and its one per-cell evaluator, cellwise,
+through which every comparator and CGF call on arrays goes; this module
+imports nothing from the package.
 """
 
 import math
@@ -49,31 +51,40 @@ def argmax_zoom(f, a, b):
     return best_x, best_v
 
 
-def parametric_value(cgf, q, t):
-    """The conjugate objective q t - cgf(t) at a fixed t."""
-    return q * t - cgf(t)
+def cellwise(fn, *args, fill=None):
+    """fn(*args) as a float array of the arguments' broadcast shape.
 
-
-def _objective_at(cgf, q, t):
-    """q t - cgf(t) at one t; -inf where the CGF raises or the value is NaN."""
+    Makes one call of fn on the arguments as given, not broadcast first, so
+    a function that takes only a scalar in one argument still gets one call.
+    If that call raises ValueError, OverflowError or TypeError, or returns
+    the wrong shape, fn is called once per cell with Python floats.  A cell
+    that raises ValueError or OverflowError becomes fill; with fill=None it
+    re-raises.
+    """
+    shape = np.broadcast(*args).shape
     try:
-        val = q * t - float(cgf(t))
-    except (ValueError, OverflowError):
-        return -math.inf
-    return -math.inf if math.isnan(val) else val
+        out = np.asarray(fn(*args), dtype=float)
+        if out.shape == shape:
+            return out
+    except (ValueError, OverflowError, TypeError):
+        pass
+    cells = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    out = np.empty(shape)
+    for idx in np.ndindex(shape):
+        try:
+            out[idx] = fn(*(float(c[idx]) for c in cells))
+        except (ValueError, OverflowError):
+            if fill is None:
+                raise
+            out[idx] = fill
+    return out
 
 
 def _objective_on_grid(cgf, q, ts):
-    """Probe values in one vectorized call when the CGF accepts arrays."""
+    """q t - cgf(t) on an array of t; -inf where the CGF raises or gives NaN."""
     tarr = np.asarray(ts, dtype=float)
     with np.errstate(all="ignore"):
-        try:
-            c = np.asarray(cgf(tarr), dtype=float)
-            if c.shape != tarr.shape:
-                raise ValueError("scalar-only cgf")
-        except (ValueError, OverflowError, TypeError):
-            return np.array([_objective_at(cgf, q, t) for t in ts])
-        vals = q * tarr - c
+        vals = q * tarr - cellwise(cgf, tarr, fill=math.inf)
     return np.where(np.isnan(vals), -math.inf, vals)
 
 
@@ -124,7 +135,8 @@ def numeric_conjugate(cgf, q, t_domain):
     Parameters
     ----------
     cgf : callable
-        Scalar CGF; may raise ValueError outside its finiteness interval.
+        CGF of t, called through cellwise, so it need not take arrays; may
+        raise ValueError outside its finiteness interval.
     q : float
         Query point of the conjugate.
     t_domain : TDomain
@@ -156,9 +168,7 @@ def numeric_conjugate(cgf, q, t_domain):
         return _tail_result(ts, vals, +1.0, q, vals[i])
     if math.isinf(lo) and vals[0] >= vals[i] - near:
         return _tail_result(ts, vals, -1.0, q, vals[i])
-    if i == len(ts) - 1:
-        return ConjugateResult(vals[i], ts[i], True)
-    if i == 0:
+    if i in (0, len(ts) - 1):
         return ConjugateResult(vals[i], ts[i], True)
     t_star, val = argmax_zoom(lambda t: _objective_on_grid(cgf, q, t),
                               ts[i - 1], ts[i + 1])

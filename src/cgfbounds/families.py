@@ -40,6 +40,10 @@ class TDomain:
         if self.sided not in ("full", "nonneg_only"):
             raise ValueError("sided must be 'full' or 'nonneg_only', got "
                              f"{self.sided!r}")
+        lo, hi = self.effective()
+        if not lo < hi:
+            raise ValueError(f"t domain {self.sided} has an empty effective "
+                             f"interval ({lo}, {hi})")
 
     def effective(self):
         """The (lower, upper) pair actually searched."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import families as fam
-from .conjugate import argmax_zoom
+from .conjugate import argmax_zoom, cellwise
 
 
 class NoFiniteBound(Exception):
@@ -203,28 +203,16 @@ _CONVERGED, _CAPPED, _NONPOSITIVE, _NO_FINITE = range(len(_STATUSES))
 _MAX_DOUBLINGS = 200
 
 
-def _safe_eval(comp, alpha, p):
-    """comp(alpha, p), +inf where it raises.
-
-    NaN needs no mapping: like +inf it fails every comparison made here.
-    """
-    try:
-        return comp.eval(alpha, p)
-    except (ValueError, OverflowError):
-        if np.ndim(p) == 0:
-            return math.inf
-        # one bad cell must not poison the others
-        return np.array([_safe_eval(comp, a, x) for a, x in
-                         zip(np.ravel(alpha), np.ravel(p))]).reshape(np.shape(p))
-
-
 def _bisect(comp, alpha, budget, tol):
     """sup{rho : comp(alpha, rho) <= budget} cell by cell over broadcast arrays.
 
     The package's only bisection.  Returns (rho, lo, hi, iterations, status)
     arrays; status indexes _STATUSES, and rho is the feasible endpoint lo
     (the domain end when capped, NaN when no finite bound exists), so a
-    reported bound never overestimates the supremum.
+    reported bound never overestimates the supremum.  Every comparator call
+    goes through cellwise: a cell where the comparator raises is +inf, i.e.
+    infeasible.  NaN needs no mapping: like +inf it fails every comparison
+    made here.
     """
     alpha, budget = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                         np.asarray(budget, dtype=float))
@@ -239,7 +227,10 @@ def _bisect(comp, alpha, budget, tol):
     lo, hi = alpha.copy(), alpha.copy()
     iterations = np.zeros(alpha.shape, dtype=int)
 
-    e0 = _safe_eval(comp, alpha, alpha)
+    def comp_at(rho):
+        return cellwise(comp.eval, alpha, rho, fill=math.inf)
+
+    e0 = comp_at(alpha)
     status = np.where(budget <= np.where(np.isfinite(e0), e0, 0.0),
                       _NONPOSITIVE, _CONVERGED)
     todo = status == _CONVERGED
@@ -248,7 +239,7 @@ def _bisect(comp, alpha, budget, tol):
     d = (hi_r - alpha) / 8.0 if bounded else np.maximum(np.abs(alpha), 1.0) * 0.5
     probe = todo & (d > 0)
     if probe.any():
-        vals = [_safe_eval(comp, alpha, alpha + k * d) for k in (1, 2, 3)]
+        vals = [comp_at(alpha + k * d) for k in (1, 2, 3)]
         with np.errstate(invalid="ignore"):    # inf - inf
             for a, b in zip(vals, vals[1:]):
                 bad = probe & (b < a - 1e-12 * np.maximum(1.0, np.abs(a)))
@@ -259,12 +250,12 @@ def _bisect(comp, alpha, budget, tol):
 
     if bounded and todo.any():
         hi[todo] = hi_r
-        capped = todo & (_safe_eval(comp, alpha, hi) <= budget)
+        capped = todo & (comp_at(hi) <= budget)
         status[capped] = _CAPPED
         todo &= ~capped
     elif todo.any():
         hi[todo] = np.maximum(alpha[todo], 1e-12)
-        grow = todo & (_safe_eval(comp, alpha, hi) <= budget)
+        grow = todo & (comp_at(hi) <= budget)
         doublings = 0
         while grow.any():
             lo = np.where(grow, hi, lo)
@@ -274,7 +265,7 @@ def _bisect(comp, alpha, budget, tol):
                 status[grow] = _NO_FINITE
                 todo &= ~grow
                 break
-            grow &= _safe_eval(comp, alpha, hi) <= budget
+            grow &= comp_at(hi) <= budget
 
     while True:
         scale = 1.0 if bounded else np.maximum(1.0, np.abs(lo))
@@ -282,7 +273,7 @@ def _bisect(comp, alpha, budget, tol):
         todo &= (hi - lo > tol * scale) & (lo < mid) & (mid < hi)
         if not todo.any():
             break
-        feasible = _safe_eval(comp, alpha, mid) <= budget
+        feasible = comp_at(mid) <= budget
         lo = np.where(todo & feasible, mid, lo)
         hi = np.where(todo & ~feasible, mid, hi)
         iterations += todo

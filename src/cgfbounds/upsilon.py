@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .conjugate import argmax_zoom
+from .conjugate import argmax_zoom, cellwise
 from .rng import make_generator
 
 _LN2 = math.log(2.0)
@@ -32,37 +32,15 @@ class UpsilonEstimate:
     divergent_suspect: bool = False
 
 
-def _delta_vec(comp, qs, r):
-    """Evaluate a comparator on an array of q at scalar r, looping if needed."""
-    try:
-        out = np.asarray(comp.eval(qs, r), dtype=float)
-        if out.shape == np.shape(qs):
-            return out
-    except (ValueError, TypeError):
-        pass
-    return np.array([comp.eval(float(q), r) for q in np.atleast_1d(qs)])
-
-
 # -- Bernoulli: exact binomial sum ------------------------------------------
-
-def _delta_rows(comp, qs, rs):
-    """comp(q, r) on the (len(rs), len(qs)) grid; per-r rows if it does not broadcast."""
-    try:
-        out = np.asarray(comp.eval(qs, rs[:, None]), dtype=float)
-        if out.shape == (len(rs), len(qs)):
-            return out
-    except (ValueError, TypeError):
-        pass
-    return np.array([_delta_vec(comp, qs, float(r)) for r in rs])
-
 
 def upsilon_bernoulli_exact(comp, n, r_grid=2001):
     """ln sup_r sum_k C(n,k) r^k (1-r)^{n-k} e^{n Delta(k/n, r)}, exactly.
 
     The sum is evaluated in log domain on an interior r-grid (an integer
     resolution or an explicit array of interior r values) as one (r, k)
-    log-sum-exp; comparators that do not broadcast over r are evaluated one
-    r-row at a time.  The best grid r is refined by argmax_zoom between its
+    log-sum-exp; comparators that do not broadcast over (r, k) are evaluated
+    cell by cell.  The best grid r is refined by argmax_zoom between its
     grid neighbours, each round a small batch of rows of the same sum; the
     endpoint values r in {0, 1} (degenerate means) are included via the
     0 ln 0 convention.  Raises ValueError if the comparator is not finite at
@@ -76,7 +54,7 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
     def ln_values(rs):
         col = rs[:, None]
         ln_pmf = ln_binom + special.xlogy(ks, col) + special.xlog1py(n - ks, -col)
-        d = _delta_rows(comp, qs, rs)
+        d = cellwise(comp.eval, qs, col)
         finite = np.isfinite(d).all(axis=1)
         if not finite.all():
             raise ValueError("comparator not finite on [0,1] at "
@@ -98,17 +76,31 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
                            rs[min(i + 1, len(rs) - 1)])
     best, r_star = max((vals[i], rs[i]), (v_z, r_z))
     for r_end in (0.0, 1.0):
-        v = n * float(comp.eval(r_end, r_end)) if _endpoint_ok(comp, r_end) else -math.inf
-        if v > best:
-            best, r_star = v, r_end
+        d = float(cellwise(comp.eval, r_end, r_end, fill=math.inf))
+        if math.isfinite(d) and n * d > best:
+            best, r_star = n * d, r_end
     return UpsilonEstimate("exact", best, r_star=float(r_star))
 
 
-def _endpoint_ok(comp, r):
-    try:
-        return math.isfinite(float(comp.eval(r, r)))
-    except (ValueError, OverflowError):
-        return False
+# -- r-grid scan shared by the series and quadrature routes -----------------
+
+def _scan_r_grid(rs, one_r):
+    """The best ln value over rs of a route that reports a relative tail.
+
+    one_r(r) returns (ln_value, tail), or None when the sum or integral is
+    divergent at r, which ends the scan.  tail_error is the worst tail over
+    the grid, NaN once any tail is not finite.
+    """
+    best, best_r, worst_tail = -math.inf, None, 0.0
+    for r in rs:
+        out = one_r(float(r))
+        if out is None:
+            return UpsilonEstimate("divergent", math.inf, r_star=float(r))
+        ln_v, tail = out
+        if ln_v > best:
+            best, best_r = ln_v, float(r)
+        worst_tail = max(worst_tail, tail) if math.isfinite(tail) else math.nan
+    return UpsilonEstimate("truncated", best, tail_error=worst_tail, r_star=best_r)
 
 
 # -- Poisson: truncated series with divergence certificate ------------------
@@ -125,7 +117,7 @@ def _series_one_r(comp, n, r, eps, max_terms):
     while k0 < max_terms:
         ks = np.arange(k0, k0 + _CHUNK)
         ln_t = -lam + ks * ln_lam - special.gammaln(ks + 1.0) \
-            + n * _delta_vec(comp, ks / n, r)
+            + n * cellwise(comp.eval, ks / n, r)
         ln_sum = np.logaddexp(ln_sum, special.logsumexp(ln_t))
         if ln_sum > 30.0:
             return None
@@ -161,16 +153,7 @@ def upsilon_poisson_series(comp, n, eps=1e-10, r_grid=None, max_terms=10**6):
     beyond k = 10^4 (sub-summable decay, the Stirling k^{-1/2} signature).
     """
     rs = np.geomspace(1e-6, 50.0, 121) if r_grid is None else np.asarray(r_grid)
-    best, best_r, worst_tail = -math.inf, None, 0.0
-    for r in rs:
-        out = _series_one_r(comp, n, float(r), eps, max_terms)
-        if out is None:
-            return UpsilonEstimate("divergent", math.inf, r_star=float(r))
-        ln_v, tail = out
-        if ln_v > best:
-            best, best_r = ln_v, float(r)
-        worst_tail = max(worst_tail, tail) if math.isfinite(tail) else math.nan
-    return UpsilonEstimate("truncated", best, tail_error=worst_tail, r_star=best_r)
+    return _scan_r_grid(rs, lambda r: _series_one_r(comp, n, r, eps, max_terms))
 
 
 # -- Gaussian / gamma / inverse Gaussian: density quadrature ----------------
@@ -206,7 +189,8 @@ def _quad_one_r(comp, family, n, r, points):
                              r + 60.0 * math.sqrt(family.nuisance) + 60.0 * sd, 2001)
     else:
         coarse = np.geomspace(r * 1e-9, r * 1e9, 2001)
-    lnh_c = _ln_pdf_mean(family, r, n, coarse) + n * _delta_vec(comp, coarse, r)
+    lnh_c = (_ln_pdf_mean(family, r, n, coarse)
+             + n * cellwise(comp.eval, coarse, r))
     lnh_c = np.where(np.isnan(lnh_c), -math.inf, lnh_c)
     ipk = int(np.argmax(lnh_c))
     peak = float(lnh_c[ipk])
@@ -219,7 +203,7 @@ def _quad_one_r(comp, family, n, r, points):
         fine = np.geomspace(coarse[ipk] * math.exp(-3.0),
                             coarse[ipk] * math.exp(3.0), points)
     xs = np.unique(np.concatenate((coarse, fine)))
-    lnh = _ln_pdf_mean(family, r, n, xs) + n * _delta_vec(comp, xs, r)
+    lnh = _ln_pdf_mean(family, r, n, xs) + n * cellwise(comp.eval, xs, r)
     lnh = np.where(np.isnan(lnh), -math.inf, lnh)
     total = _ln_trapz(lnh, xs)
     # relative weight of the outermost tail segments, as a quality estimate
@@ -242,18 +226,10 @@ def upsilon_quadrature(comp, family, n, r_grid=None, points=4001):
             rs = np.geomspace(1e-6, 50.0, 41)
     else:
         rs = np.asarray(r_grid, dtype=float)
-    best, best_r, worst_tail = -math.inf, None, 0.0
-    for r in rs:
-        out = _quad_one_r(comp, family, n, float(r), points)
-        if out is None:
-            return UpsilonEstimate("divergent", math.inf, r_star=float(r))
-        ln_v, tail = out
-        if ln_v > best:
-            best, best_r = ln_v, float(r)
-        worst_tail = max(worst_tail, tail)
-    at_cap = (best_r == float(rs[-1])) and not math.isfinite(family.mean_domain[1])
-    return UpsilonEstimate("truncated", best, tail_error=worst_tail,
-                           r_star=best_r, r_at_cap=at_cap)
+    est = _scan_r_grid(rs, lambda r: _quad_one_r(comp, family, n, r, points))
+    est.r_at_cap = (est.mode == "truncated" and est.r_star == float(rs[-1])
+                    and not math.isfinite(family.mean_domain[1]))
+    return est
 
 
 # -- Monte Carlo -------------------------------------------------------------
@@ -269,8 +245,10 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
     split, so the result does not depend on the block size.  The
     divergent_suspect flag fires when the estimate still grows across
     sample-size prefixes and the top 1% of draws carries more than half the
-    total weight.
+    total weight.  samples must be at least 4, one per sample-size prefix.
     """
+    if not samples >= 4:
+        raise ValueError(f"samples must be at least 4, got {samples}")
     if r_grid is None:
         lo, hi = family.mean_domain
         if math.isfinite(hi):
@@ -294,7 +272,7 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
             k = min(rows, samples - j)
             means[j:j + k] = family.sample(float(r), k * n,
                                            rng=rng).reshape(k, n).mean(axis=1)
-        w = n * _delta_vec(comp, means, float(r))
+        w = n * cellwise(comp.eval, means, float(r))
         v = ln_mean_exp(w)
         if v > best:
             best, best_r, best_w = v, float(r), w

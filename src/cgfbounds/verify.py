@@ -90,8 +90,9 @@ def _bound_vector(kind, family, train, kl, n, delta):
     return bound_values(kind, family, train, kl, n, delta), flag
 
 
-def clopper_pearson(k, t_total, level=0.95):
-    a = (1.0 - level) / 2.0
+def clopper_pearson(k, t_total):
+    """The 95% Clopper-Pearson interval of k successes in t_total trials."""
+    a = (1.0 - 0.95) / 2.0
     lo = 0.0 if k == 0 else float(special.betaincinv(k, t_total - k + 1, a))
     hi = 1.0 if k == t_total else float(special.betaincinv(k + 1, t_total - k,
                                                            1.0 - a))
@@ -177,17 +178,11 @@ def suite_problems(trials=2000, seeds=(0, 1, 2)):
     return problems
 
 
-def default_suite(delta=0.05, trials=2000, seeds=(0, 1, 2),
-                  include_reference=False):
+def default_suite(delta=0.05, trials=2000, seeds=(0, 1, 2)):
     """Run every certified PAC kind over the default problem grid."""
-    summaries = []
-    for problem in suite_problems(trials, seeds):
-        kinds = CERTIFIED_KINDS[problem.family.kind]
-        if include_reference and problem.family.kind == "bernoulli":
-            kinds = kinds + ("catoni_inf",)
-        for kind in kinds:
-            summaries.append(_evaluate(problem, kind, delta)[2])
-    return summaries
+    return [_evaluate(problem, kind, delta)[2]
+            for problem in suite_problems(trials, seeds)
+            for kind in CERTIFIED_KINDS[problem.family.kind]]
 
 
 # -- samplewise vs full-sample comparison ------------------------------------

@@ -222,6 +222,9 @@ def test_exit_codes_usage_and_io(tmp_path):
 BOUND = ("bound", "--family", "bernoulli", "--alpha", "0.2", "--beta", "1",
          "--n", "10")
 
+UPSILON_MC = ("upsilon", "--comparator", "scaled_diff:t=0.3", "--family",
+              "laplace:b=1", "--n", "5")
+
 # each bad input, and the words its usage error must contain
 USAGE_ERRORS = {
     "correction": (BOUND + ("--delta", "0.05", "--correction", "bogus"),
@@ -252,6 +255,13 @@ USAGE_ERRORS = {
     "verify-chernoff": (("verify", "--family", "gaussian:sigma2=1", "--bound",
                          "pac_cramer_chernoff", "--trials", "10"),
                         ["chernoff", "bernoulli", "gaussian"]),
+    "upsilon-samples": (UPSILON_MC + ("--samples", "3"),
+                        ["samples must be at least 4", "3"]),
+    "upsilon-samples-negative": (UPSILON_MC + ("--samples", "-1"),
+                                 ["samples must be at least 4", "-1"]),
+    "ndep-nmin": (("ndep", "--family", "poisson", "--alpha", "1", "--beta",
+                   "1", "--nmin", "0", "--nmax", "20"),
+                  ["--nmin and --nmax must be at least 1", "0"]),
 }
 
 

@@ -30,12 +30,6 @@ def test_conjugate_matches_closed_cramer(family):
             assert res.value == pytest.approx(closed, rel=1e-8, abs=1e-9), (q, p)
 
 
-def test_parametric_value():
-    f = fam.gaussian(1.0)
-    got = con.parametric_value(lambda t: f.cgf(2.0, t), 0.5, 0.3)
-    assert got == pytest.approx(0.5 * 0.3 - (2.0 * 0.3 + 0.09 / 2), rel=1e-14)
-
-
 def test_divergent_outside_mean_range():
     bern = fam.bernoulli()
     with pytest.raises(con.ConjugateDivergent):
@@ -75,3 +69,91 @@ def test_diagonal_is_zero():
         q = float(GRIDS[family.kind][2])
         res = con.family_conjugate(family, q, q)
         assert abs(res.value) <= 1e-10
+
+
+# -- cellwise: the one per-cell evaluator ------------------------------------
+
+def counted(fn):
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapped, calls
+
+
+def scalar_only(fn):
+    def wrapped(*args):
+        if any(np.ndim(a) for a in args):
+            raise TypeError("scalar arguments only")
+        return fn(*args)
+    return wrapped
+
+
+QS = np.linspace(0.1, 0.9, 4)
+RS = np.linspace(0.2, 0.8, 3)[:, None]
+
+
+def test_cellwise_calls_a_broadcasting_fn_once():
+    fn, calls = counted(lambda q, r: q * r - q)
+    got = con.cellwise(fn, QS, RS)
+    assert len(calls) == 1 and calls[0][0] is QS and calls[0][1] is RS
+    assert np.array_equal(got, QS * RS - QS)
+
+
+def test_cellwise_scalar_only_fn_goes_cell_by_cell():
+    want = con.cellwise(fam.binary_kl, QS, RS)
+    fn, calls = counted(scalar_only(fam.binary_kl))
+    got = con.cellwise(fn, QS, RS)
+    assert got.shape == (3, 4) and np.array_equal(got, want)
+    assert len(calls) == 1 + 12
+    assert all(type(a) is float for args in calls[1:] for a in args)
+
+
+def test_cellwise_wrong_shape_fn_goes_cell_by_cell():
+    # a function that reduces its input answers the array call in the wrong shape
+    got = con.cellwise(lambda q, r: float(np.sum(q)) * r, QS, RS)
+    assert np.array_equal(got, QS * RS)
+
+
+def test_cellwise_scalar_arguments_give_a_0d_array():
+    got = con.cellwise(scalar_only(lambda q, r: q - r), 0.75, 0.25)
+    assert got.shape == () and float(got) == 0.5
+
+
+def test_cellwise_raising_cell_gives_fill_or_reraises():
+    def fn(q, r):
+        if np.any(np.asarray(q) > 0.5):
+            raise ValueError(f"q={q} too large")
+        return q + r
+
+    got = con.cellwise(fn, QS, 1.0, fill=math.inf)
+    assert np.array_equal(got, np.where(QS > 0.5, math.inf, QS + 1.0))
+    with pytest.raises(ValueError, match=r"q=0\.63.* too large"):
+        con.cellwise(fn, QS, 1.0)
+
+
+def test_cellwise_type_error_in_a_cell_propagates():
+    def fn(q):
+        raise TypeError("never defined")
+
+    with pytest.raises(TypeError, match="never defined"):
+        con.cellwise(fn, QS, fill=math.inf)
+
+
+@pytest.mark.parametrize("family", ALL, ids=lambda f: f.kind)
+def test_numeric_conjugate_scalar_only_cgf_equals_vectorized(family):
+    grid = GRIDS[family.kind]
+    for q in (float(grid[0]), float(grid[3])):
+        p = float(grid[2])
+        dom = family.t_domain(p)
+        want = con.numeric_conjugate(lambda t: family.cgf(p, t), q, dom)
+        got = con.numeric_conjugate(scalar_only(lambda t: family.cgf(p, t)),
+                                    q, dom)
+        assert got == want
+
+
+def test_empty_effective_t_domain_is_rejected():
+    with pytest.raises(ValueError,
+                       match=r"empty effective interval \(0\.0, -1\.0\)"):
+        fam.TDomain(-2.0, -1.0, "nonneg_only")

@@ -201,6 +201,37 @@ def test_grid_equals_scalar_and_feasible(family, cells):
         assert comp.eval(alpha, rho) <= budget
 
 
+GRID_ALPHAS = np.array([0.0, 0.05, 0.1, 0.3, 0.5, 0.69])
+GRID_BUDGETS = np.array([[0.01], [0.2], [1.5]])
+
+
+def test_grid_with_picky_comparator_equals_scalar():
+    # raises on arrays, and on every cell with p > 0.7: those cells count
+    # as infeasible, cell by cell, in the grid and in the scalar inversion
+    def picky_kl(q, p):
+        if np.ndim(q) or np.ndim(p):
+            raise ValueError("scalar arguments only")
+        if p > 0.7:
+            raise ValueError(f"p={p} out of reach")
+        return fam.binary_kl(q, p)
+
+    comp = inv.custom(picky_kl, (0.0, 1.0))
+    grid = inv.invert_grid(comp, GRID_ALPHAS, GRID_BUDGETS)
+    want = [[inv.invert_at_budget(comp, a, b).rho for a in GRID_ALPHAS]
+            for b in GRID_BUDGETS[:, 0]]
+    assert np.array_equal(grid, want)
+    assert np.all(grid <= 0.7) and np.any(grid > 0.69)
+
+
+def test_grid_with_scalar_only_kl_equals_vectorized_kl():
+    kl = inv.binary_kl()
+    scalar_kl = inv.custom(lambda q, p: float(kl.eval(float(q), float(p))),
+                           kl.loss_range)
+    want = inv.invert_grid(kl, GRID_ALPHAS, GRID_BUDGETS)
+    assert np.array_equal(inv.invert_grid(scalar_kl, GRID_ALPHAS, GRID_BUDGETS),
+                          want)
+
+
 # -- parametric comparators vs their closed inversions ---------------------------
 
 def test_catoni_closed_inverse_matches_bisection():
@@ -374,6 +405,7 @@ calls = [
         (0.5,) * 13, (1.0 / 13,) * 13, fam.bernoulli(), 1.0, 10, 5, 0)),
     lambda: fam.TDomain(1.0, 0.0, "bogus").effective(),
     lambda: fam.TDomain(0.0, 1.0, "bogus").effective(),
+    lambda: fam.TDomain(-2.0, -1.0, "nonneg_only"),
 ]
 for call in calls:
     try:
@@ -390,4 +422,4 @@ def test_input_validation_without_asserts(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_LIBRARY_INPUT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 28
+    assert proc.stdout.split() == ["ValueError"] * 29

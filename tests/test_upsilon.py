@@ -222,6 +222,15 @@ def test_monte_carlo_laplace_identity():
     assert est.ci[0] <= 0.0 <= est.ci[1]
 
 
+def test_monte_carlo_needs_four_samples():
+    comp, family = inv.scaled_diff(0.3), fam.laplace(1.0)
+    for samples in (-1, 0, 1, 3):
+        with pytest.raises(ValueError, match="samples must be at least 4"):
+            ups.upsilon_monte_carlo(comp, family, 5, samples=samples)
+    est = ups.upsilon_monte_carlo(comp, family, 5, r_grid=[0.4], samples=4)
+    assert math.isfinite(est.value)
+
+
 def test_monte_carlo_determinism():
     a = ups.upsilon_monte_carlo(inv.scaled_diff(0.2), fam.negbin(2.0), 8,
                                 r_grid=[0.7, 1.5], samples=10**4, seed=5)
