@@ -1,8 +1,7 @@
 """Generalization bounds from convex comparators under CGF constraints."""
 
 from .bounds import (BOUND_KINDS, CorrectionDivergent, average_bound,
-                     bound_values, catoni_inf_bound, comparison_surface,
-                     diff_based_bound, evaluate_kind, mls_bound,
+                     bound_values, comparison_surface, evaluate_kind,
                      optimistic_reference, pac_bound, samplewise_bound)
 from .conjugate import (ConjugateDivergent, ConjugateResult, family_conjugate,
                         numeric_conjugate)

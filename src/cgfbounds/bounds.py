@@ -12,11 +12,12 @@ from .upsilon import compute_upsilon, correction_two_e_ceil, correction_xi
 
 BOUND_KINDS = ("average_cramer", "pac_cramer_chernoff", "pac_cramer_xi",
                "pac_cramer_two_e_ceil", "catoni_inf", "mls",
-               "poisson_diff_inf", "laplace_diff_inf", "gaussian_diff_inf",
-               "samplewise_average")
+               "poisson_diff_inf", "laplace_diff_inf", "gaussian_diff_inf")
 
 PARAMETRIC_INFIMA = ("catoni_inf", "poisson_diff_inf", "laplace_diff_inf",
                      "gaussian_diff_inf")
+
+_COMPUTE = object()     # default ln_upsilon of _kind_query: compute it
 
 
 class CorrectionDivergent(Exception):
@@ -25,29 +26,7 @@ class CorrectionDivergent(Exception):
 
 def average_bound(family, alpha, beta, n):
     """Average-case optimal bound: Cramer comparator, unit correction, no delta."""
-    return inv.invert(*_kind_query("average_cramer", family, alpha, beta, n))
-
-
-def _pac_query(family, alpha, beta, n, delta, correction, ln_upsilon=None,
-               u=None):
-    """(comparator, query) of pac_bound; alpha and beta may be arrays."""
-    q = BoundQuery(alpha, beta, n, delta)    # checked before the correction
-    if correction == "chernoff":
-        if family.kind in ("poisson", "gamma"):
-            raise CorrectionDivergent(
-                f"Upsilon of the {family.kind} Cramer comparator diverges; "
-                "use the xi or two_e_ceil correction")
-        if ln_upsilon is None:
-            raise ValueError("the chernoff correction needs ln_upsilon")
-        ln_iota = float(ln_upsilon)
-    elif correction == "xi":
-        ln_iota = np.log(correction_xi(np.maximum(n * alpha, 0.0), beta))
-    elif correction == "two_e_ceil":
-        ln_iota = math.log(correction_two_e_ceil(n if u is None else u))
-    else:
-        raise ValueError(f"unknown correction {correction!r}; use chernoff, "
-                         "xi or two_e_ceil")
-    return inv.cramer_of(family), replace(q, ln_iota=ln_iota)
+    return evaluate_kind("average_cramer", family, alpha, beta, n)
 
 
 def pac_bound(family, alpha, beta, n, delta, correction="xi",
@@ -59,8 +38,11 @@ def pac_bound(family, alpha, beta, n, delta, correction="xi",
     to n).  Chernoff corrections are refused outright for the Poisson and
     gamma families, whose Cramer-comparator Upsilon diverges.
     """
-    return inv.invert(*_pac_query(family, alpha, beta, n, delta, correction,
-                                  ln_upsilon, u))
+    if correction not in ("chernoff", "xi", "two_e_ceil"):
+        raise ValueError(f"unknown correction {correction!r}; use chernoff, "
+                         "xi or two_e_ceil")
+    return inv.invert(*_kind_query("pac_cramer_" + correction, family, alpha,
+                                   beta, n, delta, ln_upsilon=ln_upsilon, u=u))
 
 
 def optimistic_reference(family, alpha, beta, n, delta=None):
@@ -74,47 +56,24 @@ def optimistic_reference(family, alpha, beta, n, delta=None):
     return res
 
 
-def mls_bound(alpha, beta, n, delta):
-    """Binary-kl bound with the classical 2 sqrt(n) correction."""
-    return inv.invert(*_kind_query("mls", None, alpha, beta, n, delta))
-
-
-def catoni_inf_bound(alpha, beta, n, delta=None):
-    """Infimum of the Catoni bounds over gamma < 0: the binary-kl inversion.
-
-    See evaluate_kind for the identity route and the reference_only flag.
-    """
-    return evaluate_kind("catoni_inf", None, alpha, beta, n, delta)
-
-
-def diff_based_bound(kind, alpha, beta, n, b=None, sigma2=None, delta=None):
-    """Infimum over t of a difference-comparator bound: a Cramer inversion.
-
-    kind "poisson" needs no parameter, "laplace" takes the scale b,
-    "gaussian" the variance sigma2.  See evaluate_kind.
-    """
-    if kind not in ("poisson", "laplace", "gaussian"):
-        raise ValueError(f"unknown diff-bound kind {kind!r}")
-    return evaluate_kind(f"{kind}_diff_inf", None, alpha, beta, n, delta,
-                         sigma2, b)
-
-
 def samplewise_bound(family, per_sample, n=None):
     """Mean over samples of single-observation inversions.
 
     per_sample holds (alpha_i, beta_i) pairs, one per sample; the result is
-    (1/n) sum_i of the n=1 average bound at those arguments.
+    (1/n) sum_i of the n=1 average bound at those arguments.  Raises
+    NoFiniteBound if some pair has none.
     """
     pairs = list(per_sample)
     if not pairs:
         raise ValueError("per_sample needs at least one (alpha, beta) pair")
     if n is not None and len(pairs) != n:
         raise ValueError(f"per_sample must have length n={n}, got {len(pairs)}")
-    comp = inv.cramer_of(family)
-    tot = 0.0
-    for a_i, b_i in pairs:
-        tot += inv.invert(comp, BoundQuery(a_i, b_i, 1)).rho
-    return tot / len(pairs)
+    alphas, betas = zip(*pairs)
+    rhos = bound_values("average_cramer", family, alphas, betas, 1)
+    if np.isnan(rhos).any():
+        raise inv.NoFiniteBound("no finite bound at the per-sample pair "
+                                f"{pairs[int(np.argmax(np.isnan(rhos)))]}")
+    return sum(rhos.tolist()) / len(pairs)
 
 
 def _parametric_identity(kind, family, sigma2, b):
@@ -142,14 +101,23 @@ def _parametric_identity(kind, family, sigma2, b):
     return inv.cramer_of((fam.laplace if laplace else fam.gaussian)(value))
 
 
-def _kind_query(kind, family, alpha, beta, n, delta=None, sigma2=None, b=None):
-    """(comparator, query) of a grid-evaluable kind; one comparator inversion.
+def _kind_query(kind, family, alpha, beta, n, delta=None, sigma2=None, b=None,
+                *, ln_upsilon=_COMPUTE, u=None):
+    """(comparator, query) of a bound kind; one comparator inversion.
 
-    alpha and beta may be arrays; the Chernoff kind computes its Upsilon once
-    for all of them.  Raises ValueError for the other kinds.
+    The only map from a kind name to its comparator and union correction
+    ln_iota.  alpha and beta may be arrays; the Chernoff kind computes its
+    Upsilon once for all of them, unless pac_bound supplies ln_upsilon
+    (None there is refused).  u is the 2e ceil(u) grid size, default n.
     """
+    if kind not in BOUND_KINDS:
+        raise ValueError(f"unknown bound kind {kind!r}; use one of "
+                         + ", ".join(BOUND_KINDS))
     if kind == "average_cramer":
         return inv.cramer_of(family), BoundQuery(alpha, beta, n)
+    if kind in PARAMETRIC_INFIMA:
+        return (_parametric_identity(kind, family, sigma2, b),
+                BoundQuery(alpha, beta, n, delta))
     if kind == "mls":
         if family is not None and family.kind != "bernoulli":
             raise ValueError(f"mls needs the bernoulli family, got {family.kind}")
@@ -158,20 +126,26 @@ def _kind_query(kind, family, alpha, beta, n, delta=None, sigma2=None, b=None):
         q = BoundQuery(alpha, beta, n, delta)
         return inv.binary_kl(), replace(
             q, ln_iota=math.log(2.0) + 0.5 * math.log(n))
+    q = BoundQuery(alpha, beta, n, delta)    # checked before the correction
     if kind == "pac_cramer_chernoff":
-        est = compute_upsilon(inv.cramer_of(family), family, n)
-        if est.mode == "divergent" or not math.isfinite(est.value):
+        if family.kind in ("poisson", "gamma"):
             raise CorrectionDivergent(
-                f"Upsilon of the {family.kind} Cramer comparator diverges")
-        return _pac_query(family, alpha, beta, n, delta, "chernoff",
-                          ln_upsilon=est.value)
-    if kind in ("pac_cramer_xi", "pac_cramer_two_e_ceil"):
-        return _pac_query(family, alpha, beta, n, delta,
-                          kind.removeprefix("pac_cramer_"))
-    if kind in PARAMETRIC_INFIMA:
-        return (_parametric_identity(kind, family, sigma2, b),
-                BoundQuery(alpha, beta, n, delta))
-    raise ValueError(f"kind {kind!r} is not grid-evaluable")
+                f"Upsilon of the {family.kind} Cramer comparator diverges; "
+                "use the xi or two_e_ceil correction")
+        if ln_upsilon is _COMPUTE:
+            est = compute_upsilon(inv.cramer_of(family), family, n)
+            if est.mode == "divergent" or not math.isfinite(est.value):
+                raise CorrectionDivergent(
+                    f"Upsilon of the {family.kind} Cramer comparator diverges")
+            ln_upsilon = est.value
+        if ln_upsilon is None:
+            raise ValueError("the chernoff correction needs ln_upsilon")
+        ln_iota = float(ln_upsilon)
+    elif kind == "pac_cramer_xi":
+        ln_iota = np.log(correction_xi(np.maximum(n * alpha, 0.0), beta))
+    else:
+        ln_iota = math.log(correction_two_e_ceil(n if u is None else u))
+    return inv.cramer_of(family), replace(q, ln_iota=ln_iota)
 
 
 def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,

@@ -124,10 +124,6 @@ def cmd_bound(args):
 def cmd_sweep(args):
     family = fam.parse_family(args.family)
     kinds = [k.strip() for k in args.kinds.split(",")]
-    for k in kinds:
-        if k not in bounds.BOUND_KINDS:
-            raise ValueError(f"unknown bound kind {k!r}; use one of "
-                             + ", ".join(bounds.BOUND_KINDS))
     alphas = _parse_range(args.alpha_range)
     bons = _parse_range(args.bon_range, want_scale=True)
 
@@ -150,6 +146,8 @@ def cmd_ndep(args):
     if args.nmin < 1 or args.nmax < 1:
         raise ValueError("--nmin and --nmax must be at least 1, got "
                          f"{args.nmin} and {args.nmax}")
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     ns = np.geomspace(args.nmin, args.nmax, args.points)
     ns = list(dict.fromkeys(int(round(x)) for x in ns))
     lines = ["n,bound"]
@@ -301,10 +299,12 @@ def cmd_selfcheck(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--config", default=None,
                         help="key=value file merged under flags (flags win)")
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes.add_argument("--out", default=None, help="output path (default stdout)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[writes])
+    seeded.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(prog="cgfbounds")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -322,7 +322,7 @@ def build_parser():
                    help="union-grid size for the 2eceil correction (default n)")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[writes],
                        help="bound-comparison grid, CSV output")
     p.add_argument("--family", required=True)
     p.add_argument("--kinds", required=True,
@@ -338,7 +338,7 @@ def build_parser():
                    help="clamp each bound at 1 before differencing")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("ndep", parents=[common],
+    p = sub.add_parser("ndep", parents=[writes],
                        help="average bound vs n at fixed alpha, beta")
     p.add_argument("--family", required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -348,7 +348,7 @@ def build_parser():
     p.add_argument("--points", type=int, default=25)
     p.set_defaults(func=cmd_ndep)
 
-    p = sub.add_parser("upsilon", parents=[common],
+    p = sub.add_parser("upsilon", parents=[seeded],
                        help="moment quantity for a comparator/family pair")
     p.add_argument("--comparator", required=True,
                    help="kl|cramer|catoni:gamma=|scaled_diff:t=|poisson_diff:t=|"
@@ -358,7 +358,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=10**5)
     p.set_defaults(func=cmd_upsilon)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[seeded],
                        help="Monte-Carlo violation-rate check")
     p.add_argument("--family", default="bernoulli")
     p.add_argument("--bound", default="mls")

@@ -19,6 +19,9 @@ from .rng import make_generator
 _LN2 = math.log(2.0)
 _CHUNK = 4096       # series terms per step of the Poisson route
 _BLOCK = 2**20      # elements per block of the Bernoulli grid and Monte Carlo
+_SERIES_EPS = 1e-10           # relative tail at which a Poisson series stops
+_SERIES_MAX_TERMS = 10**6     # Poisson series terms before giving up at one r
+_QUAD_POINTS = 4001           # fine-grid points around the quadrature peak
 
 
 @dataclass
@@ -106,7 +109,7 @@ def _scan_r_grid(rs, one_r):
 # -- Poisson: truncated series with divergence certificate ------------------
 
 
-def _series_one_r(comp, n, r, eps, max_terms):
+def _series_one_r(comp, n, r):
     """Returns (ln_sum, rel_tail) or None when certified divergent at this r."""
     lam = n * r
     ln_lam = math.log(lam)
@@ -114,7 +117,7 @@ def _series_one_r(comp, n, r, eps, max_terms):
     slow_run = 0
     k0 = 0
     prev_ln_last = None
-    while k0 < max_terms:
+    while k0 < _SERIES_MAX_TERMS:
         ks = np.arange(k0, k0 + _CHUNK)
         ln_t = -lam + ks * ln_lam - special.gammaln(ks + 1.0) \
             + n * cellwise(comp.eval, ks / n, r)
@@ -137,23 +140,24 @@ def _series_one_r(comp, n, r, eps, max_terms):
         ratio = float(np.exp(dln[-1]))
         if ks[-1] > lam and ratio < 1.0:
             ln_tail = float(ln_t[-1]) + math.log(ratio / (1.0 - ratio))
-            if ln_tail <= math.log(eps) + ln_sum:
+            if ln_tail <= math.log(_SERIES_EPS) + ln_sum:
                 return float(ln_sum), float(math.exp(ln_tail - ln_sum))
         prev_ln_last = float(ln_t[-1])
         k0 += _CHUNK
     return float(ln_sum), math.nan
 
 
-def upsilon_poisson_series(comp, n, eps=1e-10, r_grid=None, max_terms=10**6):
+def upsilon_poisson_series(comp, n, r_grid=None):
     """Series evaluation of Upsilon over the Poisson family.
 
     Sums Poisson(nr) mass times e^{n Delta(k/n, r)} per grid r until the
-    geometric tail drops below eps.  Declares divergence when the partial
-    sum passes e^30 or when 10^4 consecutive term ratios exceed 1 - 1/(k+1)
-    beyond k = 10^4 (sub-summable decay, the Stirling k^{-1/2} signature).
+    geometric tail drops below _SERIES_EPS of the sum.  Declares divergence
+    when the partial sum passes e^30 or when 10^4 consecutive term ratios
+    exceed 1 - 1/(k+1) beyond k = 10^4 (sub-summable decay, the Stirling
+    k^{-1/2} signature).
     """
     rs = np.geomspace(1e-6, 50.0, 121) if r_grid is None else np.asarray(r_grid)
-    return _scan_r_grid(rs, lambda r: _series_one_r(comp, n, r, eps, max_terms))
+    return _scan_r_grid(rs, lambda r: _series_one_r(comp, n, r))
 
 
 # -- Gaussian / gamma / inverse Gaussian: density quadrature ----------------
@@ -182,7 +186,7 @@ def _ln_trapz(lnh, xs):
     return float(special.logsumexp(seg))
 
 
-def _quad_one_r(comp, family, n, r, points):
+def _quad_one_r(comp, family, n, r):
     if family.kind == "gaussian":
         sd = math.sqrt(family.nuisance / n)
         coarse = np.linspace(r - 60.0 * math.sqrt(family.nuisance) - 60.0 * sd,
@@ -198,10 +202,10 @@ def _quad_one_r(comp, family, n, r, points):
         return None  # tails refuse to decay: integral effectively divergent
     if family.kind == "gaussian":
         w = max(10.0 * sd, 10.0 * (coarse[1] - coarse[0]))
-        fine = np.linspace(coarse[ipk] - w, coarse[ipk] + w, points)
+        fine = np.linspace(coarse[ipk] - w, coarse[ipk] + w, _QUAD_POINTS)
     else:
         fine = np.geomspace(coarse[ipk] * math.exp(-3.0),
-                            coarse[ipk] * math.exp(3.0), points)
+                            coarse[ipk] * math.exp(3.0), _QUAD_POINTS)
     xs = np.unique(np.concatenate((coarse, fine)))
     lnh = _ln_pdf_mean(family, r, n, xs) + n * cellwise(comp.eval, xs, r)
     lnh = np.where(np.isnan(lnh), -math.inf, lnh)
@@ -212,7 +216,7 @@ def _quad_one_r(comp, family, n, r, points):
     return total, tail
 
 
-def upsilon_quadrature(comp, family, n, r_grid=None, points=4001):
+def upsilon_quadrature(comp, family, n, r_grid=None):
     """Quadrature of E e^{n Delta(xbar, r)} for families with a closed mean density.
 
     Detects divergence when the log integrand fails to decay by 60 nats at
@@ -226,7 +230,7 @@ def upsilon_quadrature(comp, family, n, r_grid=None, points=4001):
             rs = np.geomspace(1e-6, 50.0, 41)
     else:
         rs = np.asarray(r_grid, dtype=float)
-    est = _scan_r_grid(rs, lambda r: _quad_one_r(comp, family, n, r, points))
+    est = _scan_r_grid(rs, lambda r: _quad_one_r(comp, family, n, r))
     est.r_at_cap = (est.mode == "truncated" and est.r_star == float(rs[-1])
                     and not math.isfinite(family.mean_domain[1]))
     return est
@@ -302,9 +306,11 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
 
 # -- dispatcher and corrections ----------------------------------------------
 
-def compute_upsilon(comp, family, n, seed=0, **kw):
+def compute_upsilon(comp, family, n, seed=0, r_grid=None, samples=10**5):
     """Route a (comparator, family) pair to its best Upsilon evaluation.
 
+    r_grid overrides the route's r grid (the Bernoulli default is 2001
+    interior points); seed and samples apply to the Monte-Carlo route.
     Comparators constructed to integrate to one over their own family skip
     numerics entirely and return ln Upsilon = 0 exactly.
     """
@@ -324,15 +330,13 @@ def compute_upsilon(comp, family, n, seed=0, **kw):
     if comp.form == "scaled_diff" and p.get("t") == 0.0:
         return UpsilonEstimate("exact", 0.0)
     if family.kind == "bernoulli":
-        return upsilon_bernoulli_exact(comp, n, kw.get("r_grid", 2001))
+        return upsilon_bernoulli_exact(comp, n,
+                                       2001 if r_grid is None else r_grid)
     if family.kind == "poisson":
-        return upsilon_poisson_series(comp, n, kw.get("eps", 1e-10),
-                                      kw.get("r_grid"))
+        return upsilon_poisson_series(comp, n, r_grid)
     if family.kind in ("gaussian", "gamma", "invgauss"):
-        return upsilon_quadrature(comp, family, n, kw.get("r_grid"),
-                                  kw.get("points", 4001))
-    return upsilon_monte_carlo(comp, family, n, kw.get("r_grid"),
-                               kw.get("samples", 10**5), seed)
+        return upsilon_quadrature(comp, family, n, r_grid)
+    return upsilon_monte_carlo(comp, family, n, r_grid, samples, seed)
 
 
 def correction_xi(n_times_trainloss, kl):

@@ -15,9 +15,7 @@ import numpy as np
 from scipy import special
 
 from . import families as fam
-from . import inversion as inv
 from .bounds import PARAMETRIC_INFIMA, average_bound, bound_values
-from .inversion import BoundQuery
 from .rng import make_generator, streams
 
 
@@ -218,7 +216,6 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
     vs = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
     ln_pv = (special.xlogy(vs, means) + special.xlog1py(1.0 - vs, -means)).sum(axis=1)
     pv = np.exp(ln_pv)
-    comp = inv.cramer_of(family)
 
     def mean_kl(q_rows, q_ref, weights):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,31 +231,31 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
             rng = make_generator(problem.seed, 310000, rep)
             q_v = np.empty((len(vs), m))
             for iv, v in enumerate(vs):
-                rest = (rng.random((inner, n - 1, m)) < means).sum(axis=1)
+                rest = family._draw(means, (inner, n - 1, m), rng).sum(axis=1)
                 lnq = np.log(prior) - c * (v + rest)
                 lnq -= special.logsumexp(lnq, axis=1, keepdims=True)
                 q_v[iv] = np.exp(lnq).mean(axis=0)
         q_marg = pv @ q_v
         alpha_sw = float(pv @ np.einsum("vm,vm->v", q_v, vs))
         beta_sw = mean_kl(q_v, q_marg, pv)
-        sw_vals.append(inv.invert(comp, BoundQuery(alpha_sw, beta_sw, 1)).rho)
+        sw_vals.append(average_bound(family, alpha_sw, beta_sw, 1).rho)
 
         if n == 1:
             full_vals.append(sw_vals[-1])
             continue
         if c == 0.0:
             alpha_f = float(prior @ means)
-            full_vals.append(inv.invert(comp, BoundQuery(alpha_f, 0.0, n)).rho)
+            full_vals.append(average_bound(family, alpha_f, 0.0, n).rho)
             continue
         rng2 = make_generator(problem.seed, 320000, rep)
-        lhat = (rng2.random((outer, n, m)) < means).mean(axis=1)
+        lhat = family._draw(means, (outer, n, m), rng2).mean(axis=1)
         lnq = np.log(prior) - c * n * lhat
         lnq -= special.logsumexp(lnq, axis=1, keepdims=True)
         q_z = np.exp(lnq)
         q_bar = q_z.mean(axis=0)
         alpha_f = float(np.einsum("tm,tm->t", q_z, lhat).mean())
         beta_f = mean_kl(q_z, q_bar, np.full(outer, 1.0 / outer))
-        full_vals.append(inv.invert(comp, BoundQuery(alpha_f, beta_f, n)).rho)
+        full_vals.append(average_bound(family, alpha_f, beta_f, n).rho)
 
     sw = np.asarray(sw_vals)
     fu = np.asarray(full_vals)

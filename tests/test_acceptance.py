@@ -55,7 +55,7 @@ def test_c02_catoni_mls_identity():
             q = inv.BoundQuery(a, bon * 100, 100)
             orc = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q,
                                              (1e-3, 50.0)).rho
-            ca = bounds.catoni_inf_bound(a, bon * 100, 100).rho
+            ca = bounds.evaluate_kind("catoni_inf", None, a, bon * 100, 100).rho
             worst = max(worst, abs(orc - ca))
     dt = time.perf_counter() - t0
     verdict(2, "catoni-infimum equals kl 30x30", worst <= 1e-6 and dt < 30.0,
@@ -70,7 +70,8 @@ def test_c03_laplace_equivalence():
             q = inv.BoundQuery(a, bon * 60, 60)
             ref = inv.infimum_over_parameter(lambda t: inv.laplace_diff(t, 1.0),
                                              q, (1e-8, 1.0 - 1e-12)).rho
-            dif = bounds.diff_based_bound("laplace", a, bon * 60, 60, b=1.0).rho
+            dif = bounds.evaluate_kind("laplace_diff_inf", None, a, bon * 60,
+                                       60, b=1.0).rho
             worst = max(worst, abs(ref - dif))
     dt = time.perf_counter() - t0
     verdict(3, "laplace diff equals cramer 30x30", worst <= 1e-6 and dt < 30.0,

@@ -15,8 +15,7 @@ def test_bound_kinds_frozen():
     assert bounds.BOUND_KINDS == (
         "average_cramer", "pac_cramer_chernoff", "pac_cramer_xi",
         "pac_cramer_two_e_ceil", "catoni_inf", "mls",
-        "poisson_diff_inf", "laplace_diff_inf", "gaussian_diff_inf",
-        "samplewise_average")
+        "poisson_diff_inf", "laplace_diff_inf", "gaussian_diff_inf")
 
 
 def test_catoni_infimum_matches_kl_inversion():
@@ -27,7 +26,7 @@ def test_catoni_infimum_matches_kl_inversion():
             q = inv.BoundQuery(alpha, bon * 100, 100)
             orc = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q,
                                              (1e-3, 50.0))
-            cat = bounds.catoni_inf_bound(alpha, bon * 100, 100)
+            cat = bounds.evaluate_kind("catoni_inf", None, alpha, bon * 100, 100)
             assert cat.rho == pytest.approx(orc.rho, abs=1e-6)
 
 
@@ -37,7 +36,8 @@ def test_laplace_diff_matches_cramer():
             q = inv.BoundQuery(alpha, bon * 50, 50)
             orc = inv.infimum_over_parameter(lambda t: inv.laplace_diff(t, 1.0),
                                              q, (1e-8, 1.0 - 1e-12))
-            dif = bounds.diff_based_bound("laplace", alpha, bon * 50, 50, b=1.0)
+            dif = bounds.evaluate_kind("laplace_diff_inf", None, alpha,
+                                       bon * 50, 50, b=1.0)
             assert dif.rho == pytest.approx(orc.rho, abs=1e-6)
 
 
@@ -50,13 +50,15 @@ def test_poisson_diff_upper_bounds_cramer():
             q = inv.BoundQuery(alpha, bon * 40, 40)
             orc = inv.infimum_over_parameter(inv.poisson_diff, q,
                                              (1e-4, 200.0))
-            dif = bounds.diff_based_bound("poisson", alpha, bon * 40, 40)
+            dif = bounds.evaluate_kind("poisson_diff_inf", None, alpha,
+                                       bon * 40, 40)
             assert orc.rho >= ref.rho - 1e-9
             assert dif.rho == pytest.approx(orc.rho, rel=1e-6)
 
 
 def test_gaussian_diff_matches_closed_form():
-    res = bounds.diff_based_bound("gaussian", 0.2, 3.0, 30, sigma2=0.5)
+    res = bounds.evaluate_kind("gaussian_diff_inf", None, 0.2, 3.0, 30,
+                               sigma2=0.5)
     assert res.rho == pytest.approx(0.2 + math.sqrt(2 * 0.5 * 0.1), rel=1e-8)
 
 
@@ -89,7 +91,7 @@ def test_two_e_ceil_equals_explicit_iota():
 def test_correction_budgets():
     # each correction's ln iota enters the budget (beta + ln iota - ln delta)/n
     f = fam.bernoulli()
-    res = bounds.mls_bound(0.1, 3.0, 10, 0.05)
+    res = bounds.evaluate_kind("mls", None, 0.1, 3.0, 10, 0.05)
     want = (3.0 + math.log(2 * math.sqrt(10)) - math.log(0.05)) / 10
     assert res.budget == pytest.approx(want, rel=1e-14)
     res = bounds.pac_bound(f, 0.1, 3.0, 10, 0.05, "chernoff", ln_upsilon=1.7)
@@ -143,14 +145,15 @@ def test_binary_only_kinds_reject_other_families():
         bounds.evaluate_kind("mls", fam.gaussian(1.0), 0.2, 1.0, 20, 0.05)
     with pytest.raises(ValueError, match="bernoulli"):
         bounds.evaluate_kind("catoni_inf", fam.poisson(), 0.2, 1.0, 20, 0.05)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown bound kind"):
         bounds.evaluate_kind("samplewise_average", fam.bernoulli(),
                              0.2, 1.0, 20, 0.05)
 
 
 def test_catoni_inf_flags():
-    assert bounds.catoni_inf_bound(0.3, 1.0, 30).flag is None
-    assert bounds.catoni_inf_bound(0.3, 1.0, 30, delta=0.05).flag == "reference_only"
+    assert bounds.evaluate_kind("catoni_inf", None, 0.3, 1.0, 30).flag is None
+    res = bounds.evaluate_kind("catoni_inf", None, 0.3, 1.0, 30, delta=0.05)
+    assert res.flag == "reference_only"
 
 
 PARAMETRIC_CASES = {
@@ -176,10 +179,12 @@ BAD_PARAMETRIC_INPUT = """
 from cgfbounds import bounds, families as fam
 calls = [
     lambda: bounds.evaluate_kind("catoni_inf", fam.poisson(), 0.2, 1.0, 20),
-    lambda: bounds.diff_based_bound("gaussian", 0.2, 1.0, 20),
-    lambda: bounds.diff_based_bound("gaussian", 0.2, 1.0, 20, sigma2=0.0),
-    lambda: bounds.diff_based_bound("laplace", 0.2, 1.0, 20),
-    lambda: bounds.diff_based_bound("laplace", 0.2, 1.0, 20, b=-1.0),
+    lambda: bounds.evaluate_kind("gaussian_diff_inf", None, 0.2, 1.0, 20),
+    lambda: bounds.evaluate_kind("gaussian_diff_inf", None, 0.2, 1.0, 20,
+                                 sigma2=0.0),
+    lambda: bounds.evaluate_kind("laplace_diff_inf", None, 0.2, 1.0, 20),
+    lambda: bounds.evaluate_kind("laplace_diff_inf", None, 0.2, 1.0, 20,
+                                 b=-1.0),
     lambda: bounds.bound_values("laplace_diff_inf", fam.bernoulli(),
                                 [0.2, 0.3], 1.0, 20),
 ]
@@ -290,7 +295,8 @@ def test_identity_beyond_truncated_range():
     # is tighter than the truncated infimum, and still a valid bound because
     # it is the inversion of the Gaussian Cramer function itself.
     sigma2, alpha, n = 1e-4, 0.3, 10
-    res = bounds.diff_based_bound("gaussian", alpha, n * 1.0, n, sigma2=sigma2)
+    res = bounds.evaluate_kind("gaussian_diff_inf", None, alpha, n * 1.0, n,
+                               sigma2=sigma2)
     want = alpha + math.sqrt(2.0 * sigma2)
     assert res.rho == pytest.approx(want, rel=1e-8) and res.rho <= want
     q = inv.BoundQuery(alpha, n * 1.0, n)
@@ -313,6 +319,39 @@ def test_samplewise_bound_composition():
         bounds.samplewise_bound(f, [(0.3, 0.7)], n=2)
     with pytest.raises(ValueError, match="per_sample needs at least one"):
         bounds.samplewise_bound(f, [])
+
+
+@pytest.mark.parametrize("family", [fam.bernoulli(), fam.gaussian(0.5),
+                                    fam.poisson(), fam.gamma(2.0),
+                                    fam.laplace(1.0), fam.invgauss(1.5),
+                                    fam.negbin(3.0)], ids=fam.family_spec)
+def test_samplewise_bound_is_the_per_pair_mean(family):
+    # one grid inversion gives the scalar inversions' values bit for bit
+    lo, hi = family.mean_domain
+    alphas = [0.3, 0.7] if math.isfinite(hi) else [0.0 if lo == 0.0 else -0.4,
+                                                   0.3, 1.7]
+    pairs = [(a, b) for a in alphas for b in (0.0, 0.05, 0.3)]
+    want = sum(bounds.evaluate_kind("average_cramer", family, a, b, 1).rho
+               for a, b in pairs) / len(pairs)
+    assert bounds.samplewise_bound(family, pairs) == want
+
+
+def test_samplewise_bound_raises_without_a_finite_bound():
+    with pytest.raises(inv.NoFiniteBound, match=r"\(0.5, 2.0\)"):
+        bounds.samplewise_bound(fam.invgauss(1.5), [(0.3, 0.1), (0.5, 2.0)])
+
+
+@pytest.mark.parametrize("family", [fam.poisson(), fam.gamma(2.0)],
+                         ids=fam.family_spec)
+def test_chernoff_kind_refused_before_upsilon(family, monkeypatch):
+    def no_upsilon(*args, **kwargs):
+        raise AssertionError("compute_upsilon was called")
+
+    monkeypatch.setattr(bounds, "compute_upsilon", no_upsilon)
+    with pytest.raises(bounds.CorrectionDivergent, match="xi or two_e_ceil"):
+        bounds.evaluate_kind("pac_cramer_chernoff", family, 0.5, 1.0, 20, 0.05)
+    assert np.isnan(bounds.bound_values("pac_cramer_chernoff", family,
+                                        [0.5], [1.0], 20, 0.05)).all()
 
 
 def test_surface_bernoulli_clamped_nonnegative():

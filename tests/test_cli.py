@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -222,6 +223,9 @@ def test_exit_codes_usage_and_io(tmp_path):
 BOUND = ("bound", "--family", "bernoulli", "--alpha", "0.2", "--beta", "1",
          "--n", "10")
 
+NDEP = ("ndep", "--family", "poisson", "--alpha", "1", "--beta", "1",
+        "--nmin", "1", "--nmax", "20")
+
 UPSILON_MC = ("upsilon", "--comparator", "scaled_diff:t=0.3", "--family",
               "laplace:b=1", "--n", "5")
 
@@ -234,6 +238,10 @@ USAGE_ERRORS = {
     "range": (("sweep", "--family", "bernoulli", "--kinds", "average_cramer",
                "--alpha-range", "0.1:0.2", "--bon-range", "0.01:1:3",
                "--n", "50"), ["'0.1:0.2'", "lo:hi:steps"]),
+    "sweep-kind": (("sweep", "--family", "bernoulli", "--kinds",
+                    "average_cramer,samplewise_average", "--alpha-range",
+                    "0.1:0.2:2", "--bon-range", "0.01:1:2", "--n", "50"),
+                   ["unknown bound kind", "'samplewise_average'", "mls"]),
     "verify-family": (("verify", "--family", "gamma:k=2", "--trials", "10"),
                       ["gamma", "bernoulli", "gaussian", "poisson"]),
     "beta": (("bound", "--family", "bernoulli", "--alpha", "0.2", "--beta",
@@ -262,6 +270,10 @@ USAGE_ERRORS = {
     "ndep-nmin": (("ndep", "--family", "poisson", "--alpha", "1", "--beta",
                    "1", "--nmin", "0", "--nmax", "20"),
                   ["--nmin and --nmax must be at least 1", "0"]),
+    "ndep-points": (NDEP + ("--points", "0"),
+                    ["--points must be at least 1", "0"]),
+    "ndep-points-negative": (NDEP + ("--points", "-1"),
+                             ["--points must be at least 1", "-1"]),
 }
 
 
@@ -281,6 +293,57 @@ def test_threads_flag_rejected():
                            "--beta", "1", "--nmin", "10", "--nmax", "20",
                            "--threads", "2")
     assert code == 2 and "--threads" in err
+
+
+@pytest.mark.parametrize("args", [
+    BOUND + ("--out", "x.txt"),
+    BOUND + ("--seed", "1"),
+    ("conjugate-check", "--family", "bernoulli", "--out", "x.txt"),
+    ("selfcheck", "--seed", "1"),
+    NDEP + ("--seed", "1"),
+    ("sweep", "--family", "bernoulli", "--kinds", "average_cramer",
+     "--alpha-range", "0.1:0.2:2", "--bon-range", "0.01:1:2", "--n", "50",
+     "--seed", "1"),
+], ids=lambda args: f"{args[0]}{args[-2]}")
+def test_flags_a_subcommand_ignores_are_rejected(args, tmp_path, capsys):
+    # only sweep, ndep, upsilon and verify write --out; only upsilon and
+    # verify draw from --seed
+    out = tmp_path / "x.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([str(out) if a == "x.txt" else a for a in args])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and args[-2] in err, err
+    assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_examples():
+    """(argv, shown output) of each `$ cgfbounds` README example with output."""
+    lines = README.read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ cgfbounds ") and not line.endswith("\\"):
+            shown = []
+            for out in lines[i + 1:]:
+                if not out or out.startswith(("$", "```")):
+                    break
+                shown.append(out)
+            if shown:
+                examples.append((line.split()[2:], "\n".join(shown)))
+    return examples
+
+
+def test_readme_cli_examples_match_output(capsys):
+    examples = readme_cli_examples()
+    assert [argv[0] for argv, _ in examples] == ["bound", "upsilon"]
+    for argv, shown in examples:
+        assert main(argv) == 0
+        got = capsys.readouterr().out.strip()
+        # "..." in the README elides the rest of a line, as in a doctest
+        pattern = ".*".join(re.escape(part) for part in shown.split("..."))
+        assert re.fullmatch(pattern, got, flags=re.S), (argv, got, shown)
 
 
 def test_main_entry_in_process(capsys):

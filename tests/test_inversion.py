@@ -373,7 +373,7 @@ calls = [
     lambda: inv.BoundQuery(0.1, 1.0, 0),
     lambda: inv.BoundQuery(0.1, 1.0, 10, delta=1.5),
     lambda: bounds.evaluate_kind("mls", fam.gaussian(1.0), 0.2, 1.0, 20, 0.05),
-    lambda: bounds.mls_bound(0.2, 1.0, 20, None),
+    lambda: bounds.evaluate_kind("mls", None, 0.2, 1.0, 20),
     lambda: bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 20, 0.05, "chernoff"),
     lambda: bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 20, 0.05,
                              "two_e_ceil", u=-1.0),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -295,6 +296,19 @@ def test_dispatcher_routes():
     est = ups.compute_upsilon(inv.scaled_diff(0.05), fam.laplace(1.0), 5,
                               samples=2 * 10**4, r_grid=[0.5, 1.0])
     assert est.mode == "monte_carlo" and math.isfinite(est.value)
+    # the series and quadrature routes scan the r_grid they are given
+    offset = dataclasses.replace(inv.poisson_diff(0.7), form="offset_diff")
+    for comp, family in [(offset, fam.poisson()),
+                         (inv.scaled_diff(0.5), fam.gamma(2.0))]:
+        est = ups.compute_upsilon(comp, family, 4, r_grid=[0.3])
+        assert est.mode == "truncated" and est.r_star == 0.3
+
+
+def test_dispatcher_rejects_unknown_keywords():
+    # a misspelt samples must not silently run the default 10^5 draws
+    with pytest.raises(TypeError, match="sample"):
+        ups.compute_upsilon(inv.scaled_diff(0.3), fam.laplace(1.0), 5,
+                            sample=10)
 
 
 # -- union-bound corrections -----------------------------------------------------------
