@@ -35,12 +35,14 @@ def pac_bound(family, alpha, beta, n, delta, correction="xi",
 
     correction is one of "chernoff" (caller supplies ln_upsilon, the log
     moment value from the upsilon module), "xi", or "two_e_ceil" (u defaults
-    to n).  Chernoff corrections are refused outright for the Poisson and
-    gamma families, whose Cramer-comparator Upsilon diverges.
+    to n; only it takes u).  Chernoff corrections are refused outright for
+    the Poisson and gamma families, whose Cramer-comparator Upsilon diverges.
     """
     if correction not in ("chernoff", "xi", "two_e_ceil"):
         raise ValueError(f"unknown correction {correction!r}; use chernoff, "
                          "xi or two_e_ceil")
+    if u is not None and correction != "two_e_ceil":
+        raise ValueError(f"only two_e_ceil takes u, not {correction}; u={u}")
     return inv.invert(*_kind_query("pac_cramer_" + correction, family, alpha,
                                    beta, n, delta, ln_upsilon=ln_upsilon, u=u))
 
@@ -113,6 +115,8 @@ def _kind_query(kind, family, alpha, beta, n, delta=None, sigma2=None, b=None,
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; use one of "
                          + ", ".join(BOUND_KINDS))
+    if family is None and kind.startswith(("average_", "pac_")):
+        raise ValueError(f"the {kind} kind needs a family, got None")
     if kind == "average_cramer":
         return inv.cramer_of(family), BoundQuery(alpha, beta, n)
     if kind in PARAMETRIC_INFIMA:

@@ -39,8 +39,7 @@ def _parse_range(text, want_scale=False):
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     if not (steps >= 2 and lo < hi):
         raise ValueError(f"range needs lo < hi and steps >= 2, got {text!r}")
-    pts = np.geomspace(lo, hi, steps) if scale == "log" else np.linspace(lo, hi, steps)
-    return pts
+    return np.geomspace(lo, hi, steps) if scale == "log" else np.linspace(lo, hi, steps)
 
 
 def _merge_config(argv):
@@ -106,8 +105,13 @@ def cmd_bound(args):
     family = fam.parse_family(args.family)
     correction, ln_upsilon = _parse_correction(args.correction)
     if args.delta is None:
+        for flag in ("correction", "u"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} needs --delta")
         res = bounds.average_bound(family, args.alpha, args.beta, args.n)
     elif correction == "one":
+        if args.u is not None:
+            raise ValueError("--u needs --correction 2eceil, not one")
         res = bounds.optimistic_reference(family, args.alpha, args.beta,
                                           args.n, args.delta)
     else:
@@ -214,16 +218,13 @@ def cmd_verify(args):
     lines = [json.dumps(dataclasses.asdict(r)) for r in records]
     lines.append(json.dumps({"summary": summary}))
     _write_lines(args.out, lines)
-    passed = summary["cp95_high"] <= args.delta
-    verdict = "PASS" if passed else "FAIL"
+    verdict = "PASS" if summary["cp95_high"] <= args.delta else "FAIL"
     if summary["flag"] == "reference_only":
         verdict = "REFERENCE"
     print(f"verify kind={args.bound} family={args.family} trials={summary['trials']} "
           f"violations={summary['violations']} rate={_fmt(summary['rate'])} "
           f"cp95_high={_fmt(summary['cp95_high'])} delta={_fmt(args.delta)} {verdict}")
-    if verdict == "FAIL":
-        return EXIT_CHECK
-    return EXIT_OK
+    return EXIT_CHECK if verdict == "FAIL" else EXIT_OK
 
 
 _CHECK_GRIDS = {
@@ -317,9 +318,10 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--correction", default=None,
-                   help="one|xi|2eceil|chernoff=<ln_upsilon> (default xi)")
+                   help="one|xi|2eceil|chernoff=<ln_upsilon> (default xi); "
+                   "needs --delta")
     p.add_argument("--u", type=float, default=None,
-                   help="union-grid size for the 2eceil correction (default n)")
+                   help="grid size of --correction 2eceil (default n)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("sweep", parents=[writes],

@@ -54,7 +54,6 @@ class TrialRecord:
     train_loss: float
     pop_loss: float
     kl: float
-    per_sample_kls: tuple | None
     bound_value: float
     violated: bool
 
@@ -124,7 +123,7 @@ def run_trials(problem, bound="pac_cramer_xi", delta=0.05):
     """
     values, violated, summary = _evaluate(problem, bound, delta)
     train, pop, kl = _simulate(problem)
-    records = [TrialRecord(float(train[t]), float(pop[t]), float(kl[t]), None,
+    records = [TrialRecord(float(train[t]), float(pop[t]), float(kl[t]),
                            float(values[t]), bool(violated[t]))
                for t in range(problem.trials)]
     return records, summary

@@ -184,7 +184,8 @@ def test_verify_stream_and_pass(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 301
     first, last = json.loads(lines[0]), json.loads(lines[-1])
-    assert {"train_loss", "pop_loss", "kl", "bound_value", "violated"} <= set(first)
+    assert set(first) == {"train_loss", "pop_loss", "kl", "bound_value",
+                          "violated"}
     assert "summary" in last
     assert last["summary"]["violations"] == sum(
         json.loads(l)["violated"] for l in lines[:-1])
@@ -274,6 +275,15 @@ USAGE_ERRORS = {
                     ["--points must be at least 1", "0"]),
     "ndep-points-negative": (NDEP + ("--points", "-1"),
                              ["--points must be at least 1", "-1"]),
+    "correction-no-delta": (BOUND + ("--correction", "2eceil"),
+                            ["--correction needs --delta"]),
+    "u-no-delta": (BOUND + ("--u", "7"), ["--u needs --delta"]),
+    "u-xi": (BOUND + ("--delta", "0.05", "--u", "7"),
+             ["two_e_ceil", "xi", "u=7"]),
+    "u-chernoff": (BOUND + ("--delta", "0.05", "--correction", "chernoff=1.0",
+                            "--u", "7"), ["two_e_ceil", "chernoff", "u=7"]),
+    "u-one": (BOUND + ("--delta", "0.05", "--correction", "one", "--u", "7"),
+              ["--u needs --correction 2eceil", "one"]),
 }
 
 

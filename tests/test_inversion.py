@@ -406,6 +406,10 @@ calls = [
     lambda: fam.TDomain(1.0, 0.0, "bogus").effective(),
     lambda: fam.TDomain(0.0, 1.0, "bogus").effective(),
     lambda: fam.TDomain(-2.0, -1.0, "nonneg_only"),
+    lambda: bounds.evaluate_kind("average_cramer", None, 0.2, 1.0, 20),
+    lambda: bounds.evaluate_kind("pac_cramer_xi", None, 0.2, 1.0, 20, 0.05),
+    lambda: bounds.bound_values("average_cramer", None, [0.2], [1.0], 20),
+    lambda: bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 20, 0.05, "xi", u=7.0),
 ]
 for call in calls:
     try:
@@ -422,4 +426,4 @@ def test_input_validation_without_asserts(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_LIBRARY_INPUT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 29
+    assert proc.stdout.split() == ["ValueError"] * 33

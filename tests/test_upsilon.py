@@ -10,6 +10,7 @@ from cgfbounds import families as fam
 from cgfbounds import inversion as inv
 from cgfbounds import upsilon as ups
 from cgfbounds.conjugate import argmax_zoom
+from cgfbounds.rng import make_generator
 
 
 def kl_flat_sum(n):
@@ -208,7 +209,7 @@ def test_monte_carlo_scaled_diff_gaussian():
 
 def test_monte_carlo_ci_covers_eighth_square():
     # Delta = (q-p)^2/8 over unit gaussians: E e^{Z^2/8} = 2/sqrt(3), and the
-    # integrand has finite variance so the bootstrap CI is trustworthy
+    # integrand has finite variance so the normal interval is trustworthy
     comp = inv.Comparator("eighth_square", lambda q, p: (q - p) ** 2 / 8.0,
                           (-math.inf, math.inf))
     want = math.log(2.0) - 0.5 * math.log(3.0)
@@ -240,30 +241,56 @@ def test_monte_carlo_determinism():
     assert a.value == b.value and a.ci == b.ci
 
 
-# value, ci and r_star as computed by the one-shot draws these blocks
-# replaced; samples x n spans several draw blocks and the 500 bootstrap
-# resamples span 50 gather blocks
+# value and r_star as computed by the one-shot draws these blocks replaced,
+# where samples x n spans several draw blocks; ci is value +- the delta-method
+# half-width of the normal 95% interval of mean e^{w - max w} at r_star
 MC_FROZEN = [
     ((inv.scaled_diff(0.3), fam.gaussian(1.0), 20, [0.0], 10**5, 3),
-     (0.908283581470295, (0.8937553879616487, 0.9208860541991173), 0.0)),
+     (0.908283581470295, (0.894378737855291, 0.922188425085299), 0.0)),
     ((inv.scaled_diff(0.2), fam.negbin(2.0), 30, [0.7, 1.5], 10**5, 5),
-     (1.362227518877674, (1.3449633157676224, 1.3769077007076793), 1.5)),
+     (1.362227518877674, (1.3461271937742143, 1.3783278439811337), 1.5)),
     ((inv.binary_kl(), fam.bernoulli(), 5, [0.5], 10**5, 2),
-     (1.258631680496034, (1.2459437601517362, 1.2718994409997926), 0.5)),
+     (1.258631680496034, (1.2455917065011877, 1.2716716544908804), 0.5)),
 ]
 
 
 @pytest.mark.parametrize("case,want", MC_FROZEN,
-                         ids=["gaussian", "negbin", "bootstrap"])
+                         ids=["gaussian", "negbin", "bernoulli"])
 def test_monte_carlo_blocks_frozen(case, want):
     est = ups.upsilon_monte_carlo(*case)
     assert (est.value, est.ci, est.r_star) == want
     assert not est.divergent_suspect
 
 
+def test_monte_carlo_ci_is_delta_method_normal_interval():
+    # re-draw the means at the one r on its stream (seed, 0)
+    comp, family, n, r, samples, seed = (inv.scaled_diff(0.2), fam.negbin(2.0),
+                                         8, 1.5, 2000, 9)
+    est = ups.upsilon_monte_carlo(comp, family, n, r_grid=[r],
+                                  samples=samples, seed=seed)
+    draws = family.sample(r, samples * n, rng=make_generator(seed, 0))
+    w = n * comp.eval(draws.reshape(samples, n).mean(axis=1), r)
+    expw = np.exp(w - w.max())
+    half = (1.959963984540054 * expw.std(ddof=1)
+            / (expw.mean() * math.sqrt(samples)))
+    assert est.ci[0] == pytest.approx(est.value - half, abs=1e-15)
+    assert est.ci[1] == pytest.approx(est.value + half, abs=1e-15)
+
+
+def test_monte_carlo_constant_draws_give_zero_width_ci():
+    # scaled_diff(0) is identically 0, so every draw carries the same weight
+    est = ups.upsilon_monte_carlo(inv.scaled_diff(0.0), fam.laplace(1.0), 5,
+                                  r_grid=[0.4], samples=4)
+    assert est.value == 0.0 and est.ci == (0.0, 0.0)
+
+
+def test_z95_is_the_normal_quantile():
+    assert ups._Z95 == special.ndtri(0.975)
+
+
 def test_monte_carlo_coverage_rate():
     # 50 independent seeds at a sample size where every mean cell is visible;
-    # the 95% bootstrap CI must catch the exact value at least 45 times
+    # the 95% interval must catch the exact value at least 45 times
     exact = kl_flat_sum(5)
     comp = inv.binary_kl()
     hits = 0
