@@ -8,7 +8,8 @@ import numpy as np
 from . import families as fam
 from . import inversion as inv
 from .inversion import BoundQuery
-from .upsilon import compute_upsilon, correction_two_e_ceil, correction_xi
+from .upsilon import (compute_upsilon, correction_two_e_ceil, correction_xi,
+                      cramer_divergence)
 
 BOUND_KINDS = ("average_cramer", "pac_cramer_chernoff", "pac_cramer_xi",
                "pac_cramer_two_e_ceil", "catoni_inf", "mls",
@@ -35,8 +36,10 @@ def pac_bound(family, alpha, beta, n, delta, correction="xi",
 
     correction is one of "chernoff" (caller supplies ln_upsilon, the log
     moment value from the upsilon module), "xi", or "two_e_ceil" (u defaults
-    to n; only it takes u).  Chernoff corrections are refused outright for
-    the Poisson and gamma families, whose Cramer-comparator Upsilon diverges.
+    to n; only it takes u).  The Chernoff correction is refused, with
+    CorrectionDivergent, for every family but Bernoulli, also when
+    ln_upsilon is given: there the Cramer-comparator Upsilon is infinite
+    (upsilon.cramer_divergence).
     """
     if correction not in ("chernoff", "xi", "two_e_ceil"):
         raise ValueError(f"unknown correction {correction!r}; use chernoff, "
@@ -132,16 +135,13 @@ def _kind_query(kind, family, alpha, beta, n, delta=None, sigma2=None, b=None,
             q, ln_iota=math.log(2.0) + 0.5 * math.log(n))
     q = BoundQuery(alpha, beta, n, delta)    # checked before the correction
     if kind == "pac_cramer_chernoff":
-        if family.kind in ("poisson", "gamma"):
+        why = cramer_divergence(family)
+        if why:
             raise CorrectionDivergent(
-                f"Upsilon of the {family.kind} Cramer comparator diverges; "
-                "use the xi or two_e_ceil correction")
+                f"Upsilon of the {family.kind} Cramer comparator diverges: "
+                f"{why}; use the xi or two_e_ceil correction")
         if ln_upsilon is _COMPUTE:
-            est = compute_upsilon(inv.cramer_of(family), family, n)
-            if est.mode == "divergent" or not math.isfinite(est.value):
-                raise CorrectionDivergent(
-                    f"Upsilon of the {family.kind} Cramer comparator diverges")
-            ln_upsilon = est.value
+            ln_upsilon = compute_upsilon(inv.cramer_of(family), family, n).value
         if ln_upsilon is None:
             raise ValueError("the chernoff correction needs ln_upsilon")
         ln_iota = float(ln_upsilon)

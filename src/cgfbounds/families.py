@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from ._special import rel_entr, xlogy
 from .rng import make_generator
 
 FAMILY_KINDS = ("bernoulli", "gaussian", "poisson", "gamma", "laplace",
@@ -23,7 +23,7 @@ _INF = math.inf
 
 def binary_kl(q, p):
     """kl(q, p) = q ln(q/p) + (1-q) ln((1-q)/(1-p)), with 0 ln 0 = 0."""
-    return special.rel_entr(q, p) + special.rel_entr(1.0 - q, 1.0 - p)
+    return rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ class BoundingFamily:
             elif self.kind == "gaussian":
                 out = (qq - pp) ** 2 / (2.0 * v)
             elif self.kind == "poisson":
-                out = pp - qq + special.rel_entr(qq, pp)
+                out = pp - qq + rel_entr(qq, pp)
             elif self.kind == "gamma":
                 rat = qq / pp
                 out = np.where(qq > 0, v * (rat - 1.0 - np.log(np.where(qq > 0, rat, 1.0))), _INF)
@@ -167,7 +167,7 @@ class BoundingFamily:
                 r = (qq - pp) / pp   # not (q-p)^2 / p^2: p^2 q underflows
                 out = np.where(qq > 0, v * r * r / (2.0 * np.where(qq > 0, qq, 1.0)), _INF)
             else:  # negbin
-                out = v * np.log((pp + v) / (qq + v)) + special.xlogy(qq, qq * (pp + v) / (pp * (qq + v)))
+                out = v * np.log((pp + v) / (qq + v)) + xlogy(qq, qq * (pp + v) / (pp * (qq + v)))
         return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
     # -- sampling ----------------------------------------------------------

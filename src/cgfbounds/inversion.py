@@ -52,7 +52,8 @@ def cramer_of(family):
                        family.cramer(q, np.where(edge, inner, pp)))
         return float(out) if out.ndim == 0 else out
 
-    return Comparator(f"cramer[{fam.family_spec(family)}]", fn, (lo, hi))
+    return Comparator(f"cramer[{fam.family_spec(family)}]", fn, (lo, hi),
+                      {"family": family})
 
 
 def binary_kl():

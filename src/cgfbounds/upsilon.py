@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from ._special import gammaln, logsumexp, xlog1py, xlogy
 from .conjugate import argmax_zoom, cellwise
 from .rng import make_generator
 
@@ -22,7 +22,7 @@ _BLOCK = 2**20      # elements per block of the Bernoulli grid and Monte Carlo
 _SERIES_EPS = 1e-10           # relative tail at which a Poisson series stops
 _SERIES_MAX_TERMS = 10**6     # Poisson series terms before giving up at one r
 _QUAD_POINTS = 4001           # fine-grid points around the quadrature peak
-_Z95 = 1.959963984540054      # special.ndtri(0.975)
+_Z95 = 1.959963984540054      # the 97.5% normal quantile
 
 
 @dataclass
@@ -52,18 +52,17 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
     """
     ks = np.arange(n + 1)
     qs = ks / n
-    ln_binom = (special.gammaln(n + 1) - special.gammaln(ks + 1)
-                - special.gammaln(n - ks + 1))
+    ln_binom = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
 
     def ln_values(rs):
         col = rs[:, None]
-        ln_pmf = ln_binom + special.xlogy(ks, col) + special.xlog1py(n - ks, -col)
+        ln_pmf = ln_binom + xlogy(ks, col) + xlog1py(n - ks, -col)
         d = cellwise(comp.eval, qs, col)
         finite = np.isfinite(d).all(axis=1)
         if not finite.all():
             raise ValueError("comparator not finite on [0,1] at "
                              f"r={rs[np.argmin(finite)]}")
-        return special.logsumexp(ln_pmf + n * d, axis=-1)
+        return logsumexp(ln_pmf + n * d, axis=-1)
 
     if np.ndim(r_grid) == 0:
         rs = np.linspace(1e-6, 1.0 - 1e-6, int(r_grid))
@@ -88,6 +87,13 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
 
 # -- r-grid scan shared by the series and quadrature routes -----------------
 
+def _at_cap(family, rs, r_star):
+    """Whether r_star is the last of two or more grid points, on a mean
+    domain unbounded above, so a larger r might give more."""
+    return (len(rs) > 1 and r_star == float(rs[-1])
+            and not math.isfinite(family.mean_domain[1]))
+
+
 def _scan_r_grid(rs, one_r):
     """The best ln value over rs of a route that reports a relative tail.
 
@@ -110,8 +116,11 @@ def _scan_r_grid(rs, one_r):
 # -- Poisson: truncated series with divergence certificate ------------------
 
 
-def _series_one_r(comp, n, r):
-    """Returns (ln_sum, rel_tail) or None when certified divergent at this r."""
+def _series_one_r(comp, n, r, ln_fact):
+    """Returns (ln_sum, rel_tail) or None when certified divergent at this r.
+
+    ln_fact maps a chunk start to ln k! over that chunk, shared by every r.
+    """
     lam = n * r
     ln_lam = math.log(lam)
     ln_sum = -math.inf
@@ -120,9 +129,11 @@ def _series_one_r(comp, n, r):
     prev_ln_last = None
     while k0 < _SERIES_MAX_TERMS:
         ks = np.arange(k0, k0 + _CHUNK)
-        ln_t = -lam + ks * ln_lam - special.gammaln(ks + 1.0) \
+        if k0 not in ln_fact:
+            ln_fact[k0] = gammaln(ks + 1.0)
+        ln_t = -lam + ks * ln_lam - ln_fact[k0] \
             + n * cellwise(comp.eval, ks / n, r)
-        ln_sum = np.logaddexp(ln_sum, special.logsumexp(ln_t))
+        ln_sum = np.logaddexp(ln_sum, logsumexp(ln_t))
         if ln_sum > 30.0:
             return None
         # certificate: a long run of term ratios inside (1 - 1/(k+1), 1] means
@@ -158,7 +169,8 @@ def upsilon_poisson_series(comp, n, r_grid=None):
     k^{-1/2} signature).
     """
     rs = np.geomspace(1e-6, 50.0, 121) if r_grid is None else np.asarray(r_grid)
-    return _scan_r_grid(rs, lambda r: _series_one_r(comp, n, r))
+    ln_fact = {}
+    return _scan_r_grid(rs, lambda r: _series_one_r(comp, n, r, ln_fact))
 
 
 # -- Gaussian / gamma / inverse Gaussian: density quadrature ----------------
@@ -173,8 +185,8 @@ def _ln_pdf_mean(family, r, n, xs):
         if family.kind == "gamma":
             a = n * v  # shape of the sum; mean of the sum is n r
             scale = r / a
-            return special.xlogy(a - 1.0, xs) - xs / scale \
-                - special.gammaln(a) - a * math.log(scale)
+            return xlogy(a - 1.0, xs) - xs / scale \
+                - gammaln(a) - a * math.log(scale)
         if family.kind == "invgauss":
             lam = n * v  # mean of n IG(r, v) draws is IG(r, n v)
             return 0.5 * (np.log(lam) - math.log(2.0 * math.pi) - 3.0 * np.log(xs)) \
@@ -184,7 +196,7 @@ def _ln_pdf_mean(family, r, n, xs):
 
 def _ln_trapz(lnh, xs):
     seg = np.logaddexp(lnh[:-1], lnh[1:]) - _LN2 + np.log(np.diff(xs))
-    return float(special.logsumexp(seg))
+    return float(logsumexp(seg))
 
 
 def _quad_one_r(comp, family, n, r):
@@ -232,8 +244,7 @@ def upsilon_quadrature(comp, family, n, r_grid=None):
     else:
         rs = np.asarray(r_grid, dtype=float)
     est = _scan_r_grid(rs, lambda r: _quad_one_r(comp, family, n, r))
-    est.r_at_cap = (est.mode == "truncated" and est.r_star == float(rs[-1])
-                    and not math.isfinite(family.mean_domain[1]))
+    est.r_at_cap = est.mode == "truncated" and _at_cap(family, rs, est.r_star)
     return est
 
 
@@ -267,7 +278,7 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
         rs = np.asarray(r_grid, dtype=float)
 
     def ln_mean_exp(w):
-        return float(special.logsumexp(w) - math.log(len(w)))
+        return float(logsumexp(w) - math.log(len(w)))
 
     best, best_r, best_w = -math.inf, None, None
     rows = max(1, _BLOCK // n)
@@ -289,16 +300,32 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
 
     w_sorted = np.sort(best_w)
     top = max(1, samples // 100)
-    share = math.exp(special.logsumexp(w_sorted[-top:]) - special.logsumexp(w_sorted))
+    share = math.exp(logsumexp(w_sorted[-top:]) - logsumexp(w_sorted))
     quarters = [ln_mean_exp(best_w[: samples * j // 4]) for j in (1, 2, 3, 4)]
     growing = all(b > a for a, b in zip(quarters, quarters[1:]))
-    at_cap = not math.isfinite(family.mean_domain[1]) and best_r == float(rs[-1])
     return UpsilonEstimate("monte_carlo", best, ci=ci, r_star=best_r,
-                           r_at_cap=at_cap,
+                           r_at_cap=_at_cap(family, rs, best_r),
                            divergent_suspect=bool(growing and share > 0.5))
 
 
 # -- dispatcher and corrections ----------------------------------------------
+
+def cramer_divergence(family):
+    """Why Upsilon of the family's own Cramer comparator is infinite, or None.
+
+    For an exponential family P_r(S = s) e^{n Lambda*(s/n, r)} = P_{s/n}(S = s),
+    so Upsilon is the Shtarkov sum over s at every r: finite exactly when
+    the mean domain is bounded, which among these families is Bernoulli's
+    alone.  The Laplace location family is not exponential, but its
+    integrand falls only like 1/|d| in the deviation d.
+    """
+    if family.kind == "bernoulli":
+        return None
+    if family.kind == "laplace":
+        return "its integrand falls only like 1/|d| in the deviation d"
+    return ("it is the Shtarkov sum, infinite on the unbounded mean domain "
+            f"of {family.kind}")
+
 
 def compute_upsilon(comp, family, n, seed=0, r_grid=None, samples=10**5):
     """Route a (comparator, family) pair to its best Upsilon evaluation.
@@ -306,11 +333,15 @@ def compute_upsilon(comp, family, n, seed=0, r_grid=None, samples=10**5):
     r_grid overrides the route's r grid (the Bernoulli default is 2001
     interior points); seed and samples apply to the Monte-Carlo route.
     Comparators constructed to integrate to one over their own family skip
-    numerics entirely and return ln Upsilon = 0 exactly.
+    numerics entirely and return ln Upsilon = 0 exactly; a family's own
+    Cramer comparator off Bernoulli returns mode divergent the same way
+    (cramer_divergence).
     """
     if not n >= 1:
         raise ValueError(f"n must be at least 1, got {n}")
     p = comp.params
+    if p.get("family") == family and cramer_divergence(family):
+        return UpsilonEstimate("divergent", math.inf)
     if comp.form == "poisson_diff" and family.kind == "poisson":
         return UpsilonEstimate("exact", 0.0)
     if comp.form == "laplace_diff" and family.kind == "laplace" \

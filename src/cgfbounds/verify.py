@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import families as fam
+from ._special import binomial_tail_root, logsumexp, xlog1py, xlogy
 from .bounds import PARAMETRIC_INFIMA, average_bound, bound_values
 from .rng import make_generator, streams
 
@@ -67,7 +67,7 @@ def _simulate(problem):
     lhat = np.array([problem.family._draw(means, (n, means.size), g).mean(0)
                      for g in streams(problem.seed, range(t_total))])
     lnq = np.log(prior) - c * n * lhat
-    lnq -= special.logsumexp(lnq, axis=1, keepdims=True)
+    lnq -= logsumexp(lnq, axis=1, keepdims=True)
     q = np.exp(lnq)
     kl = np.maximum(np.einsum("tm,tm->t", q, lnq - np.log(prior)), 0.0)
     train = np.einsum("tm,tm->t", q, lhat)
@@ -88,11 +88,13 @@ def _bound_vector(kind, family, train, kl, n, delta):
 
 
 def clopper_pearson(k, t_total):
-    """The 95% Clopper-Pearson interval of k successes in t_total trials."""
-    a = (1.0 - 0.95) / 2.0
-    lo = 0.0 if k == 0 else float(special.betaincinv(k, t_total - k + 1, a))
-    hi = 1.0 if k == t_total else float(special.betaincinv(k + 1, t_total - k,
-                                                           1.0 - a))
+    """The 95% Clopper-Pearson interval of k successes in t_total trials.
+
+    Each limit is rounded outward, so cp95_high <= delta never holds by
+    rounding alone.
+    """
+    lo = 0.0 if k == 0 else binomial_tail_root(k, t_total, 0.025, upper=True)
+    hi = 1.0 if k == t_total else binomial_tail_root(k, t_total, 0.025)
     return lo, hi
 
 
@@ -213,7 +215,7 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
         raise ValueError("exact loss-vector enumeration needs at most 12 "
                          f"hypotheses, got {m}")
     vs = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
-    ln_pv = (special.xlogy(vs, means) + special.xlog1py(1.0 - vs, -means)).sum(axis=1)
+    ln_pv = (xlogy(vs, means) + xlog1py(1.0 - vs, -means)).sum(axis=1)
     pv = np.exp(ln_pv)
 
     def mean_kl(q_rows, q_ref, weights):
@@ -225,14 +227,14 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
     for rep in range(replicates):
         if n == 1 or c == 0.0:
             lnq = np.log(prior) - c * n * vs
-            q_v = np.exp(lnq - special.logsumexp(lnq, axis=1, keepdims=True))
+            q_v = np.exp(lnq - logsumexp(lnq, axis=1, keepdims=True))
         else:
             rng = make_generator(problem.seed, 310000, rep)
             q_v = np.empty((len(vs), m))
             for iv, v in enumerate(vs):
                 rest = family._draw(means, (inner, n - 1, m), rng).sum(axis=1)
                 lnq = np.log(prior) - c * (v + rest)
-                lnq -= special.logsumexp(lnq, axis=1, keepdims=True)
+                lnq -= logsumexp(lnq, axis=1, keepdims=True)
                 q_v[iv] = np.exp(lnq).mean(axis=0)
         q_marg = pv @ q_v
         alpha_sw = float(pv @ np.einsum("vm,vm->v", q_v, vs))
@@ -249,7 +251,7 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
         rng2 = make_generator(problem.seed, 320000, rep)
         lhat = family._draw(means, (outer, n, m), rng2).mean(axis=1)
         lnq = np.log(prior) - c * n * lhat
-        lnq -= special.logsumexp(lnq, axis=1, keepdims=True)
+        lnq -= logsumexp(lnq, axis=1, keepdims=True)
         q_z = np.exp(lnq)
         q_bar = q_z.mean(axis=0)
         alpha_f = float(np.einsum("tm,tm->t", q_z, lhat).mean())

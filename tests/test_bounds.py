@@ -354,6 +354,26 @@ def test_chernoff_kind_refused_before_upsilon(family, monkeypatch):
                                         [0.5], [1.0], 20, 0.05)).all()
 
 
+UNBOUNDED_FAMILIES = [fam.gaussian(1.0), fam.poisson(), fam.gamma(2.0),
+                      fam.invgauss(1.5), fam.negbin(2.0), fam.laplace(1.0)]
+
+
+@pytest.mark.parametrize("family", UNBOUNDED_FAMILIES, ids=fam.family_spec)
+def test_chernoff_refused_off_bernoulli_by_proof(family, monkeypatch):
+    # these Upsilon values are infinite; a sampled estimate is finite and
+    # would certify nothing, so no Upsilon is computed and none is accepted
+    def no_upsilon(*args, **kwargs):
+        raise AssertionError("compute_upsilon was called")
+
+    monkeypatch.setattr(bounds, "compute_upsilon", no_upsilon)
+    reason = "1/|d|" if family.kind == "laplace" else "Shtarkov"
+    with pytest.raises(bounds.CorrectionDivergent, match=reason):
+        bounds.evaluate_kind("pac_cramer_chernoff", family, 1.0, 5.0, 100, 0.05)
+    with pytest.raises(bounds.CorrectionDivergent, match=reason):
+        bounds.pac_bound(family, 1.0, 5.0, 100, 0.05, "chernoff",
+                         ln_upsilon=1.5)
+
+
 def test_surface_bernoulli_clamped_nonnegative():
     alphas = np.linspace(0.05, 0.95, 5)
     bons = np.geomspace(1e-3, 5.0, 5)

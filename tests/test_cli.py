@@ -17,13 +17,45 @@ def run_cli(*args, flags=()):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_import_leaves_out_scipy_optimize_and_stats():
+def test_import_leaves_out_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, cgfbounds, cgfbounds.cli; "
-         "print(sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules)))"],
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+NO_SCIPY_RUNS = [
+    ["selfcheck"],
+    ["sweep", "--config", "figs/fig1a.cfg", "--out", "-"],
+    ["upsilon", "--comparator", "kl", "--family", "bernoulli", "--n", "20"],
+    ["upsilon", "--comparator", "scaled_diff:t=0.05", "--family", "poisson",
+     "--n", "20"],
+    ["upsilon", "--comparator", "scaled_diff:t=0.3", "--family", "gamma:k=2",
+     "--n", "20"],
+    ["upsilon", "--comparator", "scaled_diff:t=0.3", "--family", "laplace:b=1",
+     "--n", "20", "--samples", "200"],
+    ["verify", "--family", "bernoulli", "--trials", "200", "--m", "3",
+     "--n", "10"],
+]
+
+
+def test_commands_run_with_scipy_unimportable():
+    # sys.modules['scipy'] = None makes every scipy import fail in the child
+    script = ("import json, sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from cgfbounds.cli import main\n"
+              "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n")
+    proc = subprocess.run([sys.executable, "-c", script,
+                           json.dumps(NO_SCIPY_RUNS)],
+                          capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().split("\n")
+    assert json.loads(lines[-1]) == [0] * len(NO_SCIPY_RUNS)
+    modes = [json.loads(line)["mode"] for line in lines
+             if line.startswith('{"mode"')]
+    assert modes == ["exact", "truncated", "truncated", "monte_carlo"]
 
 
 def test_bound_matches_library():
@@ -115,6 +147,18 @@ def test_sweep_clamp_keeps_divergent_cells_nan(tmp_path):
     for row in rows:
         assert math.isnan(float(row[2])) and math.isnan(float(row[4]))
         assert 0.0 < float(row[3]) <= 1.0
+
+
+def test_sweep_laplace_chernoff_is_all_nan():
+    # refused by proof: the laplace Cramer-comparator Upsilon is infinite
+    code, out, _ = run_cli("sweep", "--family", "laplace:b=1",
+                           "--kinds", "pac_cramer_chernoff",
+                           "--alpha-range", "0.1:1:3", "--bon-range", "0.01:1:3",
+                           "--n", "100", "--delta", "0.05", "--out", "-")
+    assert code == 0
+    rows = [r.split(",") for r in out.strip().split("\n")[1:]]
+    assert len(rows) == 9
+    assert all(math.isnan(float(row[2])) for row in rows)
 
 
 def test_config_merge_flags_win(tmp_path):

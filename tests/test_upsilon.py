@@ -9,6 +9,7 @@ import cgfbounds as cb
 from cgfbounds import families as fam
 from cgfbounds import inversion as inv
 from cgfbounds import upsilon as ups
+from cgfbounds._special import gammaln, logsumexp, xlog1py, xlogy
 from cgfbounds.conjugate import argmax_zoom
 from cgfbounds.rng import make_generator
 
@@ -51,13 +52,12 @@ def test_catoni_bernoulli_enumeration_is_one():
 def exact_by_loop(comp, n, r_grid):
     """The Bernoulli route one r at a time: per-r sums, then the same polish."""
     ks = np.arange(n + 1)
-    ln_binom = (special.gammaln(n + 1) - special.gammaln(ks + 1)
-                - special.gammaln(n - ks + 1))
+    ln_binom = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
 
     def ln_value(r):
-        ln_pmf = ln_binom + special.xlogy(ks, r) + special.xlog1py(n - ks, -r)
+        ln_pmf = ln_binom + xlogy(ks, r) + xlog1py(n - ks, -r)
         d = np.array([float(comp.eval(float(k / n), r)) for k in ks])
-        return float(special.logsumexp(ln_pmf + n * d))
+        return float(logsumexp(ln_pmf + n * d))
 
     rs = (np.linspace(1e-6, 1.0 - 1e-6, r_grid) if np.ndim(r_grid) == 0
           else np.sort(np.asarray(r_grid, dtype=float)))
@@ -188,6 +188,36 @@ def test_quadrature_own_cramer_divergent(family):
     assert est.mode == "divergent" and est.value == math.inf
 
 
+@pytest.mark.parametrize("family", [fam.gaussian(1.0), fam.gamma(2.0),
+                                    fam.invgauss(1.5)],
+                         ids=lambda f: f.kind)
+def test_quadrature_detects_own_cramer_divergence(family):
+    est = ups.upsilon_quadrature(inv.cramer_of(family), family, 10)
+    assert est.mode == "divergent" and est.value == math.inf
+
+
+@pytest.mark.parametrize("family", [fam.gaussian(1.0), fam.poisson(),
+                                    fam.gamma(2.0), fam.invgauss(1.5),
+                                    fam.negbin(2.0), fam.laplace(1.0)],
+                         ids=fam.family_spec)
+def test_own_cramer_divergent_without_numerics(family, monkeypatch):
+    for route in ("upsilon_poisson_series", "upsilon_quadrature",
+                  "upsilon_monte_carlo"):
+        monkeypatch.setattr(ups, route, None)
+    est = ups.compute_upsilon(inv.cramer_of(family), family, 20)
+    assert est.mode == "divergent" and est.value == math.inf
+    assert ups.cramer_divergence(family)
+    # Bernoulli's mean domain is bounded, so its sum is finite
+    assert ups.cramer_divergence(fam.bernoulli()) is None
+
+
+def test_other_members_cramer_takes_its_route():
+    # the short cut is for a family's own Cramer function only
+    comp, family = inv.cramer_of(fam.gaussian(2.0)), fam.gaussian(1.0)
+    assert ups.compute_upsilon(comp, family, 10) == \
+        ups.upsilon_quadrature(comp, family, 10)
+
+
 def test_quadrature_r_at_cap_flag():
     # plain difference over gamma grows in r without bound
     est = ups.upsilon_quadrature(inv.scaled_diff(0.5), fam.gamma(2.0), 4,
@@ -222,6 +252,16 @@ def test_monte_carlo_laplace_identity():
     est = ups.upsilon_monte_carlo(inv.laplace_diff(0.3, 1.0), fam.laplace(1.0),
                                   10, r_grid=[0.4], samples=5 * 10**4, seed=7)
     assert est.ci[0] <= 0.0 <= est.ci[1]
+
+
+def test_one_point_grid_is_never_at_cap():
+    # a single r is no grid to run off the end of
+    est = ups.upsilon_monte_carlo(inv.scaled_diff(0.3), fam.gaussian(1.0), 20,
+                                  [0.0], 200, 3)
+    assert est.r_star == 0.0 and est.r_at_cap is False
+    est = ups.upsilon_quadrature(inv.scaled_diff(0.5), fam.gamma(2.0), 4,
+                                 r_grid=(50.0,))
+    assert est.r_star == 50.0 and est.r_at_cap is False
 
 
 def test_monte_carlo_needs_four_samples():
