@@ -18,7 +18,10 @@ from .rng import make_generator
 
 _LN2 = math.log(2.0)
 _CHUNK = 4096       # series terms per step of the Poisson route
-_BLOCK = 2**20      # elements per block of the Bernoulli grid and Monte Carlo
+# elements per block of the Bernoulli grid and Monte Carlo: cache-sized, so
+# each pass over a block stays in L2; every row is reduced on its own, so
+# the block size changes no value
+_BLOCK = 2**15
 _SERIES_EPS = 1e-10           # relative tail at which a Poisson series stops
 _SERIES_MAX_TERMS = 10**6     # Poisson series terms before giving up at one r
 _QUAD_POINTS = 4001           # fine-grid points around the quadrature peak
@@ -257,9 +260,10 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
     of evaluation order.  ci is value +- _Z95 sd / (mean sqrt(samples)) of
     e^{w - max w} at the maximizing r: the normal 95% interval of the mean
     weight, carried to the log scale by the delta method.  The draws are
-    made in blocks of whole rows, about _BLOCK elements each, so memory does
-    not grow with samples x n; a stream does not depend on how its draws are
-    split, so the result does not depend on the block size.  The
+    made in cache-sized blocks of whole rows, about _BLOCK elements each, so
+    memory does not grow with samples x n and each pass stays in cache; a
+    stream does not depend on how its draws are split and each row's mean
+    is taken on its own, so the block size changes no value.  The
     divergent_suspect flag fires when the estimate still grows across
     sample-size prefixes and the top 1% of draws carries more than half the
     total weight.  samples must be at least 4, one per sample-size prefix.
@@ -280,6 +284,7 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
     def ln_mean_exp(w):
         return float(logsumexp(w) - math.log(len(w)))
 
+    family._check_mean(rs)
     best, best_r, best_w = -math.inf, None, None
     rows = max(1, _BLOCK // n)
     means = np.empty(samples)
@@ -287,8 +292,8 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
         rng = make_generator(seed, idx)
         for j in range(0, samples, rows):
             k = min(rows, samples - j)
-            means[j:j + k] = family.sample(float(r), k * n,
-                                           rng=rng).reshape(k, n).mean(axis=1)
+            family._draw(float(r), k * n, rng).reshape(k, n).mean(
+                axis=1, out=means[j:j + k])
         w = n * cellwise(comp.eval, means, float(r))
         v = ln_mean_exp(w)
         if v > best:

@@ -58,14 +58,28 @@ class TrialRecord:
     violated: bool
 
 
+_TRIAL_BLOCK = 32   # trials whose draws are averaged in one pass
+
+
 @functools.lru_cache(maxsize=16)
 def _simulate(problem):
-    """Per-trial (train, pop, kl) arrays; trial t draws on stream (seed, t)."""
+    """Per-trial (train, pop, kl) arrays; trial t draws on stream (seed, t).
+
+    Each trial's (n, m) draws fill one slot of a (_TRIAL_BLOCK, n, m)
+    block, and a full block is averaged over n in one pass; the mean of
+    each trial is the same sum in the same order as on its own.
+    """
     means = np.asarray(problem.hypothesis_means, dtype=float)
     prior = np.asarray(problem.prior_weights, dtype=float)
     c, n, t_total = problem.gibbs_temperature, problem.n, problem.trials
-    lhat = np.array([problem.family._draw(means, (n, means.size), g).mean(0)
-                     for g in streams(problem.seed, range(t_total))])
+    lhat = np.empty((t_total, means.size))
+    block = np.empty((_TRIAL_BLOCK, n, means.size))
+    gens = streams(problem.seed, range(t_total))
+    for lo in range(0, t_total, _TRIAL_BLOCK):
+        k = min(_TRIAL_BLOCK, t_total - lo)
+        for i in range(k):
+            block[i] = problem.family._draw(means, (n, means.size), next(gens))
+        block[:k].mean(axis=1, out=lhat[lo:lo + k])
     lnq = np.log(prior) - c * n * lhat
     lnq -= logsumexp(lnq, axis=1, keepdims=True)
     q = np.exp(lnq)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgfbounds import families as fam
+from cgfbounds.rng import make_generator
 
 ALL = [fam.bernoulli(), fam.gaussian(1.3), fam.poisson(), fam.gamma(2.5),
        fam.laplace(0.8), fam.invgauss(1.7), fam.negbin(3.0)]
@@ -190,11 +191,72 @@ def test_sample_deterministic_by_seed():
     assert np.array_equal(a, b)
 
 
+class _Uniforms:
+    """A stand-in Generator whose random(size) hands out fixed uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return self.u.reshape(size).copy()
+
+
+def _old_laplace(p, v, u):
+    # the sampler's inverse CDF as first written, with the sign product
+    u = u - 0.5
+    return p - v * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+def test_laplace_draw_bit_identical_to_sign_form():
+    # U = 0, 1/2 and 1/2 -+ one ulp, 1 - 2^-53 (the largest double below 1)
+    edge = np.array([0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                     1.0 - 2.0 ** -53, 2.0 ** -53, 0.25, 0.75])
+    rand = make_generator(3, 1).random(4 * 50 - edge.size)
+    u = np.concatenate((edge, rand)).reshape(50, 4)
+    means = np.array([0.0, -1.5, 0.3, 1e-3])
+    for v in (1.0, 0.8, 2.5e-3, 7.0):
+        f = fam.laplace(v)
+        with np.errstate(divide="ignore"):   # u = 0 gives an infinite draw
+            want = _old_laplace(means, v, u)
+            got = f._draw(means, u.shape, _Uniforms(u))
+            scalar = f._draw(-0.7, u.size, _Uniforms(u))
+            want_scalar = _old_laplace(-0.7, v, u.ravel())
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(scalar, want_scalar)
+
+
+@pytest.mark.parametrize("v", [1.0, 1.3, 0.02, 40.0])
+def test_gaussian_draw_is_rng_normal(v):
+    means = np.array([-2.0, 0.0, 0.37, 5.5])
+    for key in range(20):
+        got = fam.gaussian(v)._draw(means, (25, 4), make_generator(11, key))
+        want = make_generator(11, key).normal(means, math.sqrt(v), (25, 4))
+        assert np.array_equal(got, want)
+
+
 # -- spec strings and validation ------------------------------------------------
 
 @pytest.mark.parametrize("family", ALL, ids=lambda f: f.kind)
 def test_spec_round_trip(family):
     assert fam.parse_family(fam.family_spec(family)) == family
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(fam.FAMILY_KINDS),
+       v=st.floats(min_value=0.0, max_value=1e300, exclude_min=True))
+def test_spec_round_trip_any_nuisance(kind, v):
+    family = fam.BoundingFamily(kind, None if kind in ("bernoulli", "poisson")
+                                else v)
+    assert fam.parse_family(fam.family_spec(family)) == family
+
+
+def test_spec_keeps_short_names():
+    assert fam.family_spec(fam.gaussian(1.0)) == "gaussian:sigma2=1"
+    assert fam.family_spec(fam.laplace(0.5)) == "laplace:b=0.5"
+    assert fam.family_spec(fam.negbin(2)) == "negbin:r=2"
+    # :g keeps six digits; a nuisance it cannot carry is written in full
+    assert fam.family_spec(fam.gamma(2.0000001)) == "gamma:k=2.0000001"
 
 
 def test_parse_family_strings():

@@ -211,6 +211,56 @@ def test_own_cramer_divergent_without_numerics(family, monkeypatch):
     assert ups.cramer_divergence(fam.bernoulli()) is None
 
 
+def test_negbin_cramer_sum_grows_across_decades():
+    """The negbin(2) Cramer Upsilon at n = 10 is an infinite sum.
+
+    By the Shtarkov identity its terms are P_{k/n}(S = k) for S the sum of
+    n draws (Rissanen, Fisher information and stochastic complexity, IEEE
+    Trans. IT, 1996), whose sd grows like k, so k times the k-th term
+    settles to a constant and the partial sums grow like ln K; the same
+    sums come out at every r.
+    """
+    f, n = fam.negbin(2.0), 10
+    size = n * f.nuisance                  # S ~ NB(n v, v / (v + r))
+    k = np.arange(10**6, dtype=float)
+    decades = [10**j - 1 for j in (3, 4, 5, 6)]
+    for r in (0.3, 5.0):
+        ln_pmf = (gammaln(k + size) - gammaln(k + 1) - gammaln(size)
+                  + size * math.log(f.nuisance / (f.nuisance + r))
+                  + k * math.log(r / (f.nuisance + r)))
+        terms = np.exp(ln_pmf + n * f.cramer(k / n, r))
+        ln_partial = np.log(np.cumsum(terms)[decades])
+        assert ln_partial == pytest.approx([2.2818, 2.6297, 2.8881, 3.0933],
+                                           abs=1e-4)
+        k_terms = k[decades] * terms[decades]
+        assert k_terms[3] / k_terms[2] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_laplace_cramer_integral_grows_like_log():
+    """The laplace(1) Cramer Upsilon at n = 1 is an infinite integral.
+
+    Its integrand e^{-|d|} e^{Lambda*(r + d, r)} / 2 falls like e^{-1}/|d|,
+    so the integral over |d| <= L grows like (2/e) ln L, the continuous
+    case of the same Shtarkov argument (Rissanen, Fisher information and
+    stochastic complexity, IEEE Trans. IT, 1996).
+    """
+    f = fam.laplace(1.0)
+
+    def integral(L):
+        # twice the half-line integral, by the trapezoid rule
+        d = np.concatenate((np.linspace(0.0, 1.0, 4001),
+                            np.geomspace(1.0, L, 40001)[1:]))
+        h = np.exp(-d + f.cramer(d, 0.0))
+        return float(((h[1:] + h[:-1]) * np.diff(d)).sum() / 2.0)
+
+    vals = [integral(L) for L in (1e2, 1e4, 1e6, 1e8)]
+    assert vals[0] == pytest.approx(3.7441, abs=1e-3)
+    assert vals[3] == pytest.approx(13.9053, abs=1e-3)
+    # each hundredfold of L adds (2/e) ln 100, up to a shrinking O(ln L / L)
+    gaps = np.diff(vals) - 2.0 / math.e * math.log(100.0)
+    assert np.all(np.abs(gaps) < 4e-3) and abs(gaps[2]) < abs(gaps[0])
+
+
 def test_other_members_cramer_takes_its_route():
     # the short cut is for a family's own Cramer function only
     comp, family = inv.cramer_of(fam.gaussian(2.0)), fam.gaussian(1.0)
@@ -291,11 +341,14 @@ MC_FROZEN = [
      (1.362227518877674, (1.3461271937742143, 1.3783278439811337), 1.5)),
     ((inv.binary_kl(), fam.bernoulli(), 5, [0.5], 10**5, 2),
      (1.258631680496034, (1.2455917065011877, 1.2716716544908804), 0.5)),
+    # 10^4 x 20 draws per r span several blocks, the last one partial
+    ((inv.scaled_diff(0.3), fam.laplace(1.0), 20, [-0.5, 0.25], 10**4, 11),
+     (1.9447025463384424, (1.7980691410303056, 2.0913359516465793), -0.5)),
 ]
 
 
 @pytest.mark.parametrize("case,want", MC_FROZEN,
-                         ids=["gaussian", "negbin", "bernoulli"])
+                         ids=["gaussian", "negbin", "bernoulli", "laplace"])
 def test_monte_carlo_blocks_frozen(case, want):
     est = ups.upsilon_monte_carlo(*case)
     assert (est.value, est.ci, est.r_star) == want
