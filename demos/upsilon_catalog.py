@@ -31,5 +31,5 @@ for name, comp, family in cases:
 
 print("\nenvelope check: ln Upsilon_kl(n) vs ln(2 sqrt n)")
 for m in (1, 5, 20, 100, 500):
-    v = ups.upsilon_bernoulli_exact(inv.binary_kl(), m, r_grid=101).value
+    v = ups.compute_upsilon(inv.binary_kl(), fam.bernoulli(), m).value
     print("  n=%3d   %8.5f <= %8.5f" % (m, v, math.log(2 * math.sqrt(m))))

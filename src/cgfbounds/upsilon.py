@@ -1,10 +1,12 @@
 """The moment quantity Upsilon_Delta(n) = sup_r E exp(n Delta(xbar, r)).
 
-Routes: exact binomial sums (Bernoulli), truncated series with a divergence
-certificate (Poisson), log-domain quadrature of the sample-mean density
-(Gaussian, gamma, inverse Gaussian), Monte Carlo with a delta-method 95%
-interval otherwise.  Also houses the union-bound corrections that substitute
-for Upsilon when it diverges.  All values are carried in log domain.
+Routes: the Shtarkov sum for the Bernoulli Cramer comparator (one O(n)
+log-sum-exp, no r), exact binomial sums on an r-grid for other Bernoulli
+comparators, truncated series with a divergence certificate (Poisson),
+log-domain quadrature of the sample-mean density (Gaussian, gamma, inverse
+Gaussian), Monte Carlo with a delta-method 95% interval otherwise.  Also
+houses the union-bound corrections that substitute for Upsilon when it
+diverges.  All values are carried in log domain.
 """
 
 import math
@@ -39,23 +41,46 @@ class UpsilonEstimate:
     divergent_suspect: bool = False
 
 
-# -- Bernoulli: exact binomial sum ------------------------------------------
+# -- Bernoulli: exact binomial sums -----------------------------------------
+
+def _ln_binom(n):
+    """(k, ln C(n, k)) for k = 0..n."""
+    ks = np.arange(n + 1)
+    return ks, gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+
+
+def upsilon_shtarkov_bernoulli(n):
+    """ln sum_k C(n,k) (k/n)^k (1-k/n)^{n-k}: Upsilon of the binary kl.
+
+    For an exponential family P_r(S = s) e^{n Lambda*(s/n, r)} = P_{s/n}(S = s)
+    at every r, so the Bernoulli Cramer comparator's Upsilon is this
+    Shtarkov sum, with nothing to maximize over r (Shtarkov, Universal
+    sequential coding of single messages, 1987).  It is ln 2 at n = 1 and at
+    most ln(2 sqrt(n)), the mls correction (Maurer, A note on the PAC
+    Bayesian theorem, 2004).  The terms use the 0 ln 0 = 0 convention.
+    """
+    ks, ln_binom = _ln_binom(n)
+    qs = ks / n
+    return UpsilonEstimate("exact", float(logsumexp(
+        ln_binom + xlogy(ks, qs) + xlog1py(n - ks, -qs))))
+
 
 def upsilon_bernoulli_exact(comp, n, r_grid=2001):
     """ln sup_r sum_k C(n,k) r^k (1-r)^{n-k} e^{n Delta(k/n, r)}, exactly.
 
-    The sum is evaluated in log domain on an interior r-grid (an integer
-    resolution or an explicit array of interior r values) as one (r, k)
-    log-sum-exp; comparators that do not broadcast over (r, k) are evaluated
-    cell by cell.  The best grid r is refined by argmax_zoom between its
-    grid neighbours, each round a small batch of rows of the same sum; the
-    endpoint values r in {0, 1} (degenerate means) are included via the
-    0 ln 0 convention.  Raises ValueError if the comparator is not finite at
-    some r of the grid.
+    The route for every Bernoulli comparator but the Cramer one, which
+    compute_upsilon sends to upsilon_shtarkov_bernoulli; for that one this
+    function is the test oracle.  The sum is evaluated in log domain on an
+    interior r-grid (an integer resolution or an explicit array of interior
+    r values) as one (r, k) log-sum-exp; comparators that do not broadcast
+    over (r, k) are evaluated cell by cell.  The best grid r is refined by
+    argmax_zoom between its grid neighbours, each round a small batch of
+    rows of the same sum; the endpoint values r in {0, 1} (degenerate means)
+    are included via the 0 ln 0 convention.  Raises ValueError if the
+    comparator is not finite at some r of the grid.
     """
-    ks = np.arange(n + 1)
+    ks, ln_binom = _ln_binom(n)
     qs = ks / n
-    ln_binom = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
 
     def ln_values(rs):
         col = rs[:, None]
@@ -321,8 +346,9 @@ def cramer_divergence(family):
     For an exponential family P_r(S = s) e^{n Lambda*(s/n, r)} = P_{s/n}(S = s),
     so Upsilon is the Shtarkov sum over s at every r: finite exactly when
     the mean domain is bounded, which among these families is Bernoulli's
-    alone.  The Laplace location family is not exponential, but its
-    integrand falls only like 1/|d| in the deviation d.
+    alone, where compute_upsilon sums it (upsilon_shtarkov_bernoulli).  The
+    Laplace location family is not exponential, but its integrand falls
+    only like 1/|d| in the deviation d.
     """
     if family.kind == "bernoulli":
         return None
@@ -335,18 +361,29 @@ def cramer_divergence(family):
 def compute_upsilon(comp, family, n, seed=0, r_grid=None, samples=10**5):
     """Route a (comparator, family) pair to its best Upsilon evaluation.
 
+    A family's own Cramer comparator (binary_kl over Bernoulli included)
+    skips the r-grid: over Bernoulli it is the Shtarkov sum, mode exact
+    with r_star None (upsilon_shtarkov_bernoulli); elsewhere it is mode
+    divergent (cramer_divergence).  Comparators constructed to integrate to
+    one over their own family return ln Upsilon = 0 exactly.  Otherwise
     r_grid overrides the route's r grid (the Bernoulli default is 2001
     interior points); seed and samples apply to the Monte-Carlo route.
-    Comparators constructed to integrate to one over their own family skip
-    numerics entirely and return ln Upsilon = 0 exactly; a family's own
-    Cramer comparator off Bernoulli returns mode divergent the same way
-    (cramer_divergence).
+    Raises ValueError when n is not an integer of at least 1 or the
+    comparator's loss range does not cover the family's mean domain.
     """
-    if not n >= 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"n must be at least 1 and an integer, got {n}")
+    (c_lo, c_hi), (f_lo, f_hi) = comp.loss_range, family.mean_domain
+    if not (c_lo <= f_lo and f_hi <= c_hi):
+        raise ValueError(f"comparator {comp.form} has loss range "
+                         f"[{c_lo}, {c_hi}], which does not cover the mean "
+                         f"domain ({f_lo}, {f_hi}) of the {family.kind} family")
     p = comp.params
-    if p.get("family") == family and cramer_divergence(family):
-        return UpsilonEstimate("divergent", math.inf)
+    if p.get("family") == family or (comp.form == "binary_kl"
+                                     and family.kind == "bernoulli"):
+        if cramer_divergence(family):
+            return UpsilonEstimate("divergent", math.inf)
+        return upsilon_shtarkov_bernoulli(n)
     if comp.form == "poisson_diff" and family.kind == "poisson":
         return UpsilonEstimate("exact", 0.0)
     if comp.form == "laplace_diff" and family.kind == "laplace" \

@@ -80,12 +80,12 @@ def test_c03_laplace_equivalence():
 
 def test_c04_mls_envelope():
     t0 = time.perf_counter()
-    comp = inv.binary_kl()
+    comp, bern = inv.binary_kl(), fam.bernoulli()
     margin = -math.inf
     for n in range(1, 501):
-        v = ups.upsilon_bernoulli_exact(comp, n, r_grid=101).value
+        v = ups.compute_upsilon(comp, bern, n).value
         margin = max(margin, v - math.log(2.0 * math.sqrt(n)))
-    one = ups.upsilon_bernoulli_exact(comp, 1).value
+    one = ups.compute_upsilon(comp, bern, 1).value
     exact1 = abs(one - math.log(2.0)) <= 1e-12
     dt = time.perf_counter() - t0
     verdict(4, "ln Upsilon_kl(n) <= ln(2 sqrt n), n <= 500",

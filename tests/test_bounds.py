@@ -140,6 +140,17 @@ def test_chernoff_bernoulli_between_reference_and_xi():
     assert ref - 1e-9 <= ch <= 1.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 50, 100, 500, 2000])
+def test_chernoff_bernoulli_at_most_mls(n):
+    # ln Upsilon of the binary kl is the Shtarkov sum, at most ln(2 sqrt n),
+    # mls's correction, and both invert the same kl
+    grid = (np.linspace(0.0, 0.95, 12), np.geomspace(1e-4, 3.0, 12), n)
+    for delta in (0.01, 0.05, 0.5):
+        s = bounds.comparison_surface("pac_cramer_chernoff", "mls", grid,
+                                      family=fam.bernoulli(), delta=delta)
+        assert not np.isnan(s).any() and s.max() <= 1e-9, (n, delta)
+
+
 def test_binary_only_kinds_reject_other_families():
     with pytest.raises(ValueError, match="bernoulli"):
         bounds.evaluate_kind("mls", fam.gaussian(1.0), 0.2, 1.0, 20, 0.05)

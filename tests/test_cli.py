@@ -296,6 +296,9 @@ USAGE_ERRORS = {
            "--n", "0", "--delta", "0.05"), ["n must", "0"]),
     "upsilon-n": (("upsilon", "--comparator", "kl", "--family", "bernoulli",
                    "--n", "0"), ["n must be at least 1", "0"]),
+    "upsilon-loss-range": (("upsilon", "--comparator", "kl", "--family",
+                            "poisson", "--n", "3"),
+                           ["binary_kl", "does not cover", "poisson"]),
     "verify-trials": (("verify", "--trials", "0"), ["trials", "0"]),
     "verify-m": (("verify", "--m", "1", "--trials", "10"),
                  ["at least 2 hypotheses", "1"]),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,13 +126,70 @@ def test_bernoulli_grid_must_be_interior():
         ups.upsilon_bernoulli_exact(inv.binary_kl(), 4, r_grid=(0.0, 0.5))
 
 
+# -- Bernoulli Cramer comparator: the Shtarkov sum ----------------------------
+
+SHTARKOV = {"binary_kl": inv.binary_kl(),
+            "cramer": inv.cramer_of(fam.bernoulli())}
+
+
+@pytest.mark.parametrize("name", sorted(SHTARKOV))
+def test_shtarkov_route_equals_grid_oracle(name):
+    # r cancels term by term, so the grid route at any one interior r is an
+    # oracle for every n; the default 2001-point grid checks a few n
+    comp, rs = SHTARKOV[name], (0.05, 0.3, 0.5, 0.7, 0.95)
+    for n in range(1, 501):
+        est = ups.compute_upsilon(comp, fam.bernoulli(), n)
+        assert est.mode == "exact" and est.r_star is None
+        want = ups.upsilon_bernoulli_exact(comp, n, (rs[n % 5],)).value
+        assert abs(est.value - want) <= 1e-12, n
+    for n in (1, 2, 7, 50, 500):
+        want = ups.upsilon_bernoulli_exact(comp, n).value
+        got = ups.compute_upsilon(comp, fam.bernoulli(), n).value
+        assert abs(got - want) <= 1e-12, n
+
+
+@pytest.mark.parametrize("name", sorted(SHTARKOV))
+def test_shtarkov_route_builds_no_r_grid(name, monkeypatch):
+    comp = SHTARKOV[name]
+    want = ups.compute_upsilon(comp, fam.bernoulli(), 30)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("upsilon_bernoulli_exact was called")
+
+    monkeypatch.setattr(ups, "upsilon_bernoulli_exact", no_grid)
+    for r_grid in (None, 11, (0.2, 0.6)):
+        assert ups.compute_upsilon(comp, fam.bernoulli(), 30,
+                                   r_grid=r_grid) == want
+    assert want == ups.upsilon_shtarkov_bernoulli(30)
+    assert ups.upsilon_shtarkov_bernoulli(1).value == math.log(2.0)
+
+
 def test_top_level_binary_kl_is_the_comparator():
     est = cb.compute_upsilon(cb.binary_kl(), cb.bernoulli(), 20)
     assert est.value == pytest.approx(kl_flat_sum(20), abs=1e-9)
 
 
+@pytest.mark.parametrize("comp,family", [
+    (inv.binary_kl(), fam.poisson()),
+    (inv.binary_kl(), fam.gaussian(1.0)),
+    (inv.cramer_of(fam.bernoulli()), fam.laplace(1.0)),
+    (inv.catoni(-1.0), fam.gamma(2.0)),
+    (inv.poisson_diff(0.5), fam.gaussian(1.0)),
+], ids=lambda x: getattr(x, "form", None) or fam.family_spec(x))
+def test_loss_range_must_cover_mean_domain(comp, family, monkeypatch):
+    # refused up front, naming both, before any route starts
+    for route in ("upsilon_shtarkov_bernoulli", "upsilon_bernoulli_exact",
+                  "upsilon_poisson_series", "upsilon_quadrature",
+                  "upsilon_monte_carlo"):
+        monkeypatch.setattr(ups, route, None)
+    with pytest.raises(ValueError, match=rf"comparator {re.escape(comp.form)}"
+                       rf" .* does not cover .* {family.kind} family"):
+        ups.compute_upsilon(comp, family, 3)
+
+
 def test_compute_upsilon_rejects_n_below_one():
-    for n in (0, -3):
+    # n is a sample size: a fractional one has no binomial sum
+    for n in (0, -3, 2.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="n must be at least 1"):
             ups.compute_upsilon(inv.binary_kl(), fam.bernoulli(), n)
 

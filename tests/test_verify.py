@@ -122,6 +122,16 @@ def test_chernoff_kind_over_bernoulli():
     assert all(math.isfinite(r.bound_value) for r in recs)
 
 
+def test_chernoff_kind_valid_on_bernoulli_suite_problems():
+    # a certified kind outside default_suite, so its frozen counts stay
+    problems = [p for p in verify.suite_problems(2000, (0,))
+                if p.family.kind == "bernoulli"]
+    assert len(problems) == 12
+    for p in problems:
+        _, summary = verify.run_trials(p, "pac_cramer_chernoff", 0.05)
+        assert summary["cp95_high"] <= 0.05, summary
+
+
 GRID_ORACLES = {
     "gaussian": lambda a, b: a + math.sqrt(2 * 0.6 * b),
     "poisson": inv.invert_closed_form_poisson,
