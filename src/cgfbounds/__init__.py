@@ -12,8 +12,7 @@ from .inversion import (BoundQuery, BoundResult, Comparator, NoFiniteBound,
                         NonMonotoneComparator, binary_kl, catoni, cramer_of,
                         gaussian_diff, infimum_over_parameter, invert,
                         invert_at_budget, invert_closed_form_poisson,
-                        invert_grid, lambert_wm1, laplace_diff, poisson_diff,
-                        scaled_diff)
+                        invert_grid, laplace_diff, poisson_diff, scaled_diff)
 from .upsilon import (UpsilonEstimate, compute_upsilon, correction_two_e_ceil,
                       correction_xi, upsilon_bernoulli_exact,
                       upsilon_monte_carlo, upsilon_poisson_series,

@@ -88,12 +88,8 @@ def _objective_on_grid(cgf, q, ts):
     return np.where(np.isnan(vals), -math.inf, vals)
 
 
-def _probe_points(tdom):
-    lo, hi = tdom.effective()
-    pts = set()
-    if lo <= 0.0 < hi:
-        if lo < 0.0 or tdom.sided == "nonneg_only":
-            pts.add(0.0)
+def _probe_points(lo, hi):
+    pts = {0.0} if lo < 0.0 < hi else set()
     # cap the ladder at 2^20: beyond that, q t - cgf(t) is a difference of
     # near-equal O(t) floats and its O(1) value drowns in rounding noise
     for j in range(-20, 21):
@@ -108,7 +104,7 @@ def _probe_points(tdom):
             t = hi - d0 * 2.0 ** -j
             if lo < t < hi:
                 pts.add(t)
-    if math.isfinite(lo) and lo != 0.0:
+    if math.isfinite(lo):
         d0 = (hi - lo) / 2.0 if math.isfinite(hi) else max(1.0, abs(lo))
         for j in range(1, 46):
             t = lo + d0 * 2.0 ** -j
@@ -130,7 +126,7 @@ def _tail_result(ts, vals, sign, q, best):
 
 
 def numeric_conjugate(cgf, q, t_domain):
-    """Maximize q t - cgf(t) over the open interval t_domain.
+    """Maximize q t - cgf(t) over the open interval t_domain = (lower, upper).
 
     Parameters
     ----------
@@ -139,8 +135,9 @@ def numeric_conjugate(cgf, q, t_domain):
         raise ValueError outside its finiteness interval.
     q : float
         Query point of the conjugate.
-    t_domain : TDomain
-        Finiteness interval, possibly restricted to t >= 0.
+    t_domain : tuple
+        The CGF's finiteness interval as a nonempty open (lower, upper) pair,
+        such as BoundingFamily.t_domain(p) returns.
 
     Returns
     -------
@@ -154,13 +151,12 @@ def numeric_conjugate(cgf, q, t_domain):
         If the objective grows without bound along an unbounded direction,
         i.e. q lies outside the closure of the family's mean range.
     """
-    ts = _probe_points(t_domain)
-    assert ts, "empty probe set for conjugate search"
+    lo, hi = t_domain
+    ts = _probe_points(lo, hi)
     vals = _objective_on_grid(cgf, q, ts)
     i = int(np.argmax(vals))
     if vals[i] == -math.inf:
         return ConjugateResult(-math.inf, math.nan, False)
-    lo, hi = t_domain.effective()
     # an end value within rounding noise of the maximum means the objective
     # plateaus (or keeps growing) toward that end; let the tail rule decide
     near = 1e-9 * max(1.0, abs(vals[i]))

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import rel_entr, xlogy
-from .rng import make_generator
 
 FAMILY_KINDS = ("bernoulli", "gaussian", "poisson", "gamma", "laplace",
                 "invgauss", "negbin")
 
 _INF = math.inf
+
+_NUISANCE_KEY = {"gaussian": "sigma2", "gamma": "k", "laplace": "b",
+                 "invgauss": "lambda", "negbin": "r"}
 
 
 def binary_kl(q, p):
@@ -27,43 +29,21 @@ def binary_kl(q, p):
 
 
 @dataclass(frozen=True)
-class TDomain:
-    """Open interval of CGF arguments, optionally restricted to t >= 0."""
-    lower: float
-    upper: float
-    sided: str = "full"  # "full" | "nonneg_only"
-
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError("t domain needs lower < upper, got "
-                             f"({self.lower}, {self.upper})")
-        if self.sided not in ("full", "nonneg_only"):
-            raise ValueError("sided must be 'full' or 'nonneg_only', got "
-                             f"{self.sided!r}")
-        lo, hi = self.effective()
-        if not lo < hi:
-            raise ValueError(f"t domain {self.sided} has an empty effective "
-                             f"interval ({lo}, {hi})")
-
-    def effective(self):
-        """The (lower, upper) pair actually searched."""
-        lo = max(self.lower, 0.0) if self.sided == "nonneg_only" else self.lower
-        return lo, self.upper
-
-
-@dataclass(frozen=True)
 class BoundingFamily:
-    """One of the seven supported families, frozen at its nuisance value."""
+    """One of the seven supported families, frozen at its nuisance value,
+    which lies in (0, inf) for the five families that take one."""
     kind: str
     nuisance: float | None = None
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        needs = self.kind not in ("bernoulli", "poisson")
-        if needs and (self.nuisance is None or self.nuisance <= 0):
-            raise ValueError(f"{self.kind} requires a positive nuisance parameter")
-        if not needs and self.nuisance is not None:
+        key = _NUISANCE_KEY.get(self.kind)
+        if key and not (self.nuisance is not None
+                        and 0.0 < self.nuisance < _INF):
+            raise ValueError(f"{self.kind} needs {key} in (0, inf), "
+                             f"got {self.nuisance}")
+        if not key and self.nuisance is not None:
             raise ValueError(f"{self.kind} takes no nuisance parameter")
 
     # -- mean domain ------------------------------------------------------
@@ -85,29 +65,27 @@ class BoundingFamily:
 
     # -- CGF and its finiteness interval ----------------------------------
 
-    def t_domain(self, p, sided="full"):
-        """Finiteness interval of the CGF of the member with mean p."""
+    def t_domain(self, p):
+        """The finiteness interval of the CGF of the member with mean p, as
+        an open (lower, upper) pair; nonempty, as the nuisance is in (0, inf)."""
         self._check_mean(p)
         v = self.nuisance
         if self.kind in ("bernoulli", "gaussian", "poisson"):
-            dom = (-_INF, _INF)
-        elif self.kind == "gamma":
-            dom = (-_INF, v / p)
-        elif self.kind == "laplace":
-            dom = (-1.0 / v, 1.0 / v)
-        elif self.kind == "invgauss":
-            dom = (-_INF, v / (2.0 * p * p))
-        else:  # negbin
-            dom = (-_INF, math.log1p(v / p))
-        return TDomain(dom[0], dom[1], sided)
+            return -_INF, _INF
+        if self.kind == "gamma":
+            return -_INF, v / p
+        if self.kind == "laplace":
+            return -1.0 / v, 1.0 / v
+        if self.kind == "invgauss":
+            return -_INF, v / (2.0 * p * p)
+        return -_INF, math.log1p(v / p)  # negbin
 
     def cgf(self, p, t):
         """ln E[e^{tX}] for X ~ P_p. Raises outside the finiteness interval."""
-        self._check_mean(p)
-        dom = self.t_domain(p)
+        lo, hi = self.t_domain(p)
         tt = np.asarray(t, dtype=float)
-        if np.any(tt <= dom.lower) or np.any(tt >= dom.upper):
-            raise ValueError(f"t={t} outside the CGF domain {dom.lower, dom.upper}")
+        if np.any(tt <= lo) or np.any(tt >= hi):
+            raise ValueError(f"t={t} outside the CGF domain {lo, hi}")
         v = self.nuisance
         if self.kind == "bernoulli":
             # log1p form is most precise near t = 0; the logaddexp form
@@ -172,17 +150,15 @@ class BoundingFamily:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self, p, size, seed=None, rng=None):
+    def sample(self, p, size, rng):
         """i.i.d. draws of the given size (an int or a shape) as a float array.
 
         p is a mean or an array of means broadcast against size, so column h
-        of sample(means, (n, m)) is drawn from the member with mean means[h].
-        Pass either a seed (a fresh counter-based stream is keyed off it) or
-        an existing numpy Generator.
+        of sample(means, (n, m), rng) is drawn from the member with mean
+        means[h].  rng is a numpy Generator, such as one from
+        cgfbounds.rng.make_generator(seed).
         """
         self._check_mean(p)
-        if rng is None:
-            rng = make_generator(0 if seed is None else seed)
         return self._draw(p, size, rng)
 
     def _draw(self, p, size, rng):
@@ -242,10 +218,6 @@ def invgauss(lam):
 
 def negbin(r):
     return BoundingFamily("negbin", r)
-
-
-_NUISANCE_KEY = {"gaussian": "sigma2", "gamma": "k", "laplace": "b",
-                 "invgauss": "lambda", "negbin": "r"}
 
 
 def parse_family(spec):

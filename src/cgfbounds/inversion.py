@@ -87,14 +87,14 @@ def catoni(gamma):
                       exact_inverse=inv)
 
 
-def scaled_diff(t, loss_range=(-math.inf, math.inf)):
+def scaled_diff(t):
     """Plain difference comparator t (p - q)."""
 
     def fn(q, p):
         return t * (p - q)
 
     inv = (lambda alpha, budget: alpha + budget / t) if t > 0 else None
-    return Comparator("scaled_diff", fn, loss_range, {"t": t},
+    return Comparator("scaled_diff", fn, (-math.inf, math.inf), {"t": t},
                       exact_inverse=inv)
 
 
@@ -116,7 +116,7 @@ def poisson_diff(t):
 
 def laplace_diff(t, b):
     """t (p - q) + ln(1 - b^2 t^2), the offset difference comparator."""
-    if not 0.0 < t < 1.0 / b:
+    if not (b > 0.0 and 0.0 < t < 1.0 / b):
         raise ValueError(f"laplace_diff needs 0 < t < 1/b, got t={t}, b={b}")
     off = math.log1p(-(b * t) ** 2)
 
@@ -132,8 +132,9 @@ def laplace_diff(t, b):
 
 def gaussian_diff(t, sigma2):
     """t (p - q) - sigma^2 t^2 / 2, the offset difference comparator."""
-    if not t > 0:
-        raise ValueError(f"gaussian_diff needs t > 0, got {t}")
+    if not (t > 0.0 and 0.0 < sigma2 < math.inf):
+        raise ValueError("gaussian_diff needs t > 0 and sigma2 in (0, inf), "
+                         f"got t={t}, sigma2={sigma2}")
     off = -0.5 * sigma2 * t * t
 
     def fn(q, p):
@@ -202,6 +203,7 @@ _STATUSES = ("converged", "capped_at_domain", "budget_nonpositive",
              "no_finite_bound")
 _CONVERGED, _CAPPED, _NONPOSITIVE, _NO_FINITE = range(len(_STATUSES))
 _MAX_DOUBLINGS = 200
+_TOL = 1e-9             # relative bracket width at which bisection stops
 
 
 def _bisect(comp, alpha, budget, tol):
@@ -284,7 +286,7 @@ def _bisect(comp, alpha, budget, tol):
     return rho, lo, hi, iterations, status
 
 
-def invert_at_budget(comp, alpha, budget, tol=1e-9):
+def invert_at_budget(comp, alpha, budget, tol=_TOL):
     """sup{rho in the loss range : comp(alpha, rho) <= budget} by bisection.
 
     The scalar (0-d) case of invert_grid; raises NoFiniteBound where that
@@ -298,17 +300,17 @@ def invert_at_budget(comp, alpha, budget, tol=1e-9):
                        int(iterations), _STATUSES[status])
 
 
-def invert_grid(comp, alphas, budgets, tol=1e-9):
+def invert_grid(comp, alphas, budgets):
     """invert_at_budget over broadcast (alpha, budget) arrays.
 
     Returns the rho array, NaN in every cell that has no finite bound.
     """
-    return _bisect(comp, alphas, budgets, tol)[0]
+    return _bisect(comp, alphas, budgets, _TOL)[0]
 
 
-def invert(comp, query, tol=1e-9):
+def invert(comp, query):
     """Evaluate the bound operator for a query; see BoundQuery for the budget."""
-    return invert_at_budget(comp, query.alpha, query.budget(), tol)
+    return invert_at_budget(comp, query.alpha, query.budget())
 
 
 # -- Poisson closed form ---------------------------------------------------
@@ -339,13 +341,6 @@ def _u_root(B):
         if abs(step) <= 1e-16 * u:
             break
     return u
-
-
-def lambert_wm1(x):
-    """Lambert W, lower branch: the root w <= -1 of w e^w = x, x in [-1/e, 0)."""
-    if not -1.0 / math.e <= x < 0.0:
-        raise ValueError("lambert_wm1 requires -1/e <= x < 0")
-    return -_u_root(-math.log(-x) - 1.0)
 
 
 def invert_closed_form_poisson(alpha, budget):

@@ -26,6 +26,9 @@ _CHUNK = 4096       # series terms per step of the Poisson route
 _BLOCK = 2**15
 _SERIES_EPS = 1e-10           # relative tail at which a Poisson series stops
 _SERIES_MAX_TERMS = 10**6     # Poisson series terms before giving up at one r
+_SERIES_LN_CAP = 30.0         # divergent: a Poisson partial sum above e^30,
+_SLOW_RUN = 10**4             # a run of 10^4 slow term ratios past k = 10^4,
+_QUAD_TAIL_NATS = 60.0        # quadrature tails less than 60 nats below peak
 _QUAD_POINTS = 4001           # fine-grid points around the quadrature peak
 _Z95 = 1.959963984540054      # the 97.5% normal quantile
 
@@ -162,7 +165,7 @@ def _series_one_r(comp, n, r, ln_fact):
         ln_t = -lam + ks * ln_lam - ln_fact[k0] \
             + n * cellwise(comp.eval, ks / n, r)
         ln_sum = np.logaddexp(ln_sum, logsumexp(ln_t))
-        if ln_sum > 30.0:
+        if ln_sum > _SERIES_LN_CAP:
             return None
         # certificate: a long run of term ratios inside (1 - 1/(k+1), 1] means
         # the terms decay, but slower than any summable power tail; growing
@@ -175,7 +178,7 @@ def _series_one_r(comp, n, r, ln_fact):
         else:
             last_fast = np.flatnonzero(~slow)[-1]
             slow_run = len(slow) - 1 - last_fast
-        if k0 >= 10**4 and slow_run >= 10**4:
+        if k0 >= _SLOW_RUN and slow_run >= _SLOW_RUN:
             return None
         ratio = float(np.exp(dln[-1]))
         if ks[-1] > lam and ratio < 1.0:
@@ -192,9 +195,9 @@ def upsilon_poisson_series(comp, n, r_grid=None):
 
     Sums Poisson(nr) mass times e^{n Delta(k/n, r)} per grid r until the
     geometric tail drops below _SERIES_EPS of the sum.  Declares divergence
-    when the partial sum passes e^30 or when 10^4 consecutive term ratios
-    exceed 1 - 1/(k+1) beyond k = 10^4 (sub-summable decay, the Stirling
-    k^{-1/2} signature).
+    when the partial sum passes e^_SERIES_LN_CAP (e^30) or when _SLOW_RUN
+    (10^4) consecutive term ratios exceed 1 - 1/(k+1) beyond k = _SLOW_RUN
+    (sub-summable decay, the Stirling k^{-1/2} signature).
     """
     rs = np.geomspace(1e-6, 50.0, 121) if r_grid is None else np.asarray(r_grid)
     ln_fact = {}
@@ -239,7 +242,7 @@ def _quad_one_r(comp, family, n, r):
     lnh_c = np.where(np.isnan(lnh_c), -math.inf, lnh_c)
     ipk = int(np.argmax(lnh_c))
     peak = float(lnh_c[ipk])
-    if max(float(lnh_c[0]), float(lnh_c[-1])) > peak - 60.0:
+    if max(float(lnh_c[0]), float(lnh_c[-1])) > peak - _QUAD_TAIL_NATS:
         return None  # tails refuse to decay: integral effectively divergent
     if family.kind == "gaussian":
         w = max(10.0 * sd, 10.0 * (coarse[1] - coarse[0]))
@@ -260,9 +263,10 @@ def _quad_one_r(comp, family, n, r):
 def upsilon_quadrature(comp, family, n, r_grid=None):
     """Quadrature of E e^{n Delta(xbar, r)} for families with a closed mean density.
 
-    Detects divergence when the log integrand fails to decay by 60 nats at
-    the extreme ends of a wide coarse grid (for the Cramer comparators of
-    the gamma family the integrand behaves like 1/x at both ends).
+    Detects divergence when the log integrand fails to decay by
+    _QUAD_TAIL_NATS (60) nats at the extreme ends of a wide coarse grid (for
+    the Cramer comparators of the gamma family the integrand behaves like
+    1/x at both ends).
     """
     if r_grid is None:
         if family.kind == "gaussian":
@@ -358,16 +362,16 @@ def cramer_divergence(family):
             f"of {family.kind}")
 
 
-def compute_upsilon(comp, family, n, seed=0, r_grid=None, samples=10**5):
+def compute_upsilon(comp, family, n, seed=0, samples=10**5):
     """Route a (comparator, family) pair to its best Upsilon evaluation.
 
     A family's own Cramer comparator (binary_kl over Bernoulli included)
     skips the r-grid: over Bernoulli it is the Shtarkov sum, mode exact
     with r_star None (upsilon_shtarkov_bernoulli); elsewhere it is mode
     divergent (cramer_divergence).  Comparators constructed to integrate to
-    one over their own family return ln Upsilon = 0 exactly.  Otherwise
-    r_grid overrides the route's r grid (the Bernoulli default is 2001
-    interior points); seed and samples apply to the Monte-Carlo route.
+    one over their own family return ln Upsilon = 0 exactly.  Every other
+    pair takes its route on the route's default r grid (the route functions
+    take an r_grid); seed and samples apply to the Monte-Carlo route.
     Raises ValueError when n is not an integer of at least 1 or the
     comparator's loss range does not cover the family's mean domain.
     """
@@ -397,13 +401,12 @@ def compute_upsilon(comp, family, n, seed=0, r_grid=None, samples=10**5):
     if comp.form == "scaled_diff" and p.get("t") == 0.0:
         return UpsilonEstimate("exact", 0.0)
     if family.kind == "bernoulli":
-        return upsilon_bernoulli_exact(comp, n,
-                                       2001 if r_grid is None else r_grid)
+        return upsilon_bernoulli_exact(comp, n)
     if family.kind == "poisson":
-        return upsilon_poisson_series(comp, n, r_grid)
+        return upsilon_poisson_series(comp, n)
     if family.kind in ("gaussian", "gamma", "invgauss"):
-        return upsilon_quadrature(comp, family, n, r_grid)
-    return upsilon_monte_carlo(comp, family, n, r_grid, samples, seed)
+        return upsilon_quadrature(comp, family, n)
+    return upsilon_monte_carlo(comp, family, n, samples=samples, seed=seed)
 
 
 def correction_xi(n_times_trainloss, kl):

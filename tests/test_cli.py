@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cgfbounds import bounds, families as fam
+from cgfbounds import bounds, conjugate, families as fam
 from cgfbounds.cli import main
 
 
@@ -253,6 +253,17 @@ def test_selfcheck_passes():
     assert stdout.count("PASS") == 3
 
 
+def test_nan_conjugate_fails_the_checks(monkeypatch, capsys):
+    # max() drops a NaN error; the checks must report it as a failure
+    monkeypatch.setattr(conjugate, "family_conjugate",
+                        lambda family, q, p: conjugate.ConjugateResult(
+                            math.nan, 0.0))
+    assert main(["conjugate-check", "--family", "bernoulli"]) == 5
+    assert "max_err=nan FAIL" in capsys.readouterr().out
+    assert main(["selfcheck"]) == 5
+    assert "conjugate-vs-closed max_err=nan FAIL" in capsys.readouterr().out
+
+
 def test_exit_codes_usage_and_io(tmp_path):
     code, _, err = run_cli("bound", "--family", "nosuch", "--alpha", "0.2",
                            "--beta", "1", "--n", "10")
@@ -331,14 +342,55 @@ USAGE_ERRORS = {
                             "--u", "7"), ["two_e_ceil", "chernoff", "u=7"]),
     "u-one": (BOUND + ("--delta", "0.05", "--correction", "one", "--u", "7"),
               ["--u needs --correction 2eceil", "one"]),
+    "family-nan": (("bound", "--family", "gaussian:sigma2=nan", "--alpha",
+                    "0.1", "--beta", "1", "--n", "10"),
+                   ["gaussian needs sigma2 in (0, inf)", "nan"]),
+    "family-inf": (("bound", "--family", "gamma:k=inf", "--alpha", "0.1",
+                    "--beta", "1", "--n", "10"),
+                   ["gamma needs k in (0, inf)", "inf"]),
+    "gaussian-diff-nan": (("upsilon", "--comparator",
+                           "gaussian_diff:t=0.5,sigma2=nan", "--family",
+                           "gaussian:sigma2=1", "--n", "5"),
+                          ["gaussian_diff", "sigma2", "nan"]),
 }
+
+# runs each USAGE_ERRORS case through main() and prints {case: [code, out, err]}
+RUN_CASES = """
+import contextlib, io, json, sys
+from cgfbounds.cli import main
+got = {}
+for case, argv in json.loads(sys.argv[1]).items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    got[case] = [code, out.getvalue(), err.getvalue()]
+print(json.dumps(got))
+"""
+
+
+@pytest.fixture(scope="module")
+def usage_errors_optimized():
+    # one python -O child for every case: -O strips asserts, so a check
+    # that rests on one would let the bad input through
+    cases = {case: list(args) for case, (args, _) in USAGE_ERRORS.items()}
+    proc = subprocess.run([sys.executable, "-O", "-c", RUN_CASES,
+                           json.dumps(cases)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
 @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
-def test_usage_errors_exit_2_with_message(case, flags):
+def test_usage_errors_exit_2_with_message(case, flags, capsys, request):
     args, words = USAGE_ERRORS[case]
-    code, out, err = run_cli(*args, flags=flags)
+    if flags:
+        code, out, err = request.getfixturevalue("usage_errors_optimized")[case]
+    else:
+        code = main(list(args))
+        out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
     for word in words:
@@ -356,6 +408,7 @@ def test_threads_flag_rejected():
     BOUND + ("--out", "x.txt"),
     BOUND + ("--seed", "1"),
     ("conjugate-check", "--family", "bernoulli", "--out", "x.txt"),
+    ("conjugate-check", "--family", "bernoulli", "--tol", "1e-3"),
     ("selfcheck", "--seed", "1"),
     NDEP + ("--seed", "1"),
     ("sweep", "--family", "bernoulli", "--kinds", "average_cramer",

@@ -50,13 +50,6 @@ def test_supremum_at_infinity_Bernoulli_edge():
     assert res.at_boundary and math.isinf(res.t_star)
 
 
-def test_one_sided_domain_gives_zero_below_mean():
-    poi = fam.poisson()
-    res = con.numeric_conjugate(lambda t: poi.cgf(1.0, t), 0.4,
-                                poi.t_domain(1.0, sided="nonneg_only"))
-    assert res.value == pytest.approx(0.0, abs=1e-12)
-
-
 def test_gamma_finite_end_polish():
     # supremum near the finite end t -> k/p for q far above p
     g = fam.gamma(2.0)
@@ -153,7 +146,13 @@ def test_numeric_conjugate_scalar_only_cgf_equals_vectorized(family):
         assert got == want
 
 
-def test_empty_effective_t_domain_is_rejected():
-    with pytest.raises(ValueError,
-                       match=r"empty effective interval \(0\.0, -1\.0\)"):
-        fam.TDomain(-2.0, -1.0, "nonneg_only")
+def test_t_domain_is_a_pair_and_zero_is_probed_inside_it():
+    # a plain (lower, upper) pair: 0 is a probe point exactly when it is
+    # interior, which holds for every family's CGF domain
+    assert con.numeric_conjugate(lambda t: 0.5 * t * t, 1.0,
+                                 (-math.inf, math.inf)).value == 0.5
+    for family in ALL:
+        lo, hi = family.t_domain(float(GRIDS[family.kind][2]))
+        assert lo < 0.0 < hi and 0.0 in con._probe_points(lo, hi)
+    assert 0.0 not in con._probe_points(0.0, 1.0)
+    assert 0.0 not in con._probe_points(-1.0, 0.0)

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from scipy import special
 from cgfbounds import families as fam
 from cgfbounds import inversion as inv
 from cgfbounds.inversion import BoundQuery
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # -- closed forms --------------------------------------------------------------
@@ -61,15 +65,20 @@ def test_poisson_closed_vs_bisection():
         assert closed == pytest.approx(bis, rel=1e-9)
 
 
+def lambert_wm1(x):
+    """W_{-1}(x) through the closed form: rho = -alpha W_{-1}(-e^{-1-B/alpha})."""
+    return -inv.invert_closed_form_poisson(1.0, -math.log(-x) - 1.0)
+
+
 def test_lambert_wm1_against_scipy():
     # keep clear of -1/e where scipy's lambertw itself loses accuracy
     for x in -np.geomspace(1e-280, 0.999 / math.e, 60):
         want = float(special.lambertw(complex(x), -1).real)
-        assert inv.lambert_wm1(float(x)) == pytest.approx(want, rel=1e-10)
+        assert lambert_wm1(float(x)) == pytest.approx(want, rel=1e-10)
     with pytest.raises(ValueError):
-        inv.lambert_wm1(0.1)
+        inv.invert_closed_form_poisson(1.0, -0.1)
     with pytest.raises(ValueError):
-        inv.lambert_wm1(-1.0)
+        inv.invert_closed_form_poisson(-1.0, 1.0)
 
 
 def test_lambert_wm1_near_branch_point():
@@ -77,7 +86,7 @@ def test_lambert_wm1_near_branch_point():
     for eps in (1e-12, 1e-9, 1e-6):
         x = -(1.0 / math.e - eps)
         want = float(mpmath.lambertw(mpmath.mpf(repr(x)), -1).real)
-        assert inv.lambert_wm1(x) == pytest.approx(want, rel=1e-9)
+        assert lambert_wm1(x) == pytest.approx(want, rel=1e-9)
 
 
 def test_lambert_wm1_underflow_regime():
@@ -380,6 +389,10 @@ calls = [
     lambda: inv.catoni(0.0),
     lambda: inv.poisson_diff(0.0),
     lambda: inv.gaussian_diff(-1.0, 1.0),
+    lambda: inv.gaussian_diff(0.5, float("nan")),
+    lambda: inv.laplace_diff(0.5, 0.0),
+    lambda: fam.gaussian(float("nan")),
+    lambda: fam.gamma(float("inf")),
     lambda: inv.laplace_diff(2.0, 1.0),
     lambda: inv.infimum_over_parameter(inv.poisson_diff,
                                        inv.BoundQuery(1.0, 1.0, 10), (0.0, 1.0)),
@@ -403,9 +416,6 @@ calls = [
         (0.2, 0.5), (0.5, 0.5), fam.gaussian(1.0), 1.0, 10, 5, 0)),
     lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
         (0.5,) * 13, (1.0 / 13,) * 13, fam.bernoulli(), 1.0, 10, 5, 0)),
-    lambda: fam.TDomain(1.0, 0.0, "bogus").effective(),
-    lambda: fam.TDomain(0.0, 1.0, "bogus").effective(),
-    lambda: fam.TDomain(-2.0, -1.0, "nonneg_only"),
     lambda: bounds.evaluate_kind("average_cramer", None, 0.2, 1.0, 20),
     lambda: bounds.evaluate_kind("pac_cramer_xi", None, 0.2, 1.0, 20, 0.05),
     lambda: bounds.bound_values("average_cramer", None, [0.2], [1.0], 20),
@@ -426,4 +436,14 @@ def test_input_validation_without_asserts(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_LIBRARY_INPUT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 33
+    assert proc.stdout.split() == ["ValueError"] * 34
+
+
+def test_package_source_has_no_assert():
+    # checks that python -O strips would let bad input through
+    for path in sorted((ROOT / "src" / "cgfbounds").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Assert), (path.name, node.lineno)
+            assert not (isinstance(node, ast.Name)
+                        and node.id == "__debug__"), (path.name, node.lineno)

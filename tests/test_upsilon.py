@@ -157,9 +157,7 @@ def test_shtarkov_route_builds_no_r_grid(name, monkeypatch):
         raise AssertionError("upsilon_bernoulli_exact was called")
 
     monkeypatch.setattr(ups, "upsilon_bernoulli_exact", no_grid)
-    for r_grid in (None, 11, (0.2, 0.6)):
-        assert ups.compute_upsilon(comp, fam.bernoulli(), 30,
-                                   r_grid=r_grid) == want
+    assert ups.compute_upsilon(comp, fam.bernoulli(), 30) == want
     assert want == ups.upsilon_shtarkov_bernoulli(30)
     assert ups.upsilon_shtarkov_bernoulli(1).value == math.log(2.0)
 
@@ -207,7 +205,72 @@ def test_poisson_cramer_series_divergent():
     assert est.mode == "divergent" and est.value == math.inf
 
 
+@pytest.mark.parametrize("margin,mode", [(-1e-6, "truncated"),
+                                         (1e-6, "divergent")])
+def test_series_partial_sum_cap_edge(margin, mode):
+    # over Poisson, ln E e^{n t (r - xbar)} = n r (t + e^{-t} - 1); pick r to
+    # put it just below or just above the cap
+    n, t = 4, 0.5
+    want = ups._SERIES_LN_CAP + margin
+    r = want / (n * (t + math.expm1(-t)))
+    est = ups.upsilon_poisson_series(inv.scaled_diff(t), n, r_grid=[r])
+    assert est.mode == mode
+    if mode == "truncated":
+        assert est.value == pytest.approx(want, rel=0, abs=1e-9)
+
+
+def poisson_cramer_step(k_step):
+    """The Poisson Cramer comparator, plus 1 from q = k_step on.
+
+    At n = 1 its series terms are P_k(S = k) (times e from k_step on), whose
+    ratios are slow from k = 2 on, except the step up at k = k_step.
+    """
+    cramer = fam.poisson().cramer
+    return inv.custom(lambda q, p: cramer(q, p) + (np.asarray(q) >= k_step),
+                      (0.0, math.inf))
+
+
+@pytest.mark.parametrize("extra,mode", [(0, "divergent"), (1, "truncated")])
+def test_series_slow_run_edge(extra, mode, monkeypatch):
+    # four chunks of terms; the last starts past k = _SLOW_RUN and ends at
+    # k = end, where the run of slow ratios since the step is end - k_step:
+    # exactly _SLOW_RUN, or one short
+    monkeypatch.setattr(ups, "_SERIES_MAX_TERMS", 4 * ups._CHUNK)
+    end = 4 * ups._CHUNK - 1
+    assert 3 * ups._CHUNK >= ups._SLOW_RUN
+    comp = poisson_cramer_step(end - ups._SLOW_RUN + extra)
+    est = ups.upsilon_poisson_series(comp, 1, r_grid=[0.5])
+    assert est.mode == mode
+
+
+@pytest.mark.parametrize("chunks,mode", [(3, "truncated"), (4, "divergent")])
+def test_series_slow_run_counts_past_k_edge(chunks, mode, monkeypatch):
+    # the run is already longer than _SLOW_RUN in the third chunk, but only
+    # the fourth starts past k = _SLOW_RUN
+    monkeypatch.setattr(ups, "_SERIES_MAX_TERMS", chunks * ups._CHUNK)
+    assert 2 * ups._CHUNK < ups._SLOW_RUN <= 3 * ups._CHUNK - 2
+    est = ups.upsilon_poisson_series(inv.cramer_of(fam.poisson()), 1,
+                                     r_grid=[0.5])
+    assert est.mode == mode
+
+
 # -- quadrature route -------------------------------------------------------------
+
+@pytest.mark.parametrize("margin,mode", [(-1e-6, "divergent"),
+                                         (1e-6, "truncated")])
+def test_quadrature_tail_edge(margin, mode):
+    # the comparator cancels the unit Gaussian density at n = 1, leaving the
+    # log integrand -c min(1, (x - r)^2): 0 at the peak, -c at both grid ends
+    c = ups._QUAD_TAIL_NATS + margin
+
+    def fn(q, p):
+        d2 = (q - p) ** 2
+        return 0.5 * math.log(2.0 * math.pi) + 0.5 * d2 - c * np.minimum(1.0, d2)
+
+    est = ups.upsilon_quadrature(inv.custom(fn, (-math.inf, math.inf)),
+                                 fam.gaussian(1.0), 1, r_grid=[0.0])
+    assert est.mode == mode
+
 
 def test_quadrature_quarter_square_gaussian():
     # Delta = (q-p)^2/4 over unit gaussians: E e^{Z^2/4} = sqrt(2) at every r
@@ -472,13 +535,16 @@ def test_dispatcher_routes():
     assert ups.compute_upsilon(inv.poisson_diff(0.4), fam.poisson(), 4,
                                ).mode == "exact"
     est = ups.compute_upsilon(inv.scaled_diff(0.05), fam.laplace(1.0), 5,
-                              samples=2 * 10**4, r_grid=[0.5, 1.0])
+                              samples=2 * 10**4)
     assert est.mode == "monte_carlo" and math.isfinite(est.value)
-    # the series and quadrature routes scan the r_grid they are given
     offset = dataclasses.replace(inv.poisson_diff(0.7), form="offset_diff")
-    for comp, family in [(offset, fam.poisson()),
-                         (inv.scaled_diff(0.5), fam.gamma(2.0))]:
-        est = ups.compute_upsilon(comp, family, 4, r_grid=[0.3])
+    assert ups.compute_upsilon(offset, fam.poisson(), 4).mode == "truncated"
+    assert ups.compute_upsilon(inv.scaled_diff(0.5), fam.gamma(2.0),
+                               4).mode == "truncated"
+    # the series and quadrature routes scan the r_grid they are given
+    for est in (ups.upsilon_poisson_series(offset, 4, r_grid=[0.3]),
+                ups.upsilon_quadrature(inv.scaled_diff(0.5), fam.gamma(2.0),
+                                       4, r_grid=[0.3])):
         assert est.mode == "truncated" and est.r_star == 0.3
 
 
