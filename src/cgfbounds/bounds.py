@@ -18,6 +18,8 @@ BOUND_KINDS = ("average_cramer", "pac_cramer_chernoff", "pac_cramer_xi",
 PARAMETRIC_INFIMA = ("catoni_inf", "poisson_diff_inf", "laplace_diff_inf",
                      "gaussian_diff_inf")
 
+_SCALAR_N = ("mls", "pac_cramer_two_e_ceil", "pac_cramer_chernoff")
+
 _COMPUTE = object()     # default ln_upsilon of _kind_query: compute it
 
 
@@ -113,11 +115,14 @@ def _kind_query(kind, family, alpha, beta, n, delta=None, sigma2=None, b=None,
     The only map from a kind name to its comparator and union correction
     ln_iota.  alpha and beta may be arrays; the Chernoff kind computes its
     Upsilon once for all of them, unless pac_bound supplies ln_upsilon
-    (None there is refused).  u is the 2e ceil(u) grid size, default n.
+    (None there is refused).  n may be an array too, except for the kinds
+    of _SCALAR_N.  u is the 2e ceil(u) grid size, default n.
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; use one of "
                          + ", ".join(BOUND_KINDS))
+    if kind in _SCALAR_N and np.ndim(n):
+        raise ValueError(f"the {kind} kind needs a scalar n, got an array")
     if family is None and kind.startswith(("average_", "pac_")):
         raise ValueError(f"the {kind} kind needs a family, got None")
     if kind == "average_cramer":
@@ -170,10 +175,12 @@ def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
 
 def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
                  b=None):
-    """One bound kind over broadcast (alpha, beta) arrays, NaN where it diverges.
+    """One bound kind over broadcast (alpha, beta, n) arrays, NaN where it
+    diverges.
 
     Every grid-evaluable kind, the parametric infima included, is a single
-    invert_grid call.
+    invert_grid call.  n may be an integer array, except for the kinds that
+    BoundQuery names.
     """
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                       np.asarray(beta, dtype=float))

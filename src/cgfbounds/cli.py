@@ -28,6 +28,12 @@ def _fmt(v):
     return "%.9g" % float(v)
 
 
+def _csv_rows(cols):
+    """One CSV line per index of the equal-length cols, each value as _fmt."""
+    fmt = ",".join(["%.9g"] * len(cols))
+    return [fmt % tuple(row) for row in np.column_stack(cols).tolist()]
+
+
 def _parse_range(text, want_scale=False):
     parts = text.split(":")
     scale = "linear"
@@ -139,10 +145,8 @@ def cmd_sweep(args):
                                 delta=args.delta, sigma2=args.sigma2, b=args.b)
         cols.append(np.minimum(v, 1.0) if args.clamp else v)
     header = "alpha,beta_over_n," + ",".join(kinds) + ",diff"
-    lines = [header]
-    for row in zip(a, bon, *cols, cols[0] - cols[-1]):
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_lines(args.out, lines)
+    _write_lines(args.out, [header] + _csv_rows([a, bon, *cols,
+                                                 cols[0] - cols[-1]]))
     return EXIT_OK
 
 
@@ -154,12 +158,16 @@ def cmd_ndep(args):
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     ns = np.geomspace(args.nmin, args.nmax, args.points)
-    ns = list(dict.fromkeys(int(round(x)) for x in ns))
-    lines = ["n,bound"]
-    for n in ns:
-        res = bounds.average_bound(family, args.alpha, args.beta, n)
-        lines.append(f"{n},{_fmt(res.rho)}")
-    _write_lines(args.out, lines)
+    ns = np.array(list(dict.fromkeys(int(round(x)) for x in ns)))
+    rho = bounds.bound_values("average_cramer", family, args.alpha, args.beta,
+                              ns)
+    if np.isnan(rho).any():
+        n = int(ns[np.isnan(rho)].min())
+        raise inv.NoFiniteBound(f"cramer[{fam.family_spec(family)}] at n={n}:"
+                                f" budget {args.beta / n} not exceeded after "
+                                f"{inv._MAX_DOUBLINGS} bracket doublings")
+    _write_lines(args.out, ["n,bound"] + ["%d,%.9g" % row for row in
+                                          zip(ns.tolist(), rho.tolist())])
     return EXIT_OK
 
 
@@ -341,7 +349,8 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ndep", parents=[writes],
-                       help="average bound vs n at fixed alpha, beta")
+                       help="average bound vs n at fixed alpha, beta; "
+                       "every n in one inversion")
     p.add_argument("--family", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)

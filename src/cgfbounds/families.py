@@ -77,7 +77,7 @@ class BoundingFamily:
         if self.kind == "laplace":
             return -1.0 / v, 1.0 / v
         if self.kind == "invgauss":
-            return -_INF, v / (2.0 * p * p)
+            return -_INF, v / (2.0 * p) / p   # p * p underflows, this to inf
         return -_INF, math.log1p(v / p)  # negbin
 
     def cgf(self, p, t):

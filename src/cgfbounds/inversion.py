@@ -89,6 +89,8 @@ def catoni(gamma):
 
 def scaled_diff(t):
     """Plain difference comparator t (p - q)."""
+    if not math.isfinite(t):
+        raise ValueError(f"scaled_diff needs a finite t, got {t}")
 
     def fn(q, p):
         return t * (p - q)
@@ -159,8 +161,10 @@ class BoundQuery:
 
     ln_iota is the log-correction ln(iota) in nats; the bounds module
     chooses the correction that supplies it.  delta absent means the
-    average-case operator (no confidence term).  alpha, beta and ln_iota may
-    be arrays; the budget then broadcasts over them.
+    average-case operator (no confidence term).  alpha, beta, n and ln_iota
+    may be arrays; the budget then broadcasts over them.  The mls,
+    pac_cramer_two_e_ceil and pac_cramer_chernoff kinds take a scalar n
+    only (bounds._kind_query refuses an array).
     """
     alpha: float
     beta: float
@@ -174,7 +178,7 @@ class BoundQuery:
             raise ValueError(f"beta must be finite and nonnegative, got {beta}")
         if not np.all(np.isfinite(ln_iota)):
             raise ValueError(f"ln_iota must be finite, got {ln_iota}")
-        if not self.n >= 1:
+        if not np.all(np.asarray(self.n) >= 1):
             raise ValueError(f"n must be at least 1, got {self.n}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
@@ -226,6 +230,9 @@ def _bisect(comp, alpha, budget, tol):
     if outside.any():
         raise ValueError(f"alpha={float(alpha[outside][0])} outside the loss "
                          f"range of {comp.form}")
+    if not np.all(np.isfinite(alpha)):   # an unbounded range lets inf through
+        raise ValueError(f"alpha must be finite, got "
+                         f"{float(alpha[~np.isfinite(alpha)][0])}")
     bounded = math.isfinite(hi_r)
     lo, hi = alpha.copy(), alpha.copy()
     iterations = np.zeros(alpha.shape, dtype=int)

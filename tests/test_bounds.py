@@ -151,6 +151,31 @@ def test_chernoff_bernoulli_at_most_mls(n):
         assert not np.isnan(s).any() and s.max() <= 1e-9, (n, delta)
 
 
+N_ARRAY = np.array([1, 7, 50, 400])
+
+
+@pytest.mark.parametrize("kind,family,delta", [
+    ("average_cramer", fam.poisson(), None),
+    ("average_cramer", fam.laplace(1.0), None),
+    ("pac_cramer_xi", fam.bernoulli(), 0.05),
+    ("catoni_inf", fam.bernoulli(), None),
+    ("gaussian_diff_inf", fam.gaussian(1.0), 0.05)])
+def test_bound_values_array_n_equals_scalar_n(kind, family, delta):
+    alphas = np.array([[0.1], [0.3]])
+    got = bounds.bound_values(kind, family, alphas, 2.0, N_ARRAY, delta)
+    assert got.shape == (2, 4)
+    for i, alpha in enumerate(alphas[:, 0]):
+        for j, n in enumerate(N_ARRAY.tolist()):
+            assert got[i, j] == bounds.bound_values(kind, family, alpha, 2.0,
+                                                    n, delta)
+
+
+@pytest.mark.parametrize("kind", bounds._SCALAR_N)
+def test_scalar_n_kinds_refuse_an_array_n(kind):
+    with pytest.raises(ValueError, match=f"the {kind} kind needs a scalar n"):
+        bounds.bound_values(kind, fam.bernoulli(), 0.2, 1.0, N_ARRAY, 0.05)
+
+
 def test_binary_only_kinds_reject_other_families():
     with pytest.raises(ValueError, match="bernoulli"):
         bounds.evaluate_kind("mls", fam.gaussian(1.0), 0.2, 1.0, 20, 0.05)

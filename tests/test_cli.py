@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cgfbounds import bounds, conjugate, families as fam
-from cgfbounds.cli import main
+from cgfbounds import bounds, conjugate, families as fam, inversion as inv
+from cgfbounds.cli import _csv_rows, _fmt, main
 
 
 def run_cli(*args, flags=()):
@@ -200,6 +201,80 @@ def test_ndep_zero_beta_constant(tmp_path):
     assert all(v == 0.7 for v in vals)
 
 
+# two alphas per family; each keeps a finite bound at n = 1 for beta <= 3
+NDEP_ALPHAS = {
+    "bernoulli": (0.1, 0.6),
+    "gaussian:sigma2=1": (-0.5, 1.0),
+    "poisson": (0.0, 1.0),
+    "gamma:k=2": (0.5, 2.0),
+    "laplace:b=1": (-1.0, 0.7),
+    "invgauss:lambda=1.5": (0.1, 0.2),
+    "negbin:r=3": (0.3, 2.0),
+}
+
+
+def ndep_by_loop(spec, alpha, beta, nmin, nmax, points):
+    """The per-n average_bound loop that ndep evaluated before: the oracle."""
+    family = fam.parse_family(spec)
+    ns = np.geomspace(nmin, nmax, points)
+    ns = list(dict.fromkeys(int(round(x)) for x in ns))
+    rhos = [bounds.average_bound(family, alpha, beta, n).rho for n in ns]
+    lines = ["n,bound"] + [f"{n},{_fmt(rho)}" for n, rho in zip(ns, rhos)]
+    return ns, rhos, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("spec", sorted(NDEP_ALPHAS))
+def test_ndep_equals_per_n_loop(spec, tmp_path):
+    # 60 points over 1..40 round to many duplicate n; beta = 0 gives alpha
+    for alpha in NDEP_ALPHAS[spec]:
+        for beta in (0.0, 0.5, 3.0):
+            ns, rhos, text = ndep_by_loop(spec, alpha, beta, 1, 40, 60)
+            out = tmp_path / "n.csv"
+            assert main(["ndep", "--family", spec, "--alpha", str(alpha),
+                         "--beta", str(beta), "--nmin", "1", "--nmax", "40",
+                         "--points", "60", "--out", str(out)]) == 0
+            assert out.read_text() == text
+            got = bounds.bound_values("average_cramer", fam.parse_family(spec),
+                                      alpha, beta, np.array(ns))
+            assert got.tolist() == rhos
+
+
+def test_ndep_runs_one_bisection(monkeypatch, tmp_path):
+    calls = []
+    bisect = inv._bisect
+
+    def counted(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(inv, "_bisect", counted)
+    assert main(["ndep", "--config", str(ROOT / "figs" / "fig3a.cfg"),
+                 "--out", str(tmp_path / "n.csv")]) == 0
+    assert len(calls) == 1 and calls[0][2].shape == (31,)
+
+
+def test_ndep_no_finite_bound_names_smallest_n(tmp_path, capsys):
+    # lambda/(2 alpha) = 0.1875: no finite bound while the budget 1/n exceeds
+    # it, i.e. for n <= 5
+    out = tmp_path / "n.csv"
+    assert main(["ndep", "--family", "invgauss:lambda=0.75", "--alpha", "2",
+                 "--beta", "1", "--nmin", "1", "--nmax", "100",
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("no finite bound: ")
+    assert "n=1:" in captured.err and "budget 1.0 " in captured.err
+    assert not out.exists()
+
+
+def test_sweep_rows_format_each_cell_like_fmt():
+    edge = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1, -2.5e17, 7.0]
+    cols = [np.array(edge), np.array(edge[::-1]), np.array(edge[2:] + edge[:2])]
+    want = [",".join(_fmt(v) for v in row) for row in zip(*cols)]
+    assert _csv_rows(cols) == want
+    assert want[0] == "nan,7,-inf" and want[3] == "-0,1e-300,0.1"
+
+
 def test_upsilon_json_record():
     code, out, _ = run_cli("upsilon", "--comparator", "kl",
                            "--family", "bernoulli", "--n", "1")
@@ -348,6 +423,20 @@ USAGE_ERRORS = {
     "family-inf": (("bound", "--family", "gamma:k=inf", "--alpha", "0.1",
                     "--beta", "1", "--n", "10"),
                    ["gamma needs k in (0, inf)", "inf"]),
+    "alpha-inf": (("bound", "--family", "gaussian:sigma2=1", "--alpha",
+                   "inf", "--beta", "1", "--n", "10"),
+                  ["alpha must be finite", "inf"]),
+    "ndep-alpha-inf": (("ndep", "--family", "gaussian:sigma2=1", "--alpha",
+                        "inf", "--beta", "1", "--nmin", "1", "--nmax", "10"),
+                       ["alpha must be finite", "inf"]),
+    "ndep-beta": (NDEP + ("--beta", "-1"),
+                  ["beta must be finite and nonnegative", "-1"]),
+    "scaled-diff-nan": (("upsilon", "--comparator", "scaled_diff:t=nan",
+                         "--family", "poisson", "--n", "5"),
+                        ["scaled_diff needs a finite t", "nan"]),
+    "scaled-diff-inf": (("upsilon", "--comparator", "scaled_diff:t=inf",
+                         "--family", "gamma:k=2", "--n", "5"),
+                        ["scaled_diff needs a finite t", "inf"]),
     "gaussian-diff-nan": (("upsilon", "--comparator",
                            "gaussian_diff:t=0.5,sigma2=nan", "--family",
                            "gaussian:sigma2=1", "--n", "5"),

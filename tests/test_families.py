@@ -144,6 +144,15 @@ def test_cgf_domain_errors():
         ig.cgf(1.0, 0.5)         # t >= lambda/(2 p^2)
 
 
+def test_invgauss_t_domain_at_a_tiny_mean():
+    # lambda/(2 p^2) overflows to +inf where p * p underflows to 0, instead
+    # of dividing by zero
+    ig = fam.invgauss(1.0)
+    assert ig.t_domain(1e-170) == (-math.inf, math.inf)
+    assert ig.t_domain(1e-100) == (-math.inf, 1.0 / 2e-100 / 1e-100)
+    assert ig.cgf(1e-170, -0.1) == pytest.approx(-1e-171, rel=1e-15)
+
+
 @pytest.mark.parametrize("family", ALL, ids=lambda f: f.kind)
 def test_cramer_nonnegative_zero_on_diagonal(family):
     lo, hi = INTERIOR[family.kind]

@@ -420,6 +420,14 @@ calls = [
     lambda: bounds.evaluate_kind("pac_cramer_xi", None, 0.2, 1.0, 20, 0.05),
     lambda: bounds.bound_values("average_cramer", None, [0.2], [1.0], 20),
     lambda: bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 20, 0.05, "xi", u=7.0),
+    lambda: inv.scaled_diff(float("nan")),
+    lambda: inv.scaled_diff(float("inf")),
+    lambda: inv.invert_at_budget(inv.cramer_of(fam.gaussian(1.0)),
+                                 float("inf"), 0.1),
+    lambda: inv.invert_grid(inv.scaled_diff(1.0), [0.1, float("-inf")], 0.1),
+    lambda: inv.BoundQuery(0.1, 1.0, [10, 0]),
+    lambda: bounds.bound_values("mls", fam.bernoulli(), 0.2, 1.0, [10, 20],
+                                0.05),
 ]
 for call in calls:
     try:
@@ -436,7 +444,7 @@ def test_input_validation_without_asserts(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_LIBRARY_INPUT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 34
+    assert proc.stdout.split() == ["ValueError"] * 40
 
 
 def test_package_source_has_no_assert():
