@@ -63,26 +63,6 @@ def optimistic_reference(family, alpha, beta, n, delta=None):
     return res
 
 
-def samplewise_bound(family, per_sample, n=None):
-    """Mean over samples of single-observation inversions.
-
-    per_sample holds (alpha_i, beta_i) pairs, one per sample; the result is
-    (1/n) sum_i of the n=1 average bound at those arguments.  Raises
-    NoFiniteBound if some pair has none.
-    """
-    pairs = list(per_sample)
-    if not pairs:
-        raise ValueError("per_sample needs at least one (alpha, beta) pair")
-    if n is not None and len(pairs) != n:
-        raise ValueError(f"per_sample must have length n={n}, got {len(pairs)}")
-    alphas, betas = zip(*pairs)
-    rhos = bound_values("average_cramer", family, alphas, betas, 1)
-    if np.isnan(rhos).any():
-        raise inv.NoFiniteBound("no finite bound at the per-sample pair "
-                                f"{pairs[int(np.argmax(np.isnan(rhos)))]}")
-    return sum(rhos.tolist()) / len(pairs)
-
-
 def _parametric_identity(kind, family, sigma2, b):
     """The comparator whose inversion is the parametric infimum `kind`.
 

@@ -12,7 +12,6 @@ from . import families as fam
 from . import inversion as inv
 from . import upsilon as ups
 from . import verify as ver
-from .rng import make_generator
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -171,31 +170,39 @@ def cmd_ndep(args):
     return EXIT_OK
 
 
+# name: (constructor, the keys it takes in argument order); cramer takes
+# the --family instead of a key
+_COMPARATORS = {
+    "kl": (inv.binary_kl, ()),
+    "cramer": (inv.cramer_of, ()),
+    "catoni": (inv.catoni, ("gamma",)),
+    "scaled_diff": (inv.scaled_diff, ("t",)),
+    "poisson_diff": (inv.poisson_diff, ("t",)),
+    "laplace_diff": (inv.laplace_diff, ("t", "b")),
+    "gaussian_diff": (inv.gaussian_diff, ("t", "sigma2")),
+}
+
+
 def _parse_comparator(text, family):
     head, _, rest = text.partition(":")
-    kv = dict(p.split("=", 1) for p in rest.split(",") if p)
-
-    def arg(key):
+    if head not in _COMPARATORS:
+        raise ValueError(f"unknown comparator {head!r}; use "
+                         f"{', '.join(_COMPARATORS)}")
+    make, keys = _COMPARATORS[head]
+    kv = {}
+    for item in filter(None, rest.split(",")):
+        key, eq, value = item.partition("=")
+        why = ("is not key=value" if not eq else
+               "has an unknown key" if key not in keys else
+               "repeats a key" if key in kv else None)
+        if why:
+            raise ValueError(f"comparator spec {text!r}: {item!r} {why}; "
+                             f"{head} takes {', '.join(keys) or 'no keys'}")
+        kv[key] = float(value)
+    for key in keys:
         if key not in kv:
             raise ValueError(f"comparator {head} needs {key}=<value>")
-        return float(kv[key])
-
-    if head == "kl":
-        return inv.binary_kl()
-    if head == "cramer":
-        return inv.cramer_of(family)
-    if head == "catoni":
-        return inv.catoni(arg("gamma"))
-    if head == "scaled_diff":
-        return inv.scaled_diff(arg("t"))
-    if head == "poisson_diff":
-        return inv.poisson_diff(arg("t"))
-    if head == "laplace_diff":
-        return inv.laplace_diff(arg("t"), arg("b"))
-    if head == "gaussian_diff":
-        return inv.gaussian_diff(arg("t"), arg("sigma2"))
-    raise ValueError(f"unknown comparator {head!r}; use kl, cramer, catoni, "
-                     "scaled_diff, poisson_diff, laplace_diff or gaussian_diff")
+    return make(family) if head == "cramer" else make(*(kv[k] for k in keys))
 
 
 def cmd_upsilon(args):
@@ -212,17 +219,10 @@ def cmd_upsilon(args):
 
 def cmd_verify(args):
     family = fam.parse_family(args.family)
-    if family.kind not in ver._MEAN_INTERVALS:
-        raise ValueError(f"verify supports the {', '.join(ver._MEAN_INTERVALS)}"
-                         f" families, got {family.kind}")
     if args.m < 2:
         raise ValueError(f"--m needs at least 2 hypotheses, got {args.m}")
-    rng = make_generator(args.seed, 900001)
-    lo, hi = ver._MEAN_INTERVALS[family.kind]
-    means = tuple(float(x) for x in rng.uniform(lo, hi, args.m))
-    prior = (1.0 / args.m,) * args.m
-    problem = ver.SyntheticProblem(means, prior, family, args.c, args.n,
-                                   args.trials, args.seed)
+    problem = ver.random_problem(family, args.m, args.c, args.n, args.trials,
+                                 args.seed, 900001)
     records, summary = ver.run_trials(problem, args.bound, args.delta)
     lines = [json.dumps(dataclasses.asdict(r)) for r in records]
     lines.append(json.dumps({"summary": summary}))

@@ -3,10 +3,10 @@
 Computes sup_t { q t - cgf(t) } by probing a dyadic ladder of t values,
 bracketing the (concave) objective's maximizer, and polishing by grid zoom.
 Detects supremum-at-infinity and genuine divergence.  Also houses the
-package's one 1-D maximizer, argmax_zoom, which the Bernoulli Upsilon and the
-parametric-infimum oracle share, and its one per-cell evaluator, cellwise,
-through which every comparator and CGF call on arrays goes; this module
-imports nothing from the package.
+package's one scan-and-zoom maximizer, argmax_zoom, which the conjugate, the
+Bernoulli Upsilon and the parametric-infimum oracle share, and its one
+per-cell evaluator, cellwise, through which every comparator and CGF call on
+arrays goes; this module imports nothing from the package.
 """
 
 import math
@@ -29,25 +29,29 @@ class ConjugateResult:
     at_boundary: bool = False
 
 
-def argmax_zoom(f, a, b):
-    """Best (x, f(x)) seen while zooming a grid in on the max of f on [a, b].
+def argmax_zoom(f, xs, vals):
+    """Best (x, f(x)) of the grid xs (vals = f(xs)), refined by zooming in.
 
-    f maps a 1-d array of points to their values in one call.  Each round
-    evaluates f at _ZOOM_POINTS evenly spaced points and keeps the two cells
-    around the best one; it stops once a round's values are flat to rounding
-    or after _ZOOM_ROUNDS rounds.  f is assumed unimodal on [a, b].
+    Zooms on the max of f between the best grid point's neighbours, clamped
+    to the grid; f maps a 1-d array of points to their values in one call.
+    Each round evaluates f at _ZOOM_POINTS evenly spaced points and keeps the
+    two cells around the best one; it stops once a round's values are flat
+    to rounding or after _ZOOM_ROUNDS rounds.  A zoom point replaces the grid
+    point only if strictly better; f is assumed unimodal on the bracket.
     """
-    best_x, best_v = math.nan, -math.inf
+    i = int(np.argmax(vals))
+    best_x, best_v = float(xs[i]), float(vals[i])
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
     for _ in range(_ZOOM_ROUNDS):
-        xs = np.linspace(a, b, _ZOOM_POINTS)
-        vals = np.asarray(f(xs), dtype=float)
-        i = int(np.argmax(vals))
-        top = float(vals[i])
+        zs = np.linspace(a, b, _ZOOM_POINTS)
+        zvals = np.asarray(f(zs), dtype=float)
+        j = int(np.argmax(zvals))
+        top = float(zvals[j])
         if top > best_v:
-            best_x, best_v = float(xs[i]), top
-        if top - float(np.min(vals)) <= 4e-16 * max(1.0, abs(top)):
+            best_x, best_v = float(zs[j]), top
+        if top - float(np.min(zvals)) <= 4e-16 * max(1.0, abs(top)):
             break
-        a, b = xs[max(i - 1, 0)], xs[min(i + 1, _ZOOM_POINTS - 1)]
+        a, b = zs[max(j - 1, 0)], zs[min(j + 1, _ZOOM_POINTS - 1)]
     return best_x, best_v
 
 
@@ -166,10 +170,7 @@ def numeric_conjugate(cgf, q, t_domain):
         return _tail_result(ts, vals, -1.0, q, vals[i])
     if i in (0, len(ts) - 1):
         return ConjugateResult(vals[i], ts[i], True)
-    t_star, val = argmax_zoom(lambda t: _objective_on_grid(cgf, q, t),
-                              ts[i - 1], ts[i + 1])
-    if vals[i] > val:
-        t_star, val = ts[i], vals[i]
+    t_star, val = argmax_zoom(lambda t: _objective_on_grid(cgf, q, t), ts, vals)
     return ConjugateResult(val, t_star, False)
 
 

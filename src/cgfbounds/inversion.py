@@ -57,12 +57,11 @@ def cramer_of(family):
 
 
 def binary_kl():
-    """The binary kl(q, p) as a comparator: the Bernoulli Cramer function.
+    """The Bernoulli Cramer comparator, same fn and params, named binary_kl.
 
     The two-argument function itself is families.binary_kl.
     """
-    c = cramer_of(fam.bernoulli())
-    return Comparator("binary_kl", c.fn, c.loss_range)
+    return replace(cramer_of(fam.bernoulli()), form="binary_kl")
 
 
 def catoni(gamma):
@@ -320,50 +319,6 @@ def invert(comp, query):
     return invert_at_budget(comp, query.alpha, query.budget())
 
 
-# -- Poisson closed form ---------------------------------------------------
-
-def _u_root(B):
-    """Root u >= 1 of u - ln u = 1 + B, i.e. -W_{-1}(-e^{-1-B}); B >= 0.
-
-    Seeded by the branch-point series for small B and the asymptotic form
-    otherwise, then polished by Halley steps.  Stable for all B >= 0, far
-    beyond where -e^{-1-B} underflows.
-    """
-    if B <= 0.0:
-        return 1.0
-    if B < 0.5:
-        p = math.sqrt(2.0 * -math.expm1(-B))
-        u = 1.0 + p + p * p / 3.0 + 11.0 * p ** 3 / 72.0
-    else:
-        y = 1.0 + B
-        u = y + math.log(y)
-    for _ in range(80):
-        f = u - math.log(u) - 1.0 - B
-        fp = 1.0 - 1.0 / u
-        if fp == 0.0:
-            break
-        d = fp - 0.5 * f / (fp * u * u)
-        step = f / d
-        u -= step
-        if abs(step) <= 1e-16 * u:
-            break
-    return u
-
-
-def invert_closed_form_poisson(alpha, budget):
-    """Closed-form Poisson Cramer inversion -alpha W_{-1}(-e^{-1-budget/alpha}).
-
-    Solved in the stable parameterization u - ln u = 1 + budget/alpha with
-    u = rho/alpha, immune to the underflow of the W argument.  alpha = 0
-    falls back to the q = 0 convention rho = budget.
-    """
-    if alpha < 0.0 or budget < 0.0:
-        raise ValueError("alpha and budget must be nonnegative")
-    if alpha == 0.0:
-        return budget
-    return alpha * _u_root(budget / alpha)
-
-
 # -- one-parameter infima --------------------------------------------------
 
 def infimum_over_parameter(make_comp, query, param_range):
@@ -373,9 +328,8 @@ def infimum_over_parameter(make_comp, query, param_range):
     built-in parametric-infimum kinds, which bounds evaluates by their kl or
     Cramer identity.  make_comp maps a parameter value to a Comparator.  The
     per-parameter bound is assumed quasiconvex on param_range, which is
-    scanned at 64 log-spaced points; the best point is refined by
-    argmax_zoom on -rho between its grid neighbours.  Raises NoFiniteBound
-    if no parameter gives a finite bound.
+    scanned at 64 log-spaced points and refined by argmax_zoom on -rho.
+    Raises NoFiniteBound if no parameter gives a finite bound.
     """
     lo, hi = param_range
     if not lo > 0:
@@ -396,12 +350,9 @@ def infimum_over_parameter(make_comp, query, param_range):
         return np.array([-rho_of(v) for v in x])
 
     vals = neg_rho(xs)
-    i = int(np.argmax(vals))
-    if vals[i] == -math.inf:
+    if vals.max() == -math.inf:
         raise NoFiniteBound(f"no parameter in {param_range} yields a finite bound")
-    x_z, v_z = argmax_zoom(neg_rho, xs[max(i - 1, 0)],
-                           xs[min(i + 1, len(xs) - 1)])
-    param_star = math.exp(x_z if v_z > vals[i] else xs[i])
+    param_star = math.exp(argmax_zoom(neg_rho, xs, vals)[0])
 
     comp = make_comp(param_star)
     if comp.exact_inverse is None:

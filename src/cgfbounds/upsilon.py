@@ -77,10 +77,10 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
     interior r-grid (an integer resolution or an explicit array of interior
     r values) as one (r, k) log-sum-exp; comparators that do not broadcast
     over (r, k) are evaluated cell by cell.  The best grid r is refined by
-    argmax_zoom between its grid neighbours, each round a small batch of
-    rows of the same sum; the endpoint values r in {0, 1} (degenerate means)
-    are included via the 0 ln 0 convention.  Raises ValueError if the
-    comparator is not finite at some r of the grid.
+    argmax_zoom, each round a small batch of rows of the same sum; the
+    endpoint values r in {0, 1} (degenerate means) are included via the
+    0 ln 0 convention.  Raises ValueError if the comparator is not finite at
+    some r of the grid.
     """
     ks, ln_binom = _ln_binom(n)
     qs = ks / n
@@ -105,15 +105,12 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
     rows = max(1, _BLOCK // (n + 1))
     vals = np.concatenate([ln_values(rs[j:j + rows])
                            for j in range(0, len(rs), rows)])
-    i = int(np.argmax(vals))
-    r_z, v_z = argmax_zoom(ln_values, rs[max(i - 1, 0)],
-                           rs[min(i + 1, len(rs) - 1)])
-    best, r_star = max((vals[i], rs[i]), (v_z, r_z))
+    r_star, best = argmax_zoom(ln_values, rs, vals)
     for r_end in (0.0, 1.0):
         d = float(cellwise(comp.eval, r_end, r_end, fill=math.inf))
         if math.isfinite(d) and n * d > best:
             best, r_star = n * d, r_end
-    return UpsilonEstimate("exact", best, r_star=float(r_star))
+    return UpsilonEstimate("exact", best, r_star=r_star)
 
 
 # -- r-grid scan shared by the series and quadrature routes -----------------
@@ -383,8 +380,7 @@ def compute_upsilon(comp, family, n, seed=0, samples=10**5):
                          f"[{c_lo}, {c_hi}], which does not cover the mean "
                          f"domain ({f_lo}, {f_hi}) of the {family.kind} family")
     p = comp.params
-    if p.get("family") == family or (comp.form == "binary_kl"
-                                     and family.kind == "bernoulli"):
+    if p.get("family") == family:
         if cramer_divergence(family):
             return UpsilonEstimate("divergent", math.inf)
         return upsilon_shtarkov_bernoulli(n)

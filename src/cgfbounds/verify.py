@@ -61,6 +61,13 @@ class TrialRecord:
 _TRIAL_BLOCK = 32   # trials whose draws are averaged in one pass
 
 
+def _gibbs(ln_prior, energy):
+    """(q, ln q) of the Gibbs posterior q ∝ prior e^{-energy}, row by row."""
+    lnq = ln_prior - energy
+    lnq -= logsumexp(lnq, axis=-1, keepdims=True)
+    return np.exp(lnq), lnq
+
+
 @functools.lru_cache(maxsize=16)
 def _simulate(problem):
     """Per-trial (train, pop, kl) arrays; trial t draws on stream (seed, t).
@@ -80,9 +87,7 @@ def _simulate(problem):
         for i in range(k):
             block[i] = problem.family._draw(means, (n, means.size), next(gens))
         block[:k].mean(axis=1, out=lhat[lo:lo + k])
-    lnq = np.log(prior) - c * n * lhat
-    lnq -= logsumexp(lnq, axis=1, keepdims=True)
-    q = np.exp(lnq)
+    q, lnq = _gibbs(np.log(prior), c * n * lhat)
     kl = np.maximum(np.einsum("tm,tm->t", q, lnq - np.log(prior)), 0.0)
     train = np.einsum("tm,tm->t", q, lhat)
     pop = q @ means
@@ -172,23 +177,25 @@ _MEAN_INTERVALS = {"bernoulli": (0.05, 0.95), "gaussian": (0.1, 2.0),
                    "poisson": (0.1, 3.0)}
 
 
+def random_problem(family, m, c, n, trials, seed, stream):
+    """A problem with m means drawn uniformly from the family's mean interval
+    on stream (seed, stream), under a uniform prior."""
+    if family.kind not in _MEAN_INTERVALS:
+        raise ValueError(f"verify supports the {', '.join(_MEAN_INTERVALS)}"
+                         f" families, got {family.kind}")
+    lo, hi = _MEAN_INTERVALS[family.kind]
+    means = make_generator(seed, stream).uniform(lo, hi, m)
+    return SyntheticProblem(tuple(means.tolist()), (1.0 / m,) * m, family, c,
+                            n, trials, seed)
+
+
 def suite_problems(trials=2000, seeds=(0, 1, 2)):
     """The default grid of synthetic problems (means redrawn per config)."""
-    problems = []
-    cfg = 0
-    for family in (fam.bernoulli(), fam.gaussian(1.0), fam.poisson()):
-        for m in (2, 10):
-            for n in (10, 100):
-                for c in (0.0, 1.0, 5.0):
-                    for seed in seeds:
-                        cfg += 1
-                        rng = make_generator(seed, 700000 + cfg)
-                        lo, hi = _MEAN_INTERVALS[family.kind]
-                        means = tuple(float(x) for x in rng.uniform(lo, hi, m))
-                        prior = (1.0 / m,) * m
-                        problems.append(SyntheticProblem(
-                            means, prior, family, c, n, trials, seed))
-    return problems
+    configs = itertools.product(
+        (fam.bernoulli(), fam.gaussian(1.0), fam.poisson()), (2, 10),
+        (10, 100), (0.0, 1.0, 5.0), seeds)
+    return [random_problem(family, m, c, n, trials, seed, 700000 + cfg)
+            for cfg, (family, m, n, c, seed) in enumerate(configs, start=1)]
 
 
 def default_suite(delta=0.05, trials=2000, seeds=(0, 1, 2)):
@@ -222,6 +229,10 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
     if family.kind != "bernoulli":
         raise ValueError("the samplewise comparison is Bernoulli-only, got "
                          f"{family.kind}")
+    for name, size in (("inner", inner), ("outer", outer),
+                       ("replicates", replicates)):
+        if not size >= 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
     means = np.asarray(problem.hypothesis_means, dtype=float)
     prior = np.asarray(problem.prior_weights, dtype=float)
     m, n, c = len(means), problem.n, problem.gibbs_temperature
@@ -240,16 +251,13 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
     sw_vals, full_vals = [], []
     for rep in range(replicates):
         if n == 1 or c == 0.0:
-            lnq = np.log(prior) - c * n * vs
-            q_v = np.exp(lnq - logsumexp(lnq, axis=1, keepdims=True))
+            q_v = _gibbs(np.log(prior), c * n * vs)[0]
         else:
             rng = make_generator(problem.seed, 310000, rep)
             q_v = np.empty((len(vs), m))
             for iv, v in enumerate(vs):
                 rest = family._draw(means, (inner, n - 1, m), rng).sum(axis=1)
-                lnq = np.log(prior) - c * (v + rest)
-                lnq -= logsumexp(lnq, axis=1, keepdims=True)
-                q_v[iv] = np.exp(lnq).mean(axis=0)
+                q_v[iv] = _gibbs(np.log(prior), c * (v + rest))[0].mean(axis=0)
         q_marg = pv @ q_v
         alpha_sw = float(pv @ np.einsum("vm,vm->v", q_v, vs))
         beta_sw = mean_kl(q_v, q_marg, pv)
@@ -264,9 +272,7 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
             continue
         rng2 = make_generator(problem.seed, 320000, rep)
         lhat = family._draw(means, (outer, n, m), rng2).mean(axis=1)
-        lnq = np.log(prior) - c * n * lhat
-        lnq -= logsumexp(lnq, axis=1, keepdims=True)
-        q_z = np.exp(lnq)
+        q_z = _gibbs(np.log(prior), c * n * lhat)[0]
         q_bar = q_z.mean(axis=0)
         alpha_f = float(np.einsum("tm,tm->t", q_z, lhat).mean())
         beta_f = mean_kl(q_z, q_bar, np.full(outer, 1.0 / outer))

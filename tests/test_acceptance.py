@@ -13,6 +13,7 @@ from cgfbounds import families as fam
 from cgfbounds import inversion as inv
 from cgfbounds import upsilon as ups
 from cgfbounds.rng import make_generator
+from poisson_oracle import invert_closed_form_poisson
 
 
 def verdict(num, name, ok, detail):
@@ -205,7 +206,7 @@ def test_c12_closed_form_vs_bisection():
     for _ in range(100):
         alpha = float(rng.uniform(0.01, 20.0))
         budget = float(rng.uniform(1e-6, 50.0))
-        closed = inv.invert_closed_form_poisson(alpha, budget)
+        closed = invert_closed_form_poisson(alpha, budget)
         bis = inv.invert_at_budget(comp, alpha, budget, tol=1e-12).rho
         worst = max(worst, abs(closed - bis) / max(1.0, abs(closed)))
     verdict(12, "poisson closed form vs bisection",

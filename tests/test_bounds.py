@@ -344,37 +344,28 @@ def test_identity_beyond_truncated_range():
     assert inv.gaussian_diff(t_star, sigma2).eval(alpha, res.rho) <= 1.0
 
 
-def test_samplewise_bound_composition():
-    f = fam.bernoulli()
-    one = inv.invert(inv.cramer_of(f), inv.BoundQuery(0.3, 0.7, 1)).rho
-    assert bounds.samplewise_bound(f, [(0.3, 0.7)] * 4, n=4) == pytest.approx(one)
-    two = inv.invert(inv.cramer_of(f), inv.BoundQuery(0.1, 0.2, 1)).rho
-    got = bounds.samplewise_bound(f, [(0.3, 0.7), (0.1, 0.2)])
-    assert got == pytest.approx((one + two) / 2)
-    with pytest.raises(ValueError, match="length n=2, got 1"):
-        bounds.samplewise_bound(f, [(0.3, 0.7)], n=2)
-    with pytest.raises(ValueError, match="per_sample needs at least one"):
-        bounds.samplewise_bound(f, [])
-
-
 @pytest.mark.parametrize("family", [fam.bernoulli(), fam.gaussian(0.5),
                                     fam.poisson(), fam.gamma(2.0),
                                     fam.laplace(1.0), fam.invgauss(1.5),
                                     fam.negbin(3.0)], ids=fam.family_spec)
-def test_samplewise_bound_is_the_per_pair_mean(family):
+def test_grid_average_bound_is_the_per_pair_scalar_bound(family):
     # one grid inversion gives the scalar inversions' values bit for bit
     lo, hi = family.mean_domain
     alphas = [0.3, 0.7] if math.isfinite(hi) else [0.0 if lo == 0.0 else -0.4,
                                                    0.3, 1.7]
     pairs = [(a, b) for a in alphas for b in (0.0, 0.05, 0.3)]
-    want = sum(bounds.evaluate_kind("average_cramer", family, a, b, 1).rho
-               for a, b in pairs) / len(pairs)
-    assert bounds.samplewise_bound(family, pairs) == want
+    want = [bounds.evaluate_kind("average_cramer", family, a, b, 1).rho
+            for a, b in pairs]
+    got = bounds.bound_values("average_cramer", family, *zip(*pairs), 1)
+    assert got.tolist() == want
 
 
-def test_samplewise_bound_raises_without_a_finite_bound():
-    with pytest.raises(inv.NoFiniteBound, match=r"\(0.5, 2.0\)"):
-        bounds.samplewise_bound(fam.invgauss(1.5), [(0.3, 0.1), (0.5, 2.0)])
+def test_grid_average_bound_is_nan_without_a_finite_bound():
+    got = bounds.bound_values("average_cramer", fam.invgauss(1.5),
+                              [0.3, 0.5], [0.1, 2.0], 1)
+    assert math.isfinite(got[0]) and math.isnan(got[1])
+    with pytest.raises(inv.NoFiniteBound):
+        bounds.evaluate_kind("average_cramer", fam.invgauss(1.5), 0.5, 2.0, 1)
 
 
 @pytest.mark.parametrize("family", [fam.poisson(), fam.gamma(2.0)],

@@ -310,6 +310,53 @@ def test_verify_stream_and_pass(tmp_path):
         json.loads(l)["violated"] for l in lines[:-1])
 
 
+# verify --seed 3 --trials 200 --m 4 --n 20: the first record, the summary
+# record and the verdict line, frozen before the means were drawn by
+# verify.random_problem; they pin the CLI's stream (seed, 900001)
+VERIFY_FROZEN = {
+    "bernoulli": (("--family", "bernoulli"), (
+        '{"train_loss": 0.15717457433892348, "pop_loss": 0.06709499291190908,'
+        ' "kl": 1.1940820650791377, "bound_value": 0.5417275610548333,'
+        ' "violated": false}',
+        '{"summary": {"kind": "mls", "family": "bernoulli", "m": 4, "n": 20,'
+        ' "c": 1.0, "seed": 3, "delta": 0.05, "trials": 200, "violations": 0,'
+        ' "rate": 0.0, "cp95_low": 0.0, "cp95_high": 0.018275340355136248,'
+        ' "flag": null}}',
+        "verify kind=mls family=bernoulli trials=200 violations=0 rate=0"
+        " cp95_high=0.0182753404 delta=0.05 PASS")),
+    "gaussian": (("--family", "gaussian:sigma2=1", "--bound", "pac_cramer_xi"), (
+        '{"train_loss": 0.27353141557834076, "pop_loss": 0.10247599470415482,'
+        ' "kl": 1.3862900006957777, "bound_value": 1.1286541823910867,'
+        ' "violated": false}',
+        '{"summary": {"kind": "pac_cramer_xi", "family": "gaussian:sigma2=1",'
+        ' "m": 4, "n": 20, "c": 1.0, "seed": 3, "delta": 0.05, "trials": 200,'
+        ' "violations": 0, "rate": 0.0, "cp95_low": 0.0,'
+        ' "cp95_high": 0.018275340355136248, "flag": null}}',
+        "verify kind=pac_cramer_xi family=gaussian:sigma2=1 trials=200"
+        " violations=0 rate=0 cp95_high=0.0182753404 delta=0.05 PASS")),
+    "poisson": (("--family", "poisson", "--bound", "pac_cramer_xi"), (
+        '{"train_loss": 0.050000000000509186, "pop_loss": 0.10377885809605274,'
+        ' "kl": 1.386294361109358, "bound_value": 0.5145188868098202,'
+        ' "violated": false}',
+        '{"summary": {"kind": "pac_cramer_xi", "family": "poisson", "m": 4,'
+        ' "n": 20, "c": 1.0, "seed": 3, "delta": 0.05, "trials": 200,'
+        ' "violations": 0, "rate": 0.0, "cp95_low": 0.0,'
+        ' "cp95_high": 0.018275340355136248, "flag": null}}',
+        "verify kind=pac_cramer_xi family=poisson trials=200 violations=0"
+        " rate=0 cp95_high=0.0182753404 delta=0.05 PASS")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_FROZEN))
+def test_cli_verify_output_frozen(name, capsys):
+    flags, want = VERIFY_FROZEN[name]
+    assert main(["verify", *flags, "--seed", "3", "--trials", "200",
+                 "--m", "4", "--n", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 202
+    assert (lines[0], lines[-2], lines[-1]) == want
+
+
 def test_verify_reference_line():
     code, stdout, _ = run_cli("verify", "--bound", "catoni_inf",
                               "--trials", "50", "--m", "3", "--n", "10")
@@ -441,6 +488,27 @@ USAGE_ERRORS = {
                            "gaussian_diff:t=0.5,sigma2=nan", "--family",
                            "gaussian:sigma2=1", "--n", "5"),
                           ["gaussian_diff", "sigma2", "nan"]),
+    "comparator-key-unknown": (("upsilon", "--comparator", "kl:t=3",
+                                "--family", "bernoulli", "--n", "5"),
+                               ["'kl:t=3'", "unknown key", "kl takes no keys"]),
+    "comparator-key-extra": (("upsilon", "--comparator",
+                              "scaled_diff:t=0.3,b=7", "--family", "bernoulli",
+                              "--n", "5"),
+                             ["'scaled_diff:t=0.3,b=7'", "'b=7'",
+                              "unknown key", "scaled_diff takes t"]),
+    "comparator-key-cramer": (("upsilon", "--comparator", "cramer:sigma2=5",
+                               "--family", "gaussian:sigma2=1", "--n", "5"),
+                              ["'cramer:sigma2=5'", "unknown key",
+                               "cramer takes no keys"]),
+    "comparator-key-repeated": (("upsilon", "--comparator",
+                                 "catoni:gamma=-1,gamma=-2", "--family",
+                                 "bernoulli", "--n", "5"),
+                                ["'catoni:gamma=-1,gamma=-2'", "'gamma=-2'",
+                                 "repeats a key", "catoni takes gamma"]),
+    "comparator-key-no-value": (("upsilon", "--comparator", "scaled_diff:t",
+                                 "--family", "bernoulli", "--n", "5"),
+                                ["'scaled_diff:t'", "is not key=value",
+                                 "scaled_diff takes t"]),
 }
 
 # runs each USAGE_ERRORS case through main() and prints {case: [code, out, err]}

@@ -156,3 +156,54 @@ def test_t_domain_is_a_pair_and_zero_is_probed_inside_it():
         assert lo < 0.0 < hi and 0.0 in con._probe_points(lo, hi)
     assert 0.0 not in con._probe_points(0.0, 1.0)
     assert 0.0 not in con._probe_points(-1.0, 0.0)
+
+
+# -- argmax_zoom ----------------------------------------------------------------
+
+def recorded(f):
+    """f, plus the list of every point it is asked for."""
+    seen = []
+
+    def g(xs):
+        seen.extend(np.asarray(xs).tolist())
+        return f(np.asarray(xs))
+    return g, seen
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["first", "last"])
+def test_argmax_zoom_best_at_an_end_stays_in_the_end_cell(sign):
+    # a monotone f peaks at one end of the grid: the zoom keeps to the one
+    # cell next to it, and no point there beats the grid point itself
+    xs = np.linspace(0.0, 1.0, 6)
+    f, seen = recorded(lambda x: sign * x)
+    x, v = con.argmax_zoom(f, xs, f(xs))
+    end, cell = (xs[0], xs[:2]) if sign < 0 else (xs[-1], xs[-2:])
+    assert (x, v) == (end, sign * end)
+    zoomed = seen[len(xs):]
+    assert zoomed and cell[0] <= min(zoomed) and max(zoomed) <= cell[1]
+
+
+def test_argmax_zoom_keeps_the_grid_point_on_a_tie():
+    # f is flat at its max on [0.3, 0.7]: zoom points there tie with the
+    # grid point 0.4 and must not replace it
+    def plateau(x):
+        return -np.maximum(np.abs(x - 0.5) - 0.2, 0.0)
+
+    xs = np.array([0.0, 0.4, 1.0])
+    f, seen = recorded(plateau)
+    assert con.argmax_zoom(f, xs, f(xs)) == (0.4, 0.0)
+    zoomed = np.array(seen[len(xs):])
+    assert np.any((zoomed != 0.4) & (plateau(zoomed) == 0.0))
+
+
+def test_argmax_zoom_flat_grid_returns_the_grid_point():
+    xs = np.linspace(-1.0, 1.0, 9)
+    f, seen = recorded(lambda x: np.full(x.shape, 2.5))
+    assert con.argmax_zoom(f, xs, f(xs)) == (-1.0, 2.5)
+    assert len(seen) == len(xs) + con._ZOOM_POINTS    # one flat round
+
+
+def test_argmax_zoom_takes_a_strictly_better_zoom_point():
+    xs = np.linspace(0.0, 1.0, 5)
+    x, v = con.argmax_zoom(lambda x: -(x - 0.3) ** 2, xs, -(xs - 0.3) ** 2)
+    assert x == pytest.approx(0.3, abs=1e-9) and v > -(0.25 - 0.3) ** 2

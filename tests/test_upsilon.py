@@ -63,10 +63,8 @@ def exact_by_loop(comp, n, r_grid):
     rs = (np.linspace(1e-6, 1.0 - 1e-6, r_grid) if np.ndim(r_grid) == 0
           else np.sort(np.asarray(r_grid, dtype=float)))
     vals = np.array([ln_value(r) for r in rs])
-    i = int(np.argmax(vals))
-    r_z, v_z = argmax_zoom(lambda xs: np.array([ln_value(r) for r in xs]),
-                           rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)])
-    best, r_star = max((vals[i], rs[i]), (v_z, r_z))
+    r_star, best = argmax_zoom(lambda xs: np.array([ln_value(r) for r in xs]),
+                               rs, vals)
     for r_end in (0.0, 1.0):
         v = n * float(comp.eval(r_end, r_end))
         if math.isfinite(v) and v > best:

@@ -8,6 +8,7 @@ from cgfbounds import inversion as inv
 from cgfbounds import verify
 from cgfbounds._special import logsumexp
 from cgfbounds.rng import make_generator
+from poisson_oracle import invert_closed_form_poisson
 
 
 def problem(**over):
@@ -80,6 +81,50 @@ def test_simulate_equals_per_trial_generators(family):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def test_simulate_suite_equals_inline_gibbs():
+    # each seed-0 suite problem against per-trial generators and the Gibbs
+    # posterior as first written inline, before verify._gibbs held it
+    problems = verify.suite_problems(200, (0,))
+    assert len(problems) == 36
+    for p in problems:
+        means = np.asarray(p.hypothesis_means)
+        prior = np.asarray(p.prior_weights)
+        lhat = np.array([p.family._draw(means, (p.n, len(means)),
+                                        make_generator(p.seed, t)).mean(axis=0)
+                         for t in range(p.trials)])
+        lnq = np.log(prior) - p.gibbs_temperature * p.n * lhat
+        lnq -= logsumexp(lnq, axis=1, keepdims=True)
+        q = np.exp(lnq)
+        kl = np.maximum(np.einsum("tm,tm->t", q, lnq - np.log(prior)), 0.0)
+        want = (np.einsum("tm,tm->t", q, lhat), q @ means, kl)
+        got = verify._simulate(p)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), p
+
+
+def test_suite_problems_draw_each_config_on_its_own_stream():
+    # the config order and the means as first drawn: config cfg (from 1)
+    # draws m uniform means on stream (seed, 700000 + cfg)
+    seeds = (0, 4)
+    want = []
+    for family in (fam.bernoulli(), fam.gaussian(1.0), fam.poisson()):
+        lo, hi = verify._MEAN_INTERVALS[family.kind]
+        for m in (2, 10):
+            for n in (10, 100):
+                for c in (0.0, 1.0, 5.0):
+                    for seed in seeds:
+                        rng = make_generator(seed, 700000 + len(want) + 1)
+                        means = tuple(float(x) for x in rng.uniform(lo, hi, m))
+                        want.append(verify.SyntheticProblem(
+                            means, (1.0 / m,) * m, family, c, n, 7, seed))
+    assert verify.suite_problems(7, seeds) == want
+
+
+def test_random_problem_refuses_a_family_without_a_mean_interval():
+    with pytest.raises(ValueError, match="verify supports the bernoulli, "
+                       "gaussian, poisson families, got gamma"):
+        verify.random_problem(fam.gamma(2.0), 3, 1.0, 10, 5, 0, 1)
+
+
 def test_suite_summary_is_run_trials_summary():
     p = problem(trials=100)
     for kind in ("mls", "pac_cramer_xi"):
@@ -134,7 +179,7 @@ def test_chernoff_kind_valid_on_bernoulli_suite_problems():
 
 GRID_ORACLES = {
     "gaussian": lambda a, b: a + math.sqrt(2 * 0.6 * b),
-    "poisson": inv.invert_closed_form_poisson,
+    "poisson": invert_closed_form_poisson,
 }
 
 
@@ -225,6 +270,10 @@ def test_samplewise_comparison_rejects():
     with pytest.raises(ValueError, match="at most 12 hypotheses, got 13"):
         verify.run_samplewise_comparison(problem(
             hypothesis_means=(0.5,) * 13, prior_weights=(1.0 / 13,) * 13))
+    for size in ("inner", "outer", "replicates"):
+        with pytest.raises(ValueError, match=f"{size} must be at least 1, "
+                           "got 0"):
+            verify.run_samplewise_comparison(problem(), **{size: 0})
 
 
 def test_samplewise_no_looser_than_full():
