@@ -8,9 +8,16 @@ n = 100
 alphas = np.linspace(0.05, 0.95, 7)
 bons = np.geomspace(1e-3, 5.0, 7)
 
-surface = bounds.comparison_surface(
-    "gaussian_diff_inf", "average_cramer", (alphas, bons, n),
-    family=fam.bernoulli(), clamp=True, sigma2=0.25)
+a, bon = np.meshgrid(alphas, bons, indexing="ij")
+
+
+def clamped(kind):
+    """One bound kind over the (alpha, beta/n) grid, capped at 1."""
+    v = bounds.bound_values(kind, fam.bernoulli(), a, bon * n, n, sigma2=0.25)
+    return np.minimum(v, 1.0)
+
+
+surface = clamped("gaussian_diff_inf") - clamped("average_cramer")
 
 print("sub-gaussian bound minus kl bound, both clamped at 1, n=%d" % n)
 print("rows: training loss alpha; columns: divergence budget beta/n")

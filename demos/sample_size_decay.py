@@ -17,16 +17,14 @@ print("%8s %12s %10s" % ("n", "bound", "local slope"))
 prev = None
 for n in np.geomspace(100, 100000, 13):
     n = int(round(n))
-    rho = bounds.average_bound(family, alpha, beta, n).rho
+    rho = bounds.evaluate_kind("average_cramer", family, alpha, beta, n).rho
     slope = ""
     if prev is not None:
         slope = "%10.2f" % (np.log(rho / prev[1]) / np.log(n / prev[0]))
     print("%8d %12.6f %s" % (n, rho, slope))
     prev = (n, rho)
 
-r100 = bounds.average_bound(family, alpha, beta, 100).rho
-r1k = bounds.average_bound(family, alpha, beta, 1000).rho
-r10k = bounds.average_bound(family, alpha, beta, 10**4).rho
-r100k = bounds.average_bound(family, alpha, beta, 10**5).rho
+r100, r1k, r10k, r100k = bounds.bound_values("average_cramer", family, alpha,
+                                             beta, [100, 1000, 10**4, 10**5])
 print("\ndecrease 10^2 -> 10^3: %.1f%%" % (100 * (1 - r1k / r100)))
 print("decrease 10^4 -> 10^5: %.1f%%" % (100 * (1 - r100k / r10k)))

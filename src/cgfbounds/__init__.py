@@ -1,8 +1,7 @@
 """Generalization bounds from convex comparators under CGF constraints."""
 
-from .bounds import (BOUND_KINDS, CorrectionDivergent, average_bound,
-                     bound_values, comparison_surface, evaluate_kind,
-                     optimistic_reference, pac_bound)
+from .bounds import (BOUND_KINDS, CorrectionDivergent, bound_values,
+                     evaluate_kind)
 from .conjugate import (ConjugateDivergent, ConjugateResult, family_conjugate,
                         numeric_conjugate)
 from .families import (FAMILY_KINDS, BoundingFamily, bernoulli, family_spec,

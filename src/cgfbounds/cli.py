@@ -33,6 +33,15 @@ def _csv_rows(cols):
     return [fmt % tuple(row) for row in np.column_stack(cols).tolist()]
 
 
+def _number(text, convert, what):
+    """convert(text), or a usage error naming `what` when text is no number."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"{what} needs {kind}, got {text!r}") from None
+
+
 def _parse_range(text, want_scale=False):
     parts = text.split(":")
     scale = "linear"
@@ -42,7 +51,9 @@ def _parse_range(text, want_scale=False):
             raise ValueError(f"unknown scale {scale!r}; use linear or log")
     if len(parts) != 3:
         raise ValueError(f"range must be lo:hi:steps, got {text!r}")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    lo = _number(parts[0], float, f"range {text!r}: lo")
+    hi = _number(parts[1], float, f"range {text!r}: hi")
+    steps = _number(parts[2], int, f"range {text!r}: steps")
     if not (steps >= 2 and lo < hi):
         raise ValueError(f"range needs lo < hi and steps >= 2, got {text!r}")
     return np.geomspace(lo, hi, steps) if scale == "log" else np.linspace(lo, hi, steps)
@@ -54,6 +65,8 @@ def _merge_config(argv):
     path = None
     for i, tok in enumerate(out):
         if tok == "--config":
+            if i + 1 == len(out):
+                raise ValueError("--config needs a path")
             path = out[i + 1]
             del out[i:i + 2]
             break
@@ -65,11 +78,14 @@ def _merge_config(argv):
         return out
     injected = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValueError(f"config {path!r} line {lineno}: {line!r} "
+                                 "is not key=value")
             key, value = key.strip(), value.strip()
             if key in _BOOL_KEYS:
                 if value.lower() in ("1", "true", "yes"):
@@ -97,33 +113,33 @@ def _write_lines(path, lines):
 
 # -- commands -----------------------------------------------------------------
 
+# the bound kind each --correction value selects; chernoff=<ln_upsilon>
+# is parsed apart
+_CORRECTIONS = {None: "pac_cramer_xi", "xi": "pac_cramer_xi",
+                "2eceil": "pac_cramer_two_e_ceil", "one": "average_cramer"}
+
+
 def _parse_correction(text):
-    names = {None: "xi", "xi": "xi", "2eceil": "two_e_ceil", "one": "one"}
-    if text in names:
-        return names[text], None
+    """(bound kind, ln_upsilon) of a --correction value."""
+    if text in _CORRECTIONS:
+        return _CORRECTIONS[text], None
     if text.startswith("chernoff="):
-        return "chernoff", float(text.split("=", 1)[1])
+        return "pac_cramer_chernoff", _number(text[len("chernoff="):], float,
+                                              f"--correction {text!r}")
     raise ValueError(f"unknown correction {text!r}; use one, xi, 2eceil or "
                      "chernoff=<ln_upsilon>")
 
 
 def cmd_bound(args):
     family = fam.parse_family(args.family)
-    correction, ln_upsilon = _parse_correction(args.correction)
+    kind, ln_upsilon = _parse_correction(args.correction)
     if args.delta is None:
         for flag in ("correction", "u"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag} needs --delta")
-        res = bounds.average_bound(family, args.alpha, args.beta, args.n)
-    elif correction == "one":
-        if args.u is not None:
-            raise ValueError("--u needs --correction 2eceil, not one")
-        res = bounds.optimistic_reference(family, args.alpha, args.beta,
-                                          args.n, args.delta)
-    else:
-        res = bounds.pac_bound(family, args.alpha, args.beta, args.n,
-                               args.delta, correction=correction,
-                               ln_upsilon=ln_upsilon, u=args.u)
+        kind = "average_cramer"
+    res = bounds.evaluate_kind(kind, family, args.alpha, args.beta, args.n,
+                               args.delta, ln_upsilon=ln_upsilon, u=args.u)
     line = f"rho={_fmt(res.rho)} budget={_fmt(res.budget)} status={res.status}"
     if res.flag:
         line += f" flag={res.flag}"
@@ -198,7 +214,7 @@ def _parse_comparator(text, family):
         if why:
             raise ValueError(f"comparator spec {text!r}: {item!r} {why}; "
                              f"{head} takes {', '.join(keys) or 'no keys'}")
-        kv[key] = float(value)
+        kv[key] = _number(value, float, f"comparator spec {text!r}: {key}")
     for key in keys:
         if key not in kv:
             raise ValueError(f"comparator {head} needs {key}=<value>")
@@ -399,6 +415,9 @@ def main(argv=None):
     except OSError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

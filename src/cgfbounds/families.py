@@ -233,7 +233,12 @@ def parse_family(spec):
     key, _, val = rest.partition("=")
     if key.strip() != _NUISANCE_KEY[kind] or not val:
         raise ValueError(f"expected {kind}:{_NUISANCE_KEY[kind]}=<value>, got {spec!r}")
-    return BoundingFamily(kind, float(val))
+    try:
+        value = float(val)
+    except ValueError:
+        raise ValueError(f"family spec {spec!r}: {key.strip()} needs a "
+                         f"number, got {val!r}") from None
+    return BoundingFamily(kind, value)
 
 
 def family_spec(family):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import families as fam
 from ._special import binomial_tail_root, logsumexp, xlog1py, xlogy
-from .bounds import PARAMETRIC_INFIMA, average_bound, bound_values
+from .bounds import bound_values, evaluate_kind, reference_flag
 from .rng import make_generator, streams
 
 
@@ -94,18 +94,6 @@ def _simulate(problem):
     return train, pop, kl
 
 
-def _bound_vector(kind, family, train, kl, n, delta):
-    """Per-trial bound values for a kind; returns (values, flag)."""
-    if kind not in ("mls", "pac_cramer_xi", "pac_cramer_two_e_ceil",
-                    "pac_cramer_chernoff", "catoni_inf"):
-        raise ValueError(f"verify does not support bound kind {kind!r}")
-    if kind == "pac_cramer_chernoff" and family.kind != "bernoulli":
-        raise ValueError("the chernoff correction is certified here only for "
-                         f"bernoulli, got {family.kind}")
-    flag = "reference_only" if kind in PARAMETRIC_INFIMA else None
-    return bound_values(kind, family, train, kl, n, delta), flag
-
-
 def clopper_pearson(k, t_total):
     """The 95% Clopper-Pearson interval of k successes in t_total trials.
 
@@ -118,20 +106,27 @@ def clopper_pearson(k, t_total):
 
 
 def _evaluate(problem, bound, delta):
-    """(values, violation flags, summary) of one bound kind over the trials."""
+    """(values, violation flags, summary) of one bound kind over the trials.
+
+    Every kind in BOUND_KINDS is taken; those without a union correction
+    are flagged reference_only (bounds.reference_flag) when given a delta.
+    """
+    family = problem.family
+    if bound == "pac_cramer_chernoff" and family.kind != "bernoulli":
+        raise ValueError("the chernoff correction is certified here only for "
+                         f"bernoulli, got {family.kind}")
     train, pop, kl = _simulate(problem)
-    values, flag = _bound_vector(bound, problem.family, train, kl,
-                                 problem.n, delta)
+    values = bound_values(bound, family, train, kl, problem.n, delta)
     violated = pop > values
     k = int(violated.sum())
     cp_lo, cp_hi = clopper_pearson(k, problem.trials)
     summary = {
-        "kind": bound, "family": fam.family_spec(problem.family),
+        "kind": bound, "family": fam.family_spec(family),
         "m": len(problem.hypothesis_means), "n": problem.n,
         "c": problem.gibbs_temperature, "seed": problem.seed,
         "delta": delta, "trials": problem.trials, "violations": k,
         "rate": k / problem.trials, "cp95_low": cp_lo, "cp95_high": cp_hi,
-        "flag": flag,
+        "flag": reference_flag(bound, delta),
     }
     return values, violated, summary
 
@@ -158,7 +153,7 @@ def check_average_bound(problem):
     the population-loss mean.
     """
     train, pop, kl = _simulate(problem)
-    res = average_bound(problem.family, float(train.mean()),
+    res = evaluate_kind("average_cramer", problem.family, float(train.mean()),
                         float(kl.mean()), problem.n)
     se = float(pop.std(ddof=1) / math.sqrt(len(pop)))
     return {"mean_pop": float(pop.mean()), "bound": res.rho, "se_pop": se,
@@ -239,6 +234,7 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
     if m > 12:
         raise ValueError("exact loss-vector enumeration needs at most 12 "
                          f"hypotheses, got {m}")
+    average = functools.partial(evaluate_kind, "average_cramer", family)
     vs = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
     ln_pv = (xlogy(vs, means) + xlog1py(1.0 - vs, -means)).sum(axis=1)
     pv = np.exp(ln_pv)
@@ -261,14 +257,14 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
         q_marg = pv @ q_v
         alpha_sw = float(pv @ np.einsum("vm,vm->v", q_v, vs))
         beta_sw = mean_kl(q_v, q_marg, pv)
-        sw_vals.append(average_bound(family, alpha_sw, beta_sw, 1).rho)
+        sw_vals.append(average(alpha_sw, beta_sw, 1).rho)
 
         if n == 1:
             full_vals.append(sw_vals[-1])
             continue
         if c == 0.0:
             alpha_f = float(prior @ means)
-            full_vals.append(average_bound(family, alpha_f, 0.0, n).rho)
+            full_vals.append(average(alpha_f, 0.0, n).rho)
             continue
         rng2 = make_generator(problem.seed, 320000, rep)
         lhat = family._draw(means, (outer, n, m), rng2).mean(axis=1)
@@ -276,7 +272,7 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
         q_bar = q_z.mean(axis=0)
         alpha_f = float(np.einsum("tm,tm->t", q_z, lhat).mean())
         beta_f = mean_kl(q_z, q_bar, np.full(outer, 1.0 / outer))
-        full_vals.append(average_bound(family, alpha_f, beta_f, n).rho)
+        full_vals.append(average(alpha_f, beta_f, n).rho)
 
     sw = np.asarray(sw_vals)
     fu = np.asarray(full_vals)

@@ -14,6 +14,7 @@ from cgfbounds import inversion as inv
 from cgfbounds import upsilon as ups
 from cgfbounds.rng import make_generator
 from poisson_oracle import invert_closed_form_poisson
+from surface import difference_surface
 
 
 def verdict(num, name, ok, detail):
@@ -97,9 +98,9 @@ def test_c04_mls_envelope():
 def test_c05_bounded_loss_surface():
     alphas = np.linspace(0.02, 0.98, 50)
     bons = np.geomspace(1e-3, 5.0, 50)
-    s = bounds.comparison_surface("gaussian_diff_inf", "average_cramer",
-                                  (alphas, bons, 100), family=fam.bernoulli(),
-                                  clamp=True, sigma2=0.25)
+    s = difference_surface("gaussian_diff_inf", "average_cramer",
+                           (alphas, bons, 100), family=fam.bernoulli(),
+                           clamp=True, sigma2=0.25)
     nonneg = bool(np.all(s >= 0.0))
     # the corner where the sub-gaussian bound clamps and the kl bound
     # saturates must be flat zero at working precision
@@ -107,7 +108,8 @@ def test_c05_bounded_loss_surface():
     for i, a in enumerate(alphas):
         for j, bon in enumerate(bons):
             sub = a + math.sqrt(2 * 0.25 * bon)
-            kl = bounds.average_bound(fam.bernoulli(), a, bon * 100, 100).rho
+            kl = bounds.evaluate_kind("average_cramer", fam.bernoulli(), a,
+                                      bon * 100, 100).rho
             if sub >= 1.0 and kl >= 1.0 - 1e-6:
                 saturated += 1
                 flat = flat and s[i, j] <= 1e-6
@@ -118,8 +120,8 @@ def test_c05_bounded_loss_surface():
 def test_c06_poisson_surface():
     alphas = np.linspace(0.05, 3.0, 50)
     bons = np.geomspace(1e-3, 2.0, 50)
-    s = bounds.comparison_surface("poisson_diff_inf", "average_cramer",
-                                  (alphas, bons, 100), family=fam.poisson())
+    s = difference_surface("poisson_diff_inf", "average_cramer",
+                           (alphas, bons, 100), family=fam.poisson())
     verdict(6, "poisson diff surface 50x50", bool(np.all(s >= -1e-9)),
             f"min {s.min():.3g}")
 
@@ -127,7 +129,7 @@ def test_c06_poisson_surface():
 def test_c07_gamma_n_dependence():
     t0 = time.perf_counter()
     f = fam.gamma(5.0)
-    rho = {n: bounds.average_bound(f, 1.0, 1000.0, n).rho
+    rho = {n: bounds.evaluate_kind("average_cramer", f, 1.0, 1000.0, n).rho
            for n in (100, 1000, 10**4, 10**5)}
     d1 = 100.0 * (1.0 - rho[1000] / rho[100])
     d2 = 100.0 * (1.0 - rho[10**5] / rho[10**4])
@@ -163,8 +165,8 @@ def test_c09_reference_floor():
     for family, (alphas, kinds) in cases.items():
         for a in alphas:
             for beta in np.geomspace(0.1, 20.0, 6):
-                ref = bounds.optimistic_reference(family, float(a), float(beta),
-                                                  n, delta).rho
+                ref = bounds.evaluate_kind("average_cramer", family, float(a),
+                                           float(beta), n, delta).rho
                 for kind in kinds:
                     r = bounds.evaluate_kind(kind, family, float(a),
                                              float(beta), n, delta)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgfbounds import bounds, families as fam, inversion as inv
+from surface import difference_surface
 
 
 def test_bound_kinds_frozen():
@@ -46,7 +47,8 @@ def test_poisson_diff_upper_bounds_cramer():
     # Cramer inversion, and the production kind matches it
     for alpha in (0.2, 1.0, 3.0):
         for bon in (0.01, 0.3, 1.0):
-            ref = bounds.average_bound(fam.poisson(), alpha, bon * 40, 40)
+            ref = bounds.evaluate_kind("average_cramer", fam.poisson(), alpha,
+                                       bon * 40, 40)
             q = inv.BoundQuery(alpha, bon * 40, 40)
             orc = inv.infimum_over_parameter(inv.poisson_diff, q,
                                              (1e-4, 200.0))
@@ -74,7 +76,8 @@ def test_reference_floor_under_certified_kinds():
     for kind_name, (family, alphas) in fams.items():
         for alpha in alphas:
             for beta in (0.5, 3.0):
-                ref = bounds.optimistic_reference(family, alpha, beta, n, delta)
+                ref = bounds.evaluate_kind("average_cramer", family, alpha, beta,
+                                           n, delta)
                 assert ref.flag == "reference_only"
                 for kind in certified[kind_name]:
                     r = bounds.evaluate_kind(kind, family, alpha, beta, n, delta)
@@ -82,9 +85,10 @@ def test_reference_floor_under_certified_kinds():
 
 
 def test_two_e_ceil_equals_explicit_iota():
-    a = bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 30, 0.05, "two_e_ceil")
-    b = bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 30, 0.05, "chernoff",
-                         ln_upsilon=math.log(2 * math.e * 30))
+    a = bounds.evaluate_kind("pac_cramer_two_e_ceil", fam.bernoulli(), 0.2,
+                             1.0, 30, 0.05)
+    b = bounds.evaluate_kind("pac_cramer_chernoff", fam.bernoulli(), 0.2, 1.0,
+                             30, 0.05, ln_upsilon=math.log(2 * math.e * 30))
     assert a.rho == b.rho
 
 
@@ -94,16 +98,18 @@ def test_correction_budgets():
     res = bounds.evaluate_kind("mls", None, 0.1, 3.0, 10, 0.05)
     want = (3.0 + math.log(2 * math.sqrt(10)) - math.log(0.05)) / 10
     assert res.budget == pytest.approx(want, rel=1e-14)
-    res = bounds.pac_bound(f, 0.1, 3.0, 10, 0.05, "chernoff", ln_upsilon=1.7)
+    res = bounds.evaluate_kind("pac_cramer_chernoff", f, 0.1, 3.0, 10, 0.05,
+                               ln_upsilon=1.7)
     assert res.budget == pytest.approx((3.0 + 1.7 - math.log(0.05)) / 10,
                                        rel=1e-14)
-    res = bounds.pac_bound(f, 0.1, 3.0, 10, 0.05, "two_e_ceil")
+    res = bounds.evaluate_kind("pac_cramer_two_e_ceil", f, 0.1, 3.0, 10, 0.05)
     want = (3.0 + math.log(2 * math.e * 10) - math.log(0.05)) / 10
     assert res.budget == pytest.approx(want, rel=1e-14)
-    res = bounds.pac_bound(f, 0.1, 3.0, 10, 0.05, "two_e_ceil", u=3.5)
+    res = bounds.evaluate_kind("pac_cramer_two_e_ceil", f, 0.1, 3.0, 10, 0.05,
+                               u=3.5)
     want = (3.0 + math.log(2 * math.e * 4) - math.log(0.05)) / 10
     assert res.budget == pytest.approx(want, rel=1e-14)
-    res = bounds.pac_bound(f, 0.5, 2.0, 10, 0.05, "xi")
+    res = bounds.evaluate_kind("pac_cramer_xi", f, 0.5, 2.0, 10, 0.05)
     xi = math.pi ** 2 * (1 + min(10 * 0.5, 2.0)) ** 2 / 3
     want = (2.0 + math.log(xi) - math.log(0.05)) / 10
     assert res.budget == pytest.approx(want, rel=1e-14)
@@ -111,30 +117,37 @@ def test_correction_budgets():
 
 def test_monotonicity_in_delta_n_beta():
     f = fam.gaussian(1.0)
-    r1 = bounds.pac_bound(f, 0.1, 2.0, 50, 0.1).rho
-    r2 = bounds.pac_bound(f, 0.1, 2.0, 50, 0.01).rho
+    def xi(alpha, beta, n, delta):
+        return bounds.evaluate_kind("pac_cramer_xi", f, alpha, beta, n,
+                                    delta).rho
+
+    r1 = xi(0.1, 2.0, 50, 0.1)
+    r2 = xi(0.1, 2.0, 50, 0.01)
     assert r2 > r1
-    r3 = bounds.pac_bound(f, 0.1, 2.0, 500, 0.1).rho
+    r3 = xi(0.1, 2.0, 500, 0.1)
     assert r3 < r1
-    r4 = bounds.pac_bound(f, 0.1, 8.0, 50, 0.1).rho
+    r4 = xi(0.1, 8.0, 50, 0.1)
     assert r4 > r1
 
 
 def test_chernoff_refused_where_divergent():
     with pytest.raises(bounds.CorrectionDivergent):
-        bounds.pac_bound(fam.poisson(), 0.5, 1.0, 20, 0.05, "chernoff",
-                         ln_upsilon=0.0)
+        bounds.evaluate_kind("pac_cramer_chernoff", fam.poisson(), 0.5, 1.0,
+                             20, 0.05, ln_upsilon=0.0)
     with pytest.raises(bounds.CorrectionDivergent):
         bounds.evaluate_kind("pac_cramer_chernoff", fam.gamma(2.0),
                              0.5, 1.0, 20, 0.05)
     with pytest.raises(ValueError, match="ln_upsilon"):
-        bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 20, 0.05, "chernoff")
+        bounds.evaluate_kind("pac_cramer_xi", fam.bernoulli(), 0.2, 1.0, 20,
+                             0.05, ln_upsilon=1.0)
     with pytest.raises(ValueError):
-        bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 20, 0.05, "sqrt")
+        bounds.evaluate_kind("pac_cramer_sqrt", fam.bernoulli(), 0.2, 1.0, 20,
+                             0.05)
 
 
 def test_chernoff_bernoulli_between_reference_and_xi():
-    ref = bounds.optimistic_reference(fam.bernoulli(), 0.2, 1.0, 40, 0.05).rho
+    ref = bounds.evaluate_kind("average_cramer", fam.bernoulli(), 0.2, 1.0,
+                               40, 0.05).rho
     ch = bounds.evaluate_kind("pac_cramer_chernoff", fam.bernoulli(),
                               0.2, 1.0, 40, 0.05).rho
     assert ref - 1e-9 <= ch <= 1.0
@@ -146,8 +159,8 @@ def test_chernoff_bernoulli_at_most_mls(n):
     # mls's correction, and both invert the same kl
     grid = (np.linspace(0.0, 0.95, 12), np.geomspace(1e-4, 3.0, 12), n)
     for delta in (0.01, 0.05, 0.5):
-        s = bounds.comparison_surface("pac_cramer_chernoff", "mls", grid,
-                                      family=fam.bernoulli(), delta=delta)
+        s = difference_surface("pac_cramer_chernoff", "mls", grid,
+                               family=fam.bernoulli(), delta=delta)
         assert not np.isnan(s).any() and s.max() <= 1e-9, (n, delta)
 
 
@@ -184,6 +197,51 @@ def test_binary_only_kinds_reject_other_families():
     with pytest.raises(ValueError, match="unknown bound kind"):
         bounds.evaluate_kind("samplewise_average", fam.bernoulli(),
                              0.2, 1.0, 20, 0.05)
+
+
+CORRECTED_KINDS = ("mls", "pac_cramer_chernoff", "pac_cramer_xi",
+                   "pac_cramer_two_e_ceil")
+
+
+@pytest.mark.parametrize("kind", CORRECTED_KINDS)
+def test_corrected_kinds_require_delta(kind):
+    # a union correction is a confidence term; without delta there is none
+    with pytest.raises(ValueError, match=f"the {kind} kind requires delta"):
+        bounds.evaluate_kind(kind, fam.bernoulli(), 0.1, 2.3, 100)
+    with pytest.raises(ValueError, match=f"the {kind} kind requires delta"):
+        bounds.bound_values(kind, fam.bernoulli(), [0.1, 0.2], 2.3, 100)
+
+
+@pytest.mark.parametrize("kind", [k for k in bounds.BOUND_KINDS
+                                  if k != "pac_cramer_chernoff"])
+def test_only_chernoff_takes_ln_upsilon(kind):
+    with pytest.raises(ValueError, match="only pac_cramer_chernoff takes "
+                       f"ln_upsilon, not {kind}"):
+        bounds.evaluate_kind(kind, fam.bernoulli(), 0.1, 2.3, 100, 0.05,
+                             ln_upsilon=1.7)
+
+
+@pytest.mark.parametrize("kind", [k for k in bounds.BOUND_KINDS
+                                  if k != "pac_cramer_two_e_ceil"])
+def test_only_two_e_ceil_takes_u(kind):
+    with pytest.raises(ValueError, match="only pac_cramer_two_e_ceil takes "
+                       f"u, not {kind}"):
+        bounds.evaluate_kind(kind, fam.bernoulli(), 0.1, 2.3, 100, 0.05, u=3.5)
+
+
+def test_delta_enters_every_budget():
+    # with delta, an uncorrected kind inverts at (beta - ln delta)/n, flagged
+    # reference_only; catoni_inf and average_cramer are then the same kl
+    # inversion over bernoulli
+    f = fam.bernoulli()
+    avg = bounds.evaluate_kind("average_cramer", f, 0.1, 2.3, 100, 0.05)
+    cat = bounds.evaluate_kind("catoni_inf", f, 0.1, 2.3, 100, 0.05)
+    assert avg.budget == pytest.approx((2.3 - math.log(0.05)) / 100, rel=1e-14)
+    assert (avg.rho, avg.flag) == (cat.rho, cat.flag) == (cat.rho,
+                                                          "reference_only")
+    chernoff = bounds.evaluate_kind("pac_cramer_chernoff", f, 0.1, 2.3, 100,
+                                    0.05)
+    assert chernoff.flag is None and chernoff.rho > avg.rho
 
 
 def test_catoni_inf_flags():
@@ -397,16 +455,16 @@ def test_chernoff_refused_off_bernoulli_by_proof(family, monkeypatch):
     with pytest.raises(bounds.CorrectionDivergent, match=reason):
         bounds.evaluate_kind("pac_cramer_chernoff", family, 1.0, 5.0, 100, 0.05)
     with pytest.raises(bounds.CorrectionDivergent, match=reason):
-        bounds.pac_bound(family, 1.0, 5.0, 100, 0.05, "chernoff",
-                         ln_upsilon=1.5)
+        bounds.evaluate_kind("pac_cramer_chernoff", family, 1.0, 5.0, 100,
+                             0.05, ln_upsilon=1.5)
 
 
 def test_surface_bernoulli_clamped_nonnegative():
     alphas = np.linspace(0.05, 0.95, 5)
     bons = np.geomspace(1e-3, 5.0, 5)
-    s = bounds.comparison_surface("gaussian_diff_inf", "average_cramer",
-                                  (alphas, bons, 100), family=fam.bernoulli(),
-                                  clamp=True, sigma2=0.25)
+    s = difference_surface("gaussian_diff_inf", "average_cramer",
+                           (alphas, bons, 100), family=fam.bernoulli(),
+                           clamp=True, sigma2=0.25)
     assert np.all(s >= 0.0)
     # where the sub-gaussian bound clamps and the kl bound saturates, the
     # surface is zero at working precision
@@ -414,7 +472,8 @@ def test_surface_bernoulli_clamped_nonnegative():
     for i, a in enumerate(alphas):
         for j, bon in enumerate(bons):
             sub = a + math.sqrt(2 * 0.25 * bon)
-            kl = bounds.average_bound(fam.bernoulli(), a, bon * 100, 100).rho
+            kl = bounds.evaluate_kind("average_cramer", fam.bernoulli(), a,
+                                      bon * 100, 100).rho
             if sub >= 1.0 and kl >= 1.0 - 1e-6:
                 saturated += 1
                 assert s[i, j] <= 1e-6
@@ -424,14 +483,14 @@ def test_surface_bernoulli_clamped_nonnegative():
 def test_surface_poisson_unclamped_floor():
     alphas = np.linspace(0.1, 2.5, 4)
     bons = np.concatenate(([0.0], np.geomspace(1e-2, 1.0, 3)))
-    s = bounds.comparison_surface("poisson_diff_inf", "average_cramer",
-                                  (alphas, bons, 50), family=fam.poisson())
+    s = difference_surface("poisson_diff_inf", "average_cramer",
+                           (alphas, bons, 50), family=fam.poisson())
     assert np.all(s >= -1e-9)
 
 
 def test_surface_nan_on_divergence():
     # chernoff over poisson diverges in every cell
-    s = bounds.comparison_surface("pac_cramer_chernoff", "average_cramer",
-                                  (np.array([0.5]), np.array([0.1]), 20),
-                                  family=fam.poisson(), delta=0.05)
+    s = difference_surface("pac_cramer_chernoff", "average_cramer",
+                           (np.array([0.5]), np.array([0.1]), 20),
+                           family=fam.poisson(), delta=0.05)
     assert math.isnan(s[0, 0])

@@ -65,7 +65,8 @@ def test_bound_matches_library():
                            "--correction", "xi")
     assert code == 0
     fields = dict(kv.split("=") for kv in out.split())
-    want = bounds.pac_bound(fam.poisson(), 1.0, 100.0, 100, 0.05, "xi")
+    want = bounds.evaluate_kind("pac_cramer_xi", fam.poisson(), 1.0, 100.0,
+                                100, 0.05)
     assert float(fields["rho"]) == pytest.approx(want.rho, rel=1e-8)
     assert fields["status"] == "converged"
 
@@ -214,11 +215,12 @@ NDEP_ALPHAS = {
 
 
 def ndep_by_loop(spec, alpha, beta, nmin, nmax, points):
-    """The per-n average_bound loop that ndep evaluated before: the oracle."""
+    """The per-n average bound loop that ndep evaluated before: the oracle."""
     family = fam.parse_family(spec)
     ns = np.geomspace(nmin, nmax, points)
     ns = list(dict.fromkeys(int(round(x)) for x in ns))
-    rhos = [bounds.average_bound(family, alpha, beta, n).rho for n in ns]
+    rhos = [bounds.evaluate_kind("average_cramer", family, alpha, beta, n).rho
+            for n in ns]
     lines = ["n,bound"] + [f"{n},{_fmt(rho)}" for n, rho in zip(ns, rhos)]
     return ns, rhos, "\n".join(lines) + "\n"
 
@@ -357,6 +359,43 @@ def test_cli_verify_output_frozen(name, capsys):
     assert (lines[0], lines[-2], lines[-1]) == want
 
 
+# bound --family bernoulli --alpha 0.1 --beta 2.3 --n 100 and these flags:
+# the printed line, frozen while each correction had its own entry point
+BOUND_FROZEN = {
+    "average": ((), "rho=0.176246983 budget=0.023 status=converged"),
+    "one": (("--delta", "0.05", "--correction", "one"),
+            "rho=0.224261817 budget=0.0529573227 status=converged"
+            " flag=reference_only"),
+    "xi": (("--delta", "0.05", "--correction", "xi"),
+           "rho=0.26959881 budget=0.0887442469 status=converged"),
+    "2eceil": (("--delta", "0.05", "--correction", "2eceil"),
+               "rho=0.299599428 budget=0.115940496 status=converged"),
+    "2eceil-u": (("--delta", "0.05", "--correction", "2eceil", "--u", "3.5"),
+                 "rho=0.263740942 budget=0.0837517382 status=converged"),
+    "chernoff": (("--delta", "0.05", "--correction", "chernoff=1.7"),
+                 "rho=0.246851358 budget=0.0699573227 status=converged"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_FROZEN))
+def test_cli_bound_output_frozen(name, capsys):
+    flags, want = BOUND_FROZEN[name]
+    assert main(["bound", "--family", "bernoulli", "--alpha", "0.1", "--beta",
+                 "2.3", "--n", "100", *flags]) == 0
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_sweep_catoni_equals_average_with_delta(capsys):
+    # both kinds are the kl inversion at (beta - ln delta)/n over bernoulli
+    assert main(["sweep", "--family", "bernoulli", "--kinds",
+                 "catoni_inf,average_cramer", "--alpha-range", "0.02:0.98:7",
+                 "--bon-range", "1e-3:5:7:log", "--n", "100",
+                 "--delta", "0.05"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 49
+    assert all(row.split(",")[-1] == "0" for row in rows)
+
+
 def test_verify_reference_line():
     code, stdout, _ = run_cli("verify", "--bound", "catoni_inf",
                               "--trials", "50", "--m", "3", "--n", "10")
@@ -406,6 +445,8 @@ NDEP = ("ndep", "--family", "poisson", "--alpha", "1", "--beta", "1",
 
 UPSILON_MC = ("upsilon", "--comparator", "scaled_diff:t=0.3", "--family",
               "laplace:b=1", "--n", "5")
+
+BAD_CONFIG = Path(__file__).resolve().parent / "bad_line.cfg"
 
 # each bad input, and the words its usage error must contain
 USAGE_ERRORS = {
@@ -463,7 +504,10 @@ USAGE_ERRORS = {
     "u-chernoff": (BOUND + ("--delta", "0.05", "--correction", "chernoff=1.0",
                             "--u", "7"), ["two_e_ceil", "chernoff", "u=7"]),
     "u-one": (BOUND + ("--delta", "0.05", "--correction", "one", "--u", "7"),
-              ["--u needs --correction 2eceil", "one"]),
+              ["two_e_ceil", "average_cramer", "u=7"]),
+    "ln-upsilon-nan": (BOUND + ("--delta", "0.05", "--correction",
+                                "chernoff=x"),
+                       ["--correction 'chernoff=x'", "needs a number", "'x'"]),
     "family-nan": (("bound", "--family", "gaussian:sigma2=nan", "--alpha",
                     "0.1", "--beta", "1", "--n", "10"),
                    ["gaussian needs sigma2 in (0, inf)", "nan"]),
@@ -509,6 +553,25 @@ USAGE_ERRORS = {
                                  "--family", "bernoulli", "--n", "5"),
                                 ["'scaled_diff:t'", "is not key=value",
                                  "scaled_diff takes t"]),
+    "family-value-text": (("bound", "--family", "gamma:k=x", "--alpha", "0.1",
+                           "--beta", "1", "--n", "10"),
+                          ["'gamma:k=x'", "k needs a number", "'x'"]),
+    "family-key-repeated": (("bound", "--family", "gaussian:sigma2=1,sigma2=2",
+                             "--alpha", "0.1", "--beta", "1", "--n", "10"),
+                            ["'gaussian:sigma2=1,sigma2=2'",
+                             "sigma2 needs a number", "'1,sigma2=2'"]),
+    "comparator-value-text": (("upsilon", "--comparator", "catoni:gamma=x",
+                               "--family", "bernoulli", "--n", "5"),
+                              ["'catoni:gamma=x'", "gamma needs a number",
+                               "'x'"]),
+    "range-steps": (("sweep", "--family", "bernoulli", "--kinds",
+                     "average_cramer", "--alpha-range", "0.1:0.2:2.5",
+                     "--bon-range", "0.01:1:2", "--n", "50"),
+                    ["'0.1:0.2:2.5'", "steps needs an integer", "'2.5'"]),
+    "config-no-path": (("sweep", "--config"), ["--config needs a path"]),
+    "config-line": (("sweep", "--config", str(BAD_CONFIG)),
+                    [repr(str(BAD_CONFIG)), "line 2",
+                     "'kinds average_cramer' is not key=value"]),
 }
 
 # runs each USAGE_ERRORS case through main() and prints {case: [code, out, err]}

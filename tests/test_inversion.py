@@ -384,9 +384,8 @@ calls = [
     lambda: inv.BoundQuery(0.1, 1.0, 10, delta=1.5),
     lambda: bounds.evaluate_kind("mls", fam.gaussian(1.0), 0.2, 1.0, 20, 0.05),
     lambda: bounds.evaluate_kind("mls", None, 0.2, 1.0, 20),
-    lambda: bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 20, 0.05, "chernoff"),
-    lambda: bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 20, 0.05,
-                             "two_e_ceil", u=-1.0),
+    lambda: bounds.evaluate_kind("pac_cramer_two_e_ceil", fam.bernoulli(), 0.2,
+                                 1.0, 20, 0.05, u=-1.0),
     lambda: inv.catoni(0.0),
     lambda: inv.poisson_diff(0.0),
     lambda: inv.gaussian_diff(-1.0, 1.0),
@@ -405,8 +404,9 @@ calls = [
     lambda: ver.SyntheticProblem((0.5,), (1.0,), fam.bernoulli(), 1.0, 10, 5, 0),
     lambda: ver.SyntheticProblem((0.2, 0.5), (0.5, 0.5), fam.bernoulli(), 1.0,
                                  10, 0, 0),
-    lambda: ver._bound_vector("pac_cramer_chernoff", fam.gaussian(1.0),
-                              [0.2], [1.0], 10, 0.05),
+    lambda: ver.run_trials(ver.SyntheticProblem(
+        (0.2, 0.5), (0.5, 0.5), fam.gaussian(1.0), 1.0, 10, 5, 0),
+        "pac_cramer_chernoff"),
     lambda: inv.BoundQuery(0.1, float("inf"), 10),
     lambda: inv.BoundQuery(0.1, 1.0, 10, ln_iota=float("nan")),
     lambda: inv.invert_at_budget(inv.binary_kl(), 0.1, float("nan")),
@@ -419,7 +419,8 @@ calls = [
     lambda: bounds.evaluate_kind("average_cramer", None, 0.2, 1.0, 20),
     lambda: bounds.evaluate_kind("pac_cramer_xi", None, 0.2, 1.0, 20, 0.05),
     lambda: bounds.bound_values("average_cramer", None, [0.2], [1.0], 20),
-    lambda: bounds.pac_bound(fam.bernoulli(), 0.2, 1.0, 20, 0.05, "xi", u=7.0),
+    lambda: bounds.evaluate_kind("pac_cramer_xi", fam.bernoulli(), 0.2, 1.0, 20,
+                                 0.05, u=7.0),
     lambda: inv.scaled_diff(float("nan")),
     lambda: inv.scaled_diff(float("inf")),
     lambda: inv.invert_at_budget(inv.cramer_of(fam.gaussian(1.0)),
@@ -434,6 +435,12 @@ calls = [
         (0.2, 0.5), (0.5, 0.5), fam.bernoulli(), 1.0, 10, 5, 0), outer=0),
     lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
         (0.2, 0.5), (0.5, 0.5), fam.bernoulli(), 1.0, 10, 5, 0), replicates=0),
+    lambda: bounds.evaluate_kind("pac_cramer_xi", fam.bernoulli(), 0.1, 2.3,
+                                 100),
+    lambda: bounds.bound_values("pac_cramer_two_e_ceil", fam.bernoulli(),
+                                [0.1, 0.2], 2.3, 100),
+    lambda: bounds.evaluate_kind("pac_cramer_xi", fam.bernoulli(), 0.1, 2.3,
+                                 100, 0.05, ln_upsilon=1.7),
 ]
 for call in calls:
     try:
@@ -450,7 +457,7 @@ def test_input_validation_without_asserts(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_LIBRARY_INPUT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 42
+    assert proc.stdout.split() == ["ValueError"] * 44
 
 
 def test_package_source_has_no_assert():

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from cgfbounds import bounds
 from cgfbounds import families as fam
 from cgfbounds import inversion as inv
 from cgfbounds import verify
@@ -158,6 +160,30 @@ def test_violation_bookkeeping():
 def test_reference_kind_flagged():
     _, summary = verify.run_trials(problem(trials=20), "catoni_inf", 0.05)
     assert summary["flag"] == "reference_only"
+
+
+# a family, with two means in its domain, on which each kind is defined;
+# bernoulli for the rest
+KIND_FAMILIES = {"poisson_diff_inf": (fam.poisson(), (0.5, 1.5)),
+                 "laplace_diff_inf": (fam.laplace(1.0), (0.0, 1.0)),
+                 "gaussian_diff_inf": (fam.gaussian(1.0), (0.0, 1.0))}
+
+
+@pytest.mark.parametrize("delta", [None, 0.05], ids=["no-delta", "delta"])
+@pytest.mark.parametrize("kind", bounds.BOUND_KINDS)
+def test_verify_flag_is_the_evaluate_kind_flag(kind, delta):
+    # one rule: verify takes every kind, flags it as evaluate_kind does, and
+    # refuses what evaluate_kind refuses with the same message
+    family, means = KIND_FAMILIES.get(kind, (fam.bernoulli(), (0.2, 0.5)))
+    p = problem(hypothesis_means=means, prior_weights=(0.5, 0.5),
+                family=family, trials=20)
+    try:
+        want = bounds.evaluate_kind(kind, family, 0.3, 1.0, p.n, delta).flag
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            verify.run_trials(p, kind, delta)
+        return
+    assert verify.run_trials(p, kind, delta)[1]["flag"] == want
 
 
 def test_chernoff_kind_over_bernoulli():
