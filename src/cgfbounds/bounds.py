@@ -47,15 +47,21 @@ def reference_flag(kind, delta):
             else None)
 
 
+def check_kind(kind):
+    """Raise ValueError naming BOUND_KINDS unless kind is one of them."""
+    if kind not in BOUND_KINDS:
+        raise ValueError(f"unknown bound kind {kind!r}; use one of "
+                         + ", ".join(BOUND_KINDS))
+
+
 def _parametric_identity(kind, family, sigma2, b):
     """The comparator whose inversion is the parametric infimum `kind`.
 
-    Every member D_t of these families is nondecreasing in rho, so
-    inf_t sup{rho : D_t <= B} = sup{rho : sup_t D_t <= B}, and sup_t D_t is
-    the binary kl for Catoni's family and the family's Cramer function for
-    the difference comparators.  This is the infimum over every t, so it is
-    at most the old infimum over a truncated t range, and it is a valid
-    bound, being the inversion of the optimal comparator itself.
+    Every member D_t of these families, a CGF line of its family, is
+    nondecreasing in rho, so inf_t sup{rho : D_t <= B} is the inversion of
+    sup_t D_t: the binary kl for Catoni's family, the family's Cramer
+    function for the difference comparators.  sigma2 or b defaults to the
+    family's nuisance only for a family of that type.
     """
     if kind == "catoni_inf":
         if family is not None and family.kind != "bernoulli":
@@ -63,13 +69,18 @@ def _parametric_identity(kind, family, sigma2, b):
                              f"got {family.kind}")
         return inv.binary_kl()
     if kind == "poisson_diff_inf":
+        if family is not None and family.mean_domain[0] < 0.0:
+            raise ValueError(f"poisson_diff_inf needs nonnegative losses; "
+                             f"the {family.kind} family's mean can be negative")
         return inv.cramer_of(fam.poisson())
-    laplace = kind == "laplace_diff_inf"
-    name, value = ("b", b) if laplace else ("sigma2", sigma2)
-    value = getattr(family, "nuisance", None) if value is None else value
+    own, name, value = (("laplace", "b", b) if kind == "laplace_diff_inf"
+                        else ("gaussian", "sigma2", sigma2))
+    if value is None and getattr(family, "kind", None) == own:
+        value = family.nuisance
     if value is None or not value > 0:
-        raise ValueError(f"{name} must be positive for {kind}, got {value!r}")
-    return inv.cramer_of((fam.laplace if laplace else fam.gaussian)(value))
+        raise ValueError(f"{name} must be positive for {kind}, got {value!r}"
+                         f"; only a {own} family lends its own {name}")
+    return inv.cramer_of(fam.BoundingFamily(own, value))
 
 
 def _kind_query(kind, family, alpha, beta, n, delta, sigma2, b, *,
@@ -82,9 +93,7 @@ def _kind_query(kind, family, alpha, beta, n, delta, sigma2, b, *,
     array too, except for the kinds of _SCALAR_N.  u is the 2e ceil(u) grid
     size, default n.
     """
-    if kind not in BOUND_KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}; use one of "
-                         + ", ".join(BOUND_KINDS))
+    check_kind(kind)
     for name, value, owner in (("ln_upsilon", ln_upsilon, "pac_cramer_chernoff"),
                                ("u", u, "pac_cramer_two_e_ceil")):
         if value is not None and kind != owner:

@@ -102,18 +102,12 @@ def _probe_points(lo, hi):
             pts.add(m)
         if lo < -m < hi:
             pts.add(-m)
-    if math.isfinite(hi):
-        d0 = (hi - lo) / 2.0 if math.isfinite(lo) else max(1.0, abs(hi))
-        for j in range(1, 46):
-            t = hi - d0 * 2.0 ** -j
-            if lo < t < hi:
-                pts.add(t)
-    if math.isfinite(lo):
-        d0 = (hi - lo) / 2.0 if math.isfinite(hi) else max(1.0, abs(lo))
-        for j in range(1, 46):
-            t = lo + d0 * 2.0 ** -j
-            if lo < t < hi:
-                pts.add(t)
+    # and 45 points closing in on each finite end from inside
+    for end, other, inward in ((hi, lo, -1.0), (lo, hi, 1.0)):
+        if math.isfinite(end):
+            d0 = (hi - lo) / 2.0 if math.isfinite(other) else max(1.0, abs(end))
+            pts.update(t for t in (end + inward * d0 * 2.0 ** -j
+                                   for j in range(1, 46)) if lo < t < hi)
     return sorted(pts)
 
 

@@ -22,6 +22,9 @@ _INF = math.inf
 _NUISANCE_KEY = {"gaussian": "sigma2", "gamma": "k", "laplace": "b",
                  "invgauss": "lambda", "negbin": "r"}
 
+_MEAN_DOMAIN = {"bernoulli": (0.0, 1.0), "gaussian": (-_INF, _INF),
+                "laplace": (-_INF, _INF)}     # the others: (0, inf)
+
 
 def binary_kl(q, p):
     """kl(q, p) = q ln(q/p) + (1-q) ln((1-q)/(1-p)), with 0 ln 0 = 0."""
@@ -51,11 +54,7 @@ class BoundingFamily:
     @property
     def mean_domain(self):
         """Open interval of valid means; the loss range is its closure."""
-        if self.kind == "bernoulli":
-            return (0.0, 1.0)
-        if self.kind in ("gaussian", "laplace"):
-            return (-_INF, _INF)
-        return (0.0, _INF)
+        return _MEAN_DOMAIN.get(self.kind, (0.0, _INF))
 
     def _check_mean(self, p):
         lo, hi = self.mean_domain
@@ -88,11 +87,15 @@ class BoundingFamily:
             raise ValueError(f"t={t} outside the CGF domain {lo, hi}")
         v = self.nuisance
         if self.kind == "bernoulli":
-            # log1p form is most precise near t = 0; the logaddexp form
-            # ln((1-p) + p e^t) keeps the affine tail exact for large t
-            small = np.log1p(p * np.expm1(np.minimum(tt, 30.0)))
-            big = np.logaddexp(np.log1p(-p), np.log(p) + tt)
-            out = np.where(tt <= 30.0, small, big)
+            # log1p(x), x = p expm1(t), is exact near t = 0 but loses digits
+            # once 1 + x < 1/2 (p > 1/2 only) or t > 30; the logaddexp form
+            # ln((1-p) + p e^t) is exact there, as p -> 1 and as |t| -> inf
+            x = p * np.expm1(np.minimum(tt, 30.0))
+            out = np.log1p(x)
+            far = (tt > 30.0) | (x < -0.5)
+            if far.any():
+                out = np.where(far, np.logaddexp(np.log1p(-p),
+                                                 np.log(p) + tt), out)
         elif self.kind == "gaussian":
             out = tt * p + 0.5 * v * tt * tt
         elif self.kind == "poisson":

@@ -5,6 +5,7 @@ The two operators differ only in the budget: the high-probability form uses
 to sup{rho : comparator(alpha, rho) <= budget}, found by bracketed bisection.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +23,7 @@ class NonMonotoneComparator(Exception):
     """The comparator failed the nondecreasing-in-rho probe at this alpha."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class Comparator:
     """A convex discrepancy Delta(q, p) between training loss q and mean p."""
     form: str
@@ -37,22 +38,32 @@ class Comparator:
 
 # -- comparator catalog ----------------------------------------------------
 
+def _point_mass_ends(p, ends):
+    """(mask of the cells of p on a closed end of the mean range, where the
+    member is the point mass at p, or None; p with those cells moved in)."""
+    lo, hi = ends
+    pp = np.asarray(p, dtype=float)
+    edge = (pp == lo) | (pp == hi)
+    if not edge.any():
+        return None, p
+    return edge, np.where(edge, 0.5 if math.isfinite(hi) else 1.0, pp)
+
+
 def cramer_of(family):
-    """The family's Cramer function as a comparator (the optimal choice)."""
-    lo, hi = family.mean_domain
-    inner = 0.5 if math.isfinite(hi) else 1.0   # any interior mean
+    """The family's Cramer function as a comparator (the optimal choice);
+    the point mass's is 0 at q = p, else +inf."""
+    ends = family.mean_domain
 
     def fn(q, p):
-        pp = np.asarray(p, dtype=float)
-        edge = (pp == lo) | (pp == hi)
-        if not edge.any():
-            return family.cramer(q, p)
-        # continuous extension onto the closed endpoints of the mean range
-        out = np.where(edge, np.where(np.asarray(q) == pp, 0.0, math.inf),
-                       family.cramer(q, np.where(edge, inner, pp)))
+        edge, inside = _point_mass_ends(p, ends)
+        out = family.cramer(q, inside)
+        if edge is None:
+            return out
+        out = np.where(edge, np.where(np.asarray(q) == np.asarray(p), 0.0,
+                                      math.inf), out)
         return float(out) if out.ndim == 0 else out
 
-    return Comparator(f"cramer[{fam.family_spec(family)}]", fn, (lo, hi),
+    return Comparator(f"cramer[{fam.family_spec(family)}]", fn, ends,
                       {"family": family})
 
 
@@ -64,26 +75,35 @@ def binary_kl():
     return replace(cramer_of(fam.bernoulli()), form="binary_kl")
 
 
-def catoni(gamma):
-    """gamma*q - ln(1 - p + p e^gamma); nondecreasing in p for gamma < 0."""
-    if not 0.0 < abs(gamma) < 709.0:
-        raise ValueError(f"catoni needs 0 < |gamma| < 709, got {gamma}")
-    eg, emg = math.expm1(gamma), math.expm1(-gamma)
+_family = functools.lru_cache(maxsize=64)(fam.BoundingFamily)  # one per nuisance
+
+
+def _cgf_line(form, family, s, params, exact_inverse):
+    """The family's CGF line s q - K_p(s), K_p(s) = s p for a point mass, as
+    a comparator; its sup over s is the Cramer function, and params["cgf_line"]
+    = (form, family) tells compute_upsilon E e^{n (s xbar - K_p(s))} = 1."""
+    ends = family.mean_domain
 
     def fn(q, p):
-        # p > 1/2: gamma + log1p((1-p) expm1(-gamma)) keeps p -> 1 exact
-        p = np.asarray(p, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ln_mix = np.where(p > 0.5, gamma + np.log1p((1.0 - p) * emg),
-                              np.log1p(p * eg))
-        return gamma * np.asarray(q, dtype=float) - ln_mix
+        edge, inside = _point_mass_ends(p, ends)
+        k = family.cgf(inside, s)
+        if edge is not None:
+            k = np.where(edge, s * np.asarray(p, dtype=float), k)
+        return s * np.asarray(q, dtype=float) - k
 
-    def inv(alpha, budget):
-        rho = math.expm1(gamma * alpha - budget) / eg
-        return min(max(rho, 0.0), 1.0)
+    params["cgf_line"] = (form, family)
+    return Comparator(form, fn, ends, params, exact_inverse)
 
-    return Comparator("catoni", fn, (0.0, 1.0), {"gamma": gamma},
-                      exact_inverse=inv)
+
+def catoni(gamma):
+    """gamma q - ln(1 - p + p e^gamma), the Bernoulli CGF line at s = gamma;
+    nondecreasing in p for gamma < 0."""
+    if not 0.0 < abs(gamma) < 709.0:
+        raise ValueError(f"catoni needs 0 < |gamma| < 709, got {gamma}")
+    eg = math.expm1(gamma)
+    return _cgf_line("catoni", _family("bernoulli"), gamma, {"gamma": gamma},
+                     lambda alpha, budget: min(max(
+                         math.expm1(gamma * alpha - budget) / eg, 0.0), 1.0))
 
 
 def scaled_diff(t):
@@ -100,52 +120,33 @@ def scaled_diff(t):
 
 
 def poisson_diff(t):
-    """(1 - e^{-t}) p - t q; carries its own offset so that Upsilon = 1."""
+    """(1 - e^{-t}) p - t q, the Poisson CGF line at s = -t."""
     if not t > 0:
         raise ValueError(f"poisson_diff needs t > 0, got {t}")
     c = -math.expm1(-t)
-
-    def fn(q, p):
-        return c * p - t * q
-
-    def inv(alpha, budget):
-        return (t * alpha + budget) / c
-
-    return Comparator("poisson_diff", fn, (0.0, math.inf), {"t": t},
-                      exact_inverse=inv)
+    return _cgf_line("poisson_diff", _family("poisson"), -t, {"t": t},
+                     lambda alpha, budget: (t * alpha + budget) / c)
 
 
 def laplace_diff(t, b):
-    """t (p - q) + ln(1 - b^2 t^2), the offset difference comparator."""
+    """t (p - q) + ln(1 - b^2 t^2), the Laplace(b) CGF line at s = -t."""
     if not (b > 0.0 and 0.0 < t < 1.0 / b):
         raise ValueError(f"laplace_diff needs 0 < t < 1/b, got t={t}, b={b}")
     off = math.log1p(-(b * t) ** 2)
-
-    def fn(q, p):
-        return t * (p - q) + off
-
-    def inv(alpha, budget):
-        return alpha + (budget - off) / t
-
-    return Comparator("laplace_diff", fn, (-math.inf, math.inf),
-                      {"t": t, "b": b}, exact_inverse=inv)
+    return _cgf_line("laplace_diff", _family("laplace", b), -t,
+                     {"t": t, "b": b},
+                     lambda alpha, budget: alpha + (budget - off) / t)
 
 
 def gaussian_diff(t, sigma2):
-    """t (p - q) - sigma^2 t^2 / 2, the offset difference comparator."""
+    """t (p - q) - sigma^2 t^2 / 2, the Gaussian(sigma^2) CGF line at s = -t."""
     if not (t > 0.0 and 0.0 < sigma2 < math.inf):
         raise ValueError("gaussian_diff needs t > 0 and sigma2 in (0, inf), "
                          f"got t={t}, sigma2={sigma2}")
     off = -0.5 * sigma2 * t * t
-
-    def fn(q, p):
-        return t * (p - q) + off
-
-    def inv(alpha, budget):
-        return alpha + (budget - off) / t
-
-    return Comparator("gaussian_diff", fn, (-math.inf, math.inf),
-                      {"t": t, "sigma2": sigma2}, exact_inverse=inv)
+    return _cgf_line("gaussian_diff", _family("gaussian", sigma2), -t,
+                     {"t": t, "sigma2": sigma2},
+                     lambda alpha, budget: alpha + (budget - off) / t)
 
 
 def custom(eval_fn, loss_range, form="custom", params=None):

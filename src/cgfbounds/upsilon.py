@@ -1,12 +1,12 @@
 """The moment quantity Upsilon_Delta(n) = sup_r E exp(n Delta(xbar, r)).
 
-Routes: the Shtarkov sum for the Bernoulli Cramer comparator (one O(n)
-log-sum-exp, no r), exact binomial sums on an r-grid for other Bernoulli
-comparators, truncated series with a divergence certificate (Poisson),
-log-domain quadrature of the sample-mean density (Gaussian, gamma, inverse
-Gaussian), Monte Carlo with a delta-method 95% interval otherwise.  Also
-houses the union-bound corrections that substitute for Upsilon when it
-diverges.  All values are carried in log domain.
+Routes: 0 for a family's own CGF line, the Shtarkov sum for the Bernoulli
+Cramer comparator (one O(n) log-sum-exp, no r), exact binomial sums on an
+r-grid for other Bernoulli comparators, truncated series with a divergence
+certificate (Poisson), log-domain quadrature of the sample-mean density
+(Gaussian, gamma, inverse Gaussian), Monte Carlo with a delta-method 95%
+interval otherwise.  Also houses the union-bound corrections that substitute
+for Upsilon when it diverges.  All values are carried in log domain.
 """
 
 import math
@@ -362,14 +362,14 @@ def cramer_divergence(family):
 def compute_upsilon(comp, family, n, seed=0, samples=10**5):
     """Route a (comparator, family) pair to its best Upsilon evaluation.
 
-    A family's own Cramer comparator (binary_kl over Bernoulli included)
-    skips the r-grid: over Bernoulli it is the Shtarkov sum, mode exact
-    with r_star None (upsilon_shtarkov_bernoulli); elsewhere it is mode
-    divergent (cramer_divergence).  Comparators constructed to integrate to
-    one over their own family return ln Upsilon = 0 exactly.  Every other
-    pair takes its route on the route's default r grid (the route functions
-    take an r_grid); seed and samples apply to the Monte-Carlo route.
-    Raises ValueError when n is not an integer of at least 1 or the
+    Two identities need no r-grid.  Over Bernoulli a family's own Cramer
+    comparator (binary_kl included) is the Shtarkov sum, mode exact with
+    r_star None; over any other family it is mode divergent
+    (cramer_divergence).  A family's own CGF line s q - K_p(s)
+    (params["cgf_line"]) has E e^{n (s xbar - K_r(s))} = 1 at every r: ln
+    Upsilon = 0, mode exact.  Every other pair takes its route on the
+    route's default r grid; seed and samples apply to the Monte-Carlo
+    route.  Raises ValueError when n is not an integer of at least 1 or the
     comparator's loss range does not cover the family's mean domain.
     """
     if not (n >= 1 and float(n).is_integer()):
@@ -384,17 +384,8 @@ def compute_upsilon(comp, family, n, seed=0, samples=10**5):
         if cramer_divergence(family):
             return UpsilonEstimate("divergent", math.inf)
         return upsilon_shtarkov_bernoulli(n)
-    if comp.form == "poisson_diff" and family.kind == "poisson":
-        return UpsilonEstimate("exact", 0.0)
-    if comp.form == "laplace_diff" and family.kind == "laplace" \
-            and p.get("b") == family.nuisance:
-        return UpsilonEstimate("exact", 0.0)
-    if comp.form == "gaussian_diff" and family.kind == "gaussian" \
-            and p.get("sigma2") == family.nuisance:
-        return UpsilonEstimate("exact", 0.0)
-    if comp.form == "catoni" and family.kind == "bernoulli":
-        return UpsilonEstimate("exact", 0.0)
-    if comp.form == "scaled_diff" and p.get("t") == 0.0:
+    if p.get("cgf_line") == (comp.form, family) or (
+            comp.form == "scaled_diff" and p.get("t") == 0.0):
         return UpsilonEstimate("exact", 0.0)
     if family.kind == "bernoulli":
         return upsilon_bernoulli_exact(comp, n)

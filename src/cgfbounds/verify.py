@@ -15,7 +15,7 @@ import numpy as np
 
 from . import families as fam
 from ._special import binomial_tail_root, logsumexp, xlog1py, xlogy
-from .bounds import bound_values, evaluate_kind, reference_flag
+from .bounds import bound_values, check_kind, evaluate_kind, reference_flag
 from .rng import make_generator, streams
 
 
@@ -112,6 +112,7 @@ def _evaluate(problem, bound, delta):
     are flagged reference_only (bounds.reference_flag) when given a delta.
     """
     family = problem.family
+    check_kind(bound)    # before the trials are simulated
     if bound == "pac_cramer_chernoff" and family.kind != "bernoulli":
         raise ValueError("the chernoff correction is certified here only for "
                          f"bernoulli, got {family.kind}")

@@ -301,6 +301,37 @@ def test_parametric_input_errors_without_asserts(flags):
                                    "b"]
 
 
+def test_parametric_nuisance_only_from_a_family_of_its_type():
+    # a Gaussian variance is no Laplace scale: b must be given, and then the
+    # bound is the one over laplace(b)
+    with pytest.raises(ValueError, match=r"^b must be .* laplace_diff_inf, "
+                       r"got None; only a laplace family"):
+        bounds.evaluate_kind("laplace_diff_inf", fam.gaussian(2.0), 0.1, 1.0, 10)
+    with pytest.raises(ValueError, match=r"^sigma2 must .* gaussian_diff_inf"):
+        bounds.bound_values("gaussian_diff_inf", fam.laplace(2.0), [0.1],
+                            1.0, 10)
+    given = bounds.evaluate_kind("laplace_diff_inf", fam.gaussian(2.0), 0.1,
+                                 1.0, 10, b=2.0).rho
+    own = bounds.evaluate_kind("laplace_diff_inf", fam.laplace(2.0), 0.1,
+                               1.0, 10).rho
+    assert given == own == pytest.approx(1.39523, abs=1e-5)
+    # an explicit value still wins over the family's own
+    assert bounds.evaluate_kind("gaussian_diff_inf", fam.gaussian(4.0), 0.1,
+                                1.0, 10, sigma2=0.25).rho == bounds.evaluate_kind(
+        "gaussian_diff_inf", fam.gaussian(0.25), 0.1, 1.0, 10).rho
+
+
+def test_poisson_diff_inf_refuses_families_with_negative_means():
+    for family in (fam.gaussian(1.0), fam.laplace(1.0)):
+        with pytest.raises(ValueError, match=r"poisson_diff_inf .* "
+                           f"{family.kind} family's mean can be negative"):
+            bounds.evaluate_kind("poisson_diff_inf", family, 0.5, 1.0, 10)
+    # nonnegative losses keep the Poisson Cramer inversion
+    for family in (None, fam.bernoulli(), fam.gamma(2.0)):
+        assert bounds.evaluate_kind("poisson_diff_inf", family, 0.5, 1.0,
+                                    10).rho == pytest.approx(0.886125, abs=1e-6)
+
+
 # the oracle: each kind's comparator family, the parameter range that the
 # per-cell infimum scanned before the identity route, and the comparator
 # D_t(q, p) in exact arithmetic for the feasibility check

@@ -568,6 +568,18 @@ USAGE_ERRORS = {
                      "average_cramer", "--alpha-range", "0.1:0.2:2.5",
                      "--bon-range", "0.01:1:2", "--n", "50"),
                     ["'0.1:0.2:2.5'", "steps needs an integer", "'2.5'"]),
+    "sweep-nuisance-of-another-family": (
+        ("sweep", "--family", "gaussian:sigma2=4", "--kinds",
+         "laplace_diff_inf", "--alpha-range", "0.1:0.2:2", "--bon-range",
+         "0.01:1:2", "--n", "50"),
+        ["b must be positive", "laplace_diff_inf", "only a laplace family"]),
+    "sweep-poisson-diff-negative-means": (
+        ("sweep", "--family", "gaussian:sigma2=1", "--kinds",
+         "poisson_diff_inf", "--alpha-range", "0.1:0.2:2", "--bon-range",
+         "0.01:1:2", "--n", "50"),
+        ["poisson_diff_inf", "gaussian", "can be negative"]),
+    "verify-bound-unknown": (("verify", "--bound", "bogus", "--trials", "10"),
+                             ["unknown bound kind", "'bogus'"]),
     "config-no-path": (("sweep", "--config"), ["--config needs a path"]),
     "config-line": (("sweep", "--config", str(BAD_CONFIG)),
                     [repr(str(BAD_CONFIG)), "line 2",

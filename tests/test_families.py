@@ -1,5 +1,7 @@
 import math
 import re
+import warnings
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -100,6 +102,35 @@ def test_negbin_cramer():
 def test_laplace_cgf_frozen():
     f = fam.laplace(1.0)
     assert f.cgf(1.0, 0.5) == pytest.approx(0.5 - math.log(0.75), rel=1e-14)
+
+
+BERNOULLI_PS = (1e-13, 1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-6, 1 - 1e-10,
+                1 - 1e-13)
+
+
+@pytest.mark.parametrize("p", BERNOULLI_PS)
+def test_bernoulli_cgf_against_decimal(p):
+    # ln(1 - p + p e^t) in 60-digit decimal at the exact double p; the
+    # log1p(p expm1(t)) form alone is 6.4e-11 off at p = 1 - 1e-13, t = -50
+    getcontext().prec = 60
+    for t in (-708, -300, -50, -5, 20, 300, 708):
+        d = Decimal(p)
+        want = float((1 - d + d * Decimal(t).exp()).ln())
+        got = fam.bernoulli().cgf(p, float(t))
+        assert abs(got - want) <= 1e-15 * abs(want), (t, got, want)
+
+
+@pytest.mark.parametrize("p", BERNOULLI_PS)
+def test_bernoulli_cgf_on_the_conjugate_probe_ladder(p):
+    # numeric_conjugate probes t = +-2^j, j = -20..20; each value finite,
+    # with no overflow or log-of-0 warning, as array and as scalar
+    ts = np.array([s * 2.0 ** j for j in range(-20, 21) for s in (1, -1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = fam.bernoulli().cgf(p, ts)
+        assert np.all(np.isfinite(vals))
+        assert all(fam.bernoulli().cgf(p, float(t)) == v
+                   for t, v in zip(ts, vals))
 
 
 def test_cramer_broadcasts():

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,67 @@ def test_poisson_diff_inverse():
     comp = inv.poisson_diff(t)
     c = -math.expm1(-t)
     assert comp.exact_inverse(1.0, 0.2) == pytest.approx((0.7 + 0.2) / c, rel=1e-14)
+
+
+# the four comparators as they were written by hand before each became the
+# CGF line s q - K_p(s) of its family: the oracle of the lines
+def _old_catoni(gamma):
+    eg, emg = math.expm1(gamma), math.expm1(-gamma)
+
+    def fn(q, p):
+        p = np.asarray(p, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ln_mix = np.where(p > 0.5, gamma + np.log1p((1.0 - p) * emg),
+                              np.log1p(p * eg))
+        return gamma * np.asarray(q, dtype=float) - ln_mix
+    return fn
+
+
+def _old_poisson_diff(t):
+    c = -math.expm1(-t)
+    return lambda q, p: c * p - t * q
+
+
+def _old_offset_diff(t, off):
+    return lambda q, p: t * (p - q) + off
+
+
+_UNIT = np.array([0.0, 1e-13, 1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-6,
+                  1 - 1e-10, 1 - 1e-13, 1.0])
+_HALF_LINE = np.array([0.0, 1e-6, 0.1, 0.5, 1.0, 3.0, 10.0])
+_LINE = np.array([-3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0])
+
+CGF_LINE_CASES = (
+    [(f"catoni-{g}", inv.catoni(g), _old_catoni(g), g, _UNIT)
+     for g in (-708.0, -300.0, -50.0, -30.0, -5.0, -1.3, -1e-3, 1e-3, 1.3,
+               30.0, 300.0, 708.0)]
+    + [(f"poisson_diff-{t}", inv.poisson_diff(t), _old_poisson_diff(t), -t,
+        _HALF_LINE) for t in (1e-3, 0.7, 10.0)]
+    + [(f"laplace_diff-{t},{b}", inv.laplace_diff(t, b),
+        _old_offset_diff(t, math.log1p(-(b * t) ** 2)), -t, _LINE)
+       for t, b in ((1e-3, 5.0), (0.3, 1.0), (0.9, 1.0))]
+    + [(f"gaussian_diff-{t},{v}", inv.gaussian_diff(t, v),
+        _old_offset_diff(t, -0.5 * v * t * t), -t, _LINE)
+       for t, v in ((1e-3, 5.0), (0.5, 1.0), (2.0, 0.25))])
+
+
+@pytest.mark.parametrize("comp, old, s, grid",
+                         [case[1:] for case in CGF_LINE_CASES],
+                         ids=[case[0] for case in CGF_LINE_CASES])
+def test_cgf_lines_match_the_hand_written_fns(comp, old, s, grid):
+    # Relative to the line's terms: any float evaluation of s q - K_p(s),
+    # K_p(s) ~ s p, errs by a few ulp of |s| max(|q|, |p|), and near q = p
+    # the value itself can be far smaller than either term.  The grids
+    # include the closed ends of the mean range, where K_p(s) = s p.
+    q, p = np.meshgrid(grid, grid, indexing="ij")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new = comp.eval(q, p)
+    want = old(q, p)
+    scale = np.maximum(np.abs(want), abs(s) * np.maximum(abs(q), abs(p)))
+    assert np.all(np.abs(new - want) <= 1e-15 * scale)
+    for i, j in ((0, 0), (-1, -1), (0, -1), (3, 5)):
+        assert comp.eval(float(q[i, j]), float(p[i, j])) == new[i, j]
 
 
 def test_laplace_and_gaussian_diff_inverse():

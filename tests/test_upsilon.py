@@ -546,6 +546,39 @@ def test_dispatcher_routes():
         assert est.mode == "truncated" and est.r_star == 0.3
 
 
+OWN_FAMILY_LINES = [
+    (inv.catoni(-2.0), fam.bernoulli()),
+    (inv.catoni(1.5), fam.bernoulli()),
+    (inv.poisson_diff(0.5), fam.poisson()),
+    (inv.laplace_diff(0.3, 1.0), fam.laplace(1.0)),
+    (inv.gaussian_diff(0.5, 1.0), fam.gaussian(1.0)),
+]
+
+
+@pytest.mark.parametrize("comp, family", OWN_FAMILY_LINES,
+                         ids=[c.form for c, _ in OWN_FAMILY_LINES])
+def test_cgf_line_over_its_own_family_is_exact_zero(comp, family):
+    # E e^{n (s xbar - K_p(s))} = 1 at every p: one rule, read off the
+    # (form, family) the line records
+    assert comp.params["cgf_line"] == (comp.form, family)
+    est = ups.compute_upsilon(comp, family, 20)
+    assert est.mode == "exact" and est.value == 0.0
+
+
+def test_cgf_line_off_its_family_takes_the_numeric_route():
+    # another nuisance: the Laplace(2) draws are not the line's family
+    est = ups.compute_upsilon(inv.laplace_diff(0.3, 1.0), fam.laplace(2.0), 5,
+                              samples=2 * 10**4)
+    assert est.mode == "monte_carlo" and est.value > 0.0
+    # another form: the relabelled line is summed as a series, near 0
+    offset = dataclasses.replace(inv.poisson_diff(0.7), form="offset_diff")
+    est = ups.compute_upsilon(offset, fam.poisson(), 20)
+    assert est.mode == "truncated" and abs(est.value) < 1e-9
+    # another family with the same mean range
+    est = ups.compute_upsilon(inv.poisson_diff(0.5), fam.gamma(2.0), 4)
+    assert est.mode == "truncated"
+
+
 def test_dispatcher_rejects_unknown_keywords():
     # a misspelt samples must not silently run the default 10^5 draws
     with pytest.raises(TypeError, match="sample"):

@@ -186,6 +186,23 @@ def test_verify_flag_is_the_evaluate_kind_flag(kind, delta):
     assert verify.run_trials(p, kind, delta)[1]["flag"] == want
 
 
+def test_unknown_kind_refused_before_any_draw(monkeypatch):
+    # a fresh problem, so no cached simulation hides a draw
+    draws = []
+    real = fam.BoundingFamily._draw
+
+    def spy(self, *args):
+        draws.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(fam.BoundingFamily, "_draw", spy)
+    with pytest.raises(ValueError, match="unknown bound kind 'bogus'"):
+        verify.run_trials(problem(seed=123457), "bogus", 0.05)
+    assert draws == []
+    verify.run_trials(problem(seed=123457, trials=3), "mls", 0.05)
+    assert len(draws) == 3     # the spy sees the draws of a known kind
+
+
 def test_chernoff_kind_over_bernoulli():
     recs, summary = verify.run_trials(problem(trials=20),
                                       "pac_cramer_chernoff", 0.05)
