@@ -47,11 +47,16 @@ def reference_flag(kind, delta):
             else None)
 
 
-def check_kind(kind):
-    """Raise ValueError naming BOUND_KINDS unless kind is one of them."""
+def check_kind(kind, delta):
+    """Raise ValueError unless kind is one of BOUND_KINDS (the message names
+    them) and delta suits it: a kind with a union correction needs one, and
+    a delta lies in (0, 1)."""
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; use one of "
                          + ", ".join(BOUND_KINDS))
+    if kind in _CORRECTED and delta is None:
+        raise ValueError(f"the {kind} kind requires delta")
+    inv.check_delta(delta)
 
 
 def _parametric_identity(kind, family, sigma2, b):
@@ -93,14 +98,12 @@ def _kind_query(kind, family, alpha, beta, n, delta, sigma2, b, *,
     array too, except for the kinds of _SCALAR_N.  u is the 2e ceil(u) grid
     size, default n.
     """
-    check_kind(kind)
+    check_kind(kind, delta)
     for name, value, owner in (("ln_upsilon", ln_upsilon, "pac_cramer_chernoff"),
                                ("u", u, "pac_cramer_two_e_ceil")):
         if value is not None and kind != owner:
             raise ValueError(f"only {owner} takes {name}, not {kind}; "
                              f"{name}={value}")
-    if kind in _CORRECTED and delta is None:
-        raise ValueError(f"the {kind} kind requires delta")
     if kind in _SCALAR_N and np.ndim(n):
         raise ValueError(f"the {kind} kind needs a scalar n, got an array")
     if family is None and kind.startswith(("average_", "pac_")):
@@ -149,17 +152,39 @@ def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
 
 def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
                  b=None):
-    """One bound kind over broadcast (alpha, beta, n) arrays, NaN where it
-    diverges.
+    """One bound kind, or several that invert one comparator, over broadcast
+    (alpha, beta, n) arrays; NaN where a bound diverges.
 
-    The kinds and rule of evaluate_kind, as one invert_grid call; the
-    Chernoff kind computes its Upsilon and the 2e ceil(u) kind takes u = n.
-    n may be an integer array, except for the kinds that BoundQuery names.
+    The kinds and rule of evaluate_kind.  The Chernoff kind computes its
+    Upsilon and the 2e ceil(u) kind takes u = n.  n may be an integer
+    array, except for the kinds that BoundQuery names.  kind may be a
+    sequence of kinds whose comparators are Cramer functions of one family
+    (the same params["family"]), such as mls and the pac_cramer kinds over
+    bernoulli: their budgets are stacked and inverted in one invert_grid
+    call, and the result has one leading row per kind, each equal to that
+    kind's own call.  A single kind is the one-row case.
     """
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                       np.asarray(beta, dtype=float))
-    try:
-        comp, q = _kind_query(kind, family, alpha, beta, n, delta, sigma2, b)
-    except CorrectionDivergent:
-        return np.full(alpha.shape, math.nan)
-    return inv.invert_grid(comp, alpha, q.budget())
+    comp, budgets = None, {}
+    for row, k in enumerate(kinds):
+        try:
+            c, q = _kind_query(k, family, alpha, beta, n, delta, sigma2, b)
+        except CorrectionDivergent:
+            continue                # the row stays NaN
+        if comp is None:
+            comp = c
+        elif c.params.get("family") != comp.params.get("family"):
+            raise ValueError(f"the kinds {', '.join(kinds)} invert different "
+                             "comparators; evaluate them apart")
+        budgets[row] = q.budget()
+    shape = np.broadcast_shapes(alpha.shape,
+                                *(np.shape(v) for v in budgets.values()))
+    out = np.full((len(kinds),) + shape, math.nan)
+    if budgets:
+        stacked = np.stack([np.broadcast_to(v, shape)
+                            for v in budgets.values()])
+        out[list(budgets)] = inv.invert_grid(
+            comp, alpha, stacked[0] if isinstance(kind, str) else stacked)
+    return out[0, ...] if isinstance(kind, str) else out

@@ -29,30 +29,70 @@ class ConjugateResult:
     at_boundary: bool = False
 
 
-def argmax_zoom(f, xs, vals):
-    """Best (x, f(x)) of the grid xs (vals = f(xs)), refined by zooming in.
+_ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
 
-    Zooms on the max of f between the best grid point's neighbours, clamped
-    to the grid; f maps a 1-d array of points to their values in one call.
-    Each round evaluates f at _ZOOM_POINTS evenly spaced points and keeps the
-    two cells around the best one; it stops once a round's values are flat
-    to rounding or after _ZOOM_ROUNDS rounds.  A zoom point replaces the grid
-    point only if strictly better; f is assumed unimodal on the bracket.
+
+def _zoom_points(a, b):
+    """np.linspace(a[r], b[r], _ZOOM_POINTS) per row r, the same doubles."""
+    step = (b - a) / (_ZOOM_POINTS - 1)
+    zs = step[:, None] * _ZOOM_STEPS
+    if np.count_nonzero(step) < len(step):    # linspace's subnormal rule
+        zero = step == 0.0
+        zs[zero] = _ZOOM_STEPS / (_ZOOM_POINTS - 1) * (b - a)[zero, None]
+    zs += a[:, None]
+    zs[:, -1] = b
+    return zs
+
+
+def argmax_zoom(f, xs, vals):
+    """Best (x, f(x)) of the grid xs, refined by zooming in, row by row.
+
+    vals holds f on xs: a 1-d array, or a 2-d (rows, len(xs)) array with
+    one function per row.  Each row zooms on its max between its best grid
+    point's neighbours, clamped to the grid.  A round evaluates every row
+    still zooming at _ZOOM_POINTS evenly spaced points in one call of f and
+    keeps, per row, the two cells around the best one; a zoom point replaces
+    the row's best only if strictly better, and a row leaves the later
+    rounds once its values are flat to rounding, or after _ZOOM_ROUNDS
+    rounds.  f is assumed unimodal on each bracket.  With 1-d vals, f maps
+    a 1-d array of points to their values and the result is one (x, value)
+    pair of floats: the one-row case.  With 2-d vals, f(zs, rows) maps the
+    (len(rows), points) zoom points of the rows still zooming (their
+    indices into vals) to their values, and the result is a pair of arrays,
+    one entry per row.  The per-row rules are a few comparisons of Python
+    floats, so the one-row case costs no more than a scalar loop would.
     """
-    i = int(np.argmax(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
-    a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    vals, xs = np.asarray(vals, dtype=float), np.asarray(xs, dtype=float)
+    one = vals.ndim == 1
+    if one:
+        vals = vals[None]
+    i = vals.argmax(axis=1)
+    best_x, best_v = xs[i].tolist(), vals[np.arange(len(vals)), i].tolist()
+    a, b = xs[[(max(k - 1, 0), min(k + 1, len(xs) - 1))
+               for k in i.tolist()]].T
+    rows = list(range(len(vals)))
     for _ in range(_ZOOM_ROUNDS):
-        zs = np.linspace(a, b, _ZOOM_POINTS)
-        zvals = np.asarray(f(zs), dtype=float)
-        j = int(np.argmax(zvals))
-        top = float(zvals[j])
-        if top > best_v:
-            best_x, best_v = float(zs[j]), top
-        if top - float(np.min(zvals)) <= 4e-16 * max(1.0, abs(top)):
+        zs = _zoom_points(a, b)
+        zvals = (np.asarray(f(zs[0]), dtype=float)[None] if one
+                 else np.asarray(f(zs, np.array(rows)), dtype=float))
+        live, ends = [], []
+        for r, z, zv, j, low in zip(rows, zs.tolist(), zvals.tolist(),
+                                    zvals.argmax(axis=1).tolist(),
+                                    zvals.min(axis=1).tolist()):
+            top = zv[j]
+            if top > best_v[r]:
+                best_x[r], best_v[r] = z[j], top
+            if not top - low <= 4e-16 * max(1.0, abs(top)):    # not flat
+                live.append(r)
+                ends.append((z[max(j - 1, 0)],
+                             z[min(j + 1, _ZOOM_POINTS - 1)]))
+        if not live:
             break
-        a, b = zs[max(j - 1, 0)], zs[min(j + 1, _ZOOM_POINTS - 1)]
-    return best_x, best_v
+        rows = live
+        a, b = np.array(ends).T
+    if one:
+        return best_x[0], best_v[0]
+    return np.array(best_x), np.array(best_v)
 
 
 def cellwise(fn, *args, fill=None):
@@ -85,7 +125,9 @@ def cellwise(fn, *args, fill=None):
 
 
 def _objective_on_grid(cgf, q, ts):
-    """q t - cgf(t) on an array of t; -inf where the CGF raises or gives NaN."""
+    """q t - cgf(t), broadcast; -inf where the CGF raises or gives NaN.
+
+    The CGF is evaluated once, on ts, whatever the shape of q."""
     tarr = np.asarray(ts, dtype=float)
     with np.errstate(all="ignore"):
         vals = q * tarr - cellwise(cgf, tarr, fill=math.inf)
@@ -111,16 +153,13 @@ def _probe_points(lo, hi):
     return sorted(pts)
 
 
-def _tail_result(ts, vals, sign, q, best):
-    if sign > 0:
-        v1, v2, v3 = vals[-3], vals[-2], vals[-1]
-    else:
-        v1, v2, v3 = vals[2], vals[1], vals[0]
-    d12, d23 = v2 - v1, v3 - v2
-    if d23 > 1e-9 * max(1.0, abs(v3)) and d23 > 0.5 * d12:
-        raise ConjugateDivergent(
-            f"conjugate objective still growing at the probe-ladder end for q={q}")
-    return ConjugateResult(best, sign * math.inf, True)
+def _growing_at_end(vals, sign):
+    """Per row, whether the objective still climbs at the `sign` end."""
+    v1, v2, v3 = (vals[:, -3], vals[:, -2], vals[:, -1]) if sign > 0 else (
+        vals[:, 2], vals[:, 1], vals[:, 0])
+    with np.errstate(invalid="ignore"):             # -inf - -inf
+        d12, d23 = v2 - v1, v3 - v2
+        return (d23 > 1e-9 * np.maximum(1.0, np.abs(v3))) & (d23 > 0.5 * d12)
 
 
 def numeric_conjugate(cgf, q, t_domain):
@@ -131,8 +170,10 @@ def numeric_conjugate(cgf, q, t_domain):
     cgf : callable
         CGF of t, called through cellwise, so it need not take arrays; may
         raise ValueError outside its finiteness interval.
-    q : float
-        Query point of the conjugate.
+    q : float or array
+        Query point(s) of the conjugate.  An array of q shares one probe
+        ladder, one CGF evaluation on it and one batched argmax_zoom; each
+        q gets the same doubles as on its own.
     t_domain : tuple
         The CGF's finiteness interval as a nonempty open (lower, upper) pair,
         such as BoundingFamily.t_domain(p) returns.
@@ -141,33 +182,52 @@ def numeric_conjugate(cgf, q, t_domain):
     -------
     ConjugateResult
         value, argmax t_star (+-inf if the supremum is attained in the
-        limit), and an at_boundary flag.
+        limit), and an at_boundary flag: floats and a bool for a scalar q,
+        arrays of q's shape for an array.
 
     Raises
     ------
     ConjugateDivergent
         If the objective grows without bound along an unbounded direction,
-        i.e. q lies outside the closure of the family's mean range.
+        i.e. some q lies outside the closure of the family's mean range.
     """
     lo, hi = t_domain
-    ts = _probe_points(lo, hi)
-    vals = _objective_on_grid(cgf, q, ts)
-    i = int(np.argmax(vals))
-    if vals[i] == -math.inf:
-        return ConjugateResult(-math.inf, math.nan, False)
+    ts = np.array(_probe_points(lo, hi))
+    qs = np.asarray(q, dtype=float).reshape(-1, 1)
+    vals = _objective_on_grid(cgf, qs, ts)
+    i = np.argmax(vals, axis=1)
+    value = vals[np.arange(len(qs)), i]
+    t_star, at_boundary = ts[i], np.zeros(len(qs), dtype=bool)
+    dead = value == -math.inf
+    t_star[dead] = math.nan
     # an end value within rounding noise of the maximum means the objective
-    # plateaus (or keeps growing) toward that end; let the tail rule decide
-    near = 1e-9 * max(1.0, abs(vals[i]))
-    if math.isinf(hi) and vals[-1] >= vals[i] - near:
-        return _tail_result(ts, vals, +1.0, q, vals[i])
-    if math.isinf(lo) and vals[0] >= vals[i] - near:
-        return _tail_result(ts, vals, -1.0, q, vals[i])
-    if i in (0, len(ts) - 1):
-        return ConjugateResult(vals[i], ts[i], True)
-    t_star, val = argmax_zoom(lambda t: _objective_on_grid(cgf, q, t), ts, vals)
-    return ConjugateResult(val, t_star, False)
+    # plateaus (or keeps growing) toward that end; the tail rule decides
+    near = value - 1e-9 * np.maximum(1.0, np.abs(value))
+    up = ~dead & math.isinf(hi) & (vals[:, -1] >= near)
+    down = ~dead & ~up & math.isinf(lo) & (vals[:, 0] >= near)
+    growing = (up & _growing_at_end(vals, +1.0)) | (
+        down & _growing_at_end(vals, -1.0))
+    if growing.any():
+        raise ConjugateDivergent("conjugate objective still growing at the "
+                                 f"probe-ladder end for q={qs[growing][0, 0]}")
+    t_star[up], t_star[down] = math.inf, -math.inf
+    at_boundary[up | down | (~dead & ((i == 0) | (i == len(ts) - 1)))] = True
+    zoom = ~(dead | at_boundary)
+    if zoom.any():
+        qz = qs[zoom]
+        t_star[zoom], value[zoom] = argmax_zoom(
+            lambda t, rows: _objective_on_grid(cgf, qz[rows], t), ts,
+            vals[zoom])
+    if np.ndim(q) == 0:
+        return ConjugateResult(float(value[0]), float(t_star[0]),
+                               bool(at_boundary[0]))
+    shape = np.shape(q)
+    return ConjugateResult(value.reshape(shape), t_star.reshape(shape),
+                           at_boundary.reshape(shape))
 
 
 def family_conjugate(family, q, p):
-    """Numeric Cramer value of a family at (q, p), independent of closed forms."""
+    """Numeric Cramer value of a family at (q, p), independent of closed forms.
+
+    q may be an array: one numeric_conjugate call over the CGF at one p."""
     return numeric_conjugate(lambda t: family.cgf(p, t), q, family.t_domain(p))

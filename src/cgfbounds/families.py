@@ -164,33 +164,43 @@ class BoundingFamily:
         self._check_mean(p)
         return self._draw(p, size, rng)
 
-    def _draw(self, p, size, rng):
-        """sample without the mean check, for callers that made it once."""
+    def _draw(self, p, size, rng, out=None):
+        """sample without the mean check, for callers that made it once.
+
+        With out, a C-contiguous float array of shape size, the draws are
+        written into it and it is returned; the doubles are the same.
+        """
+        if out is None:
+            out = np.empty(size)
         v = self.nuisance
         if self.kind == "bernoulli":
-            return (rng.random(size) < p).astype(float)
-        if self.kind == "gaussian":
+            rng.random(out=out)
+            np.less(out, p, out=out)
+        elif self.kind == "gaussian":
             # the same doubles as rng.normal(p, sqrt(v), size), at half the cost
-            return p + math.sqrt(v) * rng.standard_normal(size)
-        if self.kind == "poisson":
-            return rng.poisson(p, size).astype(float)
-        if self.kind == "gamma":
-            return rng.gamma(v, p / v, size)
-        if self.kind == "laplace":
+            rng.standard_normal(out=out)
+            out *= math.sqrt(v)
+            out += p
+        elif self.kind == "poisson":
+            out[...] = rng.poisson(p, size)
+        elif self.kind == "gamma":
+            out[...] = rng.gamma(v, p / v, size)
+        elif self.kind == "laplace":
             # inverse CDF p - v sign(u) ln(1 - 2|u|), u = U - 1/2, in place;
             # copysign gives the same doubles as the sign product, u = +-0 too
             u = rng.random(size)
             u -= 0.5
-            a = np.abs(u)
-            a *= -2.0
-            np.log1p(a, out=a)
-            np.copysign(a, u, out=a)
-            a *= v
-            a += p
-            return a
-        if self.kind == "invgauss":
-            return rng.wald(p, v, size)
-        return rng.negative_binomial(v, v / (v + p), size).astype(float)
+            np.abs(u, out=out)
+            out *= -2.0
+            np.log1p(out, out=out)
+            np.copysign(out, u, out=out)
+            out *= v
+            out += p
+        elif self.kind == "invgauss":
+            out[...] = rng.wald(p, v, size)
+        else:
+            out[...] = rng.negative_binomial(v, v / (v + p), size)
+        return out
 
 
 # -- constructors and the CLI spec-string form ----------------------------

@@ -155,6 +155,12 @@ def custom(eval_fn, loss_range, form="custom", params=None):
 
 # -- queries and results ---------------------------------------------------
 
+def check_delta(delta):
+    """Raise ValueError unless delta is None or lies in (0, 1)."""
+    if delta is not None and not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
 @dataclass(frozen=True)
 class BoundQuery:
     """Inputs of a single bound evaluation.
@@ -180,8 +186,7 @@ class BoundQuery:
             raise ValueError(f"ln_iota must be finite, got {ln_iota}")
         if not np.all(np.asarray(self.n) >= 1):
             raise ValueError(f"n must be at least 1, got {self.n}")
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        check_delta(self.delta)
 
     def budget(self):
         b = self.beta + self.ln_iota

@@ -285,8 +285,8 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
     Per-r streams are keyed by (seed, r-index) so the result is independent
     of evaluation order.  ci is value +- _Z95 sd / (mean sqrt(samples)) of
     e^{w - max w} at the maximizing r: the normal 95% interval of the mean
-    weight, carried to the log scale by the delta method.  The draws are
-    made in cache-sized blocks of whole rows, about _BLOCK elements each, so
+    weight, carried to the log scale by the delta method.  Each r's draws
+    are made into one reused buffer of whole rows, about _BLOCK elements, so
     memory does not grow with samples x n and each pass stays in cache; a
     stream does not depend on how its draws are split and each row's mean
     is taken on its own, so the block size changes no value.  The
@@ -316,10 +316,12 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
     means = np.empty(samples)
     for idx, r in enumerate(rs):
         rng = make_generator(seed, idx)
+        block = np.empty(rows * n)      # freed before the weights are taken
         for j in range(0, samples, rows):
             k = min(rows, samples - j)
-            family._draw(float(r), k * n, rng).reshape(k, n).mean(
-                axis=1, out=means[j:j + k])
+            family._draw(float(r), k * n, rng, block[:k * n]).reshape(
+                k, n).mean(axis=1, out=means[j:j + k])
+        del block
         w = n * cellwise(comp.eval, means, float(r))
         v = ln_mean_exp(w)
         if v > best:

@@ -72,9 +72,10 @@ def _gibbs(ln_prior, energy):
 def _simulate(problem):
     """Per-trial (train, pop, kl) arrays; trial t draws on stream (seed, t).
 
-    Each trial's (n, m) draws fill one slot of a (_TRIAL_BLOCK, n, m)
-    block, and a full block is averaged over n in one pass; the mean of
-    each trial is the same sum in the same order as on its own.
+    Each trial's (n, m) draws are written straight into one slot of a
+    (_TRIAL_BLOCK, n, m) block, and a full block is averaged over n in one
+    pass; the mean of each trial is the same sum in the same order as on
+    its own.
     """
     means = np.asarray(problem.hypothesis_means, dtype=float)
     prior = np.asarray(problem.prior_weights, dtype=float)
@@ -85,7 +86,7 @@ def _simulate(problem):
     for lo in range(0, t_total, _TRIAL_BLOCK):
         k = min(_TRIAL_BLOCK, t_total - lo)
         for i in range(k):
-            block[i] = problem.family._draw(means, (n, means.size), next(gens))
+            problem.family._draw(means, (n, means.size), next(gens), block[i])
         block[:k].mean(axis=1, out=lhat[lo:lo + k])
     q, lnq = _gibbs(np.log(prior), c * n * lhat)
     kl = np.maximum(np.einsum("tm,tm->t", q, lnq - np.log(prior)), 0.0)
@@ -105,31 +106,38 @@ def clopper_pearson(k, t_total):
     return lo, hi
 
 
-def _evaluate(problem, bound, delta):
-    """(values, violation flags, summary) of one bound kind over the trials.
+def _evaluate(problem, kinds, delta):
+    """(values, violation flags, summaries) of bound kinds over the trials.
 
-    Every kind in BOUND_KINDS is taken; those without a union correction
-    are flagged reference_only (bounds.reference_flag) when given a delta.
+    The kinds must invert one comparator (bounds.bound_values), which then
+    runs once over their stacked budgets; values and flags are (len(kinds),
+    trials) arrays, with one summary per kind.  Every kind in BOUND_KINDS
+    is taken; those without a union correction are flagged reference_only
+    (bounds.reference_flag) when given a delta.  The kinds and delta are
+    checked before any trial is simulated.
     """
     family = problem.family
-    check_kind(bound)    # before the trials are simulated
-    if bound == "pac_cramer_chernoff" and family.kind != "bernoulli":
-        raise ValueError("the chernoff correction is certified here only for "
-                         f"bernoulli, got {family.kind}")
+    for kind in kinds:
+        check_kind(kind, delta)
+        if kind == "pac_cramer_chernoff" and family.kind != "bernoulli":
+            raise ValueError("the chernoff correction is certified here only "
+                             f"for bernoulli, got {family.kind}")
     train, pop, kl = _simulate(problem)
-    values = bound_values(bound, family, train, kl, problem.n, delta)
+    values = bound_values(kinds, family, train, kl, problem.n, delta)
     violated = pop > values
-    k = int(violated.sum())
-    cp_lo, cp_hi = clopper_pearson(k, problem.trials)
-    summary = {
-        "kind": bound, "family": fam.family_spec(family),
-        "m": len(problem.hypothesis_means), "n": problem.n,
-        "c": problem.gibbs_temperature, "seed": problem.seed,
-        "delta": delta, "trials": problem.trials, "violations": k,
-        "rate": k / problem.trials, "cp95_low": cp_lo, "cp95_high": cp_hi,
-        "flag": reference_flag(bound, delta),
-    }
-    return values, violated, summary
+    summaries = []
+    for kind, flags in zip(kinds, violated):
+        k = int(flags.sum())
+        cp_lo, cp_hi = clopper_pearson(k, problem.trials)
+        summaries.append({
+            "kind": kind, "family": fam.family_spec(family),
+            "m": len(problem.hypothesis_means), "n": problem.n,
+            "c": problem.gibbs_temperature, "seed": problem.seed,
+            "delta": delta, "trials": problem.trials, "violations": k,
+            "rate": k / problem.trials, "cp95_low": cp_lo,
+            "cp95_high": cp_hi, "flag": reference_flag(kind, delta),
+        })
+    return values, violated, summaries
 
 
 def run_trials(problem, bound="pac_cramer_xi", delta=0.05):
@@ -138,7 +146,7 @@ def run_trials(problem, bound="pac_cramer_xi", delta=0.05):
     Returns (records, summary): a TrialRecord per trial plus a summary dict
     with the violation count and its 95% Clopper-Pearson interval.
     """
-    values, violated, summary = _evaluate(problem, bound, delta)
+    (values,), (violated,), (summary,) = _evaluate(problem, (bound,), delta)
     train, pop, kl = _simulate(problem)
     records = [TrialRecord(float(train[t]), float(pop[t]), float(kl[t]),
                            float(values[t]), bool(violated[t]))
@@ -195,10 +203,16 @@ def suite_problems(trials=2000, seeds=(0, 1, 2)):
 
 
 def default_suite(delta=0.05, trials=2000, seeds=(0, 1, 2)):
-    """Run every certified PAC kind over the default problem grid."""
-    return [_evaluate(problem, kind, delta)[2]
-            for problem in suite_problems(trials, seeds)
-            for kind in CERTIFIED_KINDS[problem.family.kind]]
+    """Run every certified PAC kind over the default problem grid.
+
+    A problem's certified kinds all invert its family's Cramer function
+    (mls's binary kl is the Bernoulli one), so each problem makes one
+    inversion over the kinds' stacked budgets.  One summary per (problem,
+    kind), in CERTIFIED_KINDS order.
+    """
+    return [summary for problem in suite_problems(trials, seeds)
+            for summary in _evaluate(
+                problem, CERTIFIED_KINDS[problem.family.kind], delta)[2]]
 
 
 # -- samplewise vs full-sample comparison ------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgfbounds import bounds, conjugate, families as fam, inversion as inv
+from cgfbounds import bounds, cli, conjugate, families as fam, inversion as inv
 from cgfbounds.cli import _csv_rows, _fmt, main
 
 
@@ -418,11 +418,34 @@ def test_nan_conjugate_fails_the_checks(monkeypatch, capsys):
     # max() drops a NaN error; the checks must report it as a failure
     monkeypatch.setattr(conjugate, "family_conjugate",
                         lambda family, q, p: conjugate.ConjugateResult(
-                            math.nan, 0.0))
+                            np.full(np.shape(q), math.nan),
+                            np.zeros(np.shape(q))))
     assert main(["conjugate-check", "--family", "bernoulli"]) == 5
     assert "max_err=nan FAIL" in capsys.readouterr().out
     assert main(["selfcheck"]) == 5
     assert "conjugate-vs-closed max_err=nan FAIL" in capsys.readouterr().out
+
+
+def test_conjugate_suite_makes_one_call_per_family_and_p(monkeypatch):
+    # each (family, p) takes its whole q grid in one numeric conjugate and
+    # one closed Cramer call: 7 families x 7 p, not 343 cells
+    calls = {"conjugate": 0, "cramer": 0}
+    real_conjugate, real_cramer = (conjugate.family_conjugate,
+                                   fam.BoundingFamily.cramer)
+
+    def counted_conjugate(family, q, p):
+        calls["conjugate"] += 1
+        return real_conjugate(family, q, p)
+
+    def counted_cramer(self, q, p):
+        calls["cramer"] += 1
+        return real_cramer(self, q, p)
+
+    monkeypatch.setattr(conjugate, "family_conjugate", counted_conjugate)
+    monkeypatch.setattr(fam.BoundingFamily, "cramer", counted_cramer)
+    families = [fam.parse_family(s) for s in cli._DEFAULT_CHECK_FAMILIES]
+    assert cli._conjugate_suite(families) <= cli._CHECK_TOL
+    assert calls == {"conjugate": 49, "cramer": 49}
 
 
 def test_exit_codes_usage_and_io(tmp_path):
@@ -580,6 +603,8 @@ USAGE_ERRORS = {
         ["poisson_diff_inf", "gaussian", "can be negative"]),
     "verify-bound-unknown": (("verify", "--bound", "bogus", "--trials", "10"),
                              ["unknown bound kind", "'bogus'"]),
+    "verify-delta": (("verify", "--bound", "pac_cramer_xi", "--delta", "1.5",
+                      "--trials", "10"), ["delta must lie in (0, 1)", "1.5"]),
     "config-no-path": (("sweep", "--config"), ["--config needs a path"]),
     "config-line": (("sweep", "--config", str(BAD_CONFIG)),
                     [repr(str(BAD_CONFIG)), "line 2",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cgfbounds import cli
 from cgfbounds import conjugate as con
 from cgfbounds import families as fam
 
@@ -207,3 +208,99 @@ def test_argmax_zoom_takes_a_strictly_better_zoom_point():
     xs = np.linspace(0.0, 1.0, 5)
     x, v = con.argmax_zoom(lambda x: -(x - 0.3) ** 2, xs, -(xs - 0.3) ** 2)
     assert x == pytest.approx(0.3, abs=1e-9) and v > -(0.25 - 0.3) ** 2
+
+
+def scalar_zoom(f, xs, vals):
+    """argmax_zoom as it was first written, one row at a time: the oracle of
+    the batched maximizer."""
+    i = int(np.argmax(vals))
+    best_x, best_v = float(xs[i]), float(vals[i])
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    for _ in range(con._ZOOM_ROUNDS):
+        zs = np.linspace(a, b, con._ZOOM_POINTS)
+        zvals = np.asarray(f(zs), dtype=float)
+        j = int(np.argmax(zvals))
+        top = float(zvals[j])
+        if top > best_v:
+            best_x, best_v = float(zs[j]), top
+        if top - float(np.min(zvals)) <= 4e-16 * max(1.0, abs(top)):
+            break
+        a, b = zs[max(j - 1, 0)], zs[min(j + 1, con._ZOOM_POINTS - 1)]
+    return best_x, best_v
+
+
+# one function per row: a smooth peak (all rounds), a flat row (one round),
+# a plateau whose zoom points tie with the grid point, a best point at
+# either end, a tall peak whose values go flat to rounding a few rounds in,
+# and a row
+# that is -inf on the left half
+ZOOM_ROWS = [
+    lambda x: -(x - 0.3137) ** 2,
+    lambda x: np.full(np.shape(x), 2.5),
+    lambda x: -np.maximum(np.abs(x - 0.5) - 0.2, 0.0),
+    lambda x: x,
+    lambda x: -x,
+    lambda x: 1e6 - (x - 0.61) ** 2,
+    lambda x: np.where(x < 0.5, -np.inf, -(x - 0.7) ** 2),
+]
+ZOOM_XS = np.array([0.0, 0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0])
+
+
+def test_batched_argmax_zoom_equals_a_per_row_loop():
+    seen = []
+
+    def f(zs, rows):
+        seen.append(rows.tolist())
+        return np.array([ZOOM_ROWS[r](z) for r, z in zip(rows, zs)])
+
+    vals = np.array([g(ZOOM_XS) for g in ZOOM_ROWS])
+    xs, vs = con.argmax_zoom(f, ZOOM_XS, vals)
+    want = [scalar_zoom(g, ZOOM_XS, g(ZOOM_XS)) for g in ZOOM_ROWS]
+    assert list(zip(xs.tolist(), vs.tolist())) == want
+    # each row stops in its own round and leaves the later ones
+    rounds = [sum(r in rows for rows in seen) for r in range(len(ZOOM_ROWS))]
+    assert rounds[3] == con._ZOOM_ROUNDS and rounds[1] == 1, rounds
+    assert len(set(rounds)) >= 4
+    assert all(sorted(rows) == rows for rows in seen)
+
+
+def test_one_row_argmax_zoom_equals_the_scalar_zoom():
+    for g in ZOOM_ROWS:
+        got = con.argmax_zoom(g, ZOOM_XS, g(ZOOM_XS))
+        assert got == scalar_zoom(g, ZOOM_XS, g(ZOOM_XS))
+        assert all(type(v) is float for v in got)
+
+
+def test_zoom_points_are_linspace():
+    a = np.array([0.0, -1.0, 0.3, 5e-324, 2.0])
+    b = np.array([1.0, 3.0, 0.3, 1e-323, 2.0 + 2.0 ** -51])
+    got = con._zoom_points(a, b)
+    for r in range(len(a)):
+        assert np.array_equal(got[r], np.linspace(a[r], b[r],
+                                                  con._ZOOM_POINTS))
+
+
+@pytest.mark.parametrize("spec", cli._DEFAULT_CHECK_FAMILIES)
+def test_numeric_conjugate_over_an_array_of_q_equals_per_q(spec):
+    family = fam.parse_family(spec)
+    grid = cli._CHECK_GRIDS[family.kind]
+    for p in grid.tolist():
+        got = con.family_conjugate(family, grid, p)
+        assert got.value.shape == got.t_star.shape == grid.shape
+        for k, q in enumerate(grid.tolist()):
+            want = con.family_conjugate(family, q, p)
+            assert (got.value[k], got.at_boundary[k]) == (want.value,
+                                                          want.at_boundary)
+            assert np.array_equal(got.t_star[k], want.t_star, equal_nan=True)
+
+
+def test_array_of_q_with_one_outside_the_mean_range_diverges():
+    bern, poi = fam.bernoulli(), fam.poisson()
+    with pytest.raises(con.ConjugateDivergent, match=r"q=1\.5"):
+        con.family_conjugate(bern, np.array([0.2, 1.5, 0.7]), 0.4)
+    with pytest.raises(con.ConjugateDivergent, match=r"q=-0\.2"):
+        con.family_conjugate(poi, np.array([[0.5, 2.0], [-0.2, 1.0]]), 1.0)
+    # the edge q = 1 is attained in the limit, in an array as on its own
+    res = con.family_conjugate(bern, np.array([0.5, 1.0]), 0.3)
+    assert res.at_boundary.tolist() == [False, True]
+    assert res.t_star[1] == math.inf

@@ -268,6 +268,21 @@ def test_laplace_draw_bit_identical_to_sign_form():
         assert np.array_equal(scalar, want_scalar)
 
 
+@pytest.mark.parametrize("family", [
+    fam.bernoulli(), fam.gaussian(1.3), fam.poisson(), fam.gamma(2.5),
+    fam.laplace(0.8), fam.invgauss(1.7), fam.negbin(3.0)],
+    ids=lambda f: f.kind)
+def test_draw_into_a_buffer_equals_a_fresh_draw(family):
+    means = np.array([0.2, 0.45, 0.7])
+    want = family._draw(means, (9, 3), make_generator(5, 1))
+    buf = np.full((9, 3), -7.0)
+    got = family._draw(means, (9, 3), make_generator(5, 1), buf)
+    assert got is buf and np.array_equal(buf, want)
+    flat = np.empty(40)
+    assert family._draw(0.3, 40, make_generator(5, 2), flat) is flat
+    assert np.array_equal(flat, family._draw(0.3, 40, make_generator(5, 2)))
+
+
 @pytest.mark.parametrize("v", [1.0, 1.3, 0.02, 40.0])
 def test_gaussian_draw_is_rng_normal(v):
     means = np.array([-2.0, 0.0, 0.37, 5.5])

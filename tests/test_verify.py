@@ -128,10 +128,12 @@ def test_random_problem_refuses_a_family_without_a_mean_interval():
 
 
 def test_suite_summary_is_run_trials_summary():
+    # the kinds evaluated together, as default_suite does, give the
+    # summaries each kind gives on its own
     p = problem(trials=100)
-    for kind in ("mls", "pac_cramer_xi"):
-        assert verify._evaluate(p, kind, 0.05)[2] == verify.run_trials(
-            p, kind, 0.05)[1]
+    kinds = ("mls", "pac_cramer_xi", "pac_cramer_two_e_ceil")
+    assert verify._evaluate(p, kinds, 0.05)[2] == [
+        verify.run_trials(p, kind, 0.05)[1] for kind in kinds]
 
 
 def test_run_trials_deterministic():
@@ -201,6 +203,59 @@ def test_unknown_kind_refused_before_any_draw(monkeypatch):
     assert draws == []
     verify.run_trials(problem(seed=123457, trials=3), "mls", 0.05)
     assert len(draws) == 3     # the spy sees the draws of a known kind
+
+
+def test_bad_delta_refused_before_any_draw(monkeypatch):
+    # a delta outside (0, 1), or none for a kind with a union correction,
+    # fails before a single trial is simulated
+    draws = []
+    real = fam.BoundingFamily._draw
+
+    def spy(self, *args):
+        draws.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(fam.BoundingFamily, "_draw", spy)
+    for delta in (1.5, 0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            verify.run_trials(problem(seed=123458), "pac_cramer_xi", delta)
+    with pytest.raises(ValueError, match="the mls kind requires delta"):
+        verify.run_trials(problem(seed=123458), "mls", None)
+    assert draws == []
+
+
+def test_default_suite_makes_one_inversion_per_problem(monkeypatch):
+    # a problem's certified kinds share its family's Cramer function, so
+    # the 36 seed-0 problems make 36 bisections, not one per kind (84)
+    calls = []
+    bisect = inv._bisect
+
+    def counted(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(inv, "_bisect", counted)
+    summaries = verify.default_suite(0.05, 200, (0,))
+    assert len(summaries) == 84 and len(calls) == 36
+    shapes = [args[2].shape for args in calls]
+    assert shapes.count((3, 200)) == 12 and shapes.count((2, 200)) == 24
+
+
+def test_stacked_kinds_equal_the_per_kind_calls():
+    for p in verify.suite_problems(200, (0, 7)):
+        train, _, kl = verify._simulate(p)
+        kinds = verify.CERTIFIED_KINDS[p.family.kind]
+        got = bounds.bound_values(kinds, p.family, train, kl, p.n, 0.05)
+        assert got.shape == (len(kinds), p.trials)
+        for row, kind in zip(got, kinds):
+            want = bounds.bound_values(kind, p.family, train, kl, p.n, 0.05)
+            assert np.array_equal(row, want, equal_nan=True), (p, kind)
+
+
+def test_stacked_kinds_must_share_one_comparator():
+    with pytest.raises(ValueError, match="invert different comparators"):
+        bounds.bound_values(("average_cramer", "poisson_diff_inf"),
+                            fam.bernoulli(), [0.1, 0.2], 1.0, 20)
 
 
 def test_chernoff_kind_over_bernoulli():
