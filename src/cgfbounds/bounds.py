@@ -1,12 +1,9 @@
 """Bound kinds: each is one comparator inverted at (beta + ln_iota - ln delta)/n.
 
-A kind names a comparator and a union correction ln_iota.  _kind_query is
-the one map from a kind to both, and the two doors, evaluate_kind (one
-query, a BoundResult) and bound_values (broadcast arrays, NaN where a bound
-diverges), go through it.  The kinds with a union correction (mls and
-pac_cramer_*) need a delta; the others (average_cramer and the parametric
-infima) take an optional one, which enters the budget and makes the result
-reference_only (reference_flag).
+A kind names a comparator and a union correction ln_iota.  check_kind is
+the one rule on a query's inputs and _kind_query the one map from a kind
+to both; the two doors, evaluate_kind (one query, a BoundResult) and
+bound_values (broadcast arrays, NaN where a bound diverges), go through it.
 """
 
 import math
@@ -47,37 +44,9 @@ def reference_flag(kind, delta):
             else None)
 
 
-def check_kind(kind, delta):
-    """Raise ValueError unless kind is one of BOUND_KINDS (the message names
-    them) and delta suits it: a kind with a union correction needs one, and
-    a delta lies in (0, 1)."""
-    if kind not in BOUND_KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}; use one of "
-                         + ", ".join(BOUND_KINDS))
-    if kind in _CORRECTED and delta is None:
-        raise ValueError(f"the {kind} kind requires delta")
-    inv.check_delta(delta)
-
-
-def _parametric_identity(kind, family, sigma2, b):
-    """The comparator whose inversion is the parametric infimum `kind`.
-
-    Every member D_t of these families, a CGF line of its family, is
-    nondecreasing in rho, so inf_t sup{rho : D_t <= B} is the inversion of
-    sup_t D_t: the binary kl for Catoni's family, the family's Cramer
-    function for the difference comparators.  sigma2 or b defaults to the
-    family's nuisance only for a family of that type.
-    """
-    if kind == "catoni_inf":
-        if family is not None and family.kind != "bernoulli":
-            raise ValueError("catoni_inf needs the bernoulli family, "
-                             f"got {family.kind}")
-        return inv.binary_kl()
-    if kind == "poisson_diff_inf":
-        if family is not None and family.mean_domain[0] < 0.0:
-            raise ValueError(f"poisson_diff_inf needs nonnegative losses; "
-                             f"the {family.kind} family's mean can be negative")
-        return inv.cramer_of(fam.poisson())
+def _diff_family(kind, family, sigma2, b):
+    """laplace(b) or gaussian(sigma2) of a *_diff_inf kind, its b or sigma2
+    given or lent by a family of that kind."""
     own, name, value = (("laplace", "b", b) if kind == "laplace_diff_inf"
                         else ("gaussian", "sigma2", sigma2))
     if value is None and getattr(family, "kind", None) == own:
@@ -85,64 +54,89 @@ def _parametric_identity(kind, family, sigma2, b):
     if value is None or not value > 0:
         raise ValueError(f"{name} must be positive for {kind}, got {value!r}"
                          f"; only a {own} family lends its own {name}")
-    return inv.cramer_of(fam.BoundingFamily(own, value))
+    return fam.BoundingFamily(own, value)
 
 
-def _kind_query(kind, family, alpha, beta, n, delta, sigma2, b, *,
-                ln_upsilon=None, u=None):
-    """(comparator, query) of a bound kind; one comparator inversion.
+def check_kind(kind, family, delta, sigma2=None, b=None, *, ln_upsilon=None,
+               u=None):
+    """Raise ValueError unless kind is in BOUND_KINDS and the query suits it.
 
-    The only map from a kind name to its comparator and union correction
-    ln_iota.  alpha and beta may be arrays; the Chernoff kind computes its
-    Upsilon once for all of them when ln_upsilon is None.  n may be an
-    array too, except for the kinds of _SCALAR_N.  u is the 2e ceil(u) grid
-    size, default n.
-    """
-    check_kind(kind, delta)
+    In this order: a corrected kind needs a delta, any delta lies in (0, 1),
+    only the Chernoff kind takes ln_upsilon and only the 2e ceil(u) kind u,
+    a Cramer kind needs a family, mls and catoni_inf take bernoulli (or
+    None), poisson_diff_inf no family with negative means, and the other
+    *_diff_inf a positive b or sigma2 (_diff_family).  Every door calls it
+    before any work."""
+    if kind not in BOUND_KINDS:
+        raise ValueError(f"unknown bound kind {kind!r}; use one of "
+                         + ", ".join(BOUND_KINDS))
+    if kind in _CORRECTED and delta is None:
+        raise ValueError(f"the {kind} kind requires delta")
+    inv.check_delta(delta)
     for name, value, owner in (("ln_upsilon", ln_upsilon, "pac_cramer_chernoff"),
                                ("u", u, "pac_cramer_two_e_ceil")):
         if value is not None and kind != owner:
             raise ValueError(f"only {owner} takes {name}, not {kind}; "
                              f"{name}={value}")
-    if kind in _SCALAR_N and np.ndim(n):
-        raise ValueError(f"the {kind} kind needs a scalar n, got an array")
     if family is None and kind.startswith(("average_", "pac_")):
         raise ValueError(f"the {kind} kind needs a family, got None")
+    if kind in ("mls", "catoni_inf") and family and family.kind != "bernoulli":
+        raise ValueError(f"{kind} needs the bernoulli family, got {family.kind}")
+    if kind == "poisson_diff_inf" and family and family.mean_domain[0] < 0.0:
+        raise ValueError(f"poisson_diff_inf needs nonnegative losses; "
+                         f"the {family.kind} family's mean can be negative")
+    if kind in ("laplace_diff_inf", "gaussian_diff_inf"):
+        _diff_family(kind, family, sigma2, b)
+
+
+def _kind_query(kind, family, alpha, beta, n, delta, sigma2, b, *,
+                ln_upsilon=None, u=None):
+    """(comparator, query) of a bound kind, after check_kind.
+
+    alpha and beta may be arrays; the Chernoff kind computes its Upsilon
+    once for all of them when ln_upsilon is None.  n may be an array too,
+    except for the kinds of _SCALAR_N.  u is the 2e ceil(u) grid size,
+    default n.  A parametric infimum inverts sup_t D_t (each D_t, a CGF
+    line, is nondecreasing in rho): the binary kl for Catoni's family, a
+    Cramer function for the difference comparators."""
+    check_kind(kind, family, delta, sigma2, b, ln_upsilon=ln_upsilon, u=u)
+    if kind in _SCALAR_N and np.ndim(n):
+        raise ValueError(f"the {kind} kind needs a scalar n, got an array")
     q = BoundQuery(alpha, beta, n, delta)    # checked before the correction
-    if kind == "average_cramer":
-        return inv.cramer_of(family), q
-    if kind in PARAMETRIC_INFIMA:
-        return _parametric_identity(kind, family, sigma2, b), q
+    if kind in ("mls", "catoni_inf"):
+        comp = inv.binary_kl()
+    elif kind == "poisson_diff_inf":
+        comp = inv.cramer_of(fam.poisson())
+    elif kind in PARAMETRIC_INFIMA:
+        comp = inv.cramer_of(_diff_family(kind, family, sigma2, b))
+    else:
+        comp = inv.cramer_of(family)
     if kind == "mls":
-        if family is not None and family.kind != "bernoulli":
-            raise ValueError(f"mls needs the bernoulli family, got {family.kind}")
-        return inv.binary_kl(), replace(
-            q, ln_iota=math.log(2.0) + 0.5 * math.log(n))
-    if kind == "pac_cramer_chernoff":
+        ln_iota = math.log(2.0) + 0.5 * math.log(n)
+    elif kind == "pac_cramer_chernoff":
         why = cramer_divergence(family)
         if why:
             raise CorrectionDivergent(
                 f"Upsilon of the {family.kind} Cramer comparator diverges: "
                 f"{why}; use the xi or two_e_ceil correction")
-        if ln_upsilon is None:
-            ln_upsilon = compute_upsilon(inv.cramer_of(family), family, n).value
-        ln_iota = float(ln_upsilon)
+        ln_iota = float(compute_upsilon(comp, family, n).value
+                        if ln_upsilon is None else ln_upsilon)
     elif kind == "pac_cramer_xi":
         ln_iota = np.log(correction_xi(np.maximum(n * alpha, 0.0), beta))
-    else:
+    elif kind == "pac_cramer_two_e_ceil":
         ln_iota = math.log(correction_two_e_ceil(n if u is None else u))
-    return inv.cramer_of(family), replace(q, ln_iota=ln_iota)
+    else:
+        return comp, q
+    return comp, replace(q, ln_iota=ln_iota)
 
 
 def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
                   b=None, *, ln_upsilon=None, u=None):
     """One bound kind at one (alpha, beta, n); returns a BoundResult.
 
-    family may be None for mls and the parametric infima; sigma2 and b
-    default to its nuisance.  Only pac_cramer_chernoff takes ln_upsilon (it
-    computes one when none is given), only pac_cramer_two_e_ceil takes u.
-    PARAMETRIC_INFIMA are one kl or Cramer inversion (_parametric_identity)
-    with param_star=None; infimum_over_parameter is their test oracle.
+    check_kind names the inputs each kind takes; pac_cramer_chernoff
+    computes its ln_upsilon when none is given.  PARAMETRIC_INFIMA report
+    param_star=None; infimum_over_parameter is their test oracle.
     """
     res = inv.invert(*_kind_query(kind, family, alpha, beta, n, delta,
                                   sigma2, b, ln_upsilon=ln_upsilon, u=u))

@@ -33,15 +33,6 @@ def _csv_rows(cols):
     return [fmt % tuple(row) for row in np.column_stack(cols).tolist()]
 
 
-def _number(text, convert, what):
-    """convert(text), or a usage error naming `what` when text is no number."""
-    try:
-        return convert(text)
-    except ValueError:
-        kind = "an integer" if convert is int else "a number"
-        raise ValueError(f"{what} needs {kind}, got {text!r}") from None
-
-
 def _parse_range(text, want_scale=False):
     parts = text.split(":")
     scale = "linear"
@@ -51,9 +42,9 @@ def _parse_range(text, want_scale=False):
             raise ValueError(f"unknown scale {scale!r}; use linear or log")
     if len(parts) != 3:
         raise ValueError(f"range must be lo:hi:steps, got {text!r}")
-    lo = _number(parts[0], float, f"range {text!r}: lo")
-    hi = _number(parts[1], float, f"range {text!r}: hi")
-    steps = _number(parts[2], int, f"range {text!r}: steps")
+    lo = fam.parse_number(parts[0], f"range {text!r}: lo")
+    hi = fam.parse_number(parts[1], f"range {text!r}: hi")
+    steps = fam.parse_number(parts[2], f"range {text!r}: steps", int)
     if not (steps >= 2 and lo < hi):
         raise ValueError(f"range needs lo < hi and steps >= 2, got {text!r}")
     return np.geomspace(lo, hi, steps) if scale == "log" else np.linspace(lo, hi, steps)
@@ -124,8 +115,8 @@ def _parse_correction(text):
     if text in _CORRECTIONS:
         return _CORRECTIONS[text], None
     if text.startswith("chernoff="):
-        return "pac_cramer_chernoff", _number(text[len("chernoff="):], float,
-                                              f"--correction {text!r}")
+        return "pac_cramer_chernoff", fam.parse_number(
+            text[len("chernoff="):], f"--correction {text!r}")
     raise ValueError(f"unknown correction {text!r}; use one, xi, 2eceil or "
                      "chernoff=<ln_upsilon>")
 
@@ -170,55 +161,32 @@ def cmd_ndep(args):
     if args.nmin < 1 or args.nmax < 1:
         raise ValueError("--nmin and --nmax must be at least 1, got "
                          f"{args.nmin} and {args.nmax}")
-    if args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
+    inv.check_n(args.points, "--points")
     ns = np.geomspace(args.nmin, args.nmax, args.points)
     ns = np.array(list(dict.fromkeys(int(round(x)) for x in ns)))
     rho = bounds.bound_values("average_cramer", family, args.alpha, args.beta,
                               ns)
     if np.isnan(rho).any():
         n = int(ns[np.isnan(rho)].min())
-        raise inv.NoFiniteBound(f"cramer[{fam.family_spec(family)}] at n={n}:"
-                                f" budget {args.beta / n} not exceeded after "
-                                f"{inv._MAX_DOUBLINGS} bracket doublings")
+        raise inv.no_finite_bound(f"cramer[{fam.family_spec(family)}] at n={n}",
+                                  args.beta / n)
     _write_lines(args.out, ["n,bound"] + ["%d,%.9g" % row for row in
                                           zip(ns.tolist(), rho.tolist())])
     return EXIT_OK
 
 
-# name: (constructor, the keys it takes in argument order); cramer takes
-# the --family instead of a key
-_COMPARATORS = {
-    "kl": (inv.binary_kl, ()),
-    "cramer": (inv.cramer_of, ()),
-    "catoni": (inv.catoni, ("gamma",)),
-    "scaled_diff": (inv.scaled_diff, ("t",)),
-    "poisson_diff": (inv.poisson_diff, ("t",)),
-    "laplace_diff": (inv.laplace_diff, ("t", "b")),
-    "gaussian_diff": (inv.gaussian_diff, ("t", "sigma2")),
-}
+# name: the keys it takes, in the argument order of the inversion function
+# of that name; kl is binary_kl, and cramer takes the --family
+_COMPARATOR_KEYS = {"kl": (), "cramer": (), "catoni": ("gamma",),
+                    "scaled_diff": ("t",), "poisson_diff": ("t",),
+                    "laplace_diff": ("t", "b"), "gaussian_diff": ("t", "sigma2")}
 
 
 def _parse_comparator(text, family):
-    head, _, rest = text.partition(":")
-    if head not in _COMPARATORS:
-        raise ValueError(f"unknown comparator {head!r}; use "
-                         f"{', '.join(_COMPARATORS)}")
-    make, keys = _COMPARATORS[head]
-    kv = {}
-    for item in filter(None, rest.split(",")):
-        key, eq, value = item.partition("=")
-        why = ("is not key=value" if not eq else
-               "has an unknown key" if key not in keys else
-               "repeats a key" if key in kv else None)
-        if why:
-            raise ValueError(f"comparator spec {text!r}: {item!r} {why}; "
-                             f"{head} takes {', '.join(keys) or 'no keys'}")
-        kv[key] = _number(value, float, f"comparator spec {text!r}: {key}")
-    for key in keys:
-        if key not in kv:
-            raise ValueError(f"comparator {head} needs {key}=<value>")
-    return make(family) if head == "cramer" else make(*(kv[k] for k in keys))
+    head, values = fam.parse_spec(text, _COMPARATOR_KEYS, "comparator")
+    if head in ("kl", "cramer"):
+        return inv.binary_kl() if head == "kl" else inv.cramer_of(family)
+    return getattr(inv, head)(*values)
 
 
 def cmd_upsilon(args):
@@ -227,8 +195,8 @@ def cmd_upsilon(args):
     est = ups.compute_upsilon(comp, family, args.n, seed=args.seed,
                               samples=args.samples)
     record = {"mode": est.mode, "ln_upsilon": est.value, "r_star": est.r_star,
-              "ci": list(est.ci) if est.ci is not None else None,
-              "tail_error": est.tail_error}
+              "ci": est.ci, "tail_error": est.tail_error,
+              "r_at_cap": est.r_at_cap, "divergent_suspect": est.divergent_suspect}
     _write_lines(args.out, [json.dumps(record)])
     return EXIT_OK
 

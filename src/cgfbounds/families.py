@@ -21,6 +21,8 @@ _INF = math.inf
 
 _NUISANCE_KEY = {"gaussian": "sigma2", "gamma": "k", "laplace": "b",
                  "invgauss": "lambda", "negbin": "r"}
+_SPEC_KEYS = {kind: (_NUISANCE_KEY[kind],) if kind in _NUISANCE_KEY else ()
+              for kind in FAMILY_KINDS}     # parse_family's keys
 
 _MEAN_DOMAIN = {"bernoulli": (0.0, 1.0), "gaussian": (-_INF, _INF),
                 "laplace": (-_INF, _INF)}     # the others: (0, inf)
@@ -88,11 +90,11 @@ class BoundingFamily:
         v = self.nuisance
         if self.kind == "bernoulli":
             # log1p(x), x = p expm1(t), is exact near t = 0 but loses digits
-            # once 1 + x < 1/2 (p > 1/2 only) or t > 30; the logaddexp form
-            # ln((1-p) + p e^t) is exact there, as p -> 1 and as |t| -> inf
-            x = p * np.expm1(np.minimum(tt, 30.0))
+            # once 1 + x < 1/2 (p > 1/2 only), and expm1 overflows past
+            # t = 709; the logaddexp form ln((1-p) + p e^t) serves there
+            x = p * np.expm1(np.minimum(tt, 709.0))
             out = np.log1p(x)
-            far = (tt > 30.0) | (x < -0.5)
+            far = (tt > 709.0) | (x < -0.5)
             if far.any():
                 out = np.where(far, np.logaddexp(np.log1p(-p),
                                                  np.log(p) + tt), out)
@@ -233,34 +235,55 @@ def negbin(r):
     return BoundingFamily("negbin", r)
 
 
-def parse_family(spec):
-    """Parse a family spec string such as 'gaussian:sigma2=1' or 'poisson'."""
-    kind, _, rest = spec.partition(":")
-    kind = kind.strip().lower()
-    if kind not in FAMILY_KINDS:
-        raise ValueError(f"unknown family {kind!r} in spec {spec!r}")
-    if kind in ("bernoulli", "poisson"):
-        if rest:
-            raise ValueError(f"{kind} takes no parameter, got {spec!r}")
-        return BoundingFamily(kind)
-    key, _, val = rest.partition("=")
-    if key.strip() != _NUISANCE_KEY[kind] or not val:
-        raise ValueError(f"expected {kind}:{_NUISANCE_KEY[kind]}=<value>, got {spec!r}")
+def parse_number(text, what, convert=float):
+    """convert(text), or a ValueError naming `what` when text is no number."""
     try:
-        value = float(val)
+        return convert(text)
     except ValueError:
-        raise ValueError(f"family spec {spec!r}: {key.strip()} needs a "
-                         f"number, got {val!r}") from None
-    return BoundingFamily(kind, value)
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"{what} needs {kind}, got {text!r}") from None
+
+
+def parse_spec(text, keys_of, what):
+    """(name, values) of a family or comparator spec 'name[:key=value,...]'.
+
+    keys_of maps each name to the numeric keys it requires, in the order of
+    values.  Case and spaces around the name, and spaces around a key, are
+    ignored; an unknown, repeated, valueless or missing key is an error."""
+    head, _, rest = text.partition(":")
+    name = head.strip().lower()
+    if name not in keys_of:
+        raise ValueError(f"unknown {what} {name!r} in spec {text!r}; use "
+                         + ", ".join(keys_of))
+    keys, given = keys_of[name], {}
+    for item in filter(None, rest.split(",")):
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        why = ("is not key=value" if not eq else
+               "has an unknown key" if key not in keys else
+               "repeats a key" if key in given else None)
+        if why:
+            raise ValueError(f"{what} spec {text!r}: {item!r} {why}; "
+                             f"{name} takes {', '.join(keys) or 'no keys'}")
+        given[key] = parse_number(value, f"{what} spec {text!r}: {key}")
+    for key in keys:
+        if key not in given:
+            raise ValueError(f"{what} spec {text!r}: {name} needs {key}=<value>")
+    return name, tuple(given[k] for k in keys)
+
+
+def parse_family(spec):
+    """The family of a spec such as 'gaussian:sigma2=1' (parse_spec's grammar)."""
+    kind, values = parse_spec(spec, _SPEC_KEYS, "family")
+    return BoundingFamily(kind, *values)
 
 
 def family_spec(family):
     """Inverse of parse_family: the short :g form of the nuisance when it
     reads back exactly (gaussian:sigma2=1), else its shortest round-trip repr."""
-    if family.kind in ("bernoulli", "poisson"):
+    key = _NUISANCE_KEY.get(family.kind)
+    if key is None:
         return family.kind
     v = float(family.nuisance)
-    text = f"{v:g}"
-    if float(text) != v:
-        text = repr(v)
-    return f"{family.kind}:{_NUISANCE_KEY[family.kind]}={text}"
+    text = f"{v:g}" if float(f"{v:g}") == v else repr(v)
+    return f"{family.kind}:{key}={text}"

@@ -161,6 +161,17 @@ def check_delta(delta):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
+def check_n(n, name="n"):
+    """Raise ValueError unless the count n, or each element of an array n, is
+    a finite integer of at least 1 (100.0 passes, 2.5 does not)."""
+    nn = np.asarray(n, dtype=float)
+    ok = (nn >= 1.0) & (nn < math.inf) & (np.floor(nn) == nn)
+    if not ok.all():
+        got = np.asarray(n)[~ok].flat[0]
+        rule = "at least 1" if not got >= 1 else "at least 1 and a finite integer"
+        raise ValueError(f"{name} must be {rule}, got {got}")
+
+
 @dataclass(frozen=True)
 class BoundQuery:
     """Inputs of a single bound evaluation.
@@ -168,9 +179,9 @@ class BoundQuery:
     ln_iota is the log-correction ln(iota) in nats; the bounds module
     chooses the correction that supplies it.  delta absent means the
     average-case operator (no confidence term).  alpha, beta, n and ln_iota
-    may be arrays; the budget then broadcasts over them.  The mls,
-    pac_cramer_two_e_ceil and pac_cramer_chernoff kinds take a scalar n
-    only (bounds._kind_query refuses an array).
+    may be arrays; the budget then broadcasts over them.  n must pass
+    check_n; the mls, pac_cramer_two_e_ceil and pac_cramer_chernoff kinds
+    take a scalar n only (bounds._kind_query refuses an array).
     """
     alpha: float
     beta: float
@@ -184,8 +195,7 @@ class BoundQuery:
             raise ValueError(f"beta must be finite and nonnegative, got {beta}")
         if not np.all(np.isfinite(ln_iota)):
             raise ValueError(f"ln_iota must be finite, got {ln_iota}")
-        if not np.all(np.asarray(self.n) >= 1):
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        check_n(self.n)
         check_delta(self.delta)
 
     def budget(self):
@@ -298,6 +308,12 @@ def _bisect(comp, alpha, budget, tol):
     return rho, lo, hi, iterations, status
 
 
+def no_finite_bound(what, budget):
+    """The NoFiniteBound of `what` at a budget no bracket doubling exceeds."""
+    return NoFiniteBound(f"{what}: budget {budget} not exceeded after "
+                         f"{_MAX_DOUBLINGS} bracket doublings")
+
+
 def invert_at_budget(comp, alpha, budget, tol=_TOL):
     """sup{rho in the loss range : comp(alpha, rho) <= budget} by bisection.
 
@@ -306,8 +322,7 @@ def invert_at_budget(comp, alpha, budget, tol=_TOL):
     """
     rho, lo, hi, iterations, status = _bisect(comp, alpha, budget, tol)
     if status == _NO_FINITE:
-        raise NoFiniteBound(f"{comp.form}: budget {budget} not exceeded after "
-                            f"{_MAX_DOUBLINGS} bracket doublings")
+        raise no_finite_bound(comp.form, budget)
     return BoundResult(float(rho), budget, (float(lo), float(hi)),
                        int(iterations), _STATUSES[status])
 

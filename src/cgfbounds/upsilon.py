@@ -16,6 +16,8 @@ import numpy as np
 
 from ._special import gammaln, logsumexp, xlog1py, xlogy
 from .conjugate import argmax_zoom, cellwise
+from .families import poisson
+from .inversion import check_n
 from .rng import make_generator
 
 _LN2 = math.log(2.0)
@@ -122,12 +124,12 @@ def _at_cap(family, rs, r_star):
             and not math.isfinite(family.mean_domain[1]))
 
 
-def _scan_r_grid(rs, one_r):
+def _scan_r_grid(family, rs, one_r):
     """The best ln value over rs of a route that reports a relative tail.
 
     one_r(r) returns (ln_value, tail), or None when the sum or integral is
     divergent at r, which ends the scan.  tail_error is the worst tail over
-    the grid, NaN once any tail is not finite.
+    the grid, NaN once any tail is not finite; r_at_cap is _at_cap.
     """
     best, best_r, worst_tail = -math.inf, None, 0.0
     for r in rs:
@@ -138,7 +140,8 @@ def _scan_r_grid(rs, one_r):
         if ln_v > best:
             best, best_r = ln_v, float(r)
         worst_tail = max(worst_tail, tail) if math.isfinite(tail) else math.nan
-    return UpsilonEstimate("truncated", best, tail_error=worst_tail, r_star=best_r)
+    return UpsilonEstimate("truncated", best, tail_error=worst_tail,
+                           r_star=best_r, r_at_cap=_at_cap(family, rs, best_r))
 
 
 # -- Poisson: truncated series with divergence certificate ------------------
@@ -198,7 +201,8 @@ def upsilon_poisson_series(comp, n, r_grid=None):
     """
     rs = np.geomspace(1e-6, 50.0, 121) if r_grid is None else np.asarray(r_grid)
     ln_fact = {}
-    return _scan_r_grid(rs, lambda r: _series_one_r(comp, n, r, ln_fact))
+    return _scan_r_grid(poisson(), rs,
+                        lambda r: _series_one_r(comp, n, r, ln_fact))
 
 
 # -- Gaussian / gamma / inverse Gaussian: density quadrature ----------------
@@ -272,9 +276,7 @@ def upsilon_quadrature(comp, family, n, r_grid=None):
             rs = np.geomspace(1e-6, 50.0, 41)
     else:
         rs = np.asarray(r_grid, dtype=float)
-    est = _scan_r_grid(rs, lambda r: _quad_one_r(comp, family, n, r))
-    est.r_at_cap = est.mode == "truncated" and _at_cap(family, rs, est.r_star)
-    return est
+    return _scan_r_grid(family, rs, lambda r: _quad_one_r(comp, family, n, r))
 
 
 # -- Monte Carlo -------------------------------------------------------------
@@ -371,11 +373,10 @@ def compute_upsilon(comp, family, n, seed=0, samples=10**5):
     (params["cgf_line"]) has E e^{n (s xbar - K_r(s))} = 1 at every r: ln
     Upsilon = 0, mode exact.  Every other pair takes its route on the
     route's default r grid; seed and samples apply to the Monte-Carlo
-    route.  Raises ValueError when n is not an integer of at least 1 or the
+    route.  Raises ValueError when n fails inversion.check_n or the
     comparator's loss range does not cover the family's mean domain.
     """
-    if not (n >= 1 and float(n).is_integer()):
-        raise ValueError(f"n must be at least 1 and an integer, got {n}")
+    check_n(n)
     (c_lo, c_hi), (f_lo, f_hi) = comp.loss_range, family.mean_domain
     if not (c_lo <= f_lo and f_hi <= c_hi):
         raise ValueError(f"comparator {comp.form} has loss range "

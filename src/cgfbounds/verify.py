@@ -16,7 +16,9 @@ import numpy as np
 from . import families as fam
 from ._special import binomial_tail_root, logsumexp, xlog1py, xlogy
 from .bounds import bound_values, check_kind, evaluate_kind, reference_flag
+from .inversion import check_n
 from .rng import make_generator, streams
+from .upsilon import cramer_divergence
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,9 @@ class SyntheticProblem:
         if not self.gibbs_temperature >= 0.0:
             raise ValueError("gibbs_temperature must be nonnegative, got "
                              f"{self.gibbs_temperature}")
-        if not self.n >= 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        if not self.trials >= 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        for name in ("n", "trials"):        # counts; 100.0 is 100
+            check_n(getattr(self, name), name)
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass
@@ -112,14 +113,12 @@ def _evaluate(problem, kinds, delta):
     The kinds must invert one comparator (bounds.bound_values), which then
     runs once over their stacked budgets; values and flags are (len(kinds),
     trials) arrays, with one summary per kind.  Every kind in BOUND_KINDS
-    is taken; those without a union correction are flagged reference_only
-    (bounds.reference_flag) when given a delta.  The kinds and delta are
-    checked before any trial is simulated.
-    """
+    is taken, reference_only without a union correction.  bounds.check_kind,
+    and for the Chernoff kind cramer_divergence, run before any draw."""
     family = problem.family
     for kind in kinds:
-        check_kind(kind, delta)
-        if kind == "pac_cramer_chernoff" and family.kind != "bernoulli":
+        check_kind(kind, family, delta)
+        if kind == "pac_cramer_chernoff" and cramer_divergence(family):
             raise ValueError("the chernoff correction is certified here only "
                              f"for bernoulli, got {family.kind}")
     train, pop, kl = _simulate(problem)
@@ -241,8 +240,7 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
                          f"{family.kind}")
     for name, size in (("inner", inner), ("outer", outer),
                        ("replicates", replicates)):
-        if not size >= 1:
-            raise ValueError(f"{name} must be at least 1, got {size}")
+        check_n(size, name)
     means = np.asarray(problem.hypothesis_means, dtype=float)
     prior = np.asarray(problem.prior_weights, dtype=float)
     m, n, c = len(means), problem.n, problem.gibbs_temperature

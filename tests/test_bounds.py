@@ -199,6 +199,25 @@ def test_binary_only_kinds_reject_other_families():
                              0.2, 1.0, 20, 0.05)
 
 
+@pytest.mark.parametrize("n", [0, -3, 2.5, math.nan, math.inf])
+def test_every_bound_door_takes_n_only_as_a_sample_size(n):
+    # an infinite n would give a zero budget and rho = alpha, an unsafe bound
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        bounds.evaluate_kind("average_cramer", fam.bernoulli(), 0.1, 2.3, n)
+    with pytest.raises(ValueError, match=rf"n must be at least 1.*, got {n}$"):
+        bounds.bound_values("average_cramer", fam.bernoulli(), 0.1, 2.3,
+                            np.array([10, 100, n, 50]))
+
+
+def test_integral_float_n_is_the_integer_n():
+    f = fam.bernoulli()
+    assert bounds.evaluate_kind("average_cramer", f, 0.1, 2.3, 100.0).rho == \
+        bounds.evaluate_kind("average_cramer", f, 0.1, 2.3, 100).rho
+    ns = np.array([1, 10, 100])
+    assert bounds.bound_values("average_cramer", f, 0.1, 2.3, ns).tolist() == \
+        bounds.bound_values("average_cramer", f, 0.1, 2.3, ns * 1.0).tolist()
+
+
 CORRECTED_KINDS = ("mls", "pac_cramer_chernoff", "pac_cramer_xi",
                    "pac_cramer_two_e_ceil")
 

@@ -269,6 +269,18 @@ def test_ndep_no_finite_bound_names_smallest_n(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ndep_no_finite_bound_message_is_the_engines(capsys):
+    # the one message builder, with the n that fails
+    with pytest.raises(inv.NoFiniteBound) as exc:
+        bounds.evaluate_kind("average_cramer", fam.invgauss(0.75), 2.0, 1.0, 1)
+    assert main(["ndep", "--family", "invgauss:lambda=0.75", "--alpha", "2",
+                 "--beta", "1", "--nmin", "1", "--nmax", "100"]) == 3
+    engine = str(exc.value)
+    assert engine.startswith("cramer[invgauss:lambda=0.75]: budget 1.0 ")
+    assert capsys.readouterr().err == "no finite bound: " + engine.replace(
+        "]: ", "] at n=1: ", 1) + "\n"
+
+
 def test_sweep_rows_format_each_cell_like_fmt():
     edge = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1, -2.5e17, 7.0]
     cols = [np.array(edge), np.array(edge[::-1]), np.array(edge[2:] + edge[:2])]
@@ -285,6 +297,16 @@ def test_upsilon_json_record():
     assert set(rec) >= {"mode", "ln_upsilon", "r_star", "ci", "tail_error"}
     assert rec["mode"] == "exact"
     assert rec["ln_upsilon"] == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def test_upsilon_record_reports_r_at_cap():
+    # the series route's best r is the last grid point, where h(r) still
+    # grows; both flags come after the other keys
+    code, out, _ = run_cli("upsilon", "--comparator", "scaled_diff:t=0.5",
+                           "--family", "poisson", "--n", "4")
+    assert code == 0
+    assert '"r_at_cap": true, "divergent_suspect": false}' in out
+    assert list(json.loads(out))[-2:] == ["r_at_cap", "divergent_suspect"]
 
 
 def test_upsilon_divergent_reported():
@@ -581,8 +603,27 @@ USAGE_ERRORS = {
                           ["'gamma:k=x'", "k needs a number", "'x'"]),
     "family-key-repeated": (("bound", "--family", "gaussian:sigma2=1,sigma2=2",
                              "--alpha", "0.1", "--beta", "1", "--n", "10"),
-                            ["'gaussian:sigma2=1,sigma2=2'",
-                             "sigma2 needs a number", "'1,sigma2=2'"]),
+                            ["'gaussian:sigma2=1,sigma2=2'", "'sigma2=2'",
+                             "repeats a key", "gaussian takes sigma2"]),
+    "family-key-unknown": (("bound", "--family", "gaussian:s=1", "--alpha",
+                            "0.1", "--beta", "1", "--n", "10"),
+                           ["'gaussian:s=1'", "'s=1'", "unknown key",
+                            "gaussian takes sigma2"]),
+    "family-key-no-value": (("bound", "--family", "gamma:k", "--alpha", "0.1",
+                             "--beta", "1", "--n", "10"),
+                            ["'gamma:k'", "is not key=value",
+                             "gamma takes k"]),
+    "family-key-missing": (("bound", "--family", "gaussian", "--alpha", "0.1",
+                            "--beta", "1", "--n", "10"),
+                           ["'gaussian'", "gaussian needs sigma2=<value>"]),
+    "family-key-none-taken": (("bound", "--family", "poisson:x=1", "--alpha",
+                               "0.1", "--beta", "1", "--n", "10"),
+                              ["'poisson:x=1'", "'x=1'", "unknown key",
+                               "poisson takes no keys"]),
+    "verify-mls-off-bernoulli": (("verify", "--family", "gaussian:sigma2=1",
+                                  "--bound", "mls", "--trials", "10"),
+                                 ["mls needs the bernoulli family",
+                                  "gaussian"]),
     "comparator-value-text": (("upsilon", "--comparator", "catoni:gamma=x",
                                "--family", "bernoulli", "--n", "5"),
                               ["'catoni:gamma=x'", "gamma needs a number",

@@ -108,16 +108,17 @@ BERNOULLI_PS = (1e-13, 1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-6, 1 - 1e-10,
                 1 - 1e-13)
 
 
-@pytest.mark.parametrize("p", BERNOULLI_PS)
+@pytest.mark.parametrize("p", BERNOULLI_PS + (2.6e-14,))
 def test_bernoulli_cgf_against_decimal(p):
     # ln(1 - p + p e^t) in 60-digit decimal at the exact double p; the
-    # log1p(p expm1(t)) form alone is 6.4e-11 off at p = 1 - 1e-13, t = -50
+    # log1p(p expm1(t)) form alone is 6.4e-11 off at p = 1 - 1e-13, t = -50,
+    # and the logaddexp form 6.5e-16 off at p = 2.6e-14, t = 30.65
     getcontext().prec = 60
-    for t in (-708, -300, -50, -5, 20, 300, 708):
+    for t in (-708, -300, -50, -5, 20, 30.65, 300, 708):
         d = Decimal(p)
         want = float((1 - d + d * Decimal(t).exp()).ln())
         got = fam.bernoulli().cgf(p, float(t))
-        assert abs(got - want) <= 1e-15 * abs(want), (t, got, want)
+        assert abs(got - want) <= 4e-16 * abs(want), (t, got, want)
 
 
 @pytest.mark.parametrize("p", BERNOULLI_PS)
@@ -323,6 +324,38 @@ def test_parse_family_strings():
         fam.parse_family("cauchy")
     with pytest.raises(ValueError, match="gamma needs k in"):
         fam.parse_family("gamma:k=-1")
+
+
+def test_family_name_and_key_read_without_case_or_spaces():
+    assert fam.parse_family(" Gaussian : sigma2 = 2 ") == fam.gaussian(2.0)
+    assert fam.parse_family("POISSON") == fam.parse_family("poisson:") \
+        == fam.poisson()
+
+
+@pytest.mark.parametrize("spec, words", [
+    ("gaussian:s=1", ["'s=1' has an unknown key", "gaussian takes sigma2"]),
+    ("gamma:k", ["'k' is not key=value", "gamma takes k"]),
+    ("gaussian", ["gaussian needs sigma2=<value>"]),
+    ("poisson:x=1", ["'x=1' has an unknown key", "poisson takes no keys"]),
+    ("gaussian:sigma2=1,sigma2=2", ["'sigma2=2' repeats a key"]),
+    ("gamma:k=x", ["k needs a number, got 'x'"]),
+])
+def test_family_spec_errors_name_the_spec_and_the_key(spec, words):
+    # the grammar and messages of comparator specs
+    with pytest.raises(ValueError) as exc:
+        fam.parse_family(spec)
+    for word in [f"family spec {spec!r}"] + words:
+        assert word in str(exc.value)
+
+
+def test_parse_spec_returns_values_in_key_order():
+    keys_of = {"laplace_diff": ("t", "b"), "kl": ()}
+    assert fam.parse_spec("laplace_diff:b=2,t=0.5", keys_of, "comparator") \
+        == ("laplace_diff", (0.5, 2.0))
+    assert fam.parse_spec("kl", keys_of, "comparator") == ("kl", ())
+    with pytest.raises(ValueError, match="unknown comparator 'x' in spec "
+                       "'x'; use laplace_diff, kl"):
+        fam.parse_spec("x", keys_of, "comparator")
 
 
 def test_mean_domain_checks():

@@ -437,6 +437,25 @@ def test_query_validation():
         inv.invert_grid(inv.binary_kl(), [0.1, 0.2], [0.5, math.nan])
 
 
+@pytest.mark.parametrize("n", [0, -3, 2.5, math.nan, math.inf])
+def test_check_n_rejects_what_is_no_sample_size(n):
+    # n = inf would make every budget 0 and rho = alpha, an unsafe bound
+    with pytest.raises(ValueError, match=rf"^n must be at least 1.*, got {n}$"):
+        inv.check_n(n)
+    with pytest.raises(ValueError, match=rf"n must be at least 1.*, got {n}$"):
+        BoundQuery(0.1, 1.0, n)
+    with pytest.raises(ValueError,
+                       match=rf"n must be at least 1.*, got {float(n)}$"):
+        inv.check_n(np.array([10.0, n, 20.0]))   # names the bad element
+
+
+@pytest.mark.parametrize("n", [1, 100, 100.0, np.array([1, 7, 100]),
+                               np.array([[1.0], [2.0]])])
+def test_check_n_accepts_integral_sample_sizes(n):
+    inv.check_n(n)
+    assert BoundQuery(0.1, 1.0, n).budget() == pytest.approx(1.0 / n)
+
+
 BAD_LIBRARY_INPUT = """
 from cgfbounds import bounds, families as fam, inversion as inv
 from cgfbounds import upsilon as ups, verify as ver

@@ -188,6 +188,8 @@ def test_compute_upsilon_rejects_n_below_one():
     for n in (0, -3, 2.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="n must be at least 1"):
             ups.compute_upsilon(inv.binary_kl(), fam.bernoulli(), n)
+    assert ups.compute_upsilon(inv.binary_kl(), fam.bernoulli(), 100.0) == \
+        ups.compute_upsilon(inv.binary_kl(), fam.bernoulli(), 100)
 
 
 # -- Poisson series route --------------------------------------------------------
@@ -385,6 +387,15 @@ def test_other_members_cramer_takes_its_route():
     comp, family = inv.cramer_of(fam.gaussian(2.0)), fam.gaussian(1.0)
     assert ups.compute_upsilon(comp, family, 10) == \
         ups.upsilon_quadrature(comp, family, 10)
+
+
+def test_poisson_series_r_at_cap_flag():
+    # h(r) = r (t + e^-t - 1) grows without bound: the sup is infinite, and
+    # the best grid point is the last one
+    est = ups.compute_upsilon(inv.scaled_diff(0.5), fam.poisson(), 4)
+    assert est.mode == "truncated" and est.r_star == 50.0 and est.r_at_cap
+    one = ups.upsilon_poisson_series(inv.scaled_diff(0.5), 4, r_grid=(50.0,))
+    assert one.r_star == 50.0 and one.r_at_cap is False
 
 
 def test_quadrature_r_at_cap_flag():

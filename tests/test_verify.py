@@ -224,6 +224,43 @@ def test_bad_delta_refused_before_any_draw(monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize("kind, family, words", [
+    ("mls", fam.gaussian(1.0), "mls needs the bernoulli family"),
+    ("catoni_inf", fam.poisson(), "catoni_inf needs the bernoulli family"),
+    ("poisson_diff_inf", fam.gaussian(1.0), "gaussian family's mean can be "
+     "negative"),
+    ("laplace_diff_inf", fam.poisson(), "b must be positive"),
+    ("gaussian_diff_inf", fam.bernoulli(), "sigma2 must be positive"),
+    ("pac_cramer_chernoff", fam.poisson(), "only for bernoulli, got poisson"),
+])
+def test_kind_family_mismatch_refused_before_any_draw(kind, family, words,
+                                                      monkeypatch):
+    # the rule of bounds.check_kind, checked before a trial is simulated
+    draws = []
+    real = fam.BoundingFamily._draw
+
+    def spy(self, *args):
+        draws.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(fam.BoundingFamily, "_draw", spy)
+    means = (0.2, 0.5) if family.kind == "bernoulli" else (0.5, 1.5)
+    with pytest.raises(ValueError, match=words):
+        verify.run_trials(problem(hypothesis_means=means,
+                                  prior_weights=(0.5, 0.5), family=family,
+                                  seed=123459), kind, 0.05)
+    assert draws == []
+
+
+@pytest.mark.parametrize("n", [2.5, math.inf, math.nan, -3])
+def test_problem_n_is_a_sample_size(n):
+    # a trial loop cannot run 2.5 or inf draws; 25.0 runs as 25
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        problem(n=n)
+    assert verify.run_trials(problem(n=25.0, trials=20.0, seed=123460)) == \
+        verify.run_trials(problem(n=25, trials=20, seed=123460))
+
+
 def test_default_suite_makes_one_inversion_per_problem(monkeypatch):
     # a problem's certified kinds share its family's Cramer function, so
     # the 36 seed-0 problems make 36 bisections, not one per kind (84)
