@@ -198,6 +198,11 @@ def cmd_upsilon(args):
               "ci": est.ci, "tail_error": est.tail_error,
               "r_at_cap": est.r_at_cap, "divergent_suspect": est.divergent_suspect}
     _write_lines(args.out, [json.dumps(record)])
+    if est.r_at_cap:
+        # the sup over r may lie past the grid, or be infinite
+        print(f"upsilon: best r is the grid's last point r*={est.r_star:g}; "
+              "ln_upsilon is only a lower bound", file=sys.stderr)
+        return EXIT_CHECK
     return EXIT_OK
 
 
@@ -267,12 +272,10 @@ def cmd_selfcheck(args):
     def worst_gap(kind, family, alphas, make_comp, param_range):
         # the paper's identity: the production kind, a kl or Cramer
         # inversion, equals the oracle's infimum over the parameter
-        a, beta = (x.ravel() for x in np.meshgrid(alphas, bons * n,
-                                                  indexing="ij"))
-        gap = bounds.bound_values(kind, family, a, beta, n) - [
-            inv.infimum_over_parameter(make_comp, inv.BoundQuery(x, y, n),
-                                       param_range).rho
-            for x, y in zip(a, beta)]
+        a, beta = np.meshgrid(alphas, bons * n, indexing="ij")
+        gap = bounds.bound_values(kind, family, a, beta, n) - (
+            inv.infimum_over_parameter(make_comp, inv.BoundQuery(a, beta, n),
+                                       param_range).rho)
         return float(np.max(np.abs(gap)))
 
     errs = {

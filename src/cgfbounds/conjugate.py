@@ -103,7 +103,7 @@ def cellwise(fn, *args, fill=None):
     If that call raises ValueError, OverflowError or TypeError, or returns
     the wrong shape, fn is called once per cell with Python floats.  A cell
     that raises ValueError or OverflowError becomes fill; with fill=None it
-    re-raises.
+    re-raises.  A cell answered with an array raises ValueError.
     """
     shape = np.broadcast(*args).shape
     try:
@@ -116,11 +116,15 @@ def cellwise(fn, *args, fill=None):
     out = np.empty(shape)
     for idx in np.ndindex(shape):
         try:
-            out[idx] = fn(*(float(c[idx]) for c in cells))
+            v = fn(*(float(c[idx]) for c in cells))
         except (ValueError, OverflowError):
             if fill is None:
                 raise
-            out[idx] = fill
+            v = fill
+        if np.ndim(v):      # e.g. a scalar-only fn that holds an array parameter
+            raise ValueError(f"{getattr(fn, '__qualname__', fn)} answered one "
+                             f"cell with shape {np.shape(v)}, not a number")
+        out[idx] = v
     return out
 
 

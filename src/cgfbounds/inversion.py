@@ -95,15 +95,26 @@ def _cgf_line(form, family, s, params, exact_inverse):
     return Comparator(form, fn, ends, params, exact_inverse)
 
 
+def _parameter(value, ok, rule):
+    """A comparator parameter as a Python float, or as a float array whose
+    entries the comparator takes one each; raises ValueError(rule(v)) for
+    the first entry v that fails ok (NaN fails every rule)."""
+    arr = np.asarray(value, dtype=float)
+    good = ok(arr)
+    if not good.all():
+        raise ValueError(rule(float(arr[~good].flat[0])))
+    return float(arr) if arr.ndim == 0 else arr
+
+
 def catoni(gamma):
     """gamma q - ln(1 - p + p e^gamma), the Bernoulli CGF line at s = gamma;
-    nondecreasing in p for gamma < 0."""
-    if not 0.0 < abs(gamma) < 709.0:
-        raise ValueError(f"catoni needs 0 < |gamma| < 709, got {gamma}")
-    eg = math.expm1(gamma)
+    nondecreasing in p for gamma < 0.  gamma may be an array."""
+    gamma = _parameter(gamma, lambda g: (0.0 < np.abs(g)) & (np.abs(g) < 709.0),
+                       lambda g: f"catoni needs 0 < |gamma| < 709, got {g}")
+    eg = np.expm1(gamma)
     return _cgf_line("catoni", _family("bernoulli"), gamma, {"gamma": gamma},
-                     lambda alpha, budget: min(max(
-                         math.expm1(gamma * alpha - budget) / eg, 0.0), 1.0))
+                     lambda alpha, budget: (
+                         np.expm1(gamma * alpha - budget) / eg).clip(0.0, 1.0))
 
 
 def scaled_diff(t):
@@ -120,29 +131,34 @@ def scaled_diff(t):
 
 
 def poisson_diff(t):
-    """(1 - e^{-t}) p - t q, the Poisson CGF line at s = -t."""
-    if not t > 0:
-        raise ValueError(f"poisson_diff needs t > 0, got {t}")
-    c = -math.expm1(-t)
+    """(1 - e^{-t}) p - t q, the Poisson CGF line at s = -t; t may be an
+    array."""
+    t = _parameter(t, lambda v: v > 0.0,
+                   lambda v: f"poisson_diff needs t > 0, got {v}")
+    c = -np.expm1(-t)
     return _cgf_line("poisson_diff", _family("poisson"), -t, {"t": t},
                      lambda alpha, budget: (t * alpha + budget) / c)
 
 
 def laplace_diff(t, b):
-    """t (p - q) + ln(1 - b^2 t^2), the Laplace(b) CGF line at s = -t."""
-    if not (b > 0.0 and 0.0 < t < 1.0 / b):
-        raise ValueError(f"laplace_diff needs 0 < t < 1/b, got t={t}, b={b}")
-    off = math.log1p(-(b * t) ** 2)
+    """t (p - q) + ln(1 - b^2 t^2), the Laplace(b) CGF line at s = -t; t
+    may be an array."""
+    top = 1.0 / b if b > 0.0 else 0.0     # no t passes a bad b
+    t = _parameter(t, lambda v: (0.0 < v) & (v < top),
+                   lambda v: f"laplace_diff needs 0 < t < 1/b, got t={v}, b={b}")
+    off = np.log1p(-(b * t) ** 2)
     return _cgf_line("laplace_diff", _family("laplace", b), -t,
                      {"t": t, "b": b},
                      lambda alpha, budget: alpha + (budget - off) / t)
 
 
 def gaussian_diff(t, sigma2):
-    """t (p - q) - sigma^2 t^2 / 2, the Gaussian(sigma^2) CGF line at s = -t."""
-    if not (t > 0.0 and 0.0 < sigma2 < math.inf):
-        raise ValueError("gaussian_diff needs t > 0 and sigma2 in (0, inf), "
-                         f"got t={t}, sigma2={sigma2}")
+    """t (p - q) - sigma^2 t^2 / 2, the Gaussian(sigma^2) CGF line at s = -t;
+    t may be an array."""
+    good_sigma2 = 0.0 < sigma2 < math.inf
+    t = _parameter(t, lambda v: (v > 0.0) & good_sigma2,
+                   lambda v: "gaussian_diff needs t > 0 and sigma2 in (0, inf), "
+                             f"got t={v}, sigma2={sigma2}")
     off = -0.5 * sigma2 * t * t
     return _cgf_line("gaussian_diff", _family("gaussian", sigma2), -t,
                      {"t": t, "sigma2": sigma2},
@@ -343,43 +359,75 @@ def invert(comp, query):
 # -- one-parameter infima --------------------------------------------------
 
 def infimum_over_parameter(make_comp, query, param_range):
-    """min over a parameter of the inverted bound, grid scan + argmax_zoom.
+    """min over a parameter of the inverted bound, cell by cell over the
+    query's broadcast (alpha, budget) arrays, by grid scan + argmax_zoom.
 
     For caller-supplied comparator families, and the test oracle of the
     built-in parametric-infimum kinds, which bounds evaluates by their kl or
-    Cramer identity.  make_comp maps a parameter value to a Comparator.  The
-    per-parameter bound is assumed quasiconvex on param_range, which is
-    scanned at 64 log-spaced points and refined by argmax_zoom on -rho.
-    Raises NoFiniteBound if no parameter gives a finite bound.
+    Cramer identity.  make_comp maps an array of parameter values to one
+    Comparator that holds them all (the CGF-line constructors take arrays)
+    and is inverted against each cell's (alpha, budget): by its
+    exact_inverse if it has one, else by one _bisect over the whole array.
+    The per-parameter bound is assumed quasiconvex on param_range, which is
+    scanned at 64 log-spaced points and refined by the row-batched
+    argmax_zoom on -rho, so a call builds one comparator for the scan and
+    one per zoom round.  A parameter with no finite bound never wins.
+    A 0-d query gives a BoundResult of floats and raises NoFiniteBound if no
+    parameter gives a finite bound; an array query gives arrays of its
+    shape (status holds the status names), with rho and param_star NaN in
+    each cell that has no finite bound.
     """
     lo, hi = param_range
     if not lo > 0:
         raise ValueError(f"param_range must start above 0, got {param_range}")
     xs = np.linspace(math.log(lo), math.log(hi), 64)
-    alpha, budget = query.alpha, query.budget()
+    alpha, budget = np.broadcast_arrays(np.asarray(query.alpha, dtype=float),
+                                        np.asarray(query.budget(), dtype=float))
+    shape = alpha.shape
+    alpha, budget = alpha.reshape(-1, 1), budget.reshape(-1, 1)
+    top = None           # the upper end of the comparators' loss range
+    bisected = []        # (cells, x, _bisect's arrays) of each bisecting round
 
-    def rho_of(x):
-        comp = make_comp(math.exp(x))
-        if comp.exact_inverse is not None:
-            return comp.exact_inverse(alpha, budget)
-        try:
-            return invert_at_budget(comp, alpha, budget).rho
-        except NoFiniteBound:
-            return math.inf
+    def neg_rho(x, cells):
+        nonlocal top
+        comp = make_comp(np.exp(x))
+        top = comp.loss_range[1]
+        if comp.exact_inverse is None:
+            res = _bisect(comp, np.broadcast_to(alpha[cells], x.shape),
+                          budget[cells], _TOL)
+            bisected.append((cells, x, res))
+            rho = res[0]
+        else:
+            rho = comp.exact_inverse(alpha[cells], budget[cells])
+        return np.where(np.isnan(rho), -math.inf, -rho)
 
-    def neg_rho(x):
-        return np.array([-rho_of(v) for v in x])
-
-    vals = neg_rho(xs)
-    if vals.max() == -math.inf:
+    vals = neg_rho(np.broadcast_to(xs, (len(alpha), len(xs))),
+                   np.arange(len(alpha)))
+    live = vals.max(axis=1) > -math.inf
+    if not shape and not live[0]:
         raise NoFiniteBound(f"no parameter in {param_range} yields a finite bound")
-    param_star = math.exp(argmax_zoom(neg_rho, xs, vals)[0])
-
-    comp = make_comp(param_star)
-    if comp.exact_inverse is None:
-        best = invert_at_budget(comp, alpha, budget)
-    else:
-        rho = comp.exact_inverse(alpha, budget)
-        status = "capped_at_domain" if rho == comp.loss_range[1] else "converged"
-        best = BoundResult(rho, budget, (rho, rho), 0, status)
-    return replace(best, param_star=param_star)
+    x_star, rho = np.full((2, len(alpha)), math.nan)
+    if live.any():
+        rows = np.flatnonzero(live)
+        best_x, best_v = argmax_zoom(lambda zs, r: neg_rho(zs, rows[r]), xs,
+                                     vals[rows])
+        x_star[rows], rho[rows] = best_x, -best_v
+    # a closed form is its own bracket; a bisection's comes from its round
+    out = np.array([rho, rho, rho, np.zeros(len(alpha)),
+                    np.where(rho == top, _CAPPED, _CONVERGED)])
+    out[4, ~live] = _NO_FINITE
+    for cells, x, res in bisected:
+        r, c = np.nonzero(x == x_star[cells, None])
+        out[:, cells[r]] = np.array(res)[:, r, c]
+    rho, lo, hi = out[:3]
+    iterations, status = out[3:].astype(int)
+    param_star = np.exp(x_star)
+    if not shape:
+        return BoundResult(float(rho[0]), float(budget[0, 0]),
+                           (float(lo[0]), float(hi[0])), int(iterations[0]),
+                           _STATUSES[status[0]], float(param_star[0]))
+    return BoundResult(rho.reshape(shape), budget.reshape(shape),
+                       (lo.reshape(shape), hi.reshape(shape)),
+                       iterations.reshape(shape),
+                       np.array(_STATUSES)[status].reshape(shape),
+                       param_star.reshape(shape))

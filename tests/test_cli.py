@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,8 @@ def test_commands_run_with_scipy_unimportable():
                           capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().split("\n")
-    assert json.loads(lines[-1]) == [0] * len(NO_SCIPY_RUNS)
+    # the series and quadrature runs end at the r grid's cap: exit 5
+    assert json.loads(lines[-1]) == [0, 0, 0, 5, 5, 0, 0]
     modes = [json.loads(line)["mode"] for line in lines
              if line.startswith('{"mode"')]
     assert modes == ["exact", "truncated", "truncated", "monte_carlo"]
@@ -301,10 +303,14 @@ def test_upsilon_json_record():
 
 def test_upsilon_record_reports_r_at_cap():
     # the series route's best r is the last grid point, where h(r) still
-    # grows; both flags come after the other keys
-    code, out, _ = run_cli("upsilon", "--comparator", "scaled_diff:t=0.5",
-                           "--family", "poisson", "--n", "4")
-    assert code == 0
+    # grows, so the value is no certified sup over r: the record is printed
+    # as usual, stderr says why, and the exit code is a check failure; both
+    # flags come after the other keys
+    code, out, err = run_cli("upsilon", "--comparator", "scaled_diff:t=0.5",
+                             "--family", "poisson", "--n", "4")
+    assert code == 5
+    assert err == ("upsilon: best r is the grid's last point r*=50; "
+                   "ln_upsilon is only a lower bound\n")
     assert '"r_at_cap": true, "divergent_suspect": false}' in out
     assert list(json.loads(out))[-2:] == ["r_at_cap", "divergent_suspect"]
 
@@ -434,6 +440,20 @@ def test_selfcheck_passes():
     code, stdout, _ = run_cli("selfcheck")
     assert code == 0
     assert stdout.count("PASS") == 3
+
+
+def test_selfcheck_raises_no_warning(monkeypatch, capsys):
+    # the runtime-only CI job runs selfcheck under -W error; in process the
+    # same rule catches a RuntimeWarning sooner.  Each identity is one array
+    # infimum over its whole grid.
+    real, calls = inv.infimum_over_parameter, []
+    monkeypatch.setattr(inv, "infimum_over_parameter",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["selfcheck"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 3
+    assert [np.shape(q.alpha) for q in calls] == [(10, 10), (10, 10)]
 
 
 def test_nan_conjugate_fails_the_checks(monkeypatch, capsys):

@@ -135,6 +135,18 @@ def test_cellwise_type_error_in_a_cell_propagates():
         con.cellwise(fn, QS, fill=math.inf)
 
 
+def test_cellwise_array_answer_to_a_cell_raises():
+    # a scalar-only fn that holds an array of parameters answers each cell
+    # with an array; filling that cell would hide the fault
+    ts = np.array([1.0, 2.0])
+
+    def fn(q, r):
+        return ts * (float(r) - float(q))
+
+    with pytest.raises(ValueError, match=r"answered one cell with shape \(2,\)"):
+        con.cellwise(fn, QS, RS, fill=math.inf)
+
+
 @pytest.mark.parametrize("family", ALL, ids=lambda f: f.kind)
 def test_numeric_conjugate_scalar_only_cgf_equals_vectorized(family):
     grid = GRIDS[family.kind]

@@ -14,6 +14,7 @@ from scipy import special
 
 from cgfbounds import families as fam
 from cgfbounds import inversion as inv
+from cgfbounds.conjugate import argmax_zoom
 from cgfbounds.inversion import BoundQuery
 from poisson_oracle import invert_closed_form_poisson
 
@@ -397,6 +398,218 @@ def test_infimum_all_divergent_raises():
 
     with pytest.raises(inv.NoFiniteBound):
         inv.infimum_over_parameter(make, q, (0.1, 10.0))
+
+
+def test_infimum_array_query_gives_nan_where_no_bound():
+    # the flat comparator of the test above has no finite bound at any
+    # parameter; for q >= 1 this one is flat, below it the plain difference
+    def make(t):
+        return inv.Comparator(
+            "flat_from_1", lambda qq, pp: np.where(qq < 1.0, t * (pp - qq), 0.0),
+            (0.0, math.inf))
+
+    q = BoundQuery(np.array([0.5, 1.0, 2.0]), 10.0, 10)
+    res = inv.infimum_over_parameter(make, q, (0.1, 10.0))
+    assert np.isnan(res.rho[1:]).all() and np.isnan(res.param_star[1:]).all()
+    assert list(res.status) == ["converged", "no_finite_bound", "no_finite_bound"]
+    assert res.rho[0] == pytest.approx(0.5 + 1.0 / 10.0, rel=1e-8)
+    flat = inv.infimum_over_parameter(
+        lambda t: inv.Comparator("flat", lambda qq, pp: 0.0 * t, (0.0, math.inf)),
+        BoundQuery(np.array([0.5, 1.0]), 10.0, 10), (0.1, 10.0))
+    assert np.isnan(flat.rho).all() and list(flat.status) == ["no_finite_bound"] * 2
+
+
+def test_infimum_no_finite_parameters_never_win_the_scan():
+    # parameters below 1 have no finite bound (NaN from the bisection); if
+    # NaN won np.argmax the scan would settle on t = 0.1 and report NaN
+    def make(t):
+        return inv.Comparator(
+            "flat_below_1", lambda qq, pp: np.where(t >= 1.0, t * (pp - qq), 0.0),
+            (0.0, math.inf))
+
+    res = inv.infimum_over_parameter(make, BoundQuery(0.5, 10.0, 10), (0.1, 10.0))
+    assert res.rho == pytest.approx(0.5 + 1.0 / 10.0, rel=1e-8)
+    assert res.param_star == pytest.approx(10.0, rel=1e-9)
+    assert res.status == "converged"
+
+
+def test_infimum_refuses_a_scalar_only_make_comp():
+    # make_comp gets an array of parameters; a comparator that takes only
+    # scalar (q, p) but holds that array must fail loudly, not report alpha
+    def make(t):
+        return inv.custom(lambda q, p: t * (float(p) - float(q)), (0.0, math.inf))
+
+    with pytest.raises(ValueError, match="answered one cell with shape"):
+        inv.infimum_over_parameter(make, BoundQuery(0.5, 1.0, 10), (0.1, 10.0))
+
+
+# the selfcheck grids, one per CGF line: alphas, make_comp, param_range
+_BONS = np.geomspace(1e-3, 2.0, 10)
+INFIMUM_GRIDS = {
+    "catoni": (np.linspace(0.02, 0.9, 10), lambda m: inv.catoni(-m),
+               (1e-3, 50.0)),
+    "laplace_diff": (np.linspace(0.0, 2.0, 10),
+                     lambda t: inv.laplace_diff(t, 1.0), (1e-8, 1.0 - 1e-12)),
+    "gaussian_diff": (np.linspace(-3.0, 3.0, 10),
+                      lambda t: inv.gaussian_diff(t, 1.0), (1e-8, 100.0)),
+    "poisson_diff": (np.geomspace(0.1, 5.0, 10), inv.poisson_diff,
+                     (1e-4, 200.0)),
+}
+
+
+def _per_cell_infimum(make_comp, alpha, budget, param_range):
+    """(rho, param_star) as the infimum was computed before it broadcast:
+    one cell at a time, one comparator per parameter value."""
+    lo, hi = param_range
+    xs = np.linspace(math.log(lo), math.log(hi), 64)
+
+    def rho_of(x):
+        comp = make_comp(math.exp(x))
+        if comp.exact_inverse is not None:
+            return comp.exact_inverse(alpha, budget)
+        try:
+            return inv.invert_at_budget(comp, alpha, budget).rho
+        except inv.NoFiniteBound:
+            return math.inf
+
+    def neg_rho(x):
+        return np.array([-rho_of(v) for v in x])
+
+    x, v = argmax_zoom(neg_rho, xs, neg_rho(xs))
+    return -v, math.exp(x)
+
+
+def _selfcheck_query(alphas, n=100):
+    a, beta = np.meshgrid(alphas, _BONS * n, indexing="ij")
+    return BoundQuery(a, beta, n)
+
+
+@pytest.mark.parametrize("line", sorted(INFIMUM_GRIDS))
+def test_batched_infimum_equals_the_per_cell_loop(line):
+    # The batched parameter is np.exp(x) where the loop took math.exp(x),
+    # and the two differ by an ulp on a few inputs: rho agrees within 4 ulp.
+    # Near its minimum the bound is flat to rounding, so the zoom may settle
+    # on another point of equal rho: param_star agrees within 1e-6.
+    alphas, make, param_range = INFIMUM_GRIDS[line]
+    q = _selfcheck_query(alphas)
+    res = inv.infimum_over_parameter(make, q, param_range)
+    assert res.rho.shape == res.param_star.shape == (10, 10)
+    assert (res.status == "converged").all()
+    want = np.array([_per_cell_infimum(make, a, b, param_range) for a, b in
+                     zip(q.alpha.ravel(), q.budget().ravel())]).T
+    rho, param_star = want.reshape(2, 10, 10)
+    assert np.all(np.abs(res.rho - rho) <= 4 * np.spacing(np.abs(rho)))
+    assert res.param_star == pytest.approx(param_star, rel=1e-6)
+
+
+def test_zero_d_infimum_gives_floats():
+    q = BoundQuery(0.3, 5.0, 100)
+    for make in (lambda m: inv.catoni(-m),
+                 lambda m: dataclasses.replace(inv.catoni(-m),
+                                               exact_inverse=None)):
+        res = inv.infimum_over_parameter(make, q, (1e-3, 50.0))
+        assert all(type(v) is float for v in
+                   (res.rho, res.budget, *res.bracket, res.param_star))
+        assert type(res.iterations) is int and res.status == "converged"
+
+
+@pytest.mark.parametrize("alpha", [0.3, np.linspace(0.02, 0.9, 5)])
+@pytest.mark.parametrize("closed", [True, False])
+def test_infimum_builds_one_comparator_a_round(alpha, closed):
+    # one for the 64-point scan, one per zoom round (at most 12)
+    shapes = []
+
+    def make(m):
+        shapes.append(np.shape(m))
+        comp = inv.catoni(-m)
+        return comp if closed else dataclasses.replace(comp, exact_inverse=None)
+
+    inv.infimum_over_parameter(make, BoundQuery(alpha, 5.0, 100), (1e-3, 50.0))
+    assert 2 <= len(shapes) <= 1 + 12
+    assert shapes[0] == (np.size(alpha), 64)
+    assert all(s[1] == 17 for s in shapes[1:])
+
+
+def test_infimum_without_closed_form_bisects_in_one_batch():
+    # catoni stripped of its exact_inverse: every round is one _bisect over
+    # the broadcast grid, within the bisection tolerance of the closed form
+    def bisected(m):
+        return dataclasses.replace(inv.catoni(-m), exact_inverse=None)
+
+    q = _selfcheck_query(np.linspace(0.02, 0.9, 4))
+    closed = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q, (1e-3, 50.0))
+    res = inv.infimum_over_parameter(bisected, q, (1e-3, 50.0))
+    assert np.all(np.abs(res.rho - closed.rho) <= 2e-9)
+    assert np.all(res.rho <= closed.rho + 1e-15)    # lo, the feasible end
+    # each cell's bracket, steps and status are those of one inversion at
+    # its best parameter
+    for i in (0, 17, 39):
+        a, b = q.alpha.flat[i], q.budget().flat[i]
+        one = inv.invert_at_budget(bisected(res.param_star.flat[i]), a, b)
+        assert (one.rho, one.bracket, one.iterations, one.status) == (
+            res.rho.flat[i], (res.bracket[0].flat[i], res.bracket[1].flat[i]),
+            res.iterations.flat[i], res.status.flat[i])
+        zero_d = inv.infimum_over_parameter(bisected, BoundQuery(a, b * 100, 100),
+                                            (1e-3, 50.0))
+        assert zero_d.rho == pytest.approx(one.rho, abs=2e-9)
+
+
+# -- array-valued CGF lines ------------------------------------------------------
+
+# constructor of an array parameter, good entries, a bad entry, its message
+ARRAY_LINES = {
+    "catoni": (inv.catoni, [-50.0, -1.3, -1e-3, 2.0], -709.5,
+               r"catoni needs 0 < \|gamma\| < 709, got -709.5$"),
+    "poisson_diff": (inv.poisson_diff, [1e-3, 0.7, 10.0], 0.0,
+                     r"poisson_diff needs t > 0, got 0.0$"),
+    "laplace_diff": (lambda t: inv.laplace_diff(t, 2.0), [1e-3, 0.2, 0.49],
+                     0.5, r"needs 0 < t < 1/b, got t=0.5, b=2.0$"),
+    "gaussian_diff": (lambda t: inv.gaussian_diff(t, 0.5), [1e-3, 0.5, 2.0],
+                      math.nan, r"got t=nan, sigma2=0.5$"),
+}
+
+
+@pytest.mark.parametrize("line", sorted(ARRAY_LINES))
+def test_array_constructor_names_its_bad_entry(line):
+    make, good, bad, message = ARRAY_LINES[line]
+    with pytest.raises(ValueError, match=message):
+        make(np.array([good[0], bad, good[-1]]))
+    with pytest.raises(ValueError, match=message):
+        make(bad)
+
+
+@pytest.mark.parametrize("line", sorted(ARRAY_LINES))
+def test_array_constructor_matches_the_scalar_ones(line):
+    make, good, _, _ = ARRAY_LINES[line]
+    params = np.array(good)
+    comp = make(params)
+    if line == "catoni":
+        q, p = np.array([0.0, 0.1, 0.5, 1.0]), np.array([0.05, 0.3, 0.9, 1.0])
+    else:
+        q, p = np.array([0.0, 0.4, 1.0, 3.0]), np.array([0.2, 0.5, 2.0, 3.5])
+    alpha, budget = q[:, None], np.array([0.01, 0.3, 1.0, 2.0])[:, None]
+    got_eval = comp.eval(q[:, None], p[:, None])
+    got_inv = comp.exact_inverse(alpha, budget)
+    assert got_eval.shape == got_inv.shape == (4, len(good))
+    for j, v in enumerate(good):
+        one = make(v)
+        want_eval = one.eval(q, p)
+        want_inv = one.exact_inverse(alpha[:, 0], budget[:, 0])
+        scale = np.maximum(np.abs(want_eval), abs(v) * np.maximum(q, p))
+        assert np.all(np.abs(got_eval[:, j] - want_eval) <= 4e-16 * scale)
+        assert np.all(np.abs(got_inv[:, j] - want_inv)
+                      <= 2 * np.spacing(np.abs(want_inv)))
+
+
+def test_scalar_constructors_keep_float_params():
+    # compute_upsilon's cgf_line rule and the CLI see float params, whatever
+    # number type the caller passed
+    for comp in (inv.catoni(-2), inv.catoni(np.float64(-2.0)),
+                 inv.poisson_diff(1), inv.laplace_diff(np.float32(0.5), 1.0),
+                 inv.gaussian_diff(2, 0.5)):
+        assert all(type(v) is float for v in comp.params.values()
+                   if not isinstance(v, tuple))
+    assert inv.catoni(-2).params["gamma"] == -2.0
 
 
 # -- budget assembly ---------------------------------------------------------------
