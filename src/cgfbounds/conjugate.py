@@ -4,11 +4,12 @@ Computes sup_t { q t - cgf(t) } by probing a dyadic ladder of t values,
 bracketing the (concave) objective's maximizer, and polishing by grid zoom.
 Detects supremum-at-infinity and genuine divergence.  Also houses the
 package's one scan-and-zoom maximizer, argmax_zoom, which the conjugate, the
-Bernoulli Upsilon and the parametric-infimum oracle share, and its one
-per-cell evaluator, cellwise, through which every comparator and CGF call on
-arrays goes; this module imports nothing from the package.
+Bernoulli Upsilon and the parametric-infimum oracle share, and cellwise, the
+per-cell evaluator that wraps a caller's CGF here and a caller's comparator
+in inversion.custom; this module imports nothing from the package.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,15 +96,15 @@ def argmax_zoom(f, xs, vals):
     return np.array(best_x), np.array(best_v)
 
 
-def cellwise(fn, *args, fill=None):
+def cellwise(fn, *args):
     """fn(*args) as a float array of the arguments' broadcast shape.
 
     Makes one call of fn on the arguments as given, not broadcast first, so
     a function that takes only a scalar in one argument still gets one call.
     If that call raises ValueError, OverflowError or TypeError, or returns
     the wrong shape, fn is called once per cell with Python floats.  A cell
-    that raises ValueError or OverflowError becomes fill; with fill=None it
-    re-raises.  A cell answered with an array raises ValueError.
+    that raises ValueError or OverflowError is +inf; a TypeError propagates,
+    and a cell answered with an array raises ValueError.
     """
     shape = np.broadcast(*args).shape
     try:
@@ -118,9 +119,7 @@ def cellwise(fn, *args, fill=None):
         try:
             v = fn(*(float(c[idx]) for c in cells))
         except (ValueError, OverflowError):
-            if fill is None:
-                raise
-            v = fill
+            v = math.inf
         if np.ndim(v):      # e.g. a scalar-only fn that holds an array parameter
             raise ValueError(f"{getattr(fn, '__qualname__', fn)} answered one "
                              f"cell with shape {np.shape(v)}, not a number")
@@ -129,12 +128,11 @@ def cellwise(fn, *args, fill=None):
 
 
 def _objective_on_grid(cgf, q, ts):
-    """q t - cgf(t), broadcast; -inf where the CGF raises or gives NaN.
+    """q t - cgf(t), broadcast; -inf where the CGF is +inf or NaN.
 
-    The CGF is evaluated once, on ts, whatever the shape of q."""
-    tarr = np.asarray(ts, dtype=float)
+    The CGF is evaluated once, on the array ts, whatever the shape of q."""
     with np.errstate(all="ignore"):
-        vals = q * tarr - cellwise(cgf, tarr, fill=math.inf)
+        vals = q * ts - cgf(ts)
     return np.where(np.isnan(vals), -math.inf, vals)
 
 
@@ -172,8 +170,8 @@ def numeric_conjugate(cgf, q, t_domain):
     Parameters
     ----------
     cgf : callable
-        CGF of t, called through cellwise, so it need not take arrays; may
-        raise ValueError outside its finiteness interval.
+        CGF of t, wrapped in cellwise here, so it need not take arrays; a
+        point where it raises ValueError or OverflowError counts as +inf.
     q : float or array
         Query point(s) of the conjugate.  An array of q shares one probe
         ladder, one CGF evaluation on it and one batched argmax_zoom; each
@@ -195,6 +193,7 @@ def numeric_conjugate(cgf, q, t_domain):
         If the objective grows without bound along an unbounded direction,
         i.e. some q lies outside the closure of the family's mean range.
     """
+    cgf = functools.partial(cellwise, cgf)
     lo, hi = t_domain
     ts = np.array(_probe_points(lo, hi))
     qs = np.asarray(q, dtype=float).reshape(-1, 1)

@@ -166,7 +166,11 @@ def gaussian_diff(t, sigma2):
 
 
 def custom(eval_fn, loss_range, form="custom", params=None):
-    return Comparator(form, eval_fn, loss_range, params or {})
+    """A caller's Delta(q, p) as a comparator that need not take arrays: its
+    fn is conjugate.cellwise over eval_fn, so a cell that raises ValueError
+    or OverflowError is +inf and one that raises TypeError propagates."""
+    return Comparator(form, functools.partial(cellwise, eval_fn), loss_range,
+                      params or {})
 
 
 # -- queries and results ---------------------------------------------------
@@ -242,15 +246,14 @@ _TOL = 1e-9             # relative bracket width at which bisection stops
 
 
 def _bisect(comp, alpha, budget, tol):
-    """sup{rho : comp(alpha, rho) <= budget} cell by cell over broadcast arrays.
+    """sup{rho : comp(alpha, rho) <= budget} over broadcast arrays.
 
     The package's only bisection.  Returns (rho, lo, hi, iterations, status)
     arrays; status indexes _STATUSES, and rho is the feasible endpoint lo
     (the domain end when capped, NaN when no finite bound exists), so a
-    reported bound never overestimates the supremum.  Every comparator call
-    goes through cellwise: a cell where the comparator raises is +inf, i.e.
-    infeasible.  NaN needs no mapping: like +inf it fails every comparison
-    made here.
+    reported bound never overestimates the supremum.  Each step calls the
+    comparator once on the whole array; a cell that is +inf or NaN fails
+    every comparison made here: it is infeasible.
     """
     alpha, budget = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                         np.asarray(budget, dtype=float))
@@ -267,11 +270,7 @@ def _bisect(comp, alpha, budget, tol):
     bounded = math.isfinite(hi_r)
     lo, hi = alpha.copy(), alpha.copy()
     iterations = np.zeros(alpha.shape, dtype=int)
-
-    def comp_at(rho):
-        return cellwise(comp.eval, alpha, rho, fill=math.inf)
-
-    e0 = comp_at(alpha)
+    e0 = comp.eval(alpha, alpha)
     status = np.where(budget <= np.where(np.isfinite(e0), e0, 0.0),
                       _NONPOSITIVE, _CONVERGED)
     todo = status == _CONVERGED
@@ -280,7 +279,7 @@ def _bisect(comp, alpha, budget, tol):
     d = (hi_r - alpha) / 8.0 if bounded else np.maximum(np.abs(alpha), 1.0) * 0.5
     probe = todo & (d > 0)
     if probe.any():
-        vals = [comp_at(alpha + k * d) for k in (1, 2, 3)]
+        vals = [comp.eval(alpha, alpha + k * d) for k in (1, 2, 3)]
         with np.errstate(invalid="ignore"):    # inf - inf
             for a, b in zip(vals, vals[1:]):
                 bad = probe & (b < a - 1e-12 * np.maximum(1.0, np.abs(a)))
@@ -291,12 +290,12 @@ def _bisect(comp, alpha, budget, tol):
 
     if bounded and todo.any():
         hi[todo] = hi_r
-        capped = todo & (comp_at(hi) <= budget)
+        capped = todo & (comp.eval(alpha, hi) <= budget)
         status[capped] = _CAPPED
         todo &= ~capped
     elif todo.any():
         hi[todo] = np.maximum(alpha[todo], 1e-12)
-        grow = todo & (comp_at(hi) <= budget)
+        grow = todo & (comp.eval(alpha, hi) <= budget)
         doublings = 0
         while grow.any():
             lo = np.where(grow, hi, lo)
@@ -306,7 +305,7 @@ def _bisect(comp, alpha, budget, tol):
                 status[grow] = _NO_FINITE
                 todo &= ~grow
                 break
-            grow &= comp_at(hi) <= budget
+            grow &= comp.eval(alpha, hi) <= budget
 
     while True:
         scale = 1.0 if bounded else np.maximum(1.0, np.abs(lo))
@@ -314,7 +313,7 @@ def _bisect(comp, alpha, budget, tol):
         todo &= (hi - lo > tol * scale) & (lo < mid) & (mid < hi)
         if not todo.any():
             break
-        feasible = comp_at(mid) <= budget
+        feasible = comp.eval(alpha, mid) <= budget
         lo = np.where(todo & feasible, mid, lo)
         hi = np.where(todo & ~feasible, mid, hi)
         iterations += todo

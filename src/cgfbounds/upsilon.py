@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import gammaln, logsumexp, xlog1py, xlogy
-from .conjugate import argmax_zoom, cellwise
+from .conjugate import argmax_zoom
 from .families import poisson
 from .inversion import check_n
 from .rng import make_generator
@@ -77,12 +77,12 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
     compute_upsilon sends to upsilon_shtarkov_bernoulli; for that one this
     function is the test oracle.  The sum is evaluated in log domain on an
     interior r-grid (an integer resolution or an explicit array of interior
-    r values) as one (r, k) log-sum-exp; comparators that do not broadcast
-    over (r, k) are evaluated cell by cell.  The best grid r is refined by
+    r values) as one (r, k) log-sum-exp, the comparator called once on the
+    (r, k) grid.  The best grid r is refined by
     argmax_zoom, each round a small batch of rows of the same sum; the
     endpoint values r in {0, 1} (degenerate means) are included via the
     0 ln 0 convention.  Raises ValueError if the comparator is not finite at
-    some r of the grid.
+    some r of the grid (a custom comparator's raising cell is +inf).
     """
     ks, ln_binom = _ln_binom(n)
     qs = ks / n
@@ -90,7 +90,7 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
     def ln_values(rs):
         col = rs[:, None]
         ln_pmf = ln_binom + xlogy(ks, col) + xlog1py(n - ks, -col)
-        d = cellwise(comp.eval, qs, col)
+        d = comp.eval(qs, col)
         finite = np.isfinite(d).all(axis=1)
         if not finite.all():
             raise ValueError("comparator not finite on [0,1] at "
@@ -109,7 +109,7 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
                            for j in range(0, len(rs), rows)])
     r_star, best = argmax_zoom(ln_values, rs, vals)
     for r_end in (0.0, 1.0):
-        d = float(cellwise(comp.eval, r_end, r_end, fill=math.inf))
+        d = float(comp.eval(r_end, r_end))
         if math.isfinite(d) and n * d > best:
             best, r_star = n * d, r_end
     return UpsilonEstimate("exact", best, r_star=r_star)
@@ -162,8 +162,7 @@ def _series_one_r(comp, n, r, ln_fact):
         ks = np.arange(k0, k0 + _CHUNK)
         if k0 not in ln_fact:
             ln_fact[k0] = gammaln(ks + 1.0)
-        ln_t = -lam + ks * ln_lam - ln_fact[k0] \
-            + n * cellwise(comp.eval, ks / n, r)
+        ln_t = -lam + ks * ln_lam - ln_fact[k0] + n * comp.eval(ks / n, r)
         ln_sum = np.logaddexp(ln_sum, logsumexp(ln_t))
         if ln_sum > _SERIES_LN_CAP:
             return None
@@ -238,8 +237,7 @@ def _quad_one_r(comp, family, n, r):
                              r + 60.0 * math.sqrt(family.nuisance) + 60.0 * sd, 2001)
     else:
         coarse = np.geomspace(r * 1e-9, r * 1e9, 2001)
-    lnh_c = (_ln_pdf_mean(family, r, n, coarse)
-             + n * cellwise(comp.eval, coarse, r))
+    lnh_c = _ln_pdf_mean(family, r, n, coarse) + n * comp.eval(coarse, r)
     lnh_c = np.where(np.isnan(lnh_c), -math.inf, lnh_c)
     ipk = int(np.argmax(lnh_c))
     peak = float(lnh_c[ipk])
@@ -252,8 +250,10 @@ def _quad_one_r(comp, family, n, r):
         fine = np.geomspace(coarse[ipk] * math.exp(-3.0),
                             coarse[ipk] * math.exp(3.0), _QUAD_POINTS)
     xs = np.unique(np.concatenate((coarse, fine)))
-    lnh = _ln_pdf_mean(family, r, n, xs) + n * cellwise(comp.eval, xs, r)
+    lnh = _ln_pdf_mean(family, r, n, xs) + n * comp.eval(xs, r)
     lnh = np.where(np.isnan(lnh), -math.inf, lnh)
+    if np.isposinf(lnh).any():     # Delta = +inf where xbar has mass
+        return None
     total = _ln_trapz(lnh, xs)
     # relative weight of the outermost tail segments, as a quality estimate
     tail = np.exp(max(_ln_trapz(lnh[:20], xs[:20]),
@@ -264,10 +264,10 @@ def _quad_one_r(comp, family, n, r):
 def upsilon_quadrature(comp, family, n, r_grid=None):
     """Quadrature of E e^{n Delta(xbar, r)} for families with a closed mean density.
 
-    Detects divergence when the log integrand fails to decay by
-    _QUAD_TAIL_NATS (60) nats at the extreme ends of a wide coarse grid (for
-    the Cramer comparators of the gamma family the integrand behaves like
-    1/x at both ends).
+    Detects divergence when the log integrand is +inf on the grid, which
+    holds every coarse point, or fails to decay by _QUAD_TAIL_NATS (60) nats
+    at the extreme ends of that wide coarse grid (for the Cramer comparators
+    of the gamma family the integrand behaves like 1/x at both ends).
     """
     if r_grid is None:
         if family.kind == "gaussian":
@@ -324,7 +324,9 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
             family._draw(float(r), k * n, rng, block[:k * n]).reshape(
                 k, n).mean(axis=1, out=means[j:j + k])
         del block
-        w = n * cellwise(comp.eval, means, float(r))
+        w = n * comp.eval(means, float(r))
+        if np.isposinf(w).any():    # Delta = +inf where xbar has mass
+            return UpsilonEstimate("divergent", math.inf, r_star=float(r))
         v = ln_mean_exp(w)
         if v > best:
             best, best_r, best_w = v, float(r), w

@@ -6,6 +6,7 @@ import pytest
 from cgfbounds import cli
 from cgfbounds import conjugate as con
 from cgfbounds import families as fam
+from cgfbounds import inversion as inv
 
 ALL = [fam.bernoulli(), fam.gaussian(1.3), fam.poisson(), fam.gamma(2.5),
        fam.laplace(0.8), fam.invgauss(1.7), fam.negbin(3.0)]
@@ -115,27 +116,31 @@ def test_cellwise_scalar_arguments_give_a_0d_array():
     assert got.shape == () and float(got) == 0.5
 
 
-def test_cellwise_raising_cell_gives_fill_or_reraises():
+# -- the custom door: a caller's comparator goes through cellwise -------------
+
+def test_custom_raising_cell_is_inf_and_infeasible():
     def fn(q, r):
-        if np.any(np.asarray(q) > 0.5):
-            raise ValueError(f"q={q} too large")
-        return q + r
+        if np.any(np.asarray(r) > 0.5):
+            raise ValueError(f"r={r} too large")
+        return r - q
 
-    got = con.cellwise(fn, QS, 1.0, fill=math.inf)
-    assert np.array_equal(got, np.where(QS > 0.5, math.inf, QS + 1.0))
-    with pytest.raises(ValueError, match=r"q=0\.63.* too large"):
-        con.cellwise(fn, QS, 1.0)
+    comp = inv.custom(fn, (0.0, 1.0))
+    got = comp.eval(0.25, RS)
+    assert np.array_equal(got, np.where(RS > 0.5, math.inf, RS - 0.25))
+    # the budget allows every r, but the cells past r = 0.5 are infeasible
+    res = inv.invert_at_budget(comp, 0.1, 1.0)
+    assert res.status == "converged" and 0.5 - 1e-9 <= res.rho <= 0.5
 
 
-def test_cellwise_type_error_in_a_cell_propagates():
-    def fn(q):
+def test_custom_type_error_in_a_cell_propagates():
+    def fn(q, r):
         raise TypeError("never defined")
 
     with pytest.raises(TypeError, match="never defined"):
-        con.cellwise(fn, QS, fill=math.inf)
+        inv.invert_grid(inv.custom(fn, (0.0, 1.0)), QS, 1.0)
 
 
-def test_cellwise_array_answer_to_a_cell_raises():
+def test_custom_array_answer_to_a_cell_raises():
     # a scalar-only fn that holds an array of parameters answers each cell
     # with an array; filling that cell would hide the fault
     ts = np.array([1.0, 2.0])
@@ -144,7 +149,7 @@ def test_cellwise_array_answer_to_a_cell_raises():
         return ts * (float(r) - float(q))
 
     with pytest.raises(ValueError, match=r"answered one cell with shape \(2,\)"):
-        con.cellwise(fn, QS, RS, fill=math.inf)
+        inv.custom(fn, (0.0, 1.0)).eval(QS, RS)
 
 
 @pytest.mark.parametrize("family", ALL, ids=lambda f: f.kind)
@@ -157,6 +162,19 @@ def test_numeric_conjugate_scalar_only_cgf_equals_vectorized(family):
         got = con.numeric_conjugate(scalar_only(lambda t: family.cgf(p, t)),
                                     q, dom)
         assert got == want
+
+
+@pytest.mark.parametrize("family", ALL, ids=lambda f: f.kind)
+def test_family_cgf_broadcasts_over_the_probe_ladder(family):
+    # numeric_conjugate calls a built-in CGF once on the whole ladder; every
+    # point must be the scalar call's double (Poisson's expm1 overflows to
+    # inf past t ~ 709, on the array and on the scalar alike)
+    for p in GRIDS[family.kind]:
+        ts = np.array(con._probe_points(*family.t_domain(float(p))))
+        with np.errstate(over="ignore"):
+            got = family.cgf(float(p), ts)
+            want = np.array([family.cgf(float(p), t) for t in ts.tolist()])
+        assert got.shape == ts.shape and got.tobytes() == want.tobytes()
 
 
 def test_t_domain_is_a_pair_and_zero_is_probed_inside_it():

@@ -244,6 +244,17 @@ def test_grid_with_scalar_only_kl_equals_vectorized_kl():
                           want)
 
 
+def test_engine_does_not_loop_over_a_scalar_only_comparator():
+    # float() of an array raises TypeError: built directly, the comparator
+    # fails loudly; only custom retries it cell by cell
+    kl = inv.binary_kl()
+    comp = inv.Comparator("scalar_kl",
+                          lambda q, p: float(kl.eval(float(q), float(p))),
+                          kl.loss_range)
+    with pytest.raises(TypeError):
+        inv.invert_grid(comp, GRID_ALPHAS, GRID_BUDGETS)
+
+
 # -- parametric comparators vs their closed inversions ---------------------------
 
 def test_catoni_closed_inverse_matches_bisection():
@@ -264,17 +275,48 @@ def test_catoni_exact_at_p_one():
     assert inv.catoni(-40.0).eval(0.5, 1.0) == 20.0
 
 
-def test_catoni_broadcasts():
+def test_catoni_is_the_bernoulli_cgf_line():
     comp = inv.catoni(-3.0)
-    qs = np.array([[0.0], [0.4]])
-    ps = np.array([0.0, 0.3, 0.5, 0.51, 0.9, 1.0])
-    got = comp.eval(qs, ps)
-    assert got.shape == (2, 6)
-    for i, q in enumerate(qs[:, 0]):
-        for j, p in enumerate(ps):
-            assert got[i, j] == comp.eval(float(q), float(p))
+    for q in (0.0, 0.4):
+        for p in (0.0, 0.3, 0.5, 0.51, 0.9, 1.0):
             want = -3.0 * q - math.log(1.0 - p + p * math.exp(-3.0))
-            assert got[i, j] == pytest.approx(want, rel=1e-14, abs=1e-15)
+            assert comp.eval(q, p) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
+BUILTIN_COMPARATORS = {
+    **{f"cramer[{f.kind}]": inv.cramer_of(f) for f in (
+        fam.bernoulli(), fam.gaussian(1.3), fam.poisson(), fam.gamma(2.5),
+        fam.laplace(0.8), fam.invgauss(1.7), fam.negbin(3.0))},
+    "binary_kl": inv.binary_kl(),
+    "scaled_diff[+0.5]": inv.scaled_diff(0.5),
+    "scaled_diff[-0.5]": inv.scaled_diff(-0.5),
+    "catoni": inv.catoni(-3.0),
+    "poisson_diff": inv.poisson_diff(0.7),
+    "laplace_diff": inv.laplace_diff(0.3, 1.0),
+    "gaussian_diff": inv.gaussian_diff(0.5, 1.3),
+}
+
+
+def _five_points(lo, hi):
+    """Five points of the loss range [lo, hi], each finite end among them."""
+    if math.isfinite(hi):
+        return np.linspace(lo, hi, 5)
+    if math.isfinite(lo):
+        return lo + np.array([0.0, 0.3, 1.0, 2.5, 7.0])
+    return np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_COMPARATORS))
+def test_builtin_comparator_broadcasts(name):
+    # the engine calls a built-in comparator once on whole arrays and never
+    # retries it cell by cell: the (q, p) grid must hold the scalar calls'
+    # doubles, closed ends of the loss range included
+    comp = BUILTIN_COMPARATORS[name]
+    pts = _five_points(*comp.loss_range)
+    got = np.asarray(comp.eval(pts[:, None], pts), dtype=float)
+    want = np.array([[float(comp.eval(q, p)) for p in pts.tolist()]
+                     for q in pts.tolist()])
+    assert got.shape == (5, 5) and got.tobytes() == want.tobytes()
 
 
 def test_scaled_diff_inverse():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -588,6 +589,38 @@ def test_cgf_line_off_its_family_takes_the_numeric_route():
     # another family with the same mean range
     est = ups.compute_upsilon(inv.poisson_diff(0.5), fam.gamma(2.0), 4)
     assert est.mode == "truncated"
+
+
+def _inf_above(q, p):
+    """0.1 (p - q), but +inf where q > p + 0.5."""
+    return np.where(q > p + 0.5, math.inf, 0.1 * (p - q))
+
+
+def _raises_above(q, p):
+    """_inf_above, but a ValueError where that is +inf."""
+    if np.any(np.asarray(q) > np.asarray(p) + 0.5):
+        raise ValueError("q above p + 0.5")
+    return 0.1 * (p - q)
+
+
+@pytest.mark.parametrize("fn", [_inf_above, _raises_above],
+                         ids=["inf", "raises"])
+@pytest.mark.parametrize("family", [fam.bernoulli(), fam.poisson(),
+                                    fam.gaussian(1.0), fam.gamma(2.0),
+                                    fam.laplace(1.0)], ids=lambda f: f.kind)
+def test_comparator_inf_where_xbar_has_mass_is_divergent(family, fn):
+    # every route sees the +inf, a custom cell that raises included: the
+    # Bernoulli sum refuses it, the others report divergent, not a finite-
+    # looking record, and none warns on the way
+    comp = inv.custom(fn, (-math.inf, math.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if family.kind == "bernoulli":
+            with pytest.raises(ValueError, match="not finite"):
+                ups.compute_upsilon(comp, family, 5)
+            return
+        est = ups.compute_upsilon(comp, family, 5, samples=2000)
+    assert est.mode == "divergent" and est.value == math.inf
 
 
 def test_dispatcher_rejects_unknown_keywords():
