@@ -10,8 +10,7 @@ from .families import (FAMILY_KINDS, BoundingFamily, bernoulli, family_spec,
 from .inversion import (BoundQuery, BoundResult, Comparator, NoFiniteBound,
                         NonMonotoneComparator, binary_kl, catoni, cramer_of,
                         gaussian_diff, infimum_over_parameter, invert,
-                        invert_at_budget, invert_grid, laplace_diff,
-                        poisson_diff, scaled_diff)
+                        laplace_diff, poisson_diff, scaled_diff)
 from .upsilon import (UpsilonEstimate, compute_upsilon, correction_two_e_ceil,
                       correction_xi, upsilon_bernoulli_exact,
                       upsilon_monte_carlo, upsilon_poisson_series,

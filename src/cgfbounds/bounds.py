@@ -2,8 +2,9 @@
 
 A kind names a comparator and a union correction ln_iota.  check_kind is
 the one rule on a query's inputs and _kind_query the one map from a kind
-to both; the two doors, evaluate_kind (one query, a BoundResult) and
-bound_values (broadcast arrays, NaN where a bound diverges), go through it.
+to both.  evaluate_kind (a BoundResult) and bound_values (the rho arrays of
+one or more kinds, NaN where a bound diverges) go through it to the one
+inversion door, inversion.invert.
 """
 
 import math
@@ -65,8 +66,8 @@ def check_kind(kind, family, delta, sigma2=None, b=None, *, ln_upsilon=None,
     only the Chernoff kind takes ln_upsilon and only the 2e ceil(u) kind u,
     a Cramer kind needs a family, mls and catoni_inf take bernoulli (or
     None), poisson_diff_inf no family with negative means, and the other
-    *_diff_inf a positive b or sigma2 (_diff_family).  Every door calls it
-    before any work."""
+    *_diff_inf a positive b or sigma2 (_diff_family).  Every bound API calls
+    it before any work."""
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; use one of "
                          + ", ".join(BOUND_KINDS))
@@ -122,7 +123,8 @@ def _kind_query(kind, family, alpha, beta, n, delta, sigma2, b, *,
         ln_iota = float(compute_upsilon(comp, family, n).value
                         if ln_upsilon is None else ln_upsilon)
     elif kind == "pac_cramer_xi":
-        ln_iota = np.log(correction_xi(np.maximum(n * alpha, 0.0), beta))
+        n_alpha = np.maximum(np.multiply(n, alpha), 0.0)   # a list alpha too
+        ln_iota = np.log(correction_xi(n_alpha, beta))
     elif kind == "pac_cramer_two_e_ceil":
         ln_iota = math.log(correction_two_e_ceil(n if u is None else u))
     else:
@@ -132,14 +134,16 @@ def _kind_query(kind, family, alpha, beta, n, delta, sigma2, b, *,
 
 def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
                   b=None, *, ln_upsilon=None, u=None):
-    """One bound kind at one (alpha, beta, n); returns a BoundResult.
+    """One bound kind at (alpha, beta, n); returns inversion.invert's
+    BoundResult, of floats for scalar inputs and of arrays otherwise.
 
     check_kind names the inputs each kind takes; pac_cramer_chernoff
     computes its ln_upsilon when none is given.  PARAMETRIC_INFIMA report
     param_star=None; infimum_over_parameter is their test oracle.
     """
-    res = inv.invert(*_kind_query(kind, family, alpha, beta, n, delta,
-                                  sigma2, b, ln_upsilon=ln_upsilon, u=u))
+    comp, q = _kind_query(kind, family, alpha, beta, n, delta, sigma2, b,
+                          ln_upsilon=ln_upsilon, u=u)
+    res = inv.invert(comp, q.alpha, q.budget())
     res.flag = reference_flag(kind, delta)
     return res
 
@@ -154,9 +158,9 @@ def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
     array, except for the kinds that BoundQuery names.  kind may be a
     sequence of kinds whose comparators are Cramer functions of one family
     (the same params["family"]), such as mls and the pac_cramer kinds over
-    bernoulli: their budgets are stacked and inverted in one invert_grid
-    call, and the result has one leading row per kind, each equal to that
-    kind's own call.  A single kind is the one-row case.
+    bernoulli: their budgets are stacked and inverted in one invert call,
+    and the result has one leading row per kind, each equal to that kind's
+    own call.  A single kind is the one-row case.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float),
@@ -179,6 +183,5 @@ def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
     if budgets:
         stacked = np.stack([np.broadcast_to(v, shape)
                             for v in budgets.values()])
-        out[list(budgets)] = inv.invert_grid(
-            comp, alpha, stacked[0] if isinstance(kind, str) else stacked)
+        out[list(budgets)] = inv.invert(comp, alpha, stacked).rho
     return out[0, ...] if isinstance(kind, str) else out

@@ -47,26 +47,32 @@ def _parse_range(text, want_scale=False):
     steps = fam.parse_number(parts[2], f"range {text!r}: steps", int)
     if not (steps >= 2 and lo < hi):
         raise ValueError(f"range needs lo < hi and steps >= 2, got {text!r}")
+    if scale == "log" and not lo > 0:
+        raise ValueError(f"a log range needs lo > 0, got {text!r}")
     return np.geomspace(lo, hi, steps) if scale == "log" else np.linspace(lo, hi, steps)
 
 
 def _merge_config(argv):
-    """Splice key=value config entries in as flags ahead of the real flags."""
-    out = list(argv)
-    path = None
-    for i, tok in enumerate(out):
+    """Splice key=value config entries in as flags ahead of the real flags;
+    at most one --config."""
+    out, paths = [], []
+    tokens = iter(argv)
+    for tok in tokens:
         if tok == "--config":
-            if i + 1 == len(out):
+            path = next(tokens, None)
+            if path is None:
                 raise ValueError("--config needs a path")
-            path = out[i + 1]
-            del out[i:i + 2]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            del out[i]
-            break
-    if path is None:
+            paths.append(path)
+        elif tok.startswith("--config="):
+            paths.append(tok.split("=", 1)[1])
+        else:
+            out.append(tok)
+    if len(paths) > 1:
+        raise ValueError("--config given more than once: "
+                         + ", ".join(map(repr, paths)))
+    if not paths:
         return out
+    path = paths[0]
     injected = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

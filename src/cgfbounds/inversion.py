@@ -3,6 +3,8 @@
 The two operators differ only in the budget: the high-probability form uses
 (beta + ln(iota/delta))/n, the average form (beta + ln iota)/n.  Both reduce
 to sup{rho : comparator(alpha, rho) <= budget}, found by bracketed bisection.
+invert(comp, alpha, budget) is the one door: it broadcasts alpha and budget,
+a scalar query being the 0-d case, and returns one BoundResult.
 """
 
 import functools
@@ -219,7 +221,7 @@ class BoundQuery:
         check_delta(self.delta)
 
     def budget(self):
-        b = self.beta + self.ln_iota
+        b = np.add(self.beta, self.ln_iota)     # beta or n may be a list
         if self.delta is not None:
             b -= math.log(self.delta)
         return b / self.n
@@ -227,6 +229,8 @@ class BoundQuery:
 
 @dataclass
 class BoundResult:
+    """An inversion's answer: Python floats (status a name) for a 0-d query,
+    arrays of the query's shape (status an array of names) otherwise."""
     rho: float
     budget: float
     bracket: tuple
@@ -329,30 +333,28 @@ def no_finite_bound(what, budget):
                          f"{_MAX_DOUBLINGS} bracket doublings")
 
 
-def invert_at_budget(comp, alpha, budget, tol=_TOL):
-    """sup{rho in the loss range : comp(alpha, rho) <= budget} by bisection.
-
-    The scalar (0-d) case of invert_grid; raises NoFiniteBound where that
-    returns NaN.
-    """
-    rho, lo, hi, iterations, status = _bisect(comp, alpha, budget, tol)
+def _result(fields, budget, no_finite, param_star=None):
+    """The BoundResult of _bisect's (rho, lo, hi, iterations, status) at a
+    budget that broadcasts to rho: for a 0-d query Python floats, raising
+    no_finite() if there is no finite bound; otherwise arrays, with rho NaN
+    in each cell that has none."""
+    rho, lo, hi, iterations, status = fields
+    if np.ndim(rho):
+        return BoundResult(rho, np.broadcast_to(budget, rho.shape), (lo, hi),
+                           iterations, np.array(_STATUSES)[status], param_star)
     if status == _NO_FINITE:
-        raise no_finite_bound(comp.form, budget)
-    return BoundResult(float(rho), budget, (float(lo), float(hi)),
-                       int(iterations), _STATUSES[status])
+        raise no_finite()
+    return BoundResult(float(rho), float(budget), (float(lo), float(hi)),
+                       int(iterations), _STATUSES[status],
+                       None if param_star is None else float(param_star))
 
 
-def invert_grid(comp, alphas, budgets):
-    """invert_at_budget over broadcast (alpha, budget) arrays.
-
-    Returns the rho array, NaN in every cell that has no finite bound.
-    """
-    return _bisect(comp, alphas, budgets, _TOL)[0]
-
-
-def invert(comp, query):
-    """Evaluate the bound operator for a query; see BoundQuery for the budget."""
-    return invert_at_budget(comp, query.alpha, query.budget())
+def invert(comp, alpha, budget):
+    """sup{rho in the loss range : comp(alpha, rho) <= budget} by one
+    bisection over broadcast alpha and budget; a 0-d query raises
+    NoFiniteBound where an array query has NaN rho."""
+    return _result(_bisect(comp, alpha, budget, _TOL), budget,
+                   lambda: no_finite_bound(comp.form, float(budget)))
 
 
 # -- one-parameter infima --------------------------------------------------
@@ -371,10 +373,12 @@ def infimum_over_parameter(make_comp, query, param_range):
     scanned at 64 log-spaced points and refined by the row-batched
     argmax_zoom on -rho, so a call builds one comparator for the scan and
     one per zoom round.  A parameter with no finite bound never wins.
-    A 0-d query gives a BoundResult of floats and raises NoFiniteBound if no
-    parameter gives a finite bound; an array query gives arrays of its
-    shape (status holds the status names), with rho and param_star NaN in
-    each cell that has no finite bound.
+    Each round keeps, per row, the five _bisect fields at its best point,
+    the one argmax_zoom may settle on (a closed form's lo = hi = rho, with 0
+    iterations), and each cell takes those of its x_star.  The result is
+    invert's, with param_star: a 0-d query raises NoFiniteBound if no
+    parameter gives a finite bound, and an array query has rho and
+    param_star NaN in each cell that has none.
     """
     lo, hi = param_range
     if not lo > 0:
@@ -384,49 +388,36 @@ def infimum_over_parameter(make_comp, query, param_range):
                                         np.asarray(query.budget(), dtype=float))
     shape = alpha.shape
     alpha, budget = alpha.reshape(-1, 1), budget.reshape(-1, 1)
-    top = None           # the upper end of the comparators' loss range
-    bisected = []        # (cells, x, _bisect's arrays) of each bisecting round
+    rounds = []     # (cells, each row's best x, the fields there) of a round
 
     def neg_rho(x, cells):
-        nonlocal top
         comp = make_comp(np.exp(x))
-        top = comp.loss_range[1]
         if comp.exact_inverse is None:
-            res = _bisect(comp, np.broadcast_to(alpha[cells], x.shape),
-                          budget[cells], _TOL)
-            bisected.append((cells, x, res))
-            rho = res[0]
+            fields = _bisect(comp, np.broadcast_to(alpha[cells], x.shape),
+                             budget[cells], _TOL)
         else:
             rho = comp.exact_inverse(alpha[cells], budget[cells])
-        return np.where(np.isnan(rho), -math.inf, -rho)
+            fields = (rho, rho, rho, 0, np.where(rho == comp.loss_range[1],
+                                                 _CAPPED, _CONVERGED))
+        vals = np.where(np.isnan(fields[0]), -math.inf, -fields[0])
+        best = np.arange(len(cells)), vals.argmax(axis=1)
+        rounds.append((cells, x[best],
+                       [np.broadcast_to(f, x.shape)[best] for f in fields]))
+        return vals
 
     vals = neg_rho(np.broadcast_to(xs, (len(alpha), len(xs))),
                    np.arange(len(alpha)))
-    live = vals.max(axis=1) > -math.inf
-    if not shape and not live[0]:
-        raise NoFiniteBound(f"no parameter in {param_range} yields a finite bound")
-    x_star, rho = np.full((2, len(alpha)), math.nan)
-    if live.any():
-        rows = np.flatnonzero(live)
-        best_x, best_v = argmax_zoom(lambda zs, r: neg_rho(zs, rows[r]), xs,
-                                     vals[rows])
-        x_star[rows], rho[rows] = best_x, -best_v
-    # a closed form is its own bracket; a bisection's comes from its round
-    out = np.array([rho, rho, rho, np.zeros(len(alpha)),
-                    np.where(rho == top, _CAPPED, _CONVERGED)])
-    out[4, ~live] = _NO_FINITE
-    for cells, x, res in bisected:
-        r, c = np.nonzero(x == x_star[cells, None])
-        out[:, cells[r]] = np.array(res)[:, r, c]
-    rho, lo, hi = out[:3]
-    iterations, status = out[3:].astype(int)
-    param_star = np.exp(x_star)
-    if not shape:
-        return BoundResult(float(rho[0]), float(budget[0, 0]),
-                           (float(lo[0]), float(hi[0])), int(iterations[0]),
-                           _STATUSES[status[0]], float(param_star[0]))
-    return BoundResult(rho.reshape(shape), budget.reshape(shape),
-                       (lo.reshape(shape), hi.reshape(shape)),
-                       iterations.reshape(shape),
-                       np.array(_STATUSES)[status].reshape(shape),
-                       param_star.reshape(shape))
+    live = np.flatnonzero(vals.max(axis=1) > -math.inf)
+    x_star = np.full(len(alpha), math.nan)
+    if live.size:
+        x_star[live] = argmax_zoom(lambda zs, r: neg_rho(zs, live[r]), xs,
+                                   vals[live])[0]
+    got = np.repeat([[math.nan]] * 3 + [[0], [_NO_FINITE]], len(alpha), axis=1)
+    for cells, x, fields in rounds:
+        hit = x == x_star[cells]
+        got[:, cells[hit]] = np.array(fields)[:, hit]
+    fields = [f.reshape(shape) for f in (*got[:3], *got[3:].astype(int))]
+    return _result(fields, budget.reshape(shape),
+                   lambda: NoFiniteBound(f"no parameter in {param_range} "
+                                         "yields a finite bound"),
+                   np.exp(x_star).reshape(shape))

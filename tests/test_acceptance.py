@@ -209,7 +209,7 @@ def test_c12_closed_form_vs_bisection():
         alpha = float(rng.uniform(0.01, 20.0))
         budget = float(rng.uniform(1e-6, 50.0))
         closed = invert_closed_form_poisson(alpha, budget)
-        bis = inv.invert_at_budget(comp, alpha, budget, tol=1e-12).rho
+        bis = float(inv._bisect(comp, alpha, budget, 1e-12)[0])
         worst = max(worst, abs(closed - bis) / max(1.0, abs(closed)))
     verdict(12, "poisson closed form vs bisection",
             worst <= 1e-9, f"max rel err {worst:.3g}")

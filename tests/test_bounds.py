@@ -476,6 +476,43 @@ def test_grid_average_bound_is_nan_without_a_finite_bound():
         bounds.evaluate_kind("average_cramer", fam.invgauss(1.5), 0.5, 2.0, 1)
 
 
+@pytest.mark.parametrize("kind,family,delta", [
+    ("average_cramer", fam.bernoulli(), None),
+    ("average_cramer", fam.invgauss(1.5), None),
+    ("pac_cramer_xi", fam.poisson(), 0.05),
+    ("catoni_inf", None, None)])
+@pytest.mark.parametrize("over", ["alpha", "n"])
+def test_evaluate_kind_array_query_is_the_zero_d_calls(kind, family, delta,
+                                                       over):
+    # evaluate_kind inverts through the one door: an array alpha or n gives
+    # arrays holding the 0-d calls' numbers bit for bit, and a 0-d call
+    # answers in Python floats
+    alphas, ns = (([0.1, 0.2, 0.4], 100) if over == "alpha"
+                  else (0.2, [1, 10, 100]))
+    res = bounds.evaluate_kind(kind, family, alphas, 2.3, ns, delta)
+    assert res.rho.shape == res.status.shape == (3,)
+    for i, (alpha, n) in enumerate(np.broadcast(alphas, ns)):
+        one = bounds.evaluate_kind(kind, family, float(alpha), 2.3, int(n),
+                                   delta)
+        assert all(type(v) is float for v in (one.rho, one.budget,
+                                              *one.bracket))
+        assert type(one.iterations) is int and one.status == res.status[i]
+        assert np.array([one.rho, one.budget, *one.bracket,
+                         one.iterations]).tobytes() == np.array([
+            res.rho[i], res.budget[i], res.bracket[0][i], res.bracket[1][i],
+            res.iterations[i]]).tobytes()
+
+
+def test_bound_values_zero_d_without_finite_bound_is_nan():
+    # lambda/(2 alpha) = 0.1875 < beta/n = 1: evaluate_kind raises, and
+    # bound_values, which never raises for a divergent bound, gives NaN
+    family = fam.invgauss(0.75)
+    got = bounds.bound_values("average_cramer", family, 2.0, 1.0, 1)
+    assert np.shape(got) == () and math.isnan(got)
+    with pytest.raises(inv.NoFiniteBound, match=r": budget 1\.0 not exceeded"):
+        bounds.evaluate_kind("average_cramer", family, 2.0, 1.0, 1)
+
+
 @pytest.mark.parametrize("family", [fam.poisson(), fam.gamma(2.0)],
                          ids=fam.family_spec)
 def test_chernoff_kind_refused_before_upsilon(family, monkeypatch):

@@ -254,7 +254,7 @@ def test_ndep_runs_one_bisection(monkeypatch, tmp_path):
     monkeypatch.setattr(inv, "_bisect", counted)
     assert main(["ndep", "--config", str(ROOT / "figs" / "fig3a.cfg"),
                  "--out", str(tmp_path / "n.csv")]) == 0
-    assert len(calls) == 1 and calls[0][2].shape == (31,)
+    assert len(calls) == 1 and calls[0][2].shape == (1, 31)
 
 
 def test_ndep_no_finite_bound_names_smallest_n(tmp_path, capsys):
@@ -666,6 +666,20 @@ USAGE_ERRORS = {
                              ["unknown bound kind", "'bogus'"]),
     "verify-delta": (("verify", "--bound", "pac_cramer_xi", "--delta", "1.5",
                       "--trials", "10"), ["delta must lie in (0, 1)", "1.5"]),
+    "range-log-zero": (("sweep", "--family", "bernoulli", "--kinds",
+                        "average_cramer", "--alpha-range", "0.1:0.2:2",
+                        "--bon-range", "0:1:3:log", "--n", "50"),
+                       ["'0:1:3:log'", "log range needs lo > 0"]),
+    "range-log-negative": (("sweep", "--family", "bernoulli", "--kinds",
+                            "average_cramer", "--alpha-range", "0.1:0.2:2",
+                            "--bon-range=-1:1:3:log", "--n", "50"),
+                           ["'-1:1:3:log'", "log range needs lo > 0"]),
+    "config-twice": (("sweep", "--config", str(ROOT / "figs" / "fig1a.cfg"),
+                      "--config", str(ROOT / "figs" / "fig1b.cfg"),
+                      "--out", "-"),
+                     ["--config given more than once",
+                      repr(str(ROOT / "figs" / "fig1a.cfg")),
+                      repr(str(ROOT / "figs" / "fig1b.cfg"))]),
     "config-no-path": (("sweep", "--config"), ["--config needs a path"]),
     "config-line": (("sweep", "--config", str(BAD_CONFIG)),
                     [repr(str(BAD_CONFIG)), "line 2",

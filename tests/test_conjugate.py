@@ -128,7 +128,7 @@ def test_custom_raising_cell_is_inf_and_infeasible():
     got = comp.eval(0.25, RS)
     assert np.array_equal(got, np.where(RS > 0.5, math.inf, RS - 0.25))
     # the budget allows every r, but the cells past r = 0.5 are infeasible
-    res = inv.invert_at_budget(comp, 0.1, 1.0)
+    res = inv.invert(comp, 0.1, 1.0)
     assert res.status == "converged" and 0.5 - 1e-9 <= res.rho <= 0.5
 
 
@@ -137,7 +137,7 @@ def test_custom_type_error_in_a_cell_propagates():
         raise TypeError("never defined")
 
     with pytest.raises(TypeError, match="never defined"):
-        inv.invert_grid(inv.custom(fn, (0.0, 1.0)), QS, 1.0)
+        inv.invert(inv.custom(fn, (0.0, 1.0)), QS, 1.0)
 
 
 def test_custom_array_answer_to_a_cell_raises():

@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_gaussian_closed_form():
     comp = inv.cramer_of(fam.gaussian(1.0))
-    res = inv.invert_at_budget(comp, 0.3, 0.02)
+    res = inv.invert(comp, 0.3, 0.02)
     assert res.rho == pytest.approx(0.3 + math.sqrt(2 * 0.02), abs=2e-9)
     assert res.status == "converged"
 
@@ -35,7 +35,7 @@ def test_gaussian_closed_form():
 @settings(max_examples=60, deadline=None)
 def test_gaussian_closed_form_property(alpha, budget, sigma2):
     comp = inv.cramer_of(fam.gaussian(sigma2))
-    res = inv.invert_at_budget(comp, alpha, budget)
+    res = inv.invert(comp, alpha, budget)
     want = alpha + math.sqrt(2 * sigma2 * budget)
     assert res.rho == pytest.approx(want, rel=1e-8, abs=1e-8)
 
@@ -64,7 +64,7 @@ def test_poisson_closed_vs_bisection():
         alpha = float(rng.uniform(0.05, 10.0))
         budget = float(rng.uniform(1e-4, 20.0))
         closed = invert_closed_form_poisson(alpha, budget)
-        bis = inv.invert_at_budget(comp, alpha, budget, tol=1e-12).rho
+        bis = float(inv._bisect(comp, alpha, budget, 1e-12)[0])
         assert closed == pytest.approx(bis, rel=1e-9)
 
 
@@ -102,33 +102,33 @@ def test_lambert_wm1_underflow_regime():
 
 def test_budget_nonpositive():
     comp = inv.cramer_of(fam.bernoulli())
-    res = inv.invert_at_budget(comp, 0.2, 0.0)
+    res = inv.invert(comp, 0.2, 0.0)
     assert res.rho == 0.2 and res.status == "budget_nonpositive"
 
 
 def test_capped_at_domain():
     # Catoni stays finite at p = 1, so a large budget caps there
     comp = inv.catoni(-1.0)
-    res = inv.invert_at_budget(comp, 0.3, 10.0)
+    res = inv.invert(comp, 0.3, 10.0)
     assert res.rho == 1.0 and res.status == "capped_at_domain"
 
 
 def test_non_monotone_rejected():
     comp = inv.Comparator("bad", lambda q, p: -(p - q), (-math.inf, math.inf))
     with pytest.raises(inv.NonMonotoneComparator):
-        inv.invert_at_budget(comp, 0.0, 1.0)
+        inv.invert(comp, 0.0, 1.0)
 
 
 def test_no_finite_bound():
     comp = inv.Comparator("flat", lambda q, p: 0.0, (0.0, math.inf))
     with pytest.raises(inv.NoFiniteBound):
-        inv.invert_at_budget(comp, 1.0, 0.5)
+        inv.invert(comp, 1.0, 0.5)
 
 
 def test_alpha_outside_range():
     comp = inv.cramer_of(fam.bernoulli())
     with pytest.raises(ValueError):
-        inv.invert_at_budget(comp, 1.5, 0.1)
+        inv.invert(comp, 1.5, 0.1)
 
 
 FAMS = [fam.bernoulli(), fam.gaussian(0.7), fam.poisson(), fam.gamma(2.0),
@@ -143,7 +143,7 @@ ALPHAS = {"bernoulli": 0.25, "gaussian": -0.5, "poisson": 0.8, "gamma": 1.1,
 def test_feasible_and_maximal(family, budget):
     comp = inv.cramer_of(family)
     alpha = ALPHAS[family.kind]
-    res = inv.invert_at_budget(comp, alpha, budget)
+    res = inv.invert(comp, alpha, budget)
     assert res.status == "converged"
     assert comp.eval(alpha, res.rho) <= budget + 1e-6
     scale = max(1.0, abs(res.rho))
@@ -157,11 +157,11 @@ def test_invgauss_saturation_no_finite_bound():
     comp = inv.cramer_of(fam.invgauss(lam))
     cap = lam / (2 * alpha)
     with pytest.raises(inv.NoFiniteBound):
-        inv.invert_at_budget(comp, alpha, cap * 1.01)
-    res = inv.invert_at_budget(comp, alpha, cap * 0.9)
+        inv.invert(comp, alpha, cap * 1.01)
+    res = inv.invert(comp, alpha, cap * 0.9)
     assert res.status == "converged"
     # the grid reports the same cells as NaN, next to finite ones
-    rho = inv.invert_grid(comp, alpha, [cap * 1.01, cap * 0.9])
+    rho = inv.invert(comp, alpha, [cap * 1.01, cap * 0.9]).rho
     assert math.isnan(rho[0]) and rho[1] == res.rho
 
 
@@ -169,9 +169,9 @@ INVGAUSS_SATURATION = """
 import math
 from cgfbounds import families as fam, inversion as inv
 comp = inv.cramer_of(fam.invgauss(1.5))
-rho = inv.invert_grid(comp, [2.0, 2.0], [0.5, 0.01])
+rho = inv.invert(comp, [2.0, 2.0], [0.5, 0.01]).rho
 try:
-    inv.invert_at_budget(comp, 2.0, 0.5)
+    inv.invert(comp, 2.0, 0.5)
     raised = False
 except inv.NoFiniteBound:
     raised = True
@@ -202,15 +202,47 @@ def test_grid_equals_scalar_and_feasible(family, cells):
     alphas = [lo + u * (hi - lo) for u, _ in cells]
     budgets = [b for _, b in cells]
     comp = inv.cramer_of(family)
-    grid = inv.invert_grid(comp, alphas, budgets)
+    grid = inv.invert(comp, alphas, budgets).rho
     for alpha, budget, rho in zip(alphas, budgets, grid):
         try:
-            want = inv.invert_at_budget(comp, alpha, budget).rho
+            want = inv.invert(comp, alpha, budget).rho
         except inv.NoFiniteBound:
             assert math.isnan(rho)
             continue
         assert rho == want
         assert comp.eval(alpha, rho) <= budget
+
+
+def _numbers(res, cell=()):
+    """rho, budget, bracket and iterations of a BoundResult, or of one cell
+    of an array result, as float bytes: equal only bit for bit."""
+    return np.array([np.asarray(v)[cell] for v in (
+        res.rho, res.budget, *res.bracket, res.iterations)]).tobytes()
+
+
+def test_invert_array_query_is_the_zero_d_calls():
+    # one door: each cell of an array query holds its 0-d call's numbers
+    # and status, and NaN where that call raises; a 0-d call answers in
+    # Python floats.  lambda/(2 alpha) = 0.375 < 0.5 at alpha = 2.
+    comp = inv.cramer_of(fam.invgauss(1.5))
+    alphas, budgets = np.array([0.2, 0.9, 2.0]), np.array([[0.0], [0.3], [0.5]])
+    res = inv.invert(comp, alphas, budgets)
+    assert res.rho.shape == res.budget.shape == res.status.shape == (3, 3)
+    for i, j in np.ndindex(3, 3):
+        try:
+            one = inv.invert(comp, alphas[j], budgets[i, 0])
+        except inv.NoFiniteBound as e:
+            assert f"budget {budgets[i, 0]} not exceeded" in str(e)
+            assert np.isnan(res.rho[i, j])
+            assert res.status[i, j] == "no_finite_bound"
+            continue
+        assert all(type(v) is float for v in (one.rho, one.budget,
+                                              *one.bracket))
+        assert type(one.iterations) is int and type(one.status) is str
+        assert _numbers(one) == _numbers(res, (i, j))
+        assert one.status == res.status[i, j]
+    assert set(res.status.flat) == {"budget_nonpositive", "converged",
+                                    "no_finite_bound"}
 
 
 GRID_ALPHAS = np.array([0.0, 0.05, 0.1, 0.3, 0.5, 0.69])
@@ -228,8 +260,8 @@ def test_grid_with_picky_comparator_equals_scalar():
         return fam.binary_kl(q, p)
 
     comp = inv.custom(picky_kl, (0.0, 1.0))
-    grid = inv.invert_grid(comp, GRID_ALPHAS, GRID_BUDGETS)
-    want = [[inv.invert_at_budget(comp, a, b).rho for a in GRID_ALPHAS]
+    grid = inv.invert(comp, GRID_ALPHAS, GRID_BUDGETS).rho
+    want = [[inv.invert(comp, a, b).rho for a in GRID_ALPHAS]
             for b in GRID_BUDGETS[:, 0]]
     assert np.array_equal(grid, want)
     assert np.all(grid <= 0.7) and np.any(grid > 0.69)
@@ -239,8 +271,8 @@ def test_grid_with_scalar_only_kl_equals_vectorized_kl():
     kl = inv.binary_kl()
     scalar_kl = inv.custom(lambda q, p: float(kl.eval(float(q), float(p))),
                            kl.loss_range)
-    want = inv.invert_grid(kl, GRID_ALPHAS, GRID_BUDGETS)
-    assert np.array_equal(inv.invert_grid(scalar_kl, GRID_ALPHAS, GRID_BUDGETS),
+    want = inv.invert(kl, GRID_ALPHAS, GRID_BUDGETS).rho
+    assert np.array_equal(inv.invert(scalar_kl, GRID_ALPHAS, GRID_BUDGETS).rho,
                           want)
 
 
@@ -252,7 +284,7 @@ def test_engine_does_not_loop_over_a_scalar_only_comparator():
                           lambda q, p: float(kl.eval(float(q), float(p))),
                           kl.loss_range)
     with pytest.raises(TypeError):
-        inv.invert_grid(comp, GRID_ALPHAS, GRID_BUDGETS)
+        inv.invert(comp, GRID_ALPHAS, GRID_BUDGETS)
 
 
 # -- parametric comparators vs their closed inversions ---------------------------
@@ -264,7 +296,7 @@ def test_catoni_closed_inverse_matches_bisection():
             for budget in (0.01, 0.3):
                 closed = comp.exact_inverse(alpha, budget)
                 if closed < 1.0:
-                    bis = inv.invert_at_budget(comp, alpha, budget).rho
+                    bis = inv.invert(comp, alpha, budget).rho
                     assert closed == pytest.approx(bis, abs=5e-9)
 
 
@@ -322,7 +354,7 @@ def test_builtin_comparator_broadcasts(name):
 def test_scaled_diff_inverse():
     comp = inv.scaled_diff(2.0)
     assert comp.exact_inverse(0.3, 0.5) == pytest.approx(0.55, rel=1e-14)
-    bis = inv.invert_at_budget(comp, 0.3, 0.5).rho
+    bis = inv.invert(comp, 0.3, 0.5).rho
     assert bis == pytest.approx(0.55, rel=1e-7)
 
 
@@ -510,7 +542,7 @@ def _per_cell_infimum(make_comp, alpha, budget, param_range):
         if comp.exact_inverse is not None:
             return comp.exact_inverse(alpha, budget)
         try:
-            return inv.invert_at_budget(comp, alpha, budget).rho
+            return inv.invert(comp, alpha, budget).rho
         except inv.NoFiniteBound:
             return math.inf
 
@@ -587,7 +619,7 @@ def test_infimum_without_closed_form_bisects_in_one_batch():
     # its best parameter
     for i in (0, 17, 39):
         a, b = q.alpha.flat[i], q.budget().flat[i]
-        one = inv.invert_at_budget(bisected(res.param_star.flat[i]), a, b)
+        one = inv.invert(bisected(res.param_star.flat[i]), a, b)
         assert (one.rho, one.bracket, one.iterations, one.status) == (
             res.rho.flat[i], (res.bracket[0].flat[i], res.bracket[1].flat[i]),
             res.iterations.flat[i], res.status.flat[i])
@@ -667,8 +699,8 @@ def test_budget_modes():
 
 def test_pac_dominates_average():
     comp = inv.cramer_of(fam.bernoulli())
-    avg = inv.invert(comp, BoundQuery(0.2, 1.0, 30))
-    pac = inv.invert(comp, BoundQuery(0.2, 1.0, 30, delta=0.1))
+    avg, pac = (inv.invert(comp, q.alpha, q.budget()) for q in (
+        BoundQuery(0.2, 1.0, 30), BoundQuery(0.2, 1.0, 30, delta=0.1)))
     assert pac.rho >= avg.rho
 
 
@@ -689,7 +721,7 @@ def test_query_validation():
         BoundQuery(0.1, 1.0, 10, ln_iota=-math.inf)
     with pytest.raises(ValueError,
                        match=r"budget must be finite, got .*nan\]"):
-        inv.invert_grid(inv.binary_kl(), [0.1, 0.2], [0.5, math.nan])
+        inv.invert(inv.binary_kl(), [0.1, 0.2], [0.5, math.nan])
 
 
 @pytest.mark.parametrize("n", [0, -3, 2.5, math.nan, math.inf])
@@ -745,7 +777,7 @@ calls = [
         "pac_cramer_chernoff"),
     lambda: inv.BoundQuery(0.1, float("inf"), 10),
     lambda: inv.BoundQuery(0.1, 1.0, 10, ln_iota=float("nan")),
-    lambda: inv.invert_at_budget(inv.binary_kl(), 0.1, float("nan")),
+    lambda: inv.invert(inv.binary_kl(), 0.1, float("nan")),
     lambda: ver.SyntheticProblem((0.2, 1.5), (0.5, 0.5), fam.bernoulli(), 1.0,
                                  10, 5, 0),
     lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
@@ -759,9 +791,8 @@ calls = [
                                  0.05, u=7.0),
     lambda: inv.scaled_diff(float("nan")),
     lambda: inv.scaled_diff(float("inf")),
-    lambda: inv.invert_at_budget(inv.cramer_of(fam.gaussian(1.0)),
-                                 float("inf"), 0.1),
-    lambda: inv.invert_grid(inv.scaled_diff(1.0), [0.1, float("-inf")], 0.1),
+    lambda: inv.invert(inv.cramer_of(fam.gaussian(1.0)), float("inf"), 0.1),
+    lambda: inv.invert(inv.scaled_diff(1.0), [0.1, float("-inf")], 0.1),
     lambda: inv.BoundQuery(0.1, 1.0, [10, 0]),
     lambda: bounds.bound_values("mls", fam.bernoulli(), 0.2, 1.0, [10, 20],
                                 0.05),

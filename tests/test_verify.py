@@ -327,7 +327,7 @@ def test_grid_inversion_matches_scalar(family, alphas):
     budgets = [1e-4, 0.03, 0.7, 4.0]
     a = np.repeat(alphas, len(budgets))
     b = np.tile(budgets, len(alphas))
-    grid = inv.invert_grid(inv.cramer_of(family), a, b)
+    grid = inv.invert(inv.cramer_of(family), a, b).rho
     oracle = GRID_ORACLES.get(family.kind)
     for i in range(len(a)):
         if oracle is not None:
