@@ -27,6 +27,10 @@ _SPEC_KEYS = {kind: (_NUISANCE_KEY[kind],) if kind in _NUISANCE_KEY else ()
 _MEAN_DOMAIN = {"bernoulli": (0.0, 1.0), "gaussian": (-_INF, _INF),
                 "laplace": (-_INF, _INF)}     # the others: (0, inf)
 
+# kinds whose draw places a p-free standard draw at the mean p, so members
+# with different means can share the standard draw of one stream
+STANDARD_DRAW_KINDS = ("bernoulli", "gaussian", "laplace")
+
 
 def binary_kl(q, p):
     """kl(q, p) = q ln(q/p) + (1-q) ln((1-q)/(1-p)), with 0 ln 0 = 0."""
@@ -60,8 +64,12 @@ class BoundingFamily:
 
     def _check_mean(self, p):
         lo, hi = self.mean_domain
-        pp = np.asarray(p)
-        if (~((pp > lo) & (pp < hi))).any():
+        if isinstance(p, (int, float)):     # plain comparisons: NaN fails
+            bad = not lo < p < hi
+        else:
+            pp = np.asarray(p)
+            bad = (~((pp > lo) & (pp < hi))).any()
+        if bad:
             raise ValueError(f"mean {p} outside the open domain of {self.kind}")
 
     # -- CGF and its finiteness interval ----------------------------------
@@ -85,7 +93,11 @@ class BoundingFamily:
         """ln E[e^{tX}] for X ~ P_p. Raises outside the finiteness interval."""
         lo, hi = self.t_domain(p)
         tt = np.asarray(t, dtype=float)
-        if np.any(tt <= lo) or np.any(tt >= hi):
+        if isinstance(p, (int, float)) and isinstance(t, (int, float)):
+            bad = t <= lo or t >= hi        # as the numpy test: NaN passes
+        else:
+            bad = np.any(tt <= lo) or np.any(tt >= hi)
+        if bad:
             raise ValueError(f"t={t} outside the CGF domain {lo, hi}")
         v = self.nuisance
         if self.kind == "bernoulli":
@@ -170,38 +182,49 @@ class BoundingFamily:
         """sample without the mean check, for callers that made it once.
 
         With out, a C-contiguous float array of shape size, the draws are
-        written into it and it is returned; the doubles are the same.
+        written into it and it is returned; the doubles are the same.  For
+        the STANDARD_DRAW_KINDS the draw is a p-free standard draw placed at
+        p (_place), and p None returns the standard draw itself, so members
+        with different means can share one draw of a stream.
         """
         if out is None:
             out = np.empty(size)
         v = self.nuisance
         if self.kind == "bernoulli":
-            rng.random(out=out)
-            np.less(out, p, out=out)
+            rng.random(out=out)                 # uniforms
         elif self.kind == "gaussian":
-            # the same doubles as rng.normal(p, sqrt(v), size), at half the cost
             rng.standard_normal(out=out)
-            out *= math.sqrt(v)
-            out += p
-        elif self.kind == "poisson":
-            out[...] = rng.poisson(p, size)
-        elif self.kind == "gamma":
-            out[...] = rng.gamma(v, p / v, size)
         elif self.kind == "laplace":
-            # inverse CDF p - v sign(u) ln(1 - 2|u|), u = U - 1/2, in place;
-            # copysign gives the same doubles as the sign product, u = +-0 too
+            # the Laplace law with mean 0 and scale 1 by the inverse CDF
+            # -sign(u) ln(1 - 2|u|), u = U - 1/2, in place; copysign gives
+            # the same doubles as the sign product, u = +-0 too
             u = rng.random(size)
             u -= 0.5
             np.abs(u, out=out)
             out *= -2.0
             np.log1p(out, out=out)
             np.copysign(out, u, out=out)
-            out *= v
-            out += p
+        elif self.kind == "poisson":
+            out[...] = rng.poisson(p, size)
+        elif self.kind == "gamma":
+            out[...] = rng.gamma(v, p / v, size)
         elif self.kind == "invgauss":
             out[...] = rng.wald(p, v, size)
         else:
             out[...] = rng.negative_binomial(v, v / (v + p), size)
+        if p is None or self.kind not in STANDARD_DRAW_KINDS:
+            return out
+        return self._place(p, out, out)
+
+    def _place(self, p, std, out):
+        """Write into out, which may be std, the draws of the member with
+        mean p that the standard draws std of _draw(None, ...) give."""
+        if self.kind == "bernoulli":
+            return np.less(std, p, out=out)
+        # gaussian: the same doubles as rng.normal(p, sqrt(v), size)
+        scale = self.nuisance if self.kind == "laplace" else math.sqrt(self.nuisance)
+        np.multiply(std, scale, out=out)
+        out += p
         return out
 
 

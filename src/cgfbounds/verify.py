@@ -69,31 +69,51 @@ def _gibbs(ln_prior, energy):
     return np.exp(lnq), lnq
 
 
+def _simulate_group(problems):
+    """Each problem's _simulate, for problems that agree in all but c, prior
+    and means, so that trial t draws on stream (seed, t) for all of them.
+
+    For the fam.STANDARD_DRAW_KINDS each block of _TRIAL_BLOCK trials is
+    re-keyed and drawn once, as standard draws, then placed at each
+    problem's means; a poisson draw consumes the stream according to the
+    means, so there each problem draws its own.  A placed block is averaged
+    over n in one pass, each trial's mean the same sum as on its own.
+    """
+    first = problems[0]
+    family, n, t_total = first.family, first.n, first.trials
+    means = np.array([p.hypothesis_means for p in problems], dtype=float)
+    g, m = means.shape
+    lhat = np.empty((g, t_total, m))
+    draws = np.empty((_TRIAL_BLOCK, n, m))
+    if family.kind in fam.STANDARD_DRAW_KINDS:
+        placed = np.empty_like(draws)
+        passes = [(None, range(g))]     # (the means drawn at, placed at)
+    else:
+        placed = draws
+        passes = [(row, (j,)) for j, row in enumerate(means)]
+    for drawn_at, members in passes:
+        gens = streams(first.seed, range(t_total))
+        for lo in range(0, t_total, _TRIAL_BLOCK):
+            k = min(_TRIAL_BLOCK, t_total - lo)
+            for i in range(k):
+                family._draw(drawn_at, (n, m), next(gens), draws[i])
+            for j in members:
+                if drawn_at is None:
+                    family._place(means[j], draws[:k], placed[:k])
+                placed[:k].mean(axis=1, out=lhat[j, lo:lo + k])
+    sims = []
+    for problem, row, lh in zip(problems, means, lhat):
+        ln_prior = np.log(np.asarray(problem.prior_weights, dtype=float))
+        q, lnq = _gibbs(ln_prior, problem.gibbs_temperature * n * lh)
+        kl = np.maximum(np.einsum("tm,tm->t", q, lnq - ln_prior), 0.0)
+        sims.append((np.einsum("tm,tm->t", q, lh), q @ row, kl))
+    return sims
+
+
 @functools.lru_cache(maxsize=16)
 def _simulate(problem):
-    """Per-trial (train, pop, kl) arrays; trial t draws on stream (seed, t).
-
-    Each trial's (n, m) draws are written straight into one slot of a
-    (_TRIAL_BLOCK, n, m) block, and a full block is averaged over n in one
-    pass; the mean of each trial is the same sum in the same order as on
-    its own.
-    """
-    means = np.asarray(problem.hypothesis_means, dtype=float)
-    prior = np.asarray(problem.prior_weights, dtype=float)
-    c, n, t_total = problem.gibbs_temperature, problem.n, problem.trials
-    lhat = np.empty((t_total, means.size))
-    block = np.empty((_TRIAL_BLOCK, n, means.size))
-    gens = streams(problem.seed, range(t_total))
-    for lo in range(0, t_total, _TRIAL_BLOCK):
-        k = min(_TRIAL_BLOCK, t_total - lo)
-        for i in range(k):
-            problem.family._draw(means, (n, means.size), next(gens), block[i])
-        block[:k].mean(axis=1, out=lhat[lo:lo + k])
-    q, lnq = _gibbs(np.log(prior), c * n * lhat)
-    kl = np.maximum(np.einsum("tm,tm->t", q, lnq - np.log(prior)), 0.0)
-    train = np.einsum("tm,tm->t", q, lhat)
-    pop = q @ means
-    return train, pop, kl
+    """Per-trial (train, pop, kl) arrays of one problem, the group of one."""
+    return _simulate_group((problem,))[0]
 
 
 def clopper_pearson(k, t_total):
@@ -107,21 +127,29 @@ def clopper_pearson(k, t_total):
     return lo, hi
 
 
-def _evaluate(problem, kinds, delta):
-    """(values, violation flags, summaries) of bound kinds over the trials.
-
-    The kinds must invert one comparator (bounds.bound_values), which then
-    runs once over their stacked budgets; values and flags are (len(kinds),
-    trials) arrays, with one summary per kind.  Every kind in BOUND_KINDS
-    is taken, reference_only without a union correction.  bounds.check_kind,
-    and for the Chernoff kind cramer_divergence, run before any draw."""
-    family = problem.family
+def _check_kinds(family, kinds, delta):
+    """bounds.check_kind of each kind, and for the Chernoff kind
+    cramer_divergence: the rules a run checks before any draw."""
     for kind in kinds:
         check_kind(kind, family, delta)
         if kind == "pac_cramer_chernoff" and cramer_divergence(family):
             raise ValueError("the chernoff correction is certified here only "
                              f"for bernoulli, got {family.kind}")
-    train, pop, kl = _simulate(problem)
+
+
+def _evaluate(problem, kinds, delta, sim=None):
+    """(values, violation flags, summaries) of bound kinds over the trials.
+
+    The kinds must invert one comparator (bounds.bound_values), which then
+    runs once over their stacked budgets; values and flags are (len(kinds),
+    trials) arrays, with one summary per kind.  Every kind in BOUND_KINDS
+    is taken, reference_only without a union correction.  Without sim, the
+    problem's (train, pop, kl), _check_kinds runs and then _simulate."""
+    family = problem.family
+    if sim is None:
+        _check_kinds(family, kinds, delta)
+        sim = _simulate(problem)
+    train, pop, kl = sim
     values = bound_values(kinds, family, train, kl, problem.n, delta)
     violated = pop > values
     summaries = []
@@ -204,14 +232,26 @@ def suite_problems(trials=2000, seeds=(0, 1, 2)):
 def default_suite(delta=0.05, trials=2000, seeds=(0, 1, 2)):
     """Run every certified PAC kind over the default problem grid.
 
-    A problem's certified kinds all invert its family's Cramer function
-    (mls's binary kl is the Bernoulli one), so each problem makes one
-    inversion over the kinds' stacked budgets.  One summary per (problem,
-    kind), in CERTIFIED_KINDS order.
+    Problems that differ only in c and their means are drawn together by
+    _simulate_group, then evaluated and dropped.  A problem's certified
+    kinds all invert its family's Cramer function (mls's binary kl is the
+    Bernoulli one), so each problem makes one inversion over the kinds'
+    stacked budgets.  One summary per (problem, kind), in suite_problems
+    and then CERTIFIED_KINDS order.
     """
-    return [summary for problem in suite_problems(trials, seeds)
-            for summary in _evaluate(
-                problem, CERTIFIED_KINDS[problem.family.kind], delta)[2]]
+    problems = suite_problems(trials, seeds)
+    groups = {}
+    for i, p in enumerate(problems):
+        key = (p.family, p.seed, p.n, len(p.hypothesis_means), p.trials)
+        groups.setdefault(key, []).append(i)
+    summaries = [None] * len(problems)
+    for idx in groups.values():
+        group = [problems[i] for i in idx]
+        kinds = CERTIFIED_KINDS[group[0].family.kind]
+        _check_kinds(group[0].family, kinds, delta)
+        for i, problem, sim in zip(idx, group, _simulate_group(group)):
+            summaries[i] = _evaluate(problem, kinds, delta, sim)[2]
+    return [summary for per in summaries for summary in per]
 
 
 # -- samplewise vs full-sample comparison ------------------------------------

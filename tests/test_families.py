@@ -176,6 +176,41 @@ def test_cgf_domain_errors():
         ig.cgf(1.0, 0.5)         # t >= lambda/(2 p^2)
 
 
+@pytest.mark.parametrize("family", ALL, ids=lambda f: f.kind)
+def test_scalar_cgf_is_the_zero_d_array_cgf(family):
+    # a scalar p and t are checked with plain float comparisons, arrays with
+    # numpy; both give the same doubles, and a NaN t passes both
+    lo, hi = INTERIOR[family.kind]
+    for p in np.linspace(lo, hi, 5).tolist():
+        t_lo, t_hi = family.t_domain(p)
+        for t in (max(t_lo, -3.0) * 0.9, -1e-9, 0.0, 0.5 * min(t_hi, 3.0),
+                  min(t_hi, 3.0) * 0.9, math.nan):
+            got = family.cgf(p, t)
+            want = family.cgf(np.asarray(p), np.asarray(t))
+            assert type(got) is float and type(want) is float
+            assert got == want or (math.isnan(got) and math.isnan(want))
+            if family.kind != "negbin":     # its t_domain takes a scalar p
+                assert np.array_equal(family.cgf(np.array([p, p]), t),
+                                      [got, got], equal_nan=True)
+
+
+@pytest.mark.parametrize("family, p, t, message", [
+    (fam.gamma(2.0), 1.0, 2.0, "t=2.0 outside the CGF domain (-inf, 2.0)"),
+    (fam.laplace(2.0), 0.0, 0.5, "t=0.5 outside the CGF domain (-0.5, 0.5)"),
+    (fam.laplace(2.0), 0.0, -0.5, "t=-0.5 outside the CGF domain (-0.5, 0.5)"),
+    (fam.invgauss(1.0), 1.0, 0.5, "t=0.5 outside the CGF domain (-inf, 0.5)"),
+    (fam.bernoulli(), 1.5, 0.1, "mean 1.5 outside the open domain of bernoulli"),
+    (fam.bernoulli(), 1.0, 0.1, "mean 1.0 outside the open domain of bernoulli"),
+    (fam.gaussian(1.0), math.nan, 0.1,
+     "mean nan outside the open domain of gaussian"),
+    (fam.poisson(), 0, 0.1, "mean 0 outside the open domain of poisson"),
+])
+def test_scalar_cgf_errors(family, p, t, message):
+    # the messages of the scalar checks, as the numpy checks wrote them
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        family.cgf(p, t)
+
+
 def test_invgauss_t_domain_at_a_tiny_mean():
     # lambda/(2 p^2) overflows to +inf where p * p underflows to 0, instead
     # of dividing by zero
@@ -291,6 +326,22 @@ def test_gaussian_draw_is_rng_normal(v):
         got = fam.gaussian(v)._draw(means, (25, 4), make_generator(11, key))
         want = make_generator(11, key).normal(means, math.sqrt(v), (25, 4))
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("family", [fam.bernoulli(), fam.gaussian(2.0),
+                                    fam.laplace(0.8)], ids=lambda f: f.kind)
+def test_draw_places_one_standard_draw(family):
+    # _draw(p) is the p-free standard draw _draw(None) placed at p, so one
+    # standard draw placed at each of several means gives each its own draw
+    means = np.array([[0.2, 0.45, 0.7], [0.6, 0.1, 0.35], [0.3, 0.3, 0.9]])
+    std = family._draw(None, (9, 3), make_generator(5, 1))
+    for row in means:
+        placed = family._place(row, std, np.empty((9, 3)))
+        assert np.array_equal(placed,
+                              family._draw(row, (9, 3), make_generator(5, 1)))
+    stacked = family._place(means[:, None], std, np.empty((3, 9, 3)))
+    assert np.array_equal(stacked, [family._draw(row, (9, 3), make_generator(
+        5, 1)) for row in means])
 
 
 # -- spec strings and validation ------------------------------------------------

@@ -83,6 +83,82 @@ def test_simulate_equals_per_trial_generators(family):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def _per_trial_oracle(p, draw):
+    # (train, pop, kl) of a problem from a fresh make_generator(seed, t) per
+    # trial, as in test_simulate_equals_per_trial_generators
+    means = np.asarray(p.hypothesis_means)
+    prior = np.asarray(p.prior_weights)
+    lhat = np.array([draw(make_generator(p.seed, t), means,
+                          (p.n, len(means))).mean(axis=0)
+                     for t in range(p.trials)])
+    lnq = np.log(prior) - p.gibbs_temperature * p.n * lhat
+    lnq -= logsumexp(lnq, axis=1, keepdims=True)
+    q = np.exp(lnq)
+    kl = np.maximum(np.einsum("tm,tm->t", q, lnq - np.log(prior)), 0.0)
+    return np.einsum("tm,tm->t", q, lhat), q @ means, kl
+
+
+def stream_group(family, trials=150):
+    # three problems on the same trial streams, with different means and c
+    return [problem(family=family, hypothesis_means=means,
+                    gibbs_temperature=c, trials=trials, n=12)
+            for means, c in (((0.2, 0.5, 0.8), 0.0), ((0.65, 0.1, 0.35), 1.0),
+                             ((0.9, 0.3, 0.45), 5.0))]
+
+
+GROUP_FAMILIES = [fam.bernoulli(), fam.gaussian(2.0), fam.poisson(),
+                  fam.laplace(0.8)]
+
+
+@pytest.mark.parametrize("family", GROUP_FAMILIES, ids=lambda f: f.kind)
+def test_simulate_group_equals_each_problem_alone(family):
+    # the group's shared standard draws, placed at each problem's means, are
+    # each problem's own draws; 150 trials end on a partial block, and the
+    # gaussian(2.0) oracle scales by sqrt(v)
+    v = family.nuisance
+    draw = {"gaussian": lambda g, p, size: g.normal(p, math.sqrt(v), size),
+            "laplace": lambda g, p, size: _laplace_by_sign(g, p, size, v),
+            }.get(family.kind, ORACLE_DRAWS[family.kind])
+    problems = stream_group(family)
+    assert problems[0].trials % verify._TRIAL_BLOCK != 0
+    verify._simulate.cache_clear()
+    for p, got in zip(problems, verify._simulate_group(problems)):
+        alone = verify._simulate(p)
+        want = _per_trial_oracle(p, draw)
+        assert all(np.array_equal(g, a) and np.array_equal(g, w)
+                   for g, a, w in zip(got, alone, want)), p
+
+
+@pytest.mark.parametrize("family, draws_per_trial", [
+    (fam.bernoulli(), 1), (fam.gaussian(1.0), 1), (fam.poisson(), 3)],
+    ids=["bernoulli", "gaussian", "poisson"])
+def test_group_draws_each_trial_stream_once(family, draws_per_trial,
+                                            monkeypatch):
+    # a bernoulli or gaussian group of three re-keys and draws each trial's
+    # stream once; a poisson draw consumes the stream according to its
+    # means, so each of the three problems re-keys and draws its own
+    keyed = []
+    real = verify.streams
+
+    def counted(seed, ids):
+        for rng in real(seed, ids):
+            keyed.append(rng)
+            yield rng
+
+    monkeypatch.setattr(verify, "streams", counted)
+    verify._simulate_group(stream_group(family, trials=70))
+    assert len(keyed) == draws_per_trial * 70
+
+
+def test_default_suite_is_the_per_problem_evaluation():
+    # drawn in groups of problems on the same streams, summary for summary
+    # what each problem gives on its own, in the same order
+    want = [summary for p in verify.suite_problems(200, (0, 7))
+            for summary in verify._evaluate(
+                p, verify.CERTIFIED_KINDS[p.family.kind], 0.05)[2]]
+    assert verify.default_suite(0.05, 200, (0, 7)) == want
+
+
 def test_simulate_suite_equals_inline_gibbs():
     # each seed-0 suite problem against per-trial generators and the Gibbs
     # posterior as first written inline, before verify._gibbs held it
