@@ -150,38 +150,39 @@ def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
 
 def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
                  b=None):
-    """One bound kind, or several that invert one comparator, over broadcast
+    """One bound kind, or a sequence of any kinds, over broadcast
     (alpha, beta, n) arrays; NaN where a bound diverges.
 
     The kinds and rule of evaluate_kind.  The Chernoff kind computes its
     Upsilon and the 2e ceil(u) kind takes u = n.  n may be an integer
-    array, except for the kinds that BoundQuery names.  kind may be a
-    sequence of kinds whose comparators are Cramer functions of one family
-    (the same params["family"]), such as mls and the pac_cramer kinds over
-    bernoulli: their budgets are stacked and inverted in one invert call,
-    and the result has one leading row per kind, each equal to that kind's
-    own call.  A single kind is the one-row case.
+    array, except for the kinds that BoundQuery names.  A sequence of kinds
+    gives one leading row per kind, each equal to that kind's own call:
+    they are grouped by Cramer comparator (params["family"]; binary_kl is
+    Bernoulli's), each group makes one invert call over its stacked
+    budgets, and a budget that several kinds share is inverted once.  A
+    single kind is the one-row case.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                       np.asarray(beta, dtype=float))
-    comp, budgets = None, {}
+    groups = {}     # Cramer family: (comparator, {row: budget})
     for row, k in enumerate(kinds):
         try:
             c, q = _kind_query(k, family, alpha, beta, n, delta, sigma2, b)
         except CorrectionDivergent:
             continue                # the row stays NaN
-        if comp is None:
-            comp = c
-        elif c.params.get("family") != comp.params.get("family"):
-            raise ValueError(f"the kinds {', '.join(kinds)} invert different "
-                             "comparators; evaluate them apart")
-        budgets[row] = q.budget()
-    shape = np.broadcast_shapes(alpha.shape,
-                                *(np.shape(v) for v in budgets.values()))
+        groups.setdefault(c.params["family"], (c, {}))[1][row] = q.budget()
+    shape = np.broadcast_shapes(alpha.shape, *(
+        np.shape(v) for _, rows in groups.values() for v in rows.values()))
     out = np.full((len(kinds),) + shape, math.nan)
-    if budgets:
-        stacked = np.stack([np.broadcast_to(v, shape)
-                            for v in budgets.values()])
-        out[list(budgets)] = inv.invert(comp, alpha, stacked).rho
+    for comp, rows in groups.values():
+        distinct, at = [], []       # the distinct budgets; each row's index
+        for v in rows.values():
+            v = np.broadcast_to(v, shape)
+            i = next((i for i, d in enumerate(distinct)
+                      if np.array_equal(d, v)), len(distinct))
+            if i == len(distinct):
+                distinct.append(v)
+            at.append(i)
+        out[list(rows)] = inv.invert(comp, alpha, np.stack(distinct)).rho[at]
     return out[0, ...] if isinstance(kind, str) else out

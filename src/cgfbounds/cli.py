@@ -101,8 +101,7 @@ def _open_out(path):
 def _write_lines(path, lines):
     fh, close = _open_out(path)
     try:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("".join(line + "\n" for line in lines))
     finally:
         if close:
             fh.close()
@@ -151,11 +150,10 @@ def cmd_sweep(args):
     bons = _parse_range(args.bon_range, want_scale=True)
 
     a, bon = (x.ravel() for x in np.meshgrid(alphas, bons, indexing="ij"))
-    cols = []
-    for kind in kinds:
-        v = bounds.bound_values(kind, family, a, bon * args.n, args.n,
-                                delta=args.delta, sigma2=args.sigma2, b=args.b)
-        cols.append(np.minimum(v, 1.0) if args.clamp else v)
+    cols = bounds.bound_values(kinds, family, a, bon * args.n, args.n,
+                               delta=args.delta, sigma2=args.sigma2, b=args.b)
+    if args.clamp:
+        cols = np.minimum(cols, 1.0)
     header = "alpha,beta_over_n," + ",".join(kinds) + ",diff"
     _write_lines(args.out, [header] + _csv_rows([a, bon, *cols,
                                                  cols[0] - cols[-1]]))
@@ -302,89 +300,100 @@ def cmd_selfcheck(args):
 
 # -- parser -------------------------------------------------------------------
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help="key=value file merged under flags (flags win)")
-    writes = argparse.ArgumentParser(add_help=False, parents=[common])
-    writes.add_argument("--out", default=None, help="output path (default stdout)")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[writes])
-    seeded.add_argument("--seed", type=int, default=0)
+# the flags shared by the subcommands: every one takes the first, the
+# writers the first two and the seeded the three
+_SHARED_FLAGS = (
+    ("--config", {"default": None,
+                  "help": "key=value file merged under flags (flags win)"}),
+    ("--out", {"default": None, "help": "output path (default stdout)"}),
+    ("--seed", {"type": int, "default": 0}),
+)
+_COMMON, _WRITES, _SEEDED = 1, 2, 3
 
+
+def build_parser(command=None):
+    """The cgfbounds parser.  Every subcommand is registered with its help,
+    so --help and an invalid choice read the same whatever command is;
+    given a subcommand name, only that subcommand gets its arguments."""
     parser = argparse.ArgumentParser(prog="cgfbounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", parents=[common],
-                       help="single bound query, prints rho/budget/status")
-    p.add_argument("--family", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--correction", default=None,
-                   help="one|xi|2eceil|chernoff=<ln_upsilon> (default xi); "
-                   "needs --delta")
-    p.add_argument("--u", type=float, default=None,
-                   help="grid size of --correction 2eceil (default n)")
-    p.set_defaults(func=cmd_bound)
+    def add(name, shared, help, func):
+        # the subparser to give its own arguments, or None if it stays bare
+        full = command in (None, name)
+        p = sub.add_parser(name, help=help, add_help=full)
+        p.set_defaults(func=func)
+        if not full:
+            return None
+        for flag, kwargs in _SHARED_FLAGS[:shared]:
+            p.add_argument(flag, **kwargs)
+        return p
 
-    p = sub.add_parser("sweep", parents=[writes],
-                       help="bound-comparison grid, CSV output")
-    p.add_argument("--family", required=True)
-    p.add_argument("--kinds", required=True,
-                   help="comma list of bound kinds; diff = first - last")
-    p.add_argument("--alpha-range", required=True, metavar="LO:HI:STEPS")
-    p.add_argument("--bon-range", required=True, metavar="LO:HI:STEPS[:SCALE]",
-                   help="beta/n range, scale linear|log")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--sigma2", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--clamp", action="store_true",
-                   help="clamp each bound at 1 before differencing")
-    p.set_defaults(func=cmd_sweep)
+    if p := add("bound", _COMMON,
+                "single bound query, prints rho/budget/status", cmd_bound):
+        p.add_argument("--family", required=True)
+        p.add_argument("--alpha", type=float, required=True)
+        p.add_argument("--beta", type=float, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--delta", type=float, default=None)
+        p.add_argument("--correction", default=None,
+                       help="one|xi|2eceil|chernoff=<ln_upsilon> (default xi); "
+                       "needs --delta")
+        p.add_argument("--u", type=float, default=None,
+                       help="grid size of --correction 2eceil (default n)")
 
-    p = sub.add_parser("ndep", parents=[writes],
-                       help="average bound vs n at fixed alpha, beta; "
-                       "every n in one inversion")
-    p.add_argument("--family", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--nmin", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--points", type=int, default=25)
-    p.set_defaults(func=cmd_ndep)
+    if p := add("sweep", _WRITES, "bound-comparison grid, CSV output",
+                cmd_sweep):
+        p.add_argument("--family", required=True)
+        p.add_argument("--kinds", required=True,
+                       help="comma list of bound kinds; diff = first - last")
+        p.add_argument("--alpha-range", required=True, metavar="LO:HI:STEPS")
+        p.add_argument("--bon-range", required=True,
+                       metavar="LO:HI:STEPS[:SCALE]",
+                       help="beta/n range, scale linear|log")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--delta", type=float, default=None)
+        p.add_argument("--sigma2", type=float, default=None)
+        p.add_argument("--b", type=float, default=None)
+        p.add_argument("--clamp", action="store_true",
+                       help="clamp each bound at 1 before differencing")
 
-    p = sub.add_parser("upsilon", parents=[seeded],
-                       help="moment quantity for a comparator/family pair")
-    p.add_argument("--comparator", required=True,
-                   help="kl|cramer|catoni:gamma=|scaled_diff:t=|poisson_diff:t=|"
-                        "laplace_diff:t=,b=|gaussian_diff:t=,sigma2=")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10**5)
-    p.set_defaults(func=cmd_upsilon)
+    if p := add("ndep", _WRITES, "average bound vs n at fixed alpha, beta; "
+                "every n in one inversion", cmd_ndep):
+        p.add_argument("--family", required=True)
+        p.add_argument("--alpha", type=float, required=True)
+        p.add_argument("--beta", type=float, required=True)
+        p.add_argument("--nmin", type=int, required=True)
+        p.add_argument("--nmax", type=int, required=True)
+        p.add_argument("--points", type=int, default=25)
 
-    p = sub.add_parser("verify", parents=[seeded],
-                       help="Monte-Carlo violation-rate check")
-    p.add_argument("--family", default="bernoulli")
-    p.add_argument("--bound", default="mls")
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--c", type=float, default=1.0)
-    p.set_defaults(func=cmd_verify)
+    if p := add("upsilon", _SEEDED,
+                "moment quantity for a comparator/family pair", cmd_upsilon):
+        p.add_argument("--comparator", required=True,
+                       help="kl|cramer|catoni:gamma=|scaled_diff:t=|"
+                            "poisson_diff:t=|laplace_diff:t=,b=|"
+                            "gaussian_diff:t=,sigma2=")
+        p.add_argument("--family", required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--samples", type=int, default=10**5)
 
-    p = sub.add_parser("conjugate-check", parents=[common],
-                       help="numeric conjugate vs closed Cramer function")
-    p.add_argument("--family", required=True)
-    p.set_defaults(func=cmd_conjugate_check)
+    if p := add("verify", _SEEDED, "Monte-Carlo violation-rate check",
+                cmd_verify):
+        p.add_argument("--family", default="bernoulli")
+        p.add_argument("--bound", default="mls")
+        p.add_argument("--delta", type=float, default=0.05)
+        p.add_argument("--trials", type=int, default=2000)
+        p.add_argument("--m", type=int, default=10)
+        p.add_argument("--n", type=int, default=50)
+        p.add_argument("--c", type=float, default=1.0)
 
-    p = sub.add_parser("selfcheck", parents=[common],
-                       help="identity suites; exit 0 only if all pass")
-    p.set_defaults(func=cmd_selfcheck)
+    if p := add("conjugate-check", _COMMON,
+                "numeric conjugate vs closed Cramer function",
+                cmd_conjugate_check):
+        p.add_argument("--family", required=True)
 
+    add("selfcheck", _COMMON, "identity suites; exit 0 only if all pass",
+        cmd_selfcheck)
     return parser
 
 
@@ -398,8 +407,10 @@ def main(argv=None):
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # a first token that is no option is the subcommand (or an invalid
+    # choice): only it gets its arguments built
+    command = argv[0] if argv and not argv[0].startswith("-") else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (inv.NoFiniteBound, bounds.CorrectionDivergent) as e:

@@ -76,18 +76,21 @@ class BoundingFamily:
 
     def t_domain(self, p):
         """The finiteness interval of the CGF of the member with mean p, as
-        an open (lower, upper) pair; nonempty, as the nuisance is in (0, inf)."""
+        an open (lower, upper) pair; nonempty, as the nuisance is in (0, inf).
+        The ends are Python floats for a scalar p, arrays for an array p."""
         self._check_mean(p)
         v = self.nuisance
         if self.kind in ("bernoulli", "gaussian", "poisson"):
             return -_INF, _INF
-        if self.kind == "gamma":
-            return -_INF, v / p
         if self.kind == "laplace":
             return -1.0 / v, 1.0 / v
-        if self.kind == "invgauss":
-            return -_INF, v / (2.0 * p) / p   # p * p underflows, this to inf
-        return -_INF, math.log1p(v / p)  # negbin
+        if self.kind == "gamma":
+            hi = v / p
+        elif self.kind == "invgauss":
+            hi = v / (2.0 * p) / p   # p * p underflows, this to inf
+        else:   # negbin
+            hi = np.log1p(v / p) if np.ndim(p) else math.log1p(v / p)
+        return -_INF, hi if np.ndim(hi) else float(hi)
 
     def cgf(self, p, t):
         """ln E[e^{tX}] for X ~ P_p. Raises outside the finiteness interval."""

@@ -140,11 +140,12 @@ def _check_kinds(family, kinds, delta):
 def _evaluate(problem, kinds, delta, sim=None):
     """(values, violation flags, summaries) of bound kinds over the trials.
 
-    The kinds must invert one comparator (bounds.bound_values), which then
-    runs once over their stacked budgets; values and flags are (len(kinds),
-    trials) arrays, with one summary per kind.  Every kind in BOUND_KINDS
-    is taken, reference_only without a union correction.  Without sim, the
-    problem's (train, pop, kl), _check_kinds runs and then _simulate."""
+    The kinds go through one bounds.bound_values call, which inverts their
+    stacked budgets once per Cramer comparator; values and flags are
+    (len(kinds), trials) arrays, with one summary per kind.  Every kind in
+    BOUND_KINDS is taken, reference_only without a union correction.
+    Without sim, the problem's (train, pop, kl), _check_kinds runs and then
+    _simulate."""
     family = problem.family
     if sim is None:
         _check_kinds(family, kinds, delta)

@@ -257,6 +257,24 @@ def test_ndep_runs_one_bisection(monkeypatch, tmp_path):
     assert len(calls) == 1 and calls[0][2].shape == (1, 31)
 
 
+@pytest.mark.parametrize("name, bisections", [("fig1a", 2), ("fig1b", 1)])
+def test_sweep_runs_one_bisection_per_comparator(name, bisections,
+                                                 monkeypatch, tmp_path):
+    # fig1a's kinds invert two Cramer comparators; fig1b's two kinds invert
+    # poisson's at the same beta/n, so its 2,500 cells are bisected once
+    calls = []
+    bisect = inv._bisect
+
+    def counted(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(inv, "_bisect", counted)
+    assert main(["sweep", "--config", str(ROOT / "figs" / f"{name}.cfg"),
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert [args[2].shape for args in calls] == [(1, 2500)] * bisections
+
+
 def test_ndep_no_finite_bound_names_smallest_n(tmp_path, capsys):
     # lambda/(2 alpha) = 0.1875: no finite bound while the budget 1/n exceeds
     # it, i.e. for n <= 5
@@ -794,3 +812,49 @@ def test_main_entry_in_process(capsys):
     out = capsys.readouterr().out
     fields = dict(kv.split("=") for kv in out.split())
     assert float(fields["rho"]) == pytest.approx(0.2, rel=1e-7)
+
+
+SUBCOMMAND_ARGV = {
+    "bound": ["--family", "bernoulli", "--alpha", "0.1", "--beta", "2.3",
+              "--n", "100", "--delta", "0.05", "--correction", "2eceil"],
+    "sweep": ["--family", "bernoulli", "--kinds", "mls,average_cramer",
+              "--alpha-range", "0.1:0.2:2", "--bon-range", "0.1:1:3:log",
+              "--n", "50", "--delta", "0.05", "--clamp", "--out", "-"],
+    "ndep": ["--family", "gamma:k=5", "--alpha", "1", "--beta", "1000",
+             "--nmin", "100", "--nmax", "1000"],
+    "upsilon": ["--comparator", "kl", "--family", "bernoulli", "--n", "50",
+                "--seed", "3"],
+    "verify": ["--trials", "20", "--bound", "pac_cramer_xi"],
+    "conjugate-check": ["--family", "poisson"],
+    "selfcheck": ["--config", "x.cfg"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_one_subcommand_parser_reads_like_the_full_one(command, capsys):
+    # main builds only the arguments of the subcommand it runs; its help,
+    # the top-level help and the parsed namespace are the full parser's
+    full, one = cli.build_parser(), cli.build_parser(command)
+    assert one.format_help() == full.format_help()
+    argv = [command, *SUBCOMMAND_ARGV[command]]
+    assert one.parse_args(argv) == full.parse_args(argv)
+    helps = []
+    for parser in (full, one):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args([command, "--help"])
+        assert exit_info.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith(
+        f"usage: cgfbounds {command} [-h]")
+
+
+def test_invalid_subcommand_error_is_the_full_parsers(capsys):
+    # main builds no subcommand's arguments for an invalid choice; the
+    # error still lists every subcommand
+    errors = []
+    for parser in (cli.build_parser(), cli.build_parser("bogus")):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["bogus"])
+        assert exit_info.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "invalid choice: 'bogus'" in errors[0]

@@ -189,9 +189,8 @@ def test_scalar_cgf_is_the_zero_d_array_cgf(family):
             want = family.cgf(np.asarray(p), np.asarray(t))
             assert type(got) is float and type(want) is float
             assert got == want or (math.isnan(got) and math.isnan(want))
-            if family.kind != "negbin":     # its t_domain takes a scalar p
-                assert np.array_equal(family.cgf(np.array([p, p]), t),
-                                      [got, got], equal_nan=True)
+            assert np.array_equal(family.cgf(np.array([p, p]), t),
+                                  [got, got], equal_nan=True)
 
 
 @pytest.mark.parametrize("family, p, t, message", [
@@ -199,6 +198,13 @@ def test_scalar_cgf_is_the_zero_d_array_cgf(family):
     (fam.laplace(2.0), 0.0, 0.5, "t=0.5 outside the CGF domain (-0.5, 0.5)"),
     (fam.laplace(2.0), 0.0, -0.5, "t=-0.5 outside the CGF domain (-0.5, 0.5)"),
     (fam.invgauss(1.0), 1.0, 0.5, "t=0.5 outside the CGF domain (-inf, 0.5)"),
+    # a numpy scalar p names the same Python-float domain ends
+    (fam.gamma(2.0), np.float64(1.0), 2.0,
+     "t=2.0 outside the CGF domain (-inf, 2.0)"),
+    (fam.invgauss(1.0), np.float64(1.0), 0.5,
+     "t=0.5 outside the CGF domain (-inf, 0.5)"),
+    (fam.negbin(3.0), np.float64(3.0), 1.0,
+     "t=1.0 outside the CGF domain (-inf, 0.6931471805599453)"),
     (fam.bernoulli(), 1.5, 0.1, "mean 1.5 outside the open domain of bernoulli"),
     (fam.bernoulli(), 1.0, 0.1, "mean 1.0 outside the open domain of bernoulli"),
     (fam.gaussian(1.0), math.nan, 0.1,

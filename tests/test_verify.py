@@ -365,10 +365,31 @@ def test_stacked_kinds_equal_the_per_kind_calls():
             assert np.array_equal(row, want, equal_nan=True), (p, kind)
 
 
-def test_stacked_kinds_must_share_one_comparator():
-    with pytest.raises(ValueError, match="invert different comparators"):
-        bounds.bound_values(("average_cramer", "poisson_diff_inf"),
-                            fam.bernoulli(), [0.1, 0.2], 1.0, 20)
+def test_mixed_kinds_equal_the_per_kind_calls(monkeypatch):
+    # kinds over different Cramer comparators are grouped: poisson_diff_inf
+    # and average_cramer share poisson's comparator and their budget, so
+    # it is inverted once, and gaussian_diff_inf inverts gaussian(1)'s
+    kinds = ("average_cramer", "poisson_diff_inf", "gaussian_diff_inf")
+    alpha, beta = np.meshgrid(np.linspace(0.05, 3.0, 7),
+                              np.geomspace(0.1, 200.0, 5), indexing="ij")
+    want = [bounds.bound_values(k, fam.poisson(), alpha, beta, 100, sigma2=1.0)
+            for k in kinds]
+    calls = []
+    bisect = inv._bisect
+
+    def counted(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(inv, "_bisect", counted)
+    got = bounds.bound_values(kinds, fam.poisson(), alpha, beta, 100,
+                              sigma2=1.0)
+    assert got.shape == (3, 7, 5)
+    for row, w in zip(got, want):
+        assert np.array_equal(row, w, equal_nan=True)
+    assert [args[0].form for args in calls] == ["cramer[poisson]",
+                                                "cramer[gaussian:sigma2=1]"]
+    assert [args[2].shape for args in calls] == [(1, 7, 5), (1, 7, 5)]
 
 
 def test_chernoff_kind_over_bernoulli():
