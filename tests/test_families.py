@@ -198,6 +198,11 @@ def test_scalar_cgf_is_the_zero_d_array_cgf(family):
     (fam.laplace(2.0), 0.0, 0.5, "t=0.5 outside the CGF domain (-0.5, 0.5)"),
     (fam.laplace(2.0), 0.0, -0.5, "t=-0.5 outside the CGF domain (-0.5, 0.5)"),
     (fam.invgauss(1.0), 1.0, 0.5, "t=0.5 outside the CGF domain (-inf, 0.5)"),
+    (fam.bernoulli(), 1.5, 0.1, "mean 1.5 outside the open domain of bernoulli"),
+    (fam.bernoulli(), 1.0, 0.1, "mean 1.0 outside the open domain of bernoulli"),
+    (fam.gaussian(1.0), math.nan, 0.1,
+     "mean nan outside the open domain of gaussian"),
+    (fam.poisson(), 0, 0.1, "mean 0 outside the open domain of poisson"),
     # a numpy scalar p names the same Python-float domain ends
     (fam.gamma(2.0), np.float64(1.0), 2.0,
      "t=2.0 outside the CGF domain (-inf, 2.0)"),
@@ -205,11 +210,6 @@ def test_scalar_cgf_is_the_zero_d_array_cgf(family):
      "t=0.5 outside the CGF domain (-inf, 0.5)"),
     (fam.negbin(3.0), np.float64(3.0), 1.0,
      "t=1.0 outside the CGF domain (-inf, 0.6931471805599453)"),
-    (fam.bernoulli(), 1.5, 0.1, "mean 1.5 outside the open domain of bernoulli"),
-    (fam.bernoulli(), 1.0, 0.1, "mean 1.0 outside the open domain of bernoulli"),
-    (fam.gaussian(1.0), math.nan, 0.1,
-     "mean nan outside the open domain of gaussian"),
-    (fam.poisson(), 0, 0.1, "mean 0 outside the open domain of poisson"),
 ])
 def test_scalar_cgf_errors(family, p, t, message):
     # the messages of the scalar checks, as the numpy checks wrote them
