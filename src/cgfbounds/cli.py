@@ -229,23 +229,13 @@ def cmd_verify(args):
     return EXIT_CHECK if verdict == "FAIL" else EXIT_OK
 
 
-_CHECK_GRIDS = {
-    "bernoulli": np.linspace(0.05, 0.95, 7),
-    "gaussian": np.linspace(-3.0, 3.0, 7),
-    "laplace": np.linspace(-3.0, 3.0, 7),
-    "poisson": np.geomspace(0.1, 5.0, 7),
-    "gamma": np.geomspace(0.1, 5.0, 7),
-    "invgauss": np.geomspace(0.1, 5.0, 7),
-    "negbin": np.geomspace(0.1, 5.0, 7),
-}
-
-
 def _conjugate_suite(families):
     """Worst relative error of the numeric conjugate against the closed
-    Cramer function over each family's grid, one call of each per p."""
+    Cramer function over each family's grid (its law's check_grid), one
+    call of each per p."""
     errs = []
     for family in families:
-        grid = _CHECK_GRIDS[family.kind]
+        grid = family.law.check_grid
         for p in grid.tolist():
             closed = family.cramer(grid, p)
             num = conjugate.family_conjugate(family, grid, p).value

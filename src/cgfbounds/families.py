@@ -4,7 +4,10 @@ Each family fixes one nuisance parameter (variance, shape, scale, ...) and is
 indexed by its mean p.  It exposes the cumulant-generating function (CGF) of
 the member with mean p, the finiteness interval of that CGF, the closed-form
 Cramer function (the convex conjugate of the CGF, equal to a KL divergence
-between family members), and reproducible sampling.
+between family members), and reproducible sampling.  Each fact about how a
+family behaves is a field of its one record in _LAWS, which BoundingFamily
+looks up as family.law; upsilon, verify and cli read the record too, and
+none of them tests a family's name.
 """
 
 import math
@@ -12,29 +15,166 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import rel_entr, xlogy
-
-FAMILY_KINDS = ("bernoulli", "gaussian", "poisson", "gamma", "laplace",
-                "invgauss", "negbin")
+from ._special import gammaln, rel_entr, xlogy
 
 _INF = math.inf
-
-_NUISANCE_KEY = {"gaussian": "sigma2", "gamma": "k", "laplace": "b",
-                 "invgauss": "lambda", "negbin": "r"}
-_SPEC_KEYS = {kind: (_NUISANCE_KEY[kind],) if kind in _NUISANCE_KEY else ()
-              for kind in FAMILY_KINDS}     # parse_family's keys
-
-_MEAN_DOMAIN = {"bernoulli": (0.0, 1.0), "gaussian": (-_INF, _INF),
-                "laplace": (-_INF, _INF)}     # the others: (0, inf)
-
-# kinds whose draw places a p-free standard draw at the mean p, so members
-# with different means can share the standard draw of one stream
-STANDARD_DRAW_KINDS = ("bernoulli", "gaussian", "laplace")
 
 
 def binary_kl(q, p):
     """kl(q, p) = q ln(q/p) + (1-q) ln((1-q)/(1-p)), with 0 ln 0 = 0."""
     return rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)
+
+
+# -- the laws' functions of more than one expression ------------------------
+
+def _below(hi):
+    """The CGF domain (-inf, hi), hi a Python float for a scalar mean."""
+    return -_INF, hi if np.ndim(hi) else float(hi)
+
+
+def _bernoulli_cgf(p, t, v):
+    # log1p(x), x = p expm1(t), is exact near t = 0 but loses digits
+    # once 1 + x < 1/2 (p > 1/2 only), and expm1 overflows past
+    # t = 709; the logaddexp form ln((1-p) + p e^t) serves there
+    x = p * np.expm1(np.minimum(t, 709.0))
+    out = np.log1p(x)
+    far = (t > 709.0) | (x < -0.5)
+    if far.any():
+        out = np.where(far, np.logaddexp(np.log1p(-p), np.log(p) + t), out)
+    return out
+
+
+def _gamma_cramer(q, p, v):
+    rat = q / p
+    return np.where(q > 0, v * (rat - 1.0 - np.log(np.where(q > 0, rat, 1.0))),
+                    _INF)
+
+
+def _laplace_cramer(q, p, v):
+    # s/v - 1 + ln(2v/(s+v)) with s = hypot(q-p, v), written as
+    # u - ln(1 + u/2), u = s/v - 1: no cancellation near q = p
+    d = q - p
+    u = (d / v) * (d / (np.hypot(d, v) + v))
+    return u - np.log1p(0.5 * u)
+
+
+def _invgauss_cramer(q, p, v):
+    r = (q - p) / p   # not (q-p)^2 / p^2: p^2 q underflows
+    return np.where(q > 0, v * r * r / (2.0 * np.where(q > 0, q, 1.0)), _INF)
+
+
+def _laplace_draw(p, size, rng, out, v):
+    # the Laplace law with mean 0 and scale 1 by the inverse CDF
+    # -sign(u) ln(1 - 2|u|), u = U - 1/2, in place; copysign gives
+    # the same doubles as the sign product, u = +-0 too
+    u = rng.random(size)
+    u -= 0.5
+    np.abs(u, out=out)
+    out *= -2.0
+    np.log1p(out, out=out)
+    np.copysign(out, u, out=out)
+
+
+def _gaussian_ln_pdf_mean(r, n, xs, v):
+    s2 = v / n
+    return -0.5 * np.log(2.0 * math.pi * s2) - (xs - r) ** 2 / (2.0 * s2)
+
+
+def _gamma_ln_pdf_mean(r, n, xs, v):
+    a = n * v  # shape of the sum; mean of the sum is n r
+    scale = r / a
+    return xlogy(a - 1.0, xs) - xs / scale \
+        - gammaln(a) - a * math.log(scale)
+
+
+def _invgauss_ln_pdf_mean(r, n, xs, v):
+    lam = n * v  # mean of n IG(r, v) draws is IG(r, n v)
+    return 0.5 * (np.log(lam) - math.log(2.0 * math.pi) - 3.0 * np.log(xs)) \
+        - lam * (xs - r) ** 2 / (2.0 * r * r * xs)
+
+
+@dataclass(frozen=True)
+class _Law:
+    """What one family is.  The functions take the nuisance v last; their
+    p, q, t and xs may be arrays."""
+    mean_domain: tuple      # the open interval of means
+    cgf: object             # (p, t, v) -> ln E e^{tX}, t inside the domain
+    cramer: object          # (q, p, v) -> the Cramer function, under errstate
+    draw: object            # (p, size, rng, out, v) fills out (p-free if place)
+    upsilon: str    # compute_upsilon's: binomial|series|quadrature|monte_carlo
+    check_grid: np.ndarray  # the q and p grid of cli's conjugate check
+    t_domain: object = lambda p, v: (-_INF, _INF)   # the open CGF domain
+    key: str | None = None  # the nuisance's spec key; None: no nuisance
+    place: object = None    # (p, std, out, v) -> std placed at the mean p
+    ln_pdf_mean: object = None  # (r, n, xs, v) -> ln density of n draws' mean
+    mean_interval: tuple | None = None  # verify's interval of random means
+    exponential: bool = True    # a natural exponential family
+
+
+_LAWS = {
+    "bernoulli": _Law(
+        mean_domain=(0.0, 1.0), cgf=_bernoulli_cgf,
+        cramer=lambda q, p, v: binary_kl(q, p),
+        draw=lambda p, size, rng, out, v: rng.random(out=out),  # uniforms
+        place=lambda p, std, out, v: np.less(std, p, out=out),
+        upsilon="binomial", check_grid=np.linspace(0.05, 0.95, 7),
+        mean_interval=(0.05, 0.95)),
+    "gaussian": _Law(
+        key="sigma2", mean_domain=(-_INF, _INF),
+        cgf=lambda p, t, v: t * p + 0.5 * v * t * t,
+        cramer=lambda q, p, v: (q - p) ** 2 / (2.0 * v),
+        draw=lambda p, size, rng, out, v: rng.standard_normal(out=out),
+        # the same doubles as rng.normal(p, sqrt(v), size)
+        place=lambda p, std, out, v: np.add(
+            np.multiply(std, math.sqrt(v), out=out), p, out=out),
+        ln_pdf_mean=_gaussian_ln_pdf_mean, upsilon="quadrature",
+        check_grid=np.linspace(-3.0, 3.0, 7), mean_interval=(0.1, 2.0)),
+    "poisson": _Law(
+        mean_domain=(0.0, _INF), cgf=lambda p, t, v: p * np.expm1(t),
+        cramer=lambda q, p, v: p - q + rel_entr(q, p),
+        draw=lambda p, size, rng, out, v: np.copyto(out, rng.poisson(p, size)),
+        upsilon="series", check_grid=np.geomspace(0.1, 5.0, 7),
+        mean_interval=(0.1, 3.0)),
+    "gamma": _Law(
+        key="k", mean_domain=(0.0, _INF), t_domain=lambda p, v: _below(v / p),
+        cgf=lambda p, t, v: -v * np.log1p(-t * p / v), cramer=_gamma_cramer,
+        draw=lambda p, size, rng, out, v: np.copyto(
+            out, rng.gamma(v, p / v, size)),
+        ln_pdf_mean=_gamma_ln_pdf_mean, upsilon="quadrature",
+        check_grid=np.geomspace(0.1, 5.0, 7)),
+    "laplace": _Law(
+        key="b", mean_domain=(-_INF, _INF),
+        t_domain=lambda p, v: (-1.0 / v, 1.0 / v),
+        cgf=lambda p, t, v: t * p - np.log1p(-(v * t) ** 2),
+        cramer=_laplace_cramer, draw=_laplace_draw,
+        place=lambda p, std, out, v: np.add(
+            np.multiply(std, v, out=out), p, out=out),
+        upsilon="monte_carlo", check_grid=np.linspace(-3.0, 3.0, 7),
+        exponential=False),
+    "invgauss": _Law(
+        key="lambda", mean_domain=(0.0, _INF),
+        # lambda / (2 p^2), which overflows to inf where p * p underflows
+        t_domain=lambda p, v: _below(v / (2.0 * p) / p),
+        # (v/p)(1 - sqrt(1 - 2 p^2 t / v)), without cancellation at t = 0
+        cgf=lambda p, t, v: 2.0 * p * t / (1.0 + np.sqrt(
+            1.0 - 2.0 * p * p * t / v)),
+        cramer=_invgauss_cramer,
+        draw=lambda p, size, rng, out, v: np.copyto(out, rng.wald(p, v, size)),
+        ln_pdf_mean=_invgauss_ln_pdf_mean, upsilon="quadrature",
+        check_grid=np.geomspace(0.1, 5.0, 7)),
+    "negbin": _Law(
+        key="r", mean_domain=(0.0, _INF),
+        t_domain=lambda p, v: _below(np.log1p(v / p) if np.ndim(p)
+                                     else math.log1p(v / p)),
+        cgf=lambda p, t, v: -v * np.log1p(-p * np.expm1(t) / v),
+        cramer=lambda q, p, v: v * np.log((p + v) / (q + v)) + xlogy(
+            q, q * (p + v) / (p * (q + v))),
+        draw=lambda p, size, rng, out, v: np.copyto(
+            out, rng.negative_binomial(v, v / (v + p), size)),
+        upsilon="monte_carlo", check_grid=np.geomspace(0.1, 5.0, 7)),
+}
+
+FAMILY_KINDS = tuple(_LAWS)
 
 
 @dataclass(frozen=True)
@@ -47,7 +187,7 @@ class BoundingFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        key = _NUISANCE_KEY.get(self.kind)
+        key = self.law.key
         if key and not (self.nuisance is not None
                         and 0.0 < self.nuisance < _INF):
             raise ValueError(f"{self.kind} needs {key} in (0, inf), "
@@ -55,12 +195,17 @@ class BoundingFamily:
         if not key and self.nuisance is not None:
             raise ValueError(f"{self.kind} takes no nuisance parameter")
 
+    @property
+    def law(self):
+        """The family's record in _LAWS."""
+        return _LAWS[self.kind]
+
     # -- mean domain ------------------------------------------------------
 
     @property
     def mean_domain(self):
         """Open interval of valid means; the loss range is its closure."""
-        return _MEAN_DOMAIN.get(self.kind, (0.0, _INF))
+        return self.law.mean_domain
 
     def _check_mean(self, p):
         lo, hi = self.mean_domain
@@ -79,18 +224,7 @@ class BoundingFamily:
         an open (lower, upper) pair; nonempty, as the nuisance is in (0, inf).
         The ends are Python floats for a scalar p, arrays for an array p."""
         self._check_mean(p)
-        v = self.nuisance
-        if self.kind in ("bernoulli", "gaussian", "poisson"):
-            return -_INF, _INF
-        if self.kind == "laplace":
-            return -1.0 / v, 1.0 / v
-        if self.kind == "gamma":
-            hi = v / p
-        elif self.kind == "invgauss":
-            hi = v / (2.0 * p) / p   # p * p underflows, this to inf
-        else:   # negbin
-            hi = np.log1p(v / p) if np.ndim(p) else math.log1p(v / p)
-        return -_INF, hi if np.ndim(hi) else float(hi)
+        return self.law.t_domain(p, self.nuisance)
 
     def cgf(self, p, t):
         """ln E[e^{tX}] for X ~ P_p. Raises outside the finiteness interval."""
@@ -102,31 +236,7 @@ class BoundingFamily:
             bad = np.any(tt <= lo) or np.any(tt >= hi)
         if bad:
             raise ValueError(f"t={t} outside the CGF domain {lo, hi}")
-        v = self.nuisance
-        if self.kind == "bernoulli":
-            # log1p(x), x = p expm1(t), is exact near t = 0 but loses digits
-            # once 1 + x < 1/2 (p > 1/2 only), and expm1 overflows past
-            # t = 709; the logaddexp form ln((1-p) + p e^t) serves there
-            x = p * np.expm1(np.minimum(tt, 709.0))
-            out = np.log1p(x)
-            far = (tt > 709.0) | (x < -0.5)
-            if far.any():
-                out = np.where(far, np.logaddexp(np.log1p(-p),
-                                                 np.log(p) + tt), out)
-        elif self.kind == "gaussian":
-            out = tt * p + 0.5 * v * tt * tt
-        elif self.kind == "poisson":
-            out = p * np.expm1(tt)
-        elif self.kind == "gamma":
-            out = -v * np.log1p(-tt * p / v)
-        elif self.kind == "laplace":
-            out = tt * p - np.log1p(-(v * tt) ** 2)
-        elif self.kind == "invgauss":
-            # (v/p)(1 - sqrt(1 - 2 p^2 t / v)), written without cancellation at t=0
-            x = 2.0 * p * p * tt / v
-            out = 2.0 * p * tt / (1.0 + np.sqrt(1.0 - x))
-        else:  # negbin
-            out = -v * np.log1p(-p * np.expm1(tt) / v)
+        out = self.law.cgf(p, tt, self.nuisance)
         return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
     # -- Cramer function ---------------------------------------------------
@@ -144,28 +254,8 @@ class BoundingFamily:
         lo, hi = self.mean_domain
         if ((qq < lo) | (qq > hi)).any():
             raise ValueError(f"q={q} outside the loss range of {self.kind}")
-        v = self.nuisance
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.kind == "bernoulli":
-                out = binary_kl(qq, pp)
-            elif self.kind == "gaussian":
-                out = (qq - pp) ** 2 / (2.0 * v)
-            elif self.kind == "poisson":
-                out = pp - qq + rel_entr(qq, pp)
-            elif self.kind == "gamma":
-                rat = qq / pp
-                out = np.where(qq > 0, v * (rat - 1.0 - np.log(np.where(qq > 0, rat, 1.0))), _INF)
-            elif self.kind == "laplace":
-                # s/v - 1 + ln(2v/(s+v)) with s = hypot(q-p, v), written as
-                # u - ln(1 + u/2), u = s/v - 1: no cancellation near q = p
-                d = qq - pp
-                u = (d / v) * (d / (np.hypot(d, v) + v))
-                out = u - np.log1p(0.5 * u)
-            elif self.kind == "invgauss":
-                r = (qq - pp) / pp   # not (q-p)^2 / p^2: p^2 q underflows
-                out = np.where(qq > 0, v * r * r / (2.0 * np.where(qq > 0, qq, 1.0)), _INF)
-            else:  # negbin
-                out = v * np.log((pp + v) / (qq + v)) + xlogy(qq, qq * (pp + v) / (pp * (qq + v)))
+            out = self.law.cramer(qq, pp, self.nuisance)
         return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
     # -- sampling ----------------------------------------------------------
@@ -186,49 +276,22 @@ class BoundingFamily:
 
         With out, a C-contiguous float array of shape size, the draws are
         written into it and it is returned; the doubles are the same.  For
-        the STANDARD_DRAW_KINDS the draw is a p-free standard draw placed at
-        p (_place), and p None returns the standard draw itself, so members
-        with different means can share one draw of a stream.
+        a family whose law has a place, the draw is a p-free standard draw
+        placed at p (_place), and p None returns the standard draw itself,
+        so members with different means can share one draw of a stream.
         """
         if out is None:
             out = np.empty(size)
-        v = self.nuisance
-        if self.kind == "bernoulli":
-            rng.random(out=out)                 # uniforms
-        elif self.kind == "gaussian":
-            rng.standard_normal(out=out)
-        elif self.kind == "laplace":
-            # the Laplace law with mean 0 and scale 1 by the inverse CDF
-            # -sign(u) ln(1 - 2|u|), u = U - 1/2, in place; copysign gives
-            # the same doubles as the sign product, u = +-0 too
-            u = rng.random(size)
-            u -= 0.5
-            np.abs(u, out=out)
-            out *= -2.0
-            np.log1p(out, out=out)
-            np.copysign(out, u, out=out)
-        elif self.kind == "poisson":
-            out[...] = rng.poisson(p, size)
-        elif self.kind == "gamma":
-            out[...] = rng.gamma(v, p / v, size)
-        elif self.kind == "invgauss":
-            out[...] = rng.wald(p, v, size)
-        else:
-            out[...] = rng.negative_binomial(v, v / (v + p), size)
-        if p is None or self.kind not in STANDARD_DRAW_KINDS:
+        law = self.law
+        law.draw(p, size, rng, out, self.nuisance)
+        if p is None or law.place is None:
             return out
         return self._place(p, out, out)
 
     def _place(self, p, std, out):
         """Write into out, which may be std, the draws of the member with
         mean p that the standard draws std of _draw(None, ...) give."""
-        if self.kind == "bernoulli":
-            return np.less(std, p, out=out)
-        # gaussian: the same doubles as rng.normal(p, sqrt(v), size)
-        scale = self.nuisance if self.kind == "laplace" else math.sqrt(self.nuisance)
-        np.multiply(std, scale, out=out)
-        out += p
-        return out
+        return self.law.place(p, std, out, self.nuisance)
 
 
 # -- constructors and the CLI spec-string form ----------------------------
@@ -300,14 +363,15 @@ def parse_spec(text, keys_of, what):
 
 def parse_family(spec):
     """The family of a spec such as 'gaussian:sigma2=1' (parse_spec's grammar)."""
-    kind, values = parse_spec(spec, _SPEC_KEYS, "family")
+    kind, values = parse_spec(spec, {k: (law.key,) if law.key else ()
+                                     for k, law in _LAWS.items()}, "family")
     return BoundingFamily(kind, *values)
 
 
 def family_spec(family):
     """Inverse of parse_family: the short :g form of the nuisance when it
     reads back exactly (gaussian:sigma2=1), else its shortest round-trip repr."""
-    key = _NUISANCE_KEY.get(family.kind)
+    key = family.law.key
     if key is None:
         return family.kind
     v = float(family.nuisance)

@@ -1,12 +1,13 @@
 """The moment quantity Upsilon_Delta(n) = sup_r E exp(n Delta(xbar, r)).
 
 Routes: 0 for a family's own CGF line, the Shtarkov sum for the Bernoulli
-Cramer comparator (one O(n) log-sum-exp, no r), exact binomial sums on an
-r-grid for other Bernoulli comparators, truncated series with a divergence
-certificate (Poisson), log-domain quadrature of the sample-mean density
-(Gaussian, gamma, inverse Gaussian), Monte Carlo with a delta-method 95%
-interval otherwise.  Also houses the union-bound corrections that substitute
-for Upsilon when it diverges.  All values are carried in log domain.
+Cramer comparator (one O(n) log-sum-exp, no r); otherwise the route that
+the family's record in families._LAWS names: exact binomial sums on an
+r-grid (Bernoulli), truncated series with a divergence certificate
+(Poisson), log-domain quadrature of the record's closed density of the
+sample mean (Gaussian, gamma, inverse Gaussian), or Monte Carlo with a
+delta-method 95% interval.  Also houses the union-bound corrections that
+substitute for Upsilon when it diverges.  All values are in log domain.
 """
 
 import math
@@ -204,25 +205,14 @@ def upsilon_poisson_series(comp, n, r_grid=None):
                         lambda r: _series_one_r(comp, n, r, ln_fact))
 
 
-# -- Gaussian / gamma / inverse Gaussian: density quadrature ----------------
+# -- quadrature of a closed mean density (gaussian, gamma, invgauss) -------
 
-def _ln_pdf_mean(family, r, n, xs):
-    """Log density of the mean of n i.i.d. draws from the member with mean r."""
-    v = family.nuisance
+def _ln_integrand(comp, family, n, r, xs):
+    """ln of the mean's density times e^{n Delta(x, r)} at xs, NaN as -inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        if family.kind == "gaussian":
-            s2 = v / n
-            return -0.5 * np.log(2.0 * math.pi * s2) - (xs - r) ** 2 / (2.0 * s2)
-        if family.kind == "gamma":
-            a = n * v  # shape of the sum; mean of the sum is n r
-            scale = r / a
-            return xlogy(a - 1.0, xs) - xs / scale \
-                - gammaln(a) - a * math.log(scale)
-        if family.kind == "invgauss":
-            lam = n * v  # mean of n IG(r, v) draws is IG(r, n v)
-            return 0.5 * (np.log(lam) - math.log(2.0 * math.pi) - 3.0 * np.log(xs)) \
-                - lam * (xs - r) ** 2 / (2.0 * r * r * xs)
-    raise ValueError(f"no closed mean density for {family.kind}")
+        lnh = family.law.ln_pdf_mean(r, n, xs, family.nuisance)
+    lnh = lnh + n * comp.eval(xs, r)
+    return np.where(np.isnan(lnh), -math.inf, lnh)
 
 
 def _ln_trapz(lnh, xs):
@@ -231,27 +221,26 @@ def _ln_trapz(lnh, xs):
 
 
 def _quad_one_r(comp, family, n, r):
-    if family.kind == "gaussian":
+    linear = family.mean_domain[0] == -math.inf   # gaussian's; else geometric
+    if linear:
         sd = math.sqrt(family.nuisance / n)
         coarse = np.linspace(r - 60.0 * math.sqrt(family.nuisance) - 60.0 * sd,
                              r + 60.0 * math.sqrt(family.nuisance) + 60.0 * sd, 2001)
     else:
         coarse = np.geomspace(r * 1e-9, r * 1e9, 2001)
-    lnh_c = _ln_pdf_mean(family, r, n, coarse) + n * comp.eval(coarse, r)
-    lnh_c = np.where(np.isnan(lnh_c), -math.inf, lnh_c)
+    lnh_c = _ln_integrand(comp, family, n, r, coarse)
     ipk = int(np.argmax(lnh_c))
     peak = float(lnh_c[ipk])
     if max(float(lnh_c[0]), float(lnh_c[-1])) > peak - _QUAD_TAIL_NATS:
         return None  # tails refuse to decay: integral effectively divergent
-    if family.kind == "gaussian":
+    if linear:
         w = max(10.0 * sd, 10.0 * (coarse[1] - coarse[0]))
         fine = np.linspace(coarse[ipk] - w, coarse[ipk] + w, _QUAD_POINTS)
     else:
         fine = np.geomspace(coarse[ipk] * math.exp(-3.0),
                             coarse[ipk] * math.exp(3.0), _QUAD_POINTS)
     xs = np.unique(np.concatenate((coarse, fine)))
-    lnh = _ln_pdf_mean(family, r, n, xs) + n * comp.eval(xs, r)
-    lnh = np.where(np.isnan(lnh), -math.inf, lnh)
+    lnh = _ln_integrand(comp, family, n, r, xs)
     if np.isposinf(lnh).any():     # Delta = +inf where xbar has mass
         return None
     total = _ln_trapz(lnh, xs)
@@ -269,13 +258,14 @@ def upsilon_quadrature(comp, family, n, r_grid=None):
     at the extreme ends of that wide coarse grid (for the Cramer comparators
     of the gamma family the integrand behaves like 1/x at both ends).
     """
-    if r_grid is None:
-        if family.kind == "gaussian":
-            rs = np.linspace(-10.0, 10.0, 41)
-        else:
-            rs = np.geomspace(1e-6, 50.0, 41)
-    else:
+    if family.law.ln_pdf_mean is None:
+        raise ValueError(f"no closed mean density for {family.kind}")
+    if r_grid is not None:
         rs = np.asarray(r_grid, dtype=float)
+    elif family.mean_domain[0] == -math.inf:
+        rs = np.linspace(-10.0, 10.0, 41)
+    else:
+        rs = np.geomspace(1e-6, 50.0, 41)
     return _scan_r_grid(family, rs, lambda r: _quad_one_r(comp, family, n, r))
 
 
@@ -357,10 +347,10 @@ def cramer_divergence(family):
     Laplace location family is not exponential, but its integrand falls
     only like 1/|d| in the deviation d.
     """
-    if family.kind == "bernoulli":
-        return None
-    if family.kind == "laplace":
+    if not family.law.exponential:
         return "its integrand falls only like 1/|d| in the deviation d"
+    if math.isfinite(family.mean_domain[1]):
+        return None
     return ("it is the Shtarkov sum, infinite on the unbounded mean domain "
             f"of {family.kind}")
 
@@ -392,11 +382,12 @@ def compute_upsilon(comp, family, n, seed=0, samples=10**5):
     if p.get("cgf_line") == (comp.form, family) or (
             comp.form == "scaled_diff" and p.get("t") == 0.0):
         return UpsilonEstimate("exact", 0.0)
-    if family.kind == "bernoulli":
+    route = family.law.upsilon
+    if route == "binomial":
         return upsilon_bernoulli_exact(comp, n)
-    if family.kind == "poisson":
+    if route == "series":
         return upsilon_poisson_series(comp, n)
-    if family.kind in ("gaussian", "gamma", "invgauss"):
+    if route == "quadrature":
         return upsilon_quadrature(comp, family, n)
     return upsilon_monte_carlo(comp, family, n, samples=samples, seed=seed)
 

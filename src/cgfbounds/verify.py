@@ -73,8 +73,8 @@ def _simulate_group(problems):
     """Each problem's _simulate, for problems that agree in all but c, prior
     and means, so that trial t draws on stream (seed, t) for all of them.
 
-    For the fam.STANDARD_DRAW_KINDS each block of _TRIAL_BLOCK trials is
-    re-keyed and drawn once, as standard draws, then placed at each
+    For a family whose law has a place, each block of _TRIAL_BLOCK trials
+    is re-keyed and drawn once, as standard draws, then placed at each
     problem's means; a poisson draw consumes the stream according to the
     means, so there each problem draws its own.  A placed block is averaged
     over n in one pass, each trial's mean the same sum as on its own.
@@ -85,7 +85,7 @@ def _simulate_group(problems):
     g, m = means.shape
     lhat = np.empty((g, t_total, m))
     draws = np.empty((_TRIAL_BLOCK, n, m))
-    if family.kind in fam.STANDARD_DRAW_KINDS:
+    if family.law.place is not None:
         placed = np.empty_like(draws)
         passes = [(None, range(g))]     # (the means drawn at, placed at)
     else:
@@ -205,17 +205,15 @@ CERTIFIED_KINDS = {
     "poisson": ("pac_cramer_xi", "pac_cramer_two_e_ceil"),
 }
 
-_MEAN_INTERVALS = {"bernoulli": (0.05, 0.95), "gaussian": (0.1, 2.0),
-                   "poisson": (0.1, 3.0)}
-
 
 def random_problem(family, m, c, n, trials, seed, stream):
-    """A problem with m means drawn uniformly from the family's mean interval
-    on stream (seed, stream), under a uniform prior."""
-    if family.kind not in _MEAN_INTERVALS:
-        raise ValueError(f"verify supports the {', '.join(_MEAN_INTERVALS)}"
-                         f" families, got {family.kind}")
-    lo, hi = _MEAN_INTERVALS[family.kind]
+    """A problem with m means drawn uniformly from the mean interval of the
+    family's law on stream (seed, stream), under a uniform prior."""
+    if family.law.mean_interval is None:
+        kinds = [k for k, law in fam._LAWS.items() if law.mean_interval]
+        raise ValueError(f"verify supports the {', '.join(kinds)} families, "
+                         f"got {family.kind}")
+    lo, hi = family.law.mean_interval
     means = make_generator(seed, stream).uniform(lo, hi, m)
     return SyntheticProblem(tuple(means.tolist()), (1.0 / m,) * m, family, c,
                             n, trials, seed)
@@ -268,7 +266,8 @@ class SamplewiseComparison:
 def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
     """Paired estimate of the per-sample and full-sample average bounds.
 
-    Bernoulli-only.  The 2^M loss vectors of a single sample are enumerated
+    Bernoulli-only (the one family on a bounded mean domain, whose losses
+    are 0 or 1).  The 2^M loss vectors of a single sample are enumerated
     exactly; the conditional posterior given each vector is marginalized
     over the other n-1 samples by nested Monte Carlo (inner draws).  The
     prior is the estimated posterior marginal, making the divergences
@@ -276,7 +275,7 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
     n = 1 and temperature 0 shortcut to exact enumeration.
     """
     family = problem.family
-    if family.kind != "bernoulli":
+    if not math.isfinite(family.mean_domain[1]):
         raise ValueError("the samplewise comparison is Bernoulli-only, got "
                          f"{family.kind}")
     for name, size in (("inner", inner), ("outer", outer),

@@ -468,6 +468,70 @@ def test_grid_average_bound_is_the_per_pair_scalar_bound(family):
     assert got.tolist() == want
 
 
+# -- the optimality theorem: the Cramer function is the best CGF line ---------
+
+SEVEN = [fam.bernoulli(), fam.gaussian(1.0), fam.poisson(), fam.gamma(2.0),
+         fam.laplace(1.0), fam.invgauss(1.5), fam.negbin(3.0)]
+
+
+def _alphas(family, points):
+    lo, hi = family.mean_domain
+    if math.isfinite(hi):
+        return np.linspace(0.02, 0.9, points)
+    return np.geomspace(0.2, 5.0, points) if lo == 0.0 else \
+        np.linspace(-2.0, 2.0, points)
+
+
+def _cgf_line_end(family):
+    """min(1e3, t_end): the lines s q - K_p(s) with s = -t < 0 exist for t
+    up to t_end, the CGF domain's lower end (the same at every mean p here)
+    negated and, where finite, pulled in by one part in 10^12."""
+    lower = family.t_domain(float(_alphas(family, 2)[0]))[0]
+    return min(1e3, -lower * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("family", SEVEN, ids=fam.family_spec)
+def test_cramer_inversion_is_the_infimum_over_cgf_lines(family):
+    # the paper's optimality theorem: the Cramer function is the sup of the
+    # CGF lines, so its inversion is the best of their bounds, cell by cell
+    # of an 8 x 8 (alpha, beta/n) grid, NaN in the same cells
+    n = 100
+    a, bon = np.meshgrid(_alphas(family, 8), np.geomspace(1e-3, 2.0, 8),
+                         indexing="ij")
+    lines = inv.infimum_over_parameter(
+        lambda t: inv._cgf_line("cgf_line", family, -t, {}, None),
+        inv.BoundQuery(a, bon * n, n), (1e-6, _cgf_line_end(family))).rho
+    cramer = bounds.bound_values("average_cramer", family, a, bon * n, n)
+    assert np.array_equal(np.isnan(lines), np.isnan(cramer))
+    ok = ~np.isnan(cramer)
+    assert np.all(np.abs(lines[ok] - cramer[ok]) <= 1e-8 * np.abs(cramer[ok]))
+
+
+@st.composite
+def cgf_line_cells(draw):
+    family = draw(st.sampled_from(SEVEN))
+    lo, hi = _alphas(family, 2)
+    alpha = draw(st.floats(lo, hi))
+    s = -draw(st.floats(1e-6, 1.0)) * min(50.0, _cgf_line_end(family))
+    return family, alpha, draw(st.floats(1e-4, 2.0)), s
+
+
+@given(cell=cgf_line_cells())
+@settings(max_examples=100, deadline=None)
+def test_no_single_cgf_line_beats_the_cramer_bound(cell):
+    # each line s q - K_p(s), s < 0, lies below the Cramer function, so its
+    # bound lies above the Cramer bound (NaN: no finite bound), up to the
+    # bisection's 1e-9 relative width
+    family, alpha, budget, s = cell
+    line = inv.invert(inv._cgf_line("cgf_line", family, s, {}, None),
+                      [alpha], [budget]).rho[0]
+    rho = bounds.bound_values("average_cramer", family, alpha, budget, 1)
+    if math.isnan(rho):
+        assert math.isnan(line)
+    else:
+        assert not line < rho - 1e-9 * max(1.0, abs(rho))
+
+
 def test_grid_average_bound_is_nan_without_a_finite_bound():
     got = bounds.bound_values("average_cramer", fam.invgauss(1.5),
                               [0.3, 0.5], [0.1, 2.0], 1)

@@ -313,7 +313,7 @@ def test_zoom_points_are_linspace():
 @pytest.mark.parametrize("spec", cli._DEFAULT_CHECK_FAMILIES)
 def test_numeric_conjugate_over_an_array_of_q_equals_per_q(spec):
     family = fam.parse_family(spec)
-    grid = cli._CHECK_GRIDS[family.kind]
+    grid = family.law.check_grid
     for p in grid.tolist():
         got = con.family_conjugate(family, grid, p)
         assert got.value.shape == got.t_star.shape == grid.shape

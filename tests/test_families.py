@@ -3,6 +3,7 @@ import re
 import warnings
 from decimal import Decimal, getcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,49 @@ def test_negbin_cramer():
         q * (p + r) / (p * (q + r)))
     assert f.cramer(q, p) == pytest.approx(want, rel=1e-13)
     assert f.cramer(0.0, 1.4) == pytest.approx(r * math.log((1.4 + r) / r), rel=1e-13)
+
+
+# V(m), the variance at mean m, of the six natural exponential families with
+# quadratic variance function (Morris, Natural exponential families with
+# quadratic variance functions, Ann. Statist. 1982); laplace is not one and
+# keeps the frozen oracle values above
+NEF_VARIANCE = {
+    "bernoulli": lambda m, v: m * (1 - m),
+    "gaussian": lambda m, v: v,
+    "poisson": lambda m, v: m,
+    "gamma": lambda m, v: m * m / v,
+    "invgauss": lambda m, v: m ** 3 / v,
+    "negbin": lambda m, v: m + m * m / v,
+}
+
+
+@st.composite
+def nef_points(draw):
+    kind = draw(st.sampled_from(sorted(NEF_VARIANCE)))
+    v = None if kind in ("bernoulli", "poisson") else draw(st.floats(0.2, 5.0))
+    family = fam.BoundingFamily(kind, v)
+    lo, hi = family.mean_domain
+    if math.isfinite(hi):       # q on the closed range, p inside
+        q, p = draw(st.floats(0.0, 1.0)), draw(st.floats(1e-3, 1.0 - 1e-3))
+    elif lo == 0.0:             # gamma and invgauss are +inf at q = 0
+        q_lo = 1e-3 if kind in ("gamma", "invgauss") else 0.0
+        q, p = draw(st.floats(q_lo, 10.0)), draw(st.floats(1e-3, 10.0))
+    else:
+        q, p = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    return family, q, p
+
+
+@given(point=nef_points())
+@settings(max_examples=150, deadline=None)
+def test_cramer_is_the_integral_of_the_variance_function(point):
+    # for a natural exponential family Lambda*(q, p) = int_p^q (q - m)/V(m) dm,
+    # here in 30-digit mpmath, independent of the closed forms under test
+    family, q, p = point
+    variance = NEF_VARIANCE[family.kind]
+    with mpmath.workdps(30):
+        v = None if family.nuisance is None else mpmath.mpf(family.nuisance)
+        want = float(mpmath.quad(lambda m: (q - m) / variance(m, v), [p, q]))
+    assert family.cramer(q, p) == pytest.approx(want, rel=1e-9, abs=1e-13)
 
 
 def test_laplace_cgf_frozen():
@@ -446,7 +490,7 @@ def test_nuisance_validation():
                                   "negbin"])
 def test_nuisance_must_be_positive_and_finite(kind, v):
     # a NaN fails every comparison, so only an inside test rejects it
-    key = fam._NUISANCE_KEY[kind]
+    key = fam._LAWS[kind].key
     for make, got in [(lambda: fam.BoundingFamily(kind, v), str(v)),
                       (lambda: fam.parse_family(f"{kind}:{key}={v}"),
                        str(float(v)))]:

@@ -185,7 +185,7 @@ def test_suite_problems_draw_each_config_on_its_own_stream():
     seeds = (0, 4)
     want = []
     for family in (fam.bernoulli(), fam.gaussian(1.0), fam.poisson()):
-        lo, hi = verify._MEAN_INTERVALS[family.kind]
+        lo, hi = family.law.mean_interval
         for m in (2, 10):
             for n in (10, 100):
                 for c in (0.0, 1.0, 5.0):
@@ -464,7 +464,7 @@ def test_suite_problem_grid():
     kinds = {p.family.kind for p in probs}
     assert kinds == {"bernoulli", "gaussian", "poisson"}
     for p in probs:
-        lo, hi = verify._MEAN_INTERVALS[p.family.kind]
+        lo, hi = p.family.law.mean_interval
         assert all(lo <= m <= hi for m in p.hypothesis_means)
         assert p.trials == 10
     assert {len(p.hypothesis_means) for p in probs} == {2, 10}
