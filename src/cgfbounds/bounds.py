@@ -148,6 +148,37 @@ def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
     return res
 
 
+def _grouped(kind, family, alpha, beta, n, delta, sigma2, b):
+    """bound_values' grouping of one kind or a sequence of kinds: (kinds,
+    alpha broadcast with beta, shape, groups), each group (comparator, the
+    distinct budgets stacked, the kinds' rows, each row's index into the
+    budgets); a CorrectionDivergent kind is in no group."""
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float),
+                                      np.asarray(beta, dtype=float))
+    groups = {}     # Cramer family: (comparator, {row: budget})
+    for row, k in enumerate(kinds):
+        try:
+            c, q = _kind_query(k, family, alpha, beta, n, delta, sigma2, b)
+        except CorrectionDivergent:
+            continue                # the row stays NaN
+        groups.setdefault(c.params["family"], (c, {}))[1][row] = q.budget()
+    shape = np.broadcast_shapes(alpha.shape, *(
+        np.shape(v) for _, rows in groups.values() for v in rows.values()))
+    stacked = []
+    for comp, rows in groups.values():
+        distinct, at = [], []       # the distinct budgets; each row's index
+        for v in rows.values():
+            v = np.broadcast_to(v, shape)
+            i = next((i for i, d in enumerate(distinct)
+                      if np.array_equal(d, v)), len(distinct))
+            if i == len(distinct):
+                distinct.append(v)
+            at.append(i)
+        stacked.append((comp, np.stack(distinct), list(rows), at))
+    return kinds, alpha, shape, stacked
+
+
 def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
                  b=None):
     """One bound kind, or a sequence of any kinds, over broadcast
@@ -162,27 +193,24 @@ def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
     budgets, and a budget that several kinds share is inverted once.  A
     single kind is the one-row case.
     """
-    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
-    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float),
-                                      np.asarray(beta, dtype=float))
-    groups = {}     # Cramer family: (comparator, {row: budget})
-    for row, k in enumerate(kinds):
-        try:
-            c, q = _kind_query(k, family, alpha, beta, n, delta, sigma2, b)
-        except CorrectionDivergent:
-            continue                # the row stays NaN
-        groups.setdefault(c.params["family"], (c, {}))[1][row] = q.budget()
-    shape = np.broadcast_shapes(alpha.shape, *(
-        np.shape(v) for _, rows in groups.values() for v in rows.values()))
+    kinds, alpha, shape, groups = _grouped(kind, family, alpha, beta, n,
+                                           delta, sigma2, b)
     out = np.full((len(kinds),) + shape, math.nan)
-    for comp, rows in groups.values():
-        distinct, at = [], []       # the distinct budgets; each row's index
-        for v in rows.values():
-            v = np.broadcast_to(v, shape)
-            i = next((i for i, d in enumerate(distinct)
-                      if np.array_equal(d, v)), len(distinct))
-            if i == len(distinct):
-                distinct.append(v)
-            at.append(i)
-        out[list(rows)] = inv.invert(comp, alpha, np.stack(distinct)).rho[at]
+    for comp, budgets, rows, at in groups:
+        out[rows] = inv.invert(comp, alpha, budgets).rho[at]
     return out[0, ...] if isinstance(kind, str) else out
+
+
+def _exceeds(kinds, family, alpha, beta, n, losses, delta):
+    """losses > bound_values(kinds, family, alpha, beta, n, delta) for a
+    sequence of kinds, each cell settled by _bisect's settle mode instead
+    of converged: the same booleans for less comparator work.  losses
+    broadcasts with alpha and beta; a kind without a bound (NaN) is never
+    exceeded.  Booleans only, so no settled point passes for a bound."""
+    alpha, beta, losses = np.broadcast_arrays(alpha, beta, losses)
+    kinds, alpha, shape, groups = _grouped(kinds, family, alpha, beta, n,
+                                           delta, None, None)
+    out = np.zeros((len(kinds),) + shape, dtype=bool)
+    for comp, budgets, rows, at in groups:
+        out[rows] = inv._bisect(comp, alpha, budgets, inv._TOL, losses)[at]
+    return out

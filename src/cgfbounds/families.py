@@ -63,6 +63,18 @@ def _invgauss_cramer(q, p, v):
     return np.where(q > 0, v * r * r / (2.0 * np.where(q > 0, q, 1.0)), _INF)
 
 
+def _negbin_cramer(q, p, v):
+    # q ln r, r = q (p+v) / (p (q+v)); r rounds to 0 for q near the least
+    # subnormal, where q ln r is q (ln q + ln((p+v) / (p (q+v)))), not -inf
+    r = q * (p + v) / (p * (q + v))
+    out = v * np.log((p + v) / (q + v)) + xlogy(q, r)
+    lost = (r == 0.0) & (q > 0.0)
+    if lost.any():
+        out = np.where(lost, v * np.log((p + v) / (q + v)) + q * (
+            np.log(q) + np.log((p + v) / (p * (q + v)))), out)
+    return out
+
+
 def _laplace_draw(p, size, rng, out, v):
     # the Laplace law with mean 0 and scale 1 by the inverse CDF
     # -sign(u) ln(1 - 2|u|), u = U - 1/2, in place; copysign gives
@@ -167,8 +179,7 @@ _LAWS = {
         t_domain=lambda p, v: _below(np.log1p(v / p) if np.ndim(p)
                                      else math.log1p(v / p)),
         cgf=lambda p, t, v: -v * np.log1p(-p * np.expm1(t) / v),
-        cramer=lambda q, p, v: v * np.log((p + v) / (q + v)) + xlogy(
-            q, q * (p + v) / (p * (q + v))),
+        cramer=_negbin_cramer,
         draw=lambda p, size, rng, out, v: np.copyto(
             out, rng.negative_binomial(v, v / (v + p), size)),
         upsilon="monte_carlo", check_grid=np.geomspace(0.1, 5.0, 7)),

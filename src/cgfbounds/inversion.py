@@ -246,10 +246,11 @@ _STATUSES = ("converged", "capped_at_domain", "budget_nonpositive",
              "no_finite_bound")
 _CONVERGED, _CAPPED, _NONPOSITIVE, _NO_FINITE = range(len(_STATUSES))
 _MAX_DOUBLINGS = 200
-_TOL = 1e-9             # relative bracket width at which bisection stops
+_TOL = 1e-9     # bracket width at which bisection stops: absolute on a
+                # bounded range, relative to max(1, |lo|) on an unbounded one
 
 
-def _bisect(comp, alpha, budget, tol):
+def _bisect(comp, alpha, budget, tol, losses=None):
     """sup{rho : comp(alpha, rho) <= budget} over broadcast arrays.
 
     The package's only bisection.  Returns (rho, lo, hi, iterations, status)
@@ -258,6 +259,14 @@ def _bisect(comp, alpha, budget, tol):
     reported bound never overestimates the supremum.  Each step calls the
     comparator once on the whole array; a cell that is +inf or NaN fails
     every comparison made here: it is infeasible.
+
+    Settle mode, given losses that broadcast to alpha and budget: returns
+    only the booleans losses > rho.  Once the bracket exists, a cell stops
+    as soon as its loss leaves (lo, hi], as lo is feasible and hi is not,
+    and only the open cells, gathered flat, go to the comparator, which
+    must then act cell by cell (a Cramer comparator does).  An open cell
+    takes the same steps as when converged, so the booleans are those of
+    the converged rho.
     """
     alpha, budget = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                         np.asarray(budget, dtype=float))
@@ -311,20 +320,48 @@ def _bisect(comp, alpha, budget, tol):
                 break
             grow &= comp.eval(alpha, hi) <= budget
 
-    while True:
-        scale = 1.0 if bounded else np.maximum(1.0, np.abs(lo))
-        mid = 0.5 * (lo + hi)
-        todo &= (hi - lo > tol * scale) & (lo < mid) & (mid < hi)
-        if not todo.any():
-            break
-        feasible = comp.eval(alpha, mid) <= budget
-        lo = np.where(todo & feasible, mid, lo)
-        hi = np.where(todo & ~feasible, mid, hi)
-        iterations += todo
+    if losses is None:
+        while True:
+            mid = 0.5 * (lo + hi)
+            todo &= _open(lo, hi, mid, tol, bounded)
+            if not todo.any():
+                break
+            feasible = comp.eval(alpha, mid) <= budget
+            lo = np.where(todo & feasible, mid, lo)
+            hi = np.where(todo & ~feasible, mid, hi)
+            iterations += todo
+    else:
+        loss = np.broadcast_to(np.asarray(losses, dtype=float), alpha.shape)
+        lo = lo.reshape(-1)     # flat; a cell's lo is written as it leaves
+        cells = np.flatnonzero(todo)
+        a, b, x = (v.reshape(-1)[cells] for v in (alpha, budget, loss))
+        low, high = lo[cells], hi.reshape(-1)[cells]
+        while True:
+            mid = 0.5 * (low + high)
+            keep = _open(low, high, mid, tol, bounded) & (low < x) & (x <= high)
+            if not keep.all():
+                lo[cells[~keep]] = low[~keep]
+                cells, a, b, x, low, high, mid = (
+                    v[keep] for v in (cells, a, b, x, low, high, mid))
+            if not cells.size:
+                break
+            feasible = comp.eval(a, mid) <= b
+            low = np.where(feasible, mid, low)
+            high = np.where(feasible, high, mid)
+        lo = lo.reshape(alpha.shape)
 
     rho = np.where(status == _CAPPED, hi, lo)
     rho[status == _NO_FINITE] = math.nan
+    if losses is not None:
+        return loss > rho
     return rho, lo, hi, iterations, status
+
+
+def _open(lo, hi, mid, tol, bounded):
+    """The cells whose bracket (lo, hi) bisection still narrows: wider than
+    tol (times max(1, |lo|) on an unbounded range), with mid inside it."""
+    scale = 1.0 if bounded else np.maximum(1.0, np.abs(lo))
+    return (hi - lo > tol * scale) & (lo < mid) & (mid < hi)
 
 
 def no_finite_bound(what, budget):

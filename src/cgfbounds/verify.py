@@ -3,7 +3,9 @@
 Losses are drawn exactly from the bounding family member whose mean is the
 hypothesis's population loss, the posterior is the Gibbs posterior (which
 makes every divergence exact and closed form), and the recorded violation
-rates are compared against delta via Clopper-Pearson intervals.
+rates are compared against delta via Clopper-Pearson intervals.  run_trials
+converges each trial's bound; default_suite, which keeps only whether the
+population loss exceeds it, settles that bit instead.
 """
 
 import functools
@@ -15,7 +17,8 @@ import numpy as np
 
 from . import families as fam
 from ._special import binomial_tail_root, logsumexp, xlog1py, xlogy
-from .bounds import bound_values, check_kind, evaluate_kind, reference_flag
+from .bounds import (_exceeds, bound_values, check_kind, evaluate_kind,
+                     reference_flag)
 from .inversion import check_n
 from .rng import make_generator, streams
 from .upsilon import cramer_divergence
@@ -137,48 +140,52 @@ def _check_kinds(family, kinds, delta):
                              f"for bernoulli, got {family.kind}")
 
 
-def _evaluate(problem, kinds, delta, sim=None):
-    """(values, violation flags, summaries) of bound kinds over the trials.
-
-    The kinds go through one bounds.bound_values call, which inverts their
-    stacked budgets once per Cramer comparator; values and flags are
-    (len(kinds), trials) arrays, with one summary per kind.  Every kind in
-    BOUND_KINDS is taken, reference_only without a union correction.
-    Without sim, the problem's (train, pop, kl), _check_kinds runs and then
-    _simulate."""
-    family = problem.family
-    if sim is None:
-        _check_kinds(family, kinds, delta)
-        sim = _simulate(problem)
-    train, pop, kl = sim
-    values = bound_values(kinds, family, train, kl, problem.n, delta)
-    violated = pop > values
+def _summaries(problem, kinds, delta, violated):
+    """One summary per kind of its row of (len(kinds), trials) violation
+    flags, with the violation count and its 95% Clopper-Pearson interval."""
     summaries = []
     for kind, flags in zip(kinds, violated):
         k = int(flags.sum())
         cp_lo, cp_hi = clopper_pearson(k, problem.trials)
         summaries.append({
-            "kind": kind, "family": fam.family_spec(family),
+            "kind": kind, "family": fam.family_spec(problem.family),
             "m": len(problem.hypothesis_means), "n": problem.n,
             "c": problem.gibbs_temperature, "seed": problem.seed,
             "delta": delta, "trials": problem.trials, "violations": k,
             "rate": k / problem.trials, "cp95_low": cp_lo,
             "cp95_high": cp_hi, "flag": reference_flag(kind, delta),
         })
-    return values, violated, summaries
+    return summaries
+
+
+def _evaluate(problem, kinds, delta, sim):
+    """(values, violation flags, summaries) of bound kinds over the trials
+    of sim, the problem's (train, pop, kl).
+
+    The kinds go through one bounds.bound_values call, which inverts their
+    stacked budgets once per Cramer comparator; values and flags are
+    (len(kinds), trials) arrays, with one summary per kind.  Every kind in
+    BOUND_KINDS is taken, reference_only without a union correction."""
+    train, pop, kl = sim
+    values = bound_values(kinds, problem.family, train, kl, problem.n, delta)
+    violated = pop > values
+    return values, violated, _summaries(problem, kinds, delta, violated)
 
 
 def run_trials(problem, bound="pac_cramer_xi", delta=0.05):
     """Simulate the problem and evaluate one bound kind on every trial.
 
-    Returns (records, summary): a TrialRecord per trial plus a summary dict
-    with the violation count and its 95% Clopper-Pearson interval.
+    Returns (records, summary): a TrialRecord per trial, its bound
+    converged, plus a summary dict with the violation count and its 95%
+    Clopper-Pearson interval.
     """
-    (values,), (violated,), (summary,) = _evaluate(problem, (bound,), delta)
-    train, pop, kl = _simulate(problem)
-    records = [TrialRecord(float(train[t]), float(pop[t]), float(kl[t]),
-                           float(values[t]), bool(violated[t]))
-               for t in range(problem.trials)]
+    _check_kinds(problem.family, (bound,), delta)
+    sim = _simulate(problem)
+    (values,), (violated,), (summary,) = _evaluate(problem, (bound,), delta,
+                                                   sim)
+    records = [TrialRecord(float(train), float(pop), float(kl), float(value),
+                           bool(flag))
+               for train, pop, kl, value, flag in zip(*sim, values, violated)]
     return records, summary
 
 
@@ -235,7 +242,10 @@ def default_suite(delta=0.05, trials=2000, seeds=(0, 1, 2)):
     _simulate_group, then evaluated and dropped.  A problem's certified
     kinds all invert its family's Cramer function (mls's binary kl is the
     Bernoulli one), so each problem makes one inversion over the kinds'
-    stacked budgets.  One summary per (problem, kind), in suite_problems
+    stacked budgets.  The suite keeps one bit per trial and kind, whether
+    the population loss exceeds the bound, so bounds._exceeds settles that
+    bit instead of converging the bound; the summaries are those of the
+    converged bounds.  One summary per (problem, kind), in suite_problems
     and then CERTIFIED_KINDS order.
     """
     problems = suite_problems(trials, seeds)
@@ -248,8 +258,11 @@ def default_suite(delta=0.05, trials=2000, seeds=(0, 1, 2)):
         group = [problems[i] for i in idx]
         kinds = CERTIFIED_KINDS[group[0].family.kind]
         _check_kinds(group[0].family, kinds, delta)
-        for i, problem, sim in zip(idx, group, _simulate_group(group)):
-            summaries[i] = _evaluate(problem, kinds, delta, sim)[2]
+        for i, problem, (train, pop, kl) in zip(idx, group,
+                                                _simulate_group(group)):
+            violated = _exceeds(kinds, problem.family, train, kl, problem.n,
+                                pop, delta)
+            summaries[i] = _summaries(problem, kinds, delta, violated)
     return [summary for per in summaries for summary in per]
 
 

@@ -521,7 +521,7 @@ def cgf_line_cells(draw):
 def test_no_single_cgf_line_beats_the_cramer_bound(cell):
     # each line s q - K_p(s), s < 0, lies below the Cramer function, so its
     # bound lies above the Cramer bound (NaN: no finite bound), up to the
-    # bisection's 1e-9 relative width
+    # width 1e-9 max(1, |lo|) at which bisection stops
     family, alpha, budget, s = cell
     line = inv.invert(inv._cgf_line("cgf_line", family, s, {}, None),
                       [alpha], [budget]).rho[0]
@@ -645,3 +645,98 @@ def test_surface_nan_on_divergence():
                            (np.array([0.5]), np.array([0.1]), 20),
                            family=fam.poisson(), delta=0.05)
     assert math.isnan(s[0, 0])
+
+
+# -- settled violations: _exceeds is losses > bound_values ------------------
+
+def _kinds_of(family):
+    """The kinds a family takes with a delta, the Chernoff kind's row NaN
+    off bernoulli."""
+    kinds = ["average_cramer", "pac_cramer_chernoff", "pac_cramer_xi",
+             "pac_cramer_two_e_ceil"]
+    if family.kind == "bernoulli":
+        kinds += ["mls", "catoni_inf"]
+    if family.mean_domain[0] >= 0.0:
+        kinds.append("poisson_diff_inf")
+    if family.kind in ("laplace", "gaussian"):
+        kinds.append(f"{family.kind}_diff_inf")
+    return kinds
+
+
+MEAN_BOXES = {"bernoulli": (0.0, 1.0), "gaussian": (-3.0, 3.0),
+              "laplace": (-3.0, 3.0)}
+
+
+@st.composite
+def settle_cases(draw):
+    family = draw(st.sampled_from(SEVEN))
+    kinds = draw(st.lists(st.sampled_from(_kinds_of(family)), min_size=1,
+                          max_size=4, unique=True))
+    lo, hi = MEAN_BOXES.get(family.kind, (0.0, 5.0))
+    cells = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 50.0),
+                                    st.floats(0.0, 1.0),
+                                    st.sampled_from(["free", "rho", "above",
+                                                     "below", "nan"]),
+                                    st.integers(0, 3)),
+                          min_size=1, max_size=8))
+    n = draw(st.integers(1, 200))
+    delta = draw(st.floats(0.01, 0.5))
+    return family, kinds, lo, hi, cells, n, delta
+
+
+@given(case=settle_cases())
+@settings(max_examples=80, deadline=None)
+def test_exceeds_is_losses_above_the_converged_bound(case):
+    # each loss sits anywhere in the family's box, on a kind's converged
+    # bound, one double above or below it, or NaN: settling a cell gives
+    # the bit its converged bound gives
+    family, kinds, lo, hi, cells, n, delta = case
+    alpha = np.array([lo + u * (hi - lo) for u, *_ in cells])
+    beta = np.array([b for _, b, *_ in cells])
+    bound = bounds.bound_values(kinds, family, alpha, beta, n, delta)
+    losses = []
+    for j, (_, _, u, where, row) in enumerate(cells):
+        rho = bound[row % len(kinds), j]
+        free = lo + u * (hi - lo)
+        losses.append({"free": free, "nan": math.nan,
+                       "rho": rho, "above": np.nextafter(rho, math.inf),
+                       "below": np.nextafter(rho, -math.inf)}[where]
+                      if not math.isnan(rho) or where == "nan" else free)
+    losses = np.array(losses)
+    got = bounds._exceeds(kinds, family, alpha, beta, n, losses, delta)
+    assert got.dtype == bool
+    assert np.array_equal(got, losses > bound)
+
+
+SETTLE_EDGES = {
+    # a converged cell; capped at the end of the mean range (rho = 1, at
+    # alpha = 1 as kl(q, 1) is +inf for q < 1); a budget of 0 (rho =
+    # alpha); no finite bound, 2 alpha B >= lambda (NaN)
+    "converged": (fam.gaussian(0.5), "average_cramer", 0.3, 2.0, 20),
+    "capped": (fam.bernoulli(), "average_cramer", 1.0, 2.0, 20),
+    "budget_0": (fam.poisson(), "average_cramer", 0.7, 0.0, 20),
+    "no_finite": (fam.invgauss(1.5), "average_cramer", 2.0, 10.0, 20),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(SETTLE_EDGES))
+def test_exceeds_at_the_bound_and_one_double_above(edge):
+    family, kind, alpha, beta, n = SETTLE_EDGES[edge]
+    res = bounds.evaluate_kind(kind, family, [alpha], beta, n)
+    rho = res.rho[0]
+    if edge == "no_finite":
+        assert math.isnan(rho)
+        losses = np.array([0.0, alpha, 1e300, math.inf])
+        want = [False] * 4
+    else:
+        assert res.status[0] == {"converged": "converged",
+                                 "capped": "capped_at_domain",
+                                 "budget_0": "budget_nonpositive"}[edge]
+        assert rho == {"capped": 1.0, "budget_0": alpha}.get(edge, rho)
+        losses = np.array([rho, np.nextafter(rho, math.inf),
+                           np.nextafter(rho, -math.inf), math.nan])
+        want = [False, True, False, False]
+    got = bounds._exceeds([kind], family, alpha, beta, n, losses, None)
+    assert got.tolist() == [want]
+    assert np.array_equal(got[0], losses > bounds.bound_values(
+        kind, family, alpha, beta, n))

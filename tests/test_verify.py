@@ -151,11 +151,13 @@ def test_group_draws_each_trial_stream_once(family, draws_per_trial,
 
 
 def test_default_suite_is_the_per_problem_evaluation():
-    # drawn in groups of problems on the same streams, summary for summary
-    # what each problem gives on its own, in the same order
+    # drawn in groups of problems on the same streams, and each violation
+    # settled, summary for summary what each problem's converged bounds
+    # give on its own, in the same order
     want = [summary for p in verify.suite_problems(200, (0, 7))
             for summary in verify._evaluate(
-                p, verify.CERTIFIED_KINDS[p.family.kind], 0.05)[2]]
+                p, verify.CERTIFIED_KINDS[p.family.kind], 0.05,
+                verify._simulate(p))[2]]
     assert verify.default_suite(0.05, 200, (0, 7)) == want
 
 
@@ -208,7 +210,7 @@ def test_suite_summary_is_run_trials_summary():
     # summaries each kind gives on its own
     p = problem(trials=100)
     kinds = ("mls", "pac_cramer_xi", "pac_cramer_two_e_ceil")
-    assert verify._evaluate(p, kinds, 0.05)[2] == [
+    assert verify._evaluate(p, kinds, 0.05, verify._simulate(p))[2] == [
         verify.run_trials(p, kind, 0.05)[1] for kind in kinds]
 
 
@@ -352,6 +354,27 @@ def test_default_suite_makes_one_inversion_per_problem(monkeypatch):
     assert len(summaries) == 84 and len(calls) == 36
     shapes = [args[2].shape for args in calls]
     assert shapes.count((3, 200)) == 12 and shapes.count((2, 200)) == 24
+
+
+def test_default_suite_settles_in_at_most_half_the_cells(monkeypatch):
+    # the suite keeps one bit per trial, so a cell leaves the bisection once
+    # its population loss leaves the bracket: at most half the comparator
+    # cells of converging every bound on the same draws
+    cells = []
+    real = inv.Comparator.eval
+
+    def counted(self, q, p):
+        cells.append(np.broadcast(q, p).size)
+        return real(self, q, p)
+
+    monkeypatch.setattr(inv.Comparator, "eval", counted)
+    verify.default_suite(0.05, 200, (0,))
+    settled = sum(cells)
+    cells.clear()
+    for p in verify.suite_problems(200, (0,)):
+        verify._evaluate(p, verify.CERTIFIED_KINDS[p.family.kind], 0.05,
+                         verify._simulate(p))
+    assert 0 < settled <= sum(cells) / 2
 
 
 def test_stacked_kinds_equal_the_per_kind_calls():
