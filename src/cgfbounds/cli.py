@@ -92,19 +92,13 @@ def _merge_config(argv):
     return out[:1] + injected + out[1:]
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
 def _write_lines(path, lines):
-    fh, close = _open_out(path)
-    try:
-        fh.write("".join(line + "\n" for line in lines))
-    finally:
-        if close:
-            fh.close()
+    text = "".join(line + "\n" for line in lines)
+    if path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 # -- commands -----------------------------------------------------------------

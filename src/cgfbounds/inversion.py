@@ -77,9 +77,6 @@ def binary_kl():
     return replace(cramer_of(fam.bernoulli()), form="binary_kl")
 
 
-_family = functools.lru_cache(maxsize=64)(fam.BoundingFamily)  # one per nuisance
-
-
 def _cgf_line(form, family, s, params, exact_inverse):
     """The family's CGF line s q - K_p(s), K_p(s) = s p for a point mass, as
     a comparator; its sup over s is the Cramer function, and params["cgf_line"]
@@ -114,7 +111,7 @@ def catoni(gamma):
     gamma = _parameter(gamma, lambda g: (0.0 < np.abs(g)) & (np.abs(g) < 709.0),
                        lambda g: f"catoni needs 0 < |gamma| < 709, got {g}")
     eg = np.expm1(gamma)
-    return _cgf_line("catoni", _family("bernoulli"), gamma, {"gamma": gamma},
+    return _cgf_line("catoni", fam.bernoulli(), gamma, {"gamma": gamma},
                      lambda alpha, budget: (
                          np.expm1(gamma * alpha - budget) / eg).clip(0.0, 1.0))
 
@@ -138,7 +135,7 @@ def poisson_diff(t):
     t = _parameter(t, lambda v: v > 0.0,
                    lambda v: f"poisson_diff needs t > 0, got {v}")
     c = -np.expm1(-t)
-    return _cgf_line("poisson_diff", _family("poisson"), -t, {"t": t},
+    return _cgf_line("poisson_diff", fam.poisson(), -t, {"t": t},
                      lambda alpha, budget: (t * alpha + budget) / c)
 
 
@@ -149,7 +146,7 @@ def laplace_diff(t, b):
     t = _parameter(t, lambda v: (0.0 < v) & (v < top),
                    lambda v: f"laplace_diff needs 0 < t < 1/b, got t={v}, b={b}")
     off = np.log1p(-(b * t) ** 2)
-    return _cgf_line("laplace_diff", _family("laplace", b), -t,
+    return _cgf_line("laplace_diff", fam.laplace(b), -t,
                      {"t": t, "b": b},
                      lambda alpha, budget: alpha + (budget - off) / t)
 
@@ -162,7 +159,7 @@ def gaussian_diff(t, sigma2):
                    lambda v: "gaussian_diff needs t > 0 and sigma2 in (0, inf), "
                              f"got t={v}, sigma2={sigma2}")
     off = -0.5 * sigma2 * t * t
-    return _cgf_line("gaussian_diff", _family("gaussian", sigma2), -t,
+    return _cgf_line("gaussian_diff", fam.gaussian(sigma2), -t,
                      {"t": t, "sigma2": sigma2},
                      lambda alpha, budget: alpha + (budget - off) / t)
 
@@ -263,10 +260,8 @@ def _bisect(comp, alpha, budget, tol, losses=None):
     Settle mode, given losses that broadcast to alpha and budget: returns
     only the booleans losses > rho.  Once the bracket exists, a cell stops
     as soon as its loss leaves (lo, hi], as lo is feasible and hi is not,
-    and only the open cells, gathered flat, go to the comparator, which
-    must then act cell by cell (a Cramer comparator does).  An open cell
-    takes the same steps as when converged, so the booleans are those of
-    the converged rho.
+    and the loop ends once no cell is open.  An open cell takes the same
+    steps as when converged, so the booleans are those of the converged rho.
     """
     alpha, budget = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                         np.asarray(budget, dtype=float))
@@ -320,48 +315,26 @@ def _bisect(comp, alpha, budget, tol, losses=None):
                 break
             grow &= comp.eval(alpha, hi) <= budget
 
-    if losses is None:
-        while True:
-            mid = 0.5 * (lo + hi)
-            todo &= _open(lo, hi, mid, tol, bounded)
-            if not todo.any():
-                break
-            feasible = comp.eval(alpha, mid) <= budget
-            lo = np.where(todo & feasible, mid, lo)
-            hi = np.where(todo & ~feasible, mid, hi)
-            iterations += todo
-    else:
+    if losses is not None:
         loss = np.broadcast_to(np.asarray(losses, dtype=float), alpha.shape)
-        lo = lo.reshape(-1)     # flat; a cell's lo is written as it leaves
-        cells = np.flatnonzero(todo)
-        a, b, x = (v.reshape(-1)[cells] for v in (alpha, budget, loss))
-        low, high = lo[cells], hi.reshape(-1)[cells]
-        while True:
-            mid = 0.5 * (low + high)
-            keep = _open(low, high, mid, tol, bounded) & (low < x) & (x <= high)
-            if not keep.all():
-                lo[cells[~keep]] = low[~keep]
-                cells, a, b, x, low, high, mid = (
-                    v[keep] for v in (cells, a, b, x, low, high, mid))
-            if not cells.size:
-                break
-            feasible = comp.eval(a, mid) <= b
-            low = np.where(feasible, mid, low)
-            high = np.where(feasible, high, mid)
-        lo = lo.reshape(alpha.shape)
+    while True:
+        mid = 0.5 * (lo + hi)
+        scale = 1.0 if bounded else np.maximum(1.0, np.abs(lo))
+        todo &= (hi - lo > tol * scale) & (lo < mid) & (mid < hi)
+        if losses is not None:      # settled: lo is feasible, hi is not
+            todo &= (lo < loss) & (loss <= hi)
+        if not todo.any():
+            break
+        feasible = comp.eval(alpha, mid) <= budget
+        lo = np.where(todo & feasible, mid, lo)
+        hi = np.where(todo & ~feasible, mid, hi)
+        iterations += todo
 
     rho = np.where(status == _CAPPED, hi, lo)
     rho[status == _NO_FINITE] = math.nan
     if losses is not None:
         return loss > rho
     return rho, lo, hi, iterations, status
-
-
-def _open(lo, hi, mid, tol, bounded):
-    """The cells whose bracket (lo, hi) bisection still narrows: wider than
-    tol (times max(1, |lo|) on an unbounded range), with mid inside it."""
-    scale = 1.0 if bounded else np.maximum(1.0, np.abs(lo))
-    return (hi - lo > tol * scale) & (lo < mid) & (mid < hi)
 
 
 def no_finite_bound(what, budget):

@@ -194,8 +194,11 @@ def check_average_bound(problem):
 
     The average-case operator applies to exact expectations; here those are
     estimated by the trial means, so the check carries the standard error of
-    the population-loss mean.
+    the population-loss mean, which needs at least 2 trials.
     """
+    if problem.trials < 2:
+        raise ValueError("check_average_bound needs trials >= 2 for a "
+                         f"standard error, got {problem.trials}")
     train, pop, kl = _simulate(problem)
     res = evaluate_kind("average_cramer", problem.family, float(train.mean()),
                         float(kl.mean()), problem.n)

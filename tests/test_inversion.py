@@ -675,6 +675,24 @@ def test_array_constructor_matches_the_scalar_ones(line):
                       <= 2 * np.spacing(np.abs(want_inv)))
 
 
+@pytest.mark.parametrize("line", sorted(ARRAY_LINES))
+def test_settle_mode_over_parameters_of_the_query_shape(line):
+    # a CGF line whose parameter array has the query's shape: settle mode
+    # gives the booleans losses > rho of the converged inversion
+    make, good, _, _ = ARRAY_LINES[line]
+    good = [v for v in good if v < 0] if line == "catoni" else good
+    comp = make(np.tile(good, (5, 1)))
+    alpha = np.broadcast_to(np.linspace(0.05, 0.9, 5)[:, None], (5, len(good)))
+    budget = np.geomspace(0.01, 2.0, 5)[:, None]
+    rho = inv._bisect(comp, alpha, budget, inv._TOL)[0]
+    pick = np.arange(rho.size).reshape(rho.shape) % 5
+    losses = np.choose(pick, [rho, np.nextafter(rho, math.inf),
+                              np.nextafter(rho, -math.inf), rho + 0.01,
+                              np.full(rho.shape, math.nan)])
+    got = inv._bisect(comp, alpha, budget, inv._TOL, losses)
+    assert np.array_equal(got, losses > rho)
+
+
 def test_scalar_constructors_keep_float_params():
     # compute_upsilon's cgf_line rule and the CLI see float params, whatever
     # number type the caller passed
