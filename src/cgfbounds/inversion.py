@@ -146,8 +146,7 @@ def laplace_diff(t, b):
     t = _parameter(t, lambda v: (0.0 < v) & (v < top),
                    lambda v: f"laplace_diff needs 0 < t < 1/b, got t={v}, b={b}")
     off = np.log1p(-(b * t) ** 2)
-    return _cgf_line("laplace_diff", fam.laplace(b), -t,
-                     {"t": t, "b": b},
+    return _cgf_line("laplace_diff", fam.laplace(b), -t, {"t": t, "b": b},
                      lambda alpha, budget: alpha + (budget - off) / t)
 
 
