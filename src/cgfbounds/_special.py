@@ -71,6 +71,7 @@ def logsumexp(a, axis=None, keepdims=False):
 
     The m maximal terms are summed apart, as m e^0, so a result near 0
     keeps its relative precision: ln(m (1 + s/m)) + max, s the other terms.
+    The exponentials are made in place in one temporary the size of a.
     """
     a = np.asarray(a, dtype=float)
     a_max = np.max(a, axis=axis, keepdims=True)
@@ -78,8 +79,9 @@ def logsumexp(a, axis=None, keepdims=False):
     m = np.sum(top, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(a_max), a_max, 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.sum(np.exp(np.where(top, -math.inf, a) - shift), axis=axis,
-                   keepdims=True)
+        e = np.where(top, -math.inf, a)
+        e -= shift
+        s = np.sum(np.exp(e, out=e), axis=axis, keepdims=True)
         out = np.log1p(s / m) + np.log(m) + a_max
     if not keepdims:
         out = out.reshape(()) if axis is None else np.squeeze(out, axis=axis)

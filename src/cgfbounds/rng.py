@@ -45,11 +45,13 @@ def streams(seed, ids):
     """Yield one Generator, re-keyed to make_generator(seed, i) for each id i.
 
     Philox is counter-based: a fresh state (zero counter, empty buffer) with
-    the key replaced starts exactly the stream a new generator would.
+    the key replaced starts exactly the stream a new generator would.  The
+    state holds Python ints, which the setter reads faster than arrays.
     """
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng, fresh = np.random.Generator(bitgen), bitgen.state
-    for key in stream_key(seed, np.asarray(ids)):
+    fresh["state"]["counter"] = fresh["buffer"] = [0, 0, 0, 0]
+    for key in stream_key(seed, np.asarray(ids)).tolist():
         fresh["state"]["key"] = key
         bitgen.state = fresh
         yield rng

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._special import gammaln, logsumexp, xlog1py, xlogy
 from .conjugate import argmax_zoom
-from .families import poisson
+from .families import bernoulli, poisson
 from .inversion import check_n
 from .rng import make_generator
 
@@ -45,6 +45,18 @@ class UpsilonEstimate:
     r_star: float | None = None
     r_at_cap: bool = False
     divergent_suspect: bool = False
+
+
+def _r_grid(family, r_grid):
+    """r_grid as a float array; ValueError unless it is 1-d, nonempty and
+    inside the family's open mean domain (NaN and +-inf never are)."""
+    rs = np.asarray(r_grid, dtype=float)
+    lo, hi = family.mean_domain
+    if not (rs.ndim == 1 and rs.size and ((rs > lo) & (rs < hi)).all()):
+        raise ValueError(f"r grid must be a nonempty 1-d grid interior to "
+                         f"the mean domain ({lo}, {hi}) of {family.kind}, "
+                         f"got {r_grid!r}")
+    return rs
 
 
 # -- Bernoulli: exact binomial sums -----------------------------------------
@@ -101,10 +113,7 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
     if np.ndim(r_grid) == 0:
         rs = np.linspace(1e-6, 1.0 - 1e-6, int(r_grid))
     else:
-        rs = np.sort(np.asarray(r_grid, dtype=float))
-        if not (rs[0] > 0.0 and rs[-1] < 1.0):
-            raise ValueError("r grid must be interior to (0,1), got "
-                             f"[{rs[0]}, {rs[-1]}]")
+        rs = np.sort(_r_grid(bernoulli(), r_grid))
     rows = max(1, _BLOCK // (n + 1))
     vals = np.concatenate([ln_values(rs[j:j + rows])
                            for j in range(0, len(rs), rows)])
@@ -199,7 +208,8 @@ def upsilon_poisson_series(comp, n, r_grid=None):
     (10^4) consecutive term ratios exceed 1 - 1/(k+1) beyond k = _SLOW_RUN
     (sub-summable decay, the Stirling k^{-1/2} signature).
     """
-    rs = np.geomspace(1e-6, 50.0, 121) if r_grid is None else np.asarray(r_grid)
+    rs = (np.geomspace(1e-6, 50.0, 121) if r_grid is None
+          else _r_grid(poisson(), r_grid))
     ln_fact = {}
     return _scan_r_grid(poisson(), rs,
                         lambda r: _series_one_r(comp, n, r, ln_fact))
@@ -261,7 +271,7 @@ def upsilon_quadrature(comp, family, n, r_grid=None):
     if family.law.ln_pdf_mean is None:
         raise ValueError(f"no closed mean density for {family.kind}")
     if r_grid is not None:
-        rs = np.asarray(r_grid, dtype=float)
+        rs = _r_grid(family, r_grid)
     elif family.mean_domain[0] == -math.inf:
         rs = np.linspace(-10.0, 10.0, 41)
     else:
@@ -278,10 +288,12 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
     of evaluation order.  ci is value +- _Z95 sd / (mean sqrt(samples)) of
     e^{w - max w} at the maximizing r: the normal 95% interval of the mean
     weight, carried to the log scale by the delta method.  Each r's draws
-    are made into one reused buffer of whole rows, about _BLOCK elements, so
-    memory does not grow with samples x n and each pass stays in cache; a
-    stream does not depend on how its draws are split and each row's mean
-    is taken on its own, so the block size changes no value.  The
+    are made into one buffer of whole rows, about _BLOCK elements, so each
+    pass stays in cache; a stream does not depend on how its draws are split
+    and each row's mean is taken on its own, so the block size changes no
+    value.  At most three arrays of samples floats are alive at once (the
+    best r's weights, this r's means or weights, one temporary) and one
+    draw block, so memory grows with samples, not with samples x n.  The
     divergent_suspect flag fires when the estimate still grows across
     sample-size prefixes and the top 1% of draws carries more than half the
     total weight.  samples must be at least 4, one per sample-size prefix.
@@ -297,38 +309,42 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
         else:
             rs = np.linspace(-10.0, 10.0, 21)
     else:
-        rs = np.asarray(r_grid, dtype=float)
+        rs = _r_grid(family, r_grid)
 
     def ln_mean_exp(w):
         return float(logsumexp(w) - math.log(len(w)))
 
-    family._check_mean(rs)
     best, best_r, best_w = -math.inf, None, None
     rows = max(1, _BLOCK // n)
-    means = np.empty(samples)
     for idx, r in enumerate(rs):
         rng = make_generator(seed, idx)
+        means = np.empty(samples)
         block = np.empty(rows * n)      # freed before the weights are taken
         for j in range(0, samples, rows):
             k = min(rows, samples - j)
             family._draw(float(r), k * n, rng, block[:k * n]).reshape(
                 k, n).mean(axis=1, out=means[j:j + k])
         del block
-        w = n * comp.eval(means, float(r))
+        w = comp.eval(means, float(r))
+        del means
+        w = n * w       # a fresh array, whatever view eval returned
         if np.isposinf(w).any():    # Delta = +inf where xbar has mass
             return UpsilonEstimate("divergent", math.inf, r_star=float(r))
         v = ln_mean_exp(w)
         if v > best:
             best, best_r, best_w = v, float(r), w
+        del w
 
-    expw = np.exp(best_w - np.max(best_w))
+    expw = best_w - np.max(best_w)      # e^{w - max w}, made in place
+    np.exp(expw, out=expw)
     half = _Z95 * float(expw.std(ddof=1) / expw.mean()) / math.sqrt(samples)
+    del expw
     ci = (best - half, best + half)
 
-    w_sorted = np.sort(best_w)
-    top = max(1, samples // 100)
-    share = math.exp(logsumexp(w_sorted[-top:]) - logsumexp(w_sorted))
     quarters = [ln_mean_exp(best_w[: samples * j // 4]) for j in (1, 2, 3, 4)]
+    best_w.sort()       # in place, after the prefixes in draw order
+    top = max(1, samples // 100)
+    share = math.exp(logsumexp(best_w[-top:]) - logsumexp(best_w))
     growing = all(b > a for a, b in zip(quarters, quarters[1:]))
     return UpsilonEstimate("monte_carlo", best, ci=ci, r_star=best_r,
                            r_at_cap=_at_cap(family, rs, best_r),

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -486,6 +487,21 @@ def test_monte_carlo_blocks_frozen(case, want):
     assert not est.divergent_suspect
 
 
+def test_monte_carlo_working_set():
+    # three sample-length float arrays and one draw block at a time, with
+    # margin: four arrays and two blocks.  A warm-up call first, so the
+    # numpy.random import is not counted
+    args, samples = (inv.scaled_diff(0.3), fam.laplace(1.0), 20), 10**5
+    ups.upsilon_monte_carlo(*args, r_grid=[0.0], samples=4)
+    tracemalloc.start()
+    try:
+        ups.upsilon_monte_carlo(*args, samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (4 * samples + 2 * ups._BLOCK)
+
+
 def test_monte_carlo_ci_is_delta_method_normal_interval():
     # re-draw the means at the one r on its stream (seed, 0)
     comp, family, n, r, samples, seed = (inv.scaled_diff(0.2), fam.negbin(2.0),
@@ -589,6 +605,34 @@ def test_cgf_line_off_its_family_takes_the_numeric_route():
     # another family with the same mean range
     est = ups.compute_upsilon(inv.poisson_diff(0.5), fam.gamma(2.0), 4)
     assert est.mode == "truncated"
+
+
+BAD_R_GRIDS = [[], [math.nan], [math.inf], [-math.inf], [[0.5, 0.6]]]
+# (route, grids outside its family's open mean domain)
+R_GRID_ROUTES = {
+    "binomial": (lambda g: ups.upsilon_bernoulli_exact(inv.binary_kl(), 4, g),
+                 [[0.0], [1.0], [0.5, 1.5]]),
+    "series": (lambda g: ups.upsilon_poisson_series(inv.scaled_diff(0.5), 4,
+                                                    r_grid=g),
+               [[0.0], [-1.0, 2.0]]),
+    "quadrature": (lambda g: ups.upsilon_quadrature(inv.scaled_diff(0.5),
+                                                    fam.gamma(2.0), 4, g),
+                   [[0.0], [-1.0, 2.0]]),
+    "monte_carlo": (lambda g: ups.upsilon_monte_carlo(
+        inv.scaled_diff(0.2), fam.negbin(2.0), 4, g, samples=100),
+                    [[0.0], [-1.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("route", R_GRID_ROUTES)
+def test_every_route_checks_its_r_grid(route):
+    # an empty, non-finite, 2-d or off-domain grid is one ValueError on every
+    # route, before any work; not a TypeError, an IndexError, a math domain
+    # error or a truncated -inf
+    run, off_domain = R_GRID_ROUTES[route]
+    for grid in BAD_R_GRIDS + off_domain:
+        with pytest.raises(ValueError, match="r grid .*interior"):
+            run(grid)
 
 
 def _inf_above(q, p):
