@@ -212,5 +212,5 @@ def _exceeds(kinds, family, alpha, beta, n, losses, delta):
                                            delta, None, None)
     out = np.zeros((len(kinds),) + shape, dtype=bool)
     for comp, budgets, rows, at in groups:
-        out[rows] = inv._bisect(comp, alpha, budgets, inv._TOL, losses)[at]
+        out[rows] = inv._bisect(comp, alpha, budgets, losses)[at]
     return out

@@ -46,27 +46,22 @@ def _zoom_points(a, b):
 
 
 def argmax_zoom(f, xs, vals):
-    """Best (x, f(x)) of the grid xs, refined by zooming in, row by row.
+    """Best (x, f(x)) of the grid xs per row, refined by zooming in.
 
-    vals holds f on xs: a 1-d array, or a 2-d (rows, len(xs)) array with
-    one function per row.  Each row zooms on its max between its best grid
-    point's neighbours, clamped to the grid.  A round evaluates every row
-    still zooming at _ZOOM_POINTS evenly spaced points in one call of f and
-    keeps, per row, the two cells around the best one; a zoom point replaces
-    the row's best only if strictly better, and a row leaves the later
-    rounds once its values are flat to rounding, or after _ZOOM_ROUNDS
-    rounds.  f is assumed unimodal on each bracket.  With 1-d vals, f maps
-    a 1-d array of points to their values and the result is one (x, value)
-    pair of floats: the one-row case.  With 2-d vals, f(zs, rows) maps the
-    (len(rows), points) zoom points of the rows still zooming (their
-    indices into vals) to their values, and the result is a pair of arrays,
-    one entry per row.  The per-row rules are a few comparisons of Python
-    floats, so the one-row case costs no more than a scalar loop would.
+    vals is a (rows, len(xs)) array holding one function per row on xs.
+    Each row zooms on its max between its best grid point's neighbours,
+    clamped to the grid.  A round evaluates every row still zooming at
+    _ZOOM_POINTS evenly spaced points in one call of f and keeps, per row,
+    the two cells around the best one; a zoom point replaces the row's best
+    only if strictly better, and a row leaves the later rounds once its
+    values are flat to rounding, or after _ZOOM_ROUNDS rounds.  f is
+    assumed unimodal on each bracket.  f(zs, rows) maps the (len(rows),
+    points) zoom points of the rows still zooming (their indices into vals)
+    to their values.  The result is a pair of arrays, one entry per row.
+    The per-row rules are a few comparisons of Python floats, so one row
+    costs no more than a scalar loop would.
     """
     vals, xs = np.asarray(vals, dtype=float), np.asarray(xs, dtype=float)
-    one = vals.ndim == 1
-    if one:
-        vals = vals[None]
     i = vals.argmax(axis=1)
     best_x, best_v = xs[i].tolist(), vals[np.arange(len(vals)), i].tolist()
     a, b = xs[[(max(k - 1, 0), min(k + 1, len(xs) - 1))
@@ -74,8 +69,7 @@ def argmax_zoom(f, xs, vals):
     rows = list(range(len(vals)))
     for _ in range(_ZOOM_ROUNDS):
         zs = _zoom_points(a, b)
-        zvals = (np.asarray(f(zs[0]), dtype=float)[None] if one
-                 else np.asarray(f(zs, np.array(rows)), dtype=float))
+        zvals = np.asarray(f(zs, np.array(rows)), dtype=float)
         live, ends = [], []
         for r, z, zv, j, low in zip(rows, zs.tolist(), zvals.tolist(),
                                     zvals.argmax(axis=1).tolist(),
@@ -91,8 +85,6 @@ def argmax_zoom(f, xs, vals):
             break
         rows = live
         a, b = np.array(ends).T
-    if one:
-        return best_x[0], best_v[0]
     return np.array(best_x), np.array(best_v)
 
 

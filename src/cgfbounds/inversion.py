@@ -246,7 +246,7 @@ _TOL = 1e-9     # bracket width at which bisection stops: absolute on a
                 # bounded range, relative to max(1, |lo|) on an unbounded one
 
 
-def _bisect(comp, alpha, budget, tol, losses=None):
+def _bisect(comp, alpha, budget, losses=None):
     """sup{rho : comp(alpha, rho) <= budget} over broadcast arrays.
 
     The package's only bisection.  Returns (rho, lo, hi, iterations, status)
@@ -319,7 +319,7 @@ def _bisect(comp, alpha, budget, tol, losses=None):
     while True:
         mid = 0.5 * (lo + hi)
         scale = 1.0 if bounded else np.maximum(1.0, np.abs(lo))
-        todo &= (hi - lo > tol * scale) & (lo < mid) & (mid < hi)
+        todo &= (hi - lo > _TOL * scale) & (lo < mid) & (mid < hi)
         if losses is not None:      # settled: lo is feasible, hi is not
             todo &= (lo < loss) & (loss <= hi)
         if not todo.any():
@@ -362,7 +362,7 @@ def invert(comp, alpha, budget):
     """sup{rho in the loss range : comp(alpha, rho) <= budget} by one
     bisection over broadcast alpha and budget; a 0-d query raises
     NoFiniteBound where an array query has NaN rho."""
-    return _result(_bisect(comp, alpha, budget, _TOL), budget,
+    return _result(_bisect(comp, alpha, budget), budget,
                    lambda: no_finite_bound(comp.form, float(budget)))
 
 
@@ -403,7 +403,7 @@ def infimum_over_parameter(make_comp, query, param_range):
         comp = make_comp(np.exp(x))
         if comp.exact_inverse is None:
             fields = _bisect(comp, np.broadcast_to(alpha[cells], x.shape),
-                             budget[cells], _TOL)
+                             budget[cells])
         else:
             rho = comp.exact_inverse(alpha[cells], budget[cells])
             fields = (rho, rho, rho, 0, np.where(rho == comp.loss_range[1],

@@ -23,9 +23,9 @@ from .rng import make_generator
 
 _LN2 = math.log(2.0)
 _CHUNK = 4096       # series terms per step of the Poisson route
-# elements per block of the Bernoulli grid and Monte Carlo: cache-sized, so
-# each pass over a block stays in L2; every row is reduced on its own, so
-# the block size changes no value
+# elements per block of the Bernoulli grid and Monte Carlo: it bounds the
+# memory of a block; every row is reduced on its own, so the block size
+# changes no value
 _BLOCK = 2**15
 _SERIES_EPS = 1e-10           # relative tail at which a Poisson series stops
 _SERIES_MAX_TERMS = 10**6     # Poisson series terms before giving up at one r
@@ -47,11 +47,22 @@ class UpsilonEstimate:
     divergent_suspect: bool = False
 
 
-def _r_grid(family, r_grid):
-    """r_grid as a float array; ValueError unless it is 1-d, nonempty and
-    inside the family's open mean domain (NaN and +-inf never are)."""
-    rs = np.asarray(r_grid, dtype=float)
+def _r_grid(family, r_grid, points, first=1e-6):
+    """The r grid of a numeric route: r_grid as a float array, or for None
+    the route's default of `points` points over the family's mean domain:
+    evenly spaced 1e-6 of the width inside a bounded one, geometric from
+    `first` to 50 on (0, inf), evenly spaced on [-10, 10] otherwise.
+    ValueError unless r_grid is 1-d, nonempty and inside the open mean
+    domain (NaN and +-inf never are)."""
     lo, hi = family.mean_domain
+    if r_grid is None:
+        if math.isfinite(hi):
+            return np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo),
+                               points)
+        if lo == 0.0:
+            return np.geomspace(first, 50.0, points)
+        return np.linspace(-10.0, 10.0, points)
+    rs = np.asarray(r_grid, dtype=float)
     if not (rs.ndim == 1 and rs.size and ((rs > lo) & (rs < hi)).all()):
         raise ValueError(f"r grid must be a nonempty 1-d grid interior to "
                          f"the mean domain ({lo}, {hi}) of {family.kind}, "
@@ -83,19 +94,19 @@ def upsilon_shtarkov_bernoulli(n):
         ln_binom + xlogy(ks, qs) + xlog1py(n - ks, -qs))))
 
 
-def upsilon_bernoulli_exact(comp, n, r_grid=2001):
+def upsilon_bernoulli_exact(comp, n, r_grid=None):
     """ln sup_r sum_k C(n,k) r^k (1-r)^{n-k} e^{n Delta(k/n, r)}, exactly.
 
     The route for every Bernoulli comparator but the Cramer one, which
     compute_upsilon sends to upsilon_shtarkov_bernoulli; for that one this
     function is the test oracle.  The sum is evaluated in log domain on an
-    interior r-grid (an integer resolution or an explicit array of interior
-    r values) as one (r, k) log-sum-exp, the comparator called once on the
-    (r, k) grid.  The best grid r is refined by
-    argmax_zoom, each round a small batch of rows of the same sum; the
-    endpoint values r in {0, 1} (degenerate means) are included via the
-    0 ln 0 convention.  Raises ValueError if the comparator is not finite at
-    some r of the grid (a custom comparator's raising cell is +inf).
+    interior r-grid (_r_grid's, 2001 points by default) as one (r, k)
+    log-sum-exp, the comparator called once on the (r, k) grid.  The best
+    grid r is refined by argmax_zoom, each round a small batch of rows of
+    the same sum; the endpoint values r in {0, 1} (degenerate means) are
+    included via the 0 ln 0 convention.  Raises ValueError if the comparator
+    is not finite at some r of the grid (a custom comparator's raising cell
+    is +inf).
     """
     ks, ln_binom = _ln_binom(n)
     qs = ks / n
@@ -110,14 +121,13 @@ def upsilon_bernoulli_exact(comp, n, r_grid=2001):
                              f"r={rs[np.argmin(finite)]}")
         return logsumexp(ln_pmf + n * d, axis=-1)
 
-    if np.ndim(r_grid) == 0:
-        rs = np.linspace(1e-6, 1.0 - 1e-6, int(r_grid))
-    else:
-        rs = np.sort(_r_grid(bernoulli(), r_grid))
+    rs = np.sort(_r_grid(bernoulli(), r_grid, 2001))
     rows = max(1, _BLOCK // (n + 1))
     vals = np.concatenate([ln_values(rs[j:j + rows])
                            for j in range(0, len(rs), rows)])
-    r_star, best = argmax_zoom(ln_values, rs, vals)
+    r_star, best = argmax_zoom(lambda zs, _: ln_values(zs[0])[None], rs,
+                               vals[None])
+    r_star, best = float(r_star[0]), float(best[0])
     for r_end in (0.0, 1.0):
         d = float(comp.eval(r_end, r_end))
         if math.isfinite(d) and n * d > best:
@@ -208,8 +218,7 @@ def upsilon_poisson_series(comp, n, r_grid=None):
     (10^4) consecutive term ratios exceed 1 - 1/(k+1) beyond k = _SLOW_RUN
     (sub-summable decay, the Stirling k^{-1/2} signature).
     """
-    rs = (np.geomspace(1e-6, 50.0, 121) if r_grid is None
-          else _r_grid(poisson(), r_grid))
+    rs = _r_grid(poisson(), r_grid, 121)
     ln_fact = {}
     return _scan_r_grid(poisson(), rs,
                         lambda r: _series_one_r(comp, n, r, ln_fact))
@@ -270,12 +279,7 @@ def upsilon_quadrature(comp, family, n, r_grid=None):
     """
     if family.law.ln_pdf_mean is None:
         raise ValueError(f"no closed mean density for {family.kind}")
-    if r_grid is not None:
-        rs = _r_grid(family, r_grid)
-    elif family.mean_domain[0] == -math.inf:
-        rs = np.linspace(-10.0, 10.0, 41)
-    else:
-        rs = np.geomspace(1e-6, 50.0, 41)
+    rs = _r_grid(family, r_grid, 41)
     return _scan_r_grid(family, rs, lambda r: _quad_one_r(comp, family, n, r))
 
 
@@ -288,10 +292,10 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
     of evaluation order.  ci is value +- _Z95 sd / (mean sqrt(samples)) of
     e^{w - max w} at the maximizing r: the normal 95% interval of the mean
     weight, carried to the log scale by the delta method.  Each r's draws
-    are made into one buffer of whole rows, about _BLOCK elements, so each
-    pass stays in cache; a stream does not depend on how its draws are split
-    and each row's mean is taken on its own, so the block size changes no
-    value.  At most three arrays of samples floats are alive at once (the
+    are made into one buffer of whole rows, about _BLOCK elements, which
+    bounds the draw memory; a stream does not depend on how its draws are
+    split and each row's mean is taken on its own, so the block size changes
+    no value.  At most three arrays of samples floats are alive at once (the
     best r's weights, this r's means or weights, one temporary) and one
     draw block, so memory grows with samples, not with samples x n.  The
     divergent_suspect flag fires when the estimate still grows across
@@ -300,16 +304,7 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
     """
     if not samples >= 4:
         raise ValueError(f"samples must be at least 4, got {samples}")
-    if r_grid is None:
-        lo, hi = family.mean_domain
-        if math.isfinite(hi):
-            rs = np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 21)
-        elif lo == 0.0:
-            rs = np.geomspace(1e-3, 50.0, 21)
-        else:
-            rs = np.linspace(-10.0, 10.0, 21)
-    else:
-        rs = _r_grid(family, r_grid)
+    rs = _r_grid(family, r_grid, 21, first=1e-3)
 
     def ln_mean_exp(w):
         return float(logsumexp(w) - math.log(len(w)))

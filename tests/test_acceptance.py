@@ -199,7 +199,8 @@ def test_c11_samplewise_dominance():
             not bad, f"violating seeds {bad or 'none'}")
 
 
-def test_c12_closed_form_vs_bisection():
+def test_c12_closed_form_vs_bisection(monkeypatch):
+    monkeypatch.setattr(inv, "_TOL", 1e-12)
     rng = np.random.default_rng(20260818)
     comp = inv.cramer_of(fam.poisson())
     worst = 0.0
@@ -207,7 +208,7 @@ def test_c12_closed_form_vs_bisection():
         alpha = float(rng.uniform(0.01, 20.0))
         budget = float(rng.uniform(1e-6, 50.0))
         closed = invert_closed_form_poisson(alpha, budget)
-        bis = float(inv._bisect(comp, alpha, budget, 1e-12)[0])
+        bis = float(inv._bisect(comp, alpha, budget)[0])
         worst = max(worst, abs(closed - bis) / max(1.0, abs(closed)))
     verdict(12, "poisson closed form vs bisection",
             worst <= 1e-9, f"max rel err {worst:.3g}")

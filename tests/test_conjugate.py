@@ -196,9 +196,15 @@ def recorded(f):
     seen = []
 
     def g(xs):
-        seen.extend(np.asarray(xs).tolist())
+        seen.extend(np.ravel(xs).tolist())
         return f(np.asarray(xs))
     return g, seen
+
+
+def zoom_row(f, xs):
+    """argmax_zoom of the one row f (elementwise) on xs, as two floats."""
+    x, v = con.argmax_zoom(lambda zs, rows: f(zs), xs, f(xs)[None])
+    return x.item(), v.item()
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["first", "last"])
@@ -207,7 +213,7 @@ def test_argmax_zoom_best_at_an_end_stays_in_the_end_cell(sign):
     # cell next to it, and no point there beats the grid point itself
     xs = np.linspace(0.0, 1.0, 6)
     f, seen = recorded(lambda x: sign * x)
-    x, v = con.argmax_zoom(f, xs, f(xs))
+    x, v = zoom_row(f, xs)
     end, cell = (xs[0], xs[:2]) if sign < 0 else (xs[-1], xs[-2:])
     assert (x, v) == (end, sign * end)
     zoomed = seen[len(xs):]
@@ -222,7 +228,7 @@ def test_argmax_zoom_keeps_the_grid_point_on_a_tie():
 
     xs = np.array([0.0, 0.4, 1.0])
     f, seen = recorded(plateau)
-    assert con.argmax_zoom(f, xs, f(xs)) == (0.4, 0.0)
+    assert zoom_row(f, xs) == (0.4, 0.0)
     zoomed = np.array(seen[len(xs):])
     assert np.any((zoomed != 0.4) & (plateau(zoomed) == 0.0))
 
@@ -230,13 +236,13 @@ def test_argmax_zoom_keeps_the_grid_point_on_a_tie():
 def test_argmax_zoom_flat_grid_returns_the_grid_point():
     xs = np.linspace(-1.0, 1.0, 9)
     f, seen = recorded(lambda x: np.full(x.shape, 2.5))
-    assert con.argmax_zoom(f, xs, f(xs)) == (-1.0, 2.5)
+    assert zoom_row(f, xs) == (-1.0, 2.5)
     assert len(seen) == len(xs) + con._ZOOM_POINTS    # one flat round
 
 
 def test_argmax_zoom_takes_a_strictly_better_zoom_point():
     xs = np.linspace(0.0, 1.0, 5)
-    x, v = con.argmax_zoom(lambda x: -(x - 0.3) ** 2, xs, -(xs - 0.3) ** 2)
+    x, v = zoom_row(lambda x: -(x - 0.3) ** 2, xs)
     assert x == pytest.approx(0.3, abs=1e-9) and v > -(0.25 - 0.3) ** 2
 
 
@@ -292,13 +298,6 @@ def test_batched_argmax_zoom_equals_a_per_row_loop():
     assert rounds[3] == con._ZOOM_ROUNDS and rounds[1] == 1, rounds
     assert len(set(rounds)) >= 4
     assert all(sorted(rows) == rows for rows in seen)
-
-
-def test_one_row_argmax_zoom_equals_the_scalar_zoom():
-    for g in ZOOM_ROWS:
-        got = con.argmax_zoom(g, ZOOM_XS, g(ZOOM_XS))
-        assert got == scalar_zoom(g, ZOOM_XS, g(ZOOM_XS))
-        assert all(type(v) is float for v in got)
 
 
 def test_zoom_points_are_linspace():

@@ -57,14 +57,15 @@ def test_poisson_closed_form_solves_cramer(alpha, budget):
         budget, rel=1e-9, abs=1e-12)
 
 
-def test_poisson_closed_vs_bisection():
+def test_poisson_closed_vs_bisection(monkeypatch):
+    monkeypatch.setattr(inv, "_TOL", 1e-12)
     comp = inv.cramer_of(fam.poisson())
     rng = np.random.default_rng(42)
     for _ in range(20):
         alpha = float(rng.uniform(0.05, 10.0))
         budget = float(rng.uniform(1e-4, 20.0))
         closed = invert_closed_form_poisson(alpha, budget)
-        bis = float(inv._bisect(comp, alpha, budget, 1e-12)[0])
+        bis = float(inv._bisect(comp, alpha, budget)[0])
         assert closed == pytest.approx(bis, rel=1e-9)
 
 
@@ -549,8 +550,9 @@ def _per_cell_infimum(make_comp, alpha, budget, param_range):
     def neg_rho(x):
         return np.array([-rho_of(v) for v in x])
 
-    x, v = argmax_zoom(neg_rho, xs, neg_rho(xs))
-    return -v, math.exp(x)
+    x, v = argmax_zoom(lambda zs, rows: neg_rho(zs[0])[None], xs,
+                       neg_rho(xs)[None])
+    return -float(v[0]), math.exp(x[0])
 
 
 def _selfcheck_query(alphas, n=100):
@@ -684,12 +686,12 @@ def test_settle_mode_over_parameters_of_the_query_shape(line):
     comp = make(np.tile(good, (5, 1)))
     alpha = np.broadcast_to(np.linspace(0.05, 0.9, 5)[:, None], (5, len(good)))
     budget = np.geomspace(0.01, 2.0, 5)[:, None]
-    rho = inv._bisect(comp, alpha, budget, inv._TOL)[0]
+    rho = inv._bisect(comp, alpha, budget)[0]
     pick = np.arange(rho.size).reshape(rho.shape) % 5
     losses = np.choose(pick, [rho, np.nextafter(rho, math.inf),
                               np.nextafter(rho, -math.inf), rho + 0.01,
                               np.full(rho.shape, math.nan)])
-    got = inv._bisect(comp, alpha, budget, inv._TOL, losses)
+    got = inv._bisect(comp, alpha, budget, losses)
     assert np.array_equal(got, losses > rho)
 
 

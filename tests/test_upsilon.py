@@ -37,7 +37,8 @@ def test_upsilon_kl_n1_is_two():
 @pytest.mark.parametrize("n", [2, 3, 7, 20, 81])
 def test_upsilon_kl_equals_flat_sum(n):
     # r cancels term by term, so any grid resolution gives the same number
-    est = ups.upsilon_bernoulli_exact(inv.binary_kl(), n, r_grid=11)
+    est = ups.upsilon_bernoulli_exact(inv.binary_kl(), n,
+                                      r_grid=np.linspace(1e-6, 1 - 1e-6, 11))
     assert est.value == pytest.approx(kl_flat_sum(n), abs=1e-9)
 
 
@@ -48,7 +49,8 @@ def test_upsilon_kl_envelope():
 
 
 def test_catoni_bernoulli_enumeration_is_one():
-    est = ups.upsilon_bernoulli_exact(inv.catoni(-1.0), 12, r_grid=31)
+    est = ups.upsilon_bernoulli_exact(inv.catoni(-1.0), 12,
+                                      r_grid=np.linspace(1e-6, 1 - 1e-6, 31))
     assert abs(est.value) <= 1e-10
 
 
@@ -62,11 +64,12 @@ def exact_by_loop(comp, n, r_grid):
         d = np.array([float(comp.eval(float(k / n), r)) for k in ks])
         return float(logsumexp(ln_pmf + n * d))
 
-    rs = (np.linspace(1e-6, 1.0 - 1e-6, r_grid) if np.ndim(r_grid) == 0
-          else np.sort(np.asarray(r_grid, dtype=float)))
+    rs = np.sort(np.asarray(r_grid, dtype=float))
     vals = np.array([ln_value(r) for r in rs])
-    r_star, best = argmax_zoom(lambda xs: np.array([ln_value(r) for r in xs]),
-                               rs, vals)
+    r_star, best = argmax_zoom(
+        lambda zs, rows: np.array([[ln_value(r) for r in zs[0]]]),
+        rs, vals[None])
+    r_star, best = float(r_star[0]), float(best[0])
     for r_end in (0.0, 1.0):
         v = n * float(comp.eval(r_end, r_end))
         if math.isfinite(v) and v > best:
@@ -89,7 +92,9 @@ BATCH_COMPARATORS = {
 }
 
 
-@pytest.mark.parametrize("r_grid", [11, 2001, (0.9, 0.02, 0.37, 0.5, 0.61)],
+@pytest.mark.parametrize("r_grid", [np.linspace(1e-6, 1 - 1e-6, 11),
+                                    np.linspace(1e-6, 1 - 1e-6, 2001),
+                                    (0.9, 0.02, 0.37, 0.5, 0.61)],
                          ids=["grid11", "grid2001", "explicit"])
 @pytest.mark.parametrize("name", sorted(BATCH_COMPARATORS))
 def test_batched_bernoulli_equals_per_r_loop(name, r_grid):
@@ -105,9 +110,10 @@ def test_batched_bernoulli_equals_per_r_loop(name, r_grid):
 
 def test_bernoulli_rows_do_not_depend_on_block(monkeypatch):
     comp = inv.binary_kl()
-    want = ups.upsilon_bernoulli_exact(comp, 40, 2001)
+    grid = np.linspace(1e-6, 1 - 1e-6, 2001)
+    want = ups.upsilon_bernoulli_exact(comp, 40, grid)
     monkeypatch.setattr(ups, "_BLOCK", 7 * 41)
-    got = ups.upsilon_bernoulli_exact(comp, 40, 2001)
+    got = ups.upsilon_bernoulli_exact(comp, 40, grid)
     assert got == want
 
 
@@ -608,10 +614,10 @@ def test_cgf_line_off_its_family_takes_the_numeric_route():
 
 
 BAD_R_GRIDS = [[], [math.nan], [math.inf], [-math.inf], [[0.5, 0.6]]]
-# (route, grids outside its family's open mean domain)
+# (route, grids outside its family's open mean domain); a number is no grid
 R_GRID_ROUTES = {
     "binomial": (lambda g: ups.upsilon_bernoulli_exact(inv.binary_kl(), 4, g),
-                 [[0.0], [1.0], [0.5, 1.5]]),
+                 [[0.0], [1.0], [0.5, 1.5], 0, 2.7]),
     "series": (lambda g: ups.upsilon_poisson_series(inv.scaled_diff(0.5), 4,
                                                     r_grid=g),
                [[0.0], [-1.0, 2.0]]),
@@ -633,6 +639,46 @@ def test_every_route_checks_its_r_grid(route):
     for grid in BAD_R_GRIDS + off_domain:
         with pytest.raises(ValueError, match="r grid .*interior"):
             run(grid)
+
+
+# (route on its default grid, the grid as each route once wrote it out)
+DEFAULT_R_GRIDS = {
+    "binomial": (lambda: ups.upsilon_bernoulli_exact(inv.scaled_diff(0.5), 4),
+                 np.linspace(1e-6, 1 - 1e-6, 2001)),
+    "series": (lambda: ups.upsilon_poisson_series(inv.poisson_diff(0.7), 4),
+               np.geomspace(1e-6, 50.0, 121)),
+    "quadrature-gamma": (lambda: ups.upsilon_quadrature(
+        inv.scaled_diff(0.3), fam.gamma(2.0), 4),
+                         np.geomspace(1e-6, 50.0, 41)),
+    "quadrature-gaussian": (lambda: ups.upsilon_quadrature(
+        inv.scaled_diff(0.3), fam.gaussian(1.0), 4),
+                            np.linspace(-10.0, 10.0, 41)),
+    "monte_carlo-bernoulli": (lambda: ups.upsilon_monte_carlo(
+        inv.scaled_diff(0.3), fam.bernoulli(), 4, samples=100),
+                              np.linspace(1e-6, 1 - 1e-6, 21)),
+    "monte_carlo-negbin": (lambda: ups.upsilon_monte_carlo(
+        inv.scaled_diff(0.3), fam.negbin(2.0), 4, samples=100),
+                           np.geomspace(1e-3, 50.0, 21)),
+    "monte_carlo-laplace": (lambda: ups.upsilon_monte_carlo(
+        inv.scaled_diff(0.3), fam.laplace(1.0), 4, samples=100),
+                            np.linspace(-10.0, 10.0, 21)),
+}
+
+
+@pytest.mark.parametrize("route", DEFAULT_R_GRIDS)
+def test_default_r_grid_is_the_routes_own(route, monkeypatch):
+    # the one r-grid rule gives each route the grid it used to write out
+    run, want = DEFAULT_R_GRIDS[route]
+    grids = []
+    r_grid = ups._r_grid
+
+    def recorded(*args, **kwargs):
+        grids.append(r_grid(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(ups, "_r_grid", recorded)
+    run()
+    assert len(grids) == 1 and np.array_equal(grids[0], want)
 
 
 def _inf_above(q, p):
