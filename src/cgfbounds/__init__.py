@@ -12,9 +12,7 @@ from .inversion import (BoundQuery, BoundResult, Comparator, NoFiniteBound,
                         gaussian_diff, infimum_over_parameter, invert,
                         laplace_diff, poisson_diff, scaled_diff)
 from .upsilon import (UpsilonEstimate, compute_upsilon, correction_two_e_ceil,
-                      correction_xi, upsilon_bernoulli_exact,
-                      upsilon_monte_carlo, upsilon_poisson_series,
-                      upsilon_quadrature)
+                      correction_xi)
 from .verify import (SamplewiseComparison, SyntheticProblem, TrialRecord,
                      check_average_bound, default_suite,
                      run_samplewise_comparison, run_trials, suite_problems)

@@ -378,53 +378,51 @@ def infimum_over_parameter(make_comp, query, param_range):
     Comparator that holds them all (the CGF-line constructors take arrays)
     and is inverted against each cell's (alpha, budget): by its
     exact_inverse if it has one, else by one _bisect over the whole array.
-    The per-parameter bound is assumed quasiconvex on param_range, which is
-    scanned at 64 log-spaced points and refined by the row-batched
-    argmax_zoom on -rho, so a call builds one comparator for the scan and
-    one per zoom round.  A parameter with no finite bound never wins.
-    Each round keeps, per row, the five _bisect fields at its best point,
-    the one argmax_zoom may settle on (a closed form's lo = hi = rho, with 0
-    iterations), and each cell takes those of its x_star.  The result is
-    invert's, with param_star: a 0-d query raises NoFiniteBound if no
-    parameter gives a finite bound, and an array query has rho and
-    param_star NaN in each cell that has none.
+    The per-parameter bound is assumed quasiconvex on param_range, whose
+    ends must be finite and above 0 (in either order); it is scanned at 64
+    log-spaced points and refined by the row-batched argmax_zoom on -rho.
+    A parameter with no finite bound never wins.  One last solve at each
+    cell's winning parameter gives the bracket, iterations and status (a
+    closed form's lo = hi = rho, with 0 iterations), so a call builds one
+    comparator for the scan, one per zoom round and one at the winners.
+    The result is invert's, with param_star: a 0-d query raises
+    NoFiniteBound if no parameter gives a finite bound, and an array query
+    has rho and param_star NaN in each cell that has none.
     """
     lo, hi = param_range
-    if not lo > 0:
-        raise ValueError(f"param_range must start above 0, got {param_range}")
+    if not (0 < lo < math.inf and 0 < hi < math.inf):
+        raise ValueError("param_range ends must be finite and above 0, got "
+                         f"{param_range}")
     xs = np.linspace(math.log(lo), math.log(hi), 64)
     alpha, budget = np.broadcast_arrays(np.asarray(query.alpha, dtype=float),
                                         np.asarray(query.budget(), dtype=float))
     shape = alpha.shape
     alpha, budget = alpha.reshape(-1, 1), budget.reshape(-1, 1)
-    rounds = []     # (cells, each row's best x, the fields there) of a round
 
-    def neg_rho(x, cells):
+    def solve(x, cells):
+        """_bisect's five fields at the parameters e^x, a row per cell."""
         comp = make_comp(np.exp(x))
         if comp.exact_inverse is None:
-            fields = _bisect(comp, np.broadcast_to(alpha[cells], x.shape),
-                             budget[cells])
-        else:
-            rho = comp.exact_inverse(alpha[cells], budget[cells])
-            fields = (rho, rho, rho, 0, np.where(rho == comp.loss_range[1],
-                                                 _CAPPED, _CONVERGED))
-        vals = np.where(np.isnan(fields[0]), -math.inf, -fields[0])
-        best = np.arange(len(cells)), vals.argmax(axis=1)
-        rounds.append((cells, x[best],
-                       [np.broadcast_to(f, x.shape)[best] for f in fields]))
-        return vals
+            return _bisect(comp, np.broadcast_to(alpha[cells], x.shape),
+                           budget[cells])
+        rho = comp.exact_inverse(alpha[cells], budget[cells])
+        return rho, rho, rho, 0, np.where(rho == comp.loss_range[1],
+                                          _CAPPED, _CONVERGED)
+
+    def neg_rho(x, cells):
+        rho = solve(x, cells)[0]
+        return np.where(np.isnan(rho), -math.inf, -rho)
 
     vals = neg_rho(np.broadcast_to(xs, (len(alpha), len(xs))),
                    np.arange(len(alpha)))
     live = np.flatnonzero(vals.max(axis=1) > -math.inf)
     x_star = np.full(len(alpha), math.nan)
+    got = np.repeat([[math.nan]] * 3 + [[0], [_NO_FINITE]], len(alpha), axis=1)
     if live.size:
         x_star[live] = argmax_zoom(lambda zs, r: neg_rho(zs, live[r]), xs,
                                    vals[live])[0]
-    got = np.repeat([[math.nan]] * 3 + [[0], [_NO_FINITE]], len(alpha), axis=1)
-    for cells, x, fields in rounds:
-        hit = x == x_star[cells]
-        got[:, cells[hit]] = np.array(fields)[:, hit]
+        x = x_star[live, None]
+        got[:, live] = [np.broadcast_to(f, x.shape)[:, 0] for f in solve(x, live)]
     fields = [f.reshape(shape) for f in (*got[:3], *got[3:].astype(int))]
     return _result(fields, budget.reshape(shape),
                    lambda: NoFiniteBound(f"no parameter in {param_range} "

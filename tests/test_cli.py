@@ -514,10 +514,14 @@ def test_exit_codes_usage_and_io(tmp_path):
     assert code == 2
     code, _, _ = run_cli("sweep", "--family", "bernoulli")
     assert code == 2
-    code, _, _ = run_cli("ndep", "--family", "gamma:k=5", "--alpha", "1",
-                         "--beta", "1", "--nmin", "10", "--nmax", "100",
-                         "--out", str(tmp_path / "no" / "dir" / "x.csv"))
-    assert code == 4
+    code, _, err = run_cli("ndep", "--family", "gamma:k=5", "--alpha", "1",
+                           "--beta", "1", "--nmin", "10", "--nmax", "100",
+                           "--out", str(tmp_path / "no" / "dir" / "x.csv"))
+    assert code == 4 and err.startswith("i/o error: ")
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run_cli("sweep", f"--config={missing}")
+    assert code == 4 and out == ""
+    assert err.startswith("config error: ") and str(missing) in err
 
 
 BOUND = ("bound", "--family", "bernoulli", "--alpha", "0.2", "--beta", "1",
@@ -702,6 +706,16 @@ USAGE_ERRORS = {
     "config-line": (("sweep", "--config", str(BAD_CONFIG)),
                     [repr(str(BAD_CONFIG)), "line 2",
                      "'kinds average_cramer' is not key=value"]),
+    "u-negative": (BOUND + ("--delta", "0.05", "--correction", "2eceil",
+                            "--u", "-1"), ["u must be nonnegative", "-1.0"]),
+    "range-reversed": (("sweep", "--family", "bernoulli", "--kinds",
+                        "average_cramer", "--alpha-range", "0.5:0.1:3",
+                        "--bon-range", "0.01:1:3", "--n", "50"),
+                       ["range needs lo < hi", "'0.5:0.1:3'"]),
+    "range-scale": (("sweep", "--family", "bernoulli", "--kinds",
+                     "average_cramer", "--alpha-range", "0.1:0.2:2",
+                     "--bon-range", "0.01:1:3:cubic", "--n", "50"),
+                    ["unknown scale", "'cubic'", "linear or log"]),
 }
 
 # runs each USAGE_ERRORS case through main() and prints {case: [code, out, err]}

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from cgfbounds import families as fam
+from cgfbounds import bounds, families as fam
 from cgfbounds import inversion as inv
+from cgfbounds import upsilon as ups
 from cgfbounds.conjugate import argmax_zoom
 from cgfbounds.inversion import BoundQuery
 from poisson_oracle import invert_closed_form_poisson
@@ -477,21 +479,32 @@ def test_infimum_all_divergent_raises():
 
 def test_infimum_array_query_gives_nan_where_no_bound():
     # the flat comparator of the test above has no finite bound at any
-    # parameter; for q >= 1 this one is flat, below it the plain difference
+    # parameter; for q >= 1 this one is flat, below it the plain difference.
+    # Only a cell with a winning parameter takes part in the last solve.
+    shapes = []
+
     def make(t):
+        shapes.append(np.shape(t))
         return inv.Comparator(
             "flat_from_1", lambda qq, pp: np.where(qq < 1.0, t * (pp - qq), 0.0),
             (0.0, math.inf))
+
+    def flat(t):
+        shapes.append(np.shape(t))
+        return inv.Comparator("flat", lambda qq, pp: 0.0 * t, (0.0, math.inf))
 
     q = BoundQuery(np.array([0.5, 1.0, 2.0]), 10.0, 10)
     res = inv.infimum_over_parameter(make, q, (0.1, 10.0))
     assert np.isnan(res.rho[1:]).all() and np.isnan(res.param_star[1:]).all()
     assert list(res.status) == ["converged", "no_finite_bound", "no_finite_bound"]
     assert res.rho[0] == pytest.approx(0.5 + 1.0 / 10.0, rel=1e-8)
-    flat = inv.infimum_over_parameter(
-        lambda t: inv.Comparator("flat", lambda qq, pp: 0.0 * t, (0.0, math.inf)),
-        BoundQuery(np.array([0.5, 1.0]), 10.0, 10), (0.1, 10.0))
-    assert np.isnan(flat.rho).all() and list(flat.status) == ["no_finite_bound"] * 2
+    assert shapes[0] == (3, 64) and shapes[-1] == (1, 1)
+    shapes.clear()
+    res = inv.infimum_over_parameter(flat, BoundQuery(np.array([0.5, 1.0]), 10.0,
+                                                      10), (0.1, 10.0))
+    assert np.isnan(res.rho).all() and np.isnan(res.param_star).all()
+    assert list(res.status) == ["no_finite_bound"] * 2
+    assert shapes == [(2, 64)]
 
 
 def test_infimum_no_finite_parameters_never_win_the_scan():
@@ -592,7 +605,8 @@ def test_zero_d_infimum_gives_floats():
 @pytest.mark.parametrize("alpha", [0.3, np.linspace(0.02, 0.9, 5)])
 @pytest.mark.parametrize("closed", [True, False])
 def test_infimum_builds_one_comparator_a_round(alpha, closed):
-    # one for the 64-point scan, one per zoom round (at most 12)
+    # one for the 64-point scan, one per zoom round (at most 12), and one
+    # last at each cell's winning parameter
     shapes = []
 
     def make(m):
@@ -601,9 +615,33 @@ def test_infimum_builds_one_comparator_a_round(alpha, closed):
         return comp if closed else dataclasses.replace(comp, exact_inverse=None)
 
     inv.infimum_over_parameter(make, BoundQuery(alpha, 5.0, 100), (1e-3, 50.0))
-    assert 2 <= len(shapes) <= 1 + 12
+    assert 3 <= len(shapes) <= 1 + 12 + 1
     assert shapes[0] == (np.size(alpha), 64)
-    assert all(s[1] == 17 for s in shapes[1:])
+    assert all(s[1] == 17 for s in shapes[1:-1])
+    assert shapes[-1] == (np.size(alpha), 1)
+
+
+@pytest.mark.parametrize("param_range", [(0.0, 1.0), (-1.0, 1.0),
+                                         (math.nan, 1.0), (1e-3, math.inf),
+                                         (1e-3, math.nan)])
+def test_infimum_refuses_a_param_range_end_not_finite_above_0(param_range):
+    calls = []
+
+    def make(t):
+        calls.append(t)
+        return inv.scaled_diff(t)
+
+    with pytest.raises(ValueError, match="param_range ends must be finite and "
+                       "above 0"):
+        inv.infimum_over_parameter(make, BoundQuery(0.5, 1.0, 10), param_range)
+    assert calls == []
+
+
+def test_infimum_takes_param_range_ends_in_either_order():
+    q = BoundQuery(np.linspace(0.02, 0.9, 5), 2.3, 100)
+    up = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q, (1e-3, 50.0))
+    down = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q, (50.0, 1e-3))
+    assert down.rho == pytest.approx(up.rho, rel=1e-12)
 
 
 def test_infimum_without_closed_form_bisects_in_one_batch():
@@ -628,6 +666,13 @@ def test_infimum_without_closed_form_bisects_in_one_batch():
         zero_d = inv.infimum_over_parameter(bisected, BoundQuery(a, b * 100, 100),
                                             (1e-3, 50.0))
         assert zero_d.rho == pytest.approx(one.rho, abs=2e-9)
+        # the closed form's cell is its exact_inverse at its best parameter
+        comp = inv.catoni(-closed.param_star.flat[i])
+        rho = comp.exact_inverse(a, b)
+        assert (rho, rho, rho, 0, "converged") == (
+            closed.rho.flat[i], closed.bracket[0].flat[i],
+            closed.bracket[1].flat[i], closed.iterations.flat[i],
+            closed.status.flat[i])
 
 
 # -- array-valued CGF lines ------------------------------------------------------
@@ -845,6 +890,36 @@ def test_input_validation_without_asserts(flags):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ValueError"] * 44
+
+
+# a library check, and the message it raises
+CHECK_MESSAGES = {
+    "family-kind": (lambda: fam.BoundingFamily("weibull"),
+                    "unknown family kind 'weibull'"),
+    "cramer-q": (lambda: fam.bernoulli().cramer(1.5, 0.5),
+                 "q=1.5 outside the loss range of bernoulli"),
+    "kind-family-none": (
+        lambda: bounds.evaluate_kind("average_cramer", None, 0.1, 1.0, 10),
+        "the average_cramer kind needs a family, got None"),
+    "values-family-none": (
+        lambda: bounds.bound_values("pac_cramer_xi", None, [0.1, 0.2], 1.0,
+                                    10, 0.05),
+        "the pac_cramer_xi kind needs a family, got None"),
+    "mean-density": (lambda: ups.upsilon_quadrature(inv.scaled_diff(0.5),
+                                                    fam.laplace(1.0), 5),
+                     "no closed mean density for laplace"),
+    "two-e-ceil-negative": (lambda: ups.correction_two_e_ceil(-1.0),
+                            "u must be nonnegative, got -1.0"),
+    "two-e-ceil-nan": (lambda: ups.correction_two_e_ceil(math.nan),
+                       "u must be nonnegative, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_MESSAGES))
+def test_library_check_names_the_bad_input(case):
+    call, message = CHECK_MESSAGES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_package_source_has_no_assert():

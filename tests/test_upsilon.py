@@ -173,6 +173,15 @@ def test_top_level_binary_kl_is_the_comparator():
     assert est.value == pytest.approx(kl_flat_sum(20), abs=1e-9)
 
 
+def test_compute_upsilon_is_the_one_package_level_route():
+    # the package exports the dispatcher; the routes stay in cgfbounds.upsilon
+    routes = ("upsilon_bernoulli_exact", "upsilon_poisson_series",
+              "upsilon_quadrature", "upsilon_monte_carlo")
+    assert callable(cb.compute_upsilon)
+    assert not any(hasattr(cb, r) for r in routes)
+    assert all(callable(getattr(ups, r)) for r in routes)
+
+
 @pytest.mark.parametrize("comp,family", [
     (inv.binary_kl(), fam.poisson()),
     (inv.binary_kl(), fam.gaussian(1.0)),
