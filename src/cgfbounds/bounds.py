@@ -1,10 +1,10 @@
 """Bound kinds: each is one comparator inverted at (beta + ln_iota - ln delta)/n.
 
 A kind names a comparator and a union correction ln_iota.  check_kind is
-the one rule on a query's inputs and _kind_query the one map from a kind
-to both.  evaluate_kind (a BoundResult) and bound_values (the rho arrays of
-one or more kinds, NaN where a bound diverges) go through it to the one
-inversion door, inversion.invert.
+the one rule on a query's inputs and gives the kind's comparator, to which
+_kind_query adds the correction.  evaluate_kind (a BoundResult) and
+bound_values (the rho arrays of one or more kinds, NaN where a bound
+diverges) go through it to the one inversion door, inversion.invert.
 """
 
 import math
@@ -45,29 +45,17 @@ def reference_flag(kind, delta):
             else None)
 
 
-def _diff_family(kind, family, sigma2, b):
-    """laplace(b) or gaussian(sigma2) of a *_diff_inf kind, its b or sigma2
-    given or lent by a family of that kind."""
-    own, name, value = (("laplace", "b", b) if kind == "laplace_diff_inf"
-                        else ("gaussian", "sigma2", sigma2))
-    if value is None and getattr(family, "kind", None) == own:
-        value = family.nuisance
-    if value is None or not value > 0:
-        raise ValueError(f"{name} must be positive for {kind}, got {value!r}"
-                         f"; only a {own} family lends its own {name}")
-    return fam.BoundingFamily(own, value)
-
-
 def check_kind(kind, family, delta, sigma2=None, b=None, *, ln_upsilon=None,
                u=None):
-    """Raise ValueError unless kind is in BOUND_KINDS and the query suits it.
-
-    In this order: a corrected kind needs a delta, any delta lies in (0, 1),
-    only the Chernoff kind takes ln_upsilon and only the 2e ceil(u) kind u,
-    a Cramer kind needs a family, mls and catoni_inf take bernoulli (or
-    None), poisson_diff_inf no family with negative means, and the other
-    *_diff_inf a positive b or sigma2 (_diff_family).  Every bound API calls
-    it before any work."""
+    """The comparator a kind inverts; ValueError unless kind is in
+    BOUND_KINDS and the query suits it.  In this order: a corrected kind
+    needs a delta, any delta lies in (0, 1), only the Chernoff kind takes
+    ln_upsilon, finite and at least 0 (Upsilon of a Cramer function is at
+    least 1), and only the 2e ceil(u) kind u.  mls and catoni_inf take
+    bernoulli or None and invert the binary kl; poisson_diff_inf takes no
+    family with negative means, the other *_diff_inf a positive b or sigma2
+    given or lent by a family of that type, and each inverts the sup of its
+    CGF lines, a Cramer function; a Cramer kind needs a family."""
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; use one of "
                          + ", ".join(BOUND_KINDS))
@@ -79,39 +67,47 @@ def check_kind(kind, family, delta, sigma2=None, b=None, *, ln_upsilon=None,
         if value is not None and kind != owner:
             raise ValueError(f"only {owner} takes {name}, not {kind}; "
                              f"{name}={value}")
-    if family is None and kind.startswith(("average_", "pac_")):
+    if ln_upsilon is not None and not 0.0 <= ln_upsilon < math.inf:
+        raise ValueError("ln_upsilon must be finite and at least 0, got "
+                         f"{ln_upsilon}")
+    if kind in ("mls", "catoni_inf"):
+        if family and family.kind != "bernoulli":
+            raise ValueError(f"{kind} needs the bernoulli family, got "
+                             f"{family.kind}")
+        return inv.binary_kl()
+    if kind == "poisson_diff_inf":
+        if family and family.mean_domain[0] < 0.0:
+            raise ValueError(f"poisson_diff_inf needs nonnegative losses; "
+                             f"the {family.kind} family's mean can be negative")
+        return inv.cramer_of(fam.poisson())
+    if kind in PARAMETRIC_INFIMA:       # the other two *_diff_inf
+        own, name, value = (("laplace", "b", b) if kind == "laplace_diff_inf"
+                            else ("gaussian", "sigma2", sigma2))
+        if value is None and getattr(family, "kind", None) == own:
+            value = family.nuisance
+        if value is None or not value > 0:
+            raise ValueError(f"{name} must be positive for {kind}, got "
+                             f"{value!r}; only a {own} family lends its own "
+                             f"{name}")
+        return inv.cramer_of(fam.BoundingFamily(own, value))
+    if family is None:
         raise ValueError(f"the {kind} kind needs a family, got None")
-    if kind in ("mls", "catoni_inf") and family and family.kind != "bernoulli":
-        raise ValueError(f"{kind} needs the bernoulli family, got {family.kind}")
-    if kind == "poisson_diff_inf" and family and family.mean_domain[0] < 0.0:
-        raise ValueError(f"poisson_diff_inf needs nonnegative losses; "
-                         f"the {family.kind} family's mean can be negative")
-    if kind in ("laplace_diff_inf", "gaussian_diff_inf"):
-        _diff_family(kind, family, sigma2, b)
+    return inv.cramer_of(family)
 
 
 def _kind_query(kind, family, alpha, beta, n, delta, sigma2, b, *,
                 ln_upsilon=None, u=None):
-    """(comparator, query) of a bound kind, after check_kind.
+    """(check_kind's comparator, the query with the kind's correction).
 
     alpha and beta may be arrays; the Chernoff kind computes its Upsilon
     once for all of them when ln_upsilon is None.  n may be an array too,
     except for the kinds of _SCALAR_N.  u is the 2e ceil(u) grid size,
-    default n.  A parametric infimum inverts sup_t D_t (each D_t, a CGF
-    line, is nondecreasing in rho): the binary kl for Catoni's family, a
-    Cramer function for the difference comparators."""
-    check_kind(kind, family, delta, sigma2, b, ln_upsilon=ln_upsilon, u=u)
+    default n."""
+    comp = check_kind(kind, family, delta, sigma2, b, ln_upsilon=ln_upsilon,
+                      u=u)
     if kind in _SCALAR_N and np.ndim(n):
         raise ValueError(f"the {kind} kind needs a scalar n, got an array")
     q = BoundQuery(alpha, beta, n, delta)    # checked before the correction
-    if kind in ("mls", "catoni_inf"):
-        comp = inv.binary_kl()
-    elif kind == "poisson_diff_inf":
-        comp = inv.cramer_of(fam.poisson())
-    elif kind in PARAMETRIC_INFIMA:
-        comp = inv.cramer_of(_diff_family(kind, family, sigma2, b))
-    else:
-        comp = inv.cramer_of(family)
     if kind == "mls":
         ln_iota = math.log(2.0) + 0.5 * math.log(n)
     elif kind == "pac_cramer_chernoff":

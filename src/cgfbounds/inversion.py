@@ -180,14 +180,15 @@ def check_delta(delta):
 
 
 def check_n(n, name="n"):
-    """Raise ValueError unless the count n, or each element of an array n, is
-    a finite integer of at least 1 (100.0 passes, 2.5 does not)."""
+    """The count n as an int made from n itself (100.0 is 100), an array as
+    given; ValueError unless each is a finite integer of at least 1."""
     nn = np.asarray(n, dtype=float)
     ok = (nn >= 1.0) & (nn < math.inf) & (np.floor(nn) == nn)
     if not ok.all():
         got = np.asarray(n)[~ok].flat[0]
         rule = "at least 1" if not got >= 1 else "at least 1 and a finite integer"
         raise ValueError(f"{name} must be {rule}, got {got}")
+    return n if nn.ndim else int(n)
 
 
 @dataclass(frozen=True)

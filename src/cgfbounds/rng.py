@@ -23,10 +23,12 @@ def _splitmix64(x):
 
 
 def stream_key(seed, *ids):
-    """Fold a seed and integer stream ids into a 128-bit Philox key.
+    """Fold an integer seed and integer stream ids into a 128-bit Philox key.
 
     Broadcasts over array ids, giving shape ids.shape + (2,); (2,) for scalars.
     """
+    if not (isinstance(seed, int) or np.ndim(seed) or float(seed) % 1 == 0):
+        raise ValueError(f"seed must be an integer, got {seed}")
     with np.errstate(over="ignore"):    # uint64 arithmetic wraps mod 2**64
         lo = _splitmix64(_u64(seed))
         hi = _splitmix64(lo ^ np.uint64(0xD6E8FEB86659FD93))

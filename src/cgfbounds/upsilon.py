@@ -304,6 +304,7 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
     """
     if not samples >= 4:
         raise ValueError(f"samples must be at least 4, got {samples}")
+    samples = check_n(samples, "samples")
     rs = _r_grid(family, r_grid, 21, first=1e-3)
 
     def ln_mean_exp(w):
@@ -376,10 +377,10 @@ def compute_upsilon(comp, family, n, seed=0, samples=10**5):
     (params["cgf_line"]) has E e^{n (s xbar - K_r(s))} = 1 at every r: ln
     Upsilon = 0, mode exact.  Every other pair takes its route on the
     route's default r grid; seed and samples apply to the Monte-Carlo
-    route.  Raises ValueError when n fails inversion.check_n or the
-    comparator's loss range does not cover the family's mean domain.
+    route.  n is a count, made an int by inversion.check_n; ValueError too
+    if the comparator's loss range does not cover the family's mean domain.
     """
-    check_n(n)
+    n = check_n(n)
     (c_lo, c_hi), (f_lo, f_hi) = comp.loss_range, family.mean_domain
     if not (c_lo <= f_lo and f_hi <= c_hi):
         raise ValueError(f"comparator {comp.form} has loss range "
@@ -414,6 +415,7 @@ def correction_xi(n_times_trainloss, kl):
 
 def correction_two_e_ceil(u_value):
     """The union-bound correction 2 e ceil(u); u below 1 still pays one cell."""
-    if not u_value >= 0.0:
-        raise ValueError(f"u must be nonnegative, got {u_value}")
+    if not 0.0 <= u_value < math.inf:
+        rule = "nonnegative and finite" if u_value >= 0.0 else "nonnegative"
+        raise ValueError(f"u must be {rule}, got {u_value}")
     return 2.0 * math.e * max(1, math.ceil(u_value))

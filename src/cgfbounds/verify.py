@@ -49,8 +49,7 @@ class SyntheticProblem:
             raise ValueError("gibbs_temperature must be nonnegative, got "
                              f"{self.gibbs_temperature}")
         for name in ("n", "trials"):        # counts; 100.0 is 100
-            check_n(getattr(self, name), name)
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, check_n(getattr(self, name), name))
 
 
 @dataclass
@@ -294,9 +293,8 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
     if not math.isfinite(family.mean_domain[1]):
         raise ValueError("the samplewise comparison is Bernoulli-only, got "
                          f"{family.kind}")
-    for name, size in (("inner", inner), ("outer", outer),
-                       ("replicates", replicates)):
-        check_n(size, name)
+    inner, outer, replicates = (check_n(size, name) for name, size in (
+        ("inner", inner), ("outer", outer), ("replicates", replicates)))
     means = np.asarray(problem.hypothesis_means, dtype=float)
     prior = np.asarray(problem.prior_weights, dtype=float)
     m, n, c = len(means), problem.n, problem.gibbs_temperature

@@ -248,6 +248,35 @@ def test_only_two_e_ceil_takes_u(kind):
         bounds.evaluate_kind(kind, fam.bernoulli(), 0.1, 2.3, 100, 0.05, u=3.5)
 
 
+# kind: (family, form, params["family"]) of the comparator the kind inverts
+# at sigma2=0.25 and b=1; poisson_diff_inf and laplace_diff_inf take no
+# comparator from a family of another type
+KIND_COMPARATORS = {
+    "average_cramer": (fam.gamma(2.0), "cramer[gamma:k=2]", fam.gamma(2.0)),
+    "pac_cramer_chernoff": (fam.bernoulli(), "cramer[bernoulli]",
+                            fam.bernoulli()),
+    "pac_cramer_xi": (fam.poisson(), "cramer[poisson]", fam.poisson()),
+    "pac_cramer_two_e_ceil": (fam.gaussian(0.5), "cramer[gaussian:sigma2=0.5]",
+                              fam.gaussian(0.5)),
+    "catoni_inf": (None, "binary_kl", fam.bernoulli()),
+    "mls": (fam.bernoulli(), "binary_kl", fam.bernoulli()),
+    "poisson_diff_inf": (fam.gamma(2.0), "cramer[poisson]", fam.poisson()),
+    "laplace_diff_inf": (fam.gaussian(1.0), "cramer[laplace:b=1]",
+                         fam.laplace(1.0)),
+    "gaussian_diff_inf": (None, "cramer[gaussian:sigma2=0.25]",
+                          fam.gaussian(0.25)),
+}
+
+
+@pytest.mark.parametrize("kind", bounds.BOUND_KINDS)
+def test_check_kind_returns_the_comparator_the_kind_inverts(kind):
+    family, form, member = KIND_COMPARATORS[kind]
+    comp = bounds.check_kind(kind, family, 0.05, sigma2=0.25, b=1.0)
+    assert (comp.form, comp.params) == (form, {"family": member})
+    comp, _ = bounds._kind_query(kind, family, 0.3, 1.0, 20, 0.05, 0.25, 1.0)
+    assert (comp.form, comp.params) == (form, {"family": member})
+
+
 def test_delta_enters_every_budget():
     # with delta, an uncorrected kind inverts at (beta - ln delta)/n, flagged
     # reference_only; catoni_inf and average_cramer are then the same kl

@@ -708,6 +708,12 @@ USAGE_ERRORS = {
                      "'kinds average_cramer' is not key=value"]),
     "u-negative": (BOUND + ("--delta", "0.05", "--correction", "2eceil",
                             "--u", "-1"), ["u must be nonnegative", "-1.0"]),
+    "u-inf": (BOUND + ("--delta", "0.05", "--correction", "2eceil", "--u",
+                       "inf"), ["u must be nonnegative and finite", "inf"]),
+    "ln-upsilon-negative": (BOUND + ("--delta", "0.05", "--correction",
+                                     "chernoff=-1"),
+                            ["ln_upsilon must be finite and at least 0",
+                             "-1.0"]),
     "range-reversed": (("sweep", "--family", "bernoulli", "--kinds",
                         "average_cramer", "--alpha-range", "0.5:0.1:3",
                         "--bon-range", "0.01:1:3", "--n", "50"),

@@ -912,6 +912,21 @@ CHECK_MESSAGES = {
                             "u must be nonnegative, got -1.0"),
     "two-e-ceil-nan": (lambda: ups.correction_two_e_ceil(math.nan),
                        "u must be nonnegative, got nan"),
+    # an infinite u has no ceiling: refused before math.ceil
+    "two-e-ceil-inf": (lambda: ups.correction_two_e_ceil(math.inf),
+                       "u must be nonnegative and finite, got inf"),
+    "kind-u-inf": (
+        lambda: bounds.evaluate_kind("pac_cramer_two_e_ceil", fam.bernoulli(),
+                                     0.3, 1.0, 10, 0.05, u=math.inf),
+        "u must be nonnegative and finite, got inf"),
+    # Upsilon of a Cramer comparator is at least 1; a negative ln_upsilon
+    # would make the bound the training loss
+    **{f"chernoff-ln-upsilon-{v}": (
+        lambda v=v: bounds.evaluate_kind("pac_cramer_chernoff",
+                                         fam.bernoulli(), 0.3, 1.0, 10, 0.05,
+                                         ln_upsilon=v),
+        f"ln_upsilon must be finite and at least 0, got {v}")
+       for v in (-5.0, math.nan, math.inf)},
 }
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,21 @@ def test_stream_key_frozen():
     for seed in SEEDS + (-1, 2**70):
         for ids in ((), (0,), (-2**63,), (2**64 + 3, 5), (310000, -1, 7)):
             assert stream_key(seed, *ids).tolist() == python_key(seed, *ids)
+
+
+@pytest.mark.parametrize("seed", [1.7, -0.5, math.nan, math.inf, -math.inf,
+                                  np.float64(math.inf)])
+def test_stream_key_refuses_a_seed_that_is_no_integer(seed):
+    # a fractional seed is no stream: truncated, 1.7 would draw seed 1's
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed}$"):
+        stream_key(seed, 3)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        make_generator(seed)
+
+
+def test_integral_float_seed_is_the_integer_seed():
+    assert stream_key(2.0).tolist() == stream_key(2).tolist()
+    assert stream_key(np.float64(-7.0), 5).tolist() == stream_key(-7, 5).tolist()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -209,6 +209,40 @@ def test_compute_upsilon_rejects_n_below_one():
         ups.compute_upsilon(inv.binary_kl(), fam.bernoulli(), 100)
 
 
+# route: (comparator, family, compute_upsilon keywords) that takes it at n = 20
+ROUTES = {
+    "shtarkov": (inv.binary_kl(), fam.bernoulli(), {}),
+    "binomial": (inv.scaled_diff(0.5), fam.bernoulli(), {}),
+    "series": (inv.scaled_diff(0.05), fam.poisson(), {}),
+    "quadrature": (inv.scaled_diff(0.3), fam.gaussian(1.0), {}),
+    "monte_carlo": (inv.scaled_diff(0.3), fam.laplace(1.0), {"samples": 1000}),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_takes_n_as_a_count(route):
+    # check_n hands each route the int 20; the binomial and Monte-Carlo
+    # routes size arrays by n
+    comp, family, kw = ROUTES[route]
+    want = ups.compute_upsilon(comp, family, 20, **kw)
+    assert repr(ups.compute_upsilon(comp, family, 20.0, **kw)) == repr(want)
+    assert want.mode == {"shtarkov": "exact", "binomial": "exact",
+                         "series": "truncated", "quadrature": "truncated",
+                         "monte_carlo": "monte_carlo"}[route]
+
+
+def test_monte_carlo_samples_is_a_count():
+    comp, family = inv.scaled_diff(0.3), fam.laplace(1.0)
+    assert repr(ups.compute_upsilon(comp, family, 5, samples=1e3)) == \
+        repr(ups.compute_upsilon(comp, family, 5, samples=1000))
+    for samples in (4.5, math.inf):
+        with pytest.raises(ValueError, match="^samples must be at least 1 and "
+                           f"a finite integer, got {samples}$"):
+            ups.compute_upsilon(comp, family, 5, samples=samples)
+    with pytest.raises(ValueError, match="^samples must be at least 4, got 3$"):
+        ups.compute_upsilon(comp, family, 5, samples=3)
+
+
 # -- Poisson series route --------------------------------------------------------
 
 def test_poisson_diff_series_is_one():

@@ -533,6 +533,22 @@ def test_samplewise_comparison_frozen():
         0.01927246164029738)
 
 
+def test_samplewise_sizes_are_counts():
+    # inner, outer and replicates reach the draws as ints: 50.0 is 50
+    p = problem(hypothesis_means=(0.2, 0.45, 0.7), gibbs_temperature=2.0,
+                n=8, trials=10, seed=3)
+    assert verify.run_samplewise_comparison(
+        p, inner=50.0, outer=20.0, replicates=2.0) == \
+        verify.run_samplewise_comparison(p, inner=50, outer=20, replicates=2)
+
+
+def test_problem_counts_keep_every_digit():
+    # the int is made from the count given; its float copy would be 2**60
+    p = problem(n=2**60 + 1, trials=100.0)
+    assert (type(p.n), p.n) == (int, 2**60 + 1)
+    assert (type(p.trials), p.trials) == (int, 100)
+
+
 def test_samplewise_comparison_rejects():
     with pytest.raises(ValueError, match="Bernoulli-only, got gaussian"):
         verify.run_samplewise_comparison(problem(family=fam.gaussian(1.0)))
