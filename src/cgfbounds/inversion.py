@@ -179,16 +179,19 @@ def check_delta(delta):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
-def check_n(n, name="n"):
-    """The count n as an int made from n itself (100.0 is 100), an array as
-    given; ValueError unless each is a finite integer of at least 1."""
-    nn = np.asarray(n, dtype=float)
-    ok = (nn >= 1.0) & (nn < math.inf) & (np.floor(nn) == nn)
+def check_n(value, name="n", least=1):
+    """The count value as an int made from value itself (100.0 is 100), an
+    array as given; ValueError unless each is a finite integer of at least
+    `least`."""
+    nn = np.asarray(value, dtype=float)
+    ok = (nn >= least) & (nn < math.inf) & (np.floor(nn) == nn)
     if not ok.all():
-        got = np.asarray(n)[~ok].flat[0]
-        rule = "at least 1" if not got >= 1 else "at least 1 and a finite integer"
+        got = np.asarray(value)[~ok].flat[0]
+        rule = f"at least {least}"
+        if got >= least:
+            rule += " and a finite integer"
         raise ValueError(f"{name} must be {rule}, got {got}")
-    return n if nn.ndim else int(n)
+    return value if nn.ndim else int(value)
 
 
 @dataclass(frozen=True)

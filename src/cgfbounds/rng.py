@@ -22,13 +22,22 @@ def _splitmix64(x):
     return x ^ (x >> np.uint64(31))
 
 
+def check_seed(seed):
+    """A scalar seed as an int made from seed itself (2.0 is 2), an array as
+    given; ValueError unless a scalar seed is an integer."""
+    if isinstance(seed, int) or np.ndim(seed):
+        return seed
+    if not float(seed) % 1 == 0:
+        raise ValueError(f"seed must be an integer, got {seed}")
+    return int(seed)
+
+
 def stream_key(seed, *ids):
     """Fold an integer seed and integer stream ids into a 128-bit Philox key.
 
     Broadcasts over array ids, giving shape ids.shape + (2,); (2,) for scalars.
     """
-    if not (isinstance(seed, int) or np.ndim(seed) or float(seed) % 1 == 0):
-        raise ValueError(f"seed must be an integer, got {seed}")
+    seed = check_seed(seed)
     with np.errstate(over="ignore"):    # uint64 arithmetic wraps mod 2**64
         lo = _splitmix64(_u64(seed))
         hi = _splitmix64(lo ^ np.uint64(0xD6E8FEB86659FD93))

@@ -8,6 +8,7 @@ r-grid (Bernoulli), truncated series with a divergence certificate
 sample mean (Gaussian, gamma, inverse Gaussian), or Monte Carlo with a
 delta-method 95% interval.  Also houses the union-bound corrections that
 substitute for Upsilon when it diverges.  All values are in log domain.
+Every route takes n through inversion.check_n, so n = 20.0 is the count 20.
 """
 
 import math
@@ -88,6 +89,7 @@ def upsilon_shtarkov_bernoulli(n):
     most ln(2 sqrt(n)), the mls correction (Maurer, A note on the PAC
     Bayesian theorem, 2004).  The terms use the 0 ln 0 = 0 convention.
     """
+    n = check_n(n)
     ks, ln_binom = _ln_binom(n)
     qs = ks / n
     return UpsilonEstimate("exact", float(logsumexp(
@@ -108,6 +110,7 @@ def upsilon_bernoulli_exact(comp, n, r_grid=None):
     is not finite at some r of the grid (a custom comparator's raising cell
     is +inf).
     """
+    n = check_n(n)
     ks, ln_binom = _ln_binom(n)
     qs = ks / n
 
@@ -218,6 +221,7 @@ def upsilon_poisson_series(comp, n, r_grid=None):
     (10^4) consecutive term ratios exceed 1 - 1/(k+1) beyond k = _SLOW_RUN
     (sub-summable decay, the Stirling k^{-1/2} signature).
     """
+    n = check_n(n)
     rs = _r_grid(poisson(), r_grid, 121)
     ln_fact = {}
     return _scan_r_grid(poisson(), rs,
@@ -277,6 +281,7 @@ def upsilon_quadrature(comp, family, n, r_grid=None):
     at the extreme ends of that wide coarse grid (for the Cramer comparators
     of the gamma family the integrand behaves like 1/x at both ends).
     """
+    n = check_n(n)
     if family.law.ln_pdf_mean is None:
         raise ValueError(f"no closed mean density for {family.kind}")
     rs = _r_grid(family, r_grid, 41)
@@ -302,9 +307,8 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
     sample-size prefixes and the top 1% of draws carries more than half the
     total weight.  samples must be at least 4, one per sample-size prefix.
     """
-    if not samples >= 4:
-        raise ValueError(f"samples must be at least 4, got {samples}")
-    samples = check_n(samples, "samples")
+    n = check_n(n)
+    samples = check_n(samples, "samples", least=4)
     rs = _r_grid(family, r_grid, 21, first=1e-3)
 
     def ln_mean_exp(w):

@@ -20,7 +20,7 @@ from ._special import binomial_tail_root, logsumexp, xlog1py, xlogy
 from .bounds import (_exceeds, bound_values, check_kind, evaluate_kind,
                      reference_flag)
 from .inversion import check_n
-from .rng import make_generator, streams
+from .rng import check_seed, make_generator, streams
 from .upsilon import cramer_divergence
 
 
@@ -50,6 +50,7 @@ class SyntheticProblem:
                              f"{self.gibbs_temperature}")
         for name in ("n", "trials"):        # counts; 100.0 is 100
             object.__setattr__(self, name, check_n(getattr(self, name), name))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass
@@ -218,6 +219,7 @@ CERTIFIED_KINDS = {
 def random_problem(family, m, c, n, trials, seed, stream):
     """A problem with m means drawn uniformly from the mean interval of the
     family's law on stream (seed, stream), under a uniform prior."""
+    m = check_n(m, "m", least=2)
     if family.law.mean_interval is None:
         kinds = [k for k, law in fam._LAWS.items() if law.mean_interval]
         raise ValueError(f"verify supports the {', '.join(kinds)} families, "

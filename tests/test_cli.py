@@ -120,12 +120,17 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_figures_match_frozen_references(tmp_path, name, command):
     # cell by cell against perfbench/refs, which is only read here
     out = tmp_path / f"{name}.csv"
+    ref = ROOT / "perfbench" / "refs" / f"{name}.csv"
     assert main([command, "--config", str(ROOT / "figs" / f"{name}.cfg"),
                  "--out", str(out)]) == 0
+    if command == "ndep":   # byte for byte
+        assert out.read_bytes() == ref.read_bytes()
     got = [r.split(",") for r in out.read_text().strip().split("\n")]
-    want = [r.split(",") for r in
-            (ROOT / "perfbench" / "refs" / f"{name}.csv").read_text()
-            .strip().split("\n")]
+    want = [r.split(",") for r in ref.read_text().strip().split("\n")]
+    if name == "fig1b":
+        # the poisson difference infimum is the Cramer bound: every diff
+        # cell is exactly 0, where the reference holds rounding noise
+        assert {row[got[0].index("diff")] for row in got[1:]} == {"0"}
     assert got[0] == want[0] and len(got) == len(want)
     for g_row, w_row in zip(got[1:], want[1:]):
         for col, g, w in zip(want[0], map(float, g_row), map(float, w_row)):
@@ -333,6 +338,19 @@ def test_upsilon_record_reports_r_at_cap():
     assert list(json.loads(out))[-2:] == ["r_at_cap", "divergent_suspect"]
 
 
+@pytest.mark.parametrize("family, code, at_cap", [("laplace:b=1", 0, False),
+                                                 ("negbin:r=3", 5, True)],
+                         ids=["laplace", "negbin"])
+def test_upsilon_monte_carlo_record(family, code, at_cap, capsys):
+    # laplace and negbin have no closed law of the mean; negbin's sup over
+    # r runs past the grid (r* = 50), so its record has r_at_cap and exit 5
+    assert main(["upsilon", "--comparator", "scaled_diff:t=0.3", "--family",
+                 family, "--n", "20", "--samples", "2000"]) == code
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["mode"] == "monte_carlo" and rec["r_at_cap"] is at_cap
+    assert (rec["r_star"] == 50.0) is at_cap
+
+
 def test_upsilon_divergent_reported():
     code, out, _ = run_cli("upsilon", "--comparator", "cramer",
                            "--family", "poisson", "--n", "10")
@@ -448,10 +466,10 @@ def test_verify_reference_line():
     assert code == 0 and "REFERENCE" in stdout
 
 
-def test_conjugate_check_all_families():
-    for spec in ("bernoulli", "gamma:k=2", "invgauss:lambda=1.5"):
-        code, stdout, _ = run_cli("conjugate-check", "--family", spec)
-        assert code == 0 and "PASS" in stdout
+def test_conjugate_check_all_families(capsys):
+    for spec in cli._DEFAULT_CHECK_FAMILIES:
+        assert main(["conjugate-check", "--family", spec]) == 0, spec
+        assert "PASS" in capsys.readouterr().out
 
 
 def test_selfcheck_passes():

@@ -219,28 +219,53 @@ ROUTES = {
 }
 
 
+# route: the route's own function, called with what compute_upsilon passes
+ROUTE_CALLS = {
+    "shtarkov": lambda c, f, n, kw: ups.upsilon_shtarkov_bernoulli(n),
+    "binomial": lambda c, f, n, kw: ups.upsilon_bernoulli_exact(c, n),
+    "series": lambda c, f, n, kw: ups.upsilon_poisson_series(c, n),
+    "quadrature": lambda c, f, n, kw: ups.upsilon_quadrature(c, f, n),
+    "monte_carlo": lambda c, f, n, kw: ups.upsilon_monte_carlo(c, f, n, **kw),
+}
+
+
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_every_route_takes_n_as_a_count(route):
-    # check_n hands each route the int 20; the binomial and Monte-Carlo
-    # routes size arrays by n
+    # each route, called through compute_upsilon or on its own, makes the
+    # int 20 of 20.0 by check_n; the binomial and Monte-Carlo routes size
+    # arrays by n
     comp, family, kw = ROUTES[route]
     want = ups.compute_upsilon(comp, family, 20, **kw)
     assert repr(ups.compute_upsilon(comp, family, 20.0, **kw)) == repr(want)
+    assert repr(ROUTE_CALLS[route](comp, family, 20.0, kw)) == repr(want)
     assert want.mode == {"shtarkov": "exact", "binomial": "exact",
                          "series": "truncated", "quadrature": "truncated",
                          "monte_carlo": "monte_carlo"}[route]
 
 
+@pytest.mark.parametrize("n", [0, 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_refuses_what_is_no_count(route, n):
+    # a route called on its own refuses the n that compute_upsilon refuses,
+    # not a mean of 2.5 draws or a numpy error that names no argument
+    comp, family, kw = ROUTES[route]
+    with pytest.raises(ValueError, match=rf"^n must be at least 1.*, got {n}$"):
+        ROUTE_CALLS[route](comp, family, n, kw)
+
+
 def test_monte_carlo_samples_is_a_count():
+    # every refusal names the route's floor of 4
     comp, family = inv.scaled_diff(0.3), fam.laplace(1.0)
     assert repr(ups.compute_upsilon(comp, family, 5, samples=1e3)) == \
         repr(ups.compute_upsilon(comp, family, 5, samples=1000))
     for samples in (4.5, math.inf):
-        with pytest.raises(ValueError, match="^samples must be at least 1 and "
+        with pytest.raises(ValueError, match="^samples must be at least 4 and "
                            f"a finite integer, got {samples}$"):
             ups.compute_upsilon(comp, family, 5, samples=samples)
-    with pytest.raises(ValueError, match="^samples must be at least 4, got 3$"):
-        ups.compute_upsilon(comp, family, 5, samples=3)
+    for samples in (3, 0, math.nan):
+        with pytest.raises(ValueError, match="^samples must be at least 4, "
+                           f"got {samples}$"):
+            ups.compute_upsilon(comp, family, 5, samples=samples)
 
 
 # -- Poisson series route --------------------------------------------------------

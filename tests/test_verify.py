@@ -206,6 +206,13 @@ def test_random_problem_refuses_a_family_without_a_mean_interval():
         verify.random_problem(fam.gamma(2.0), 3, 1.0, 10, 5, 0, 1)
 
 
+@pytest.mark.parametrize("m", [-1, 2.5, 1, math.nan])
+def test_random_problem_refuses_an_m_that_is_no_count_of_two(m):
+    # before the means are drawn, not as numpy's error about dimensions
+    with pytest.raises(ValueError, match=rf"^m must be at least 2.*, got {m}$"):
+        verify.random_problem(fam.bernoulli(), m, 1.0, 10, 5, 0, 1)
+
+
 def test_suite_summary_is_run_trials_summary():
     # the kinds evaluated together, as default_suite does, give the
     # summaries each kind gives on its own
@@ -338,6 +345,17 @@ def test_problem_n_is_a_sample_size(n):
         problem(n=n)
     assert verify.run_trials(problem(n=25.0, trials=20.0, seed=123460)) == \
         verify.run_trials(problem(n=25, trials=20, seed=123460))
+
+
+def test_problem_seed_is_an_integer():
+    # refused when the problem is built, by stream_key's own rule, not when
+    # run_trials first draws; 2.0 is seed 2
+    for seed in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError,
+                           match=f"^seed must be an integer, got {seed}$"):
+            problem(seed=seed)
+    p = problem(seed=2.0)
+    assert type(p.seed) is int and p == problem(seed=2)
 
 
 def test_default_suite_makes_one_inversion_per_problem(monkeypatch):
