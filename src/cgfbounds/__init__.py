@@ -7,10 +7,10 @@ from .conjugate import (ConjugateDivergent, ConjugateResult, family_conjugate,
 from .families import (FAMILY_KINDS, BoundingFamily, bernoulli, family_spec,
                        gamma, gaussian, invgauss, laplace, negbin,
                        parse_family, poisson)
-from .inversion import (BoundQuery, BoundResult, Comparator, NoFiniteBound,
-                        NonMonotoneComparator, binary_kl, catoni, cramer_of,
-                        gaussian_diff, infimum_over_parameter, invert,
-                        laplace_diff, poisson_diff, scaled_diff)
+from .inversion import (BoundResult, Comparator, NoFiniteBound,
+                        NonMonotoneComparator, binary_kl, budget, catoni,
+                        cramer_of, gaussian_diff, infimum_over_parameter,
+                        invert, laplace_diff, poisson_diff, scaled_diff)
 from .upsilon import (UpsilonEstimate, compute_upsilon, correction_two_e_ceil,
                       correction_xi)
 from .verify import (SamplewiseComparison, SyntheticProblem, TrialRecord,

@@ -1,20 +1,18 @@
 """Bound kinds: each is one comparator inverted at (beta + ln_iota - ln delta)/n.
 
 A kind names a comparator and a union correction ln_iota.  check_kind is
-the one rule on a query's inputs and gives the kind's comparator, to which
-_kind_query adds the correction.  evaluate_kind (a BoundResult) and
-bound_values (the rho arrays of one or more kinds, NaN where a bound
-diverges) go through it to the one inversion door, inversion.invert.
+the one rule on a query's inputs and gives the kind's comparator, which
+_kind_query pairs with inversion.budget at the kind's correction.
+evaluate_kind (a BoundResult) and bound_values (the rho arrays of one or
+more kinds, NaN where a bound diverges) pass the pair to inversion.invert.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from . import families as fam
 from . import inversion as inv
-from .inversion import BoundQuery
 from .upsilon import (compute_upsilon, correction_two_e_ceil, correction_xi,
                       cramer_divergence)
 
@@ -97,7 +95,7 @@ def check_kind(kind, family, delta, sigma2=None, b=None, *, ln_upsilon=None,
 
 def _kind_query(kind, family, alpha, beta, n, delta, sigma2, b, *,
                 ln_upsilon=None, u=None):
-    """(check_kind's comparator, the query with the kind's correction).
+    """(check_kind's comparator, the budget with the kind's correction).
 
     alpha and beta may be arrays; the Chernoff kind computes its Upsilon
     once for all of them when ln_upsilon is None.  n may be an array too,
@@ -107,7 +105,7 @@ def _kind_query(kind, family, alpha, beta, n, delta, sigma2, b, *,
                       u=u)
     if kind in _SCALAR_N and np.ndim(n):
         raise ValueError(f"the {kind} kind needs a scalar n, got an array")
-    q = BoundQuery(alpha, beta, n, delta)    # checked before the correction
+    budget = inv.budget(beta, n, delta)     # checked before the correction
     if kind == "mls":
         ln_iota = math.log(2.0) + 0.5 * math.log(n)
     elif kind == "pac_cramer_chernoff":
@@ -124,8 +122,8 @@ def _kind_query(kind, family, alpha, beta, n, delta, sigma2, b, *,
     elif kind == "pac_cramer_two_e_ceil":
         ln_iota = math.log(correction_two_e_ceil(n if u is None else u))
     else:
-        return comp, q
-    return comp, replace(q, ln_iota=ln_iota)
+        return comp, budget
+    return comp, inv.budget(beta, n, delta, ln_iota)
 
 
 def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
@@ -137,9 +135,9 @@ def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
     computes its ln_upsilon when none is given.  PARAMETRIC_INFIMA report
     param_star=None; infimum_over_parameter is their test oracle.
     """
-    comp, q = _kind_query(kind, family, alpha, beta, n, delta, sigma2, b,
-                          ln_upsilon=ln_upsilon, u=u)
-    res = inv.invert(comp, q.alpha, q.budget())
+    comp, budget = _kind_query(kind, family, alpha, beta, n, delta, sigma2, b,
+                               ln_upsilon=ln_upsilon, u=u)
+    res = inv.invert(comp, alpha, budget)
     res.flag = reference_flag(kind, delta)
     return res
 
@@ -155,10 +153,11 @@ def _grouped(kind, family, alpha, beta, n, delta, sigma2, b):
     groups = {}     # Cramer family: (comparator, {row: budget})
     for row, k in enumerate(kinds):
         try:
-            c, q = _kind_query(k, family, alpha, beta, n, delta, sigma2, b)
+            c, budget = _kind_query(k, family, alpha, beta, n, delta,
+                                    sigma2, b)
         except CorrectionDivergent:
             continue                # the row stays NaN
-        groups.setdefault(c.params["family"], (c, {}))[1][row] = q.budget()
+        groups.setdefault(c.params["family"], (c, {}))[1][row] = budget
     shape = np.broadcast_shapes(alpha.shape, *(
         np.shape(v) for _, rows in groups.values() for v in rows.values()))
     stacked = []
@@ -182,7 +181,7 @@ def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
 
     The kinds and rule of evaluate_kind.  The Chernoff kind computes its
     Upsilon and the 2e ceil(u) kind takes u = n.  n may be an integer
-    array, except for the kinds that BoundQuery names.  A sequence of kinds
+    array, except for the kinds of _SCALAR_N.  A sequence of kinds
     gives one leading row per kind, each equal to that kind's own call:
     they are grouped by Cramer comparator (params["family"]; binary_kl is
     Bernoulli's), each group makes one invert call over its stacked

@@ -262,7 +262,7 @@ def cmd_selfcheck(args):
         # inversion, equals the oracle's infimum over the parameter
         a, beta = np.meshgrid(alphas, bons * n, indexing="ij")
         gap = bounds.bound_values(kind, family, a, beta, n) - (
-            inv.infimum_over_parameter(make_comp, inv.BoundQuery(a, beta, n),
+            inv.infimum_over_parameter(make_comp, a, inv.budget(beta, n),
                                        param_range).rho)
         return float(np.max(np.abs(gap)))
 

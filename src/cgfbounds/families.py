@@ -221,12 +221,13 @@ class BoundingFamily:
     def _check_mean(self, p):
         lo, hi = self.mean_domain
         if isinstance(p, (int, float)):     # plain comparisons: NaN fails
-            bad = not lo < p < hi
+            bad, pp = not lo < p < hi, p
         else:
-            pp = np.asarray(p)
+            pp = np.asarray(p, dtype=float)
             bad = (~((pp > lo) & (pp < hi))).any()
         if bad:
             raise ValueError(f"mean {p} outside the open domain of {self.kind}")
+        return pp       # a float array unless p is a Python number
 
     # -- CGF and its finiteness interval ----------------------------------
 
@@ -234,12 +235,12 @@ class BoundingFamily:
         """The finiteness interval of the CGF of the member with mean p, as
         an open (lower, upper) pair; nonempty, as the nuisance is in (0, inf).
         The ends are Python floats for a scalar p, arrays for an array p."""
-        self._check_mean(p)
-        return self.law.t_domain(p, self.nuisance)
+        return self.law.t_domain(self._check_mean(p), self.nuisance)
 
     def cgf(self, p, t):
         """ln E[e^{tX}] for X ~ P_p. Raises outside the finiteness interval."""
-        lo, hi = self.t_domain(p)
+        p = self._check_mean(p)
+        lo, hi = self.law.t_domain(p, self.nuisance)
         tt = np.asarray(t, dtype=float)
         if isinstance(p, (int, float)) and isinstance(t, (int, float)):
             bad = t <= lo or t >= hi        # as the numpy test: NaN passes
@@ -279,8 +280,7 @@ class BoundingFamily:
         means[h].  rng is a numpy Generator, such as one from
         cgfbounds.rng.make_generator(seed).
         """
-        self._check_mean(p)
-        return self._draw(p, size, rng)
+        return self._draw(self._check_mean(p), size, rng)
 
     def _draw(self, p, size, rng, out=None):
         """sample without the mean check, for callers that made it once.

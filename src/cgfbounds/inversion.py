@@ -1,10 +1,11 @@
 """Bound inversion: largest population loss consistent with a comparator budget.
 
-The two operators differ only in the budget: the high-probability form uses
-(beta + ln(iota/delta))/n, the average form (beta + ln iota)/n.  Both reduce
-to sup{rho : comparator(alpha, rho) <= budget}, found by bracketed bisection.
-invert(comp, alpha, budget) is the one door: it broadcasts alpha and budget,
-a scalar query being the 0-d case, and returns one BoundResult.
+The two operators differ only in budget(beta, n, delta, ln_iota): the
+high-probability (beta + ln(iota/delta))/n, the average (beta + ln iota)/n.
+Both reduce to sup{rho : comparator(alpha, rho) <= budget}, found by
+bracketed bisection.  invert(comp, alpha, budget) is the one door, and
+infimum_over_parameter takes the same pair: both broadcast alpha and budget,
+a scalar query being the 0-d case, and return one BoundResult.
 """
 
 import functools
@@ -171,7 +172,7 @@ def custom(eval_fn, loss_range, form="custom", params=None):
                       params or {})
 
 
-# -- queries and results ---------------------------------------------------
+# -- budgets and results ---------------------------------------------------
 
 def check_delta(delta):
     """Raise ValueError unless delta is None or lies in (0, 1)."""
@@ -194,37 +195,23 @@ def check_n(value, name="n", least=1):
     return value if nn.ndim else int(value)
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    """Inputs of a single bound evaluation.
-
-    ln_iota is the log-correction ln(iota) in nats; the bounds module
-    chooses the correction that supplies it.  delta absent means the
-    average-case operator (no confidence term).  alpha, beta, n and ln_iota
-    may be arrays; the budget then broadcasts over them.  n must pass
-    check_n; the mls, pac_cramer_two_e_ceil and pac_cramer_chernoff kinds
-    take a scalar n only (bounds._kind_query refuses an array).
-    """
-    alpha: float
-    beta: float
-    n: int
-    delta: float | None = None
-    ln_iota: float = 0.0
-
-    def __post_init__(self):
-        beta, ln_iota = np.asarray(self.beta), np.asarray(self.ln_iota)
-        if not np.all(np.isfinite(beta) & (beta >= 0.0)):
-            raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-        if not np.all(np.isfinite(ln_iota)):
-            raise ValueError(f"ln_iota must be finite, got {ln_iota}")
-        check_n(self.n)
-        check_delta(self.delta)
-
-    def budget(self):
-        b = np.add(self.beta, self.ln_iota)     # beta or n may be a list
-        if self.delta is not None:
-            b -= math.log(self.delta)
-        return b / self.n
+def budget(beta, n, delta=None, ln_iota=0.0):
+    """(beta + ln_iota - ln delta)/n, the budget a bound is inverted at:
+    ln_iota is the union correction ln(iota) in nats, delta None the
+    average-case operator.  beta, n and ln_iota may be arrays; ValueError
+    unless beta is finite and at least 0, ln_iota finite, n passes check_n
+    and delta check_delta, in that order."""
+    if not np.all(np.isfinite(beta) & (np.asarray(beta) >= 0.0)):
+        raise ValueError("beta must be finite and nonnegative, got "
+                         f"{np.asarray(beta)}")
+    if not np.all(np.isfinite(ln_iota)):
+        raise ValueError(f"ln_iota must be finite, got {np.asarray(ln_iota)}")
+    n = check_n(n)
+    check_delta(delta)
+    out = np.add(beta, ln_iota)     # beta or n may be a list
+    if delta is not None:
+        out -= math.log(delta)
+    return out / n
 
 
 @dataclass
@@ -250,6 +237,16 @@ _TOL = 1e-9     # bracket width at which bisection stops: absolute on a
                 # bounded range, relative to max(1, |lo|) on an unbounded one
 
 
+def _cells(alpha, budget):
+    """alpha and budget as broadcast float arrays; ValueError unless every
+    budget is finite."""
+    alpha, budget = np.broadcast_arrays(np.asarray(alpha, dtype=float),
+                                        np.asarray(budget, dtype=float))
+    if not np.all(np.isfinite(budget)):
+        raise ValueError(f"budget must be finite, got {budget}")
+    return alpha, budget
+
+
 def _bisect(comp, alpha, budget, losses=None):
     """sup{rho : comp(alpha, rho) <= budget} over broadcast arrays.
 
@@ -266,10 +263,7 @@ def _bisect(comp, alpha, budget, losses=None):
     and the loop ends once no cell is open.  An open cell takes the same
     steps as when converged, so the booleans are those of the converged rho.
     """
-    alpha, budget = np.broadcast_arrays(np.asarray(alpha, dtype=float),
-                                        np.asarray(budget, dtype=float))
-    if not np.all(np.isfinite(budget)):
-        raise ValueError(f"budget must be finite, got {budget}")
+    alpha, budget = _cells(alpha, budget)
     lo_r, hi_r = comp.loss_range
     outside = ~((lo_r <= alpha) & (alpha <= hi_r))
     if outside.any():
@@ -372,9 +366,10 @@ def invert(comp, alpha, budget):
 
 # -- one-parameter infima --------------------------------------------------
 
-def infimum_over_parameter(make_comp, query, param_range):
-    """min over a parameter of the inverted bound, cell by cell over the
-    query's broadcast (alpha, budget) arrays, by grid scan + argmax_zoom.
+def infimum_over_parameter(make_comp, alpha, budget, param_range):
+    """min over a parameter of the inverted bound, cell by cell over
+    invert's broadcast (alpha, budget), by grid scan + argmax_zoom; like
+    invert, it refuses a budget that is not finite.
 
     For caller-supplied comparator families, and the test oracle of the
     built-in parametric-infimum kinds, which bounds evaluates by their kl or
@@ -398,8 +393,7 @@ def infimum_over_parameter(make_comp, query, param_range):
         raise ValueError("param_range ends must be finite and above 0, got "
                          f"{param_range}")
     xs = np.linspace(math.log(lo), math.log(hi), 64)
-    alpha, budget = np.broadcast_arrays(np.asarray(query.alpha, dtype=float),
-                                        np.asarray(query.budget(), dtype=float))
+    alpha, budget = _cells(alpha, budget)
     shape = alpha.shape
     alpha, budget = alpha.reshape(-1, 1), budget.reshape(-1, 1)
 

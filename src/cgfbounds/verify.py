@@ -38,7 +38,7 @@ class SyntheticProblem:
         m = len(self.hypothesis_means)
         if m < 2:
             raise ValueError(f"a problem needs at least 2 hypotheses, got {m}")
-        self.family._check_mean(self.hypothesis_means)
+        means = self.family._check_mean(self.hypothesis_means)
         w = np.asarray(self.prior_weights, dtype=float)
         if w.shape != (m,):
             raise ValueError(f"prior_weights needs {m} entries, got {w.size}")
@@ -51,6 +51,8 @@ class SyntheticProblem:
         for name in ("n", "trials"):        # counts; 100.0 is 100
             object.__setattr__(self, name, check_n(getattr(self, name), name))
         object.__setattr__(self, "seed", check_seed(self.seed))
+        for name, v in (("hypothesis_means", means), ("prior_weights", w)):
+            object.__setattr__(self, name, tuple(v.tolist()))  # a cache key
 
 
 @dataclass
@@ -220,14 +222,16 @@ def random_problem(family, m, c, n, trials, seed, stream):
     """A problem with m means drawn uniformly from the mean interval of the
     family's law on stream (seed, stream), under a uniform prior."""
     m = check_n(m, "m", least=2)
+    if not c >= 0.0:        # c, n and trials are refused before the draw
+        raise ValueError(f"c must be nonnegative, got {c}")
+    n, trials = check_n(n), check_n(trials, "trials")
     if family.law.mean_interval is None:
         kinds = [k for k, law in fam._LAWS.items() if law.mean_interval]
         raise ValueError(f"verify supports the {', '.join(kinds)} families, "
                          f"got {family.kind}")
     lo, hi = family.law.mean_interval
     means = make_generator(seed, stream).uniform(lo, hi, m)
-    return SyntheticProblem(tuple(means.tolist()), (1.0 / m,) * m, family, c,
-                            n, trials, seed)
+    return SyntheticProblem(means, (1.0 / m,) * m, family, c, n, trials, seed)
 
 
 def suite_problems(trials=2000, seeds=(0, 1, 2)):

@@ -55,8 +55,8 @@ def test_c02_catoni_mls_identity():
     t0 = time.perf_counter()
     a, bon = np.meshgrid(np.linspace(0.02, 0.9, 30), np.geomspace(1e-3, 2.0, 30),
                          indexing="ij")
-    orc = inv.infimum_over_parameter(lambda m: inv.catoni(-m),
-                                     inv.BoundQuery(a, bon * 100, 100),
+    orc = inv.infimum_over_parameter(lambda m: inv.catoni(-m), a,
+                                     inv.budget(bon * 100, 100),
                                      (1e-3, 50.0)).rho
     ca = bounds.bound_values("catoni_inf", None, a, bon * 100, 100)
     worst = float(np.abs(orc - ca).max())
@@ -69,8 +69,8 @@ def test_c03_laplace_equivalence():
     t0 = time.perf_counter()
     a, bon = np.meshgrid(np.linspace(0.0, 2.0, 30), np.geomspace(1e-3, 2.0, 30),
                          indexing="ij")
-    ref = inv.infimum_over_parameter(lambda t: inv.laplace_diff(t, 1.0),
-                                     inv.BoundQuery(a, bon * 60, 60),
+    ref = inv.infimum_over_parameter(lambda t: inv.laplace_diff(t, 1.0), a,
+                                     inv.budget(bon * 60, 60),
                                      (1e-8, 1.0 - 1e-12)).rho
     dif = bounds.bound_values("laplace_diff_inf", None, a, bon * 60, 60, b=1.0)
     worst = float(np.abs(ref - dif).max())

@@ -24,8 +24,8 @@ def test_catoni_infimum_matches_kl_inversion():
     # over negative gamma
     for alpha in np.linspace(0.05, 0.85, 6):
         for bon in np.geomspace(1e-3, 1.5, 6):
-            q = inv.BoundQuery(alpha, bon * 100, 100)
-            orc = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q,
+            orc = inv.infimum_over_parameter(lambda m: inv.catoni(-m), alpha,
+                                             inv.budget(bon * 100, 100),
                                              (1e-3, 50.0))
             cat = bounds.evaluate_kind("catoni_inf", None, alpha, bon * 100, 100)
             assert cat.rho == pytest.approx(orc.rho, abs=1e-6)
@@ -34,9 +34,9 @@ def test_catoni_infimum_matches_kl_inversion():
 def test_laplace_diff_matches_cramer():
     for alpha in np.linspace(-1.0, 2.0, 6):
         for bon in np.geomspace(1e-3, 2.0, 6):
-            q = inv.BoundQuery(alpha, bon * 50, 50)
             orc = inv.infimum_over_parameter(lambda t: inv.laplace_diff(t, 1.0),
-                                             q, (1e-8, 1.0 - 1e-12))
+                                             alpha, inv.budget(bon * 50, 50),
+                                             (1e-8, 1.0 - 1e-12))
             dif = bounds.evaluate_kind("laplace_diff_inf", None, alpha,
                                        bon * 50, 50, b=1.0)
             assert dif.rho == pytest.approx(orc.rho, abs=1e-6)
@@ -49,8 +49,8 @@ def test_poisson_diff_upper_bounds_cramer():
         for bon in (0.01, 0.3, 1.0):
             ref = bounds.evaluate_kind("average_cramer", fam.poisson(), alpha,
                                        bon * 40, 40)
-            q = inv.BoundQuery(alpha, bon * 40, 40)
-            orc = inv.infimum_over_parameter(inv.poisson_diff, q,
+            orc = inv.infimum_over_parameter(inv.poisson_diff, alpha,
+                                             inv.budget(bon * 40, 40),
                                              (1e-4, 200.0))
             dif = bounds.evaluate_kind("poisson_diff_inf", None, alpha,
                                        bon * 40, 40)
@@ -453,7 +453,7 @@ def test_identity_route_against_oracle(case):
         with mpmath.workdps(40):
             worst = max(exact(t, mpmath.mpf(alpha), mpmath.mpf(rho)) for t in ts)
         assert worst <= budget + 1e-12 * max(1.0, budget)
-        orc = inv.infimum_over_parameter(make, inv.BoundQuery(alpha, beta, n),
+        orc = inv.infimum_over_parameter(make, alpha, inv.budget(beta, n),
                                          (t_lo, t_hi)).rho
         assert rho <= orc + tol * max(1.0, abs(rho))
         t_star = _optimal_parameter(kind, family, alpha, rho)
@@ -472,8 +472,8 @@ def test_identity_beyond_truncated_range():
                                sigma2=sigma2)
     want = alpha + math.sqrt(2.0 * sigma2)
     assert res.rho == pytest.approx(want, rel=1e-8) and res.rho <= want
-    q = inv.BoundQuery(alpha, n * 1.0, n)
-    orc = inv.infimum_over_parameter(lambda t: inv.gaussian_diff(t, sigma2), q,
+    orc = inv.infimum_over_parameter(lambda t: inv.gaussian_diff(t, sigma2),
+                                     alpha, inv.budget(n * 1.0, n),
                                      (1e-8, 100.0))
     assert orc.param_star == pytest.approx(100.0, rel=1e-6)
     assert res.rho < orc.rho - 5e-4
@@ -529,7 +529,7 @@ def test_cramer_inversion_is_the_infimum_over_cgf_lines(family):
                          indexing="ij")
     lines = inv.infimum_over_parameter(
         lambda t: inv._cgf_line("cgf_line", family, -t, {}, None),
-        inv.BoundQuery(a, bon * n, n), (1e-6, _cgf_line_end(family))).rho
+        a, inv.budget(bon * n, n), (1e-6, _cgf_line_end(family))).rho
     cramer = bounds.bound_values("average_cramer", family, a, bon * n, n)
     assert np.array_equal(np.isnan(lines), np.isnan(cramer))
     ok = ~np.isnan(cramer)

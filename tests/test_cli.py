@@ -484,12 +484,13 @@ def test_selfcheck_raises_no_warning(monkeypatch, capsys):
     # infimum over its whole grid.
     real, calls = inv.infimum_over_parameter, []
     monkeypatch.setattr(inv, "infimum_over_parameter",
-                        lambda *args: calls.append(args[1]) or real(*args))
+                        lambda *args: calls.append(args[1:3]) or real(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["selfcheck"]) == 0
     assert capsys.readouterr().out.count("PASS") == 3
-    assert [np.shape(q.alpha) for q in calls] == [(10, 10), (10, 10)]
+    assert [(np.shape(a), np.shape(b)) for a, b in calls] == [
+        ((10, 10), (10, 10))] * 2
 
 
 def test_nan_conjugate_fails_the_checks(monkeypatch, capsys):

@@ -31,6 +31,25 @@ def mid(family):
     return 0.5 * (lo + hi) if lo < 0 else math.sqrt(lo * hi)
 
 
+@pytest.mark.parametrize("family", ALL, ids=lambda f: f.kind)
+@pytest.mark.parametrize("t", [0.01, -0.3])
+def test_cgf_t_domain_and_sample_take_a_list_of_means(family, t):
+    # as cramer does: a list is the float array of its entries, and a
+    # scalar mean keeps the Python-float path
+    lo, hi = INTERIOR[family.kind]
+    means = [lo, mid(family), hi]
+    got, want = family.cgf(means, t), family.cgf(np.array(means), t)
+    assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    for a, b in zip(family.t_domain(means), family.t_domain(np.array(means))):
+        assert np.array_equal(a, b)
+    assert np.array_equal(family.sample(means, (4, 3), make_generator(0, 1)),
+                          family.sample(np.array(means), (4, 3),
+                                        make_generator(0, 1)))
+    for i, p in enumerate(means):
+        one = family.cgf(p, t)
+        assert type(one) is float and one == got[i]
+
+
 # -- closed forms against frozen oracle values --------------------------------
 
 def test_binary_kl_frozen():

@@ -17,7 +17,6 @@ from cgfbounds import bounds, families as fam
 from cgfbounds import inversion as inv
 from cgfbounds import upsilon as ups
 from cgfbounds.conjugate import argmax_zoom
-from cgfbounds.inversion import BoundQuery
 from poisson_oracle import invert_closed_form_poisson
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -444,9 +443,8 @@ def test_laplace_and_gaussian_diff_inverse():
 def test_gaussian_diff_infimum_analytic():
     # inf_t [alpha + (budget + sigma2 t^2/2)/t] = alpha + sqrt(2 sigma2 budget)
     sigma2, alpha, beta, n = 0.25, 0.3, 2.0, 100
-    q = BoundQuery(alpha, beta, n)
-    res = inv.infimum_over_parameter(lambda t: inv.gaussian_diff(t, sigma2), q,
-                                     (1e-8, 100.0))
+    res = inv.infimum_over_parameter(lambda t: inv.gaussian_diff(t, sigma2),
+                                     alpha, inv.budget(beta, n), (1e-8, 100.0))
     want = alpha + math.sqrt(2 * sigma2 * beta / n)
     assert res.rho == pytest.approx(want, rel=1e-9)
     assert res.param_star == pytest.approx(math.sqrt(2 * (beta / n) / sigma2), rel=1e-3)
@@ -454,27 +452,24 @@ def test_gaussian_diff_infimum_analytic():
 
 def test_poisson_diff_infimum_zero_beta():
     # at budget 0 the infimum over t approaches alpha from above as t -> 0
-    q = BoundQuery(1.0, 0.0, 50)
-    res = inv.infimum_over_parameter(inv.poisson_diff, q, (1e-4, 200.0))
+    res = inv.infimum_over_parameter(inv.poisson_diff, 1.0, inv.budget(0.0, 50),
+                                     (1e-4, 200.0))
     assert res.rho >= 1.0
     assert res.rho == pytest.approx(1.0, rel=1e-3)
 
 
 def test_infimum_all_capped_returns_cap():
-    q = BoundQuery(0.3, 1000.0, 1)
-    res = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q,
-                                     (1e-3, 50.0))
+    res = inv.infimum_over_parameter(lambda m: inv.catoni(-m), 0.3,
+                                     inv.budget(1000.0, 1), (1e-3, 50.0))
     assert res.rho == 1.0 and res.status == "capped_at_domain"
 
 
 def test_infimum_all_divergent_raises():
-    q = BoundQuery(1.0, 10.0, 10)
-
     def make(t):
         return inv.Comparator("flat", lambda qq, pp: 0.0 * t, (0.0, math.inf))
 
     with pytest.raises(inv.NoFiniteBound):
-        inv.infimum_over_parameter(make, q, (0.1, 10.0))
+        inv.infimum_over_parameter(make, 1.0, inv.budget(10.0, 10), (0.1, 10.0))
 
 
 def test_infimum_array_query_gives_nan_where_no_bound():
@@ -493,15 +488,15 @@ def test_infimum_array_query_gives_nan_where_no_bound():
         shapes.append(np.shape(t))
         return inv.Comparator("flat", lambda qq, pp: 0.0 * t, (0.0, math.inf))
 
-    q = BoundQuery(np.array([0.5, 1.0, 2.0]), 10.0, 10)
-    res = inv.infimum_over_parameter(make, q, (0.1, 10.0))
+    res = inv.infimum_over_parameter(make, np.array([0.5, 1.0, 2.0]),
+                                     inv.budget(10.0, 10), (0.1, 10.0))
     assert np.isnan(res.rho[1:]).all() and np.isnan(res.param_star[1:]).all()
     assert list(res.status) == ["converged", "no_finite_bound", "no_finite_bound"]
     assert res.rho[0] == pytest.approx(0.5 + 1.0 / 10.0, rel=1e-8)
     assert shapes[0] == (3, 64) and shapes[-1] == (1, 1)
     shapes.clear()
-    res = inv.infimum_over_parameter(flat, BoundQuery(np.array([0.5, 1.0]), 10.0,
-                                                      10), (0.1, 10.0))
+    res = inv.infimum_over_parameter(flat, np.array([0.5, 1.0]),
+                                     inv.budget(10.0, 10), (0.1, 10.0))
     assert np.isnan(res.rho).all() and np.isnan(res.param_star).all()
     assert list(res.status) == ["no_finite_bound"] * 2
     assert shapes == [(2, 64)]
@@ -515,7 +510,8 @@ def test_infimum_no_finite_parameters_never_win_the_scan():
             "flat_below_1", lambda qq, pp: np.where(t >= 1.0, t * (pp - qq), 0.0),
             (0.0, math.inf))
 
-    res = inv.infimum_over_parameter(make, BoundQuery(0.5, 10.0, 10), (0.1, 10.0))
+    res = inv.infimum_over_parameter(make, 0.5, inv.budget(10.0, 10),
+                                     (0.1, 10.0))
     assert res.rho == pytest.approx(0.5 + 1.0 / 10.0, rel=1e-8)
     assert res.param_star == pytest.approx(10.0, rel=1e-9)
     assert res.status == "converged"
@@ -528,7 +524,7 @@ def test_infimum_refuses_a_scalar_only_make_comp():
         return inv.custom(lambda q, p: t * (float(p) - float(q)), (0.0, math.inf))
 
     with pytest.raises(ValueError, match="answered one cell with shape"):
-        inv.infimum_over_parameter(make, BoundQuery(0.5, 1.0, 10), (0.1, 10.0))
+        inv.infimum_over_parameter(make, 0.5, inv.budget(1.0, 10), (0.1, 10.0))
 
 
 # the selfcheck grids, one per CGF line: alphas, make_comp, param_range
@@ -569,8 +565,9 @@ def _per_cell_infimum(make_comp, alpha, budget, param_range):
 
 
 def _selfcheck_query(alphas, n=100):
+    """(alpha, budget) of selfcheck's grid."""
     a, beta = np.meshgrid(alphas, _BONS * n, indexing="ij")
-    return BoundQuery(a, beta, n)
+    return a, inv.budget(beta, n)
 
 
 @pytest.mark.parametrize("line", sorted(INFIMUM_GRIDS))
@@ -580,23 +577,23 @@ def test_batched_infimum_equals_the_per_cell_loop(line):
     # Near its minimum the bound is flat to rounding, so the zoom may settle
     # on another point of equal rho: param_star agrees within 1e-6.
     alphas, make, param_range = INFIMUM_GRIDS[line]
-    q = _selfcheck_query(alphas)
-    res = inv.infimum_over_parameter(make, q, param_range)
+    alpha, budget = _selfcheck_query(alphas)
+    res = inv.infimum_over_parameter(make, alpha, budget, param_range)
     assert res.rho.shape == res.param_star.shape == (10, 10)
     assert (res.status == "converged").all()
     want = np.array([_per_cell_infimum(make, a, b, param_range) for a, b in
-                     zip(q.alpha.ravel(), q.budget().ravel())]).T
+                     zip(alpha.ravel(), budget.ravel())]).T
     rho, param_star = want.reshape(2, 10, 10)
     assert np.all(np.abs(res.rho - rho) <= 4 * np.spacing(np.abs(rho)))
     assert res.param_star == pytest.approx(param_star, rel=1e-6)
 
 
 def test_zero_d_infimum_gives_floats():
-    q = BoundQuery(0.3, 5.0, 100)
     for make in (lambda m: inv.catoni(-m),
                  lambda m: dataclasses.replace(inv.catoni(-m),
                                                exact_inverse=None)):
-        res = inv.infimum_over_parameter(make, q, (1e-3, 50.0))
+        res = inv.infimum_over_parameter(make, 0.3, inv.budget(5.0, 100),
+                                         (1e-3, 50.0))
         assert all(type(v) is float for v in
                    (res.rho, res.budget, *res.bracket, res.param_star))
         assert type(res.iterations) is int and res.status == "converged"
@@ -614,7 +611,7 @@ def test_infimum_builds_one_comparator_a_round(alpha, closed):
         comp = inv.catoni(-m)
         return comp if closed else dataclasses.replace(comp, exact_inverse=None)
 
-    inv.infimum_over_parameter(make, BoundQuery(alpha, 5.0, 100), (1e-3, 50.0))
+    inv.infimum_over_parameter(make, alpha, inv.budget(5.0, 100), (1e-3, 50.0))
     assert 3 <= len(shapes) <= 1 + 12 + 1
     assert shapes[0] == (np.size(alpha), 64)
     assert all(s[1] == 17 for s in shapes[1:-1])
@@ -633,14 +630,16 @@ def test_infimum_refuses_a_param_range_end_not_finite_above_0(param_range):
 
     with pytest.raises(ValueError, match="param_range ends must be finite and "
                        "above 0"):
-        inv.infimum_over_parameter(make, BoundQuery(0.5, 1.0, 10), param_range)
+        inv.infimum_over_parameter(make, 0.5, inv.budget(1.0, 10), param_range)
     assert calls == []
 
 
 def test_infimum_takes_param_range_ends_in_either_order():
-    q = BoundQuery(np.linspace(0.02, 0.9, 5), 2.3, 100)
-    up = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q, (1e-3, 50.0))
-    down = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q, (50.0, 1e-3))
+    alpha, budget = np.linspace(0.02, 0.9, 5), inv.budget(2.3, 100)
+    up = inv.infimum_over_parameter(lambda m: inv.catoni(-m), alpha, budget,
+                                    (1e-3, 50.0))
+    down = inv.infimum_over_parameter(lambda m: inv.catoni(-m), alpha, budget,
+                                      (50.0, 1e-3))
     assert down.rho == pytest.approx(up.rho, rel=1e-12)
 
 
@@ -650,21 +649,22 @@ def test_infimum_without_closed_form_bisects_in_one_batch():
     def bisected(m):
         return dataclasses.replace(inv.catoni(-m), exact_inverse=None)
 
-    q = _selfcheck_query(np.linspace(0.02, 0.9, 4))
-    closed = inv.infimum_over_parameter(lambda m: inv.catoni(-m), q, (1e-3, 50.0))
-    res = inv.infimum_over_parameter(bisected, q, (1e-3, 50.0))
+    alpha, budget = _selfcheck_query(np.linspace(0.02, 0.9, 4))
+    closed = inv.infimum_over_parameter(lambda m: inv.catoni(-m), alpha, budget,
+                                        (1e-3, 50.0))
+    res = inv.infimum_over_parameter(bisected, alpha, budget, (1e-3, 50.0))
     assert np.all(np.abs(res.rho - closed.rho) <= 2e-9)
     assert np.all(res.rho <= closed.rho + 1e-15)    # lo, the feasible end
     # each cell's bracket, steps and status are those of one inversion at
     # its best parameter
     for i in (0, 17, 39):
-        a, b = q.alpha.flat[i], q.budget().flat[i]
+        a, b = alpha.flat[i], budget.flat[i]
         one = inv.invert(bisected(res.param_star.flat[i]), a, b)
         assert (one.rho, one.bracket, one.iterations, one.status) == (
             res.rho.flat[i], (res.bracket[0].flat[i], res.bracket[1].flat[i]),
             res.iterations.flat[i], res.status.flat[i])
-        zero_d = inv.infimum_over_parameter(bisected, BoundQuery(a, b * 100, 100),
-                                            (1e-3, 50.0))
+        zero_d = inv.infimum_over_parameter(
+            bisected, a, inv.budget(b * 100, 100), (1e-3, 50.0))
         assert zero_d.rho == pytest.approx(one.rho, abs=2e-9)
         # the closed form's cell is its exact_inverse at its best parameter
         comp = inv.catoni(-closed.param_star.flat[i])
@@ -755,35 +755,79 @@ def test_scalar_constructors_keep_float_params():
 
 def test_budget_modes():
     # the per-correction budgets are checked at the bounds layer
-    assert BoundQuery(0.1, 3.0, 10).budget() == pytest.approx(0.3, rel=1e-14)
-    q = BoundQuery(0.1, 3.0, 10, delta=0.05)
-    assert q.budget() == pytest.approx((3.0 - math.log(0.05)) / 10, rel=1e-14)
-    q = BoundQuery(0.1, 3.0, 10, delta=0.05, ln_iota=1.7)
-    assert q.budget() == pytest.approx((3.0 + 1.7 - math.log(0.05)) / 10, rel=1e-14)
+    assert inv.budget(3.0, 10) == pytest.approx(0.3, rel=1e-14)
+    assert inv.budget(3.0, 10, delta=0.05) == pytest.approx(
+        (3.0 - math.log(0.05)) / 10, rel=1e-14)
+    assert inv.budget(3.0, 10, delta=0.05, ln_iota=1.7) == pytest.approx(
+        (3.0 + 1.7 - math.log(0.05)) / 10, rel=1e-14)
+
+
+BUDGET_INPUTS = {  # beta, n, ln_iota
+    "scalar": (3.0, 10, 1.7),
+    "int-scalar": (2, 7, 0.0),
+    "list-beta": ([0.0, 1.0, 2.5], 10, 0.4),
+    "list-n": (2.3, [10, 100, 1000], 0.0),
+    "list-ln-iota": (2.3, 50, [0.0, 0.5, 3.1]),
+    "arrays": (np.array([[0.1], [4.0]]), np.array([7, 70, 700]),
+               np.array([0.3, 0.0, 2.2])),
+}
+
+
+@pytest.mark.parametrize("delta", [None, 0.05], ids=["average", "pac"])
+@pytest.mark.parametrize("case", sorted(BUDGET_INPUTS))
+def test_budget_is_the_inline_formula(case, delta):
+    # (beta + ln_iota - ln delta)/n in that order of operations, the same
+    # doubles, broadcast over every input
+    beta, n, ln_iota = BUDGET_INPUTS[case]
+    want = np.asarray(beta, dtype=float) + np.asarray(ln_iota, dtype=float)
+    if delta is not None:
+        want = want - math.log(delta)
+    want = want / np.asarray(n, dtype=float)
+    got = inv.budget(beta, n, delta, ln_iota)
+    assert np.shape(got) == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf,
+                                    [0.1, math.nan]])
+@pytest.mark.parametrize("closed", [True, False])
+def test_infimum_refuses_a_budget_that_is_not_finite(budget, closed):
+    # as invert does, a closed form too, before any comparator is built
+    built = []
+
+    def make(m):
+        built.append(m)
+        comp = inv.catoni(-m)
+        return comp if closed else dataclasses.replace(comp, exact_inverse=None)
+
+    with pytest.raises(ValueError, match="^budget must be finite, got "):
+        inv.infimum_over_parameter(make, 0.3, budget, (1e-3, 50.0))
+    with pytest.raises(ValueError, match="^budget must be finite, got "):
+        inv.invert(make(1.0), 0.3, budget)
+    assert len(built) == 1
 
 
 def test_pac_dominates_average():
     comp = inv.cramer_of(fam.bernoulli())
-    avg, pac = (inv.invert(comp, q.alpha, q.budget()) for q in (
-        BoundQuery(0.2, 1.0, 30), BoundQuery(0.2, 1.0, 30, delta=0.1)))
+    avg, pac = (inv.invert(comp, 0.2, inv.budget(1.0, 30, delta))
+                for delta in (None, 0.1))
     assert pac.rho >= avg.rho
 
 
 def test_query_validation():
     with pytest.raises(ValueError, match="beta"):
-        BoundQuery(0.1, -1.0, 10)
+        inv.budget(-1.0, 10)
     with pytest.raises(ValueError, match="n must"):
-        BoundQuery(0.1, 1.0, 0)
+        inv.budget(1.0, 0)
     with pytest.raises(ValueError, match="delta"):
-        BoundQuery(0.1, 1.0, 10, delta=1.5)
+        inv.budget(1.0, 10, delta=1.5)
     with pytest.raises(ValueError, match="beta must be finite .* got inf"):
-        BoundQuery(0.1, math.inf, 10)
+        inv.budget(math.inf, 10)
     with pytest.raises(ValueError, match=r"beta must be finite .*inf\]"):
-        BoundQuery(0.1, [1.0, math.inf], 10)
+        inv.budget([1.0, math.inf], 10)
     with pytest.raises(ValueError, match="beta must be finite .* got nan"):
-        BoundQuery(0.1, math.nan, 10)
+        inv.budget(math.nan, 10)
     with pytest.raises(ValueError, match="ln_iota must be finite, got -inf"):
-        BoundQuery(0.1, 1.0, 10, ln_iota=-math.inf)
+        inv.budget(1.0, 10, ln_iota=-math.inf)
     with pytest.raises(ValueError,
                        match=r"budget must be finite, got .*nan\]"):
         inv.invert(inv.binary_kl(), [0.1, 0.2], [0.5, math.nan])
@@ -795,7 +839,7 @@ def test_check_n_rejects_what_is_no_sample_size(n):
     with pytest.raises(ValueError, match=rf"^n must be at least 1.*, got {n}$"):
         inv.check_n(n)
     with pytest.raises(ValueError, match=rf"n must be at least 1.*, got {n}$"):
-        BoundQuery(0.1, 1.0, n)
+        inv.budget(1.0, n)
     with pytest.raises(ValueError,
                        match=rf"n must be at least 1.*, got {float(n)}$"):
         inv.check_n(np.array([10.0, n, 20.0]))   # names the bad element
@@ -805,16 +849,16 @@ def test_check_n_rejects_what_is_no_sample_size(n):
                                np.array([[1.0], [2.0]])])
 def test_check_n_accepts_integral_sample_sizes(n):
     inv.check_n(n)
-    assert BoundQuery(0.1, 1.0, n).budget() == pytest.approx(1.0 / n)
+    assert inv.budget(1.0, n) == pytest.approx(1.0 / n)
 
 
 BAD_LIBRARY_INPUT = """
 from cgfbounds import bounds, families as fam, inversion as inv
 from cgfbounds import upsilon as ups, verify as ver
 calls = [
-    lambda: inv.BoundQuery(0.1, -1.0, 10),
-    lambda: inv.BoundQuery(0.1, 1.0, 0),
-    lambda: inv.BoundQuery(0.1, 1.0, 10, delta=1.5),
+    lambda: inv.budget(-1.0, 10),
+    lambda: inv.budget(1.0, 0),
+    lambda: inv.budget(1.0, 10, delta=1.5),
     lambda: bounds.evaluate_kind("mls", fam.gaussian(1.0), 0.2, 1.0, 20, 0.05),
     lambda: bounds.evaluate_kind("mls", None, 0.2, 1.0, 20),
     lambda: bounds.evaluate_kind("pac_cramer_two_e_ceil", fam.bernoulli(), 0.2,
@@ -827,8 +871,8 @@ calls = [
     lambda: fam.gaussian(float("nan")),
     lambda: fam.gamma(float("inf")),
     lambda: inv.laplace_diff(2.0, 1.0),
-    lambda: inv.infimum_over_parameter(inv.poisson_diff,
-                                       inv.BoundQuery(1.0, 1.0, 10), (0.0, 1.0)),
+    lambda: inv.infimum_over_parameter(inv.poisson_diff, 1.0,
+                                       inv.budget(1.0, 10), (0.0, 1.0)),
     lambda: ups.compute_upsilon(inv.binary_kl(), fam.bernoulli(), 0),
     lambda: ups.upsilon_bernoulli_exact(inv.binary_kl(), 4, r_grid=(0.0, 0.5)),
     lambda: ups.upsilon_bernoulli_exact(
@@ -840,8 +884,8 @@ calls = [
     lambda: ver.run_trials(ver.SyntheticProblem(
         (0.2, 0.5), (0.5, 0.5), fam.gaussian(1.0), 1.0, 10, 5, 0),
         "pac_cramer_chernoff"),
-    lambda: inv.BoundQuery(0.1, float("inf"), 10),
-    lambda: inv.BoundQuery(0.1, 1.0, 10, ln_iota=float("nan")),
+    lambda: inv.budget(float("inf"), 10),
+    lambda: inv.budget(1.0, 10, ln_iota=float("nan")),
     lambda: inv.invert(inv.binary_kl(), 0.1, float("nan")),
     lambda: ver.SyntheticProblem((0.2, 1.5), (0.5, 0.5), fam.bernoulli(), 1.0,
                                  10, 5, 0),
@@ -858,7 +902,7 @@ calls = [
     lambda: inv.scaled_diff(float("inf")),
     lambda: inv.invert(inv.cramer_of(fam.gaussian(1.0)), float("inf"), 0.1),
     lambda: inv.invert(inv.scaled_diff(1.0), [0.1, float("-inf")], 0.1),
-    lambda: inv.BoundQuery(0.1, 1.0, [10, 0]),
+    lambda: inv.budget(1.0, [10, 0]),
     lambda: bounds.bound_values("mls", fam.bernoulli(), 0.2, 1.0, [10, 20],
                                 0.05),
     lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(

@@ -60,33 +60,10 @@ ORACLE_DRAWS = {
 }
 
 
-@pytest.mark.parametrize("family", [fam.bernoulli(), fam.gaussian(1.0),
-                                    fam.poisson(), fam.laplace(0.8)],
-                         ids=lambda f: f.kind)
-def test_simulate_equals_per_trial_generators(family):
-    # trial t draws from a fresh make_generator(seed, t), as it always has;
-    # 150 trials end on a partial block of averaged trials
-    p = problem(family=family, trials=150, n=12)
-    assert p.trials % verify._TRIAL_BLOCK != 0
-    means = np.asarray(p.hypothesis_means)
-    prior = np.asarray(p.prior_weights)
-    draw = ORACLE_DRAWS[family.kind]
-    lhat = np.array([draw(make_generator(p.seed, t), means,
-                          (p.n, len(means))).mean(axis=0)
-                     for t in range(p.trials)])
-    lnq = np.log(prior) - p.gibbs_temperature * p.n * lhat
-    lnq -= logsumexp(lnq, axis=1, keepdims=True)
-    q = np.exp(lnq)
-    kl = np.maximum(np.einsum("tm,tm->t", q, lnq - np.log(prior)), 0.0)
-    want = (np.einsum("tm,tm->t", q, lhat), q @ means, kl)
-    verify._simulate.cache_clear()
-    got = verify._simulate(p)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
 def _per_trial_oracle(p, draw):
     # (train, pop, kl) of a problem from a fresh make_generator(seed, t) per
-    # trial, as in test_simulate_equals_per_trial_generators
+    # trial, each drawn by draw(generator, means, size), and the Gibbs
+    # posterior as first written inline, before verify._gibbs held it
     means = np.asarray(p.hypothesis_means)
     prior = np.asarray(p.prior_weights)
     lhat = np.array([draw(make_generator(p.seed, t), means,
@@ -97,6 +74,20 @@ def _per_trial_oracle(p, draw):
     q = np.exp(lnq)
     kl = np.maximum(np.einsum("tm,tm->t", q, lnq - np.log(prior)), 0.0)
     return np.einsum("tm,tm->t", q, lhat), q @ means, kl
+
+
+@pytest.mark.parametrize("family", [fam.bernoulli(), fam.gaussian(1.0),
+                                    fam.poisson(), fam.laplace(0.8)],
+                         ids=lambda f: f.kind)
+def test_simulate_equals_per_trial_generators(family):
+    # trial t draws from a fresh make_generator(seed, t), as it always has;
+    # 150 trials end on a partial block of averaged trials
+    p = problem(family=family, trials=150, n=12)
+    assert p.trials % verify._TRIAL_BLOCK != 0
+    want = _per_trial_oracle(p, ORACLE_DRAWS[family.kind])
+    verify._simulate.cache_clear()
+    got = verify._simulate(p)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def stream_group(family, trials=150):
@@ -168,16 +159,8 @@ def test_simulate_suite_equals_inline_gibbs():
     problems = verify.suite_problems(200, (0,))
     assert len(problems) == 36
     for p in problems:
-        means = np.asarray(p.hypothesis_means)
-        prior = np.asarray(p.prior_weights)
-        lhat = np.array([p.family._draw(means, (p.n, len(means)),
-                                        make_generator(p.seed, t)).mean(axis=0)
-                         for t in range(p.trials)])
-        lnq = np.log(prior) - p.gibbs_temperature * p.n * lhat
-        lnq -= logsumexp(lnq, axis=1, keepdims=True)
-        q = np.exp(lnq)
-        kl = np.maximum(np.einsum("tm,tm->t", q, lnq - np.log(prior)), 0.0)
-        want = (np.einsum("tm,tm->t", q, lhat), q @ means, kl)
+        want = _per_trial_oracle(
+            p, lambda g, means, size: p.family._draw(means, size, g))
         got = verify._simulate(p)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), p
 
@@ -211,6 +194,42 @@ def test_random_problem_refuses_an_m_that_is_no_count_of_two(m):
     # before the means are drawn, not as numpy's error about dimensions
     with pytest.raises(ValueError, match=rf"^m must be at least 2.*, got {m}$"):
         verify.random_problem(fam.bernoulli(), m, 1.0, 10, 5, 0, 1)
+
+
+@pytest.mark.parametrize("c, n, trials, message", [
+    (-1.0, 10, 5, "c must be nonnegative, got -1.0"),
+    (math.nan, 10, 5, "c must be nonnegative, got nan"),
+    (1.0, 2.5, 5, "n must be at least 1 and a finite integer, got 2.5"),
+    (1.0, 10, 0, "trials must be at least 1, got 0")],
+    ids=["c-negative", "c-nan", "n-fractional", "trials-zero"])
+def test_random_problem_refuses_before_it_draws(c, n, trials, message,
+                                                monkeypatch):
+    # no generator is built and no mean drawn for a problem that is refused
+    built = []
+    real = verify.make_generator
+    monkeypatch.setattr(verify, "make_generator",
+                        lambda *key: built.append(key) or real(*key))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify.random_problem(fam.bernoulli(), 3, c, n, trials, 0, 1)
+    assert built == []
+    verify.random_problem(fam.bernoulli(), 3, 1.0, 10, 5, 0, 1)
+    assert built == [(0, 1)]
+
+
+@pytest.mark.parametrize("sequence", [list, np.array], ids=["list", "array"])
+def test_problem_built_from_lists_or_arrays_runs(sequence):
+    # stored as tuples of Python floats, so _simulate's cache can key on it
+    p = verify.SyntheticProblem(sequence([0.2, 0.5]), sequence([0.5, 0.5]),
+                                fam.bernoulli(), 1.0, 20, 50, 0)
+    ref = verify.SyntheticProblem((0.2, 0.5), (0.5, 0.5), fam.bernoulli(),
+                                  1.0, 20, 50, 0)
+    assert p.hypothesis_means == (0.2, 0.5) and p.prior_weights == (0.5, 0.5)
+    assert all(type(v) is float for v in p.hypothesis_means + p.prior_weights)
+    assert p == ref and hash(p) == hash(ref)
+    records, summary = verify.run_trials(p, "mls", 0.05)
+    verify._simulate.cache_clear()
+    assert (records, summary) == verify.run_trials(ref, "mls", 0.05)
+    assert verify.check_average_bound(p) == verify.check_average_bound(ref)
 
 
 def test_suite_summary_is_run_trials_summary():
