@@ -2,7 +2,8 @@
 
 The two operators differ only in budget(beta, n, delta, ln_iota): the
 high-probability (beta + ln(iota/delta))/n, the average (beta + ln iota)/n.
-Both reduce to sup{rho : comparator(alpha, rho) <= budget}, found by
+Both reduce to sup{rho : comparator(alpha, rho) <= budget}, found under
+one engine's rules by the comparator's closed form where it has one, else by
 bracketed bisection.  invert(comp, alpha, budget) is the one door, and
 infimum_over_parameter takes the same pair: both broadcast alpha and budget,
 a scalar query being the 0-d case, and return one BoundResult.
@@ -33,7 +34,7 @@ class Comparator:
     fn: object                      # callable (q, p) -> real
     loss_range: tuple               # closure of the p search interval
     params: dict = field(default_factory=dict)
-    exact_inverse: object = None    # callable (alpha, budget) -> rho, if closed form
+    exact_inverse: object = None    # (alpha, budget) -> rho; _bisect reads it
 
     def eval(self, q, p):
         return self.fn(q, p)
@@ -233,6 +234,7 @@ _STATUSES = ("converged", "capped_at_domain", "budget_nonpositive",
              "no_finite_bound")
 _CONVERGED, _CAPPED, _NONPOSITIVE, _NO_FINITE = range(len(_STATUSES))
 _MAX_DOUBLINGS = 200
+_STEPS = 8      # a closed form moves down at most 1 + 2 + ... + 128 ulps
 _TOL = 1e-9     # bracket width at which bisection stops: absolute on a
                 # bounded range, relative to max(1, |lo|) on an unbounded one
 
@@ -250,12 +252,16 @@ def _cells(alpha, budget):
 def _bisect(comp, alpha, budget, losses=None):
     """sup{rho : comp(alpha, rho) <= budget} over broadcast arrays.
 
-    The package's only bisection.  Returns (rho, lo, hi, iterations, status)
-    arrays; status indexes _STATUSES, and rho is the feasible endpoint lo
-    (the domain end when capped, NaN when no finite bound exists), so a
-    reported bound never overestimates the supremum.  Each step calls the
-    comparator once on the whole array; a cell that is +inf or NaN fails
-    every comparison made here: it is infeasible.
+    The package's only bisection, and the only reader of exact_inverse:
+    after the alpha checks, the budget_nonpositive rule and the monotonicity
+    probe, a closed form solves the cells still open, its root moved down
+    until feasible (lo = hi, 0 iterations); a root not finite, or infeasible
+    after _STEPS steps, is bisected.  Returns (rho, lo, hi, iterations,
+    status) arrays; status indexes _STATUSES, and rho is the feasible
+    endpoint lo (the domain end when capped, NaN when no finite bound
+    exists), so a reported bound never overestimates the supremum.  Each
+    step calls the comparator once on the whole array; a cell that is +inf
+    or NaN fails every comparison made here: it is infeasible.
 
     Settle mode, given losses that broadcast to alpha and budget: returns
     only the booleans losses > rho.  Once the bracket exists, a cell stops
@@ -292,6 +298,23 @@ def _bisect(comp, alpha, budget, losses=None):
                     raise NonMonotoneComparator(
                         f"{comp.form} is decreasing in rho near "
                         f"alpha={float(alpha[bad][0])}")
+
+    if comp.exact_inverse is not None and todo.any():
+        # the root in [alpha, hi_r], down 1, 2, 4, ... ulps until feasible
+        with np.errstate(all="ignore"):     # a non-finite root is bisected
+            root = comp.exact_inverse(alpha, budget)
+        closed = todo & np.isfinite(root)
+        root = np.where(closed, np.clip(root, alpha, hi_r), alpha)
+        ulp = np.spacing(np.maximum(np.abs(root), 1.0))
+        for k in range(_STEPS + 1):
+            short = closed & ~(comp.eval(alpha, root) <= budget)
+            if k == _STEPS or not short.any():
+                break
+            root = np.where(short, np.maximum(root - ulp * 2**k, alpha), root)
+        closed &= ~short
+        lo, hi = np.where(closed, root, lo), np.where(closed, root, hi)
+        status[closed & (root == hi_r)] = _CAPPED
+        todo &= ~closed
 
     if bounded and todo.any():
         hi[todo] = hi_r
@@ -358,8 +381,8 @@ def _result(fields, budget, no_finite, param_star=None):
 
 def invert(comp, alpha, budget):
     """sup{rho in the loss range : comp(alpha, rho) <= budget} by one
-    bisection over broadcast alpha and budget; a 0-d query raises
-    NoFiniteBound where an array query has NaN rho."""
+    _bisect over broadcast alpha and budget, a closed form included; a 0-d
+    query raises NoFiniteBound where an array query has NaN rho."""
     return _result(_bisect(comp, alpha, budget), budget,
                    lambda: no_finite_bound(comp.form, float(budget)))
 
@@ -368,25 +391,23 @@ def invert(comp, alpha, budget):
 
 def infimum_over_parameter(make_comp, alpha, budget, param_range):
     """min over a parameter of the inverted bound, cell by cell over
-    invert's broadcast (alpha, budget), by grid scan + argmax_zoom; like
-    invert, it refuses a budget that is not finite.
+    invert's broadcast (alpha, budget), by grid scan + argmax_zoom.
 
     For caller-supplied comparator families, and the test oracle of the
     built-in parametric-infimum kinds, which bounds evaluates by their kl or
     Cramer identity.  make_comp maps an array of parameter values to one
-    Comparator that holds them all (the CGF-line constructors take arrays)
-    and is inverted against each cell's (alpha, budget): by its
-    exact_inverse if it has one, else by one _bisect over the whole array.
-    The per-parameter bound is assumed quasiconvex on param_range, whose
-    ends must be finite and above 0 (in either order); it is scanned at 64
-    log-spaced points and refined by the row-batched argmax_zoom on -rho.
-    A parameter with no finite bound never wins.  One last solve at each
-    cell's winning parameter gives the bracket, iterations and status (a
-    closed form's lo = hi = rho, with 0 iterations), so a call builds one
-    comparator for the scan, one per zoom round and one at the winners.
-    The result is invert's, with param_star: a 0-d query raises
-    NoFiniteBound if no parameter gives a finite bound, and an array query
-    has rho and param_star NaN in each cell that has none.
+    Comparator that holds them all (the CGF-line constructors take arrays),
+    solved against each cell's (alpha, budget) by one _bisect under invert's
+    rules, so a budget that is not finite is refused.  The per-parameter
+    bound is assumed quasiconvex on param_range, whose ends must be finite
+    and above 0 (in either order); it is scanned at 64 log-spaced points and
+    refined by the row-batched argmax_zoom on -rho.  A parameter with no
+    finite bound never wins.  One last solve at each cell's winning
+    parameter gives the bracket, iterations and status, so a call builds one
+    comparator for the scan, one per zoom round and one at the winners.  The
+    result is invert's, with param_star: a 0-d query raises NoFiniteBound if
+    no parameter gives a finite bound, and an array query has rho and
+    param_star NaN in each cell that has none.
     """
     lo, hi = param_range
     if not (0 < lo < math.inf and 0 < hi < math.inf):
@@ -397,15 +418,9 @@ def infimum_over_parameter(make_comp, alpha, budget, param_range):
     shape = alpha.shape
     alpha, budget = alpha.reshape(-1, 1), budget.reshape(-1, 1)
 
-    def solve(x, cells):
-        """_bisect's five fields at the parameters e^x, a row per cell."""
-        comp = make_comp(np.exp(x))
-        if comp.exact_inverse is None:
-            return _bisect(comp, np.broadcast_to(alpha[cells], x.shape),
-                           budget[cells])
-        rho = comp.exact_inverse(alpha[cells], budget[cells])
-        return rho, rho, rho, 0, np.where(rho == comp.loss_range[1],
-                                          _CAPPED, _CONVERGED)
+    def solve(x, cells):        # _bisect's five fields at e^x, a row per cell
+        return _bisect(make_comp(np.exp(x)),
+                       np.broadcast_to(alpha[cells], x.shape), budget[cells])
 
     def neg_rho(x, cells):
         rho = solve(x, cells)[0]
@@ -420,7 +435,7 @@ def infimum_over_parameter(make_comp, alpha, budget, param_range):
         x_star[live] = argmax_zoom(lambda zs, r: neg_rho(zs, live[r]), xs,
                                    vals[live])[0]
         x = x_star[live, None]
-        got[:, live] = [np.broadcast_to(f, x.shape)[:, 0] for f in solve(x, live)]
+        got[:, live] = [f[:, 0] for f in solve(x, live)]
     fields = [f.reshape(shape) for f in (*got[:3], *got[3:].astype(int))]
     return _result(fields, budget.reshape(shape),
                    lambda: NoFiniteBound(f"no parameter in {param_range} "

@@ -52,7 +52,7 @@ class SyntheticProblem:
             object.__setattr__(self, name, check_n(getattr(self, name), name))
         object.__setattr__(self, "seed", check_seed(self.seed))
         for name, v in (("hypothesis_means", means), ("prior_weights", w)):
-            object.__setattr__(self, name, tuple(v.tolist()))  # a cache key
+            object.__setattr__(self, name, tuple(v.tolist()))  # hashable
 
 
 @dataclass
@@ -115,9 +115,8 @@ def _simulate_group(problems):
     return sims
 
 
-@functools.lru_cache(maxsize=16)
 def _simulate(problem):
-    """Per-trial (train, pop, kl) arrays of one problem, the group of one."""
+    """One problem's per-trial (train, pop, kl), drawn anew at each call."""
     return _simulate_group((problem,))[0]
 
 
@@ -160,20 +159,6 @@ def _summaries(problem, kinds, delta, violated):
     return summaries
 
 
-def _evaluate(problem, kinds, delta, sim):
-    """(values, violation flags, summaries) of bound kinds over the trials
-    of sim, the problem's (train, pop, kl).
-
-    The kinds go through one bounds.bound_values call, which inverts their
-    stacked budgets once per Cramer comparator; values and flags are
-    (len(kinds), trials) arrays, with one summary per kind.  Every kind in
-    BOUND_KINDS is taken, reference_only without a union correction."""
-    train, pop, kl = sim
-    values = bound_values(kinds, problem.family, train, kl, problem.n, delta)
-    violated = pop > values
-    return values, violated, _summaries(problem, kinds, delta, violated)
-
-
 def run_trials(problem, bound="pac_cramer_xi", delta=0.05):
     """Simulate the problem and evaluate one bound kind on every trial.
 
@@ -182,12 +167,12 @@ def run_trials(problem, bound="pac_cramer_xi", delta=0.05):
     Clopper-Pearson interval.
     """
     _check_kinds(problem.family, (bound,), delta)
-    sim = _simulate(problem)
-    (values,), (violated,), (summary,) = _evaluate(problem, (bound,), delta,
-                                                   sim)
-    records = [TrialRecord(float(train), float(pop), float(kl), float(value),
-                           bool(flag))
-               for train, pop, kl, value, flag in zip(*sim, values, violated)]
+    train, pop, kl = _simulate(problem)
+    values = bound_values(bound, problem.family, train, kl, problem.n, delta)
+    violated = pop > values
+    (summary,) = _summaries(problem, (bound,), delta, [violated])
+    records = [TrialRecord(float(q), float(p), float(k), float(v), bool(f))
+               for q, p, k, v, f in zip(train, pop, kl, values, violated)]
     return records, summary
 
 

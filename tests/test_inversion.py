@@ -294,11 +294,12 @@ def test_engine_does_not_loop_over_a_scalar_only_comparator():
 def test_catoni_closed_inverse_matches_bisection():
     for gamma in (-0.1, -1.0, -4.0):
         comp = inv.catoni(gamma)
+        bisected = dataclasses.replace(comp, exact_inverse=None)
         for alpha in (0.1, 0.5, 0.9):
             for budget in (0.01, 0.3):
                 closed = comp.exact_inverse(alpha, budget)
                 if closed < 1.0:
-                    bis = inv.invert(comp, alpha, budget).rho
+                    bis = inv.invert(bisected, alpha, budget).rho
                     assert closed == pytest.approx(bis, abs=5e-9)
 
 
@@ -356,7 +357,7 @@ def test_builtin_comparator_broadcasts(name):
 def test_scaled_diff_inverse():
     comp = inv.scaled_diff(2.0)
     assert comp.exact_inverse(0.3, 0.5) == pytest.approx(0.55, rel=1e-14)
-    bis = inv.invert(comp, 0.3, 0.5).rho
+    bis = inv.invert(dataclasses.replace(comp, exact_inverse=None), 0.3, 0.5).rho
     assert bis == pytest.approx(0.55, rel=1e-7)
 
 
@@ -543,16 +544,13 @@ INFIMUM_GRIDS = {
 
 def _per_cell_infimum(make_comp, alpha, budget, param_range):
     """(rho, param_star) as the infimum was computed before it broadcast:
-    one cell at a time, one comparator per parameter value."""
+    one cell at a time, one invert per parameter value."""
     lo, hi = param_range
     xs = np.linspace(math.log(lo), math.log(hi), 64)
 
     def rho_of(x):
-        comp = make_comp(math.exp(x))
-        if comp.exact_inverse is not None:
-            return comp.exact_inverse(alpha, budget)
         try:
-            return inv.invert(comp, alpha, budget).rho
+            return inv.invert(make_comp(math.exp(x)), alpha, budget).rho
         except inv.NoFiniteBound:
             return math.inf
 
@@ -666,13 +664,129 @@ def test_infimum_without_closed_form_bisects_in_one_batch():
         zero_d = inv.infimum_over_parameter(
             bisected, a, inv.budget(b * 100, 100), (1e-3, 50.0))
         assert zero_d.rho == pytest.approx(one.rho, abs=2e-9)
-        # the closed form's cell is its exact_inverse at its best parameter
+        # the closed form's cell is invert's at its best parameter: the
+        # feasible closed-form root, with bracket (rho, rho) and 0 steps
         comp = inv.catoni(-closed.param_star.flat[i])
-        rho = comp.exact_inverse(a, b)
-        assert (rho, rho, rho, 0, "converged") == (
-            closed.rho.flat[i], closed.bracket[0].flat[i],
-            closed.bracket[1].flat[i], closed.iterations.flat[i],
-            closed.status.flat[i])
+        one = inv.invert(comp, a, b)
+        assert (one.rho, one.bracket, one.iterations, one.status) == (
+            closed.rho.flat[i], (closed.bracket[0].flat[i],
+                                 closed.bracket[1].flat[i]),
+            closed.iterations.flat[i], closed.status.flat[i])
+        assert one.bracket == (one.rho, one.rho) and one.iterations == 0
+        assert comp.eval(a, one.rho) <= b
+
+
+def _outcome(call):
+    """What a call gives: its BoundResult, or its exception's type and text."""
+    try:
+        return call()
+    except Exception as e:      # compared, not hidden
+        return type(e), str(e)
+
+
+# make_comp, alpha, budget, param_range: a closed form at each of the
+# engine's rules (loss range, finite alpha, nonpositive budget, monotonicity)
+DIVERGENCES = {
+    "alpha-below-range": (lambda m: inv.catoni(-m), -0.5, 0.1, (1e-3, 50.0)),
+    "alpha-above-range": (lambda m: inv.catoni(-m), 2.0, 0.1, (1e-3, 50.0)),
+    "budget-negative": (lambda m: inv.catoni(-m), 0.3, -0.05, (1e-3, 50.0)),
+    "budget-far-below": (lambda m: inv.catoni(-m), 0.3, -1e3, (1e-3, 50.0)),
+    "budget-zero": (lambda m: inv.catoni(-m), 0.0, 0.0, (1e-3, 50.0)),
+    "decreasing-lines": (inv.catoni, 0.3, 0.1, (1e-3, 50.0)),
+    "alpha-minus-inf": (lambda t: inv.laplace_diff(t, 1.0), -math.inf, 0.1,
+                        (1e-8, 1.0 - 1e-12)),
+    "alpha-plus-inf": (lambda t: inv.laplace_diff(t, 1.0), math.inf, 0.1,
+                       (1e-8, 1.0 - 1e-12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGENCES))
+def test_closed_form_keeps_the_engine_rules(case):
+    # a comparator's exact_inverse changes no refusal and no status: invert
+    # and the infimum give what the same comparator gives without it
+    make, alpha, budget, param_range = DIVERGENCES[case]
+    bisected = lambda m: dataclasses.replace(make(m), exact_inverse=None)
+    for query in (lambda m: inv.invert(m(1.0), alpha, budget),
+                  lambda m: inv.infimum_over_parameter(m, alpha, budget,
+                                                       param_range)):
+        got = _outcome(lambda: query(make))
+        want = _outcome(lambda: query(bisected))
+        if isinstance(want, inv.BoundResult):
+            assert got.status == want.status
+            assert got.rho == pytest.approx(want.rho, abs=inv._TOL)
+        else:
+            assert got == want
+
+
+# each closed-form constructor from u, v in [0, 1], and its alpha range
+CLOSED_FORMS = {
+    "catoni": (lambda u, v: inv.catoni(-1e-3 * 5e4 ** u), (0.0, 1.0)),
+    "scaled_diff": (lambda u, v: inv.scaled_diff(1e-3 * 1e4 ** u),
+                    (-10.0, 10.0)),
+    "poisson_diff": (lambda u, v: inv.poisson_diff(1e-3 * 2e4 ** u),
+                     (0.0, 10.0)),
+    "laplace_diff": (lambda u, v: inv.laplace_diff(
+        (1e-3 + 0.998 * u) / (0.1 * 30.0 ** v), 0.1 * 30.0 ** v),
+        (-10.0, 10.0)),
+    "gaussian_diff": (lambda u, v: inv.gaussian_diff(1e-3 * 1e4 ** u,
+                                                     0.1 * 40.0 ** v),
+                      (-10.0, 10.0)),
+}
+
+
+@given(line=st.sampled_from(sorted(CLOSED_FORMS)), u=st.floats(0.0, 1.0),
+       v=st.floats(0.0, 1.0),
+       cells=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 5.0)),
+                      min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_invert_solves_a_closed_form_on_the_safe_side(line, u, v, cells):
+    # the closed form moved down to a feasible rho, with no bisection step,
+    # within 1e-12 of the formula and within the stopping width of the
+    # bisection; the budget_nonpositive cells keep rho = alpha
+    make, (lo, hi) = CLOSED_FORMS[line]
+    comp = make(u, v)
+    bisected = dataclasses.replace(comp, exact_inverse=None)
+    a, budget = np.array(cells).T
+    alpha = lo + (hi - lo) * a
+    res = inv.invert(comp, alpha, budget)
+    assert (res.iterations == 0).all()
+    assert np.array_equal(res.bracket[0], res.rho)
+    assert np.array_equal(res.bracket[1], res.rho)
+    want = inv.invert(bisected, alpha, budget)
+    assert np.array_equal(res.status, want.status)
+    open_ = res.status != "budget_nonpositive"
+    rho, alpha, budget = res.rho[open_], alpha[open_], budget[open_]
+    assert np.all(comp.eval(alpha, rho) <= budget)
+    scale = np.maximum(1.0, np.abs(rho))
+    assert np.all(np.abs(rho - comp.exact_inverse(alpha, budget))
+                  <= 1e-12 * scale)
+    assert np.all(np.abs(rho - want.rho[open_]) <= inv._TOL * scale)
+    one = inv.invert(comp, lo + (hi - lo) * cells[0][0], cells[0][1])
+    assert all(type(x) is float for x in (one.rho, one.budget, *one.bracket))
+    assert type(one.iterations) is int and one.iterations == 0
+    assert one.bracket == (one.rho, one.rho)
+
+
+@pytest.mark.parametrize("budget", [0.05, 10.0])
+def test_closed_form_is_kept_in_the_loss_range(budget):
+    # a caller's closed form past the top of the range is clipped to it:
+    # capped where the top is feasible, else stepped and then bisected
+    comp = dataclasses.replace(inv.catoni(-1.0),
+                               exact_inverse=lambda a, b: 2.0 + 0.0 * a)
+    got = inv.invert(comp, 0.3, budget)
+    want = inv.invert(dataclasses.replace(comp, exact_inverse=None), 0.3,
+                      budget)
+    assert (got.rho, got.status) == (want.rho, want.status)
+
+
+@pytest.mark.parametrize("line", sorted(INFIMUM_GRIDS))
+def test_infimum_is_feasible_at_its_parameter(line):
+    # every cell of the selfcheck grids: comp(alpha, rho) <= budget at
+    # param_star, closed forms included
+    alphas, make, param_range = INFIMUM_GRIDS[line]
+    alpha, budget = _selfcheck_query(alphas)
+    res = inv.infimum_over_parameter(make, alpha, budget, param_range)
+    assert np.all(make(res.param_star).eval(alpha, res.rho) <= budget)
 
 
 # -- array-valued CGF lines ------------------------------------------------------

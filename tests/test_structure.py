@@ -1,9 +1,10 @@
-"""Two promises that no sample of runs can show, checked on the source.
+"""Three promises that no sample of runs can show, checked on the source.
 
 python -O runs exactly the code that plain Python runs when no module has
 an assert statement or reads __debug__, and numpy is the only runtime
 dependency when every import names the standard library, numpy or the
-package itself.
+package itself.  Every closed-form inverse is solved under the inversion
+engine's rules when only inversion._bisect reads Comparator.exact_inverse.
 """
 
 import ast
@@ -46,3 +47,18 @@ def test_package_and_demos_import_only_stdlib_numpy_and_cgfbounds():
                   if module.split(".")[0] not in allowed]
     assert DEMOS
     assert found == []
+
+
+def test_only_the_engine_reads_exact_inverse():
+    # the dataclass field, _cgf_line's parameter and the keyword arguments
+    # name exact_inverse but read no comparator's; getattr would read it
+    tree = list(nodes(PACKAGE))
+    engine = {id(inner) for name, node in tree
+              if name == "inversion.py" and isinstance(node, ast.FunctionDef)
+              and node.name == "_bisect" for inner in ast.walk(node)}
+    reads = [(name, node) for name, node in tree
+             if isinstance(node, ast.Attribute) and node.attr == "exact_inverse"
+             or isinstance(node, ast.Constant) and node.value == "exact_inverse"]
+    assert any(id(node) in engine for _, node in reads)
+    assert [f"{name}:{node.lineno}" for name, node in reads
+            if id(node) not in engine] == []

@@ -85,7 +85,6 @@ def test_simulate_equals_per_trial_generators(family):
     p = problem(family=family, trials=150, n=12)
     assert p.trials % verify._TRIAL_BLOCK != 0
     want = _per_trial_oracle(p, ORACLE_DRAWS[family.kind])
-    verify._simulate.cache_clear()
     got = verify._simulate(p)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -113,7 +112,6 @@ def test_simulate_group_equals_each_problem_alone(family):
             }.get(family.kind, ORACLE_DRAWS[family.kind])
     problems = stream_group(family)
     assert problems[0].trials % verify._TRIAL_BLOCK != 0
-    verify._simulate.cache_clear()
     for p, got in zip(problems, verify._simulate_group(problems)):
         alone = verify._simulate(p)
         want = _per_trial_oracle(p, draw)
@@ -142,14 +140,21 @@ def test_group_draws_each_trial_stream_once(family, draws_per_trial,
     assert len(keyed) == draws_per_trial * 70
 
 
+def converged_summaries(p, kinds, delta=0.05):
+    """The summaries of the kinds' converged bounds on the problem's own
+    trials, from one bounds.bound_values call over the kinds."""
+    train, pop, kl = verify._simulate(p)
+    values = bounds.bound_values(kinds, p.family, train, kl, p.n, delta)
+    return verify._summaries(p, kinds, delta, pop > values)
+
+
 def test_default_suite_is_the_per_problem_evaluation():
     # drawn in groups of problems on the same streams, and each violation
     # settled, summary for summary what each problem's converged bounds
     # give on its own, in the same order
     want = [summary for p in verify.suite_problems(200, (0, 7))
-            for summary in verify._evaluate(
-                p, verify.CERTIFIED_KINDS[p.family.kind], 0.05,
-                verify._simulate(p))[2]]
+            for summary in converged_summaries(
+                p, verify.CERTIFIED_KINDS[p.family.kind])]
     assert verify.default_suite(0.05, 200, (0, 7)) == want
 
 
@@ -218,7 +223,7 @@ def test_random_problem_refuses_before_it_draws(c, n, trials, message,
 
 @pytest.mark.parametrize("sequence", [list, np.array], ids=["list", "array"])
 def test_problem_built_from_lists_or_arrays_runs(sequence):
-    # stored as tuples of Python floats, so _simulate's cache can key on it
+    # stored as tuples of Python floats, so the problem stays hashable
     p = verify.SyntheticProblem(sequence([0.2, 0.5]), sequence([0.5, 0.5]),
                                 fam.bernoulli(), 1.0, 20, 50, 0)
     ref = verify.SyntheticProblem((0.2, 0.5), (0.5, 0.5), fam.bernoulli(),
@@ -227,7 +232,6 @@ def test_problem_built_from_lists_or_arrays_runs(sequence):
     assert all(type(v) is float for v in p.hypothesis_means + p.prior_weights)
     assert p == ref and hash(p) == hash(ref)
     records, summary = verify.run_trials(p, "mls", 0.05)
-    verify._simulate.cache_clear()
     assert (records, summary) == verify.run_trials(ref, "mls", 0.05)
     assert verify.check_average_bound(p) == verify.check_average_bound(ref)
 
@@ -237,13 +241,12 @@ def test_suite_summary_is_run_trials_summary():
     # summaries each kind gives on its own
     p = problem(trials=100)
     kinds = ("mls", "pac_cramer_xi", "pac_cramer_two_e_ceil")
-    assert verify._evaluate(p, kinds, 0.05, verify._simulate(p))[2] == [
+    assert converged_summaries(p, kinds) == [
         verify.run_trials(p, kind, 0.05)[1] for kind in kinds]
 
 
 def test_run_trials_deterministic():
     recs_a, sum_a = verify.run_trials(problem(), "pac_cramer_xi", 0.05)
-    verify._simulate.cache_clear()
     recs_b, sum_b = verify.run_trials(problem(), "pac_cramer_xi", 0.05)
     assert sum_a == sum_b
     assert recs_a == recs_b
@@ -411,8 +414,7 @@ def test_default_suite_settles_in_at_most_half_the_cells(monkeypatch):
     settled = sum(cells)
     cells.clear()
     for p in verify.suite_problems(200, (0,)):
-        verify._evaluate(p, verify.CERTIFIED_KINDS[p.family.kind], 0.05,
-                         verify._simulate(p))
+        converged_summaries(p, verify.CERTIFIED_KINDS[p.family.kind])
     assert 0 < settled <= sum(cells) / 2
 
 
