@@ -142,36 +142,40 @@ def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
     return res
 
 
-def _grouped(kind, family, alpha, beta, n, delta, sigma2, b):
-    """bound_values' grouping of one kind or a sequence of kinds: (kinds,
-    alpha broadcast with beta, shape, groups), each group (comparator, the
-    distinct budgets stacked, the kinds' rows, each row's index into the
-    budgets); a CorrectionDivergent kind is in no group."""
-    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+def _per_kind(kinds, family, alpha, beta, n, delta, sigma2=None, b=None,
+              losses=None):
+    """One row per kind over broadcast (alpha, beta, n): the rho of invert
+    at the kind's _kind_query pair, or given losses, _bisect's settled
+    losses > rho; the budget has a leading axis of length 1, so that a 0-d
+    query gives a row, not NoFiniteBound.  A kind whose Cramer comparator
+    (params["family"]; binary_kl is Bernoulli's) and budget doubles match
+    an earlier kind's takes that row; a CorrectionDivergent kind's row is
+    NaN, or never exceeded."""
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                       np.asarray(beta, dtype=float))
-    groups = {}     # Cramer family: (comparator, {row: budget})
-    for row, k in enumerate(kinds):
+    fill = math.nan if losses is None else False
+    rows, solved = [], []       # solved: (comparator family, budget, row)
+    for k in kinds:
         try:
-            c, budget = _kind_query(k, family, alpha, beta, n, delta,
-                                    sigma2, b)
+            comp, budget = _kind_query(k, family, alpha, beta, n, delta,
+                                       sigma2, b)
         except CorrectionDivergent:
-            continue                # the row stays NaN
-        groups.setdefault(c.params["family"], (c, {}))[1][row] = budget
-    shape = np.broadcast_shapes(alpha.shape, *(
-        np.shape(v) for _, rows in groups.values() for v in rows.values()))
-    stacked = []
-    for comp, rows in groups.values():
-        distinct, at = [], []       # the distinct budgets; each row's index
-        for v in rows.values():
-            v = np.broadcast_to(v, shape)
-            i = next((i for i, d in enumerate(distinct)
-                      if np.array_equal(d, v)), len(distinct))
-            if i == len(distinct):
-                distinct.append(v)
-            at.append(i)
-        stacked.append((comp, np.stack(distinct), list(rows), at))
-    return kinds, alpha, shape, stacked
+            rows.append(fill)
+            continue
+        key = comp.params["family"]
+        row = next((r for f, v, r in solved
+                    if f == key and np.array_equal(v, budget)), None)
+        if row is None:
+            budgets = np.asarray(budget)[None]
+            row = (inv.invert(comp, alpha, budgets).rho if losses is None
+                   else inv._bisect(comp, alpha, budgets, losses))[0]
+            solved.append((key, budget, row))
+        rows.append(row)
+    shape = np.broadcast_shapes(alpha.shape, *map(np.shape, rows))
+    out = np.full((len(rows),) + shape, fill)
+    for i, row in enumerate(rows):
+        out[i] = row
+    return out
 
 
 def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
@@ -182,17 +186,13 @@ def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
     The kinds and rule of evaluate_kind.  The Chernoff kind computes its
     Upsilon and the 2e ceil(u) kind takes u = n.  n may be an integer
     array, except for the kinds of _SCALAR_N.  A sequence of kinds
-    gives one leading row per kind, each equal to that kind's own call:
-    they are grouped by Cramer comparator (params["family"]; binary_kl is
-    Bernoulli's), each group makes one invert call over its stacked
-    budgets, and a budget that several kinds share is inverted once.  A
-    single kind is the one-row case.
+    gives one leading row per kind, each equal to that kind's own call,
+    and makes one inversion per distinct comparator and budget: a kind
+    whose Cramer comparator and budget an earlier kind shares takes its
+    row.  A single kind is the one-row case.
     """
-    kinds, alpha, shape, groups = _grouped(kind, family, alpha, beta, n,
-                                           delta, sigma2, b)
-    out = np.full((len(kinds),) + shape, math.nan)
-    for comp, budgets, rows, at in groups:
-        out[rows] = inv.invert(comp, alpha, budgets).rho[at]
+    out = _per_kind([kind] if isinstance(kind, str) else kind, family,
+                    alpha, beta, n, delta, sigma2, b)
     return out[0, ...] if isinstance(kind, str) else out
 
 
@@ -203,9 +203,4 @@ def _exceeds(kinds, family, alpha, beta, n, losses, delta):
     broadcasts with alpha and beta; a kind without a bound (NaN) is never
     exceeded.  Booleans only, so no settled point passes for a bound."""
     alpha, beta, losses = np.broadcast_arrays(alpha, beta, losses)
-    kinds, alpha, shape, groups = _grouped(kinds, family, alpha, beta, n,
-                                           delta, None, None)
-    out = np.zeros((len(kinds),) + shape, dtype=bool)
-    for comp, budgets, rows, at in groups:
-        out[rows] = inv._bisect(comp, alpha, budgets, losses)[at]
-    return out
+    return _per_kind(kinds, family, alpha, beta, n, delta, losses=losses)

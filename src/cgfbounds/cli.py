@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -45,6 +46,8 @@ def _parse_range(text, want_scale=False):
     lo = fam.parse_number(parts[0], f"range {text!r}: lo")
     hi = fam.parse_number(parts[1], f"range {text!r}: hi")
     steps = fam.parse_number(parts[2], f"range {text!r}: steps", int)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"range needs finite lo and hi, got {text!r}")
     if not (steps >= 2 and lo < hi):
         raise ValueError(f"range needs lo < hi and steps >= 2, got {text!r}")
     if scale == "log" and not lo > 0:
@@ -232,10 +235,14 @@ def _conjugate_suite(families):
         grid = family.law.check_grid
         for p in grid.tolist():
             closed = family.cramer(grid, p)
-            num = conjugate.family_conjugate(family, grid, p).value
+            try:
+                num = conjugate.family_conjugate(family, grid, p).value
+            except conjugate.ConjugateDivergent:    # an infinite error
+                errs.append(math.inf)
+                continue
             with np.errstate(invalid="ignore"):     # inf - inf: a NaN error
-                errs.append(np.abs(num - closed) / np.maximum(1.0,
-                                                              np.abs(closed)))
+                errs.append(np.max(np.abs(num - closed)
+                                   / np.maximum(1.0, np.abs(closed))))
     return float(np.max(errs))   # NaN if any error is NaN
 
 

@@ -24,6 +24,13 @@ from .rng import check_seed, make_generator, streams
 from .upsilon import cramer_divergence
 
 
+def _check_temperature(value, name):
+    """ValueError unless the Gibbs temperature value is finite and at least 0."""
+    if not 0.0 <= value < math.inf:
+        rule = "nonnegative and finite" if value >= 0.0 else "nonnegative"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class SyntheticProblem:
     hypothesis_means: tuple
@@ -45,9 +52,7 @@ class SyntheticProblem:
         if not (np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-12):
             raise ValueError("prior_weights must be nonnegative and sum to 1, "
                              f"got sum {float(w.sum())}")
-        if not self.gibbs_temperature >= 0.0:
-            raise ValueError("gibbs_temperature must be nonnegative, got "
-                             f"{self.gibbs_temperature}")
+        _check_temperature(self.gibbs_temperature, "gibbs_temperature")
         for name in ("n", "trials"):        # counts; 100.0 is 100
             object.__setattr__(self, name, check_n(getattr(self, name), name))
         object.__setattr__(self, "seed", check_seed(self.seed))
@@ -64,11 +69,21 @@ class TrialRecord:
     violated: bool
 
 
+_HUGE = np.finfo(float).max
 _TRIAL_BLOCK = 32   # trials whose draws are averaged in one pass
 
 
-def _gibbs(ln_prior, energy):
-    """(q, ln q) of the Gibbs posterior q ∝ prior e^{-energy}, row by row."""
+def _gibbs(ln_prior, scale, losses):
+    """(q, ln q) of the Gibbs posterior q ∝ prior e^{-scale losses}, row by
+    row.  A row whose energy overflows (scale may be inf) takes the losses
+    less their row minimum, which leaves q the same, and caps each energy
+    at the largest double, whose weight is 0 either way."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = scale * losses
+        over = ~np.isfinite(energy).all(axis=-1)
+        if over.any():
+            d = losses[over] - losses[over].min(axis=-1, keepdims=True)
+            energy[over] = np.where(d > 0.0, np.minimum(scale * d, _HUGE), 0.0)
     lnq = ln_prior - energy
     lnq -= logsumexp(lnq, axis=-1, keepdims=True)
     return np.exp(lnq), lnq
@@ -109,7 +124,7 @@ def _simulate_group(problems):
     sims = []
     for problem, row, lh in zip(problems, means, lhat):
         ln_prior = np.log(np.asarray(problem.prior_weights, dtype=float))
-        q, lnq = _gibbs(ln_prior, problem.gibbs_temperature * n * lh)
+        q, lnq = _gibbs(ln_prior, problem.gibbs_temperature * n, lh)
         kl = np.maximum(np.einsum("tm,tm->t", q, lnq - ln_prior), 0.0)
         sims.append((np.einsum("tm,tm->t", q, lh), q @ row, kl))
     return sims
@@ -207,8 +222,7 @@ def random_problem(family, m, c, n, trials, seed, stream):
     """A problem with m means drawn uniformly from the mean interval of the
     family's law on stream (seed, stream), under a uniform prior."""
     m = check_n(m, "m", least=2)
-    if not c >= 0.0:        # c, n and trials are refused before the draw
-        raise ValueError(f"c must be nonnegative, got {c}")
+    _check_temperature(c, "c")  # c, n and trials are refused before the draw
     n, trials = check_n(n), check_n(trials, "trials")
     if family.law.mean_interval is None:
         kinds = [k for k, law in fam._LAWS.items() if law.mean_interval]
@@ -232,13 +246,12 @@ def default_suite(delta=0.05, trials=2000, seeds=(0, 1, 2)):
     """Run every certified PAC kind over the default problem grid.
 
     Problems that differ only in c and their means are drawn together by
-    _simulate_group, then evaluated and dropped.  A problem's certified
-    kinds all invert its family's Cramer function (mls's binary kl is the
-    Bernoulli one), so each problem makes one inversion over the kinds'
-    stacked budgets.  The suite keeps one bit per trial and kind, whether
-    the population loss exceeds the bound, so bounds._exceeds settles that
-    bit instead of converging the bound; the summaries are those of the
-    converged bounds.  One summary per (problem, kind), in suite_problems
+    _simulate_group, then evaluated and dropped.  A problem makes one
+    inversion per distinct comparator and budget of its certified kinds:
+    one per kind, as no two of them share a budget.  The suite keeps one
+    bit per trial and kind, whether the population loss exceeds the bound,
+    so bounds._exceeds settles that bit instead of converging the bound;
+    the summaries are those of the converged bounds.  One summary per (problem, kind), in suite_problems
     and then CERTIFIED_KINDS order.
     """
     problems = suite_problems(trials, seeds)
@@ -305,13 +318,13 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
     sw_vals, full_vals = [], []
     for rep in range(replicates):
         if n == 1 or c == 0.0:
-            q_v = _gibbs(np.log(prior), c * n * vs)[0]
+            q_v = _gibbs(np.log(prior), c * n, vs)[0]
         else:
             rng = make_generator(problem.seed, 310000, rep)
             q_v = np.empty((len(vs), m))
             for iv, v in enumerate(vs):
                 rest = family._draw(means, (inner, n - 1, m), rng).sum(axis=1)
-                q_v[iv] = _gibbs(np.log(prior), c * (v + rest))[0].mean(axis=0)
+                q_v[iv] = _gibbs(np.log(prior), c, v + rest)[0].mean(axis=0)
         q_marg = pv @ q_v
         alpha_sw = float(pv @ np.einsum("vm,vm->v", q_v, vs))
         beta_sw = mean_kl(q_v, q_marg, pv)
@@ -326,7 +339,7 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
             continue
         rng2 = make_generator(problem.seed, 320000, rep)
         lhat = family._draw(means, (outer, n, m), rng2).mean(axis=1)
-        q_z = _gibbs(np.log(prior), c * n * lhat)[0]
+        q_z = _gibbs(np.log(prior), c * n, lhat)[0]
         q_bar = q_z.mean(axis=0)
         alpha_f = float(np.einsum("tm,tm->t", q_z, lhat).mean())
         beta_f = mean_kl(q_z, q_bar, np.full(outer, 1.0 / outer))

@@ -505,6 +505,16 @@ def test_nan_conjugate_fails_the_checks(monkeypatch, capsys):
     assert "conjugate-vs-closed max_err=nan FAIL" in capsys.readouterr().out
 
 
+def test_divergent_conjugate_fails_the_checks(capsys):
+    # gamma(1e300)'s numeric conjugate is still growing at the probe-ladder
+    # end: an infinite error, reported as a failed check, not a traceback
+    assert main(["conjugate-check", "--family", "gamma:k=1e300"]) == 5
+    assert capsys.readouterr().out == (
+        "conjugate-check family=gamma:k=1e300 max_err=inf FAIL\n")
+    assert cli._conjugate_suite([fam.parse_family("gamma:k=1e300"),
+                                 fam.bernoulli()]) == math.inf
+
+
 def test_conjugate_suite_makes_one_call_per_family_and_p(monkeypatch):
     # each (family, p) takes its whole q grid in one numeric conjugate and
     # one closed Cramer call: 7 families x 7 p, not 343 cells
@@ -737,6 +747,18 @@ USAGE_ERRORS = {
                         "average_cramer", "--alpha-range", "0.5:0.1:3",
                         "--bon-range", "0.01:1:3", "--n", "50"),
                        ["range needs lo < hi", "'0.5:0.1:3'"]),
+    # an infinite end would reach beta as inf or NaN
+    "range-alpha-inf": (("sweep", "--family", "bernoulli", "--kinds",
+                         "average_cramer", "--alpha-range", "0:inf:2",
+                         "--bon-range", "0.1:1:3", "--n", "10"),
+                        ["range needs finite lo and hi", "'0:inf:2'"]),
+    "range-bon-inf": (("sweep", "--family", "bernoulli", "--kinds",
+                       "average_cramer", "--alpha-range", "0:1:2",
+                       "--bon-range", "0.1:inf:3", "--n", "10"),
+                      ["range needs finite lo and hi", "'0.1:inf:3'"]),
+    # refused before any trial is drawn
+    "verify-c-inf": (("verify", "--c", "inf", "--trials", "20"),
+                     ["c must be nonnegative and finite", "inf"]),
     "range-scale": (("sweep", "--family", "bernoulli", "--kinds",
                      "average_cramer", "--alpha-range", "0.1:0.2:2",
                      "--bon-range", "0.01:1:3:cubic", "--n", "50"),

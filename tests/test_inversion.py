@@ -544,18 +544,15 @@ INFIMUM_GRIDS = {
 
 def _per_cell_infimum(make_comp, alpha, budget, param_range):
     """(rho, param_star) as the infimum was computed before it broadcast:
-    one cell at a time, one invert per parameter value."""
+    one cell at a time, each round's parameter values made one by one and
+    inverted in one invert call, a value without a finite bound +inf."""
     lo, hi = param_range
     xs = np.linspace(math.log(lo), math.log(hi), 64)
 
-    def rho_of(x):
-        try:
-            return inv.invert(make_comp(math.exp(x)), alpha, budget).rho
-        except inv.NoFiniteBound:
-            return math.inf
-
     def neg_rho(x):
-        return np.array([-rho_of(v) for v in x])
+        params = np.array([math.exp(v) for v in x])
+        rho = inv.invert(make_comp(params), np.full(len(x), alpha), budget).rho
+        return -np.where(np.isnan(rho), math.inf, rho)
 
     x, v = argmax_zoom(lambda zs, rows: neg_rho(zs[0])[None], xs,
                        neg_rho(xs)[None])
@@ -1031,6 +1028,9 @@ calls = [
                                 [0.1, 0.2], 2.3, 100),
     lambda: bounds.evaluate_kind("pac_cramer_xi", fam.bernoulli(), 0.1, 2.3,
                                  100, 0.05, ln_upsilon=1.7),
+    lambda: ver.random_problem(fam.bernoulli(), 3, float("inf"), 10, 5, 0, 1),
+    lambda: ver.SyntheticProblem((0.2, 0.5), (0.5, 0.5), fam.bernoulli(),
+                                 float("inf"), 10, 5, 0),
 ]
 for call in calls:
     try:
@@ -1047,7 +1047,7 @@ def test_input_validation_without_asserts(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_LIBRARY_INPUT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 44
+    assert proc.stdout.split() == ["ValueError"] * 46
 
 
 # a library check, and the message it raises

@@ -204,9 +204,10 @@ def test_random_problem_refuses_an_m_that_is_no_count_of_two(m):
 @pytest.mark.parametrize("c, n, trials, message", [
     (-1.0, 10, 5, "c must be nonnegative, got -1.0"),
     (math.nan, 10, 5, "c must be nonnegative, got nan"),
+    (math.inf, 10, 5, "c must be nonnegative and finite, got inf"),
     (1.0, 2.5, 5, "n must be at least 1 and a finite integer, got 2.5"),
     (1.0, 10, 0, "trials must be at least 1, got 0")],
-    ids=["c-negative", "c-nan", "n-fractional", "trials-zero"])
+    ids=["c-negative", "c-nan", "c-inf", "n-fractional", "trials-zero"])
 def test_random_problem_refuses_before_it_draws(c, n, trials, message,
                                                 monkeypatch):
     # no generator is built and no mean drawn for a problem that is refused
@@ -219,6 +220,23 @@ def test_random_problem_refuses_before_it_draws(c, n, trials, message,
     assert built == []
     verify.random_problem(fam.bernoulli(), 3, 1.0, 10, 5, 0, 1)
     assert built == [(0, 1)]
+
+
+def test_problem_refuses_an_infinite_temperature():
+    with pytest.raises(ValueError, match=r"^gibbs_temperature must be "
+                                         r"nonnegative and finite, got inf$"):
+        problem(gibbs_temperature=math.inf)
+
+
+def test_an_overflowing_gibbs_energy_keeps_its_limit():
+    # c n L-hat overflows at c = 1e308; each trial's posterior is then the
+    # prior on its least training losses, as it already is at c = 1e6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = verify._simulate(problem(gibbs_temperature=1e308))
+    for got, want in zip(huge, verify._simulate(problem(gibbs_temperature=1e6))):
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
 
 
 @pytest.mark.parametrize("sequence", [list, np.array], ids=["list", "array"])
@@ -380,9 +398,10 @@ def test_problem_seed_is_an_integer():
     assert type(p.seed) is int and p == problem(seed=2)
 
 
-def test_default_suite_makes_one_inversion_per_problem(monkeypatch):
-    # a problem's certified kinds share its family's Cramer function, so
-    # the 36 seed-0 problems make 36 bisections, not one per kind (84)
+def test_default_suite_makes_one_inversion_per_kind(monkeypatch):
+    # no two certified kinds of a problem share a budget, so the 36 seed-0
+    # problems make one settle bisection per kind, 84 in all, each over a
+    # leading axis of length 1
     calls = []
     bisect = inv._bisect
 
@@ -392,9 +411,8 @@ def test_default_suite_makes_one_inversion_per_problem(monkeypatch):
 
     monkeypatch.setattr(inv, "_bisect", counted)
     summaries = verify.default_suite(0.05, 200, (0,))
-    assert len(summaries) == 84 and len(calls) == 36
-    shapes = [args[2].shape for args in calls]
-    assert shapes.count((3, 200)) == 12 and shapes.count((2, 200)) == 24
+    assert len(summaries) == len(calls) == 84
+    assert all(args[2].shape == (1, 200) for args in calls)
 
 
 def test_default_suite_settles_in_at_most_half_the_cells(monkeypatch):
