@@ -145,12 +145,16 @@ def evaluate_kind(kind, family, alpha, beta, n, delta=None, sigma2=None,
 def _per_kind(kinds, family, alpha, beta, n, delta, sigma2=None, b=None,
               losses=None):
     """One row per kind over broadcast (alpha, beta, n): the rho of invert
-    at the kind's _kind_query pair, or given losses, _bisect's settled
-    losses > rho; the budget has a leading axis of length 1, so that a 0-d
-    query gives a row, not NoFiniteBound.  A kind whose Cramer comparator
+    at the kind's _kind_query pair, or given losses, which broadcast with
+    alpha and beta, _bisect's settled losses > rho: the same booleans for
+    less comparator work, and no settled point passes for a bound.  The
+    budget has a leading axis of length 1, so that a 0-d query gives a
+    row, not NoFiniteBound.  A kind whose Cramer comparator
     (params["family"]; binary_kl is Bernoulli's) and budget doubles match
     an earlier kind's takes that row; a CorrectionDivergent kind's row is
     NaN, or never exceeded."""
+    if losses is not None:
+        alpha, beta, losses = np.broadcast_arrays(alpha, beta, losses)
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                       np.asarray(beta, dtype=float))
     fill = math.nan if losses is None else False
@@ -195,12 +199,3 @@ def bound_values(kind, family, alpha, beta, n, delta=None, sigma2=None,
                     alpha, beta, n, delta, sigma2, b)
     return out[0, ...] if isinstance(kind, str) else out
 
-
-def _exceeds(kinds, family, alpha, beta, n, losses, delta):
-    """losses > bound_values(kinds, family, alpha, beta, n, delta) for a
-    sequence of kinds, each cell settled by _bisect's settle mode instead
-    of converged: the same booleans for less comparator work.  losses
-    broadcasts with alpha and beta; a kind without a bound (NaN) is never
-    exceeded.  Booleans only, so no settled point passes for a bound."""
-    alpha, beta, losses = np.broadcast_arrays(alpha, beta, losses)
-    return _per_kind(kinds, family, alpha, beta, n, delta, losses=losses)

@@ -162,6 +162,9 @@ def cmd_ndep(args):
     if args.nmin < 1 or args.nmax < 1:
         raise ValueError("--nmin and --nmax must be at least 1, got "
                          f"{args.nmin} and {args.nmax}")
+    if args.nmin > args.nmax:
+        raise ValueError("--nmin must be at most --nmax, got "
+                         f"{args.nmin} and {args.nmax}")
     inv.check_n(args.points, "--points")
     ns = np.geomspace(args.nmin, args.nmax, args.points)
     ns = np.array(list(dict.fromkeys(int(round(x)) for x in ns)))

@@ -1,11 +1,12 @@
 """Monte-Carlo validity harness on synthetic finite-hypothesis problems.
 
 Losses are drawn exactly from the bounding family member whose mean is the
-hypothesis's population loss, the posterior is the Gibbs posterior (which
-makes every divergence exact and closed form), and the recorded violation
-rates are compared against delta via Clopper-Pearson intervals.  run_trials
-converges each trial's bound; default_suite, which keeps only whether the
-population loss exceeds it, settles that bit instead.
+hypothesis's population loss, the posterior is the Gibbs posterior, exact
+at any finite c (which makes every divergence exact and closed form), and
+the recorded violation rates are compared against delta via
+Clopper-Pearson intervals.  run_trials converges each trial's bound;
+default_suite, which keeps only whether the population loss exceeds it,
+settles that bit instead.
 """
 
 import functools
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families as fam
-from ._special import binomial_tail_root, logsumexp, xlog1py, xlogy
-from .bounds import (_exceeds, bound_values, check_kind, evaluate_kind,
+from ._special import (binomial_tail_root, logsumexp, rel_entr, xlog1py,
+                       xlogy)
+from .bounds import (_per_kind, bound_values, check_kind, evaluate_kind,
                      reference_flag)
 from .inversion import check_n
 from .rng import check_seed, make_generator, streams
@@ -75,15 +77,13 @@ _TRIAL_BLOCK = 32   # trials whose draws are averaged in one pass
 
 def _gibbs(ln_prior, scale, losses):
     """(q, ln q) of the Gibbs posterior q ∝ prior e^{-scale losses}, row by
-    row.  A row whose energy overflows (scale may be inf) takes the losses
-    less their row minimum, which leaves q the same, and caps each energy
-    at the largest double, whose weight is 0 either way."""
+    row.  Each energy is scale times the losses less the row's least loss,
+    capped at the largest double (scale may be inf): the least energy is
+    exactly 0, so ln prior is never absorbed into a large energy, and q is
+    the exact posterior at any finite scale and its limit where it is inf."""
+    d = losses - losses.min(axis=-1, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = scale * losses
-        over = ~np.isfinite(energy).all(axis=-1)
-        if over.any():
-            d = losses[over] - losses[over].min(axis=-1, keepdims=True)
-            energy[over] = np.where(d > 0.0, np.minimum(scale * d, _HUGE), 0.0)
+        energy = np.where(d > 0.0, np.minimum(scale * d, _HUGE), 0.0)
     lnq = ln_prior - energy
     lnq -= logsumexp(lnq, axis=-1, keepdims=True)
     return np.exp(lnq), lnq
@@ -250,9 +250,10 @@ def default_suite(delta=0.05, trials=2000, seeds=(0, 1, 2)):
     inversion per distinct comparator and budget of its certified kinds:
     one per kind, as no two of them share a budget.  The suite keeps one
     bit per trial and kind, whether the population loss exceeds the bound,
-    so bounds._exceeds settles that bit instead of converging the bound;
-    the summaries are those of the converged bounds.  One summary per (problem, kind), in suite_problems
-    and then CERTIFIED_KINDS order.
+    so bounds._per_kind, given those losses, settles that bit instead of
+    converging the bound; the summaries are those of the converged bounds.
+    One summary per (problem, kind), in suite_problems and then
+    CERTIFIED_KINDS order.
     """
     problems = suite_problems(trials, seeds)
     groups = {}
@@ -266,8 +267,8 @@ def default_suite(delta=0.05, trials=2000, seeds=(0, 1, 2)):
         _check_kinds(group[0].family, kinds, delta)
         for i, problem, (train, pop, kl) in zip(idx, group,
                                                 _simulate_group(group)):
-            violated = _exceeds(kinds, problem.family, train, kl, problem.n,
-                                pop, delta)
+            violated = _per_kind(kinds, problem.family, train, kl,
+                                 problem.n, delta, losses=pop)
             summaries[i] = _summaries(problem, kinds, delta, violated)
     return [summary for per in summaries for summary in per]
 
@@ -311,9 +312,8 @@ def run_samplewise_comparison(problem, inner=1000, outer=400, replicates=4):
     pv = np.exp(ln_pv)
 
     def mean_kl(q_rows, q_ref, weights):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(q_rows > 0, q_rows * np.log(q_rows / q_ref), 0.0)
-        return float(weights @ np.maximum(terms.sum(axis=1), 0.0))
+        terms = rel_entr(q_rows, q_ref).sum(axis=1)
+        return float(weights @ np.maximum(terms, 0.0))
 
     sw_vals, full_vals = [], []
     for rep in range(replicates):

@@ -676,7 +676,7 @@ def test_surface_nan_on_divergence():
     assert math.isnan(s[0, 0])
 
 
-# -- settled violations: _exceeds is losses > bound_values ------------------
+# -- settled violations: _per_kind given losses is losses > bound_values ----
 
 def _kinds_of(family):
     """The kinds a family takes with a delta, the Chernoff kind's row NaN
@@ -732,7 +732,8 @@ def test_exceeds_is_losses_above_the_converged_bound(case):
                        "below": np.nextafter(rho, -math.inf)}[where]
                       if not math.isnan(rho) or where == "nan" else free)
     losses = np.array(losses)
-    got = bounds._exceeds(kinds, family, alpha, beta, n, losses, delta)
+    got = bounds._per_kind(kinds, family, alpha, beta, n, delta,
+                           losses=losses)
     assert got.dtype == bool
     assert np.array_equal(got, losses > bound)
 
@@ -765,7 +766,8 @@ def test_exceeds_at_the_bound_and_one_double_above(edge):
         losses = np.array([rho, np.nextafter(rho, math.inf),
                            np.nextafter(rho, -math.inf), math.nan])
         want = [False, True, False, False]
-    got = bounds._exceeds([kind], family, alpha, beta, n, losses, None)
+    got = bounds._per_kind([kind], family, alpha, beta, n, None,
+                           losses=losses)
     assert got.tolist() == [want]
     assert np.array_equal(got[0], losses > bounds.bound_values(
         kind, family, alpha, beta, n))

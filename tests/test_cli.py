@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cgfbounds import bounds, cli, conjugate, families as fam, inversion as inv
+from cgfbounds import verify
 from cgfbounds.cli import _csv_rows, _fmt, main
 
 
@@ -118,7 +119,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("fig1a", "sweep"), ("fig1b", "sweep"), ("fig3a", "ndep"),
     ("fig3b", "ndep")])
 def test_figures_match_frozen_references(tmp_path, name, command):
-    # cell by cell against perfbench/refs, which is only read here
+    # cell by cell against perfbench/refs, which the tests only read
     out = tmp_path / f"{name}.csv"
     ref = ROOT / "perfbench" / "refs" / f"{name}.csv"
     assert main([command, "--config", str(ROOT / "figs" / f"{name}.cfg"),
@@ -378,11 +379,12 @@ def test_verify_stream_and_pass(tmp_path):
 
 # verify --seed 3 --trials 200 --m 4 --n 20: the first record, the summary
 # record and the verdict line, frozen before the means were drawn by
-# verify.random_problem; they pin the CLI's stream (seed, 900001)
+# verify.random_problem and re-frozen once each trial's Gibbs energies were
+# taken less its least; they pin the CLI's stream (seed, 900001)
 VERIFY_FROZEN = {
     "bernoulli": (("--family", "bernoulli"), (
-        '{"train_loss": 0.15717457433892348, "pop_loss": 0.06709499291190908,'
-        ' "kl": 1.1940820650791377, "bound_value": 0.5417275610548333,'
+        '{"train_loss": 0.15717457433892343, "pop_loss": 0.06709499291190907,'
+        ' "kl": 1.1940820650791373, "bound_value": 0.5417275610548333,'
         ' "violated": false}',
         '{"summary": {"kind": "mls", "family": "bernoulli", "m": 4, "n": 20,'
         ' "c": 1.0, "seed": 3, "delta": 0.05, "trials": 200, "violations": 0,'
@@ -391,8 +393,8 @@ VERIFY_FROZEN = {
         "verify kind=mls family=bernoulli trials=200 violations=0 rate=0"
         " cp95_high=0.0182753404 delta=0.05 PASS")),
     "gaussian": (("--family", "gaussian:sigma2=1", "--bound", "pac_cramer_xi"), (
-        '{"train_loss": 0.27353141557834076, "pop_loss": 0.10247599470415482,'
-        ' "kl": 1.3862900006957777, "bound_value": 1.1286541823910867,'
+        '{"train_loss": 0.2735314155783408, "pop_loss": 0.10247599470415485,'
+        ' "kl": 1.3862900006957783, "bound_value": 1.1286541823910867,'
         ' "violated": false}',
         '{"summary": {"kind": "pac_cramer_xi", "family": "gaussian:sigma2=1",'
         ' "m": 4, "n": 20, "c": 1.0, "seed": 3, "delta": 0.05, "trials": 200,'
@@ -401,8 +403,8 @@ VERIFY_FROZEN = {
         "verify kind=pac_cramer_xi family=gaussian:sigma2=1 trials=200"
         " violations=0 rate=0 cp95_high=0.0182753404 delta=0.05 PASS")),
     "poisson": (("--family", "poisson", "--bound", "pac_cramer_xi"), (
-        '{"train_loss": 0.050000000000509186, "pop_loss": 0.10377885809605274,'
-        ' "kl": 1.386294361109358, "bound_value": 0.5145188868098202,'
+        '{"train_loss": 0.0500000000005092, "pop_loss": 0.10377885809605276,'
+        ' "kl": 1.3862943611093588, "bound_value": 0.5145188868098204,'
         ' "violated": false}',
         '{"summary": {"kind": "pac_cramer_xi", "family": "poisson", "m": 4,'
         ' "n": 20, "c": 1.0, "seed": 3, "delta": 0.05, "trials": 200,'
@@ -421,6 +423,21 @@ def test_cli_verify_output_frozen(name, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 202
     assert (lines[0], lines[-2], lines[-1]) == want
+
+
+def test_cli_verify_at_a_huge_c_keeps_the_posterior(capsys):
+    # at c = 1e300 each trial's posterior is the prior on its least training
+    # losses: its kl is at most ln 10 under the uniform prior on 10
+    # hypotheses, and its pop_loss a mean of the hypothesis means (20
+    # trials cannot bring cp95_high below delta, so the verdict is FAIL)
+    assert main(["verify", "--c", "1e300", "--family", "poisson", "--bound",
+                 "pac_cramer_xi", "--trials", "20"]) == cli.EXIT_CHECK
+    means = verify.random_problem(fam.poisson(), 10, 1e300, 50, 20, 0,
+                                  900001).hypothesis_means
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()[:20]]
+    assert all(r["kl"] <= math.log(10.0) for r in records)
+    assert all(min(means) <= r["pop_loss"] <= max(means) for r in records)
 
 
 # bound --family bernoulli --alpha 0.1 --beta 2.3 --n 100 and these flags:
@@ -608,6 +625,9 @@ USAGE_ERRORS = {
     "ndep-nmin": (("ndep", "--family", "poisson", "--alpha", "1", "--beta",
                    "1", "--nmin", "0", "--nmax", "20"),
                   ["--nmin and --nmax must be at least 1", "0"]),
+    "ndep-reversed": (("ndep", "--family", "poisson", "--alpha", "1",
+                       "--beta", "1", "--nmin", "10", "--nmax", "5"),
+                      ["--nmin must be at most --nmax", "10", "5"]),
     "ndep-points": (NDEP + ("--points", "0"),
                     ["--points must be at least 1", "0"]),
     "ndep-points-negative": (NDEP + ("--points", "-1"),

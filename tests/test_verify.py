@@ -1,9 +1,13 @@
+import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgfbounds import bounds
 from cgfbounds import families as fam
@@ -63,13 +67,14 @@ ORACLE_DRAWS = {
 def _per_trial_oracle(p, draw):
     # (train, pop, kl) of a problem from a fresh make_generator(seed, t) per
     # trial, each drawn by draw(generator, means, size), and the Gibbs
-    # posterior as first written inline, before verify._gibbs held it
+    # posterior written inline, its energies less each trial's least
     means = np.asarray(p.hypothesis_means)
     prior = np.asarray(p.prior_weights)
     lhat = np.array([draw(make_generator(p.seed, t), means,
                           (p.n, len(means))).mean(axis=0)
                      for t in range(p.trials)])
-    lnq = np.log(prior) - p.gibbs_temperature * p.n * lhat
+    lnq = np.log(prior) - p.gibbs_temperature * p.n * (
+        lhat - lhat.min(axis=1, keepdims=True))
     lnq -= logsumexp(lnq, axis=1, keepdims=True)
     q = np.exp(lnq)
     kl = np.maximum(np.einsum("tm,tm->t", q, lnq - np.log(prior)), 0.0)
@@ -158,9 +163,21 @@ def test_default_suite_is_the_per_problem_evaluation():
     assert verify.default_suite(0.05, 200, (0, 7)) == want
 
 
+SUITE_REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_default_suite_counts_match_frozen_references(seed):
+    # the violation counts of the full suite at one seed, as the benchmark's
+    # references (read, never written, here) froze them
+    ref = json.loads((SUITE_REFS / "checks.json").read_text())
+    suite = verify.default_suite(ref["delta"], ref["trials"], (seed,))
+    assert [s["violations"] for s in suite] == ref["violations"][str(seed)]
+
+
 def test_simulate_suite_equals_inline_gibbs():
     # each seed-0 suite problem against per-trial generators and the Gibbs
-    # posterior as first written inline, before verify._gibbs held it
+    # posterior written inline
     problems = verify.suite_problems(200, (0,))
     assert len(problems) == 36
     for p in problems:
@@ -237,6 +254,46 @@ def test_an_overflowing_gibbs_energy_keeps_its_limit():
     for got, want in zip(huge, verify._simulate(problem(gibbs_temperature=1e6))):
         assert np.all(np.isfinite(got))
         assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
+
+
+def test_gibbs_keeps_tied_least_losses_at_any_scale():
+    # the energies are taken less the row's least, so a large finite scale
+    # neither cancels ln prior nor gives each tied least loss q near 1
+    eps = np.finfo(float).eps
+    rows = [(np.log([1 / 3] * 3), scale, [0.3, 0.3, 0.5], [0.5, 0.5, 0.0])
+            for scale in (5e14, 5e16, 1e300, math.inf)]
+    rows.append((np.log([0.9, 0.1]), 1e17, [0.3, 0.3], [0.9, 0.1]))
+    for ln_prior, scale, losses, want in rows:
+        q = verify._gibbs(ln_prior, scale, np.array([losses]))[0]
+        assert q[0] == pytest.approx(want, rel=4 * eps, abs=0), scale
+        assert abs(q.sum() - 1.0) <= 4 * eps, scale
+
+
+@st.composite
+def gibbs_rows(draw):
+    # a prior, losses in [0, 1] whose least is tied at the indices tied, and
+    # a scale anywhere from 0 to 1e300
+    m = draw(st.integers(2, 6))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m,
+                                     max_size=m)))
+    losses = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m,
+                                    max_size=m)))
+    tied = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=m,
+                         unique=True))
+    losses[tied] = losses.min()
+    scale = draw(st.floats(0.0, 1e300))
+    return weights / weights.sum(), losses, scale
+
+
+@given(row=gibbs_rows())
+@settings(max_examples=200, deadline=None)
+def test_gibbs_rows_sum_to_one_and_keep_the_prior_on_ties(row):
+    prior, losses, scale = row
+    q = verify._gibbs(np.log(prior), scale, losses[None])[0][0]
+    assert abs(q.sum() - 1.0) <= 8 * np.finfo(float).eps
+    least = losses == losses.min()
+    assert q[least] / q[least].sum() == pytest.approx(
+        prior[least] / prior[least].sum(), rel=1e-13)
 
 
 @pytest.mark.parametrize("sequence", [list, np.array], ids=["list", "array"])
@@ -581,13 +638,15 @@ def test_samplewise_zero_temperature_is_prior_mean():
 
 
 def test_samplewise_comparison_frozen():
-    # frozen before the outer draws were batched into one (outer, n, m) call
+    # frozen before the outer draws were batched into one (outer, n, m) call,
+    # re-frozen once the Gibbs energies were taken less each row's least and
+    # the mean KL went through rel_entr
     p = problem(hypothesis_means=(0.2, 0.45, 0.7), gibbs_temperature=2.0,
                 n=8, trials=10, seed=3)
     cmp = verify.run_samplewise_comparison(p, inner=40, outer=30, replicates=3)
     assert cmp == verify.SamplewiseComparison(
-        0.3019204894995604, 0.27101110049445226, 0.008012665157122473,
-        0.01927246164029738)
+        0.3019204894995604, 0.2710111004944522, 0.008012665157122473,
+        0.0192724616402974)
 
 
 def test_samplewise_sizes_are_counts():
