@@ -12,6 +12,9 @@ import numpy as np
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny     # the least normal double
+# a.min() and a.max() over every axis, without the methods' Python layer,
+# which costs a 0-d query more than the reduction itself
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 
 
 def rel_entr(x, y):
@@ -20,14 +23,17 @@ def rel_entr(x, y):
     ln(x/y) is taken as scipy takes it: log1p((x - y)/y) while x/y lies in
     (1/2, 2), exact to rounding there, and ln x - ln y where x/y under- or
     overflows.  Each logarithm runs only if some element needs it, and the
-    edge cases are patched only where present.
+    edge cases are patched only where present.  The common case, every x/y
+    in (1/2, 2) and every x > 0, is told by three reductions, each false
+    on a NaN.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = x / y
+        if r.size == 0 or (_MIN(r, None) > 0.5 and _MAX(r, None) < 2.0
+                           and _MIN(x, None) > 0):
+            return (x * np.log1p((x - y) / y))[()]  # y > 0, x/y normal
         near = (r > 0.5) & (r < 2.0)
-        if near.all() and (x > 0).all():    # so y > 0 and x/y is normal
-            return (x * np.log1p((x - y) / y))[()]
         if near.any():
             out = x * np.where(near, np.log1p((x - y) / y), np.log(r))
         else:

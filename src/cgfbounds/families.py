@@ -75,6 +75,30 @@ def _negbin_cramer(q, p, v):
     return out
 
 
+def _poisson_cramer_inverse(q, budget, v):
+    # q (1 + w), w > 0 the root of w - log1p(w) = c = budget/q, which is
+    # -W_{-1}(-e^{-1-c}) - 1 (Corless et al. 1996): seeded by the branch-point
+    # series below c = 1/2 and by c + log1p(c) above, then three Halley
+    # steps, after which w is at its last bit for every c; where c overflows
+    # (q = 0 too) the root is budget + q (1 + ln(p/q)), budget to rounding
+    c = budget / q
+    s = np.sqrt(-2.0 * np.expm1(-c))
+    w = np.where(c < 0.5, s * (1.0 + s * (1.0 / 3.0 + s * (11.0 / 72.0))),
+                 c + np.log1p(c))
+    for _ in range(3):
+        f = w - np.log1p(w) - c
+        d1 = w / (1.0 + w)      # f'; f'' / f' = 1 / (w (1 + w))
+        w = w - f / (d1 - 0.5 * f / w / (1.0 + w))
+    return np.where(c < _INF, q * (1.0 + w), budget)
+
+
+def _invgauss_cramer_inverse(q, budget, v):
+    # q / (1 - s), s = sqrt(2 q budget / v); the Cramer function stays
+    # below v / (2 q) as p grows, so there is no finite root once s >= 1
+    s = np.sqrt(2.0 * q * budget / v)
+    return np.where(s < 1.0, q / (1.0 - s), _INF)
+
+
 def _laplace_draw(p, size, rng, out, v):
     # the Laplace law with mean 0 and scale 1 by the inverse CDF
     # -sign(u) ln(1 - 2|u|), u = U - 1/2, in place; copysign gives
@@ -121,6 +145,9 @@ class _Law:
     ln_pdf_mean: object = None  # (r, n, xs, v) -> ln density of n draws' mean
     mean_interval: tuple | None = None  # verify's interval of random means
     exponential: bool = True    # a natural exponential family
+    # (q, budget, v) -> the p >= q with cramer(q, p, v) = budget, budget > 0,
+    # +inf where none is finite; None: no closed form, so cramer_of bisects
+    cramer_inverse: object = None
 
 
 _LAWS = {
@@ -134,7 +161,10 @@ _LAWS = {
     "gaussian": _Law(
         key="sigma2", mean_domain=(-_INF, _INF),
         cgf=lambda p, t, v: t * p + 0.5 * v * t * t,
-        cramer=lambda q, p, v: (q - p) ** 2 / (2.0 * v),
+        # d * d, not d ** 2: a numpy scalar's ** 2 calls pow, which can be
+        # an ulp off d * d, so a 0-d query would differ from an array query
+        cramer=lambda q, p, v: (q - p) * (q - p) / (2.0 * v),
+        cramer_inverse=lambda q, budget, v: q + np.sqrt(2.0 * v * budget),
         draw=lambda p, size, rng, out, v: rng.standard_normal(out=out),
         # the same doubles as rng.normal(p, sqrt(v), size)
         place=lambda p, std, out, v: np.add(
@@ -144,6 +174,7 @@ _LAWS = {
     "poisson": _Law(
         mean_domain=(0.0, _INF), cgf=lambda p, t, v: p * np.expm1(t),
         cramer=lambda q, p, v: p - q + rel_entr(q, p),
+        cramer_inverse=_poisson_cramer_inverse,
         draw=lambda p, size, rng, out, v: np.copyto(out, rng.poisson(p, size)),
         upsilon="series", check_grid=np.geomspace(0.1, 5.0, 7),
         mean_interval=(0.1, 3.0)),
@@ -170,7 +201,7 @@ _LAWS = {
         # (v/p)(1 - sqrt(1 - 2 p^2 t / v)), without cancellation at t = 0
         cgf=lambda p, t, v: 2.0 * p * t / (1.0 + np.sqrt(
             1.0 - 2.0 * p * p * t / v)),
-        cramer=_invgauss_cramer,
+        cramer=_invgauss_cramer, cramer_inverse=_invgauss_cramer_inverse,
         draw=lambda p, size, rng, out, v: np.copyto(out, rng.wald(p, v, size)),
         ln_pdf_mean=_invgauss_ln_pdf_mean, upsilon="quadrature",
         check_grid=np.geomspace(0.1, 5.0, 7)),

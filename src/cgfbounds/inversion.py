@@ -55,8 +55,14 @@ def _point_mass_ends(p, ends):
 
 def cramer_of(family):
     """The family's Cramer function as a comparator (the optimal choice);
-    the point mass's is 0 at q = p, else +inf."""
+    the point mass's is 0 at q = p, else +inf.  Its exact_inverse is the
+    family record's closed-form cramer_inverse (gaussian, poisson and
+    invgauss), which _bisect solves under its rules; the other families'
+    Cramer functions are bisected."""
     ends = family.mean_domain
+    closed = family.law.cramer_inverse
+    inverse = None if closed is None else (
+        lambda alpha, budget: closed(alpha, budget, family.nuisance))
 
     def fn(q, p):
         edge, inside = _point_mass_ends(p, ends)
@@ -68,7 +74,7 @@ def cramer_of(family):
         return float(out) if out.ndim == 0 else out
 
     return Comparator(f"cramer[{fam.family_spec(family)}]", fn, ends,
-                      {"family": family})
+                      {"family": family}, inverse)
 
 
 def binary_kl():

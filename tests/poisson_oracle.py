@@ -1,7 +1,11 @@
-"""Closed-form Poisson Cramer inversion, the test oracle of the bisection.
+"""Scalar closed-form Poisson Cramer inversion, a test oracle.
 
-The library inverts every Cramer function by bisection; this closed form is
-kept here, and only here, to check it (c12, test_inversion, test_verify).
+It checks both of the package's routes to the Poisson bound: the bisection
+of cramer_of(poisson()) built with exact_inverse=None (c12, test_inversion),
+and the vectorized Halley root that cramer_of passes as its exact_inverse
+(test_inversion, test_verify).  This one solves in u = rho/alpha, so it
+loses digits as eps/(u - 1) at a small budget/alpha, where the package's
+root in w = u - 1 does not.
 """
 
 import math

@@ -3,6 +3,7 @@
 Run with `pytest -s tests/test_acceptance.py` to see the verdict lines.
 """
 
+import dataclasses
 import math
 import time
 
@@ -202,7 +203,7 @@ def test_c11_samplewise_dominance():
 def test_c12_closed_form_vs_bisection(monkeypatch):
     monkeypatch.setattr(inv, "_TOL", 1e-12)
     rng = np.random.default_rng(20260818)
-    comp = inv.cramer_of(fam.poisson())
+    comp = dataclasses.replace(inv.cramer_of(fam.poisson()), exact_inverse=None)
     worst = 0.0
     for _ in range(100):
         alpha = float(rng.uniform(0.01, 20.0))

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import re
@@ -119,12 +120,13 @@ ROOT = Path(__file__).resolve().parent.parent
     ("fig1a", "sweep"), ("fig1b", "sweep"), ("fig3a", "ndep"),
     ("fig3b", "ndep")])
 def test_figures_match_frozen_references(tmp_path, name, command):
-    # cell by cell against perfbench/refs, which the tests only read
+    # against perfbench/refs, which the tests only read: byte for byte but
+    # fig1b, whose reference predates its closed form, cell by cell
     out = tmp_path / f"{name}.csv"
     ref = ROOT / "perfbench" / "refs" / f"{name}.csv"
     assert main([command, "--config", str(ROOT / "figs" / f"{name}.cfg"),
                  "--out", str(out)]) == 0
-    if command == "ndep":   # byte for byte
+    if name != "fig1b":
         assert out.read_bytes() == ref.read_bytes()
     got = [r.split(",") for r in out.read_text().strip().split("\n")]
     want = [r.split(",") for r in ref.read_text().strip().split("\n")]
@@ -141,6 +143,27 @@ def test_figures_match_frozen_references(tmp_path, name, command):
                 assert g == pytest.approx(w, rel=0, abs=1e-8), (col, g_row)
             else:
                 assert g == pytest.approx(w, rel=1e-8, abs=1e-300), (col, g_row)
+
+
+@pytest.mark.parametrize("name,kind", [("fig1a", "gaussian"),
+                                       ("fig1b", "poisson")])
+def test_figures_solve_closed_forms_without_bisecting(tmp_path, monkeypatch,
+                                                      name, kind):
+    # fig1a's gaussian_diff_inf and both fig1b kinds invert a Cramer
+    # function with a closed-form inverse: the engine's first evaluation,
+    # its three-point probe and the root's feasibility check, with a few
+    # steps down at most, where bisection made 41 and 42 calls
+    calls = collections.Counter()
+    cramer = fam.BoundingFamily.cramer
+
+    def counted(self, q, p):
+        calls[self.kind] += 1
+        return cramer(self, q, p)
+
+    monkeypatch.setattr(fam.BoundingFamily, "cramer", counted)
+    assert main(["sweep", "--config", str(ROOT / "figs" / f"{name}.cfg"),
+                 "--out", str(tmp_path / f"{name}.csv")]) == 0
+    assert 0 < calls[kind] <= 8
 
 
 def test_sweep_clamp_keeps_divergent_cells_nan(tmp_path):
@@ -380,7 +403,9 @@ def test_verify_stream_and_pass(tmp_path):
 # verify --seed 3 --trials 200 --m 4 --n 20: the first record, the summary
 # record and the verdict line, frozen before the means were drawn by
 # verify.random_problem and re-frozen once each trial's Gibbs energies were
-# taken less its least; they pin the CLI's stream (seed, 900001)
+# taken less its least, and the gaussian and poisson bound_value once their
+# Cramer functions were inverted in closed form; they pin the CLI's stream
+# (seed, 900001)
 VERIFY_FROZEN = {
     "bernoulli": (("--family", "bernoulli"), (
         '{"train_loss": 0.15717457433892343, "pop_loss": 0.06709499291190907,'
@@ -394,7 +419,7 @@ VERIFY_FROZEN = {
         " cp95_high=0.0182753404 delta=0.05 PASS")),
     "gaussian": (("--family", "gaussian:sigma2=1", "--bound", "pac_cramer_xi"), (
         '{"train_loss": 0.2735314155783408, "pop_loss": 0.10247599470415485,'
-        ' "kl": 1.3862900006957783, "bound_value": 1.1286541823910867,'
+        ' "kl": 1.3862900006957783, "bound_value": 1.128654183086272,'
         ' "violated": false}',
         '{"summary": {"kind": "pac_cramer_xi", "family": "gaussian:sigma2=1",'
         ' "m": 4, "n": 20, "c": 1.0, "seed": 3, "delta": 0.05, "trials": 200,'
@@ -404,7 +429,7 @@ VERIFY_FROZEN = {
         " violations=0 rate=0 cp95_high=0.0182753404 delta=0.05 PASS")),
     "poisson": (("--family", "poisson", "--bound", "pac_cramer_xi"), (
         '{"train_loss": 0.0500000000005092, "pop_loss": 0.10377885809605276,'
-        ' "kl": 1.3862943611093588, "bound_value": 0.5145188868098204,'
+        ' "kl": 1.3862943611093588, "bound_value": 0.5145188868585914,'
         ' "violated": false}',
         '{"summary": {"kind": "pac_cramer_xi", "family": "poisson", "m": 4,'
         ' "n": 20, "c": 1.0, "seed": 3, "delta": 0.05, "trials": 200,'

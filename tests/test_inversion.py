@@ -35,7 +35,9 @@ def test_gaussian_closed_form():
        sigma2=st.floats(0.1, 4.0))
 @settings(max_examples=60, deadline=None)
 def test_gaussian_closed_form_property(alpha, budget, sigma2):
-    comp = inv.cramer_of(fam.gaussian(sigma2))
+    # the bisected comparator against alpha + sqrt(2 sigma2 B)
+    comp = dataclasses.replace(inv.cramer_of(fam.gaussian(sigma2)),
+                               exact_inverse=None)
     res = inv.invert(comp, alpha, budget)
     want = alpha + math.sqrt(2 * sigma2 * budget)
     assert res.rho == pytest.approx(want, rel=1e-8, abs=1e-8)
@@ -60,7 +62,7 @@ def test_poisson_closed_form_solves_cramer(alpha, budget):
 
 def test_poisson_closed_vs_bisection(monkeypatch):
     monkeypatch.setattr(inv, "_TOL", 1e-12)
-    comp = inv.cramer_of(fam.poisson())
+    comp = dataclasses.replace(inv.cramer_of(fam.poisson()), exact_inverse=None)
     rng = np.random.default_rng(42)
     for _ in range(20):
         alpha = float(rng.uniform(0.05, 10.0))
@@ -68,6 +70,63 @@ def test_poisson_closed_vs_bisection(monkeypatch):
         closed = invert_closed_form_poisson(alpha, budget)
         bis = float(inv._bisect(comp, alpha, budget)[0])
         assert closed == pytest.approx(bis, rel=1e-9)
+
+
+CLOSED_CRAMER = {"gaussian": (fam.gaussian(0.6), (-3.0, 3.0)),
+                 "poisson": (fam.poisson(), (0.0, 20.0)),
+                 "invgauss": (fam.invgauss(1.5), (0.0, 5.0))}
+
+
+@given(kind=st.sampled_from(sorted(CLOSED_CRAMER)), u=st.floats(0.0, 1.0),
+       budget=st.floats(1e-6, 50.0))
+@settings(max_examples=150, deadline=None)
+def test_closed_cramer_inverse_is_the_supremum(kind, u, budget):
+    # the closed form, solved by the engine without bisecting, is feasible,
+    # the point 1e-12 max(1, |rho|) above it is not, and it lies in the
+    # final bracket of the same comparator bisected: at or above the
+    # bisection's answer, within its stopping width
+    family, (lo, hi) = CLOSED_CRAMER[kind]
+    alpha = lo + u * (hi - lo)
+    comp = inv.cramer_of(family)
+    res = inv.invert(comp, [alpha], [budget])
+    rho = res.rho[0]
+    _, b_lo, b_hi, _, _ = (f[0] for f in inv._bisect(
+        dataclasses.replace(comp, exact_inverse=None), [alpha], [budget]))
+    if kind == "invgauss" and 2.0 * alpha * budget / 1.5 > 0.98:
+        # near s = sqrt(2 alpha B / lambda) = 1 the function is flat to
+        # rounding about its root (p dLambda/dp / Lambda = 2 (1 - s) / s),
+        # so doubles do not resolve its supremum; past s = 1 it has none
+        assert math.isnan(rho) or comp.eval(alpha, rho) <= budget
+        return
+    assert res.iterations[0] == 0 and res.status[0] == "converged"
+    assert comp.eval(alpha, rho) <= budget
+    assert comp.eval(alpha, rho + 1e-12 * max(1.0, abs(rho))) > budget
+    assert b_lo <= rho <= b_hi
+
+
+def test_poisson_closed_form_matches_the_oracle():
+    # the vectorized Halley root in w = rho/alpha - 1 against the scalar one
+    # in u = rho/alpha, which loses digits as eps/w at a small budget/alpha,
+    # and against mpmath's W to 2 ulps, on both sides of the seeds' switch
+    # at budget/alpha = 1/2; alpha 0 or tiny gives the budget
+    import mpmath
+    comp = inv.cramer_of(fam.poisson())
+    rng = np.random.default_rng(7)
+    alpha = rng.uniform(0.01, 20.0, 300)
+    budget = np.exp(rng.uniform(-14.0, 6.0, 300))
+    closed = comp.exact_inverse(alpha, budget)
+    want = [invert_closed_form_poisson(a, b) for a, b in zip(alpha, budget)]
+    assert np.all(np.abs(closed - want) <= 1e-11 * np.abs(want))
+    rho = inv.invert(comp, alpha, budget).rho
+    assert np.all(np.abs(rho - want) <= 1e-11 * np.abs(want))
+    c = np.array([1e-12, 1e-6, 0.3, 0.5 - 1e-15, 0.5, 0.7, 40.0, 1e200])
+    with mpmath.workdps(50):
+        w = [float(-mpmath.lambertw(-mpmath.exp(-1 - mpmath.mpf(x)), -1) - 1)
+             for x in c]
+    closed = comp.exact_inverse(2.0, 2.0 * c)
+    assert np.all(np.abs(closed - [2.0 * (1.0 + x) for x in w])
+                  <= 2 * np.spacing(closed))
+    assert inv.invert(comp, [0.0, 1e-322], 2.5).rho.tolist() == [2.5, 2.5]
 
 
 def lambert_wm1(x):

@@ -68,6 +68,25 @@ def test_rel_entr_edges():
     assert type(sp.rel_entr(0.2, 0.4)) is np.float64
 
 
+@pytest.mark.parametrize("x,y", [(NAN, 0.5), (0.5, NAN), (0.5, 1.0),
+                                 (1.0, 0.5), (0.0, 0.3), (-0.3, -0.4)],
+                         ids=["nan_x", "nan_y", "r_half", "r_two", "x_zero",
+                              "both_negative"])
+def test_rel_entr_fast_path_edges(x, y):
+    # one edge cell among cells that take the fast path (x > 0, x/y in
+    # (1/2, 2)) sends the whole array down the slow path, alone and in 0-d
+    xs, ys = np.array([0.3, 0.4, x, 0.7]), np.array([0.35, 0.3, y, 0.5])
+    assert_ulp(sp.rel_entr(xs, ys), special.rel_entr(xs, ys))
+    assert_ulp(sp.rel_entr(x, y), special.rel_entr(x, y))
+
+
+def test_rel_entr_of_nothing():
+    for shape in ((0,), (2, 0)):
+        got = sp.rel_entr(np.empty(shape), np.empty(shape))
+        assert got.shape == shape and got.dtype == float
+    assert sp.rel_entr(np.empty(0), 0.5).shape == (0,)
+
+
 def test_xlogy_zero_rule():
     assert sp.xlogy(0.0, 0.0) == 0.0 and sp.xlogy(0.0, -1.0) == 0.0
     assert sp.xlog1py(0.0, -1.0) == 0.0 and sp.xlog1py(0.0, -2.0) == 0.0

@@ -4,7 +4,9 @@ python -O runs exactly the code that plain Python runs when no module has
 an assert statement or reads __debug__, and numpy is the only runtime
 dependency when every import names the standard library, numpy or the
 package itself.  Every closed-form inverse is solved under the inversion
-engine's rules when only inversion._bisect reads Comparator.exact_inverse.
+engine's rules when only inversion._bisect reads Comparator.exact_inverse,
+and a family's closed-form Cramer inverse reaches the engine only that way
+when only inversion.cramer_of reads the family record's cramer_inverse.
 """
 
 import ast
@@ -49,16 +51,25 @@ def test_package_and_demos_import_only_stdlib_numpy_and_cgfbounds():
     assert found == []
 
 
-def test_only_the_engine_reads_exact_inverse():
-    # the dataclass field, _cgf_line's parameter and the keyword arguments
-    # name exact_inverse but read no comparator's; getattr would read it
+def reads(module, function, attr):
+    """(whether module's function reads attr; "file:line" of each read
+    elsewhere).  A dataclass field, a parameter or a keyword argument named
+    attr reads nothing; x.attr and getattr(x, "attr") do."""
     tree = list(nodes(PACKAGE))
-    engine = {id(inner) for name, node in tree
-              if name == "inversion.py" and isinstance(node, ast.FunctionDef)
-              and node.name == "_bisect" for inner in ast.walk(node)}
-    reads = [(name, node) for name, node in tree
-             if isinstance(node, ast.Attribute) and node.attr == "exact_inverse"
-             or isinstance(node, ast.Constant) and node.value == "exact_inverse"]
-    assert any(id(node) in engine for _, node in reads)
-    assert [f"{name}:{node.lineno}" for name, node in reads
-            if id(node) not in engine] == []
+    inside = {id(inner) for name, node in tree
+              if name == module and isinstance(node, ast.FunctionDef)
+              and node.name == function for inner in ast.walk(node)}
+    found = [(name, node) for name, node in tree
+             if isinstance(node, ast.Attribute) and node.attr == attr
+             or isinstance(node, ast.Constant) and node.value == attr]
+    return (any(id(node) in inside for _, node in found),
+            [f"{name}:{node.lineno}" for name, node in found
+             if id(node) not in inside])
+
+
+def test_only_the_engine_reads_exact_inverse():
+    assert reads("inversion.py", "_bisect", "exact_inverse") == (True, [])
+
+
+def test_only_cramer_of_reads_cramer_inverse():
+    assert reads("inversion.py", "cramer_of", "cramer_inverse") == (True, [])
