@@ -172,8 +172,10 @@ def cmd_ndep(args):
                               ns)
     if np.isnan(rho).any():
         n = int(ns[np.isnan(rho)].min())
+        hi = inv.invert(inv.cramer_of(family), args.alpha,
+                        [args.beta / n]).bracket[1][0]
         raise inv.no_finite_bound(f"cramer[{fam.family_spec(family)}] at n={n}",
-                                  args.beta / n)
+                                  args.beta / n, hi)
     _write_lines(args.out, ["n,bound"] + ["%d,%.9g" % row for row in
                                           zip(ns.tolist(), rho.tolist())])
     return EXIT_OK

@@ -20,7 +20,8 @@ from .conjugate import argmax_zoom, cellwise
 
 
 class NoFiniteBound(Exception):
-    """Bracket expansion exhausted without the comparator exceeding the budget."""
+    """No rho exceeds the budget: a closed form's root is +inf, or bracket
+    expansion ran out without the comparator exceeding it."""
 
 
 class NonMonotoneComparator(Exception):
@@ -261,13 +262,15 @@ def _bisect(comp, alpha, budget, losses=None):
     The package's only bisection, and the only reader of exact_inverse:
     after the alpha checks, the budget_nonpositive rule and the monotonicity
     probe, a closed form solves the cells still open, its root moved down
-    until feasible (lo = hi, 0 iterations); a root not finite, or infeasible
-    after _STEPS steps, is bisected.  Returns (rho, lo, hi, iterations,
-    status) arrays; status indexes _STATUSES, and rho is the feasible
-    endpoint lo (the domain end when capped, NaN when no finite bound
-    exists), so a reported bound never overestimates the supremum.  Each
-    step calls the comparator once on the whole array; a cell that is +inf
-    or NaN fails every comparison made here: it is infeasible.
+    until feasible (lo = hi, 0 iterations); on a range unbounded above, a
+    root of +inf is no finite bound at once (hi = +inf); a root NaN, +inf
+    on a bounded range, or infeasible after _STEPS steps, is bisected.
+    Returns (rho, lo, hi, iterations, status) arrays; status indexes
+    _STATUSES, and rho is the feasible endpoint lo (the domain end when
+    capped, NaN when no finite bound exists), so a reported bound never
+    overestimates the supremum.  Each step calls the comparator once on the
+    whole array; a cell that is +inf or NaN fails every comparison made
+    here: it is infeasible.
 
     Settle mode, given losses that broadcast to alpha and budget: returns
     only the booleans losses > rho.  Once the bracket exists, a cell stops
@@ -305,10 +308,15 @@ def _bisect(comp, alpha, budget, losses=None):
                         f"{comp.form} is decreasing in rho near "
                         f"alpha={float(alpha[bad][0])}")
 
+    endless = np.zeros(alpha.shape, dtype=bool)
     if comp.exact_inverse is not None and todo.any():
         # the root in [alpha, hi_r], down 1, 2, 4, ... ulps until feasible
-        with np.errstate(all="ignore"):     # a non-finite root is bisected
+        with np.errstate(all="ignore"):     # a NaN root is bisected
             root = comp.exact_inverse(alpha, budget)
+        if not bounded:     # a +inf root: no rho exceeds the budget
+            endless = todo & (root == math.inf)
+            status[endless] = _NO_FINITE
+            todo &= ~endless
         closed = todo & np.isfinite(root)
         root = np.where(closed, np.clip(root, alpha, hi_r), alpha)
         ulp = np.spacing(np.maximum(np.abs(root), 1.0))
@@ -358,15 +366,18 @@ def _bisect(comp, alpha, budget, losses=None):
 
     rho = np.where(status == _CAPPED, hi, lo)
     rho[status == _NO_FINITE] = math.nan
+    hi[endless] = math.inf
     if losses is not None:
         return loss > rho
     return rho, lo, hi, iterations, status
 
 
-def no_finite_bound(what, budget):
-    """The NoFiniteBound of `what` at a budget no bracket doubling exceeds."""
-    return NoFiniteBound(f"{what}: budget {budget} not exceeded after "
-                         f"{_MAX_DOUBLINGS} bracket doublings")
+def no_finite_bound(what, budget, hi):
+    """The NoFiniteBound of `what` at a budget that no rho up to _bisect's
+    hi exceeds: +inf from a closed form, else the last bracket doubling."""
+    how = ("at any finite rho" if hi == math.inf
+           else f"after {_MAX_DOUBLINGS} bracket doublings")
+    return NoFiniteBound(f"{what}: budget {budget} not exceeded {how}")
 
 
 def _result(fields, budget, no_finite, param_star=None):
@@ -389,8 +400,9 @@ def invert(comp, alpha, budget):
     """sup{rho in the loss range : comp(alpha, rho) <= budget} by one
     _bisect over broadcast alpha and budget, a closed form included; a 0-d
     query raises NoFiniteBound where an array query has NaN rho."""
-    return _result(_bisect(comp, alpha, budget), budget,
-                   lambda: no_finite_bound(comp.form, float(budget)))
+    fields = _bisect(comp, alpha, budget)
+    return _result(fields, budget, lambda: no_finite_bound(
+        comp.form, float(budget), float(fields[2])))
 
 
 # -- one-parameter infima --------------------------------------------------

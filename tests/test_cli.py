@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import io
 import json
 import math
 import re
@@ -15,10 +17,25 @@ from cgfbounds import verify
 from cgfbounds.cli import _csv_rows, _fmt, main
 
 
-def run_cli(*args, flags=()):
-    proc = subprocess.run([sys.executable, *flags, "-m", "cgfbounds.cli", *args],
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr
+def run_cli(*args):
+    """(exit code, stdout, stderr) of main(args), run in this process; an
+    argparse exit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_module_entry_point_exits_with_mains_code():
+    # the one run of python -m cgfbounds.cli: its exit status is main's
+    proc = subprocess.run([sys.executable, "-m", "cgfbounds.cli", "bound",
+                           "--family", "nosuch", "--alpha", "0.2", "--beta",
+                           "1", "--n", "10"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage error: ") and "nosuch" in proc.stderr
 
 
 def test_import_leaves_out_scipy():
@@ -810,43 +827,14 @@ USAGE_ERRORS = {
                     ["unknown scale", "'cubic'", "linear or log"]),
 }
 
-# runs each USAGE_ERRORS case through main() and prints {case: [code, out, err]}
-RUN_CASES = """
-import contextlib, io, json, sys
-from cgfbounds.cli import main
-got = {}
-for case, argv in json.loads(sys.argv[1]).items():
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as e:
-            code = e.code
-    got[case] = [code, out.getvalue(), err.getvalue()]
-print(json.dumps(got))
-"""
 
-
-@pytest.fixture(scope="module")
-def usage_errors_optimized():
-    # one python -O child for every case: -O strips asserts, so a check
-    # that rests on one would let the bad input through
-    cases = {case: list(args) for case, (args, _) in USAGE_ERRORS.items()}
-    proc = subprocess.run([sys.executable, "-O", "-c", RUN_CASES,
-                           json.dumps(cases)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
-@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
-def test_usage_errors_exit_2_with_message(case, flags, capsys, request):
+# one run of main per case, in this process; the ids keep a "-plain" suffix
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS),
+                         ids=lambda case: f"{case}-plain")
+def test_usage_errors_exit_2_with_message(case, capsys):
     args, words = USAGE_ERRORS[case]
-    if flags:
-        code, out, err = request.getfixturevalue("usage_errors_optimized")[case]
-    else:
-        code = main(list(args))
-        out, err = capsys.readouterr()
+    code = main(list(args))
+    out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
     for word in words:

@@ -1,11 +1,7 @@
-import ast
 import dataclasses
 import math
 import re
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +12,9 @@ from scipy import special
 from cgfbounds import bounds, families as fam
 from cgfbounds import inversion as inv
 from cgfbounds import upsilon as ups
+from cgfbounds import verify as ver
 from cgfbounds.conjugate import argmax_zoom
 from poisson_oracle import invert_closed_form_poisson
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 # -- closed forms --------------------------------------------------------------
@@ -213,41 +208,38 @@ def test_feasible_and_maximal(family, budget):
 
 def test_invgauss_saturation_no_finite_bound():
     # sup_p of the inverse-Gaussian rate at fixed alpha is lambda/(2 alpha);
-    # budgets above it admit every mean
-    lam, alpha = 1.5, 0.9
+    # budgets above it admit every mean.  lambda/(2 alpha) = 0.375 at 2
+    lam = 1.5
     comp = inv.cramer_of(fam.invgauss(lam))
-    cap = lam / (2 * alpha)
-    with pytest.raises(inv.NoFiniteBound):
-        inv.invert(comp, alpha, cap * 1.01)
-    res = inv.invert(comp, alpha, cap * 0.9)
-    assert res.status == "converged"
-    # the grid reports the same cells as NaN, next to finite ones
-    rho = inv.invert(comp, alpha, [cap * 1.01, cap * 0.9]).rho
-    assert math.isnan(rho[0]) and rho[1] == res.rho
+    cap = lam / (2 * 0.9)
+    for alpha, above, below in [(0.9, cap * 1.01, cap * 0.9), (2.0, 0.5, 0.01)]:
+        with pytest.raises(inv.NoFiniteBound):
+            inv.invert(comp, alpha, above)
+        res = inv.invert(comp, alpha, below)
+        assert res.status == "converged"
+        # the grid reports the same cells as NaN, next to finite ones
+        rho = inv.invert(comp, alpha, [above, below]).rho
+        assert math.isnan(rho[0]) and rho[1] == res.rho
 
 
-INVGAUSS_SATURATION = """
-import math
-from cgfbounds import families as fam, inversion as inv
-comp = inv.cramer_of(fam.invgauss(1.5))
-rho = inv.invert(comp, [2.0, 2.0], [0.5, 0.01]).rho
-try:
-    inv.invert(comp, 2.0, 0.5)
-    raised = False
-except inv.NoFiniteBound:
-    raised = True
-print(math.isnan(rho[0]), math.isfinite(rho[1]), raised)
-"""
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
-def test_no_finite_bound_reported_without_asserts(flags):
-    # lambda/(2 alpha) = 0.375 < 0.5: no finite bound at alpha = 2, and the
-    # report must not rest on an assert that -O strips
-    proc = subprocess.run([sys.executable, *flags, "-c", INVGAUSS_SATURATION],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "True", "True"]
+def test_closed_form_without_finite_root_takes_no_bracket_doubling():
+    # invgauss's closed form is +inf at budget 0.5 > lambda/(2 alpha) = 0.375:
+    # no finite bound at once, with the bracket (alpha, inf), not after 200
+    # doublings of an unbounded range
+    comp = inv.cramer_of(fam.invgauss(1.5))
+    calls = []
+    counted = dataclasses.replace(
+        comp, fn=lambda q, p: calls.append(1) or comp.fn(q, p))
+    res = inv.invert(counted, [2.0, 2.0], [0.5, 0.01])
+    assert len(calls) <= 10
+    assert math.isnan(res.rho[0])
+    assert res.rho[1] == pytest.approx(2.0 / (1.0 - math.sqrt(0.04 / 1.5)),
+                                       rel=1e-14)
+    assert list(res.status) == ["no_finite_bound", "converged"]
+    assert (res.bracket[0][0], res.bracket[1][0]) == (2.0, math.inf)
+    with pytest.raises(inv.NoFiniteBound,
+                       match=r"budget 0\.5 not exceeded at any finite rho$"):
+        inv.invert(comp, 2.0, 0.5)
 
 
 MEAN_BOXES = {"bernoulli": (0.0, 1.0), "gaussian": (-3.0, 3.0),
@@ -1022,10 +1014,8 @@ def test_check_n_accepts_integral_sample_sizes(n):
     assert inv.budget(1.0, n) == pytest.approx(1.0 / n)
 
 
-BAD_LIBRARY_INPUT = """
-from cgfbounds import bounds, families as fam, inversion as inv
-from cgfbounds import upsilon as ups, verify as ver
-calls = [
+# bad input, each refused by a ValueError with a message
+BAD_LIBRARY_INPUT = [
     lambda: inv.budget(-1.0, 10),
     lambda: inv.budget(1.0, 0),
     lambda: inv.budget(1.0, 10, delta=1.5),
@@ -1091,22 +1081,13 @@ calls = [
     lambda: ver.SyntheticProblem((0.2, 0.5), (0.5, 0.5), fam.bernoulli(),
                                  float("inf"), 10, 5, 0),
 ]
-for call in calls:
-    try:
+
+
+@pytest.mark.parametrize("call", BAD_LIBRARY_INPUT, ids=lambda _: "call")
+def test_bad_library_input_raises_value_error(call):
+    with pytest.raises(ValueError) as exc:
         call()
-        print("returned")
-    except ValueError as e:
-        print("ValueError" if str(e) else "empty")
-"""
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
-def test_input_validation_without_asserts(flags):
-    # every bad input raises ValueError with a message, also under -O
-    proc = subprocess.run([sys.executable, *flags, "-c", BAD_LIBRARY_INPUT],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 46
+    assert str(exc.value)
 
 
 # a library check, and the message it raises
@@ -1152,13 +1133,3 @@ def test_library_check_names_the_bad_input(case):
     call, message = CHECK_MESSAGES[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
-
-
-def test_package_source_has_no_assert():
-    # checks that python -O strips would let bad input through
-    for path in sorted((ROOT / "src" / "cgfbounds").glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        for node in ast.walk(tree):
-            assert not isinstance(node, ast.Assert), (path.name, node.lineno)
-            assert not (isinstance(node, ast.Name)
-                        and node.id == "__debug__"), (path.name, node.lineno)
