@@ -208,18 +208,30 @@ def test_feasible_and_maximal(family, budget):
 
 def test_invgauss_saturation_no_finite_bound():
     # sup_p of the inverse-Gaussian rate at fixed alpha is lambda/(2 alpha);
-    # budgets above it admit every mean.  lambda/(2 alpha) = 0.375 at 2
-    lam = 1.5
+    # budgets above it admit every mean
+    lam, alpha = 1.5, 0.9
     comp = inv.cramer_of(fam.invgauss(lam))
-    cap = lam / (2 * 0.9)
-    for alpha, above, below in [(0.9, cap * 1.01, cap * 0.9), (2.0, 0.5, 0.01)]:
-        with pytest.raises(inv.NoFiniteBound):
-            inv.invert(comp, alpha, above)
-        res = inv.invert(comp, alpha, below)
-        assert res.status == "converged"
-        # the grid reports the same cells as NaN, next to finite ones
-        rho = inv.invert(comp, alpha, [above, below]).rho
-        assert math.isnan(rho[0]) and rho[1] == res.rho
+    cap = lam / (2 * alpha)
+    with pytest.raises(inv.NoFiniteBound):
+        inv.invert(comp, alpha, cap * 1.01)
+    res = inv.invert(comp, alpha, cap * 0.9)
+    assert res.status == "converged"
+    # the grid reports the same cells as NaN, next to finite ones
+    rho = inv.invert(comp, alpha, [cap * 1.01, cap * 0.9]).rho
+    assert math.isnan(rho[0]) and rho[1] == res.rho
+
+
+# "plain" is a run that keeps its asserts; the same source under python -O
+# is checked by test_structure.py::test_package_runs_the_same_under_python_o
+@pytest.mark.parametrize("mode", ["plain"])
+def test_no_finite_bound_reported_without_asserts(mode):
+    # lambda/(2 alpha) = 0.375 < 0.5: no finite bound at alpha = 2, reported
+    # by a NaN cell and by NoFiniteBound, never by an AssertionError
+    comp = inv.cramer_of(fam.invgauss(1.5))
+    rho = inv.invert(comp, [2.0, 2.0], [0.5, 0.01]).rho
+    assert math.isnan(rho[0]) and math.isfinite(rho[1])
+    with pytest.raises(inv.NoFiniteBound):
+        inv.invert(comp, 2.0, 0.5)
 
 
 def test_closed_form_without_finite_root_takes_no_bracket_doubling():
