@@ -49,11 +49,12 @@ def check_kind(kind, family, delta, sigma2=None, b=None, *, ln_upsilon=None,
     BOUND_KINDS and the query suits it.  In this order: a corrected kind
     needs a delta, any delta lies in (0, 1), only the Chernoff kind takes
     ln_upsilon, finite and at least 0 (Upsilon of a Cramer function is at
-    least 1), and only the 2e ceil(u) kind u.  mls and catoni_inf take
-    bernoulli or None and invert the binary kl; poisson_diff_inf takes no
-    family with negative means, the other *_diff_inf a positive b or sigma2
-    given or lent by a family of that type, and each inverts the sup of its
-    CGF lines, a Cramer function; a Cramer kind needs a family."""
+    least 1), only the 2e ceil(u) kind u, and a given sigma2 or b lies in
+    (0, inf), whatever the kind.  mls and catoni_inf take bernoulli or None
+    and invert the binary kl; poisson_diff_inf takes no family with negative
+    means, the other *_diff_inf a b or sigma2 given or lent by a family of
+    that type, and each inverts the sup of its CGF lines, a Cramer function;
+    a Cramer kind needs a family."""
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; use one of "
                          + ", ".join(BOUND_KINDS))
@@ -68,6 +69,9 @@ def check_kind(kind, family, delta, sigma2=None, b=None, *, ln_upsilon=None,
     if ln_upsilon is not None and not 0.0 <= ln_upsilon < math.inf:
         raise ValueError("ln_upsilon must be finite and at least 0, got "
                          f"{ln_upsilon}")
+    for name, value in (("sigma2", sigma2), ("b", b)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must lie in (0, inf), got {value!r}")
     if kind in ("mls", "catoni_inf"):
         if family and family.kind != "bernoulli":
             raise ValueError(f"{kind} needs the bernoulli family, got "
@@ -83,10 +87,9 @@ def check_kind(kind, family, delta, sigma2=None, b=None, *, ln_upsilon=None,
                             else ("gaussian", "sigma2", sigma2))
         if value is None and getattr(family, "kind", None) == own:
             value = family.nuisance
-        if value is None or not value > 0:
+        if value is None:
             raise ValueError(f"{name} must be positive for {kind}, got "
-                             f"{value!r}; only a {own} family lends its own "
-                             f"{name}")
+                             f"None; only a {own} family lends its own {name}")
         return inv.cramer_of(fam.BoundingFamily(own, value))
     if family is None:
         raise ValueError(f"the {kind} kind needs a family, got None")

@@ -20,7 +20,7 @@ from ._special import gammaln, logsumexp, xlog1py, xlogy
 from .conjugate import argmax_zoom
 from .families import bernoulli, poisson
 from .inversion import check_n
-from .rng import make_generator
+from .rng import check_seed, make_generator
 
 _LN2 = math.log(2.0)
 _CHUNK = 4096       # series terms per step of the Poisson route
@@ -381,10 +381,14 @@ def compute_upsilon(comp, family, n, seed=0, samples=10**5):
     (params["cgf_line"]) has E e^{n (s xbar - K_r(s))} = 1 at every r: ln
     Upsilon = 0, mode exact.  Every other pair takes its route on the
     route's default r grid; seed and samples apply to the Monte-Carlo
-    route.  n is a count, made an int by inversion.check_n; ValueError too
-    if the comparator's loss range does not cover the family's mean domain.
+    route, but are checked first whatever the route.  n is a count, made an
+    int by inversion.check_n; ValueError too if samples is below 4, a seed
+    is no integer or the comparator's loss range does not cover the
+    family's mean domain.
     """
     n = check_n(n)
+    samples = check_n(samples, "samples", least=4)
+    seed = check_seed(seed)
     (c_lo, c_hi), (f_lo, f_hi) = comp.loss_range, family.mean_domain
     if not (c_lo <= f_lo and f_hi <= c_hi):
         raise ValueError(f"comparator {comp.form} has loss range "

@@ -531,12 +531,6 @@ def test_conjugate_check_all_families(capsys):
         assert "PASS" in capsys.readouterr().out
 
 
-def test_selfcheck_passes():
-    code, stdout, _ = run_cli("selfcheck")
-    assert code == 0
-    assert stdout.count("PASS") == 3
-
-
 def test_selfcheck_raises_no_warning(monkeypatch, capsys):
     # the runtime-only CI job runs selfcheck under -W error; in process the
     # same rule catches a RuntimeWarning sooner.  Each identity is one array
@@ -664,6 +658,10 @@ USAGE_ERRORS = {
                         ["samples must be at least 4", "3"]),
     "upsilon-samples-negative": (UPSILON_MC + ("--samples", "-1"),
                                  ["samples must be at least 4", "-1"]),
+    # checked on every route, not only the Monte-Carlo one
+    "upsilon-samples-exact": (("upsilon", "--comparator", "kl", "--family",
+                               "bernoulli", "--n", "10", "--samples", "-5"),
+                              ["samples must be at least 4", "-5"]),
     "ndep-nmin": (("ndep", "--family", "poisson", "--alpha", "1", "--beta",
                    "1", "--nmin", "0", "--nmax", "20"),
                   ["--nmin and --nmax must be at least 1", "0"]),
@@ -775,6 +773,12 @@ USAGE_ERRORS = {
          "poisson_diff_inf", "--alpha-range", "0.1:0.2:2", "--bon-range",
          "0.01:1:2", "--n", "50"),
         ["poisson_diff_inf", "gaussian", "can be negative"]),
+    # a given nuisance is checked whatever the kind
+    "sweep-sigma2-negative": (("sweep", "--family", "bernoulli", "--kinds",
+                               "average_cramer", "--alpha-range", "0.1:0.2:2",
+                               "--bon-range", "0.01:1:2", "--n", "50",
+                               "--sigma2", "-1"),
+                              ["sigma2 must lie in (0, inf)", "-1.0"]),
     "verify-bound-unknown": (("verify", "--bound", "bogus", "--trials", "10"),
                              ["unknown bound kind", "'bogus'"]),
     "verify-delta": (("verify", "--bound", "pac_cramer_xi", "--delta", "1.5",

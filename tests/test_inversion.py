@@ -55,18 +55,6 @@ def test_poisson_closed_form_solves_cramer(alpha, budget):
         budget, rel=1e-9, abs=1e-12)
 
 
-def test_poisson_closed_vs_bisection(monkeypatch):
-    monkeypatch.setattr(inv, "_TOL", 1e-12)
-    comp = dataclasses.replace(inv.cramer_of(fam.poisson()), exact_inverse=None)
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        alpha = float(rng.uniform(0.05, 10.0))
-        budget = float(rng.uniform(1e-4, 20.0))
-        closed = invert_closed_form_poisson(alpha, budget)
-        bis = float(inv._bisect(comp, alpha, budget)[0])
-        assert closed == pytest.approx(bis, rel=1e-9)
-
-
 CLOSED_CRAMER = {"gaussian": (fam.gaussian(0.6), (-3.0, 3.0)),
                  "poisson": (fam.poisson(), (0.0, 20.0)),
                  "invgauss": (fam.invgauss(1.5), (0.0, 5.0))}
@@ -1092,6 +1080,8 @@ BAD_LIBRARY_INPUT = [
     lambda: ver.random_problem(fam.bernoulli(), 3, float("inf"), 10, 5, 0, 1),
     lambda: ver.SyntheticProblem((0.2, 0.5), (0.5, 0.5), fam.bernoulli(),
                                  float("inf"), 10, 5, 0),
+    lambda: ups.compute_upsilon(inv.binary_kl(), fam.bernoulli(), 10,
+                                seed=1.5),
 ]
 
 

@@ -677,13 +677,6 @@ def test_samplewise_comparison_rejects():
             verify.run_samplewise_comparison(problem(), **{size: 0})
 
 
-def test_samplewise_no_looser_than_full():
-    p = problem(hypothesis_means=(0.15, 0.4, 0.75), n=4, trials=1, seed=3)
-    cmp = verify.run_samplewise_comparison(p, inner=100, outer=60, replicates=2)
-    se = math.hypot(cmp.se_samplewise, cmp.se_full)
-    assert cmp.samplewise <= cmp.full + 2.0 * se
-
-
 def test_loss_matrix_means():
     rng = np.random.default_rng(0)
     for family, means in ((fam.bernoulli(), [0.4, 0.9]),
