@@ -2,8 +2,9 @@
 
 rel_entr, xlogy and xlog1py use the 0 ln 0 = 0 convention, logsumexp keeps
 its largest terms out of the sum for precision, gammaln is math.lgamma per
-element, and binomial_tail_root inverts a binomial tail in p for the
-Clopper-Pearson limits.  Scalars in give numpy scalars out, as for a ufunc.
+element, binomial_tail_root inverts a binomial tail in p for the
+Clopper-Pearson limits, and two_product gives a product's rounding error.
+Scalars in give numpy scalars out, as for a ufunc.
 """
 
 import math
@@ -17,25 +18,26 @@ _TINY = np.finfo(float).tiny     # the least normal double
 _MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 
 
-def rel_entr(x, y):
+def rel_entr(x, y, d=None):
     """x ln(x/y) for x, y > 0; 0 for x = 0 <= y; NaN for NaN; +inf otherwise.
 
-    ln(x/y) is taken as scipy takes it: log1p((x - y)/y) while x/y lies in
-    (1/2, 2), exact to rounding there, and ln x - ln y where x/y under- or
-    overflows.  Each logarithm runs only if some element needs it, and the
-    edge cases are patched only where present.  The common case, every x/y
-    in (1/2, 2) and every x > 0, is told by three reductions, each false
-    on a NaN.
+    ln(x/y) is taken as scipy takes it: log1p(d/y), d the caller's exact
+    x - y where x or y was rounded, while x/y lies in (1/2, 2), exact to
+    rounding there, and ln x - ln y where x/y under- or overflows.  Each
+    logarithm runs only if some element needs it, and the edge cases are
+    patched only where present.  The common case, every x/y in (1/2, 2) and
+    every x > 0, is told by three reductions, each false on a NaN.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = x - y if d is None else d
         r = x / y
         if r.size == 0 or (_MIN(r, None) > 0.5 and _MAX(r, None) < 2.0
                            and _MIN(x, None) > 0):
-            return (x * np.log1p((x - y) / y))[()]  # y > 0, x/y normal
+            return (x * np.log1p(d / y))[()]  # y > 0, x/y normal
         near = (r > 0.5) & (r < 2.0)
         if near.any():
-            out = x * np.where(near, np.log1p((x - y) / y), np.log(r))
+            out = x * np.where(near, np.log1p(d / y), np.log(r))
         else:
             out = x * np.log(r)
         if not (x.min() > 0 and r.min() >= _TINY and r.max() < math.inf):
@@ -63,6 +65,18 @@ def xlogy(x, y):
 def xlog1py(x, y):
     """x ln(1 + y), and 0 where x == 0 and y is not NaN."""
     return _x_times(np.log1p, x, y)
+
+
+def two_product(a, b):
+    """(y, e), y the rounded a b and e = a b - y exactly (Dekker's product:
+    each factor split in 26-bit halves, whose products are exact); e is 0
+    where a factor's split overflows, past 1.3e300, or y is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.multiply(a, b)
+        a1, b1 = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))
+        e = ((a1 * b1 - y) + a1 * (b - b1) + (a - a1) * b1) + (a - a1) * (
+            b - b1)
+    return y, np.where(np.isfinite(e), e, 0.0)
 
 
 def gammaln(x):

@@ -15,14 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import gammaln, rel_entr, xlogy
+from ._special import gammaln, rel_entr, two_product, xlogy
 
 _INF = math.inf
 
 
 def binary_kl(q, p):
-    """kl(q, p) = q ln(q/p) + (1-q) ln((1-q)/(1-p)), with 0 ln 0 = 0."""
-    return rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)
+    """kl(q, p) = q ln(q/p) + (1-q) ln((1-q)/(1-p)), with 0 ln 0 = 0; both
+    terms take d = q - p, as (1-q) - (1-p) can err by more than the kl."""
+    d = np.subtract(q, p)
+    return rel_entr(q, p, d) + rel_entr(1.0 - q, 1.0 - p, -d)
 
 
 # -- the laws' functions of more than one expression ------------------------
@@ -64,15 +66,11 @@ def _invgauss_cramer(q, p, v):
 
 
 def _negbin_cramer(q, p, v):
-    # q ln r, r = q (p+v) / (p (q+v)); r rounds to 0 for q near the least
-    # subnormal, where q ln r is q (ln q + ln((p+v) / (p (q+v)))), not -inf
-    r = q * (p + v) / (p * (q + v))
-    out = v * np.log((p + v) / (q + v)) + xlogy(q, r)
-    lost = (r == 0.0) & (q > 0.0)
-    if lost.any():
-        out = np.where(lost, v * np.log((p + v) / (q + v)) + q * (
-            np.log(q) + np.log((p + v) / (p * (q + v)))), out)
-    return out
+    # q ln(q/s) - v ln((q+v)/w), s = p (q+v)/w and w = p+v, each logarithm
+    # from d = q - p as in binary_kl (q - s = v d/w)
+    d, w = q - p, p + v
+    return (rel_entr(q, p * (q + v) / w, v * d / w)
+            - v / (q + v) * rel_entr(q + v, w, d))
 
 
 def _poisson_cramer_inverse(q, budget, v):
@@ -93,10 +91,13 @@ def _poisson_cramer_inverse(q, budget, v):
 
 
 def _invgauss_cramer_inverse(q, budget, v):
-    # q / (1 - s), s = sqrt(2 q budget / v); the Cramer function stays
-    # below v / (2 q) as p grows, so there is no finite root once s >= 1
-    s = np.sqrt(2.0 * q * budget / v)
-    return np.where(s < 1.0, q / (1.0 - s), _INF)
+    # q / (1 - s) = q (1 + s) v / (v - 2 q budget), s = sqrt(2 q budget / v),
+    # with 2 q budget = h + l, as the rounding of h alone would cost eps/(1 -
+    # s); the Cramer function stays below v / (2 q) as p grows, so there is
+    # no finite root once s >= 1
+    h, l = two_product(2.0 * q, budget)
+    den = (v - h) - l
+    return np.where(den > 0.0, q * (1.0 + np.sqrt(h / v)) * v / den, _INF)
 
 
 def _laplace_draw(p, size, rng, out, v):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import families as fam
+from ._special import two_product
 from .conjugate import argmax_zoom, cellwise
 
 
@@ -154,7 +155,11 @@ def laplace_diff(t, b):
     top = 1.0 / b if b > 0.0 else 0.0     # no t passes a bad b
     t = _parameter(t, lambda v: (0.0 < v) & (v < top),
                    lambda v: f"laplace_diff needs 0 < t < 1/b, got t={v}, b={b}")
-    off = np.log1p(-(b * t) ** 2)
+    # ln(1 - (b t)^2), b t = y + e: near y = 1 as ln((1 - y)(1 + y) - 2 y e),
+    # as the rounding of y alone would cost eps/(1 - y)
+    y, e = two_product(b, t)
+    off = np.where(y < 0.5, np.log1p(-y * y),
+                   np.log((1.0 - y) * (1.0 + y) - 2.0 * y * e))
     return _cgf_line("laplace_diff", fam.laplace(b), -t, {"t": t, "b": b},
                      lambda alpha, budget: alpha + (budget - off) / t)
 

@@ -482,9 +482,12 @@ def test_cli_verify_at_a_huge_c_keeps_the_posterior(capsys):
     assert all(min(means) <= r["pop_loss"] <= max(means) for r in records)
 
 
-# bound --family bernoulli --alpha 0.1 --beta 2.3 --n 100 and these flags:
-# the printed line, frozen while each correction had its own entry point
+# bound --family bernoulli --alpha 0.1 --beta 2.3 --n 100 and these flags
+# (a repeated flag's last value wins): the printed line, frozen while each
+# correction had its own entry point; small-budget's root is 0.3000000064807
 BOUND_FROZEN = {
+    "small-budget": (("--alpha", "0.3", "--beta", "1e-12", "--n", "10000"),
+                     "rho=0.300000006 budget=1e-16 status=converged"),
     "average": ((), "rho=0.176246983 budget=0.023 status=converged"),
     "one": (("--delta", "0.05", "--correction", "one"),
             "rho=0.224261817 budget=0.0529573227 status=converged"

@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,29 +15,11 @@ from cgfbounds import inversion as inv
 from cgfbounds import upsilon as ups
 from cgfbounds import verify as ver
 from cgfbounds.conjugate import argmax_zoom
+import exact
 from poisson_oracle import invert_closed_form_poisson
 
 
 # -- closed forms --------------------------------------------------------------
-
-def test_gaussian_closed_form():
-    comp = inv.cramer_of(fam.gaussian(1.0))
-    res = inv.invert(comp, 0.3, 0.02)
-    assert res.rho == pytest.approx(0.3 + math.sqrt(2 * 0.02), abs=2e-9)
-    assert res.status == "converged"
-
-
-@given(alpha=st.floats(-2.0, 2.0), budget=st.floats(1e-6, 50.0),
-       sigma2=st.floats(0.1, 4.0))
-@settings(max_examples=60, deadline=None)
-def test_gaussian_closed_form_property(alpha, budget, sigma2):
-    # the bisected comparator against alpha + sqrt(2 sigma2 B)
-    comp = dataclasses.replace(inv.cramer_of(fam.gaussian(sigma2)),
-                               exact_inverse=None)
-    res = inv.invert(comp, alpha, budget)
-    want = alpha + math.sqrt(2 * sigma2 * budget)
-    assert res.rho == pytest.approx(want, rel=1e-8, abs=1e-8)
-
 
 def test_poisson_closed_form_frozen():
     # bisection oracle frozen at tol 1e-12
@@ -46,53 +29,11 @@ def test_poisson_closed_form_frozen():
     assert invert_closed_form_poisson(2.0, 0.0) == 2.0
 
 
-@given(alpha=st.floats(1e-3, 50.0), budget=st.floats(1e-8, 3000.0))
-@settings(max_examples=80, deadline=None)
-def test_poisson_closed_form_solves_cramer(alpha, budget):
-    rho = invert_closed_form_poisson(alpha, budget)
-    assert rho > alpha
-    assert fam.poisson().cramer(alpha, rho) == pytest.approx(
-        budget, rel=1e-9, abs=1e-12)
-
-
-CLOSED_CRAMER = {"gaussian": (fam.gaussian(0.6), (-3.0, 3.0)),
-                 "poisson": (fam.poisson(), (0.0, 20.0)),
-                 "invgauss": (fam.invgauss(1.5), (0.0, 5.0))}
-
-
-@given(kind=st.sampled_from(sorted(CLOSED_CRAMER)), u=st.floats(0.0, 1.0),
-       budget=st.floats(1e-6, 50.0))
-@settings(max_examples=150, deadline=None)
-def test_closed_cramer_inverse_is_the_supremum(kind, u, budget):
-    # the closed form, solved by the engine without bisecting, is feasible,
-    # the point 1e-12 max(1, |rho|) above it is not, and it lies in the
-    # final bracket of the same comparator bisected: at or above the
-    # bisection's answer, within its stopping width
-    family, (lo, hi) = CLOSED_CRAMER[kind]
-    alpha = lo + u * (hi - lo)
-    comp = inv.cramer_of(family)
-    res = inv.invert(comp, [alpha], [budget])
-    rho = res.rho[0]
-    _, b_lo, b_hi, _, _ = (f[0] for f in inv._bisect(
-        dataclasses.replace(comp, exact_inverse=None), [alpha], [budget]))
-    if kind == "invgauss" and 2.0 * alpha * budget / 1.5 > 0.98:
-        # near s = sqrt(2 alpha B / lambda) = 1 the function is flat to
-        # rounding about its root (p dLambda/dp / Lambda = 2 (1 - s) / s),
-        # so doubles do not resolve its supremum; past s = 1 it has none
-        assert math.isnan(rho) or comp.eval(alpha, rho) <= budget
-        return
-    assert res.iterations[0] == 0 and res.status[0] == "converged"
-    assert comp.eval(alpha, rho) <= budget
-    assert comp.eval(alpha, rho + 1e-12 * max(1.0, abs(rho))) > budget
-    assert b_lo <= rho <= b_hi
-
-
 def test_poisson_closed_form_matches_the_oracle():
     # the vectorized Halley root in w = rho/alpha - 1 against the scalar one
     # in u = rho/alpha, which loses digits as eps/w at a small budget/alpha,
     # and against mpmath's W to 2 ulps, on both sides of the seeds' switch
     # at budget/alpha = 1/2; alpha 0 or tiny gives the budget
-    import mpmath
     comp = inv.cramer_of(fam.poisson())
     rng = np.random.default_rng(7)
     alpha = rng.uniform(0.01, 20.0, 300)
@@ -129,7 +70,6 @@ def test_lambert_wm1_against_scipy():
 
 
 def test_lambert_wm1_near_branch_point():
-    import mpmath
     for eps in (1e-12, 1e-9, 1e-6):
         x = -(1.0 / math.e - eps)
         want = float(mpmath.lambertw(mpmath.mpf(repr(x)), -1).real)
@@ -175,40 +115,6 @@ def test_alpha_outside_range():
         inv.invert(comp, 1.5, 0.1)
 
 
-FAMS = [fam.bernoulli(), fam.gaussian(0.7), fam.poisson(), fam.gamma(2.0),
-        fam.laplace(1.2), fam.invgauss(1.5), fam.negbin(2.5)]
-
-ALPHAS = {"bernoulli": 0.25, "gaussian": -0.5, "poisson": 0.8, "gamma": 1.1,
-          "laplace": 0.4, "invgauss": 0.9, "negbin": 1.3}
-
-
-@pytest.mark.parametrize("family", FAMS, ids=lambda f: f.kind)
-@pytest.mark.parametrize("budget", [1e-4, 0.05, 0.8])
-def test_feasible_and_maximal(family, budget):
-    comp = inv.cramer_of(family)
-    alpha = ALPHAS[family.kind]
-    res = inv.invert(comp, alpha, budget)
-    assert res.status == "converged"
-    assert comp.eval(alpha, res.rho) <= budget + 1e-6
-    scale = max(1.0, abs(res.rho))
-    assert comp.eval(alpha, res.rho + 100e-9 * scale) > budget
-
-
-def test_invgauss_saturation_no_finite_bound():
-    # sup_p of the inverse-Gaussian rate at fixed alpha is lambda/(2 alpha);
-    # budgets above it admit every mean
-    lam, alpha = 1.5, 0.9
-    comp = inv.cramer_of(fam.invgauss(lam))
-    cap = lam / (2 * alpha)
-    with pytest.raises(inv.NoFiniteBound):
-        inv.invert(comp, alpha, cap * 1.01)
-    res = inv.invert(comp, alpha, cap * 0.9)
-    assert res.status == "converged"
-    # the grid reports the same cells as NaN, next to finite ones
-    rho = inv.invert(comp, alpha, [cap * 1.01, cap * 0.9]).rho
-    assert math.isnan(rho[0]) and rho[1] == res.rho
-
-
 # "plain" is a run that keeps its asserts; the same source under python -O
 # is checked by test_structure.py::test_package_runs_the_same_under_python_o
 @pytest.mark.parametrize("mode", ["plain"])
@@ -240,30 +146,6 @@ def test_closed_form_without_finite_root_takes_no_bracket_doubling():
     with pytest.raises(inv.NoFiniteBound,
                        match=r"budget 0\.5 not exceeded at any finite rho$"):
         inv.invert(comp, 2.0, 0.5)
-
-
-MEAN_BOXES = {"bernoulli": (0.0, 1.0), "gaussian": (-3.0, 3.0),
-              "laplace": (-3.0, 3.0)}
-
-
-@given(family=st.sampled_from(FAMS),
-       cells=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 5.0)),
-                      min_size=1, max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_grid_equals_scalar_and_feasible(family, cells):
-    lo, hi = MEAN_BOXES.get(family.kind, (0.0, 5.0))
-    alphas = [lo + u * (hi - lo) for u, _ in cells]
-    budgets = [b for _, b in cells]
-    comp = inv.cramer_of(family)
-    grid = inv.invert(comp, alphas, budgets).rho
-    for alpha, budget, rho in zip(alphas, budgets, grid):
-        try:
-            want = inv.invert(comp, alpha, budget).rho
-        except inv.NoFiniteBound:
-            assert math.isnan(rho)
-            continue
-        assert rho == want
-        assert comp.eval(alpha, rho) <= budget
 
 
 def _numbers(res, cell=()):
@@ -340,19 +222,7 @@ def test_engine_does_not_loop_over_a_scalar_only_comparator():
         inv.invert(comp, GRID_ALPHAS, GRID_BUDGETS)
 
 
-# -- parametric comparators vs their closed inversions ---------------------------
-
-def test_catoni_closed_inverse_matches_bisection():
-    for gamma in (-0.1, -1.0, -4.0):
-        comp = inv.catoni(gamma)
-        bisected = dataclasses.replace(comp, exact_inverse=None)
-        for alpha in (0.1, 0.5, 0.9):
-            for budget in (0.01, 0.3):
-                closed = comp.exact_inverse(alpha, budget)
-                if closed < 1.0:
-                    bis = inv.invert(bisected, alpha, budget).rho
-                    assert closed == pytest.approx(bis, abs=5e-9)
-
+# -- parametric comparators -------------------------------------------------------
 
 def test_catoni_exact_at_p_one():
     # ln(1 - p + p e^gamma) -> gamma as p -> 1, without cancellation
@@ -403,20 +273,6 @@ def test_builtin_comparator_broadcasts(name):
     want = np.array([[float(comp.eval(q, p)) for p in pts.tolist()]
                      for q in pts.tolist()])
     assert got.shape == (5, 5) and got.tobytes() == want.tobytes()
-
-
-def test_scaled_diff_inverse():
-    comp = inv.scaled_diff(2.0)
-    assert comp.exact_inverse(0.3, 0.5) == pytest.approx(0.55, rel=1e-14)
-    bis = inv.invert(dataclasses.replace(comp, exact_inverse=None), 0.3, 0.5).rho
-    assert bis == pytest.approx(0.55, rel=1e-7)
-
-
-def test_poisson_diff_inverse():
-    t = 0.7
-    comp = inv.poisson_diff(t)
-    c = -math.expm1(-t)
-    assert comp.exact_inverse(1.0, 0.2) == pytest.approx((0.7 + 0.2) / c, rel=1e-14)
 
 
 # the four comparators as they were written by hand before each became the
@@ -478,16 +334,6 @@ def test_cgf_lines_match_the_hand_written_fns(comp, old, s, grid):
     assert np.all(np.abs(new - want) <= 1e-15 * scale)
     for i, j in ((0, 0), (-1, -1), (0, -1), (3, 5)):
         assert comp.eval(float(q[i, j]), float(p[i, j])) == new[i, j]
-
-
-def test_laplace_and_gaussian_diff_inverse():
-    comp = inv.laplace_diff(0.5, 1.0)
-    off = math.log1p(-0.25)
-    assert comp.exact_inverse(0.4, 0.3) == pytest.approx(
-        0.4 + (0.3 - off) / 0.5, rel=1e-14)
-    comp = inv.gaussian_diff(0.8, 2.0)
-    assert comp.exact_inverse(0.1, 0.3) == pytest.approx(
-        0.1 + (0.3 + 2.0 * 0.64 / 2) / 0.8, rel=1e-14)
 
 
 # -- one-parameter infima ---------------------------------------------------------
@@ -734,7 +580,10 @@ def _outcome(call):
 
 # make_comp, alpha, budget, param_range: a closed form at each of the
 # engine's rules (loss range, finite alpha, nonpositive budget, monotonicity)
+# and at each status a finite budget gives it (converged, capped)
 DIVERGENCES = {
+    "converged": (lambda m: inv.catoni(-m), 0.3, 0.1, (1e-3, 50.0)),
+    "capped": (lambda m: inv.catoni(-m), 0.3, 10.0, (1e-3, 50.0)),
     "alpha-below-range": (lambda m: inv.catoni(-m), -0.5, 0.1, (1e-3, 50.0)),
     "alpha-above-range": (lambda m: inv.catoni(-m), 2.0, 0.1, (1e-3, 50.0)),
     "budget-negative": (lambda m: inv.catoni(-m), 0.3, -0.05, (1e-3, 50.0)),
@@ -782,39 +631,6 @@ CLOSED_FORMS = {
 }
 
 
-@given(line=st.sampled_from(sorted(CLOSED_FORMS)), u=st.floats(0.0, 1.0),
-       v=st.floats(0.0, 1.0),
-       cells=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 5.0)),
-                      min_size=1, max_size=8))
-@settings(max_examples=300, deadline=None)
-def test_invert_solves_a_closed_form_on_the_safe_side(line, u, v, cells):
-    # the closed form moved down to a feasible rho, with no bisection step,
-    # within 1e-12 of the formula and within the stopping width of the
-    # bisection; the budget_nonpositive cells keep rho = alpha
-    make, (lo, hi) = CLOSED_FORMS[line]
-    comp = make(u, v)
-    bisected = dataclasses.replace(comp, exact_inverse=None)
-    a, budget = np.array(cells).T
-    alpha = lo + (hi - lo) * a
-    res = inv.invert(comp, alpha, budget)
-    assert (res.iterations == 0).all()
-    assert np.array_equal(res.bracket[0], res.rho)
-    assert np.array_equal(res.bracket[1], res.rho)
-    want = inv.invert(bisected, alpha, budget)
-    assert np.array_equal(res.status, want.status)
-    open_ = res.status != "budget_nonpositive"
-    rho, alpha, budget = res.rho[open_], alpha[open_], budget[open_]
-    assert np.all(comp.eval(alpha, rho) <= budget)
-    scale = np.maximum(1.0, np.abs(rho))
-    assert np.all(np.abs(rho - comp.exact_inverse(alpha, budget))
-                  <= 1e-12 * scale)
-    assert np.all(np.abs(rho - want.rho[open_]) <= inv._TOL * scale)
-    one = inv.invert(comp, lo + (hi - lo) * cells[0][0], cells[0][1])
-    assert all(type(x) is float for x in (one.rho, one.budget, *one.bracket))
-    assert type(one.iterations) is int and one.iterations == 0
-    assert one.bracket == (one.rho, one.rho)
-
-
 @pytest.mark.parametrize("budget", [0.05, 10.0])
 def test_closed_form_is_kept_in_the_loss_range(budget):
     # a caller's closed form past the top of the range is clipped to it:
@@ -827,14 +643,123 @@ def test_closed_form_is_kept_in_the_loss_range(budget):
     assert (got.rho, got.status) == (want.rho, want.status)
 
 
-@pytest.mark.parametrize("line", sorted(INFIMUM_GRIDS))
-def test_infimum_is_feasible_at_its_parameter(line):
-    # every cell of the selfcheck grids: comp(alpha, rho) <= budget at
-    # param_star, closed forms included
-    alphas, make, param_range = INFIMUM_GRIDS[line]
-    alpha, budget = _selfcheck_query(alphas)
-    res = inv.infimum_over_parameter(make, alpha, budget, param_range)
-    assert np.all(make(res.param_star).eval(alpha, res.rho) <= budget)
+# -- the safe side, against the exact root ------------------------------------
+
+# each comparator that exact.form knows, from u, v in [0, 1], and its alphas
+ORACLE = {
+    **{f"cramer[{name}]": (lambda u, v, f=f: inv.cramer_of(f(0.1 * 40.0 ** v)),
+                           box) for name, f, box in (
+        ("bernoulli", lambda x: fam.bernoulli(), (0.0, 1.0)),
+        ("gaussian", fam.gaussian, (-10.0, 10.0)),
+        ("poisson", lambda x: fam.poisson(), (0.0, 10.0)),
+        ("gamma", fam.gamma, (0.0, 10.0)),
+        ("laplace", fam.laplace, (-10.0, 10.0)),
+        ("invgauss", fam.invgauss, (0.0, 10.0)),
+        ("negbin", fam.negbin, (0.0, 10.0)))},
+    "binary_kl": (lambda u, v: inv.binary_kl(), (0.0, 1.0)),
+    **CLOSED_FORMS,
+}
+
+# each comparator through invert, 0-d and on an array, and settle mode; the
+# Cramer ones through bound_values too, the CGF lines through the infimum
+ORACLE_CASES = ([(name, path) for name in sorted(ORACLE)
+                 for path in ("invert", "settle")]
+                + [(name, "bound_values") for name in sorted(ORACLE)
+                   if name.startswith("cramer") or name == "binary_kl"]
+                + [(line, "infimum") for line in sorted(INFIMUM_GRIDS)])
+
+
+def _edges(comp, alpha, budget, rho=math.nan):
+    """(rho* - width, rho*, rho* + 2 ulp(max(1, |alpha|, |rho*|))), width
+    _bisect's stopping width; None where rho* is +inf (no finite bound)."""
+    star = exact.supremum(comp, alpha, budget, rho)
+    if star == mpmath.inf:
+        return None
+    scale = max(1.0, abs(float(star)))
+    width = inv._TOL * (scale if comp.loss_range[1] == math.inf else 1.0)
+    with mpmath.workdps(exact.DIGITS):
+        return star - width, star, star + 2 * np.spacing(max(scale, abs(alpha)))
+
+
+def _settle_losses(edges):
+    """Losses settle mode must call not exceeded and exceeded if rho lies
+    within edges: the least double at or above the low edge, the one after
+    the greatest at or below the high edge; +inf twice, never exceeded."""
+    if edges is None:
+        return [math.inf, math.inf], [False, False]
+    low, high = float(edges[0]), float(edges[2])
+    low = low if low >= edges[0] else math.nextafter(low, math.inf)
+    high = high if high <= edges[2] else math.nextafter(high, -math.inf)
+    return [low, math.nextafter(high, math.inf)], [False, True]
+
+
+def _invert_cells(comp, alpha, budget):
+    """invert's rho, each cell the numbers and status of its 0-d call in
+    floats, NaN where it raises; a closed form converges with no step."""
+    res = inv.invert(comp, alpha, budget)
+    for i, (a, b) in enumerate(zip(alpha.tolist(), budget.tolist())):
+        try:
+            one = inv.invert(comp, a, b)
+        except inv.NoFiniteBound:
+            assert res.status[i] == "no_finite_bound"
+            continue
+        assert {type(x) for x in (one.rho, one.budget, *one.bracket)} == {float}
+        assert type(one.iterations) is int and one.status == res.status[i]
+        assert _numbers(one) == _numbers(res, i)
+        if comp.exact_inverse is not None and one.status == "converged":
+            assert one.iterations == 0 and one.bracket == (one.rho, one.rho)
+    return res.rho
+
+
+@given(case=st.sampled_from(ORACLE_CASES), closed=st.booleans(),
+       u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+       cells=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-300.0, 3.0)),
+                      min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_every_door_errs_on_the_safe_side_of_the_exact_root(case, closed, u,
+                                                            v, cells):
+    # rho* - width <= rho <= rho* + 2 ulp(max(1, |alpha|, |rho*|)), rho* the
+    # exact root, budgets from 1e-300 to 1e3; a float comp(alpha, rho) <=
+    # budget passes wherever the float comparator errs low.  Where |alpha| >
+    # |rho*| the ulp is alpha's, as a closed form alpha + X rounds X on that
+    # scale: scaled_diff(0.1) at alpha -10, budget 1 gives 0.0 > rho* =
+    # -5.55e-16.  closed=False strips the closed forms.
+    name, path = case
+    make, (lo, hi) = ORACLE[name]
+    strip = (lambda c: c) if closed else (
+        lambda c: dataclasses.replace(c, exact_inverse=None))
+    comp = strip(make(u, v))
+    a, e = np.array(cells).T
+    alpha, budget = lo + (hi - lo) * a, 10.0 ** e
+    comps = [comp] * len(alpha)
+    if path == "invert":
+        rho = _invert_cells(comp, alpha, budget)
+    elif path == "bound_values":
+        kind = "catoni_inf" if name == "binary_kl" else "average_cramer"
+        rho = bounds.bound_values(kind, comp.params["family"], alpha, budget,
+                                  1)
+    elif path == "infimum":
+        _, line, param_range = INFIMUM_GRIDS[name]
+        res = inv.infimum_over_parameter(lambda m: strip(line(m)), alpha,
+                                         budget, param_range)
+        rho, comps = res.rho, [line(m) for m in res.param_star.tolist()]
+    else:   # settle mode, the converged rho only the oracle's Newton start
+        rho = inv._bisect(comp, alpha, budget)[0]
+        losses, want = zip(*(_settle_losses(_edges(comp, *cell)) for cell in
+                             zip(alpha.tolist(), budget.tolist(), rho.tolist())))
+        got = inv._bisect(comp, np.repeat(alpha, 2), np.repeat(budget, 2),
+                          np.ravel(losses))
+        assert got.tolist() == list(np.ravel(want)), (alpha, budget, rho)
+        return
+    for c, a, b, r in zip(comps, alpha.tolist(), budget.tolist(),
+                          rho.tolist()):
+        edges = _edges(c, a, b, r)
+        where = f"{c.form} at alpha={a!r}, budget={b!r}: rho={r!r}"
+        if edges is None:
+            assert math.isnan(r), f"{where}, rho* = +inf"
+        else:
+            assert edges[0] <= r <= edges[2], (
+                f"{where}, rho - rho* = {float(r - edges[1]):.3g}")
 
 
 # -- array-valued CGF lines ------------------------------------------------------
@@ -1014,81 +939,90 @@ def test_check_n_accepts_integral_sample_sizes(n):
     assert inv.budget(1.0, n) == pytest.approx(1.0 / n)
 
 
-# bad input, each refused by a ValueError with a message
-BAD_LIBRARY_INPUT = [
-    lambda: inv.budget(-1.0, 10),
-    lambda: inv.budget(1.0, 0),
-    lambda: inv.budget(1.0, 10, delta=1.5),
-    lambda: bounds.evaluate_kind("mls", fam.gaussian(1.0), 0.2, 1.0, 20, 0.05),
-    lambda: bounds.evaluate_kind("mls", None, 0.2, 1.0, 20),
-    lambda: bounds.evaluate_kind("pac_cramer_two_e_ceil", fam.bernoulli(), 0.2,
-                                 1.0, 20, 0.05, u=-1.0),
-    lambda: inv.catoni(0.0),
-    lambda: inv.poisson_diff(0.0),
-    lambda: inv.gaussian_diff(-1.0, 1.0),
-    lambda: inv.gaussian_diff(0.5, float("nan")),
-    lambda: inv.laplace_diff(0.5, 0.0),
-    lambda: fam.gaussian(float("nan")),
-    lambda: fam.gamma(float("inf")),
-    lambda: inv.laplace_diff(2.0, 1.0),
-    lambda: inv.infimum_over_parameter(inv.poisson_diff, 1.0,
-                                       inv.budget(1.0, 10), (0.0, 1.0)),
-    lambda: ups.compute_upsilon(inv.binary_kl(), fam.bernoulli(), 0),
-    lambda: ups.upsilon_bernoulli_exact(inv.binary_kl(), 4, r_grid=(0.0, 0.5)),
-    lambda: ups.upsilon_bernoulli_exact(
+# bad input, each refused by a ValueError with a message; each case is named
+# for the call it makes and the input that call refuses
+BAD_LIBRARY_INPUT = {
+    "budget-beta": lambda: inv.budget(-1.0, 10),
+    "budget-n": lambda: inv.budget(1.0, 0),
+    "budget-delta": lambda: inv.budget(1.0, 10, delta=1.5),
+    "kind-mls-gaussian": lambda: bounds.evaluate_kind(
+        "mls", fam.gaussian(1.0), 0.2, 1.0, 20, 0.05),
+    "kind-mls-delta": lambda: bounds.evaluate_kind("mls", None, 0.2, 1.0, 20),
+    "kind-u": lambda: bounds.evaluate_kind(
+        "pac_cramer_two_e_ceil", fam.bernoulli(), 0.2, 1.0, 20, 0.05, u=-1.0),
+    "catoni-gamma": lambda: inv.catoni(0.0),
+    "poisson_diff-t": lambda: inv.poisson_diff(0.0),
+    "gaussian_diff-t": lambda: inv.gaussian_diff(-1.0, 1.0),
+    "gaussian_diff-sigma2": lambda: inv.gaussian_diff(0.5, float("nan")),
+    "laplace_diff-b": lambda: inv.laplace_diff(0.5, 0.0),
+    "gaussian-sigma2": lambda: fam.gaussian(float("nan")),
+    "gamma-k": lambda: fam.gamma(float("inf")),
+    "laplace_diff-t": lambda: inv.laplace_diff(2.0, 1.0),
+    "infimum-param-range": lambda: inv.infimum_over_parameter(
+        inv.poisson_diff, 1.0, inv.budget(1.0, 10), (0.0, 1.0)),
+    "upsilon-n": lambda: ups.compute_upsilon(inv.binary_kl(), fam.bernoulli(), 0),
+    "bernoulli-exact-r-grid": lambda: ups.upsilon_bernoulli_exact(
+        inv.binary_kl(), 4, r_grid=(0.0, 0.5)),
+    "bernoulli-exact-comparator": lambda: ups.upsilon_bernoulli_exact(
         inv.custom(lambda q, p: q + float("inf"), (0.0, 1.0)), 4),
-    lambda: ups.correction_xi(-1.0, 0.0),
-    lambda: ver.SyntheticProblem((0.5,), (1.0,), fam.bernoulli(), 1.0, 10, 5, 0),
-    lambda: ver.SyntheticProblem((0.2, 0.5), (0.5, 0.5), fam.bernoulli(), 1.0,
-                                 10, 0, 0),
-    lambda: ver.run_trials(ver.SyntheticProblem(
+    "correction_xi": lambda: ups.correction_xi(-1.0, 0.0),
+    "problem-m": lambda: ver.SyntheticProblem(
+        (0.5,), (1.0,), fam.bernoulli(), 1.0, 10, 5, 0),
+    "problem-trials": lambda: ver.SyntheticProblem(
+        (0.2, 0.5), (0.5, 0.5), fam.bernoulli(), 1.0, 10, 0, 0),
+    "trials-chernoff-gaussian": lambda: ver.run_trials(ver.SyntheticProblem(
         (0.2, 0.5), (0.5, 0.5), fam.gaussian(1.0), 1.0, 10, 5, 0),
         "pac_cramer_chernoff"),
-    lambda: inv.budget(float("inf"), 10),
-    lambda: inv.budget(1.0, 10, ln_iota=float("nan")),
-    lambda: inv.invert(inv.binary_kl(), 0.1, float("nan")),
-    lambda: ver.SyntheticProblem((0.2, 1.5), (0.5, 0.5), fam.bernoulli(), 1.0,
-                                 10, 5, 0),
-    lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
-        (0.2, 0.5), (0.5, 0.5), fam.gaussian(1.0), 1.0, 10, 5, 0)),
-    lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
+    "budget-beta-inf": lambda: inv.budget(float("inf"), 10),
+    "budget-ln-iota": lambda: inv.budget(1.0, 10, ln_iota=float("nan")),
+    "invert-budget": lambda: inv.invert(inv.binary_kl(), 0.1, float("nan")),
+    "problem-means": lambda: ver.SyntheticProblem(
+        (0.2, 1.5), (0.5, 0.5), fam.bernoulli(), 1.0, 10, 5, 0),
+    "samplewise-gaussian": lambda: ver.run_samplewise_comparison(
+        ver.SyntheticProblem((0.2, 0.5), (0.5, 0.5), fam.gaussian(1.0), 1.0,
+                             10, 5, 0)),
+    "samplewise-m": lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
         (0.5,) * 13, (1.0 / 13,) * 13, fam.bernoulli(), 1.0, 10, 5, 0)),
-    lambda: bounds.evaluate_kind("average_cramer", None, 0.2, 1.0, 20),
-    lambda: bounds.evaluate_kind("pac_cramer_xi", None, 0.2, 1.0, 20, 0.05),
-    lambda: bounds.bound_values("average_cramer", None, [0.2], [1.0], 20),
-    lambda: bounds.evaluate_kind("pac_cramer_xi", fam.bernoulli(), 0.2, 1.0, 20,
-                                 0.05, u=7.0),
-    lambda: inv.scaled_diff(float("nan")),
-    lambda: inv.scaled_diff(float("inf")),
-    lambda: inv.invert(inv.cramer_of(fam.gaussian(1.0)), float("inf"), 0.1),
-    lambda: inv.invert(inv.scaled_diff(1.0), [0.1, float("-inf")], 0.1),
-    lambda: inv.budget(1.0, [10, 0]),
-    lambda: bounds.bound_values("mls", fam.bernoulli(), 0.2, 1.0, [10, 20],
-                                0.05),
-    lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
-        (0.2, 0.5), (0.5, 0.5), fam.bernoulli(), 1.0, 10, 5, 0), inner=0),
-    lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
-        (0.2, 0.5), (0.5, 0.5), fam.bernoulli(), 1.0, 10, 5, 0), outer=0),
-    lambda: ver.run_samplewise_comparison(ver.SyntheticProblem(
-        (0.2, 0.5), (0.5, 0.5), fam.bernoulli(), 1.0, 10, 5, 0), replicates=0),
-    lambda: bounds.evaluate_kind("pac_cramer_xi", fam.bernoulli(), 0.1, 2.3,
-                                 100),
-    lambda: bounds.bound_values("pac_cramer_two_e_ceil", fam.bernoulli(),
-                                [0.1, 0.2], 2.3, 100),
-    lambda: bounds.evaluate_kind("pac_cramer_xi", fam.bernoulli(), 0.1, 2.3,
-                                 100, 0.05, ln_upsilon=1.7),
-    lambda: ver.random_problem(fam.bernoulli(), 3, float("inf"), 10, 5, 0, 1),
-    lambda: ver.SyntheticProblem((0.2, 0.5), (0.5, 0.5), fam.bernoulli(),
-                                 float("inf"), 10, 5, 0),
-    lambda: ups.compute_upsilon(inv.binary_kl(), fam.bernoulli(), 10,
-                                seed=1.5),
-]
+    "kind-cramer-family": lambda: bounds.evaluate_kind(
+        "average_cramer", None, 0.2, 1.0, 20),
+    "kind-xi-family": lambda: bounds.evaluate_kind(
+        "pac_cramer_xi", None, 0.2, 1.0, 20, 0.05),
+    "values-cramer-family": lambda: bounds.bound_values(
+        "average_cramer", None, [0.2], [1.0], 20),
+    "kind-xi-u": lambda: bounds.evaluate_kind(
+        "pac_cramer_xi", fam.bernoulli(), 0.2, 1.0, 20, 0.05, u=7.0),
+    "scaled_diff-t-nan": lambda: inv.scaled_diff(float("nan")),
+    "scaled_diff-t-inf": lambda: inv.scaled_diff(float("inf")),
+    "invert-alpha-inf": lambda: inv.invert(inv.cramer_of(fam.gaussian(1.0)),
+                                           float("inf"), 0.1),
+    "invert-alpha-minus-inf": lambda: inv.invert(
+        inv.scaled_diff(1.0), [0.1, float("-inf")], 0.1),
+    "budget-n-array": lambda: inv.budget(1.0, [10, 0]),
+    "values-mls-n-array": lambda: bounds.bound_values(
+        "mls", fam.bernoulli(), 0.2, 1.0, [10, 20], 0.05),
+    **{f"samplewise-{k}": lambda k=k: ver.run_samplewise_comparison(
+        ver.SyntheticProblem((0.2, 0.5), (0.5, 0.5), fam.bernoulli(), 1.0, 10,
+                             5, 0), **{k: 0})
+       for k in ("inner", "outer", "replicates")},
+    "kind-xi-delta": lambda: bounds.evaluate_kind(
+        "pac_cramer_xi", fam.bernoulli(), 0.1, 2.3, 100),
+    "values-two-e-ceil-delta": lambda: bounds.bound_values(
+        "pac_cramer_two_e_ceil", fam.bernoulli(), [0.1, 0.2], 2.3, 100),
+    "kind-xi-ln-upsilon": lambda: bounds.evaluate_kind(
+        "pac_cramer_xi", fam.bernoulli(), 0.1, 2.3, 100, 0.05, ln_upsilon=1.7),
+    "random_problem-c": lambda: ver.random_problem(
+        fam.bernoulli(), 3, float("inf"), 10, 5, 0, 1),
+    "problem-c": lambda: ver.SyntheticProblem(
+        (0.2, 0.5), (0.5, 0.5), fam.bernoulli(), float("inf"), 10, 5, 0),
+    "upsilon-seed": lambda: ups.compute_upsilon(inv.binary_kl(),
+                                                fam.bernoulli(), 10, seed=1.5),
+}
 
 
-@pytest.mark.parametrize("call", BAD_LIBRARY_INPUT, ids=lambda _: "call")
-def test_bad_library_input_raises_value_error(call):
+@pytest.mark.parametrize("case", sorted(BAD_LIBRARY_INPUT))
+def test_bad_library_input_raises_value_error(case):
     with pytest.raises(ValueError) as exc:
-        call()
+        BAD_LIBRARY_INPUT[case]()
     assert str(exc.value)
 
 

@@ -69,15 +69,20 @@ def test_rel_entr_edges():
 
 
 @pytest.mark.parametrize("x,y", [(NAN, 0.5), (0.5, NAN), (0.5, 1.0),
-                                 (1.0, 0.5), (0.0, 0.3), (-0.3, -0.4)],
+                                 (1.0, 0.5), (0.0, 0.3), (-0.3, -0.4),
+                                 (5e-324, 1e-323)],
                          ids=["nan_x", "nan_y", "r_half", "r_two", "x_zero",
-                              "both_negative"])
+                              "both_negative", "subnormal_r_half"])
 def test_rel_entr_fast_path_edges(x, y):
     # one edge cell among cells that take the fast path (x > 0, x/y in
-    # (1/2, 2)) sends the whole array down the slow path, alone and in 0-d
+    # (1/2, 2)) sends the whole array down the slow path, alone and in 0-d;
+    # on both paths a caller's d = x - y gives the doubles of no d
     xs, ys = np.array([0.3, 0.4, x, 0.7]), np.array([0.35, 0.3, y, 0.5])
     assert_ulp(sp.rel_entr(xs, ys), special.rel_entr(xs, ys))
     assert_ulp(sp.rel_entr(x, y), special.rel_entr(x, y))
+    for a, b in ((xs, ys), (x, y), (xs[[0, 1, 3]], ys[[0, 1, 3]])):
+        assert (np.asarray(sp.rel_entr(a, b, np.subtract(a, b))).tobytes()
+                == np.asarray(sp.rel_entr(a, b)).tobytes())
 
 
 def test_rel_entr_of_nothing():

@@ -15,7 +15,6 @@ from cgfbounds import inversion as inv
 from cgfbounds import verify
 from cgfbounds._special import logsumexp
 from cgfbounds.rng import make_generator
-from poisson_oracle import invert_closed_form_poisson
 
 
 def problem(**over):
@@ -546,33 +545,6 @@ def test_chernoff_kind_valid_on_bernoulli_suite_problems():
     for p in problems:
         _, summary = verify.run_trials(p, "pac_cramer_chernoff", 0.05)
         assert summary["cp95_high"] <= 0.05, summary
-
-
-GRID_ORACLES = {
-    "gaussian": lambda a, b: a + math.sqrt(2 * 0.6 * b),
-    "poisson": invert_closed_form_poisson,
-}
-
-
-@pytest.mark.parametrize("family,alphas", [
-    (fam.bernoulli(), [0.05, 0.3, 0.9]),
-    (fam.gaussian(0.6), [-1.2, 0.0, 1.5]),
-    (fam.poisson(), [0.2, 1.0, 4.0]),
-], ids=lambda x: getattr(x, "kind", ""))
-def test_grid_inversion_matches_scalar(family, alphas):
-    budgets = [1e-4, 0.03, 0.7, 4.0]
-    a = np.repeat(alphas, len(budgets))
-    b = np.tile(budgets, len(alphas))
-    grid = inv.invert(inv.cramer_of(family), a, b).rho
-    oracle = GRID_ORACLES.get(family.kind)
-    for i in range(len(a)):
-        if oracle is not None:
-            assert grid[i] == pytest.approx(oracle(a[i], b[i]), rel=2e-9,
-                                            abs=2e-9)
-        else:
-            # no closed form: feasible, and infeasible just above
-            assert fam.binary_kl(a[i], grid[i]) <= b[i]
-            assert fam.binary_kl(a[i], grid[i] + 2e-9) > b[i]
 
 
 def test_clopper_pearson_closed_forms():
