@@ -30,21 +30,6 @@ class ConjugateResult:
     at_boundary: bool = False
 
 
-_ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
-
-
-def _zoom_points(a, b):
-    """np.linspace(a[r], b[r], _ZOOM_POINTS) per row r, the same doubles."""
-    step = (b - a) / (_ZOOM_POINTS - 1)
-    zs = step[:, None] * _ZOOM_STEPS
-    if np.count_nonzero(step) < len(step):    # linspace's subnormal rule
-        zero = step == 0.0
-        zs[zero] = _ZOOM_STEPS / (_ZOOM_POINTS - 1) * (b - a)[zero, None]
-    zs += a[:, None]
-    zs[:, -1] = b
-    return zs
-
-
 def argmax_zoom(f, xs, vals):
     """Best (x, f(x)) of the grid xs per row, refined by zooming in.
 
@@ -68,7 +53,7 @@ def argmax_zoom(f, xs, vals):
                for k in i.tolist()]].T
     rows = list(range(len(vals)))
     for _ in range(_ZOOM_ROUNDS):
-        zs = _zoom_points(a, b)
+        zs = np.linspace(a, b, _ZOOM_POINTS, axis=-1)
         zvals = np.asarray(f(zs, np.array(rows)), dtype=float)
         live, ends = [], []
         for r, z, zv, j, low in zip(rows, zs.tolist(), zvals.tolist(),

@@ -46,6 +46,15 @@ def _bernoulli_cgf(p, t, v):
     return out
 
 
+def _laplace_cgf(p, t, v):
+    # t p - ln(1 - (v t)^2), the log from v |t| = y + e: near y = 1 as
+    # ln((1 - y)(1 + y) - 2 y e), as the rounding of y alone would cost
+    # eps/(1 - y)
+    y, e = two_product(v, np.abs(t))
+    return t * p - np.where(y < 0.5, np.log1p(-y * y),
+                            np.log((1.0 - y) * (1.0 + y) - 2.0 * y * e))
+
+
 def _gamma_cramer(q, p, v):
     rat = q / p
     return np.where(q > 0, v * (rat - 1.0 - np.log(np.where(q > 0, rat, 1.0))),
@@ -189,8 +198,7 @@ _LAWS = {
     "laplace": _Law(
         key="b", mean_domain=(-_INF, _INF),
         t_domain=lambda p, v: (-1.0 / v, 1.0 / v),
-        cgf=lambda p, t, v: t * p - np.log1p(-(v * t) ** 2),
-        cramer=_laplace_cramer, draw=_laplace_draw,
+        cgf=_laplace_cgf, cramer=_laplace_cramer, draw=_laplace_draw,
         place=lambda p, std, out, v: np.add(
             np.multiply(std, v, out=out), p, out=out),
         upsilon="monte_carlo", check_grid=np.linspace(-3.0, 3.0, 7),

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import families as fam
-from ._special import two_product
 from .conjugate import argmax_zoom, cellwise
 
 
@@ -104,6 +103,15 @@ def _cgf_line(form, family, s, params, exact_inverse):
     return Comparator(form, fn, ends, params, exact_inverse)
 
 
+def _location_line(form, family, t, params):
+    """The CGF line at s = -t of a location family, K_p(s) = s p + K_0(s):
+    t (p - q) - K_0(-t), which is budget at rho = alpha + (budget - off) / t,
+    off = -K_0(-t)."""
+    off = -family.cgf(0.0, -t)
+    return _cgf_line(form, family, -t, params,
+                     lambda alpha, budget: alpha + (budget - off) / t)
+
+
 def _parameter(value, ok, rule):
     """A comparator parameter as a Python float, or as a float array whose
     entries the comparator takes one each; raises ValueError(rule(v)) for
@@ -155,13 +163,7 @@ def laplace_diff(t, b):
     top = 1.0 / b if b > 0.0 else 0.0     # no t passes a bad b
     t = _parameter(t, lambda v: (0.0 < v) & (v < top),
                    lambda v: f"laplace_diff needs 0 < t < 1/b, got t={v}, b={b}")
-    # ln(1 - (b t)^2), b t = y + e: near y = 1 as ln((1 - y)(1 + y) - 2 y e),
-    # as the rounding of y alone would cost eps/(1 - y)
-    y, e = two_product(b, t)
-    off = np.where(y < 0.5, np.log1p(-y * y),
-                   np.log((1.0 - y) * (1.0 + y) - 2.0 * y * e))
-    return _cgf_line("laplace_diff", fam.laplace(b), -t, {"t": t, "b": b},
-                     lambda alpha, budget: alpha + (budget - off) / t)
+    return _location_line("laplace_diff", fam.laplace(b), t, {"t": t, "b": b})
 
 
 def gaussian_diff(t, sigma2):
@@ -171,10 +173,8 @@ def gaussian_diff(t, sigma2):
     t = _parameter(t, lambda v: (v > 0.0) & good_sigma2,
                    lambda v: "gaussian_diff needs t > 0 and sigma2 in (0, inf), "
                              f"got t={v}, sigma2={sigma2}")
-    off = -0.5 * sigma2 * t * t
-    return _cgf_line("gaussian_diff", fam.gaussian(sigma2), -t,
-                     {"t": t, "sigma2": sigma2},
-                     lambda alpha, budget: alpha + (budget - off) / t)
+    return _location_line("gaussian_diff", fam.gaussian(sigma2), t,
+                          {"t": t, "sigma2": sigma2})
 
 
 def custom(eval_fn, loss_range, form="custom", params=None):
@@ -191,6 +191,13 @@ def check_delta(delta):
     """Raise ValueError unless delta is None or lies in (0, 1)."""
     if delta is not None and not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
+def check_nonnegative(value, name):
+    """Raise ValueError unless value is finite and at least 0."""
+    if not 0.0 <= value < math.inf:
+        rule = "nonnegative and finite" if value >= 0.0 else "nonnegative"
+        raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def check_n(value, name="n", least=1):

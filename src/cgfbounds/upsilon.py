@@ -19,7 +19,7 @@ import numpy as np
 from ._special import gammaln, logsumexp, xlog1py, xlogy
 from .conjugate import argmax_zoom
 from .families import bernoulli, poisson
-from .inversion import check_n
+from .inversion import check_n, check_nonnegative
 from .rng import check_seed, make_generator
 
 _LN2 = math.log(2.0)
@@ -296,7 +296,10 @@ def upsilon_monte_carlo(comp, family, n, r_grid=None, samples=10**5, seed=0):
     Per-r streams are keyed by (seed, r-index) so the result is independent
     of evaluation order.  ci is value +- _Z95 sd / (mean sqrt(samples)) of
     e^{w - max w} at the maximizing r: the normal 95% interval of the mean
-    weight, carried to the log scale by the delta method.  Each r's draws
+    weight, carried to the log scale by the delta method, which carries no
+    information once the relative standard error of the mean weight nears
+    1: the negbin(2) Cramer comparator at n = 10, samples = 10**4 and seed 0
+    gives value 3.98, ci (2.07, 5.88), divergent_suspect False.  Each r's draws
     are made into one buffer of whole rows, about _BLOCK elements, which
     bounds the draw memory; a stream does not depend on how its draws are
     split and each row's mean is taken on its own, so the block size changes
@@ -423,7 +426,5 @@ def correction_xi(n_times_trainloss, kl):
 
 def correction_two_e_ceil(u_value):
     """The union-bound correction 2 e ceil(u); u below 1 still pays one cell."""
-    if not 0.0 <= u_value < math.inf:
-        rule = "nonnegative and finite" if u_value >= 0.0 else "nonnegative"
-        raise ValueError(f"u must be {rule}, got {u_value}")
+    check_nonnegative(u_value, "u")
     return 2.0 * math.e * max(1, math.ceil(u_value))

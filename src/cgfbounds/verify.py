@@ -21,16 +21,9 @@ from ._special import (binomial_tail_root, logsumexp, rel_entr, xlog1py,
                        xlogy)
 from .bounds import (_per_kind, bound_values, check_kind, evaluate_kind,
                      reference_flag)
-from .inversion import check_n
+from .inversion import check_n, check_nonnegative
 from .rng import check_seed, make_generator, streams
 from .upsilon import cramer_divergence
-
-
-def _check_temperature(value, name):
-    """ValueError unless the Gibbs temperature value is finite and at least 0."""
-    if not 0.0 <= value < math.inf:
-        rule = "nonnegative and finite" if value >= 0.0 else "nonnegative"
-        raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +47,7 @@ class SyntheticProblem:
         if not (np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-12):
             raise ValueError("prior_weights must be nonnegative and sum to 1, "
                              f"got sum {float(w.sum())}")
-        _check_temperature(self.gibbs_temperature, "gibbs_temperature")
+        check_nonnegative(self.gibbs_temperature, "gibbs_temperature")
         for name in ("n", "trials"):        # counts; 100.0 is 100
             object.__setattr__(self, name, check_n(getattr(self, name), name))
         object.__setattr__(self, "seed", check_seed(self.seed))
@@ -222,7 +215,7 @@ def random_problem(family, m, c, n, trials, seed, stream):
     """A problem with m means drawn uniformly from the mean interval of the
     family's law on stream (seed, stream), under a uniform prior."""
     m = check_n(m, "m", least=2)
-    _check_temperature(c, "c")  # c, n and trials are refused before the draw
+    check_nonnegative(c, "c")  # c, n and trials are refused before the draw
     n, trials = check_n(n), check_n(trials, "trials")
     if family.law.mean_interval is None:
         kinds = [k for k, law in fam._LAWS.items() if law.mean_interval]

@@ -300,13 +300,25 @@ def test_batched_argmax_zoom_equals_a_per_row_loop():
     assert all(sorted(rows) == rows for rows in seen)
 
 
-def test_zoom_points_are_linspace():
-    a = np.array([0.0, -1.0, 0.3, 5e-324, 2.0])
-    b = np.array([1.0, 3.0, 0.3, 1e-323, 2.0 + 2.0 ** -51])
-    got = con._zoom_points(a, b)
+def test_zoom_grid_is_linspace():
+    # row r peaks at xs[3r + 1], so its bracket is xs[3r], xs[3r + 2]; flat
+    # zoom values end every row after the first round
+    a = [0.0, -1.0, 0.3, 5e-324, 2.0]
+    b = [1.0, 3.0, 0.3, 1e-323, 2.0 + 2.0 ** -51]
+    xs = [x for lo, hi in zip(a, b) for x in (lo, 0.0, hi)]
+    vals = np.zeros((len(a), len(xs)))
+    vals[range(len(a)), range(1, len(xs), 3)] = 1.0
+    seen = []
+
+    def f(zs, rows):
+        seen.append(zs.copy())
+        return np.zeros(zs.shape)
+
+    con.argmax_zoom(f, xs, vals)
+    assert len(seen) == 1
     for r in range(len(a)):
-        assert np.array_equal(got[r], np.linspace(a[r], b[r],
-                                                  con._ZOOM_POINTS))
+        assert np.array_equal(seen[0][r], np.linspace(a[r], b[r],
+                                                      con._ZOOM_POINTS))
 
 
 @pytest.mark.parametrize("spec", cli._DEFAULT_CHECK_FAMILIES)
