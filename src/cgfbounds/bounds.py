@@ -50,11 +50,11 @@ def check_kind(kind, family, delta, sigma2=None, b=None, *, ln_upsilon=None,
     needs a delta, any delta lies in (0, 1), only the Chernoff kind takes
     ln_upsilon, finite and at least 0 (Upsilon of a Cramer function is at
     least 1), only the 2e ceil(u) kind u, and a given sigma2 or b lies in
-    (0, inf), whatever the kind.  mls and catoni_inf take bernoulli or None
-    and invert the binary kl; poisson_diff_inf takes no family with negative
-    means, the other *_diff_inf a b or sigma2 given or lent by a family of
-    that type, and each inverts the sup of its CGF lines, a Cramer function;
-    a Cramer kind needs a family."""
+    (0, inf), whatever the kind.  mls and catoni_inf invert the binary kl;
+    each *_diff_inf the sup of its CGF lines, the Cramer function of poisson
+    or of laplace(b) or gaussian(sigma2), given or lent by a family of that
+    type.  A Cramer kind needs a family, and a given family's mean domain
+    lies in the comparator's loss range (inversion.check_loss_range)."""
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; use one of "
                          + ", ".join(BOUND_KINDS))
@@ -73,16 +73,10 @@ def check_kind(kind, family, delta, sigma2=None, b=None, *, ln_upsilon=None,
         if value is not None and not 0.0 < value < math.inf:
             raise ValueError(f"{name} must lie in (0, inf), got {value!r}")
     if kind in ("mls", "catoni_inf"):
-        if family and family.kind != "bernoulli":
-            raise ValueError(f"{kind} needs the bernoulli family, got "
-                             f"{family.kind}")
-        return inv.binary_kl()
-    if kind == "poisson_diff_inf":
-        if family and family.mean_domain[0] < 0.0:
-            raise ValueError(f"poisson_diff_inf needs nonnegative losses; "
-                             f"the {family.kind} family's mean can be negative")
-        return inv.cramer_of(fam.poisson())
-    if kind in PARAMETRIC_INFIMA:       # the other two *_diff_inf
+        comp = inv.binary_kl()
+    elif kind == "poisson_diff_inf":
+        comp = inv.cramer_of(fam.poisson())
+    elif kind in PARAMETRIC_INFIMA:     # the other two *_diff_inf
         own, name, value = (("laplace", "b", b) if kind == "laplace_diff_inf"
                             else ("gaussian", "sigma2", sigma2))
         if value is None and getattr(family, "kind", None) == own:
@@ -90,10 +84,14 @@ def check_kind(kind, family, delta, sigma2=None, b=None, *, ln_upsilon=None,
         if value is None:
             raise ValueError(f"{name} must be positive for {kind}, got "
                              f"None; only a {own} family lends its own {name}")
-        return inv.cramer_of(fam.BoundingFamily(own, value))
-    if family is None:
+        comp = inv.cramer_of(fam.BoundingFamily(own, value))
+    elif family is None:
         raise ValueError(f"the {kind} kind needs a family, got None")
-    return inv.cramer_of(family)
+    else:
+        comp = inv.cramer_of(family)
+    if family is not None:
+        inv.check_loss_range(comp, family)
+    return comp
 
 
 def _kind_query(kind, family, alpha, beta, n, delta, sigma2, b, *,

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -57,7 +58,7 @@ def _parse_range(text, want_scale=False):
 
 def _merge_config(argv):
     """Splice key=value config entries in as flags ahead of the real flags;
-    at most one --config."""
+    at most one --config, whose lines name no config and no key twice."""
     out, paths = [], []
     tokens = iter(argv)
     for tok in tokens:
@@ -76,22 +77,29 @@ def _merge_config(argv):
     if not paths:
         return out
     path = paths[0]
-    injected = []
+    injected, seen = [], {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"config {path!r} line {lineno}: "
             key, eq, value = line.partition("=")
-            if not eq:
-                raise ValueError(f"config {path!r} line {lineno}: {line!r} "
-                                 "is not key=value")
             key, value = key.strip(), value.strip()
-            if key in _BOOL_KEYS:
-                if value.lower() in ("1", "true", "yes"):
-                    injected.append("--" + key)
-            else:
+            if not eq:
+                raise ValueError(where + f"{line!r} is not key=value")
+            if key == "config":
+                raise ValueError(where + f"cannot nest config={value}")
+            if key in seen:
+                raise ValueError(where + f"key {key!r} repeats line {seen[key]}")
+            seen[key] = lineno
+            if key not in _BOOL_KEYS:
                 injected.extend(["--" + key, value])
+            elif value.lower() in ("1", "true", "yes"):
+                injected.append("--" + key)
+            elif value.lower() not in ("0", "false", "no"):
+                raise ValueError(where + f"{key} takes 1, true, yes, 0, false "
+                                 f"or no (any case), got {value!r}")
     return out[:1] + injected + out[1:]
 
 
@@ -307,86 +315,78 @@ _SHARED_FLAGS = (
 _COMMON, _WRITES, _SEEDED = 1, 2, 3
 
 
-def build_parser(command=None):
-    """The cgfbounds parser.  Every subcommand is registered with its help,
-    so --help and an invalid choice read the same whatever command is;
-    given a subcommand name, only that subcommand gets its arguments."""
+@functools.cache
+def build_parser():
+    """The cgfbounds parser, built once per process on first use; parsing
+    leaves it as it was, so every main call shares it."""
     parser = argparse.ArgumentParser(prog="cgfbounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, shared, help, func):
-        # the subparser to give its own arguments, or None if it stays bare
-        full = command in (None, name)
-        p = sub.add_parser(name, help=help, add_help=full)
+        p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        if not full:
-            return None
         for flag, kwargs in _SHARED_FLAGS[:shared]:
             p.add_argument(flag, **kwargs)
         return p
 
-    if p := add("bound", _COMMON,
-                "single bound query, prints rho/budget/status", cmd_bound):
-        p.add_argument("--family", required=True)
-        p.add_argument("--alpha", type=float, required=True)
-        p.add_argument("--beta", type=float, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--correction", default=None,
-                       help="one|xi|2eceil|chernoff=<ln_upsilon> (default xi); "
-                       "needs --delta")
-        p.add_argument("--u", type=float, default=None,
-                       help="grid size of --correction 2eceil (default n)")
+    p = add("bound", _COMMON, "single bound query, prints rho/budget/status",
+            cmd_bound)
+    p.add_argument("--family", required=True)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--correction", default=None,
+                   help="one|xi|2eceil|chernoff=<ln_upsilon> (default xi); "
+                   "needs --delta")
+    p.add_argument("--u", type=float, default=None,
+                   help="grid size of --correction 2eceil (default n)")
 
-    if p := add("sweep", _WRITES, "bound-comparison grid, CSV output",
-                cmd_sweep):
-        p.add_argument("--family", required=True)
-        p.add_argument("--kinds", required=True,
-                       help="comma list of bound kinds; diff = first - last")
-        p.add_argument("--alpha-range", required=True, metavar="LO:HI:STEPS")
-        p.add_argument("--bon-range", required=True,
-                       metavar="LO:HI:STEPS[:SCALE]",
-                       help="beta/n range, scale linear|log")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--sigma2", type=float, default=None)
-        p.add_argument("--b", type=float, default=None)
-        p.add_argument("--clamp", action="store_true",
-                       help="clamp each bound at 1 before differencing")
+    p = add("sweep", _WRITES, "bound-comparison grid, CSV output", cmd_sweep)
+    p.add_argument("--family", required=True)
+    p.add_argument("--kinds", required=True,
+                   help="comma list of bound kinds; diff = first - last")
+    p.add_argument("--alpha-range", required=True, metavar="LO:HI:STEPS")
+    p.add_argument("--bon-range", required=True, metavar="LO:HI:STEPS[:SCALE]",
+                   help="beta/n range, scale linear|log")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--sigma2", type=float, default=None)
+    p.add_argument("--b", type=float, default=None)
+    p.add_argument("--clamp", action="store_true",
+                   help="clamp each bound at 1 before differencing")
 
-    if p := add("ndep", _WRITES, "average bound vs n at fixed alpha, beta; "
-                "every n in one inversion", cmd_ndep):
-        p.add_argument("--family", required=True)
-        p.add_argument("--alpha", type=float, required=True)
-        p.add_argument("--beta", type=float, required=True)
-        p.add_argument("--nmin", type=int, required=True)
-        p.add_argument("--nmax", type=int, required=True)
-        p.add_argument("--points", type=int, default=25)
+    p = add("ndep", _WRITES, "average bound vs n at fixed alpha, beta; "
+            "every n in one inversion", cmd_ndep)
+    p.add_argument("--family", required=True)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--nmin", type=int, required=True)
+    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--points", type=int, default=25)
 
-    if p := add("upsilon", _SEEDED,
-                "moment quantity for a comparator/family pair", cmd_upsilon):
-        p.add_argument("--comparator", required=True,
-                       help="kl|cramer|catoni:gamma=|scaled_diff:t=|"
-                            "poisson_diff:t=|laplace_diff:t=,b=|"
-                            "gaussian_diff:t=,sigma2=")
-        p.add_argument("--family", required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--samples", type=int, default=10**5)
+    p = add("upsilon", _SEEDED, "moment quantity for a comparator/family pair",
+            cmd_upsilon)
+    p.add_argument("--comparator", required=True,
+                   help="kl|cramer|catoni:gamma=|scaled_diff:t=|"
+                        "poisson_diff:t=|laplace_diff:t=,b=|"
+                        "gaussian_diff:t=,sigma2=")
+    p.add_argument("--family", required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--samples", type=int, default=10**5)
 
-    if p := add("verify", _SEEDED, "Monte-Carlo violation-rate check",
-                cmd_verify):
-        p.add_argument("--family", default="bernoulli")
-        p.add_argument("--bound", default="mls")
-        p.add_argument("--delta", type=float, default=0.05)
-        p.add_argument("--trials", type=int, default=2000)
-        p.add_argument("--m", type=int, default=10)
-        p.add_argument("--n", type=int, default=50)
-        p.add_argument("--c", type=float, default=1.0)
+    p = add("verify", _SEEDED, "Monte-Carlo violation-rate check", cmd_verify)
+    p.add_argument("--family", default="bernoulli")
+    p.add_argument("--bound", default="mls")
+    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--m", type=int, default=10)
+    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--c", type=float, default=1.0)
 
-    if p := add("conjugate-check", _COMMON,
-                "numeric conjugate vs closed Cramer function",
-                cmd_conjugate_check):
-        p.add_argument("--family", required=True)
+    p = add("conjugate-check", _COMMON,
+            "numeric conjugate vs closed Cramer function", cmd_conjugate_check)
+    p.add_argument("--family", required=True)
 
     add("selfcheck", _COMMON, "identity suites; exit 0 only if all pass",
         cmd_selfcheck)
@@ -403,10 +403,7 @@ def main(argv=None):
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    # a first token that is no option is the subcommand (or an invalid
-    # choice): only it gets its arguments built
-    command = argv[0] if argv and not argv[0].startswith("-") else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (inv.NoFiniteBound, bounds.CorrectionDivergent) as e:

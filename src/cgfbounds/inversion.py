@@ -193,6 +193,15 @@ def check_delta(delta):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
+def check_loss_range(comp, family):
+    """Raise ValueError unless comp's loss range covers family's mean domain."""
+    (c_lo, c_hi), (f_lo, f_hi) = comp.loss_range, family.mean_domain
+    if not (c_lo <= f_lo and f_hi <= c_hi):
+        raise ValueError(f"comparator {comp.form} has loss range "
+                         f"[{c_lo}, {c_hi}], which does not cover the mean "
+                         f"domain ({f_lo}, {f_hi}) of the {family.kind} family")
+
+
 def check_nonnegative(value, name):
     """Raise ValueError unless value is finite and at least 0."""
     if not 0.0 <= value < math.inf:

@@ -19,7 +19,7 @@ import numpy as np
 from ._special import gammaln, logsumexp, xlog1py, xlogy
 from .conjugate import argmax_zoom
 from .families import bernoulli, poisson
-from .inversion import check_n, check_nonnegative
+from .inversion import check_loss_range, check_n, check_nonnegative
 from .rng import check_seed, make_generator
 
 _LN2 = math.log(2.0)
@@ -392,11 +392,7 @@ def compute_upsilon(comp, family, n, seed=0, samples=10**5):
     n = check_n(n)
     samples = check_n(samples, "samples", least=4)
     seed = check_seed(seed)
-    (c_lo, c_hi), (f_lo, f_hi) = comp.loss_range, family.mean_domain
-    if not (c_lo <= f_lo and f_hi <= c_hi):
-        raise ValueError(f"comparator {comp.form} has loss range "
-                         f"[{c_lo}, {c_hi}], which does not cover the mean "
-                         f"domain ({f_lo}, {f_hi}) of the {family.kind} family")
+    check_loss_range(comp, family)
     p = comp.params
     if p.get("family") == family:
         if cramer_divergence(family):

@@ -618,7 +618,8 @@ NDEP = ("ndep", "--family", "poisson", "--alpha", "1", "--beta", "1",
 UPSILON_MC = ("upsilon", "--comparator", "scaled_diff:t=0.3", "--family",
               "laplace:b=1", "--n", "5")
 
-BAD_CONFIG = Path(__file__).resolve().parent / "bad_line.cfg"
+HERE = Path(__file__).resolve().parent
+BAD_CONFIG = HERE / "bad_line.cfg"
 
 # each bad input, and the words its usage error must contain
 USAGE_ERRORS = {
@@ -756,8 +757,8 @@ USAGE_ERRORS = {
                                "poisson takes no keys"]),
     "verify-mls-off-bernoulli": (("verify", "--family", "gaussian:sigma2=1",
                                   "--bound", "mls", "--trials", "10"),
-                                 ["mls needs the bernoulli family",
-                                  "gaussian"]),
+                                 ["comparator binary_kl has loss range",
+                                  "does not cover", "gaussian family"]),
     "comparator-value-text": (("upsilon", "--comparator", "catoni:gamma=x",
                                "--family", "bernoulli", "--n", "5"),
                               ["'catoni:gamma=x'", "gamma needs a number",
@@ -775,7 +776,8 @@ USAGE_ERRORS = {
         ("sweep", "--family", "gaussian:sigma2=1", "--kinds",
          "poisson_diff_inf", "--alpha-range", "0.1:0.2:2", "--bon-range",
          "0.01:1:2", "--n", "50"),
-        ["poisson_diff_inf", "gaussian", "can be negative"]),
+        ["comparator cramer[poisson] has loss range", "does not cover",
+         "gaussian family"]),
     # a given nuisance is checked whatever the kind
     "sweep-sigma2-negative": (("sweep", "--family", "bernoulli", "--kinds",
                                "average_cramer", "--alpha-range", "0.1:0.2:2",
@@ -804,6 +806,16 @@ USAGE_ERRORS = {
     "config-line": (("sweep", "--config", str(BAD_CONFIG)),
                     [repr(str(BAD_CONFIG)), "line 2",
                      "'kinds average_cramer' is not key=value"]),
+    # three lines a config once dropped or overrode without a word
+    "config-nested": (("bound", "--config", str(HERE / "nested_config.cfg")),
+                      [repr(str(HERE / "nested_config.cfg")), "line 6",
+                       "cannot nest config=figs/fig1b.cfg"]),
+    "config-bool": (("sweep", "--config", str(HERE / "bad_bool.cfg")),
+                    [repr(str(HERE / "bad_bool.cfg")), "line 7",
+                     "clamp takes 1, true, yes, 0, false or no", "'ture'"]),
+    "config-repeated": (("bound", "--config", str(HERE / "repeated_key.cfg")),
+                        [repr(str(HERE / "repeated_key.cfg")), "line 6",
+                         "key 'n' repeats line 5"]),
     "u-negative": (BOUND + ("--delta", "0.05", "--correction", "2eceil",
                             "--u", "-1"), ["u must be nonnegative", "-1.0"]),
     "u-inf": (BOUND + ("--delta", "0.05", "--correction", "2eceil", "--u",
@@ -915,47 +927,32 @@ def test_main_entry_in_process(capsys):
     assert float(fields["rho"]) == pytest.approx(0.2, rel=1e-7)
 
 
-SUBCOMMAND_ARGV = {
-    "bound": ["--family", "bernoulli", "--alpha", "0.1", "--beta", "2.3",
-              "--n", "100", "--delta", "0.05", "--correction", "2eceil"],
-    "sweep": ["--family", "bernoulli", "--kinds", "mls,average_cramer",
-              "--alpha-range", "0.1:0.2:2", "--bon-range", "0.1:1:3:log",
-              "--n", "50", "--delta", "0.05", "--clamp", "--out", "-"],
-    "ndep": ["--family", "gamma:k=5", "--alpha", "1", "--beta", "1000",
-             "--nmin", "100", "--nmax", "1000"],
-    "upsilon": ["--comparator", "kl", "--family", "bernoulli", "--n", "50",
-                "--seed", "3"],
-    "verify": ["--trials", "20", "--bound", "pac_cramer_xi"],
-    "conjugate-check": ["--family", "poisson"],
-    "selfcheck": ["--config", "x.cfg"],
-}
+COMMANDS = ("bound", "sweep", "ndep", "upsilon", "verify", "conjugate-check",
+            "selfcheck")
 
 
-@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
-def test_one_subcommand_parser_reads_like_the_full_one(command, capsys):
-    # main builds only the arguments of the subcommand it runs; its help,
-    # the top-level help and the parsed namespace are the full parser's
-    full, one = cli.build_parser(), cli.build_parser(command)
-    assert one.format_help() == full.format_help()
-    argv = [command, *SUBCOMMAND_ARGV[command]]
-    assert one.parse_args(argv) == full.parse_args(argv)
-    helps = []
-    for parser in (full, one):
-        with pytest.raises(SystemExit) as exit_info:
-            parser.parse_args([command, "--help"])
-        assert exit_info.value.code == 0
-        helps.append(capsys.readouterr().out)
-    assert helps[0] == helps[1] and helps[0].startswith(
-        f"usage: cgfbounds {command} [-h]")
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_subcommand_has_its_help(command):
+    code, out, _ = run_cli(command, "--help")
+    assert code == 0 and out.startswith(f"usage: cgfbounds {command} [-h]")
 
 
-def test_invalid_subcommand_error_is_the_full_parsers(capsys):
-    # main builds no subcommand's arguments for an invalid choice; the
-    # error still lists every subcommand
-    errors = []
-    for parser in (cli.build_parser(), cli.build_parser("bogus")):
-        with pytest.raises(SystemExit) as exit_info:
-            parser.parse_args(["bogus"])
-        assert exit_info.value.code == 2
-        errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1] and "invalid choice: 'bogus'" in errors[0]
+def test_top_level_help_and_an_invalid_choice_name_every_subcommand():
+    code, out, _ = run_cli("--help")
+    assert code == 0 and all(command in out for command in COMMANDS)
+    code, _, err = run_cli("bogus")
+    assert code == 2 and "invalid choice: 'bogus'" in err
+    assert all(repr(command) in err for command in COMMANDS)
+
+
+def test_one_parser_serves_every_main_call():
+    # built once per process; a run leaves nothing behind for the next one
+    assert cli.build_parser() is cli.build_parser()
+    sweep = ("sweep", "--config", str(ROOT / "figs" / "fig1a.cfg"), "--out",
+             "-")
+    first = run_cli(*sweep)
+    assert first[0] == 0 and first[1].startswith("alpha,beta_over_n,")
+    assert run_cli(*BOUND)[0] == 0
+    assert run_cli("upsilon", "--comparator", "kl", "--family", "bernoulli",
+                   "--n", "5")[0] == 0
+    assert run_cli(*sweep) == first
