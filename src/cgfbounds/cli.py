@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -29,10 +30,14 @@ def _fmt(v):
     return "%.9g" % float(v)
 
 
-def _csv_rows(cols):
-    """One CSV line per index of the equal-length cols, each value as _fmt."""
-    fmt = ",".join(["%.9g"] * len(cols))
-    return [fmt % tuple(row) for row in np.column_stack(cols).tolist()]
+def _csv_text(header, cols):
+    """The CSV text of the header line and one line per index of the
+    equal-length cols, made by one % over the whole table: a cell of a
+    list of str as it is, one of an array as _fmt of its double."""
+    cells = [c if isinstance(c, list) else c.tolist() for c in cols]
+    row = ",".join("%s" if isinstance(c, list) else "%.9g" for c in cols)
+    flat = tuple(itertools.chain.from_iterable(zip(*cells)))
+    return header + "\n" + (row + "\n") * len(cells[0]) % flat
 
 
 def _parse_range(text, want_scale=False):
@@ -58,7 +63,9 @@ def _parse_range(text, want_scale=False):
 
 def _merge_config(argv):
     """Splice key=value config entries in as flags ahead of the real flags;
-    at most one --config, whose lines name no config and no key twice."""
+    at most one --config, whose lines name no config and no key twice, and
+    under a known subcommand name only its flags, each with a value its
+    type takes."""
     out, paths = [], []
     tokens = iter(argv)
     for tok in tokens:
@@ -77,6 +84,10 @@ def _merge_config(argv):
     if not paths:
         return out
     path = paths[0]
+    # the subcommand's flags, spelled in full (argparse would take a prefix)
+    sub = _parsers()[1].get(out[0]) if out else None
+    flags = sub and {f[2:]: a for f, a in sub._option_string_actions.items()
+                     if f.startswith("--") and f not in ("--help", "--config")}
     injected, seen = [], {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -93,6 +104,12 @@ def _merge_config(argv):
             if key in seen:
                 raise ValueError(where + f"key {key!r} repeats line {seen[key]}")
             seen[key] = lineno
+            if flags is not None:
+                if key not in flags:
+                    raise ValueError(where + f"unknown key {key!r}; {out[0]} "
+                                     "takes " + ", ".join(flags))
+                if flags[key].type is not None:
+                    fam.parse_number(value, where + key, flags[key].type)
             if key not in _BOOL_KEYS:
                 injected.extend(["--" + key, value])
             elif value.lower() in ("1", "true", "yes"):
@@ -103,8 +120,7 @@ def _merge_config(argv):
     return out[:1] + injected + out[1:]
 
 
-def _write_lines(path, lines):
-    text = "".join(line + "\n" for line in lines)
+def _write(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -159,9 +175,12 @@ def cmd_sweep(args):
                                delta=args.delta, sigma2=args.sigma2, b=args.b)
     if args.clamp:
         cols = np.minimum(cols, 1.0)
+    # each axis value formatted once, in the meshgrid's cell order
+    a_text = [t for t in map(_fmt, alphas.tolist()) for _ in range(len(bons))]
+    bon_text = list(map(_fmt, bons.tolist())) * len(alphas)
     header = "alpha,beta_over_n," + ",".join(kinds) + ",diff"
-    _write_lines(args.out, [header] + _csv_rows([a, bon, *cols,
-                                                 cols[0] - cols[-1]]))
+    _write(args.out, _csv_text(header, [a_text, bon_text, *cols,
+                                        cols[0] - cols[-1]]))
     return EXIT_OK
 
 
@@ -184,8 +203,7 @@ def cmd_ndep(args):
                         [args.beta / n]).bracket[1][0]
         raise inv.no_finite_bound(f"cramer[{fam.family_spec(family)}] at n={n}",
                                   args.beta / n, hi)
-    _write_lines(args.out, ["n,bound"] + ["%d,%.9g" % row for row in
-                                          zip(ns.tolist(), rho.tolist())])
+    _write(args.out, _csv_text("n,bound", [list(map(str, ns.tolist())), rho]))
     return EXIT_OK
 
 
@@ -211,7 +229,7 @@ def cmd_upsilon(args):
     record = {"mode": est.mode, "ln_upsilon": est.value, "r_star": est.r_star,
               "ci": est.ci, "tail_error": est.tail_error,
               "r_at_cap": est.r_at_cap, "divergent_suspect": est.divergent_suspect}
-    _write_lines(args.out, [json.dumps(record)])
+    _write(args.out, json.dumps(record) + "\n")
     if est.r_at_cap:
         # the sup over r may lie past the grid, or be infinite
         print(f"upsilon: best r is the grid's last point r*={est.r_star:g}; "
@@ -229,7 +247,7 @@ def cmd_verify(args):
     records, summary = ver.run_trials(problem, args.bound, args.delta)
     lines = [json.dumps(dataclasses.asdict(r)) for r in records]
     lines.append(json.dumps({"summary": summary}))
-    _write_lines(args.out, lines)
+    _write(args.out, "".join(line + "\n" for line in lines))
     verdict = "PASS" if summary["cp95_high"] <= args.delta else "FAIL"
     if summary["flag"] == "reference_only":
         verdict = "REFERENCE"
@@ -315,10 +333,15 @@ _SHARED_FLAGS = (
 _COMMON, _WRITES, _SEEDED = 1, 2, 3
 
 
-@functools.cache
 def build_parser():
     """The cgfbounds parser, built once per process on first use; parsing
     leaves it as it was, so every main call shares it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """(build_parser's parser, its subcommand parsers by name)."""
     parser = argparse.ArgumentParser(prog="cgfbounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -390,11 +413,12 @@ def build_parser():
 
     add("selfcheck", _COMMON, "identity suites; exit 0 only if all pass",
         cmd_selfcheck)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
         argv = _merge_config(argv)
     except OSError as e:
@@ -403,7 +427,7 @@ def main(argv=None):
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    args = build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (inv.NoFiniteBound, bounds.CorrectionDivergent) as e:

@@ -306,6 +306,11 @@ class BoundingFamily:
         lo, hi = self.mean_domain
         if ((qq < lo) | (qq > hi)).any():
             raise ValueError(f"q={q} outside the loss range of {self.kind}")
+        return self._cramer(qq, pp)
+
+    def _cramer(self, qq, pp):
+        """cramer without the checks, on float arrays, for callers that
+        made them."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = self.law.cramer(qq, pp, self.nuisance)
         return out if isinstance(out, np.ndarray) and out.ndim else float(out)

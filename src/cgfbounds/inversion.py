@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import families as fam
+from ._special import _MAX, _MIN
 from .conjugate import argmax_zoom, cellwise
 
 
@@ -60,12 +61,20 @@ def cramer_of(family):
     family record's closed-form cramer_inverse (gaussian, poisson and
     invgauss), which _bisect solves under its rules; the other families'
     Cramer functions are bisected."""
-    ends = family.mean_domain
+    ends = lo, hi = family.mean_domain
     closed = family.law.cramer_inverse
     inverse = None if closed is None else (
         lambda alpha, budget: closed(alpha, budget, family.nuisance))
 
     def fn(q, p):
+        # the common case, every p inside the open domain and every q in
+        # its closure, is told by four reductions, each false on a NaN, and
+        # skips family.cramer's checks; any other call makes them, so every
+        # refusal stays, and applies the point-mass rule
+        qq, pp = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+        if (qq.size and pp.size and _MIN(pp, None) > lo and _MAX(pp, None) < hi
+                and _MIN(qq, None) >= lo and _MAX(qq, None) <= hi):
+            return family._cramer(qq, pp)
         edge, inside = _point_mass_ends(p, ends)
         out = family.cramer(q, inside)
         if edge is None:

@@ -262,7 +262,10 @@ def _quad_one_r(comp, family, n, r):
     else:
         fine = np.geomspace(coarse[ipk] * math.exp(-3.0),
                             coarse[ipk] * math.exp(3.0), _QUAD_POINTS)
-    xs = np.unique(np.concatenate((coarse, fine)))
+    # np.unique's grid, sorted with the first of each run of equal points
+    # kept, without np.unique: numpy 2.4's imports numpy.ma on first call
+    xs = np.sort(np.concatenate((coarse, fine)))
+    xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
     lnh = _ln_integrand(comp, family, n, r, xs)
     if np.isposinf(lnh).any():     # Delta = +inf where xbar has mass
         return None

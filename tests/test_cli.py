@@ -11,10 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgfbounds import bounds, cli, conjugate, families as fam, inversion as inv
 from cgfbounds import verify
-from cgfbounds.cli import _csv_rows, _fmt, main
+from cgfbounds.cli import _csv_text, _fmt, main
 
 
 def run_cli(*args):
@@ -171,16 +173,39 @@ def test_figures_solve_closed_forms_without_bisecting(tmp_path, monkeypatch,
     # its three-point probe and the root's feasibility check, with a few
     # steps down at most, where bisection made 41 and 42 calls
     calls = collections.Counter()
-    cramer = fam.BoundingFamily.cramer
+    evaluate = inv.Comparator.eval
 
     def counted(self, q, p):
-        calls[self.kind] += 1
-        return cramer(self, q, p)
+        if "family" in self.params:
+            calls[self.params["family"].kind] += 1
+        return evaluate(self, q, p)
 
-    monkeypatch.setattr(fam.BoundingFamily, "cramer", counted)
+    monkeypatch.setattr(inv.Comparator, "eval", counted)
     assert main(["sweep", "--config", str(ROOT / "figs" / f"{name}.cfg"),
                  "--out", str(tmp_path / f"{name}.csv")]) == 0
     assert 0 < calls[kind] <= 8
+
+
+def test_fig1a_checks_only_the_domain_end_through_family_cramer(monkeypatch):
+    # the engine reaches both paths of cramer_of's comparator: every cell
+    # inside the bernoulli domain takes the unchecked one, and the one
+    # capped check at hi = 1, a point mass, calls family.cramer
+    checked, cramer = [], fam.BoundingFamily.cramer
+    fallback, ends = [], inv._point_mass_ends
+
+    def counted(self, q, p):
+        checked.append(p)
+        return cramer(self, q, p)
+
+    def entered(p, mean_domain):
+        fallback.append(np.asarray(p))
+        return ends(p, mean_domain)
+
+    monkeypatch.setattr(fam.BoundingFamily, "cramer", counted)
+    monkeypatch.setattr(inv, "_point_mass_ends", entered)
+    assert run_cli("sweep", "--config", str(ROOT / "figs" / "fig1a.cfg"),
+                   "--out", "-")[0] == 0
+    assert len(fallback) == len(checked) == 1 and (fallback[0] == 1.0).all()
 
 
 def test_sweep_clamp_keeps_divergent_cells_nan(tmp_path):
@@ -347,12 +372,31 @@ def test_ndep_no_finite_bound_message_is_the_engines(capsys):
         "]: ", "] at n=1: ", 1) + "\n"
 
 
-def test_sweep_rows_format_each_cell_like_fmt():
+def test_csv_text_formats_each_cell_like_fmt():
     edge = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1, -2.5e17, 7.0]
     cols = [np.array(edge), np.array(edge[::-1]), np.array(edge[2:] + edge[:2])]
     want = [",".join(_fmt(v) for v in row) for row in zip(*cols)]
-    assert _csv_rows(cols) == want
+    assert _csv_text("x,y,z", cols) == "".join(
+        line + "\n" for line in ["x,y,z"] + want)
     assert want[0] == "nan,7,-inf" and want[3] == "-0,1e-300,0.1"
+    # a list of str, such as sweep's grid axis formatted once, is written
+    # as it is: the same text as its doubles
+    axis = [_fmt(v) for v in edge]
+    assert _csv_text("x,y,z", [axis, *cols[1:]]) == _csv_text("x,y,z", cols)
+
+
+@given(rows=st.lists(st.tuples(st.floats(), st.floats(), st.floats()),
+                     min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_csv_text_cells_read_back_as_fmt(rows):
+    # any doubles, subnormals, signed zeros, NaN and infinities included;
+    # the middle column goes in as _fmt's str
+    a, b, c = (list(col) for col in zip(*rows))
+    text = _csv_text("a,b,c", [np.array(a), [_fmt(v) for v in b], np.array(c)])
+    lines = text.split("\n")
+    assert lines[0] == "a,b,c" and lines[-1] == ""
+    assert [line.split(",") for line in lines[1:-1]] == [
+        [_fmt(v) for v in row] for row in rows]
 
 
 def test_upsilon_json_record():
@@ -858,6 +902,22 @@ def test_usage_errors_exit_2_with_message(case, capsys):
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
     for word in words:
         assert word in err, (word, err)
+
+
+def test_config_lines_argparse_would_refuse_name_the_file_and_line():
+    # argparse refused both without naming the file or the line
+    bad, unknown = HERE / "bad_value.cfg", HERE / "unknown_key.cfg"
+    assert run_cli("bound", "--config", str(bad)) == (2, "", (
+        f"usage error: config {str(bad)!r} line 5: n needs an integer, "
+        "got 'abc'\n"))
+    assert run_cli("bound", "--config", str(unknown)) == (2, "", (
+        f"usage error: config {str(unknown)!r} line 6: unknown key 'seed'; "
+        "bound takes family, alpha, beta, n, delta, correction, u\n"))
+    # a key is one of the subcommand's flags: ndep has no --n; a good
+    # flag on the command line does not excuse a bad line
+    code, _, err = run_cli("ndep", "--config", str(bad))
+    assert code == 2 and "line 5: unknown key 'n'; ndep takes out, family, " in err
+    assert run_cli("bound", "--config", str(bad), "--n", "10")[0] == 2
 
 
 def test_threads_flag_rejected():

@@ -275,6 +275,71 @@ def test_builtin_comparator_broadcasts(name):
     assert got.shape == (5, 5) and got.tobytes() == want.tobytes()
 
 
+# cramer_of's comparator: cells with every p inside the open mean domain and
+# every q in its closure skip family.cramer's checks; any other call makes
+# them, and applies the point-mass rule at the domain's ends
+
+def _cramer_comp(kind):
+    comp = BUILTIN_COMPARATORS[f"cramer[{kind}]"]
+    pts = _five_points(*comp.loss_range)
+    lo, hi = comp.loss_range
+    return comp, comp.params["family"], pts, pts[(pts > lo) & (pts < hi)]
+
+
+@pytest.mark.parametrize("kind", fam.FAMILY_KINDS)
+def test_cramer_of_interior_cells_are_family_cramers_doubles(kind,
+                                                             monkeypatch):
+    comp, family, q, p = _cramer_comp(kind)
+    want = family.cramer(q[:, None], p)
+    want_0d = [[family.cramer(a, b) for b in p.tolist()] for a in q.tolist()]
+
+    def refuse(self, q, p):
+        raise AssertionError("an interior cell reached family.cramer")
+
+    monkeypatch.setattr(fam.BoundingFamily, "cramer", refuse)
+    assert comp.eval(q[:, None], p).tobytes() == want.tobytes()
+    for a, row in zip(q.tolist(), want_0d):
+        for b, w in zip(p.tolist(), row):
+            for args in ((a, b), (np.float64(a), np.asarray(b))):
+                got = comp.eval(*args)
+                assert type(got) is float and (
+                    np.float64(got).tobytes() == np.float64(w).tobytes())
+
+
+@pytest.mark.parametrize("kind", fam.FAMILY_KINDS)
+def test_cramer_of_refuses_as_family_cramer(kind):
+    comp, family, _, inside = _cramer_comp(kind)
+    lo, hi = comp.loss_range
+    mid = float(inside[1])
+    outer = [x for x in (lo - 1.0, hi + 1.0) if math.isfinite(x)]
+    for p in [math.nan] + outer:
+        for pp in (p, np.array([mid, p])):
+            with pytest.raises(ValueError) as exc:
+                comp.eval(mid, pp)
+            assert str(exc.value) == (
+                f"mean {pp} outside the open domain of {kind}")
+    for q in outer:
+        for qq in (q, np.array([mid, q])):
+            with pytest.raises(ValueError) as exc:
+                comp.eval(qq, mid)
+            assert str(exc.value) == (
+                f"q={qq} outside the loss range of {kind}")
+
+
+@pytest.mark.parametrize("kind", [k for k in fam.FAMILY_KINDS
+                                  if k not in ("gaussian", "laplace")])
+def test_cramer_of_is_the_point_mass_at_a_domain_end(kind):
+    comp, family, q, inside = _cramer_comp(kind)
+    ends = [e for e in comp.loss_range if math.isfinite(e)]
+    for end in ends:
+        assert comp.eval(end, end) == 0.0
+        assert comp.eval(float(inside[0]), end) == math.inf
+        got = comp.eval(q[:, None], np.array([end, inside[0]]))
+        assert got[:, 0].tolist() == [0.0 if x == end else math.inf
+                                      for x in q.tolist()]
+        assert got[:, 1].tobytes() == family.cramer(q, inside[0]).tobytes()
+
+
 # the four comparators as they were written by hand before each became the
 # CGF line s q - K_p(s) of its family: the oracle of the lines
 def _old_catoni(gamma):

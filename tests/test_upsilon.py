@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -323,6 +325,21 @@ def test_series_slow_run_counts_past_k_edge(chunks, mode, monkeypatch):
 
 
 # -- quadrature route -------------------------------------------------------------
+
+def test_quadrature_route_leaves_numpy_ma_unimported():
+    # numpy 2.4's np.unique imports numpy.ma, about 17 ms of a cold run; a
+    # child process, as pytest itself may have imported it already
+    script = ("import sys\n"
+              "from cgfbounds import families as fam, inversion as inv\n"
+              "from cgfbounds import upsilon as ups\n"
+              "est = ups.compute_upsilon(inv.gaussian_diff(0.5, 2.0), "
+              "fam.gaussian(1.0), 20)\n"
+              "print(est.mode, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["truncated", "False"]
+
 
 @pytest.mark.parametrize("margin,mode", [(-1e-6, "divergent"),
                                          (1e-6, "truncated")])
